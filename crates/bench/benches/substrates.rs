@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the substrate layers: cut enumeration, NPN
-//! canonization, the LP/MILP/SAT/CP solvers and the pulse simulator.
+//! canonization, the LP/MILP/SAT solvers and the pulse simulator.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sfq_circuits::epfl;

@@ -163,20 +163,9 @@ pub const FIXPOINT_OPT_FLOW: &str = "T1+fix";
 /// random network, each through the T1 flow with a *fixpoint* `sfq-opt`
 /// stage in front. These are the allocation-sensitive rows of the
 /// regression baseline — the optimizer dominates their `alloc_bytes`, so
-/// they pin the cost of the in-place-vs-rebuild transform strategy.
-///
-/// `rebuild_passes` selects that strategy (rebuild passes clone the
-/// network once per pass per round); the two flavors produce byte-identical
-/// networks, which is exactly why the flag is worth measuring and not
-/// worth fingerprinting.
-pub fn fixpoint_opt_jobs(
-    scale: &BenchmarkScale,
-    n: u32,
-    lib: &CellLibrary,
-    rebuild_passes: bool,
-) -> Vec<Job> {
-    let mut opt = sfq_opt::OptConfig::standard();
-    opt.rebuild_passes = rebuild_passes;
+/// they pin the cost of the optimizer's in-place transforms.
+pub fn fixpoint_opt_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> Vec<Job> {
+    let opt = sfq_opt::OptConfig::standard();
     let subjects = [
         ("adder", epfl::adder(scale.adder_bits)),
         ("multiplier", epfl::multiplier(scale.multiplier_bits)),
@@ -402,20 +391,14 @@ mod tests {
     }
 
     #[test]
-    fn fixpoint_opt_jobs_share_keys_across_strategies() {
+    fn fixpoint_opt_jobs_name_three_subjects() {
         let lib = CellLibrary::default();
-        let scale = BenchmarkScale::small();
-        let in_place = fixpoint_opt_jobs(&scale, 4, &lib, false);
-        let rebuild = fixpoint_opt_jobs(&scale, 4, &lib, true);
-        assert_eq!(in_place.len(), 3);
-        let names: Vec<&str> = in_place.iter().map(|j| j.name.as_str()).collect();
-        assert_eq!(names, ["adder", "multiplier", "scale-100k"]);
-        for (a, b) in in_place.iter().zip(&rebuild) {
-            assert_eq!(a.flow, FIXPOINT_OPT_FLOW);
-            // Byte-identical results ⇒ same content address: the strategy
-            // flag must not split the cache.
-            assert_eq!(a.key(), b.key(), "{}: strategy re-keyed the job", a.name);
-        }
+        let jobs = fixpoint_opt_jobs(&BenchmarkScale::small(), 4, &lib);
+        let labels: Vec<String> = jobs.iter().map(|j| j.label()).collect();
+        assert_eq!(
+            labels,
+            ["adder/T1+fix", "multiplier/T1+fix", "scale-100k/T1+fix"]
+        );
     }
 
     #[test]

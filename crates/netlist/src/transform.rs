@@ -2,22 +2,19 @@
 //!
 //! - [`sweep`] — rebuilds an AIG keeping only the logic reachable from the
 //!   primary outputs (dead-node sweep, constant propagation through the
-//!   builder's simplification rules, and re-strashing). This is the single
-//!   implementation behind both [`cleanup`] and the `sweep` pass of the
-//!   `sfq-opt` pass manager (the pass lives upstream and delegates here
-//!   because the crate graph points `sfq-opt → sfq-netlist`);
-//! - [`sweep_in_place`] — the ID-stable variant: kills unreachable nodes
-//!   where they stand instead of rebuilding, so downstream incremental
-//!   consumers (e.g. STA rebind) see a dirty set equal to the true edit
-//!   footprint;
+//!   builder's simplification rules, and re-strashing);
+//! - [`sweep_in_place`] — the ID-stable variant behind the `sweep` pass of
+//!   the `sfq-opt` pass manager: kills unreachable nodes where they stand
+//!   instead of rebuilding, so downstream incremental consumers (e.g. STA
+//!   rebind) see a dirty set equal to the true edit footprint;
 //! - [`cleanup`] — the historical name for the same operation, kept as a
 //!   thin alias so existing callers don't break;
-//! - [`ConeRewrite`] / [`apply_cone_rewrites_rebuild`] /
-//!   [`apply_cone_rewrites_in_place`] — the batch cone-rewrite engine: a
-//!   network-independent description of "replace this fanout-free cone with
-//!   this AND program", applied either by full reconstruction (the
-//!   reference path) or by editing slots in place (the allocation-lean
-//!   path). The two are structurally identical by construction;
+//! - [`ConeRewrite`] / [`apply_cone_rewrites_in_place`] — the batch
+//!   cone-rewrite engine: a network-independent description of "replace
+//!   this fanout-free cone with this AND program", applied by editing slots
+//!   in place. The result is structurally identical to a full
+//!   reconstruction through the builder (the reference rebuild this
+//!   module's tests compare against);
 //! - [`NetworkStats`] — summary numbers for reports and regression tests.
 //!
 //! # Examples
@@ -90,10 +87,7 @@ pub fn sweep(aig: &Aig) -> Aig {
     out
 }
 
-/// The historical name of [`sweep`], kept for source compatibility. The
-/// `sfq-opt` optimization subsystem exposes the same operation as its
-/// `sweep` pass; this function and that pass share the one implementation
-/// above.
+/// The historical name of [`sweep`], kept for source compatibility.
 pub fn cleanup(aig: &Aig) -> Aig {
     sweep(aig)
 }
@@ -147,9 +141,8 @@ pub fn sweep_in_place(aig: &mut Aig) -> usize {
 /// a straight-line AND program over `inputs`.
 ///
 /// This is the network-independent form the `sfq-opt` rewriter lowers its
-/// accepted sites into; the engine applies a batch of them either by full
-/// reconstruction ([`apply_cone_rewrites_rebuild`]) or in place
-/// ([`apply_cone_rewrites_in_place`]) with structurally identical results.
+/// accepted sites into; [`apply_cone_rewrites_in_place`] applies a batch of
+/// them.
 #[derive(Debug, Clone)]
 pub struct ConeRewrite {
     /// The cone's root node — the highest-indexed member of `freed`.
@@ -177,24 +170,6 @@ fn program_resolve(vals: &[Lit], l: u16) -> Lit {
     lit.with_complement(lit.is_complement() ^ (l & 1 == 1))
 }
 
-impl ConeRewrite {
-    /// Instantiates the program into `aig` (a network under construction),
-    /// feeding program input `i` with `inputs[i]`. Mirrors the upstream
-    /// `Program::build` exactly: one [`Aig::and`] per step, so structural
-    /// hashing reuses anything already present.
-    fn build(&self, aig: &mut Aig, inputs: &[Lit]) -> Lit {
-        let mut vals: Vec<Lit> = Vec::with_capacity(1 + inputs.len() + self.steps.len());
-        vals.push(Lit::FALSE);
-        vals.extend_from_slice(inputs);
-        for &(a, b) in &self.steps {
-            let (la, lb) = (program_resolve(&vals, a), program_resolve(&vals, b));
-            let lit = aig.and(la, lb);
-            vals.push(lit);
-        }
-        program_resolve(&vals, self.out)
-    }
-}
-
 /// Indexes `sites` by root and marks every non-root freed node as doomed.
 fn index_sites(sites: &[ConeRewrite], len: usize) -> (Vec<Option<usize>>, Vec<bool>) {
     let mut site_at: Vec<Option<usize>> = vec![None; len];
@@ -214,57 +189,14 @@ fn index_sites(sites: &[ConeRewrite], len: usize) -> (Vec<Option<usize>>, Vec<bo
     (site_at, doomed)
 }
 
-/// Applies a batch of cone rewrites by full reconstruction — the reference
-/// path. One forward scan over `aig` copies PIs and surviving ANDs into a
-/// fresh network, instantiates each site's program at its root's position,
-/// and skips the doomed cone interiors; POs are remapped at the end.
-pub fn apply_cone_rewrites_rebuild(aig: &Aig, sites: &[ConeRewrite]) -> Aig {
-    let (site_at, doomed) = index_sites(sites, aig.len());
-    let mut out = Aig::new();
-    let mut map: Vec<Option<Lit>> = vec![None; aig.len()];
-    map[0] = Some(Lit::FALSE);
-    let mapped = |map: &[Option<Lit>], l: Lit| -> Lit {
-        let base = map[l.node().index()].expect("reference into a destroyed cone");
-        base.with_complement(base.is_complement() ^ l.is_complement())
-    };
-    for idx in 1..aig.len() {
-        let id = NodeId(idx as u32);
-        if aig.is_dead(id) {
-            continue;
-        }
-        match aig.kind(id) {
-            NodeKind::Const0 => unreachable!("constant appears only at slot 0"),
-            NodeKind::Input(_) => {
-                map[idx] = Some(out.add_pi());
-            }
-            NodeKind::And(a, b) => {
-                if let Some(si) = site_at[idx] {
-                    let site = &sites[si];
-                    let ins: Vec<Lit> = site.inputs.iter().map(|&l| mapped(&map, l)).collect();
-                    map[idx] = Some(site.build(&mut out, &ins));
-                } else if doomed[idx] {
-                    // Destroyed cone interior: nothing to emit.
-                } else {
-                    let (fa, fb) = (mapped(&map, a), mapped(&map, b));
-                    map[idx] = Some(out.and(fa, fb));
-                }
-            }
-        }
-    }
-    for po in aig.pos() {
-        out.add_po(mapped(&map, *po));
-    }
-    out
-}
-
-/// Applies a batch of cone rewrites in place: the same forward scan as
-/// [`apply_cone_rewrites_rebuild`], but instead of copying into a fresh
-/// network it destroys each site's cone where it stands, re-emits program
-/// steps into freed slots, folds survivors whose fanins changed, and ends
-/// with [`Aig::compact_to`] in emission order plus one fanout recompute.
-/// The result is structurally identical to the rebuild path — same node
-/// kinds, ids, and interface — while allocating only the bookkeeping
-/// vectors (no second network).
+/// Applies a batch of cone rewrites in place. One forward scan over `aig`
+/// destroys each site's cone where it stands at its root's position,
+/// re-emits the program steps into freed slots, folds survivors whose
+/// fanins changed, and ends with [`Aig::compact_to`] in emission order plus
+/// one fanout recompute. The result is structurally identical to copying
+/// the survivors and programs into a fresh network through [`Aig::and`] —
+/// same node kinds, ids, and interface — while allocating only the
+/// bookkeeping vectors (no second network).
 ///
 /// Returns the old→new id map from the final compaction (`None` for
 /// destroyed or folded nodes), which is exactly the dirty-set information
@@ -274,7 +206,8 @@ pub fn apply_cone_rewrites_in_place(aig: &mut Aig, sites: &[ConeRewrite]) -> Vec
     let (site_at, doomed) = index_sites(sites, old_len);
     // repl[original id] = the literal it maps to in the edited network
     // (current slot ids, pre-compaction). emitted marks slots belonging to
-    // the new network, in `order` (the rebuild path's emission order).
+    // the new network, in `order` (the order a fresh rebuild would
+    // allocate them in).
     let mut repl: Vec<Option<Lit>> = vec![None; old_len];
     repl[0] = Some(Lit::FALSE);
     let mut emitted: Vec<bool> = vec![false; old_len];
@@ -342,8 +275,8 @@ pub fn apply_cone_rewrites_in_place(aig: &mut Aig, sites: &[ConeRewrite]) -> Vec
 
 /// Emits one AND during the in-place scan with *restricted* structural
 /// hashing: a strash probe only counts as a hit when its owner is already
-/// part of the new network (`emitted`), exactly matching what the rebuild
-/// path's fresh strash would contain at this point. A miss whose key is
+/// part of the new network (`emitted`), exactly matching what a fresh
+/// rebuild's strash would contain at this point. A miss whose key is
 /// owned by a not-yet-emitted original node claims the key; when that owner
 /// is scanned later it folds into the claimant, keeping eager duplicate
 /// merging intact.
@@ -375,8 +308,8 @@ fn emit_and(
 
 /// Emits a surviving AND in place. The node keeps its own slot when it
 /// stays live; it is killed when its resolved fanins fold or duplicate an
-/// emitted node (mirroring what [`Aig::and`] would have returned in the
-/// rebuild path).
+/// emitted node (mirroring what [`Aig::and`] would have returned in a fresh
+/// rebuild).
 fn emit_survivor(
     aig: &mut Aig,
     id: NodeId,
@@ -411,8 +344,7 @@ fn emit_survivor(
 }
 
 /// Instantiates a site's program during the in-place scan via
-/// [`emit_and`]; the emission sequence is literal-for-literal the one
-/// [`ConeRewrite::build`] produces in the rebuild path.
+/// [`emit_and`]: one emission per step, in program order.
 fn emit_program(
     aig: &mut Aig,
     site: &ConeRewrite,
@@ -483,6 +415,53 @@ impl fmt::Display for NetworkStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference oracle for [`apply_cone_rewrites_in_place`]: applies a
+    /// batch of cone rewrites by full reconstruction. One forward scan over
+    /// `aig` copies PIs and surviving ANDs into a fresh network through
+    /// [`Aig::and`], instantiates each site's program at its root's
+    /// position, and skips the doomed cone interiors; POs are remapped at
+    /// the end.
+    fn apply_cone_rewrites_rebuild(aig: &Aig, sites: &[ConeRewrite]) -> Aig {
+        let (site_at, doomed) = index_sites(sites, aig.len());
+        let mut out = Aig::new();
+        let mut map: Vec<Option<Lit>> = vec![None; aig.len()];
+        map[0] = Some(Lit::FALSE);
+        let mapped = |map: &[Option<Lit>], l: Lit| -> Lit {
+            let base = map[l.node().index()].expect("reference into a destroyed cone");
+            base.with_complement(base.is_complement() ^ l.is_complement())
+        };
+        for idx in 1..aig.len() {
+            let id = NodeId(idx as u32);
+            if aig.is_dead(id) {
+                continue;
+            }
+            match aig.kind(id) {
+                NodeKind::Const0 => unreachable!("constant appears only at slot 0"),
+                NodeKind::Input(_) => map[idx] = Some(out.add_pi()),
+                NodeKind::And(a, b) => {
+                    if let Some(si) = site_at[idx] {
+                        let site = &sites[si];
+                        let mut vals = vec![Lit::FALSE];
+                        vals.extend(site.inputs.iter().map(|&l| mapped(&map, l)));
+                        for &(a, b) in &site.steps {
+                            let (la, lb) = (program_resolve(&vals, a), program_resolve(&vals, b));
+                            let lit = out.and(la, lb);
+                            vals.push(lit);
+                        }
+                        map[idx] = Some(program_resolve(&vals, site.out));
+                    } else if !doomed[idx] {
+                        let (fa, fb) = (mapped(&map, a), mapped(&map, b));
+                        map[idx] = Some(out.and(fa, fb));
+                    }
+                }
+            }
+        }
+        for po in aig.pos() {
+            out.add_po(mapped(&map, *po));
+        }
+        out
+    }
 
     #[test]
     fn cleanup_removes_dead_logic() {

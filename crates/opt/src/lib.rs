@@ -13,9 +13,8 @@
 //!   depth than the input), and the fingerprinted [`OptConfig`] that rides
 //!   inside `t1map::flow::FlowConfig` so `sfq-engine` cache keys
 //!   distinguish optimized jobs. Concrete passes: `strash` (structural
-//!   deduplication), `sweep` (dangling-node removal + constant
-//!   propagation, the single implementation shared with
-//!   [`sfq_netlist::transform::cleanup`]), `balance` (depth-optimal
+//!   deduplication), `sweep` (ID-stable dangling-node removal,
+//!   [`sfq_netlist::transform::sweep_in_place`]), `balance` (depth-optimal
 //!   AND-tree rebalancing) and `rewrite` (4-input cut enumeration →
 //!   NPN-canonical class lookup against the precomputed subgraph table of
 //!   [`table`] → MFFC-gain-based replacement, with slack-aware and
@@ -73,9 +72,6 @@ pub use pass::{
 };
 pub use passes::{
     balance_critical_network, balance_critical_network_ctx, balance_network, strash_network,
-    sweep_network,
 };
-pub use rewrite::{
-    rewrite_network, rewrite_network_ctx, RewriteConfig, RewriteMode, DEFAULT_DFF_PHASES,
-};
+pub use rewrite::{rewrite_network, RewriteConfig, RewriteMode, DEFAULT_DFF_PHASES};
 pub use table::{Program, ProgramBuilder, RewriteTable};

@@ -13,10 +13,9 @@
 
 use crate::analysis::{same_structure, CtxCounters, OptContext, Preserved};
 use crate::cec::{check_equivalence, CecConfig, CecStats, CecVerdict};
-use crate::passes::{balance_critical_network_ctx, balance_network, strash_network, sweep_network};
+use crate::passes::{balance_critical_network_ctx, balance_network, strash_network};
 use crate::rewrite::{
-    rewrite_network_ctx, rewrite_network_in_place_ctx, RewriteConfig, RewriteMode,
-    DEFAULT_DFF_PHASES,
+    rewrite_network_in_place_ctx, RewriteConfig, RewriteMode, DEFAULT_DFF_PHASES,
 };
 use sfq_netlist::aig::Aig;
 use sfq_netlist::transform::sweep_in_place;
@@ -192,48 +191,35 @@ impl OptPass for Strash {
 
 /// Dangling-node sweep with constant propagation.
 ///
-/// The default (ID-stable) variant kills unreachable nodes in place,
-/// leaving free slots behind instead of rebuilding — survivors keep their
-/// ids, so the next timing rebind's dirty set is exactly the killed nodes.
-/// The cached analyses are invalidated even though live nodes are
-/// untouched: freed slots change the *indexed* views (levels, signatures)
-/// at their positions, and dead nodes in a stale timing graph would
+/// Kills unreachable nodes in place ([`sweep_in_place`]), leaving free
+/// slots behind instead of rebuilding — survivors keep their ids, so the
+/// next timing rebind's dirty set is exactly the killed nodes. The cached
+/// analyses are invalidated even though live nodes are untouched: freed
+/// slots change the *indexed* views (levels, signatures) at their
+/// positions, and dead nodes in a stale timing graph would
 /// phantom-constrain live required times.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Sweep {
-    /// Rebuild the network from scratch (the pre-in-place behavior)
-    /// instead of editing it; results are structurally identical after
-    /// [`Aig::compact`].
-    pub rebuild: bool,
-}
+pub struct Sweep;
 
 impl OptPass for Sweep {
     fn name(&self) -> &'static str {
         "sweep"
     }
     fn run(&self, aig: &mut Aig, ctx: &mut OptContext) -> (PassStats, Preserved) {
-        if self.rebuild {
-            stats_around("sweep", aig, ctx, |g, _| {
-                let (out, applied) = sweep_network(g);
-                (out, applied, Preserved::none())
-            })
-        } else {
-            stats_around_in_place("sweep", aig, ctx, |g, _| {
-                let applied = sweep_in_place(g);
-                // Occupancy guard: when sweeping killed most of the array
-                // (a huge dead cone, e.g. random scale-class networks),
-                // leaving the holes would make every later len()-sized
-                // analysis pay for slots that no longer exist. Compacting
-                // here matches what the rebuild path produces anyway
-                // (compact preserves live-node order), so structural
-                // identity is unaffected; on paper-scale incremental
-                // rounds the dead fraction stays tiny and this is skipped.
-                if g.dead_count() * 2 > g.len() {
-                    g.compact();
-                }
-                (applied, Preserved::none())
-            })
-        }
+        stats_around_in_place("sweep", aig, ctx, |g, _| {
+            let applied = sweep_in_place(g);
+            // Occupancy guard: when sweeping killed most of the array (a
+            // huge dead cone, e.g. random scale-class networks), leaving
+            // the holes would make every later len()-sized analysis pay for
+            // slots that no longer exist. Compaction preserves live-node
+            // order, so the resulting structure is unaffected; on
+            // paper-scale incremental rounds the dead fraction stays tiny
+            // and this is skipped.
+            if g.dead_count() * 2 > g.len() {
+                g.compact();
+            }
+            (applied, Preserved::none())
+        })
     }
 }
 
@@ -274,16 +260,13 @@ impl OptPass for BalanceCritical {
 /// Cut-based NPN rewriting; the config's [`RewriteMode`] selects the
 /// depth/pricing policy (and the pass name shown in stats tables).
 ///
-/// The default (ID-stable) variant commits accepted sites by editing slots
-/// in place ([`rewrite_network_in_place_ctx`]); a round with zero accepted
-/// sites then leaves the network completely untouched.
+/// Accepted sites are committed by editing slots in place
+/// ([`rewrite_network_in_place_ctx`]); a round with zero accepted sites
+/// then leaves the network completely untouched.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Rewrite {
     /// Enumeration parameters and depth policy.
     pub config: RewriteConfig,
-    /// Rebuild the network from scratch instead of editing it in place;
-    /// site selection is shared, so results are structurally identical.
-    pub rebuild: bool,
 }
 
 impl Rewrite {
@@ -291,7 +274,6 @@ impl Rewrite {
     pub fn slack_aware() -> Self {
         Rewrite {
             config: RewriteConfig::slack_aware(),
-            ..Self::default()
         }
     }
 
@@ -300,7 +282,6 @@ impl Rewrite {
     pub fn dff_aware(n: u32) -> Self {
         Rewrite {
             config: RewriteConfig::dff_aware(n),
-            ..Self::default()
         }
     }
 }
@@ -323,19 +304,12 @@ impl OptPass for Rewrite {
         } else {
             Preserved::none()
         };
-        if self.rebuild {
-            stats_around(self.name(), aig, ctx, |g, ctx| {
-                let (out, applied) = rewrite_network_ctx(g, &self.config, ctx);
-                (out, applied, preserved)
-            })
-        } else {
-            stats_around_in_place(self.name(), aig, ctx, |g, ctx| {
-                (
-                    rewrite_network_in_place_ctx(g, &self.config, ctx),
-                    preserved,
-                )
-            })
-        }
+        stats_around_in_place(self.name(), aig, ctx, |g, ctx| {
+            (
+                rewrite_network_in_place_ctx(g, &self.config, ctx),
+                preserved,
+            )
+        })
     }
 }
 
@@ -427,22 +401,13 @@ impl PassKind {
         }
     }
 
-    fn instantiate(self, rebuild: bool) -> Box<dyn OptPass + Send + Sync> {
+    fn instantiate(self) -> Box<dyn OptPass + Send + Sync> {
         match self {
             PassKind::Strash => Box::new(Strash),
-            PassKind::Sweep => Box::new(Sweep { rebuild }),
-            PassKind::Rewrite => Box::new(Rewrite {
-                rebuild,
-                ..Rewrite::default()
-            }),
-            PassKind::RewriteSlack => Box::new(Rewrite {
-                rebuild,
-                ..Rewrite::slack_aware()
-            }),
-            PassKind::RewriteDff(n) => Box::new(Rewrite {
-                rebuild,
-                ..Rewrite::dff_aware(n)
-            }),
+            PassKind::Sweep => Box::new(Sweep),
+            PassKind::Rewrite => Box::new(Rewrite::default()),
+            PassKind::RewriteSlack => Box::new(Rewrite::slack_aware()),
+            PassKind::RewriteDff(n) => Box::new(Rewrite::dff_aware(n)),
             PassKind::Balance => Box::new(Balance),
             PassKind::BalanceSlack => Box::new(BalanceCritical),
         }
@@ -485,15 +450,6 @@ pub struct OptConfig {
     pub fixpoint: bool,
     /// Round limit for the convergence loop.
     pub max_rounds: usize,
-    /// Run `sweep`/`rewrite` as from-scratch rebuilds (the pre-in-place
-    /// behavior) instead of the default ID-stable in-place edits.
-    ///
-    /// Deliberately **excluded** from [`OptConfig::fingerprint`]: the two
-    /// modes produce byte-identical networks (the in-place engine compacts
-    /// its result in the same emission order the rebuild path allocates
-    /// in, an identity the equivalence tests pin), so they must share a
-    /// cache key — the switch selects an execution strategy, not a result.
-    pub rebuild_passes: bool,
 }
 
 impl OptConfig {
@@ -504,7 +460,6 @@ impl OptConfig {
             passes: PassKind::ALL.to_vec(),
             fixpoint: true,
             max_rounds: 8,
-            rebuild_passes: false,
         }
     }
 
@@ -614,24 +569,15 @@ impl Pipeline {
         Pipeline { passes }
     }
 
-    /// Builds a pipeline from pass names, with the default ID-stable
-    /// in-place `sweep`/`rewrite` variants.
+    /// Builds a pipeline from pass names.
     pub fn from_kinds(kinds: &[PassKind]) -> Self {
-        Pipeline::from_kinds_with(kinds, false)
-    }
-
-    /// [`Pipeline::from_kinds`] with an explicit execution strategy:
-    /// `rebuild` selects the from-scratch rebuild variants of the passes
-    /// that support in-place editing. Results are structurally identical
-    /// either way.
-    pub fn from_kinds_with(kinds: &[PassKind], rebuild: bool) -> Self {
-        Pipeline::new(kinds.iter().map(|k| k.instantiate(rebuild)).collect())
+        Pipeline::new(kinds.iter().map(|k| k.instantiate()).collect())
     }
 
     /// Builds the pipeline described by `config` (ignoring its `enabled`
     /// and `fixpoint` switches — those select *whether/how* callers run it).
     pub fn from_config(config: &OptConfig) -> Self {
-        Pipeline::from_kinds_with(&config.passes, config.rebuild_passes)
+        Pipeline::from_kinds(&config.passes)
     }
 
     /// Runs every pass once, in order, against a fresh analysis context.
@@ -963,15 +909,6 @@ mod tests {
             fp(&OptConfig::dff_aware(4)),
             fp(&OptConfig::dff_aware(8)),
             "the DFF phase count must key"
-        );
-        // The execution strategy produces byte-identical results, so it
-        // must share a cache key (see the `rebuild_passes` field docs).
-        let mut rebuild = OptConfig::standard();
-        rebuild.rebuild_passes = true;
-        assert_eq!(
-            fp(&OptConfig::standard()),
-            fp(&rebuild),
-            "rebuild_passes selects a strategy, not a result — same key"
         );
     }
 

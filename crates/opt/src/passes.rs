@@ -1,16 +1,16 @@
-//! The concrete network transformations behind the pass manager:
-//! structural hashing, sweeping, and AND-tree balancing (rewriting lives in
+//! The rebuilding network transformations behind the pass manager:
+//! structural hashing and AND-tree balancing (sweeping edits in place via
+//! [`sfq_netlist::transform::sweep_in_place`]; rewriting lives in
 //! [`crate::rewrite`]).
 
 use crate::analysis::OptContext;
 use crate::util::mapped;
 use sfq_netlist::aig::{Aig, Lit, NodeId, NodeKind};
-use sfq_netlist::transform;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Rebuilds every node of `aig` through the structural-hashing builder,
-/// merging duplicate two-level structures. Unlike [`sweep_network`],
+/// merging duplicate two-level structures. Unlike the `sweep` pass,
 /// dangling logic is preserved (merged, but not removed), so the pass is a
 /// pure deduplication. Returns the network and the number of AND nodes
 /// merged away.
@@ -33,17 +33,6 @@ pub fn strash_network(aig: &Aig) -> (Aig, usize) {
     }
     let merged = aig.and_count().saturating_sub(out.and_count());
     (out, merged)
-}
-
-/// Dead-node sweep with constant propagation: delegates to the single
-/// implementation in [`sfq_netlist::transform::sweep`] (which
-/// `transform::cleanup` also aliases — the crate graph points this way, so
-/// the netlist crate hosts the body and this pass re-exports it). Returns
-/// the network and the number of AND nodes removed.
-pub fn sweep_network(aig: &Aig) -> (Aig, usize) {
-    let out = transform::sweep(aig);
-    let removed = aig.and_count().saturating_sub(out.and_count());
-    (out, removed)
 }
 
 /// Per-node "internal to an AND tree" classification: an AND with exactly
@@ -344,7 +333,9 @@ mod tests {
         let (s, merged) = strash_network(&g);
         assert_eq!(merged, 0);
         assert_eq!(s.and_count(), g.and_count(), "strash keeps dangling logic");
-        let (w, removed) = sweep_network(&g);
+        let mut w = g.clone();
+        let removed = sfq_netlist::transform::sweep_in_place(&mut w);
+        w.compact();
         assert_eq!(removed, 3);
         assert_eq!(w.and_count(), 1);
         eval_equal(&g, &w);

@@ -41,12 +41,9 @@
 //!   modes.
 //!
 //! Accepted sites are lowered to [`sfq_netlist::transform::ConeRewrite`]
-//! plans and committed by the netlist crate's batch engine — the rebuild
-//! path ([`rewrite_network_ctx`]) reconstructs the network in one sweep,
-//! while the default ID-stable path ([`rewrite_network_in_place_ctx`])
-//! edits slots in place; the two produce structurally identical networks
-//! by construction, and a round with zero accepted sites leaves the
-//! in-place network completely untouched.
+//! plans and committed by the netlist crate's ID-stable batch engine
+//! ([`rewrite_network_in_place_ctx`]), which edits slots in place; a round
+//! with zero accepted sites leaves the network completely untouched.
 //!
 //! Analyses are consumed through the [`OptContext`] threaded down from the
 //! pass manager: levels are a cache hit when the previous pass preserved
@@ -63,9 +60,7 @@ use sfq_netlist::cut::{enumerate_cuts, CutConfig};
 use sfq_netlist::fnv::FnvHashMap;
 use sfq_netlist::mffc::Mffc;
 use sfq_netlist::npn::{npn_canonical, NpnCanon};
-use sfq_netlist::transform::{
-    apply_cone_rewrites_in_place, apply_cone_rewrites_rebuild, ConeRewrite,
-};
+use sfq_netlist::transform::{apply_cone_rewrites_in_place, ConeRewrite};
 use sfq_netlist::truth_table::TruthTable;
 use sfq_sta::AigSta;
 use std::sync::Arc;
@@ -278,43 +273,26 @@ fn freed_edge_dffs(aig: &Aig, arrivals: &[i64], freed: &[NodeId], n: u32) -> i64
     dffs
 }
 
-/// Rewrites `aig` once; returns the new network and the number of
-/// replacement sites committed. One-shot convenience over
-/// [`rewrite_network_ctx`] (every analysis is computed from scratch and
-/// dropped).
+/// Rewrites a copy of `aig` once; returns the dense (compacted) network and
+/// the number of replacement sites committed. One-shot convenience over
+/// [`rewrite_network_in_place_ctx`] (every analysis is computed from
+/// scratch and dropped).
 pub fn rewrite_network(aig: &Aig, config: &RewriteConfig) -> (Aig, usize) {
-    rewrite_network_ctx(aig, config, &mut OptContext::scratch())
-}
-
-/// [`rewrite_network`] against the caller's analysis context: levels and
-/// the timing analysis are consumed from (and, for the timing modes,
-/// returned to) `ctx` instead of being rebuilt per invocation.
-pub fn rewrite_network_ctx(
-    aig: &Aig,
-    config: &RewriteConfig,
-    ctx: &mut OptContext,
-) -> (Aig, usize) {
-    let (sites, sta) = select_sites(aig, config, ctx);
-    let applied = sites.len();
-    let out = apply_cone_rewrites_rebuild(aig, &sites);
-    if let Some(sta) = sta {
-        // Hand the analysis back rebound to the reconstructed network:
-        // floors are cleared and only the changed cones are refreshed, so
-        // the next timing consumer (this pass's next round, or a later
-        // balance-slack) gets an exact analysis without a rebuild.
-        ctx.finish_sta(sta, &out);
-    }
+    let mut out = aig.clone();
+    let applied = rewrite_network_in_place_ctx(&mut out, config, &mut OptContext::scratch());
+    out.compact();
     (out, applied)
 }
 
-/// The ID-stable variant of [`rewrite_network_ctx`]: the same site
-/// selection, applied by editing `aig` in place
-/// ([`apply_cone_rewrites_in_place`]) instead of rebuilding it. The result
-/// is structurally identical to the rebuild path's; with zero accepted
-/// sites the network is left completely untouched — the converged fixpoint
-/// rounds that dominate paper-scale `opt --fixpoint` runs then cost no
-/// reconstruction, no compaction and no analysis invalidation at all.
-/// Returns the number of sites committed.
+/// Rewrites `aig` once in place against the caller's analysis context:
+/// selects sites, then commits them by editing slots
+/// ([`apply_cone_rewrites_in_place`]). Levels and the timing analysis are
+/// consumed from (and, for the timing modes, returned to) `ctx` instead of
+/// being rebuilt per invocation. With zero accepted sites the network is
+/// left completely untouched — the converged fixpoint rounds that dominate
+/// paper-scale `opt --fixpoint` runs then cost no reconstruction, no
+/// compaction and no analysis invalidation at all. Returns the number of
+/// sites committed.
 pub fn rewrite_network_in_place_ctx(
     aig: &mut Aig,
     config: &RewriteConfig,
@@ -326,6 +304,10 @@ pub fn rewrite_network_in_place_ctx(
         apply_cone_rewrites_in_place(aig, &sites);
     }
     if let Some(sta) = sta {
+        // Hand the analysis back rebound to the edited network: floors are
+        // cleared and only the changed cones are refreshed, so the next
+        // timing consumer (this pass's next round, or a later
+        // balance-slack) gets an exact analysis without a rebuild.
         ctx.finish_sta(sta, aig);
     }
     applied

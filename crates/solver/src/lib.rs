@@ -7,9 +7,7 @@
 //! - [`simplex`] — two-phase primal simplex LP solver,
 //! - [`milp`] — branch-and-bound mixed-integer programming (exact phase
 //!   assignment, §II-B of the paper),
-//! - [`sat`] — CDCL SAT solver,
-//! - [`cp`] — finite-domain CP with `alldifferent` (DFF insertion, §II-C),
-//! - [`diffcon`] — difference-constraint / ASAP-ALAP scheduling.
+//! - [`sat`] — CDCL SAT solver.
 //!
 //! # Example
 //!
@@ -26,15 +24,11 @@
 //! assert_eq!(sol.int_value(d), 2);
 //! ```
 
-pub mod cp;
-pub mod diffcon;
 pub mod linear;
 pub mod milp;
 pub mod sat;
 pub mod simplex;
 
-pub use cp::{CpModel, CpSolution, CpVar};
-pub use diffcon::DifferenceSystem;
 pub use linear::{Constraint, LinExpr, Sense, VarId};
 pub use milp::{MilpError, MilpProblem, MilpSolution};
 pub use sat::{SatLit, SatSolver, SatVar, SolveOutcome};

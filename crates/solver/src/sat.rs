@@ -2,8 +2,9 @@
 //!
 //! Conflict-driven clause learning with two-watched-literal propagation,
 //! VSIDS-style variable activities, first-UIP clause learning and Luby
-//! restarts. This is the engine under the CP layer (the paper uses CP-SAT
-//! from OR-Tools for DFF insertion; we build our own — DESIGN.md §2).
+//! restarts. It discharges the equivalence-checking miters of `sfq-opt`
+//! (the paper relies on OR-Tools; this workspace builds its own solvers —
+//! DESIGN.md §2).
 //!
 //! # Examples
 //!

@@ -1,10 +1,7 @@
 //! Property-based tests for the optimization substrate: LP optimality and
-//! feasibility, MILP vs exhaustive enumeration, SAT vs brute force, CP vs
-//! brute force, and difference-constraint minimality.
+//! feasibility, MILP vs exhaustive enumeration, and SAT vs brute force.
 
 use proptest::prelude::*;
-use sfq_solver::cp::CpModel;
-use sfq_solver::diffcon::DifferenceSystem;
 use sfq_solver::linear::{Constraint, LinExpr, Sense, VarId};
 use sfq_solver::milp::MilpProblem;
 use sfq_solver::sat::{SatLit, SatSolver};
@@ -122,74 +119,6 @@ proptest! {
         if let Some(model) = res {
             for cl in &clauses {
                 prop_assert!(cl.iter().any(|&(v, neg)| model[vars[v].index()] != neg));
-            }
-        }
-    }
-
-    /// CP minimization agrees with brute force on two-variable models.
-    #[test]
-    fn cp_matches_brute_force(
-        c0 in -3i64..4, c1 in -3i64..4,
-        a in -3i64..4, b in -3i64..4, rhs in -6i64..10,
-        ne in any::<bool>(),
-    ) {
-        let mut m = CpModel::new();
-        let x = m.add_var(0, 5);
-        let y = m.add_var(0, 5);
-        m.linear_le(&[(a, x), (b, y)], rhs);
-        if ne {
-            m.not_equal(x, y);
-        }
-        m.minimize(&[(c0, x), (c1, y)]);
-        let sol = m.solve();
-        // Brute force.
-        let mut best: Option<i64> = None;
-        for vx in 0..=5 {
-            for vy in 0..=5 {
-                if a * vx + b * vy <= rhs && (!ne || vx != vy) {
-                    let c = c0 * vx + c1 * vy;
-                    best = Some(best.map_or(c, |b2: i64| b2.min(c)));
-                }
-            }
-        }
-        match (sol, best) {
-            (Some(s), Some(b2)) => prop_assert_eq!(c0 * s[x] + c1 * s[y], b2),
-            (None, None) => {}
-            (s, b2) => prop_assert!(false, "solver {:?} vs brute {:?}", s.is_some(), b2),
-        }
-    }
-
-    /// solve_min returns the pointwise-minimal feasible assignment.
-    #[test]
-    fn diffcon_minimality(
-        edges in prop::collection::vec((0usize..6, 0usize..6, 0i64..5), 1..12),
-    ) {
-        let mut sys = DifferenceSystem::new(6);
-        let mut acyclic = true;
-        for &(a, b, w) in &edges {
-            if a < b {
-                sys.add(a, b, w);
-            } else {
-                acyclic = false;
-            }
-        }
-        prop_assume!(acyclic || !sys.is_empty());
-        if let Some(x) = sys.solve_min() {
-            // Feasible…
-            for &(a, b, w) in &edges {
-                if a < b {
-                    prop_assert!(x[b] - x[a] >= w);
-                }
-            }
-            // …and minimal: decreasing any positive variable violates
-            // feasibility or non-negativity.
-            for v in 0..6 {
-                if x[v] > 0 {
-                    let mut y = x.clone();
-                    y[v] -= 1;
-                    let still_ok = edges.iter().all(|&(a, b, w)| a >= b || y[b] - y[a] >= w);
-                    prop_assert!(!still_ok, "var {v} could be reduced");
-                }
             }
         }
     }

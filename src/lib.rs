@@ -7,7 +7,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`netlist`] | AIGs, truth tables, cut enumeration, NPN matching, MFFC |
-//! | [`solver`] | simplex LP, branch-and-bound MILP, CDCL SAT, CP, difference constraints |
+//! | [`solver`] | simplex LP, branch-and-bound MILP, CDCL SAT |
 //! | [`circuits`] | EPFL-like and ISCAS-like benchmark generators |
 //! | [`sim`] | pulse-level SFQ simulator with behavioural T1 cell |
 //! | [`opt`] | pass-manager-driven AIG optimization with SAT-checked equivalence |

@@ -206,7 +206,7 @@ fn load_subject(name: &str, width: usize) -> Result<Aig, String> {
 /// Flags the `opt` subcommand accepts (`true` = the flag consumes the next
 /// argument as its value). Anything else starting with `-` is a hard error
 /// — see [`reject_unknown_flags`].
-const OPT_FLAGS: [(&str, bool); 12] = [
+const OPT_FLAGS: [(&str, bool); 11] = [
     ("--passes", true),
     ("--slack-aware", false),
     ("--dff-aware", false),
@@ -214,7 +214,6 @@ const OPT_FLAGS: [(&str, bool); 12] = [
     ("--fixpoint", false),
     ("--rounds", true),
     ("--verify", false),
-    ("--rebuild-passes", false),
     ("--stats", false),
     ("--trace", true),
     ("--bench-json", true),
@@ -324,9 +323,6 @@ fn cmd_opt(args: &[String]) -> Result<(), String> {
         }
     }
     config.fixpoint = has_flag(args, "--fixpoint");
-    // Strategy switch, not a result switch: the rebuild path must produce a
-    // byte-identical network (CI compares the --stats hashes of both runs).
-    config.rebuild_passes = has_flag(args, "--rebuild-passes");
     if let Some(r) = flag_value(args, "--rounds") {
         config.max_rounds = r
             .parse::<usize>()
@@ -879,6 +875,16 @@ fn cmd_store_gc(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Flags `bench-report` accepts (see [`OPT_FLAGS`] for the table format).
+const BENCH_REPORT_FLAGS: [(&str, bool); 6] = [
+    ("--check", true),
+    ("--small", false),
+    ("--pre-opt", false),
+    ("--jobs", true),
+    ("--cache-dir", true),
+    ("-o", true),
+];
+
 /// Emits (or, with `--check`, validates) the schema-versioned
 /// `BENCH_*.json` perf-trajectory report: the Table-I suite with tracing
 /// on, rolled up into per-benchmark wall micros, result metrics,
@@ -887,6 +893,7 @@ fn cmd_bench_report(args: &[String]) -> Result<(), String> {
     if args.first().map(String::as_str) == Some("diff") {
         return cmd_bench_diff(&args[1..]);
     }
+    reject_unknown_flags("bench-report", args, &BENCH_REPORT_FLAGS, "")?;
     if let Some(path) = flag_value(args, "--check") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         validate_bench_report(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -895,7 +902,6 @@ fn cmd_bench_report(args: &[String]) -> Result<(), String> {
     }
     let small = has_flag(args, "--small");
     let pre_opt = pre_opt_flag(args);
-    let rebuild_passes = has_flag(args, "--rebuild-passes");
     let workers = jobs_flag(args)?;
     let store = store_flag(args)?;
     let out = flag_value(args, "-o").unwrap_or("BENCH_table1.json");
@@ -911,9 +917,8 @@ fn cmd_bench_report(args: &[String]) -> Result<(), String> {
     let mut jobs = table1_jobs_with(&scale, phases, &lib, pre_opt);
     // The allocation-sensitive rows: fixpoint optimization dominates their
     // alloc_bytes, so the diff against the committed baseline tracks the
-    // in-place transform savings. `--rebuild-passes` measures the rebuild
-    // strategy instead (used once to pin the baseline's "before" cost).
-    jobs.extend(fixpoint_opt_jobs(&scale, phases, &lib, rebuild_passes));
+    // optimizer's allocation cost.
+    jobs.extend(fixpoint_opt_jobs(&scale, phases, &lib));
     let mut runner = SuiteRunner::new(workers);
     if let Some(store) = &store {
         runner = runner.with_store(store.clone());

@@ -1033,7 +1033,7 @@ fn serve_shares_the_explore_config_vocabulary() {
 }
 
 #[test]
-fn gen_random_then_opt_hashes_match_across_strategies() {
+fn gen_random_then_opt_matches_golden_hash() {
     let aag = tmp("scale.aag");
     let out = bin()
         .args([
@@ -1075,24 +1075,23 @@ fn gen_random_then_opt_hashes_match_across_strategies() {
         "gen random must be deterministic in its seed"
     );
 
-    // The in-place default and the --rebuild-passes strategy must print
-    // the same structural hash under --stats (byte-identical networks).
-    let hash_of = |extra: &[&str]| {
-        let mut args = vec!["opt", aag.to_str().unwrap(), "--fixpoint", "--stats"];
-        args.extend_from_slice(extra);
-        let out = bin().args(&args).output().expect("run opt");
-        assert!(
-            out.status.success(),
-            "opt failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout)
+    // The fixpoint-optimized network is pinned by its structural hash.
+    let out = bin()
+        .args(["opt", aag.to_str().unwrap(), "--fixpoint", "--stats"])
+        .output()
+        .expect("run opt");
+    assert!(
+        out.status.success(),
+        "opt failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout
             .lines()
-            .find(|l| l.starts_with("structural hash:"))
-            .expect("--stats prints the structural hash")
-            .to_string()
-    };
-    assert_eq!(hash_of(&[]), hash_of(&["--rebuild-passes"]));
+            .any(|l| l == "structural hash: 0xd71255c915231be9"),
+        "golden structural hash missing:\n{stdout}"
+    );
 
     // A missing --nodes is a hard error naming the requirement.
     let out = bin().args(["gen", "random"]).output().expect("run");
@@ -1103,4 +1102,22 @@ fn gen_random_then_opt_hashes_match_across_strategies() {
     );
     let _ = std::fs::remove_file(&aag);
     let _ = std::fs::remove_file(&aag2);
+}
+
+#[test]
+fn bench_report_and_opt_reject_unknown_flags() {
+    for args in [
+        &["bench-report", "--rebuild-passes"][..],
+        &["bench-report", "--smal"],
+        &["opt", "adder", "--rebuild-passes"],
+    ] {
+        let out = bin().args(args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args.last().unwrap();
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{args:?}: error must name the flag: {stderr}"
+        );
+    }
 }

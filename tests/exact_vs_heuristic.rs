@@ -1,11 +1,10 @@
 //! Integration test: cross-validation of the scalable engines against exact
 //! ones — the phase-assignment heuristic vs the MILP (the paper's ILP of
 //! §II-B), the greedy DFF-chain builder vs exhaustive search, and the T1
-//! staggering construction vs a CP model of eq. (5).
+//! staggering construction against the constraints of eq. (5).
 
 use sfq_t1::circuits::epfl;
 use sfq_t1::circuits::random::{random_aig, RandomAigConfig};
-use sfq_t1::solver::cp::CpModel;
 use sfq_t1::t1map::cells::CellLibrary;
 use sfq_t1::t1map::dff::{build_chain, insert_dffs, Requirement};
 use sfq_t1::t1map::flow::{run_flow, FlowConfig};
@@ -207,11 +206,10 @@ fn chain_builder_optimal_on_random_requirement_sets() {
 }
 
 #[test]
-fn t1_staggering_satisfies_eq5_cp_model() {
-    // For every T1 cell in a mapped+scheduled adder, build the CP model of
-    // eq. (5) — three delivery stages, pairwise distinct, within the capture
-    // window, at/after the operand sources — and check our chosen slots are
-    // a feasible CP solution (and that CP agrees one exists).
+fn t1_staggering_satisfies_eq5() {
+    // For every T1 cell in a mapped+scheduled adder, check the chosen
+    // delivery stages against eq. (5): three stages, pairwise distinct,
+    // within the capture window, at/after the operand sources.
     let lib = CellLibrary::default();
     let aig = epfl::adder(10);
     let res = run_flow(&aig, &lib, &FlowConfig::t1(4));
@@ -226,18 +224,7 @@ fn t1_staggering_satisfies_eq5_cp_model() {
         let offsets = res.schedule.t1_offsets[id.index()].expect("offsets");
         // Our chosen delivery stages.
         let chosen: Vec<i64> = offsets.iter().map(|o| sigma - o).collect();
-        // CP model: d_k in [max(src_k, sigma - n), sigma - 1], alldifferent.
-        let mut m = CpModel::new();
-        let vars: Vec<_> = fanins
-            .iter()
-            .map(|e| {
-                let src = res.schedule.stages[e.cell.index()];
-                m.add_var(src.max(sigma - n), sigma - 1)
-            })
-            .collect();
-        m.all_different(&vars);
-        let sol = m.solve().expect("eq. 5 feasible for a valid schedule");
-        // CP found one assignment; ours must also satisfy the constraints.
+        // d_k in [max(src_k, sigma - n), sigma - 1], pairwise distinct.
         let mut sorted = chosen.clone();
         sorted.sort();
         sorted.dedup();
@@ -246,7 +233,6 @@ fn t1_staggering_satisfies_eq5_cp_model() {
             let src = res.schedule.stages[e.cell.index()];
             assert!(chosen[k] >= src && chosen[k] >= sigma - n && chosen[k] < sigma);
         }
-        let _ = sol;
     }
     assert!(t1_cells >= 8, "adder(10) must instantiate T1 cells");
 }
