@@ -6,6 +6,7 @@ use sfq_circuits::epfl;
 use sfq_netlist::cut::{enumerate_cuts, CutConfig};
 use sfq_netlist::npn::npn_canonical;
 use sfq_netlist::truth_table::TruthTable;
+use sfq_opt::RewriteConfig;
 use sfq_solver::linear::{Constraint, LinExpr, Sense, VarId};
 use sfq_solver::milp::MilpProblem;
 use sfq_solver::sat::{SatLit, SatSolver};
@@ -25,6 +26,33 @@ fn bench_netlist(c: &mut Criterion) {
                 &CutConfig {
                     max_leaves: 3,
                     max_cuts: 20,
+                },
+            )
+            .total()
+        })
+    });
+    // The two production configurations of the kernel: the mapper's
+    // 3-cuts and the rewrite pass's 4-cuts.
+    let mult = epfl::multiplier(32);
+    group.bench_function("cut-enum-multiplier-k3", |b| {
+        b.iter(|| {
+            enumerate_cuts(
+                &mult,
+                &CutConfig {
+                    max_leaves: 3,
+                    max_cuts: 16,
+                },
+            )
+            .total()
+        })
+    });
+    group.bench_function("cut-enum-multiplier-k4", |b| {
+        b.iter(|| {
+            enumerate_cuts(
+                &mult,
+                &CutConfig {
+                    max_leaves: 4,
+                    max_cuts: RewriteConfig::DEFAULT_MAX_CUTS,
                 },
             )
             .total()

@@ -113,10 +113,14 @@ pub fn detect_with_attribution(
     config: &DetectConfig,
     attribution: &HashMap<NodeId, u32>,
 ) -> DetectionResult {
-    let cuts = enumerate_cuts(aig, &config.cut);
+    let cuts = {
+        let _span = sfq_obs::span("detect:cuts");
+        enumerate_cuts(aig, &config.cut)
+    };
     let ports = port_functions();
 
     // (leaves, mask) → members.
+    let match_span = sfq_obs::span("detect:match");
     let mut groups: HashMap<([NodeId; 3], u8), Vec<T1Member>> = HashMap::new();
     for id in aig.node_ids() {
         if !matches!(aig.kind(id), NodeKind::And(..)) {
@@ -157,12 +161,14 @@ pub fn detect_with_attribution(
             }
         }
     }
+    drop(match_span);
 
     // Bundle mask variants of the same replacement (same leaves, same root
     // set): each variant needs different operand negations, whose cost
     // depends on what earlier selections provide (a preceding T1's inverted
     // output is free), so the winning variant is chosen during the greedy
     // pass below — exactly how the cover's NOT-insertion logic works.
+    let bundle_span = sfq_obs::span("detect:bundle");
     let mut mffc = Mffc::new(aig);
     struct Candidate {
         leaves: [NodeId; 3],
@@ -200,10 +206,12 @@ pub fn detect_with_attribution(
             freed,
         });
     }
+    drop(bundle_span);
 
     // Greedy selection by descending optimistic gain; ties broken by leaf
     // order, which processes chained structures (ripple carry) forward so
     // inverted carries are already available when a successor is scored.
+    let _greedy_span = sfq_obs::span("detect:greedy");
     cands.sort_by(|a, b| b.freed.cmp(&a.freed).then(a.leaves.cmp(&b.leaves)));
     let mut claimed: HashSet<NodeId> = HashSet::new();
     // Accepted member roots → output polarity their T1 port provides

@@ -17,7 +17,7 @@ use crate::cells::CellLibrary;
 use crate::detect::{detect_with_attribution, DetectConfig};
 use crate::dff::{insert_dffs, DffPlan};
 use crate::mapped::MappedCircuit;
-use crate::mapper::{map, MapResult};
+use crate::mapper::{map, MapPlan, MapResult};
 use crate::phase::{assign_phases, assign_phases_exact, Schedule};
 use crate::timing::{analyze_mapped, TimingConfig, TimingSummary};
 use sfq_netlist::aig::Aig;
@@ -286,15 +286,19 @@ pub fn run_flow(aig: &Aig, lib: &CellLibrary, config: &FlowConfig) -> FlowResult
         aig
     };
     let (map_result, t1_found): (MapResult, usize) = if config.use_t1 {
-        let det = {
+        // The baseline and the T1-aware cover share one cut set and cut
+        // choice: neither depends on the selection.
+        let (plan, det) = {
             let _span = sfq_obs::span("flow:detect");
-            let baseline = map(aig, lib, None);
-            detect_with_attribution(aig, lib, &config.detect, &baseline.attribution)
+            let plan = MapPlan::new(aig, lib);
+            let baseline = plan.cover(None);
+            let det = detect_with_attribution(aig, lib, &config.detect, &baseline.attribution);
+            (plan, det)
         };
         let found = det.found();
         let mapped = {
             let _span = sfq_obs::span("flow:map");
-            map(aig, lib, Some(&det.selection))
+            plan.cover(Some(&det.selection))
         };
         (mapped, found)
     } else {

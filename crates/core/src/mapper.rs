@@ -13,7 +13,7 @@
 use crate::cells::CellLibrary;
 use crate::mapped::{CellId, Edge, MappedCircuit};
 use sfq_netlist::aig::{Aig, NodeId, NodeKind};
-use sfq_netlist::cut::{enumerate_cuts, CutConfig, CutSet};
+use sfq_netlist::cut::{enumerate_cuts, Cut, CutConfig, CutSet};
 use sfq_netlist::truth_table::TruthTable;
 use std::collections::HashMap;
 
@@ -64,32 +64,96 @@ pub struct MapResult {
 /// Maps `aig` onto the library, optionally instantiating the given T1
 /// selection.
 ///
+/// Shorthand for `MapPlan::new(aig, lib).cover(t1)`; build the
+/// [`MapPlan`] yourself to cover one network more than once.
+///
 /// # Panics
 ///
 /// Panics if a selected T1 group references nodes outside `aig`.
 pub fn map(aig: &Aig, lib: &CellLibrary, t1: Option<&T1Selection>) -> MapResult {
-    // 3-feasible cuts: the library has 1/2-input cells plus MAJ3/XOR3.
-    let cuts = enumerate_cuts(
-        aig,
-        &CutConfig {
-            max_leaves: 3,
-            max_cuts: 16,
-        },
-    );
-    let best = choose_cuts(aig, lib, &cuts);
-    Cover::new(aig, lib, &cuts, &best, t1).run()
+    MapPlan::new(aig, lib).cover(t1)
 }
 
-/// Area-flow cut choice: `best[node]` is the index of the selected cut.
-fn choose_cuts(aig: &Aig, lib: &CellLibrary, cuts: &CutSet) -> Vec<usize> {
+/// The selection-independent half of mapping one network: its 3-feasible
+/// cuts and the area-flow choice of one cut per AND node.
+///
+/// Neither depends on the T1 selection, so a flow that maps a network
+/// twice — the baseline cover whose attribution prices T1 candidates
+/// (eq. 2), then the T1-aware cover — enumerates and chooses cuts once and
+/// calls [`MapPlan::cover`] twice. The plan keeps one chosen cut per AND
+/// node, not the whole cut set. Each cover is exactly what [`map`] returns
+/// for the same selection.
+///
+/// # Examples
+///
+/// ```
+/// use sfq_netlist::aig::Aig;
+/// use t1map::cells::CellLibrary;
+/// use t1map::mapper::{map, MapPlan};
+///
+/// let mut aig = Aig::new();
+/// let (a, b, c) = (aig.add_pi(), aig.add_pi(), aig.add_pi());
+/// let s = aig.xor3(a, b, c);
+/// aig.add_po(s);
+/// let lib = CellLibrary::default();
+///
+/// let plan = MapPlan::new(&aig, &lib);
+/// let baseline = plan.cover(None);
+/// assert_eq!(baseline.circuit, map(&aig, &lib, None).circuit);
+/// ```
+#[derive(Debug)]
+pub struct MapPlan<'a> {
+    aig: &'a Aig,
+    lib: &'a CellLibrary,
+    /// `best[node]`: the cut chosen for each AND node (`None` elsewhere).
+    best: Vec<Option<Cut>>,
+}
+
+impl<'a> MapPlan<'a> {
+    /// Enumerates the 3-feasible cuts of `aig` (the library has 1/2-input
+    /// cells plus MAJ3/XOR3) and chooses one per AND node by area flow.
+    pub fn new(aig: &'a Aig, lib: &'a CellLibrary) -> Self {
+        let cuts = {
+            let _span = sfq_obs::span("map:cuts");
+            enumerate_cuts(
+                aig,
+                &CutConfig {
+                    max_leaves: 3,
+                    max_cuts: 16,
+                },
+            )
+        };
+        // Only the chosen cuts outlive `new`: the full cut set is freed
+        // before a T1 flow runs detection.
+        let best = {
+            let _span = sfq_obs::span("map:choose");
+            choose_cuts(aig, lib, &cuts)
+        };
+        MapPlan { aig, lib, best }
+    }
+
+    /// Covers the network with the chosen cuts, instantiating the given T1
+    /// selection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a selected T1 group references nodes outside the network.
+    pub fn cover(&self, t1: Option<&T1Selection>) -> MapResult {
+        let _span = sfq_obs::span("map:cover");
+        Cover::new(self.aig, self.lib, &self.best, t1).run()
+    }
+}
+
+/// Area-flow cut choice: `best[node]` is the selected cut of each AND node.
+fn choose_cuts(aig: &Aig, lib: &CellLibrary, cuts: &CutSet) -> Vec<Option<Cut>> {
     let mut area_flow = vec![0.0f64; aig.len()];
-    let mut best = vec![usize::MAX; aig.len()];
+    let mut best = vec![None; aig.len()];
     for id in aig.node_ids() {
         if !matches!(aig.kind(id), NodeKind::And(..)) {
             continue;
         }
         let mut best_cost = f64::INFINITY;
-        for (ci, cut) in cuts.cuts(id).iter().enumerate() {
+        for cut in cuts.cuts(id) {
             let leaves = cut.leaves();
             if leaves.is_empty() || leaves.len() > 3 || leaves == [id] {
                 continue;
@@ -102,10 +166,10 @@ fn choose_cuts(aig: &Aig, lib: &CellLibrary, cuts: &CutSet) -> Vec<usize> {
             let cost = cell as f64 + flow;
             if cost < best_cost {
                 best_cost = cost;
-                best[id.index()] = ci;
+                best[id.index()] = Some(*cut);
             }
         }
-        debug_assert_ne!(best[id.index()], usize::MAX, "every AND has a fanin cut");
+        debug_assert!(best[id.index()].is_some(), "every AND has a fanin cut");
         let refs = aig.fanout_count(id).max(1) as f64;
         area_flow[id.index()] = best_cost / refs;
     }
@@ -115,8 +179,7 @@ fn choose_cuts(aig: &Aig, lib: &CellLibrary, cuts: &CutSet) -> Vec<usize> {
 struct Cover<'a> {
     aig: &'a Aig,
     lib: &'a CellLibrary,
-    cuts: &'a CutSet,
-    best: &'a [usize],
+    best: &'a [Option<Cut>],
     /// node → (group index, port, output inversion)
     t1_roots: HashMap<NodeId, (usize, u8, bool)>,
     groups: Vec<&'a T1Group>,
@@ -132,8 +195,7 @@ impl<'a> Cover<'a> {
     fn new(
         aig: &'a Aig,
         lib: &'a CellLibrary,
-        cuts: &'a CutSet,
-        best: &'a [usize],
+        best: &'a [Option<Cut>],
         t1: Option<&'a T1Selection>,
     ) -> Self {
         let mut t1_roots = HashMap::new();
@@ -154,7 +216,6 @@ impl<'a> Cover<'a> {
         Cover {
             aig,
             lib,
-            cuts,
             best,
             t1_roots,
             groups,
@@ -214,11 +275,9 @@ impl<'a> Cover<'a> {
     }
 
     fn build_gate(&mut self, node: NodeId) -> Edge {
-        let ci = self.best[node.index()];
-        let cut = &self.cuts.cuts(node)[ci];
-        let leaves = cut.leaves().to_vec();
+        let cut = self.best[node.index()].expect("every AND has a chosen cut");
         let tt = cut.truth_table();
-        let fanins: Vec<Edge> = leaves.iter().map(|&l| self.build(l)).collect();
+        let fanins: Vec<Edge> = cut.leaves().iter().map(|&l| self.build(l)).collect();
         let cost = self.lib.gate_cost(tt);
         let cell = self.out.add_gate(tt, fanins);
         self.attribution.insert(node, cost);

@@ -1,0 +1,61 @@
+//! The mapping and detection sub-stage spans, and how often a flow
+//! enumerates cuts. One test function: the `sfq-obs` recorder is global.
+
+use sfq_circuits::epfl::adder;
+use t1map::cells::CellLibrary;
+use t1map::flow::{run_flow, FlowConfig};
+
+fn traced(f: impl FnOnce()) -> sfq_obs::Trace {
+    sfq_obs::enable();
+    f();
+    sfq_obs::disable();
+    sfq_obs::take()
+}
+
+fn span_count(trace: &sfq_obs::Trace, name: &str) -> usize {
+    trace.events.iter().filter(|e| e.name == name).count()
+}
+
+fn counter(trace: &sfq_obs::Trace, name: &str) -> u64 {
+    trace
+        .counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |&(_, v)| v)
+}
+
+#[test]
+fn t1_flow_enumerates_mapping_cuts_once_and_covers_twice() {
+    let aig = adder(8);
+    let lib = CellLibrary::default();
+
+    let t1 = traced(|| {
+        run_flow(&aig, &lib, &FlowConfig::t1(4));
+    });
+    // One 3-cut set and cut choice serve both the baseline cover (whose
+    // attribution prices the T1 candidates) and the T1-aware cover.
+    assert_eq!(span_count(&t1, "map:cuts"), 1);
+    assert_eq!(span_count(&t1, "map:choose"), 1);
+    assert_eq!(span_count(&t1, "map:cover"), 2);
+    for stage in [
+        "detect:cuts",
+        "detect:match",
+        "detect:bundle",
+        "detect:greedy",
+    ] {
+        assert_eq!(span_count(&t1, stage), 1, "{stage}");
+    }
+    // Mapping cuts plus detection cuts: two kernel calls, every stored
+    // cut counted.
+    assert_eq!(counter(&t1, "netlist.cut_enumerations"), 2);
+    assert!(counter(&t1, "netlist.cuts_kept") > 2 * aig.len() as u64);
+    assert_eq!(sfq_obs::open_spans(), 0);
+
+    let single = traced(|| {
+        run_flow(&aig, &lib, &FlowConfig::single_phase());
+    });
+    assert_eq!(span_count(&single, "map:cuts"), 1);
+    assert_eq!(span_count(&single, "map:cover"), 1);
+    assert_eq!(span_count(&single, "detect:cuts"), 0);
+    assert_eq!(counter(&single, "netlist.cut_enumerations"), 1);
+}

@@ -36,6 +36,7 @@
 //! ```
 
 use crate::aig::{Aig, Lit, NodeId};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::BufRead;
 
@@ -109,6 +110,15 @@ fn parse_header(line: &str, magic: &str) -> Result<Header, ParseAigerError> {
             nums.len()
         )));
     }
+    // Literals pack a node index into 31 bits and node 0 is the constant,
+    // so no network holds more inputs plus AND gates than this.
+    const MAX_NODES: u64 = (1 << 31) - 1;
+    if nums[1].checked_add(nums[4]).is_none_or(|n| n > MAX_NODES) {
+        return Err(ParseAigerError::BadHeader(format!(
+            "{} inputs plus {} AND gates exceed the {MAX_NODES}-node limit",
+            nums[1], nums[4]
+        )));
+    }
     Ok(Header {
         max_var: nums[0],
         inputs: nums[1],
@@ -119,33 +129,63 @@ fn parse_header(line: &str, magic: &str) -> Result<Header, ParseAigerError> {
 }
 
 /// Parser state: external AIGER variable → our literal.
+///
+/// The map grows only as definitions arrive, never from the header's `M`.
+/// Variables stay in a dense vector while they are numbered near the count
+/// of definitions seen (as every canonical file numbers them); a far-off
+/// variable number costs one hash entry, not memory up to it.
 struct VarMap {
-    map: Vec<Option<Lit>>,
+    max_var: u64,
+    dense: Vec<Option<Lit>>,
+    /// Keys come from the file, so the map keeps the default (keyed) hasher.
+    sparse: HashMap<u64, Lit>,
+    defined: u64,
 }
 
 impl VarMap {
     fn new(max_var: u64) -> Self {
-        let mut map = vec![None; (max_var + 1) as usize];
-        map[0] = Some(Lit::FALSE);
-        VarMap { map }
+        VarMap {
+            max_var,
+            dense: vec![Some(Lit::FALSE)],
+            sparse: HashMap::new(),
+            defined: 0,
+        }
+    }
+
+    fn var(&self, ext_lit: u64) -> Result<u64, ParseAigerError> {
+        let var = ext_lit >> 1;
+        if var > self.max_var {
+            return Err(ParseAigerError::LiteralOutOfRange(ext_lit));
+        }
+        Ok(var)
     }
 
     fn define(&mut self, ext_lit: u64, lit: Lit) -> Result<(), ParseAigerError> {
-        let var = (ext_lit >> 1) as usize;
-        if var >= self.map.len() {
-            return Err(ParseAigerError::LiteralOutOfRange(ext_lit));
-        }
+        let var = self.var(ext_lit)?;
         // A defining literal is always even; fold any complement here.
-        self.map[var] = Some(lit.with_complement(lit.is_complement() ^ (ext_lit & 1 == 1)));
+        let lit = lit.with_complement(lit.is_complement() ^ (ext_lit & 1 == 1));
+        self.defined += 1;
+        // Growing only up to twice the definitions read (plus slack for
+        // small files) keeps the dense map linear in the input so far.
+        if var < 2 * self.defined + 1024 {
+            let var = var as usize;
+            if var >= self.dense.len() {
+                self.dense.resize(var + 1, None);
+            }
+            self.dense[var] = Some(lit);
+        } else {
+            self.sparse.insert(var, lit);
+        }
         Ok(())
     }
 
     fn resolve(&self, ext_lit: u64) -> Result<Lit, ParseAigerError> {
-        let var = (ext_lit >> 1) as usize;
-        if var >= self.map.len() {
-            return Err(ParseAigerError::LiteralOutOfRange(ext_lit));
-        }
-        let base = self.map[var].ok_or(ParseAigerError::UndefinedFanin(ext_lit))?;
+        let var = self.var(ext_lit)?;
+        let base = usize::try_from(var)
+            .ok()
+            .and_then(|v| self.dense.get(v).copied().flatten())
+            .or_else(|| self.sparse.get(&var).copied())
+            .ok_or(ParseAigerError::UndefinedFanin(ext_lit))?;
         Ok(if ext_lit & 1 == 1 { !base } else { base })
     }
 }
@@ -221,7 +261,7 @@ pub fn read_ascii_from(mut r: impl BufRead) -> Result<Aig, ParseAigerError> {
         vars.define(lit, pi)?;
     }
 
-    let mut outputs = Vec::with_capacity(h.outputs as usize);
+    let mut outputs = Vec::new();
     for _ in 0..h.outputs {
         take(&mut line, "output")?;
         let lit: u64 = line
@@ -340,6 +380,7 @@ pub fn read_binary_from(mut r: impl BufRead) -> Result<Aig, ParseAigerError> {
     if h.latches != 0 {
         return Err(ParseAigerError::LatchesUnsupported);
     }
+    // `parse_header` bounds `inputs + ands`, so the sum cannot overflow.
     if h.max_var != h.inputs + h.ands {
         return Err(ParseAigerError::BadHeader(format!(
             "binary AIGER requires M = I + A (got {} vs {} + {})",
@@ -347,7 +388,7 @@ pub fn read_binary_from(mut r: impl BufRead) -> Result<Aig, ParseAigerError> {
         )));
     }
 
-    let mut outputs = Vec::with_capacity(h.outputs as usize);
+    let mut outputs = Vec::new();
     for _ in 0..h.outputs {
         read_text_line(&mut line).map_err(|e| match e {
             ParseAigerError::BadBinary(_) => ParseAigerError::BadBinary("truncated outputs".into()),
@@ -610,5 +651,38 @@ mod tests {
         let g = read_ascii(text).unwrap();
         assert_eq!(g.eval(&[true]), vec![false]);
         assert_eq!(g.eval(&[false]), vec![false]);
+    }
+
+    #[test]
+    fn hostile_headers_neither_panic_nor_allocate() {
+        // A huge `M` costs nothing until literals use it.
+        for text in [
+            "aag 4000000000 0 0 0 0\n",
+            "aag 18446744073709551615 0 0 0 0\n",
+        ] {
+            let g = read_ascii(text).unwrap();
+            assert_eq!((g.pi_count(), g.po_count(), g.and_count()), (0, 0, 0));
+        }
+        // Header counts are promises the body must keep, not reservations.
+        assert!(read_ascii("aag 1 0 0 4000000000 0\n").is_err());
+        assert!(read_ascii("aag 18446744073709551615 18446744073709551615 0 0 1\n").is_err());
+        // Binary inputs are implicit: a count beyond the node limit is an
+        // error, and `I + A` may not overflow.
+        assert!(matches!(
+            read_binary(b"aig 4000000000 4000000000 0 0 0\n"),
+            Err(ParseAigerError::BadHeader(_))
+        ));
+        assert!(read_binary(b"aig 0 18446744073709551615 0 0 1\n").is_err());
+    }
+
+    #[test]
+    fn far_off_variable_numbers_parse() {
+        // Variable 4e9 is legal under M = 4e9; it lands in the sparse map.
+        let text = "aag 4000000000 2 0 2 1\n8000000000\n2\n8000000001\n7999999998\n7999999998 8000000000 2\n";
+        let g = read_ascii(text).unwrap();
+        assert_eq!((g.pi_count(), g.po_count(), g.and_count()), (2, 2, 1));
+        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+            assert_eq!(g.eval(&[a, b]), vec![!a, a && b]);
+        }
     }
 }

@@ -5,6 +5,36 @@
 //! dominance filtering. Every cut carries the Boolean function it computes in
 //! terms of its (sorted) leaves, which is what T1 Boolean matching consumes.
 //!
+//! # Layout
+//!
+//! The kernel allocates nothing per cut. A [`Cut`] is `Copy`: up to six
+//! leaves stored inline, their count, a signature and the truth table. A
+//! [`CutSet`] is one flat arena holding the cuts of every node back to back,
+//! in node order, plus one offset per node; [`CutSet::cuts`] slices it. One
+//! scratch buffer of candidate merges is reused across all nodes.
+//!
+//! # Signatures
+//!
+//! A cut's signature is the OR of `1 << (id & 63)` over its leaves. Distinct
+//! leaves may share a bit, so a signature only *bounds* the leaf set:
+//!
+//! - the popcount of `sig(a) | sig(b)` never exceeds `|a ∪ b|`, so a popcount
+//!   above `max_leaves` proves the merge too wide and skips it;
+//! - `a ⊆ b` implies `sig(a) ⊆ sig(b)`, so a failed containment proves that
+//!   `a` does not dominate `b`.
+//!
+//! # Exactness
+//!
+//! Signatures only ever *reject*: every merge they admit is still checked
+//! leaf by leaf, and every dominance they admit is still confirmed by an
+//! exact subset test. The output is therefore exactly that of the textbook
+//! procedure — fanin cut pairs merged in order, candidates taken smallest
+//! first in a stable order, a candidate dropped when a kept cut's leaves are
+//! a subset of its own (which covers duplicates), at most `max_cuts` kept,
+//! and the trivial cut appended last. Truth tables are computed only for
+//! kept cuts: each fanin function is lifted onto the merged leaves with
+//! [`TruthTable::extend_to`] and adjacent-variable swaps.
+//!
 //! # Examples
 //!
 //! ```
@@ -34,17 +64,42 @@
 use crate::aig::{Aig, NodeId, NodeKind};
 use crate::truth_table::TruthTable;
 
+const MAX_LEAVES: usize = TruthTable::MAX_VARS;
+
 /// A cut: a set of leaves plus the function of the root in terms of them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cut {
-    leaves: Vec<NodeId>,
+    /// Sorted leaves in `leaves[..len]`; unused slots hold `NodeId(0)`.
+    leaves: [NodeId; MAX_LEAVES],
+    len: u8,
+    sig: u64,
     tt: TruthTable,
 }
 
 impl Cut {
+    fn trivial(id: NodeId) -> Cut {
+        let mut leaves = [NodeId(0); MAX_LEAVES];
+        leaves[0] = id;
+        Cut {
+            leaves,
+            len: 1,
+            sig: signature_bit(id),
+            tt: TruthTable::var(1, 0),
+        }
+    }
+
+    fn constant() -> Cut {
+        Cut {
+            leaves: [NodeId(0); MAX_LEAVES],
+            len: 0,
+            sig: 0,
+            tt: TruthTable::zero(0),
+        }
+    }
+
     /// The sorted leaf nodes of the cut.
     pub fn leaves(&self) -> &[NodeId] {
-        &self.leaves
+        &self.leaves[..self.len as usize]
     }
 
     /// The function of the cut root over the leaves (variable `i` is
@@ -52,15 +107,10 @@ impl Cut {
     pub fn truth_table(&self) -> TruthTable {
         self.tt
     }
+}
 
-    /// Returns `true` if every leaf of `self` is a leaf of `other`.
-    fn dominates(&self, other: &Cut) -> bool {
-        self.leaves.len() <= other.leaves.len()
-            && self
-                .leaves
-                .iter()
-                .all(|l| other.leaves.binary_search(l).is_ok())
-    }
+fn signature_bit(id: NodeId) -> u64 {
+    1 << (id.0 & 63)
 }
 
 /// Parameters of the enumeration.
@@ -83,160 +133,367 @@ impl Default for CutConfig {
     }
 }
 
-/// Per-node cut sets for a whole network.
+/// Per-node cut sets for a whole network, stored in one flat arena.
 #[derive(Debug, Clone)]
 pub struct CutSet {
-    cuts: Vec<Vec<Cut>>,
+    cuts: Vec<Cut>,
+    /// `cuts[offsets[i]..offsets[i + 1]]` are the cuts of node `i`.
+    offsets: Vec<usize>,
 }
 
 impl CutSet {
     /// The cuts enumerated for `node` (first cut is the trivial one for
     /// PIs, and cuts are ordered smaller-first for ANDs).
     pub fn cuts(&self, node: NodeId) -> &[Cut] {
-        &self.cuts[node.index()]
+        let i = node.index();
+        &self.cuts[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Total number of stored cuts (diagnostic).
     pub fn total(&self) -> usize {
-        self.cuts.iter().map(Vec::len).sum()
+        self.cuts.len()
     }
 }
 
-/// Re-expresses `tt` (over `leaves`) on the superset `union` of leaves.
-fn expand_tt(tt: TruthTable, leaves: &[NodeId], union: &[NodeId]) -> TruthTable {
-    debug_assert!(union.len() <= TruthTable::MAX_VARS);
-    let positions: Vec<usize> = leaves
-        .iter()
-        .map(|l| union.binary_search(l).expect("leaf must be in union"))
-        .collect();
-    let m = union.len();
-    let mut bits = 0u64;
-    for idx in 0..(1usize << m) {
-        let mut sub = 0usize;
-        for (i, &p) in positions.iter().enumerate() {
-            sub |= ((idx >> p) & 1) << i;
-        }
-        if tt.get(sub) {
-            bits |= 1 << idx;
-        }
-    }
-    TruthTable::from_bits(m, bits)
+/// A merged leaf set whose truth table is computed only if it is kept.
+#[derive(Clone, Copy)]
+struct Candidate {
+    leaves: [NodeId; MAX_LEAVES],
+    len: u8,
+    sig: u64,
+    /// Arena indices of the two fanin cuts.
+    a: usize,
+    b: usize,
+    /// Bit `p` set: union position `p` holds a leaf of fanin cut `a` / `b`.
+    pos_a: u8,
+    pos_b: u8,
 }
 
-fn merge_leaves(a: &[NodeId], b: &[NodeId], max: usize) -> Option<Vec<NodeId>> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let next = if j >= b.len() || (i < a.len() && a[i] <= b[j]) {
-            if j < b.len() && a[i] == b[j] {
-                j += 1;
-            }
-            let v = a[i];
-            i += 1;
-            v
-        } else {
-            let v = b[j];
-            j += 1;
-            v
-        };
-        out.push(next);
-        if out.len() > max {
+impl Candidate {
+    fn leaves(&self) -> &[NodeId] {
+        &self.leaves[..self.len as usize]
+    }
+}
+
+/// Merges the sorted leaf sets of `a` and `b`, or `None` if the union has
+/// more than `max` leaves. Records which union positions each side fills.
+fn merge(a: &Cut, ia: usize, b: &Cut, ib: usize, max: usize) -> Option<Candidate> {
+    let (la, lb) = (a.leaves(), b.leaves());
+    let mut out = Candidate {
+        leaves: [NodeId(0); MAX_LEAVES],
+        len: 0,
+        sig: a.sig | b.sig,
+        a: ia,
+        b: ib,
+        pos_a: 0,
+        pos_b: 0,
+    };
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < la.len() || j < lb.len() {
+        if n == max {
             return None;
         }
+        let take_a = j == lb.len() || (i < la.len() && la[i] <= lb[j]);
+        let take_b = i == la.len() || (j < lb.len() && lb[j] <= la[i]);
+        if take_a {
+            out.leaves[n] = la[i];
+            out.pos_a |= 1 << n;
+            i += 1;
+        }
+        if take_b {
+            out.leaves[n] = lb[j];
+            out.pos_b |= 1 << n;
+            j += 1;
+        }
+        n += 1;
     }
+    out.len = n as u8;
     Some(out)
 }
 
+/// Whether every element of the sorted `small` occurs in the sorted `big`.
+fn is_subset(small: &[NodeId], big: &[NodeId]) -> bool {
+    let mut j = 0;
+    for &x in small {
+        while j < big.len() && big[j] < x {
+            j += 1;
+        }
+        if j == big.len() || big[j] != x {
+            return false;
+        }
+        j += 1;
+    }
+    true
+}
+
+/// Re-expresses `tt` on `m` variables, moving its variable `i` to the
+/// position of the `i`-th set bit of `positions` (the others are
+/// don't-cares). Variables move highest first, so each one only crosses
+/// don't-care positions.
+fn expand_tt(tt: TruthTable, positions: u8, m: usize) -> TruthTable {
+    let mut t = tt.extend_to(m);
+    let mut rest = positions;
+    for i in (0..tt.num_vars()).rev() {
+        let p = (u8::BITS - 1 - rest.leading_zeros()) as usize;
+        rest &= !(1 << p);
+        for j in i..p {
+            t = t.swap_adjacent(j);
+        }
+    }
+    t
+}
+
 /// Enumerates cuts for every node of `aig`.
+///
+/// Emits the `netlist.cut_enumerations` (one per call) and
+/// `netlist.cuts_kept` (cuts stored, trivial cuts included) counters to
+/// the `sfq-obs` recorder when it is enabled.
 ///
 /// # Panics
 ///
 /// Panics if `config.max_leaves > 6` or `config.max_cuts == 0`.
 pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> CutSet {
-    assert!(
-        config.max_leaves <= TruthTable::MAX_VARS,
-        "cut width limited to 6"
-    );
+    assert!(config.max_leaves <= MAX_LEAVES, "cut width limited to 6");
     assert!(config.max_cuts > 0, "at least one cut per node required");
-    let mut all: Vec<Vec<Cut>> = Vec::with_capacity(aig.len());
+    let (max_leaves, max_cuts) = (config.max_leaves, config.max_cuts);
+    // Every node keeps at least one cut. Reserving for `max_cuts` per AND
+    // instead would over-allocate ~4x on arithmetic networks, whose nodes
+    // keep about five 3-cuts each; growth past this bound doubles.
+    let mut cuts: Vec<Cut> = Vec::with_capacity(aig.len());
+    let mut offsets: Vec<usize> = Vec::with_capacity(aig.len() + 1);
+    offsets.push(0);
+    let mut merged: Vec<Candidate> = Vec::new();
     for id in aig.node_ids() {
-        let cuts = match aig.kind(id) {
-            NodeKind::Const0 => {
-                vec![Cut {
-                    leaves: vec![],
-                    tt: TruthTable::zero(0),
-                }]
-            }
-            NodeKind::Input(_) => {
-                vec![Cut {
-                    leaves: vec![id],
-                    tt: TruthTable::var(1, 0),
-                }]
-            }
+        match aig.kind(id) {
+            NodeKind::Const0 => cuts.push(Cut::constant()),
+            NodeKind::Input(_) => cuts.push(Cut::trivial(id)),
             NodeKind::And(fa, fb) => {
-                let mut merged: Vec<Cut> = Vec::new();
-                {
-                    let ca = &all[fa.node().index()];
-                    let cb = &all[fb.node().index()];
-                    for cut_a in ca {
-                        for cut_b in cb {
-                            let Some(leaves) =
-                                merge_leaves(&cut_a.leaves, &cut_b.leaves, config.max_leaves)
-                            else {
-                                continue;
-                            };
-                            let mut ta = expand_tt(cut_a.tt, &cut_a.leaves, &leaves);
-                            let mut tb = expand_tt(cut_b.tt, &cut_b.leaves, &leaves);
-                            if fa.is_complement() {
-                                ta = !ta;
-                            }
-                            if fb.is_complement() {
-                                tb = !tb;
-                            }
-                            merged.push(Cut {
-                                leaves,
-                                tt: ta & tb,
-                            });
+                let (na, nb) = (fa.node().index(), fb.node().index());
+                let (ra, rb) = (offsets[na]..offsets[na + 1], offsets[nb]..offsets[nb + 1]);
+                merged.clear();
+                // Bit `k` set: some candidate has `k` leaves.
+                let mut widths = 0u8;
+                for ia in ra {
+                    let a = &cuts[ia];
+                    for ib in rb.clone() {
+                        let b = &cuts[ib];
+                        if (a.sig | b.sig).count_ones() as usize > max_leaves {
+                            continue;
+                        }
+                        if let Some(c) = merge(a, ia, b, ib, max_leaves) {
+                            widths |= 1 << c.len;
+                            merged.push(c);
                         }
                     }
                 }
-                // Dominance filter: drop any cut strictly dominated by another.
-                let mut kept: Vec<Cut> = Vec::new();
-                merged.sort_by_key(|c| c.leaves.len());
-                for cut in merged {
-                    if kept
-                        .iter()
-                        .any(|k| k.dominates(&cut) && k.leaves != cut.leaves)
-                    {
+                // Candidates in a stable smallest-first order; a candidate
+                // is dominated when a kept cut's leaves are a subset of its
+                // own, which includes an identical leaf set.
+                let start = cuts.len();
+                'fill: for width in 0..=max_leaves {
+                    if widths >> width & 1 == 0 {
                         continue;
                     }
-                    if kept.iter().any(|k| k.leaves == cut.leaves) {
-                        continue;
-                    }
-                    kept.push(cut);
-                    if kept.len() >= config.max_cuts {
-                        break;
+                    for c in merged.iter().filter(|c| c.len as usize == width) {
+                        let dominated = cuts[start..]
+                            .iter()
+                            .any(|k| k.sig & !c.sig == 0 && is_subset(k.leaves(), c.leaves()));
+                        if dominated {
+                            continue;
+                        }
+                        let (a, b) = (&cuts[c.a], &cuts[c.b]);
+                        let ta = expand_tt(a.tt, c.pos_a, width);
+                        let tb = expand_tt(b.tt, c.pos_b, width);
+                        let ta = if fa.is_complement() { !ta } else { ta };
+                        let tb = if fb.is_complement() { !tb } else { tb };
+                        cuts.push(Cut {
+                            leaves: c.leaves,
+                            len: c.len,
+                            sig: c.sig,
+                            tt: ta & tb,
+                        });
+                        if cuts.len() - start >= max_cuts {
+                            break 'fill;
+                        }
                     }
                 }
                 // The trivial cut is always present (consumers build their
                 // direct fanin cuts from it); it rides on top of the limit
                 // so it can never be crowded out.
-                kept.push(Cut {
-                    leaves: vec![id],
-                    tt: TruthTable::var(1, 0),
-                });
-                kept
+                cuts.push(Cut::trivial(id));
             }
-        };
-        all.push(cuts);
+        }
+        offsets.push(cuts.len());
     }
-    CutSet { cuts: all }
+    if sfq_obs::is_enabled() {
+        sfq_obs::counter("netlist.cut_enumerations", 1);
+        sfq_obs::counter("netlist.cuts_kept", cuts.len() as u64);
+    }
+    CutSet { cuts, offsets }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aig::Lit;
+    use proptest::prelude::*;
+
+    /// The reference oracle for [`enumerate_cuts`]: the straightforward
+    /// enumerator with a heap-allocated leaf list per cut, a
+    /// bit-by-bit truth-table expansion and a stable sort by width.
+    fn enumerate_cuts_reference(
+        aig: &Aig,
+        config: &CutConfig,
+    ) -> Vec<Vec<(Vec<NodeId>, TruthTable)>> {
+        fn expand(tt: TruthTable, leaves: &[NodeId], union: &[NodeId]) -> TruthTable {
+            let positions: Vec<usize> = leaves
+                .iter()
+                .map(|l| union.binary_search(l).expect("leaf must be in union"))
+                .collect();
+            let m = union.len();
+            let mut bits = 0u64;
+            for idx in 0..(1usize << m) {
+                let mut sub = 0usize;
+                for (i, &p) in positions.iter().enumerate() {
+                    sub |= ((idx >> p) & 1) << i;
+                }
+                if tt.get(sub) {
+                    bits |= 1 << idx;
+                }
+            }
+            TruthTable::from_bits(m, bits)
+        }
+        fn merge_leaves(a: &[NodeId], b: &[NodeId], max: usize) -> Option<Vec<NodeId>> {
+            let mut out = Vec::with_capacity(a.len() + b.len());
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() || j < b.len() {
+                let next = if j >= b.len() || (i < a.len() && a[i] <= b[j]) {
+                    if j < b.len() && a[i] == b[j] {
+                        j += 1;
+                    }
+                    let v = a[i];
+                    i += 1;
+                    v
+                } else {
+                    let v = b[j];
+                    j += 1;
+                    v
+                };
+                out.push(next);
+                if out.len() > max {
+                    return None;
+                }
+            }
+            Some(out)
+        }
+        let dominates = |k: &[NodeId], c: &[NodeId]| {
+            k.len() <= c.len() && k.iter().all(|l| c.binary_search(l).is_ok())
+        };
+        let mut all: Vec<Vec<(Vec<NodeId>, TruthTable)>> = Vec::new();
+        for id in aig.node_ids() {
+            let cuts = match aig.kind(id) {
+                NodeKind::Const0 => vec![(vec![], TruthTable::zero(0))],
+                NodeKind::Input(_) => vec![(vec![id], TruthTable::var(1, 0))],
+                NodeKind::And(fa, fb) => {
+                    let mut merged = Vec::new();
+                    for (la, ta) in &all[fa.node().index()] {
+                        for (lb, tb) in &all[fb.node().index()] {
+                            let Some(leaves) = merge_leaves(la, lb, config.max_leaves) else {
+                                continue;
+                            };
+                            let mut ta = expand(*ta, la, &leaves);
+                            let mut tb = expand(*tb, lb, &leaves);
+                            if fa.is_complement() {
+                                ta = !ta;
+                            }
+                            if fb.is_complement() {
+                                tb = !tb;
+                            }
+                            merged.push((leaves, ta & tb));
+                        }
+                    }
+                    merged.sort_by_key(|(l, _)| l.len());
+                    let mut kept: Vec<(Vec<NodeId>, TruthTable)> = Vec::new();
+                    for cut in merged {
+                        if kept
+                            .iter()
+                            .any(|(k, _)| dominates(k, &cut.0) && *k != cut.0)
+                        {
+                            continue;
+                        }
+                        if kept.iter().any(|(k, _)| *k == cut.0) {
+                            continue;
+                        }
+                        kept.push(cut);
+                        if kept.len() >= config.max_cuts {
+                            break;
+                        }
+                    }
+                    kept.push((vec![id], TruthTable::var(1, 0)));
+                    kept
+                }
+            };
+            all.push(cuts);
+        }
+        all
+    }
+
+    /// A random network from a byte script: each 4-byte chunk picks two
+    /// (possibly complemented) literals from the pool of everything built
+    /// so far — so fanins are shared — and adds an AND, XOR or MAJ3 node.
+    fn script_aig(script: &[u8], num_pis: usize) -> Aig {
+        let mut g = Aig::new();
+        let mut pool: Vec<Lit> = (0..num_pis).map(|_| g.add_pi()).collect();
+        for chunk in script.chunks_exact(4) {
+            let pick = |byte: u8, neg: bool| {
+                let l = pool[byte as usize % pool.len()];
+                if neg {
+                    !l
+                } else {
+                    l
+                }
+            };
+            let a = pick(chunk[0], chunk[3] & 1 != 0);
+            let b = pick(chunk[1], chunk[3] & 2 != 0);
+            let c = pick(chunk[2], chunk[3] & 4 != 0);
+            let out = match chunk[3] >> 3 & 3 {
+                0 | 1 => g.and(a, b),
+                2 => g.xor(a, b),
+                _ => g.maj3(a, b, c),
+            };
+            pool.push(out);
+        }
+        g.add_po(*pool.last().expect("nonempty pool"));
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        #[test]
+        fn kernel_matches_reference_enumerator(
+            script in prop::collection::vec(any::<u8>(), 0..400),
+            num_pis in 1usize..=8,
+            max_leaves in 1usize..=6,
+            max_cuts in 1usize..=30,
+        ) {
+            let g = script_aig(&script, num_pis);
+            let config = CutConfig { max_leaves, max_cuts };
+            let fast = enumerate_cuts(&g, &config);
+            let reference = enumerate_cuts_reference(&g, &config);
+            let mut total = 0;
+            for id in g.node_ids() {
+                let got: Vec<(Vec<NodeId>, TruthTable)> = fast
+                    .cuts(id)
+                    .iter()
+                    .map(|c| (c.leaves().to_vec(), c.truth_table()))
+                    .collect();
+                prop_assert_eq!(&got, &reference[id.index()], "node {:?}", id);
+                total += got.len();
+            }
+            prop_assert_eq!(fast.total(), total);
+        }
+    }
 
     fn tiny_and() -> (Aig, Lit) {
         let mut g = Aig::new();
@@ -339,31 +596,14 @@ mod tests {
         assert!(found, "or3 cut must be enumerated (modulo root polarity)");
     }
 
-    #[test]
-    fn cut_functions_match_network_eval() {
-        // Property: for every cut of every node, evaluating the cut TT on the
-        // leaf values equals the node value.
-        let mut g = Aig::new();
-        let a = g.add_pi();
-        let b = g.add_pi();
-        let c = g.add_pi();
-        let d = g.add_pi();
-        let s1 = g.xor(a, b);
-        let s2 = g.maj3(s1, c, d);
-        let s3 = g.and(s2, a);
-        g.add_po(s3);
-        let cuts = enumerate_cuts(
-            &g,
-            &CutConfig {
-                max_leaves: 4,
-                max_cuts: 50,
-            },
-        );
-
-        for idx in 0..16u32 {
-            let bits: Vec<bool> = (0..4).map(|i| idx >> i & 1 == 1).collect();
-            let words: Vec<u64> = bits.iter().map(|&x| if x { u64::MAX } else { 0 }).collect();
-            // Node values:
+    /// Asserts that, for every cut of every node and every input
+    /// assignment, evaluating the cut's truth table on the leaf values
+    /// equals the node value.
+    fn assert_cut_functions_match_eval(g: &Aig, config: &CutConfig) {
+        let cuts = enumerate_cuts(g, config);
+        let n = g.pi_count();
+        for idx in 0..1u32 << n {
+            let bits: Vec<bool> = (0..n).map(|i| idx >> i & 1 == 1).collect();
             let mut vals = vec![false; g.len()];
             for id in g.node_ids() {
                 vals[id.index()] = match g.kind(id) {
@@ -375,7 +615,6 @@ mod tests {
                     }
                 };
             }
-            let _ = words;
             for id in g.node_ids() {
                 for cut in cuts.cuts(id) {
                     let mut leaf_idx = 0usize;
@@ -392,6 +631,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cut_functions_match_network_eval() {
+        let mut g = Aig::new();
+        let a = g.add_pi();
+        let b = g.add_pi();
+        let c = g.add_pi();
+        let d = g.add_pi();
+        let s1 = g.xor(a, b);
+        let s2 = g.maj3(s1, c, d);
+        let s3 = g.and(s2, a);
+        g.add_po(s3);
+        let config = CutConfig {
+            max_leaves: 4,
+            max_cuts: 50,
+        };
+        assert_cut_functions_match_eval(&g, &config);
+
+        // The widest expansion: six leaves, interleaved across the fanin
+        // cuts so every lifted variable has to move.
+        let mut g = Aig::new();
+        let x: Vec<Lit> = (0..6).map(|_| g.add_pi()).collect();
+        let lo = g.xor3(x[0], !x[2], x[4]);
+        let hi = g.maj3(x[1], x[3], !x[5]);
+        let root = g.xor(lo, hi);
+        g.add_po(root);
+        let config = CutConfig {
+            max_leaves: 6,
+            max_cuts: 50,
+        };
+        let cuts = enumerate_cuts(&g, &config);
+        assert!(
+            cuts.cuts(root.node()).iter().any(|c| c.leaves().len() == 6),
+            "the root must have a 6-leaf cut"
+        );
+        assert_cut_functions_match_eval(&g, &config);
     }
 
     #[test]
