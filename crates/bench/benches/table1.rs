@@ -1,7 +1,7 @@
 //! Criterion benchmarks of the three mapping flows on the Table-I
 //! benchmark set (one group per table row; run with reduced widths so the
 //! suite completes quickly — absolute flow runtimes at paper scale are
-//! printed by the `table1` binary).
+//! printed by `sfq-t1 suite`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sfq_bench::{paper_benchmarks, BenchmarkScale};

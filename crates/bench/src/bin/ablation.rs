@@ -32,9 +32,10 @@
 //! repeated runs (and other front ends pointed at the same directory) skip
 //! already-computed flows.
 
+use sfq_bench::args::{self, Command, Flag, CACHE_DIR, JOBS, PRE_OPT, SMALL};
 use sfq_bench::{
-    jobs_flag, opt_sweep_jobs, phase_sweep_jobs_with, pre_opt_flag, progress_event, progress_line,
-    slack_sweep_jobs, store_flag, BenchmarkScale, SWEEP_PHASES,
+    opt_sweep_jobs, phase_sweep_jobs_with, progress_event, progress_line, slack_sweep_jobs,
+    BenchmarkScale, SWEEP_PHASES,
 };
 use sfq_circuits::epfl;
 use sfq_engine::SuiteRunner;
@@ -50,41 +51,49 @@ use t1map::phase::{assign_phases_exact, assign_phases_with, edge_dff_objective, 
 #[global_allocator]
 static ALLOC: sfq_obs::alloc::CountingAlloc = sfq_obs::alloc::CountingAlloc::new();
 
+const ABLATION: Command = Command {
+    name: "ablation",
+    positionals: "",
+    about: "ablation studies extending the paper's evaluation",
+    flags: &[JOBS, PRE_OPT, SMALL, PAPER, CACHE_DIR],
+};
+const PAPER: Flag = Flag("--paper  Table-I widths for the suite sections");
+
+/// One engine runner (backed by the shared `--cache-dir` store), plus
+/// `--pre-opt` and `--paper`; `None` when `--help` printed the usage.
+fn options(argv: &[String]) -> Result<Option<(SuiteRunner, bool, bool)>, String> {
+    let Some(args) = args::parse(&ABLATION, argv)? else {
+        print!("{}", ABLATION.usage(""));
+        return Ok(None);
+    };
+    let paper = args.has("--paper");
+    if paper && args.has("--small") {
+        return Err("ablation: --small and --paper are mutually exclusive".into());
+    }
+    let mut runner = SuiteRunner::new(args.jobs()?);
+    if let Some(store) = args.store()? {
+        runner = runner.with_store(store);
+    }
+    Ok(Some((runner, args.has("--pre-opt"), paper)))
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     let lib = CellLibrary::default();
-    let workers = match jobs_flag(&args) {
-        Ok(n) => n,
+    let (runner, pre_opt, paper) = match options(&argv) {
+        Ok(Some(options)) => options,
+        Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-
-    // One runner for every engine-backed section; with --cache-dir it is
-    // backed by the shared persistent store.
-    let mut runner = SuiteRunner::new(workers);
-    match store_flag(&args) {
-        Ok(Some(store)) => runner = runner.with_store(store),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let pre_opt = pre_opt_flag(&args);
     // The suite sections run small-scale unless --paper asks for Table-I
     // widths (--small spells the default out; CI passes it explicitly).
-    let suite_scale = if args.iter().any(|a| a == "--paper") {
-        BenchmarkScale::paper()
+    let (suite_scale, scale_label) = if paper {
+        (BenchmarkScale::paper(), "paper scale")
     } else {
-        BenchmarkScale::small()
-    };
-    let scale_label = if args.iter().any(|a| a == "--paper") {
-        "paper scale"
-    } else {
-        "small scale"
+        (BenchmarkScale::small(), "small scale")
     };
     println!(
         "=== abl-phases: phase-count sweep (64-bit adder{}) ===",

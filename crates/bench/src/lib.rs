@@ -2,8 +2,10 @@
 //!
 //! Benchmark harness regenerating every table and figure of the paper:
 //!
-//! - `table1` binary — the full Table I (all eight benchmarks × three
-//!   flows, ratio columns and averages), printed and written as CSV;
+//! - the Table-I suite (all eight benchmarks × three flows, ratio columns
+//!   and averages), which `sfq-t1 suite` prints and writes as CSV;
+//! - [`args`] — the one command-line parser, a flag table per command,
+//!   shared by `sfq-t1` and the `ablation` binary;
 //! - `ablation` binary — phase-count sweep and heuristic-vs-exact /
 //!   sharing-aware-retiming ablations (extensions beyond the paper);
 //! - Criterion benches (`table1`, `substrates`) — flow and substrate
@@ -27,18 +29,13 @@ pub mod diff;
 pub mod progress;
 pub mod report;
 pub mod rows;
-pub use args::{
-    bench_json_flag, cache_dir_flag, csv_flag, jobs_flag, pre_opt_flag, store_flag, trace_flag,
-};
 pub use diff::{diff_reports, DiffReport, DiffStatus, JobDiff, DEFAULT_MAX_REGRESS_PCT};
 pub use progress::progress_line;
 pub use report::{
     bench_report_json, tool_report_json, validate as validate_bench_report, JobSample, ReportEntry,
     ReportMeta,
 };
-pub use rows::{
-    progress_event, result_rows, rows_csv, store_summary, suite_summary, table_one, ResultRow,
-};
+pub use rows::{progress_event, result_rows, store_summary, suite_summary, table_one, ResultRow};
 
 /// Operand widths used for the Table-I reproduction.
 ///

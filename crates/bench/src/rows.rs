@@ -1,9 +1,9 @@
 //! Shared result-row formatting for every suite front end.
 //!
-//! `table1`, `ablation` and the CLI `suite` subcommand all turn a job list
-//! plus a [`SuiteReport`] into rows, progress lines, summary lines and CSV.
-//! One implementation keeps the three front ends byte-identical where they
-//! overlap — in particular, the engine's submission-ordered results make
+//! The CLI `suite`, `explore` and `bench-report` subcommands and the
+//! `ablation` binary all turn a job list plus a [`SuiteReport`] into rows,
+//! progress lines, summary lines and CSV. One implementation keeps the
+//! front ends byte-identical where they overlap — in particular, the engine's submission-ordered results make
 //! every function here independent of worker count, so `--jobs 1` and
 //! `--jobs N` produce identical tables and CSV.
 
@@ -51,31 +51,6 @@ pub fn result_rows(jobs: &[Job], report: &SuiteReport) -> Vec<ResultRow> {
             stats: result.stats,
         })
         .collect()
-}
-
-/// Per-job CSV over [`ResultRow`]s: one line per row in submission order,
-/// with a header. Used by the sweep-style front ends; the Table-I front
-/// ends use [`table_one`] (ratio columns and averages) instead.
-pub fn rows_csv(rows: &[ResultRow]) -> String {
-    let mut csv = String::from(
-        "benchmark,flow,t1_found,t1_used,gates,dffs,splitters,cell_area,area,depth_cycles\n",
-    );
-    for r in rows {
-        csv.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{}\n",
-            r.name,
-            r.flow,
-            r.stats.t1_found,
-            r.stats.t1_used,
-            r.stats.gates,
-            r.stats.dffs,
-            r.stats.splitters,
-            r.stats.cell_area,
-            r.stats.area,
-            r.stats.depth_cycles
-        ));
-    }
-    csv
 }
 
 /// Assembles the Table-I view from a suite laid out as consecutive
@@ -163,7 +138,6 @@ mod tests {
         let rows1 = result_rows(&jobs, &serial);
         let rows_n = result_rows(&jobs, &parallel);
         assert_eq!(rows1, rows_n);
-        assert_eq!(rows_csv(&rows1), rows_csv(&rows_n), "per-job CSV");
         assert_eq!(
             table_one(&jobs, &serial).to_csv(),
             table_one(&jobs, &parallel).to_csv(),

@@ -1,103 +1,29 @@
 //! `sfq-t1` — command-line front end for the T1-aware SFQ mapping flow.
 //!
-//! ```text
-//! sfq-t1 gen <benchmark> [width] -o out.aag      generate a benchmark circuit
-//! sfq-t1 map <in.aag|in.aig> [options]           run a mapping flow, print stats
-//! sfq-t1 verify <in.aag|in.aig> [options]        map + wave-pipelined pulse-sim check
-//! sfq-t1 opt <benchmark|in.aag> [width] [opts]   pre-mapping AIG optimization (sfq-opt)
-//! sfq-t1 sta <benchmark|in.aag> [width] [opts]   static timing & slack analysis (sfq-sta)
-//! sfq-t1 suite [options]                         Table-I suite through sfq-engine
-//! sfq-t1 serve [options]                         batch flow service on stdin/stdout
-//! sfq-t1 explore SPEC [options]                  design-space sweep + Pareto frontier
-//! sfq-t1 store gc DIR --keep-newest N [opts]     evict old persistent-store entries
-//! sfq-t1 bench-report [options]                  emit/validate BENCH_*.json perf reports
-//! sfq-t1 bench-report diff BASE CUR [opts]       regression-diff two BENCH_*.json reports
-//!
-//! options:
-//!   --phases N       number of clock phases (default 4)
-//!   --no-t1          disable T1 detection (baseline flow)
-//!   --exact          exact MILP phase assignment (small circuits)
-//!   --pre-opt        map/verify/suite/sta: run the sfq-opt stage before mapping
-//!   --verilog FILE   write structural Verilog (with --models FILE for cell models)
-//!   --dot FILE       write a Graphviz visualization of the scheduled netlist
-//!   --waves K        number of verification waves (verify; default 8)
-//!   --small          suite: CI-scale benchmark widths
-//!   --jobs N         suite/serve/explore: engine worker threads (default: available parallelism)
-//!   --csv FILE       suite/explore: write the table as CSV
-//!   --cache-dir DIR  suite/serve/explore: persistent result store (second runs hit it)
-//!   --stats          suite: span rollups + store counters after the table
-//!   --trace FILE     suite/opt/sta/explore: Chrome-trace JSON of the run (chrome://tracing)
-//!   --bench-json F   suite/opt/sta/explore: schema-versioned BENCH_*.json perf report
-//!
-//! bench-report runs the Table-I suite and writes the perf-trajectory
-//! report (default BENCH_table1.json; -o FILE overrides). It accepts the
-//! suite options above plus `--check FILE` to only validate an existing
-//! report against the current schema (the CI gate).
-//!
-//! bench-report diff compares two reports job-by-job (aligned on
-//! benchmark×flow): deterministic quality metrics (gates, DFFs, area,
-//! depth) regress on any increase; timing/allocation regress beyond
-//! `--max-regress-pct N` (default 25). `--json` emits the machine
-//! verdict instead of the table. Exits nonzero iff a job regressed.
-//!
-//! explore reads a sweep spec (axes: benchmarks, flows, phases, opt
-//! pipelines, timing, cell-library variants; see `sfq_explore::spec`),
-//! expands the cross product with fingerprint-deduplicated engine jobs,
-//! runs it through the suite engine (honoring `--jobs`, `--cache-dir`,
-//! `--trace`, `--bench-json`, `--csv`), prints the per-benchmark Pareto
-//! frontier table and writes the schema-versioned `EXPLORE_*.json`
-//! report (default `EXPLORE_<sweep>.json`; `-o FILE` overrides). With a
-//! warm `--cache-dir` the rerun recomputes nothing (`0 flow runs`).
-//!
-//! store gc expires entries of a persistent `--cache-dir` result store:
-//! keeps the `--keep-newest N` most recent entries, then keeps evicting
-//! oldest-first while the store exceeds `--max-bytes B` (if given), and
-//! always sweeps stale-format debris. Prints an eviction summary.
-//!
-//! serve reads one job request per stdin line
-//! (`<benchmark>[:width] <1phi|nphi|t1> [phases] [pre-opt|slack-opt|dff-opt|timing|...]`,
-//! `#` comments, `---` flushes the batch early) and streams one
-//! `done <idx> ...` or `err <idx> ...` line per request to stdout. A
-//! `stats` line responds immediately with a one-line flushed snapshot of
-//! the session counters (`stats memory_hits=... p99_compute_us=...`).
-//!
-//! opt options:
-//!   --passes LIST    comma-separated pass sequence (default strash,sweep,rewrite,balance)
-//!   --slack-aware    use the slack-aware pipeline (rewrite may consume per-site slack)
-//!   --dff-aware      use the DFF-objective pipeline (sites priced by per-edge DFF
-//!                    cost under --phases clocking, default 4; --phases also
-//!                    parameterizes rewrite-dff named via --passes, and errors
-//!                    when no DFF-objective pass would read it)
-//!   --fixpoint       iterate the sequence to convergence (guarded)
-//!   --rounds N       fixpoint round limit (default 8)
-//!   --verify         CEC the result against the input (simulation + SAT miter)
-//!   --stats          per-pass table: node/depth deltas, analysis cache hits,
-//!                    STA nodes refreshed vs rebuilt, wall time per pass
-//!   -o FILE          write the optimized network as AIGER
-//!
-//! Unknown `opt` flags are a hard error listing every flag and pass name.
-//!
-//! sta options:
-//!   --mapped         analyze the mapped + scheduled netlist (phase-granular
-//!                    slack) instead of the unit-delay AIG
-//!   --top-paths K    critical paths to extract (default 3)
-//!   --csv FILE       write the per-node timing table as CSV
-//! ```
+//! Every command is described by one flag table (see
+//! [`sfq_t1::bench::args`]), which drives its parsing, its unknown-flag
+//! errors and its usage text: `sfq-t1 --help` prints every command's
+//! usage, `sfq-t1 <command> --help` one.
 
 use std::io::BufRead;
 use std::process::ExitCode;
+use std::sync::Arc;
 
+use sfq_t1::bench::args::{
+    self, Args, Command, Flag, BENCH_JSON, CACHE_DIR, CSV, JOBS, OUTPUT, PHASES, PRE_OPT, SMALL,
+    TRACE,
+};
 use sfq_t1::bench::{
-    bench_json_flag, bench_report_json, csv_flag, diff_reports, fixpoint_opt_jobs, jobs_flag,
-    pre_opt_flag, progress_event, progress_line, result_rows, store_flag, store_summary,
-    suite_summary, table1_jobs_with, table_one, tool_report_json, trace_flag,
+    bench_report_json, diff_reports, fixpoint_opt_jobs, progress_event, progress_line, result_rows,
+    store_summary, suite_summary, table1_jobs_with, table_one, tool_report_json,
     validate_bench_report, BenchmarkScale, JobSample, ReportEntry, ReportMeta,
     DEFAULT_MAX_REGRESS_PCT,
 };
-use sfq_t1::engine::{DiskStore, Job, SuiteRunner};
+use sfq_t1::engine::{DiskStore, Job, ResultCache, SuiteReport, SuiteRunner};
 use sfq_t1::explore::{explore_report_json, explore_summary, frontier_table};
 use sfq_t1::netlist::aiger;
 use sfq_t1::netlist::Aig;
+use sfq_t1::obs::Trace;
 use sfq_t1::opt::{
     optimize, optimize_verified, parse_passes, CecConfig, CecVerdict, OptConfig, PassKind,
 };
@@ -112,6 +38,158 @@ use sfq_t1::t1map::verilog::{cell_models, export, ExportOptions};
 #[global_allocator]
 static ALLOC: sfq_t1::obs::alloc::CountingAlloc = sfq_t1::obs::alloc::CountingAlloc::new();
 
+const NO_T1: Flag = Flag("--no-t1  disable T1 detection (baseline flow)");
+const EXACT: Flag = Flag("--exact  exact MILP phase assignment (small circuits)");
+const VERILOG: Flag = Flag("--verilog FILE  write structural Verilog");
+const MODELS: Flag = Flag("--models FILE  write the cell models (with --verilog)");
+const DOT: Flag = Flag("--dot FILE  write a Graphviz view of the scheduled netlist");
+const WAVES: Flag = Flag("--waves K  number of verification waves (default 8)");
+
+const GEN: Command = Command {
+    name: "gen",
+    positionals: "<benchmark> [width]",
+    about: "write a benchmark as AIGER (-o, default out.aag): random, or a registry name \
+            (adder, multiplier, square, sin, log2, voter, c6288, c7552, scale-100k)",
+    flags: &[
+        OUTPUT,
+        Flag("--nodes N  gate count of `gen random` (required)"),
+        Flag("--seed S  seed of `gen random`"),
+    ],
+};
+
+const MAP: Command = Command {
+    name: "map",
+    positionals: "<in.aag|in.aig>",
+    about: "run a mapping flow, print stats",
+    flags: &[PHASES, NO_T1, EXACT, PRE_OPT, VERILOG, MODELS, DOT],
+};
+
+const VERIFY: Command = Command {
+    name: "verify",
+    positionals: "<in.aag|in.aig>",
+    about: "map + wave-pipelined pulse-sim check",
+    flags: &[PHASES, NO_T1, EXACT, PRE_OPT, VERILOG, MODELS, DOT, WAVES],
+};
+
+const OPT: Command = Command {
+    name: "opt",
+    positionals: "<benchmark|in.aag> [width]",
+    about: "pre-mapping AIG optimization (sfq-opt)",
+    flags: &[
+        Flag("--passes LIST  pass sequence (default strash,sweep,rewrite,balance)"),
+        Flag("--slack-aware  slack-aware pipeline (rewrite may consume per-site slack)"),
+        Flag("--dff-aware  DFF-objective pipeline (per-edge DFF cost under --phases)"),
+        PHASES,
+        Flag("--fixpoint  iterate the sequence to convergence (guarded)"),
+        Flag("--rounds N  fixpoint round limit (default 8)"),
+        Flag("--verify  CEC the result against the input (simulation + SAT miter)"),
+        Flag("--stats  per-pass node/depth deltas, analysis cache, wall time"),
+        TRACE,
+        BENCH_JSON,
+        OUTPUT,
+    ],
+};
+
+const STA: Command = Command {
+    name: "sta",
+    positionals: "<benchmark|in.aag> [width]",
+    about: "static timing & slack analysis (sfq-sta)",
+    flags: &[
+        Flag("--top-paths K  critical paths to extract (default 3)"),
+        PRE_OPT,
+        Flag("--mapped  analyze the mapped, scheduled netlist (phase-granular slack)"),
+        PHASES,
+        NO_T1,
+        CSV,
+        TRACE,
+        BENCH_JSON,
+    ],
+};
+
+const SUITE: Command = Command {
+    name: "suite",
+    positionals: "",
+    about: "the paper's Table I (8 benchmarks x 1φ/nφ/T1) through sfq-engine",
+    flags: &[
+        SMALL,
+        PHASES,
+        JOBS,
+        CSV,
+        PRE_OPT,
+        CACHE_DIR,
+        Flag("--stats  span rollups + store counters after the table"),
+        TRACE,
+        BENCH_JSON,
+    ],
+};
+
+const SERVE: Command = Command {
+    name: "serve",
+    positionals: "",
+    about: "batch flow service: one `<benchmark>[:width] <1phi|nphi|t1> [phases] [options]` \
+            request per stdin line, one done/err line each on stdout",
+    flags: &[JOBS, CACHE_DIR],
+};
+
+const EXPLORE: Command = Command {
+    name: "explore",
+    positionals: "<SPEC>",
+    about: "design-space sweep + Pareto frontier, written to EXPLORE_<sweep>.json (or -o)",
+    flags: &[JOBS, CACHE_DIR, TRACE, BENCH_JSON, CSV, OUTPUT],
+};
+
+const STORE_GC: Command = Command {
+    name: "store gc",
+    positionals: "<DIR>",
+    about: "evict old entries of a persistent --cache-dir result store",
+    flags: &[
+        Flag("--keep-newest N  keep the N most recent entries (required)"),
+        Flag("--max-bytes B  then evict oldest-first down to B bytes"),
+    ],
+};
+
+const BENCH_REPORT: Command = Command {
+    name: "bench-report",
+    positionals: "",
+    about: "write the traced Table-I suite as a BENCH_*.json report (-o, default \
+            BENCH_table1.json)",
+    flags: &[
+        Flag("--check FILE  only validate an existing report against the schema"),
+        SMALL,
+        PRE_OPT,
+        JOBS,
+        CACHE_DIR,
+        OUTPUT,
+    ],
+};
+
+const BENCH_DIFF: Command = Command {
+    name: "bench-report diff",
+    positionals: "<BASE> <CUR>",
+    about: "regression-diff two BENCH_*.json reports; exits nonzero iff a job regressed",
+    flags: &[
+        Flag("--max-regress-pct N  allowed timing/allocation growth (default 25)"),
+        Flag("--json  print the machine verdict instead of the table"),
+    ],
+};
+
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// Every command: its flag table and the function that runs it.
+static COMMANDS: [(&Command, Handler); 11] = [
+    (&GEN, cmd_gen),
+    (&MAP, |args| map_flow(args, false)),
+    (&VERIFY, |args| map_flow(args, true)),
+    (&OPT, cmd_opt),
+    (&STA, cmd_sta),
+    (&SUITE, cmd_suite),
+    (&SERVE, cmd_serve),
+    (&EXPLORE, cmd_explore),
+    (&STORE_GC, cmd_store_gc),
+    (&BENCH_REPORT, cmd_bench_report),
+    (&BENCH_DIFF, cmd_bench_diff),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -123,41 +201,152 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() -> String {
-    "usage: sfq-t1 <gen|map|verify|opt|sta|suite|serve|explore|store|bench-report> ... \
-     (see --help in README)"
-        .to_string()
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("map") => cmd_map(&args[1..], false),
-        Some("verify") => cmd_map(&args[1..], true),
-        Some("opt") => cmd_opt(&args[1..]),
-        Some("sta") => cmd_sta(&args[1..]),
-        Some("suite") => cmd_suite(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("explore") => cmd_explore(&args[1..]),
-        Some("store") => cmd_store(&args[1..]),
-        Some("bench-report") => cmd_bench_report(&args[1..]),
-        Some("--help" | "-h") | None => {
-            println!("{}", usage());
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command '{other}'; {}", usage())),
+fn run(argv: &[String]) -> Result<(), String> {
+    let is_help = |a: &String| a == "-h" || a == "--help";
+    let Some(first) = argv.first().filter(|a| !is_help(a)) else {
+        return print_usage("");
+    };
+    // The longest command name whose words start `argv` (`bench-report
+    // diff` before `bench-report`).
+    let found = COMMANDS
+        .iter()
+        .filter(|(cmd, _)| {
+            let words = cmd.name.split(' ');
+            words.clone().count() <= argv.len() && words.zip(argv).all(|(w, a)| w == a)
+        })
+        .max_by_key(|(cmd, _)| cmd.name.len());
+    let Some(&(cmd, handler)) = found else {
+        // A verb-only group such as `store`.
+        let group = format!("{first} ");
+        let verbs: Vec<&str> = COMMANDS
+            .iter()
+            .filter_map(|(cmd, _)| cmd.name.strip_prefix(&group))
+            .collect();
+        let verbs = verbs.join(", ");
+        return match argv.get(1) {
+            _ if verbs.is_empty() => Err(format!(
+                "unknown command '{first}' (`sfq-t1 --help` lists the commands)"
+            )),
+            Some(a) if is_help(a) => print_usage(&group),
+            Some(verb) => Err(format!("{first}: unknown verb '{verb}' (one of: {verbs})")),
+            None => Err(format!("{first}: verb required (one of: {verbs})")),
+        };
+    };
+    match args::parse(cmd, &argv[cmd.name.split(' ').count()..])? {
+        Some(args) => handler(&args),
+        None => print_usage(cmd.name),
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Prints the usage of every command whose name starts with `prefix`
+/// (`bench-report` also shows `bench-report diff`). A closed pipe
+/// (`sfq-t1 --help | head`) is not an error.
+fn print_usage(prefix: &str) -> Result<(), String> {
+    use std::io::Write;
+    let usages: Vec<String> = COMMANDS
+        .iter()
+        .filter(|(cmd, _)| cmd.name.starts_with(prefix))
+        .map(|(cmd, _)| cmd.usage("sfq-t1"))
+        .collect();
+    let _ = std::io::stdout().write_all(usages.join("\n").as_bytes());
+    Ok(())
 }
 
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// The observation sinks of a run, `--trace` and `--bench-json`: the
+/// recorder runs only when something observes, and observing never
+/// changes the run's own output.
+struct Observer {
+    trace: Option<String>,
+    bench: Option<String>,
+    on: bool,
+}
+
+impl Observer {
+    /// Reads the sink flags and enables the recorder when one is given or
+    /// `also` asks for it (`suite --stats`).
+    fn start(args: &Args, also: bool) -> Observer {
+        let trace = args.value("--trace").map(str::to_string);
+        let bench = args.value("--bench-json").map(str::to_string);
+        let on = also || trace.is_some() || bench.is_some();
+        if on {
+            sfq_t1::obs::enable();
+        }
+        Observer { trace, bench, on }
+    }
+
+    /// Drains the recorder: an empty trace when nothing observes.
+    fn take(&self) -> Trace {
+        self.on.then(sfq_t1::obs::take).unwrap_or_default()
+    }
+
+    /// Writes the trace, then the bench report `report` builds, which must
+    /// pass its own schema before it reaches disk.
+    fn write(&self, trace: &Trace, report: impl FnOnce() -> String) -> Result<(), String> {
+        if let Some(path) = &self.trace {
+            write_file(path, trace.chrome_json())?;
+            println!("trace written to {path}");
+        }
+        if let Some(path) = &self.bench {
+            let text = report();
+            validate_bench_report(&text)
+                .map_err(|e| format!("internal: emitted report invalid: {e}"))?;
+            write_file(path, text)?;
+            println!("bench report written to {path}");
+        }
+        Ok(())
+    }
+}
+
+/// The bench report of a single-tool run (`opt`, `sta`), which repurposes
+/// the AIG-shape columns for the result's node count and depth.
+fn tool_report(
+    flow: &str,
+    name: &str,
+    micros: u64,
+    ands: u64,
+    depth: u64,
+    trace: &Trace,
+) -> String {
+    let mem = sfq_t1::obs::alloc::stats();
+    let entry = ReportEntry {
+        benchmark: name.to_string(),
+        flow: flow.to_string(),
+        micros,
+        source: "computed".to_string(),
+        ands,
+        depth_cycles: depth,
+        alloc_bytes: mem.allocated,
+        peak_bytes: mem.peak,
+        ..ReportEntry::default()
+    };
+    tool_report_json(flow, &entry, micros, trace)
+}
+
+/// An engine worker pool sized by `--jobs`, backed by the `--cache-dir`
+/// store when one is given.
+fn runner(args: &Args) -> Result<(SuiteRunner, Option<Arc<ResultCache>>), String> {
+    let store = args.store()?;
+    let mut runner = SuiteRunner::new(args.jobs()?);
+    if let Some(store) = &store {
+        runner = runner.with_store(store.clone());
+    }
+    Ok((runner, store))
+}
+
+/// Runs a Table-I-style job list with progress on stderr, keeping each
+/// job's sample for the bench report.
+fn run_suite(runner: &SuiteRunner, jobs: &[Job]) -> (SuiteReport, Vec<JobSample>) {
+    let mut samples = vec![JobSample::default(); jobs.len()];
+    let report = runner.run_with_progress(jobs, |o| {
+        samples[o.index] = JobSample::from_outcome(&o);
+        progress_event(&o);
+    });
+    sfq_t1::obs::gauge("store.disk.entries", report.cache.disk.entries as i64);
+    (report, samples)
 }
 
 fn load_aig(path: &str) -> Result<Aig, String> {
@@ -179,134 +368,65 @@ fn load_aig(path: &str) -> Result<Aig, String> {
     }
 }
 
-/// Builds the named benchmark at `width` (0 = the benchmark's default).
-///
-/// Delegates to the [`sfq_t1::circuits::named`] registry — the same one
-/// the `serve` parser and the explore sweep spec resolve through — so
-/// every interface agrees on the legal names and an unknown name is a
-/// hard error listing every known benchmark.
-fn build_benchmark(name: &str, width: usize) -> Result<Aig, String> {
-    sfq_t1::circuits::named::build(name, width)
+/// The optional `[width]` positional (0 = the benchmark's default).
+fn width(args: &Args) -> Result<usize, String> {
+    args.positional(1)
+        .map(|a| a.parse().map_err(|e| format!("bad width: {e}")))
+        .transpose()
+        .map(Option::unwrap_or_default)
 }
 
-/// Resolves the `opt` subject: a known benchmark name or an AIGER file.
-fn load_subject(name: &str, width: usize) -> Result<Aig, String> {
-    if sfq_t1::circuits::named::is_known(name) {
-        build_benchmark(name, width)
+/// Resolves the `opt`/`sta` subject: a known benchmark name (built through
+/// the shared [`sfq_t1::circuits::named`] registry) or an AIGER file.
+fn load_subject(args: &Args) -> Result<(&str, Aig), String> {
+    let name = args.positional(0).expect("required positional");
+    let aig = if sfq_t1::circuits::named::is_known(name) {
+        sfq_t1::circuits::named::build(name, width(args)?)?
     } else if std::path::Path::new(name).exists() {
-        load_aig(name)
+        load_aig(name)?
     } else {
-        Err(format!(
+        return Err(format!(
             "'{name}' is neither a known benchmark ({}) nor an existing AIGER file",
             sfq_t1::circuits::named::known_names().join(", ")
-        ))
-    }
-}
-
-/// Flags the `opt` subcommand accepts (`true` = the flag consumes the next
-/// argument as its value). Anything else starting with `-` is a hard error
-/// — see [`reject_unknown_flags`].
-const OPT_FLAGS: [(&str, bool); 11] = [
-    ("--passes", true),
-    ("--slack-aware", false),
-    ("--dff-aware", false),
-    ("--phases", true),
-    ("--fixpoint", false),
-    ("--rounds", true),
-    ("--verify", false),
-    ("--stats", false),
-    ("--trace", true),
-    ("--bench-json", true),
-    ("-o", true),
-];
-
-/// Hard-errors on any `-`-prefixed argument outside `known`, listing every
-/// accepted flag (plus any command-specific `notes`, e.g. `opt`'s pass
-/// names) — the same no-silent-typo policy as unknown benchmark names.
-fn reject_unknown_flags(
-    cmd: &str,
-    args: &[String],
-    known: &[(&str, bool)],
-    notes: &str,
-) -> Result<(), String> {
-    let mut skip_value = false;
-    for a in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if !a.starts_with('-') {
-            continue;
-        }
-        match known.iter().find(|(n, _)| n == a) {
-            Some(&(_, takes_value)) => skip_value = takes_value,
-            None => {
-                let flags: Vec<&str> = known.iter().map(|&(n, _)| n).collect();
-                return Err(format!(
-                    "{cmd}: unknown flag '{a}' (flags: {}{notes})",
-                    flags.join(", ")
-                ));
-            }
-        }
-    }
-    Ok(())
+        ));
+    };
+    Ok((name, aig))
 }
 
 /// Runs the `sfq-opt` pipeline standalone: per-pass stats table, optional
 /// fixpoint iteration, optional SAT-checked equivalence, optional export.
-fn cmd_opt(args: &[String]) -> Result<(), String> {
-    let passes: Vec<&str> = PassKind::KNOWN.iter().map(|p| p.name()).collect();
-    reject_unknown_flags(
-        "opt",
-        args,
-        &OPT_FLAGS,
-        &format!("; known passes: {}", passes.join(", ")),
-    )?;
-    let name = args
-        .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("opt: benchmark name or AIGER file required")?;
-    let width: usize = args
-        .get(1)
-        .filter(|a| !a.starts_with('-'))
-        .map(|a| a.parse().map_err(|e| format!("bad width: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    let aig = load_subject(name, width)?;
-
-    if has_flag(args, "--slack-aware") && has_flag(args, "--dff-aware") {
+fn cmd_opt(args: &Args) -> Result<(), String> {
+    if args.has("--rounds") && !args.has("--fixpoint") {
+        return Err("opt: --rounds only limits --fixpoint iteration".into());
+    }
+    let (name, aig) = load_subject(args)?;
+    let (slack_aware, dff_aware) = (args.has("--slack-aware"), args.has("--dff-aware"));
+    if slack_aware && dff_aware {
         return Err("opt: --slack-aware and --dff-aware are mutually exclusive".into());
     }
     // --passes replaces the whole pipeline, so combining it with a preset
     // selector would silently discard the preset — hard-error instead.
-    if flag_value(args, "--passes").is_some()
-        && (has_flag(args, "--slack-aware") || has_flag(args, "--dff-aware"))
-    {
+    if args.has("--passes") && (slack_aware || dff_aware) {
         return Err(
             "opt: --passes replaces the whole pipeline; drop --slack-aware/--dff-aware \
              and name the passes directly (e.g. --passes strash,sweep,rewrite-dff,balance)"
                 .into(),
         );
     }
-    let mut config = if has_flag(args, "--slack-aware") {
+    let mut config = if slack_aware {
         OptConfig::slack_aware()
-    } else if has_flag(args, "--dff-aware") {
+    } else if dff_aware {
         OptConfig::dff_aware(4)
     } else {
         OptConfig::standard()
     };
-    if let Some(list) = flag_value(args, "--passes") {
+    if let Some(list) = args.value("--passes") {
         config.passes = parse_passes(list)?;
     }
     // --phases parameterizes DFF-objective rewriting wherever it came from
     // (--dff-aware or a --passes list naming rewrite-dff); anywhere else it
     // would be a silent no-op, which is a hard error like any unknown flag.
-    if let Some(p) = flag_value(args, "--phases") {
-        let n: u32 = p
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("bad --phases: '{p}' is not a positive integer"))?;
+    if let Some(n) = args.positive::<u32>("--phases")? {
         let mut applied = false;
         for kind in &mut config.passes {
             if let PassKind::RewriteDff(m) = kind {
@@ -322,27 +442,17 @@ fn cmd_opt(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    config.fixpoint = has_flag(args, "--fixpoint");
-    if let Some(r) = flag_value(args, "--rounds") {
-        config.max_rounds = r
-            .parse::<usize>()
-            .ok()
-            .filter(|&r| r >= 1)
-            .ok_or_else(|| format!("bad --rounds: '{r}' is not a positive integer"))?;
+    config.fixpoint = args.has("--fixpoint");
+    if let Some(rounds) = args.positive("--rounds")? {
+        config.max_rounds = rounds;
     }
 
     // Same observation-only recorder as the suite: `--trace` and
     // `--bench-json` watch the run without changing its output.
-    let trace_path = trace_flag(args)?;
-    let bench_json_path = bench_json_flag(args)?;
-    let observing = trace_path.is_some() || bench_json_path.is_some();
-    if observing {
-        sfq_t1::obs::enable();
-    }
+    let observer = Observer::start(args, false);
     let opt_start = std::time::Instant::now();
 
-    let verify = has_flag(args, "--verify");
-    let (optimized, report, verified) = if verify {
+    let (optimized, report, verified) = if args.has("--verify") {
         // Pass-by-pass equivalence checking, chained by transitivity into
         // an end-to-end proof (tractable even at paper scale, where a
         // single original-vs-final miter would not be).
@@ -383,7 +493,7 @@ fn cmd_opt(args: &[String]) -> Result<(), String> {
         }
     );
 
-    if has_flag(args, "--stats") {
+    if args.has("--stats") {
         println!(
             "\n{:>5} {:<13} {:>15} {:>10} {:>7} {:>5} {:>6} {:>13} {:>9}",
             "round", "pass", "nodes", "depth", "applied", "hits", "inval", "STA refr/bld", "µs"
@@ -455,80 +565,62 @@ fn cmd_opt(args: &[String]) -> Result<(), String> {
         }
     }
 
-    if let Some(out) = flag_value(args, "-o") {
-        let payload = if out.ends_with(".aig") {
-            aiger::write_binary(&optimized)
-        } else {
-            aiger::write_ascii(&optimized).into_bytes()
-        };
-        std::fs::write(out, payload).map_err(|e| format!("cannot write {out}: {e}"))?;
+    if let Some(out) = args.value("-o") {
+        write_aiger(out, &optimized)?;
         println!("optimized AIGER -> {out}");
     }
 
-    if observing {
-        let trace = sfq_t1::obs::take();
-        if let Some(path) = trace_path {
-            std::fs::write(&path, trace.chrome_json())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("trace written to {path}");
-        }
-        if let Some(path) = bench_json_path {
-            let mem = sfq_t1::obs::alloc::stats();
-            let entry = ReportEntry {
-                benchmark: name.to_string(),
-                flow: "opt".to_string(),
-                micros: opt_micros,
-                source: "computed".to_string(),
-                // Tool reports repurpose the AIG-shape columns: node
-                // count and combinational depth of the optimized result.
-                ands: optimized.and_count() as u64,
-                depth_cycles: report.depth_after as u64,
-                alloc_bytes: mem.allocated,
-                peak_bytes: mem.peak,
-                ..ReportEntry::default()
-            };
-            let text = tool_report_json("opt", &entry, opt_micros, &trace);
-            validate_bench_report(&text)
-                .map_err(|e| format!("internal: emitted report invalid: {e}"))?;
-            std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("bench report written to {path}");
-        }
+    let trace = observer.take();
+    observer.write(&trace, || {
+        let (ands, depth) = (optimized.and_count() as u64, report.depth_after as u64);
+        tool_report("opt", name, opt_micros, ands, depth, &trace)
+    })
+}
+
+/// Writes `aig` as binary AIGER when `path` ends in `.aig`, ASCII otherwise.
+fn write_aiger(path: &str, aig: &Aig) -> Result<(), String> {
+    let payload = if path.ends_with(".aig") {
+        aiger::write_binary(aig)
+    } else {
+        aiger::write_ascii(aig).into_bytes()
+    };
+    write_file(path, payload)
+}
+
+/// Flow configuration shared by `map`, `verify` and `sta --mapped`:
+/// `--phases` (default 4) and `--no-t1`.
+fn flow_config(args: &Args) -> Result<(u32, FlowConfig), String> {
+    let phases: u32 = args.parse("--phases")?.unwrap_or(4);
+    let use_t1 = !args.has("--no-t1");
+    if use_t1 && phases < 3 {
+        return Err("T1 flows need at least 3 phases (use --no-t1 for fewer)".into());
     }
-    Ok(())
+    let cfg = if use_t1 {
+        FlowConfig::t1(phases)
+    } else {
+        FlowConfig::multiphase(phases)
+    };
+    Ok((phases, cfg))
 }
 
 /// Static timing analysis: unit-delay slack over the AIG, or phase-granular
 /// schedule slack over the mapped netlist (`--mapped`).
-fn cmd_sta(args: &[String]) -> Result<(), String> {
+fn cmd_sta(args: &Args) -> Result<(), String> {
     use sfq_t1::sta::{AigSta, TimingReport};
     use sfq_t1::t1map::timing::analyze_mapped;
 
-    let name = args
-        .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("sta: benchmark name or AIGER file required")?;
-    let width: usize = args
-        .get(1)
-        .filter(|a| !a.starts_with('-'))
-        .map(|a| a.parse().map_err(|e| format!("bad width: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    let top_paths: usize = flag_value(args, "--top-paths")
-        .map(|v| v.parse().map_err(|e| format!("bad --top-paths: {e}")))
-        .transpose()?
-        .unwrap_or(3);
-    let mut aig = load_subject(name, width)?;
-    if has_flag(args, "--pre-opt") {
+    let mapped = args.has("--mapped");
+    if !mapped && (args.has("--phases") || args.has("--no-t1")) {
+        return Err("sta: --phases and --no-t1 only apply with --mapped".into());
+    }
+    let top_paths: usize = args.parse("--top-paths")?.unwrap_or(3);
+    let (name, mut aig) = load_subject(args)?;
+    if args.has("--pre-opt") {
         aig = optimize(&aig, &OptConfig::standard()).0;
     }
     // Same observation-only recorder as the suite: `--trace` and
     // `--bench-json` watch the analysis without changing its output.
-    let trace_path = trace_flag(args)?;
-    let bench_json_path = bench_json_flag(args)?;
-    let observing = trace_path.is_some() || bench_json_path.is_some();
-    if observing {
-        sfq_t1::obs::enable();
-    }
+    let observer = Observer::start(args, false);
     let sta_start = std::time::Instant::now();
     let mut report_depth = aig.depth() as u64;
     println!(
@@ -539,20 +631,8 @@ fn cmd_sta(args: &[String]) -> Result<(), String> {
         aig.depth()
     );
 
-    if has_flag(args, "--mapped") {
-        let phases: u32 = flag_value(args, "--phases")
-            .map(|v| v.parse().map_err(|e| format!("bad --phases: {e}")))
-            .transpose()?
-            .unwrap_or(4);
-        let use_t1 = !has_flag(args, "--no-t1");
-        if use_t1 && phases < 3 {
-            return Err("T1 flows need at least 3 phases (use --no-t1 for fewer)".into());
-        }
-        let cfg = if use_t1 {
-            FlowConfig::t1(phases)
-        } else {
-            FlowConfig::multiphase(phases)
-        };
+    if mapped {
+        let (phases, cfg) = flow_config(args)?;
         let lib = CellLibrary::default();
         let res = run_flow(&aig, &lib, &cfg);
         // One analysis serves the summary, the paths and the CSV (running
@@ -595,7 +675,7 @@ fn cmd_sta(args: &[String]) -> Result<(), String> {
         if truncated {
             println!("(path search budget exhausted — more paths exist than listed)");
         }
-        if let Some(path) = flag_value(args, "--csv") {
+        if let Some(path) = args.value("--csv") {
             let mut csv = String::from("cell,stage,earliest,latest,slack\n");
             for (id, _) in res.mapped.cells() {
                 let latest = timing.latest(id);
@@ -611,105 +691,67 @@ fn cmd_sta(args: &[String]) -> Result<(), String> {
                     timing.schedule_slack(&res.schedule, id)
                 ));
             }
-            std::fs::write(path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
+            write_file(path, csv)?;
             println!("timing CSV -> {path}");
         }
     } else {
         let sta = AigSta::new(&aig);
         let report = TimingReport::new(sta.graph(), sta.analysis(), top_paths);
         print!("unit-delay timing: {report}");
-        if let Some(path) = flag_value(args, "--csv") {
-            std::fs::write(path, TimingReport::node_csv(sta.graph(), sta.analysis()))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
+        if let Some(path) = args.value("--csv") {
+            write_file(path, TimingReport::node_csv(sta.graph(), sta.analysis()))?;
             println!("timing CSV -> {path}");
         }
     }
 
-    if observing {
-        let sta_micros = sta_start.elapsed().as_micros() as u64;
-        let trace = sfq_t1::obs::take();
-        if let Some(path) = trace_path {
-            std::fs::write(&path, trace.chrome_json())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("trace written to {path}");
-        }
-        if let Some(path) = bench_json_path {
-            let mem = sfq_t1::obs::alloc::stats();
-            let entry = ReportEntry {
-                benchmark: name.to_string(),
-                flow: "sta".to_string(),
-                micros: sta_micros,
-                source: "computed".to_string(),
-                ands: aig.and_count() as u64,
-                depth_cycles: report_depth,
-                alloc_bytes: mem.allocated,
-                peak_bytes: mem.peak,
-                ..ReportEntry::default()
-            };
-            let text = tool_report_json("sta", &entry, sta_micros, &trace);
-            validate_bench_report(&text)
-                .map_err(|e| format!("internal: emitted report invalid: {e}"))?;
-            std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("bench report written to {path}");
-        }
+    let sta_micros = sta_start.elapsed().as_micros() as u64;
+    let trace = observer.take();
+    let ands = aig.and_count() as u64;
+    observer.write(&trace, || {
+        tool_report("sta", name, sta_micros, ands, report_depth, &trace)
+    })
+}
+
+/// `small` → CI-scale widths and its report label; otherwise paper scale.
+fn scale(small: bool) -> (BenchmarkScale, &'static str) {
+    if small {
+        (BenchmarkScale::small(), "small")
+    } else {
+        (BenchmarkScale::paper(), "paper")
     }
-    Ok(())
 }
 
 /// Runs the full Table-I suite through the `sfq-engine` worker pool.
-fn cmd_suite(args: &[String]) -> Result<(), String> {
-    let small = has_flag(args, "--small");
-    let phases: u32 = flag_value(args, "--phases")
-        .map(|v| v.parse().map_err(|e| format!("bad --phases: {e}")))
-        .transpose()?
-        .unwrap_or(4);
+fn cmd_suite(args: &Args) -> Result<(), String> {
+    let phases: u32 = args.parse("--phases")?.unwrap_or(4);
     if phases < 3 {
         return Err("suite runs the T1 flow, which needs at least 3 phases".into());
     }
-    // Shared parsers with the bench binaries: a bare `--csv` or malformed
-    // `--jobs` is a hard error, not a silent fallback.
-    let workers = jobs_flag(args)?;
-    let csv_path = csv_flag(args)?;
-    let pre_opt = pre_opt_flag(args);
-    let trace_path = trace_flag(args)?;
-    let bench_json_path = bench_json_flag(args)?;
-    let stats = has_flag(args, "--stats");
+    let pre_opt = args.has("--pre-opt");
+    let stats = args.has("--stats");
     // One recorder feeds every sink: the `--stats` summary table, the
     // `--trace` Chrome trace and the `--bench-json` span rollups are all
     // views of the same run. Observation only — the table and CSV are
     // byte-identical whether or not anything observes.
-    let observing = stats || trace_path.is_some() || bench_json_path.is_some();
-    if observing {
-        sfq_t1::obs::enable();
-    }
+    let observer = Observer::start(args, stats);
 
-    let scale = if small {
-        BenchmarkScale::small()
-    } else {
-        BenchmarkScale::paper()
-    };
+    let (scale, scale_name) = scale(args.has("--small"));
     let lib = CellLibrary::default();
     println!(
-        "Table I — multiphase clocking with T1 cells ({} scale, n = {phases} phases{})\n",
-        if small { "small" } else { "paper" },
+        "Table I — multiphase clocking with T1 cells ({scale_name} scale, n = {phases} phases{})\n",
         if pre_opt { ", pre-opt" } else { "" }
     );
     let jobs = table1_jobs_with(&scale, phases, &lib, pre_opt);
-    let store = store_flag(args)?;
-    let mut runner = SuiteRunner::new(workers);
-    if let Some(store) = &store {
-        runner = runner.with_store(store.clone());
-    }
-    let mut samples = vec![JobSample::default(); jobs.len()];
-    let report = runner.run_with_progress(&jobs, |o| {
-        samples[o.index] = JobSample::from_outcome(&o);
-        progress_event(&o);
-    });
-    sfq_t1::obs::gauge("store.disk.entries", report.cache.disk.entries as i64);
-    let trace = observing.then(sfq_t1::obs::take).unwrap_or_default();
+    let (runner, store) = runner(args)?;
+    let (report, samples) = run_suite(&runner, &jobs);
+    let trace = observer.take();
 
     let table = table_one(&jobs, &report);
     println!("\n{table}");
+    println!(
+        "paper averages for comparison: DFF T1/1φ 0.35, T1/4φ 0.94; \
+         area 0.59 / 0.94; depth 0.29 / 1.13"
+    );
     if store.is_some() || stats {
         println!("{}", store_summary(&report));
     }
@@ -717,67 +759,37 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
         print!("{}", trace.summary());
     }
     progress_line(suite_summary(jobs.len(), &report));
-    if let Some(path) = csv_path {
-        std::fs::write(&path, table.to_csv()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = args.value("--csv") {
+        write_file(path, table.to_csv())?;
         println!("CSV written to {path}");
     }
-    if let Some(path) = trace_path {
-        std::fs::write(&path, trace.chrome_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("trace written to {path}");
-    }
-    if let Some(path) = bench_json_path {
-        let meta = ReportMeta {
-            suite: "table1".to_string(),
-            scale: if small { "small" } else { "paper" }.to_string(),
-            phases,
-            pre_opt,
-        };
+    observer.write(&trace, || {
+        let meta = table1_meta(scale_name, phases, pre_opt);
         let rows = result_rows(&jobs, &report);
-        let text = bench_report_json(&meta, &jobs, &rows, &report, &samples, &trace);
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("bench report written to {path}");
-    }
-    Ok(())
+        bench_report_json(&meta, &jobs, &rows, &report, &samples, &trace)
+    })
 }
 
-/// Flags the `explore` subcommand accepts (see [`reject_unknown_flags`]).
-const EXPLORE_FLAGS: [(&str, bool); 6] = [
-    ("--jobs", true),
-    ("--cache-dir", true),
-    ("--trace", true),
-    ("--bench-json", true),
-    ("--csv", true),
-    ("-o", true),
-];
+fn table1_meta(scale: &str, phases: u32, pre_opt: bool) -> ReportMeta {
+    ReportMeta {
+        suite: "table1".to_string(),
+        scale: scale.to_string(),
+        phases,
+        pre_opt,
+    }
+}
 
 /// Runs a design-space sweep from a spec file: expansion with
 /// fingerprint deduplication, execution through the suite engine (with
 /// any `--cache-dir` result store), per-benchmark Pareto frontiers, and
 /// the validated `EXPLORE_*.json` report.
-fn cmd_explore(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("explore", args, &EXPLORE_FLAGS, "")?;
-    let spec_path = args
-        .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("explore: sweep spec file required (see README §Design-space exploration)")?;
+fn cmd_explore(args: &Args) -> Result<(), String> {
+    let spec_path = args.positional(0).expect("required positional");
     let text =
         std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
     let spec = sfq_t1::explore::spec::parse(&text).map_err(|e| format!("{spec_path}: {e}"))?;
-    let workers = jobs_flag(args)?;
-    let csv_path = csv_flag(args)?;
-    let trace_path = trace_flag(args)?;
-    let bench_json_path = bench_json_flag(args)?;
-    let store = store_flag(args)?;
-    let observing = trace_path.is_some() || bench_json_path.is_some();
-    if observing {
-        sfq_t1::obs::enable();
-    }
-
-    let mut runner = SuiteRunner::new(workers);
-    if let Some(store) = &store {
-        runner = runner.with_store(store.clone());
-    }
+    let (runner, store) = runner(args)?;
+    let observer = Observer::start(args, false);
     println!(
         "explore '{}': {} benchmarks x {} flows x {} phase counts x {} opt x {} timing x \
          {} libraries",
@@ -791,7 +803,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     );
     let run = sfq_t1::explore::run_sweep(spec, &runner, progress_event)?;
     sfq_t1::obs::gauge("store.disk.entries", run.cache().disk.entries as i64);
-    let trace = observing.then(sfq_t1::obs::take).unwrap_or_default();
+    let trace = observer.take();
 
     println!();
     print!("{}", frontier_table(&run));
@@ -800,27 +812,22 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     }
     println!("{}", explore_summary(&run));
 
-    let out = flag_value(args, "-o")
+    let out = args
+        .value("-o")
         .map(str::to_string)
         .unwrap_or_else(|| format!("EXPLORE_{}.json", run.spec.name));
     let report_text = explore_report_json(&run);
     // A report that fails its own schema must never reach disk.
     sfq_t1::explore::validate(&report_text)
         .map_err(|e| format!("internal: emitted report invalid: {e}"))?;
-    std::fs::write(&out, report_text).map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_file(&out, report_text)?;
     println!("explore report written to {out}");
 
-    if let Some(path) = csv_path {
-        std::fs::write(&path, sfq_t1::explore::report::points_csv(&run))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = args.value("--csv") {
+        write_file(path, sfq_t1::explore::report::points_csv(&run))?;
         println!("CSV written to {path}");
     }
-    if let Some(path) = trace_path {
-        std::fs::write(&path, trace.chrome_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("trace written to {path}");
-    }
-    if let Some(path) = bench_json_path {
+    observer.write(&trace, || {
         let meta = ReportMeta {
             suite: "explore".to_string(),
             scale: run.spec.name.clone(),
@@ -828,44 +835,19 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
             pre_opt: run.spec.opts.contains(&"pre-opt"),
         };
         let rows = result_rows(&run.jobs, &run.report);
-        let text = bench_report_json(&meta, &run.jobs, &rows, &run.report, &run.samples, &trace);
-        validate_bench_report(&text)
-            .map_err(|e| format!("internal: emitted report invalid: {e}"))?;
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("bench report written to {path}");
-    }
-    Ok(())
-}
-
-/// Flags the `store gc` verb accepts (see [`reject_unknown_flags`]).
-const STORE_GC_FLAGS: [(&str, bool); 2] = [("--keep-newest", true), ("--max-bytes", true)];
-
-/// `store <verb>` — maintenance of persistent `--cache-dir` result
-/// stores. The only verb today is `gc`.
-fn cmd_store(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("gc") => cmd_store_gc(&args[1..]),
-        Some(other) => Err(format!("store: unknown verb '{other}' (one of: gc)")),
-        None => Err("store: verb required (one of: gc)".into()),
-    }
+        bench_report_json(&meta, &run.jobs, &rows, &run.report, &run.samples, &trace)
+    })
 }
 
 /// `store gc DIR --keep-newest N [--max-bytes B]`: evicts all but the
 /// newest `N` entries, then keeps evicting oldest-first until at most
 /// `B` bytes remain (when given); stale-format debris is always swept.
-fn cmd_store_gc(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("store gc", args, &STORE_GC_FLAGS, "")?;
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("store gc: cache directory required (the --cache-dir of previous runs)")?;
-    let keep: usize = flag_value(args, "--keep-newest")
-        .ok_or("store gc: --keep-newest N required")?
-        .parse()
-        .map_err(|e| format!("bad --keep-newest: {e}"))?;
-    let max_bytes: Option<u64> = flag_value(args, "--max-bytes")
-        .map(|v| v.parse().map_err(|e| format!("bad --max-bytes: {e}")))
-        .transpose()?;
+fn cmd_store_gc(args: &Args) -> Result<(), String> {
+    let dir = args.positional(0).expect("required positional");
+    let keep: usize = args
+        .parse("--keep-newest")?
+        .ok_or("store gc: --keep-newest N required")?;
+    let max_bytes: Option<u64> = args.parse("--max-bytes")?;
     let store = DiskStore::open(dir).map_err(|e| format!("cannot open store {dir}: {e}"))?;
     let s = store.gc_with_budget(keep, max_bytes);
     println!(
@@ -875,74 +857,40 @@ fn cmd_store_gc(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Flags `bench-report` accepts (see [`OPT_FLAGS`] for the table format).
-const BENCH_REPORT_FLAGS: [(&str, bool); 6] = [
-    ("--check", true),
-    ("--small", false),
-    ("--pre-opt", false),
-    ("--jobs", true),
-    ("--cache-dir", true),
-    ("-o", true),
-];
-
 /// Emits (or, with `--check`, validates) the schema-versioned
 /// `BENCH_*.json` perf-trajectory report: the Table-I suite with tracing
 /// on, rolled up into per-benchmark wall micros, result metrics,
 /// cache-source breakdown and span totals.
-fn cmd_bench_report(args: &[String]) -> Result<(), String> {
-    if args.first().map(String::as_str) == Some("diff") {
-        return cmd_bench_diff(&args[1..]);
-    }
-    reject_unknown_flags("bench-report", args, &BENCH_REPORT_FLAGS, "")?;
-    if let Some(path) = flag_value(args, "--check") {
+fn cmd_bench_report(args: &Args) -> Result<(), String> {
+    if let Some(path) = args.value("--check") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         validate_bench_report(&text).map_err(|e| format!("{path}: {e}"))?;
         println!("{path}: valid bench report");
         return Ok(());
     }
-    let small = has_flag(args, "--small");
-    let pre_opt = pre_opt_flag(args);
-    let workers = jobs_flag(args)?;
-    let store = store_flag(args)?;
-    let out = flag_value(args, "-o").unwrap_or("BENCH_table1.json");
+    let pre_opt = args.has("--pre-opt");
+    let (runner, _) = runner(args)?;
+    let out = args.value("-o").unwrap_or("BENCH_table1.json");
     let phases = 4u32;
     sfq_t1::obs::enable();
 
-    let scale = if small {
-        BenchmarkScale::small()
-    } else {
-        BenchmarkScale::paper()
-    };
+    let (scale, scale_name) = scale(args.has("--small"));
     let lib = CellLibrary::default();
     let mut jobs = table1_jobs_with(&scale, phases, &lib, pre_opt);
     // The allocation-sensitive rows: fixpoint optimization dominates their
     // alloc_bytes, so the diff against the committed baseline tracks the
     // optimizer's allocation cost.
     jobs.extend(fixpoint_opt_jobs(&scale, phases, &lib));
-    let mut runner = SuiteRunner::new(workers);
-    if let Some(store) = &store {
-        runner = runner.with_store(store.clone());
-    }
-    let mut samples = vec![JobSample::default(); jobs.len()];
-    let report = runner.run_with_progress(&jobs, |o| {
-        samples[o.index] = JobSample::from_outcome(&o);
-        progress_event(&o);
-    });
-    sfq_t1::obs::gauge("store.disk.entries", report.cache.disk.entries as i64);
+    let (report, samples) = run_suite(&runner, &jobs);
     let trace = sfq_t1::obs::take();
     progress_line(suite_summary(jobs.len(), &report));
 
-    let meta = ReportMeta {
-        suite: "table1".to_string(),
-        scale: if small { "small" } else { "paper" }.to_string(),
-        phases,
-        pre_opt,
-    };
+    let meta = table1_meta(scale_name, phases, pre_opt);
     let rows = result_rows(&jobs, &report);
     let text = bench_report_json(&meta, &jobs, &rows, &report, &samples, &trace);
     // A report that fails its own schema must never reach disk.
     validate_bench_report(&text).map_err(|e| format!("internal: emitted report invalid: {e}"))?;
-    std::fs::write(out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_file(out, text)?;
     println!("bench report written to {out}");
     Ok(())
 }
@@ -951,39 +899,16 @@ fn cmd_bench_report(args: &[String]) -> Result<(), String> {
 /// the regression gate. Prints the per-job table (or, with `--json`, the
 /// machine-readable verdict) and fails — nonzero exit — iff any job
 /// regressed beyond its allowance.
-fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
-    let positional: Vec<&String> = {
-        // `--max-regress-pct` consumes its value; skip it when collecting.
-        let mut out = Vec::new();
-        let mut skip = false;
-        for a in args {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if a == "--max-regress-pct" {
-                skip = true;
-            } else if !a.starts_with('-') {
-                out.push(a);
-            }
-        }
-        out
+fn cmd_bench_diff(args: &Args) -> Result<(), String> {
+    let read = |i: usize| {
+        let path = args.positional(i).expect("required positional");
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
     };
-    let [baseline, current] = positional.as_slice() else {
-        return Err("bench-report diff: exactly two report files required \
-             (usage: bench-report diff BASELINE CURRENT [--max-regress-pct N] [--json])"
-            .into());
-    };
-    let pct: u64 = flag_value(args, "--max-regress-pct")
-        .map(|v| v.parse().map_err(|e| format!("bad --max-regress-pct: {e}")))
-        .transpose()?
+    let pct: u64 = args
+        .parse("--max-regress-pct")?
         .unwrap_or(DEFAULT_MAX_REGRESS_PCT);
-    let base_text =
-        std::fs::read_to_string(baseline).map_err(|e| format!("cannot read {baseline}: {e}"))?;
-    let cur_text =
-        std::fs::read_to_string(current).map_err(|e| format!("cannot read {current}: {e}"))?;
-    let diff = diff_reports(&base_text, &cur_text, pct)?;
-    if has_flag(args, "--json") {
+    let diff = diff_reports(&read(0)?, &read(1)?, pct)?;
+    if args.has("--json") {
         print!("{}", diff.verdict_json());
     } else {
         print!("{}", diff.table());
@@ -1013,12 +938,13 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
 /// (responses stream back in completion order); EOF flushes and exits. All
 /// requests share one result store for the whole session — with
 /// `--cache-dir`, the persistent one.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::io::{BufRead, Write};
 
-    let workers = jobs_flag(args)?;
-    let store = store_flag(args)?
-        .unwrap_or_else(|| std::sync::Arc::new(sfq_t1::engine::ResultCache::new()));
+    let workers = args.jobs()?;
+    let store = args
+        .store()?
+        .unwrap_or_else(|| Arc::new(ResultCache::new()));
     let runner = SuiteRunner::new(workers).with_store(store.clone());
     let lib = CellLibrary::default();
     // The session-long recorder backs the `stats` control line and the
@@ -1106,7 +1032,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// One-line counters/histogram snapshot for the serve `stats` control
 /// line: session-lifetime cache counters, live/peak process memory and
 /// compute-latency percentiles.
-fn serve_stats_line(store: &sfq_t1::engine::ResultCache) -> String {
+fn serve_stats_line(store: &ResultCache) -> String {
     let s = store.stats();
     let mem = sfq_t1::obs::alloc::stats();
     let (p50, p99) = match sfq_t1::obs::histogram("engine:compute") {
@@ -1157,43 +1083,21 @@ fn parse_serve_request(line: &str, lib: &CellLibrary) -> Result<Job, String> {
     for opt in rest {
         builder = sfq_t1::explore::apply_config_token(builder, opt)?;
     }
-    Ok(Job::new(
-        label,
-        flow,
-        std::sync::Arc::new(aig),
-        *lib,
-        builder.build(),
-    ))
+    Ok(Job::new(label, flow, Arc::new(aig), *lib, builder.build()))
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or(
-        "gen: benchmark name required (random, or a registry name: adder, multiplier, \
-         square, sin, log2, voter, c6288, c7552, scale-100k)",
-    )?;
-    let width: usize = args
-        .get(1)
-        .filter(|a| !a.starts_with('-'))
-        .map(|a| a.parse().map_err(|e| format!("bad width: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    let out = flag_value(args, "-o").unwrap_or("out.aag");
+fn cmd_gen(args: &Args) -> Result<(), String> {
+    let name = args.positional(0).expect("required positional");
+    let out = args.value("-o").unwrap_or("out.aag");
     let aig = if name == "random" {
         // Scale-class generator: `gen random --nodes N --seed S` emits a
         // seeded random network in the same shape as the `scale-100k`
         // registry entry, so CI smoke sizes are a one-flag choice.
-        let nodes: usize = flag_value(args, "--nodes")
-            .ok_or("gen random: --nodes <count> required")?
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("gen random: --nodes must be a positive integer")?;
-        let seed: u64 = flag_value(args, "--seed")
-            .map(|s| {
-                s.parse()
-                    .map_err(|e| format!("gen random: bad --seed: {e}"))
-            })
-            .transpose()?
+        let nodes: usize = args
+            .positive("--nodes")?
+            .ok_or("gen random: --nodes <count> required")?;
+        let seed: u64 = args
+            .parse("--seed")?
             .unwrap_or(sfq_t1::circuits::named::SCALE_SEED);
         sfq_t1::circuits::random::random_aig(
             seed,
@@ -1205,14 +1109,9 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
             },
         )
     } else {
-        build_benchmark(name, width)?
+        sfq_t1::circuits::named::build(name, width(args)?)?
     };
-    let payload = if out.ends_with(".aig") {
-        aiger::write_binary(&aig)
-    } else {
-        aiger::write_ascii(&aig).into_bytes()
-    };
-    std::fs::write(out, payload).map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_aiger(out, &aig)?;
     println!(
         "{name}: {} inputs, {} outputs, {} AND gates -> {out}",
         aig.pi_count(),
@@ -1222,26 +1121,17 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_map(args: &[String], verify: bool) -> Result<(), String> {
-    let path = args.first().ok_or("input AIGER file required")?;
-    let aig = load_aig(path)?;
-    let phases: u32 = flag_value(args, "--phases")
-        .map(|v| v.parse().map_err(|e| format!("bad --phases: {e}")))
-        .transpose()?
-        .unwrap_or(4);
-    let use_t1 = !has_flag(args, "--no-t1");
-    if use_t1 && phases < 3 {
-        return Err("T1 flows need at least 3 phases (use --no-t1 for fewer)".into());
+fn map_flow(args: &Args, verify: bool) -> Result<(), String> {
+    if args.has("--models") && !args.has("--verilog") {
+        return Err("--models only applies together with --verilog".into());
     }
-    let mut cfg = if use_t1 {
-        FlowConfig::t1(phases)
-    } else {
-        FlowConfig::multiphase(phases)
-    };
-    if has_flag(args, "--exact") {
+    let path = args.positional(0).expect("required positional");
+    let aig = load_aig(path)?;
+    let (phases, mut cfg) = flow_config(args)?;
+    if args.has("--exact") {
         cfg.engine = PhaseEngine::Exact;
     }
-    if has_flag(args, "--pre-opt") {
+    if args.has("--pre-opt") {
         cfg = cfg.to_builder().standard_opt().build();
     }
     let lib = CellLibrary::default();
@@ -1258,26 +1148,21 @@ fn cmd_map(args: &[String], verify: bool) -> Result<(), String> {
         res.stats.dffs, res.stats.splitters, res.stats.area, res.stats.depth_cycles
     );
 
-    if let Some(dfile) = flag_value(args, "--dot") {
-        std::fs::write(dfile, sfq_t1::t1map::dot::to_dot(&res))
-            .map_err(|e| format!("cannot write {dfile}: {e}"))?;
+    if let Some(dfile) = args.value("--dot") {
+        write_file(dfile, sfq_t1::t1map::dot::to_dot(&res))?;
         println!("  graphviz -> {dfile}");
     }
-    if let Some(vfile) = flag_value(args, "--verilog") {
-        let v = export(&res, &ExportOptions::default());
-        std::fs::write(vfile, v).map_err(|e| format!("cannot write {vfile}: {e}"))?;
+    if let Some(vfile) = args.value("--verilog") {
+        write_file(vfile, export(&res, &ExportOptions::default()))?;
         println!("  structural Verilog -> {vfile}");
-        if let Some(mfile) = flag_value(args, "--models") {
-            std::fs::write(mfile, cell_models()).map_err(|e| e.to_string())?;
+        if let Some(mfile) = args.value("--models") {
+            write_file(mfile, cell_models())?;
             println!("  cell models -> {mfile}");
         }
     }
 
     if verify {
-        let waves: usize = flag_value(args, "--waves")
-            .map(|v| v.parse().map_err(|e| format!("bad --waves: {e}")))
-            .transpose()?
-            .unwrap_or(8);
+        let waves: usize = args.parse("--waves")?.unwrap_or(8);
         let pc = to_pulse_circuit(&res.mapped, &res.schedule, &res.plan);
         let mut seed = 0xD1CE_F00D_u64 | 1;
         let vectors: Vec<Vec<bool>> = (0..waves)

@@ -1104,20 +1104,103 @@ fn gen_random_then_opt_matches_golden_hash() {
     let _ = std::fs::remove_file(&aag2);
 }
 
+/// Every command, with its positionals.
+const COMMANDS: [&str; 11] = [
+    "gen adder 4",
+    "map x.aag",
+    "verify x.aag",
+    "opt adder 4",
+    "sta adder 4",
+    "suite",
+    "serve",
+    "explore x.sweep",
+    "store gc dir",
+    "bench-report",
+    "bench-report diff a.json b.json",
+];
+
 #[test]
-fn bench_report_and_opt_reject_unknown_flags() {
-    for args in [
-        &["bench-report", "--rebuild-passes"][..],
-        &["bench-report", "--smal"],
-        &["opt", "adder", "--rebuild-passes"],
-    ] {
-        let out = bin().args(args).output().expect("run");
-        assert!(!out.status.success(), "{args:?} must fail");
+fn every_command_parses_from_its_flag_table() {
+    // Each malformed invocation runs in an empty directory, which must
+    // stay empty: no flow runs and no file is written.
+    let cwd = tmp("malformed");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    let run = |args: &str| {
+        bin()
+            .args(args.split_whitespace())
+            .current_dir(&cwd)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run")
+    };
+    let reject = |args: &str, named: &str| {
+        let out = run(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let flag = args.last().unwrap();
+        assert!(!out.status.success(), "{args} must fail");
         assert!(
-            stderr.contains(&format!("unknown flag '{flag}'")),
-            "{args:?}: error must name the flag: {stderr}"
+            stderr.starts_with("error: ") && stderr.contains(named),
+            "{args}: error must name '{named}': {stderr}"
         );
+        assert!(out.stdout.is_empty(), "{args} printed a result");
+        let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+        assert!(written.is_empty(), "{args} wrote {written:?}");
+        stderr.into_owned()
+    };
+
+    for command in COMMANDS {
+        // A typo'd flag is named, listing the command's flag table…
+        let stderr = reject(&format!("{command} --smal"), "unknown flag '--smal'");
+        let (_, flags) = stderr.split_once("(flags: ").expect("flag list");
+        // …and `--help` prints that same table and runs nothing.
+        let out = run(&format!("{command} --help"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{command} --help failed");
+        for flag in flags.trim_end().trim_end_matches(')').split(", ") {
+            let listed = stdout.contains(&format!("  {flag} "));
+            assert!(listed, "{command} --help must list {flag}: {stdout}");
+        }
+        assert!(!stdout.contains("Table I —"), "--help ran the suite");
     }
+    assert!(std::fs::read_dir(&cwd).unwrap().next().is_none());
+
+    for (args, named) in [
+        ("opt adder --rebuild-passes", "--rebuild-passes"),
+        ("bench-report --rebuild-passes", "--rebuild-passes"),
+        ("serve --jbos 2", "--jbos"),
+        ("verify x.aag --wave 2", "--wave"),
+        ("bench-report diff a b --jsn", "--jsn"),
+        ("map x.aag --waves 2", "--waves"),
+        ("sta adder 4 --csv --mapped", "--csv"),
+        ("gen adder 4 -o", "-o"),
+        ("suite --jobs", "--jobs"),
+        ("opt adder --passes strash --passes sweep", "--passes"),
+        ("suite --small --small", "--small"),
+        ("opt adder 4 extra", "'extra'"),
+        ("store gc", "<DIR>"),
+        ("bench-report diff a", "<CUR>"),
+        // Flags that would have no effect are errors too.
+        ("opt adder --rounds 2", "--rounds"),
+        ("map x.aag --models m.v", "--models"),
+        ("verify x.aag --models m.v", "--models"),
+        ("sta adder 4 --phases 4", "--phases"),
+        ("sta adder 4 --no-t1", "--no-t1"),
+    ] {
+        reject(args, named);
+    }
+    let _ = std::fs::remove_dir_all(&cwd);
+
+    // Positionals may come before or after the flags.
+    let aag = tmp("order.aag");
+    let file = aag.to_str().unwrap();
+    assert!(bin()
+        .args(["gen", "adder", "4", "-o", file])
+        .status()
+        .expect("gen")
+        .success());
+    let flags_first = bin().args(["map", "--no-t1", file]).output().unwrap();
+    let flags_last = bin().args(["map", file, "--no-t1"]).output().unwrap();
+    assert!(flags_first.status.success() && flags_last.status.success());
+    assert_eq!(flags_first.stdout, flags_last.stdout);
+    let _ = std::fs::remove_file(&aag);
 }

@@ -1,13 +1,17 @@
-//! The issue's acceptance command, end to end:
-//! `table1 --small --trace t.json --bench-json BENCH_table1.json` must emit
-//! a valid Chrome trace with spans from every instrumented layer plus a
-//! schema-valid bench report — and tracing must not change the table.
+//! The Table I run, observed end to end:
+//! `sfq-t1 suite --small --trace t.json --bench-json BENCH_table1.json` must
+//! emit a valid Chrome trace with spans from every instrumented layer plus a
+//! schema-valid bench report, and `--pre-opt` must add the optimizer's
+//! passes to the trace. That tracing leaves the table unchanged is checked
+//! by `tests/cli.rs::suite_trace_is_a_pure_observer_and_valid_chrome_json`.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-fn table1() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_table1"))
+fn suite() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_sfq-t1"));
+    cmd.arg("suite");
+    cmd
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -16,8 +20,9 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-fn span_names(trace_text: &str) -> Vec<String> {
-    let doc = sfq_obs::json::parse(trace_text).expect("trace is valid JSON");
+fn span_names(trace: &PathBuf) -> Vec<String> {
+    let text = std::fs::read_to_string(trace).expect("trace written");
+    let doc = sfq_t1::obs::json::parse(&text).expect("trace is valid JSON");
     doc.get("traceEvents")
         .and_then(|v| v.as_arr())
         .expect("traceEvents array")
@@ -31,27 +36,24 @@ fn span_names(trace_text: &str) -> Vec<String> {
 fn acceptance_command_emits_trace_and_bench_report() {
     let trace = tmp("t.json");
     let bench = tmp("BENCH_table1.json");
-    let traced_csv = tmp("traced.csv");
-    let out = table1()
+    let out = suite()
         .args([
             "--small",
             "--trace",
             trace.to_str().unwrap(),
             "--bench-json",
             bench.to_str().unwrap(),
-            "--csv",
-            traced_csv.to_str().unwrap(),
         ])
         .output()
-        .expect("run table1 --trace --bench-json");
+        .expect("run suite --trace --bench-json");
     assert!(
         out.status.success(),
-        "table1 failed: {}",
+        "suite failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
 
     // The trace carries spans from core (flow stages), sta and engine.
-    let names = span_names(&std::fs::read_to_string(&trace).expect("trace written"));
+    let names = span_names(&trace);
     for required in [
         "flow:run",
         "flow:detect",
@@ -72,21 +74,9 @@ fn acceptance_command_emits_trace_and_bench_report() {
 
     // The bench report passes its own schema validator.
     let report = std::fs::read_to_string(&bench).expect("bench report written");
-    sfq_bench::validate_bench_report(&report).expect("BENCH_table1.json validates");
+    sfq_t1::bench::validate_bench_report(&report).expect("BENCH_table1.json validates");
 
-    // Tracing is a pure observer: the CSV matches an untraced run byte
-    // for byte.
-    let plain_csv = tmp("plain.csv");
-    let out = table1()
-        .args(["--small", "--csv", plain_csv.to_str().unwrap()])
-        .output()
-        .expect("run untraced table1");
-    assert!(out.status.success());
-    let a = std::fs::read(&traced_csv).expect("traced CSV");
-    let b = std::fs::read(&plain_csv).expect("plain CSV");
-    assert_eq!(a, b, "tracing changed the table");
-
-    for f in [&trace, &bench, &traced_csv, &plain_csv] {
+    for f in [&trace, &bench] {
         let _ = std::fs::remove_file(f);
     }
 }
@@ -94,16 +84,16 @@ fn acceptance_command_emits_trace_and_bench_report() {
 #[test]
 fn pre_opt_run_traces_optimizer_passes() {
     let trace = tmp("preopt.json");
-    let out = table1()
+    let out = suite()
         .args(["--small", "--pre-opt", "--trace", trace.to_str().unwrap()])
         .output()
-        .expect("run table1 --pre-opt --trace");
+        .expect("run suite --pre-opt --trace");
     assert!(
         out.status.success(),
-        "table1 --pre-opt failed: {}",
+        "suite --pre-opt failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let names = span_names(&std::fs::read_to_string(&trace).expect("trace written"));
+    let names = span_names(&trace);
     for required in ["flow:pre-opt", "opt:strash", "opt:sweep", "opt:rewrite"] {
         assert!(
             names.iter().any(|n| n == required),
