@@ -11,30 +11,26 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sfq_circuits::epfl;
-use sfq_opt::{OptConfig, OptContext, Pipeline};
+use sfq_opt::{optimize_with, OptConfig, OptContext};
 use sfq_sta::AigSta;
 
 fn bench_fixpoint_context(c: &mut Criterion) {
     let aig = epfl::multiplier(8);
-    let pipeline = Pipeline::from_config(&OptConfig::slack_aware());
+    let config = OptConfig::slack_aware();
     let mut group = c.benchmark_group("sta_incremental");
     group.sample_size(10);
     group.bench_function("fixpoint-shared-context", |b| {
         b.iter(|| {
             let mut g = aig.clone();
             let mut ctx = OptContext::new();
-            pipeline
-                .run_until_fixpoint_with(&mut g, 8, &mut ctx)
-                .nodes_after
+            optimize_with(&mut g, &config, &mut ctx).nodes_after
         })
     });
     group.bench_function("fixpoint-scratch-rebuilds", |b| {
         b.iter(|| {
             let mut g = aig.clone();
             let mut ctx = OptContext::scratch();
-            pipeline
-                .run_until_fixpoint_with(&mut g, 8, &mut ctx)
-                .nodes_after
+            optimize_with(&mut g, &config, &mut ctx).nodes_after
         })
     });
     group.finish();

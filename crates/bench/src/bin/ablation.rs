@@ -398,22 +398,22 @@ fn main() -> ExitCode {
     );
     {
         use sfq_bench::paper_benchmarks;
-        use sfq_opt::{OptConfig, OptContext, Pipeline};
+        use sfq_opt::{optimize_with, OptConfig, OptContext};
         use std::time::Instant;
-        let pipeline = Pipeline::from_config(&OptConfig::slack_aware());
+        let config = OptConfig::slack_aware();
         let mut identical_rows = 0usize;
         let mut rows = 0usize;
         for (name, aig) in paper_benchmarks(&suite_scale) {
             let t0 = Instant::now();
             let mut scratch_net = aig.clone();
             let mut scratch_ctx = OptContext::scratch();
-            let scratch = pipeline.run_until_fixpoint_with(&mut scratch_net, 8, &mut scratch_ctx);
+            let scratch = optimize_with(&mut scratch_net, &config, &mut scratch_ctx);
             let t_scratch = t0.elapsed();
 
             let t1 = Instant::now();
             let mut ctx_net = aig.clone();
             let mut ctx = OptContext::new();
-            let shared = pipeline.run_until_fixpoint_with(&mut ctx_net, 8, &mut ctx);
+            let shared = optimize_with(&mut ctx_net, &config, &mut ctx);
             let t_ctx = t1.elapsed();
 
             let identical = scratch_net.structural_hash() == ctx_net.structural_hash();

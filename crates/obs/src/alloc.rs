@@ -16,20 +16,20 @@
 //! ```
 //!
 //! [`crate::enable`] resets the counters, so [`stats`] reports the window
-//! since tracing started. `live`/`peak` are clamped to zero at reporting:
-//! blocks allocated before enabling and freed afterwards would otherwise
-//! drive the live count negative.
+//! since tracing started. A free saturates the live count at zero: blocks
+//! allocated before enabling and freed afterwards (on any thread) would
+//! otherwise drive it negative and hide the allocations that follow from
+//! the high-water mark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-// Signed: frees of pre-enable blocks can transiently outweigh allocations.
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ALLOC: Cell<u64> = const { Cell::new(0) };
@@ -42,7 +42,8 @@ pub struct AllocStats {
     pub allocated: u64,
     /// Bytes returned to the allocator while tracking was on.
     pub freed: u64,
-    /// Allocated minus freed, clamped to zero.
+    /// Bytes currently live: allocations minus frees, where a free never
+    /// takes the count below zero.
     pub live: u64,
     /// High-water mark of `live`.
     pub peak: u64,
@@ -56,8 +57,8 @@ pub fn stats() -> AllocStats {
     AllocStats {
         allocated: ALLOC_BYTES.load(Relaxed),
         freed: FREED_BYTES.load(Relaxed),
-        live: LIVE_BYTES.load(Relaxed).max(0) as u64,
-        peak: PEAK_BYTES.load(Relaxed).max(0) as u64,
+        live: LIVE_BYTES.load(Relaxed),
+        peak: PEAK_BYTES.load(Relaxed),
         calls: ALLOC_CALLS.load(Relaxed),
     }
 }
@@ -90,7 +91,7 @@ fn count_alloc(bytes: usize) {
     let bytes = bytes as u64;
     ALLOC_BYTES.fetch_add(bytes, Relaxed);
     ALLOC_CALLS.fetch_add(1, Relaxed);
-    let live = LIVE_BYTES.fetch_add(bytes as i64, Relaxed) + bytes as i64;
+    let live = LIVE_BYTES.fetch_add(bytes, Relaxed) + bytes;
     PEAK_BYTES.fetch_max(live, Relaxed);
     // try_with: allocator calls can arrive during TLS teardown.
     let _ = THREAD_ALLOC.try_with(|c| c.set(c.get() + bytes));
@@ -98,8 +99,11 @@ fn count_alloc(bytes: usize) {
 
 #[inline]
 fn count_free(bytes: usize) {
-    FREED_BYTES.fetch_add(bytes as u64, Relaxed);
-    LIVE_BYTES.fetch_sub(bytes as i64, Relaxed);
+    let bytes = bytes as u64;
+    FREED_BYTES.fetch_add(bytes, Relaxed);
+    // Saturating: the block may predate the last reset. The closure never
+    // returns `None`, so the update always succeeds.
+    let _ = LIVE_BYTES.fetch_update(Relaxed, Relaxed, |live| Some(live.saturating_sub(bytes)));
 }
 
 /// The counting allocator. Install with `#[global_allocator]`; behaves

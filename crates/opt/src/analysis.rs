@@ -30,13 +30,13 @@ use sfq_sta::AigSta;
 
 /// Which cached analyses a pass left valid for its *output* network.
 ///
-/// Returned by every [`crate::pass::OptPass::run`]: the whole-network
-/// rebuilders (`strash`, `sweep`, `balance`) preserve nothing, while
+/// Applied by every pass run ([`crate::pass::PassKind::run`]): `strash`,
+/// `sweep` and the balancers preserve nothing, while
 /// `rewrite-slack`/`rewrite-dff` hand their already-rebound timing
 /// analysis (and the levels implied by its arrivals) back to the context,
 /// so only the reconstructed cones were refreshed and nothing is rebuilt.
-/// The pass runner upgrades any report to [`Preserved::all`] when the pass
-/// verifiably reproduced the network unchanged.
+/// The run upgrades any set to [`Preserved::all`] when the pass verifiably
+/// left the network unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Preserved {
     /// Node levels (and the depth derived from them) are still exact.
@@ -172,8 +172,8 @@ pub fn signatures_of_into(aig: &Aig, sig: &mut Vec<u64>) {
 }
 
 /// Structural equality of two networks: same node array (kinds and fanin
-/// literals) and the same output list. The pass runner uses this to detect
-/// a verbatim rebuild — the common case on converged fixpoint rounds — and
+/// literals) and the same output list. [`crate::pass::PassKind::run`] uses
+/// this to detect a verbatim rebuild — the common case on converged fixpoint rounds — and
 /// upgrade the pass's [`Preserved`] report to [`Preserved::all`].
 pub fn same_structure(a: &Aig, b: &Aig) -> bool {
     a.len() == b.len() && a.pos() == b.pos() && a.node_ids().all(|id| a.kind(id) == b.kind(id))

@@ -6,19 +6,19 @@
 //!
 //! Three cooperating pieces:
 //!
-//! - **Pass manager** ([`pass`]) — the [`OptPass`] trait, a [`Pipeline`]
-//!   that runs a configurable pass sequence with per-pass node/level deltas
-//!   and a guarded convergence loop
-//!   ([`Pipeline::run_until_fixpoint`]: the result never has more nodes or
-//!   depth than the input), and the fingerprinted [`OptConfig`] that rides
-//!   inside `t1map::flow::FlowConfig` so `sfq-engine` cache keys
-//!   distinguish optimized jobs. Concrete passes: `strash` (structural
-//!   deduplication), `sweep` (ID-stable dangling-node removal,
-//!   [`sfq_netlist::transform::sweep_in_place`]), `balance` (depth-optimal
-//!   AND-tree rebalancing) and `rewrite` (4-input cut enumeration →
-//!   NPN-canonical class lookup against the precomputed subgraph table of
-//!   [`table`] → MFFC-gain-based replacement, with slack-aware and
-//!   DFF-objective pricing modes).
+//! - **Pass manager** ([`pass`]) — [`PassKind`], which names each pass
+//!   and runs it with per-pass node/level deltas ([`PassKind::run`]), the
+//!   one guarded round loop ([`optimize_with`]: a fixpoint result never has
+//!   more nodes or depth than the input) that [`optimize`] and the
+//!   CEC-checked [`optimize_verified`] share, and the fingerprinted
+//!   [`OptConfig`] that rides inside `t1map::flow::FlowConfig` so
+//!   `sfq-engine` cache keys distinguish optimized jobs. The passes:
+//!   `strash` (structural deduplication), `sweep` (ID-stable
+//!   dangling-node removal, [`sfq_netlist::transform::sweep_in_place`]),
+//!   `balance` (depth-optimal AND-tree rebalancing) and `rewrite` (4-input
+//!   cut enumeration → NPN-canonical class lookup against the precomputed
+//!   subgraph table of [`table`] → MFFC-gain-based replacement, with
+//!   slack-aware and DFF-objective pricing modes).
 //!
 //! - **Analysis manager** ([`analysis`]) — the [`OptContext`] threaded
 //!   through every pass: a typed cache of lazily-computed,
@@ -67,8 +67,8 @@ mod util;
 pub use analysis::{signatures_of, signatures_of_into, CtxCounters, OptContext, Preserved};
 pub use cec::{check_equivalence, CecConfig, CecError, CecOutcome, CecStats, CecVerdict};
 pub use pass::{
-    optimize, optimize_verified, parse_passes, Balance, BalanceCritical, OptConfig, OptPass,
-    OptReport, PassKind, PassStats, Pipeline, Rewrite, Strash, Sweep, VerifiedRun,
+    optimize, optimize_verified, optimize_with, parse_passes, OptConfig, OptReport, PassKind,
+    PassStats, VerifiedRun,
 };
 pub use passes::{
     balance_critical_network, balance_critical_network_ctx, balance_network, strash_network,

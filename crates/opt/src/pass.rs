@@ -1,22 +1,21 @@
-//! The pass manager: the [`OptPass`] trait, per-pass statistics, the
-//! [`Pipeline`] runner with its guarded convergence loop, and the
-//! fingerprinted [`OptConfig`] that flows and caches key on.
+//! The pass manager: [`PassKind`] — the passes themselves — with their
+//! per-pass statistics, the guarded round loop [`optimize_with`] that runs
+//! them, and the fingerprinted [`OptConfig`] that flows and caches key on.
 //!
 //! Every pass runs against an [`OptContext`] — the typed analysis cache of
-//! [`crate::analysis`] — and reports a [`Preserved`] set describing which
-//! cached analyses its output network kept valid. The pipeline threads
-//! **one** context through all passes and all fixpoint rounds, so analyses
-//! survive pass boundaries: levels are recomputed only when a pass
-//! restructured the network, and the unit-delay timing analysis is built
-//! from scratch at most once per run (stale copies are incrementally
-//! rebound — see [`sfq_sta::AigSta::rebind`]).
+//! [`crate::analysis`] — and marks stale exactly the cached analyses its
+//! output network no longer matches. The round loop threads **one**
+//! context through all passes and all fixpoint rounds, so analyses survive
+//! pass boundaries: levels are recomputed only when a pass restructured the
+//! network, and the unit-delay timing analysis is built from scratch at
+//! most once per run (stale copies are incrementally rebound — see
+//! [`sfq_sta::AigSta::rebind`]). [`optimize`] and [`optimize_verified`]
+//! are that one loop, the latter with a per-pass equivalence check.
 
 use crate::analysis::{same_structure, CtxCounters, OptContext, Preserved};
 use crate::cec::{check_equivalence, CecConfig, CecStats, CecVerdict};
 use crate::passes::{balance_critical_network_ctx, balance_network, strash_network};
-use crate::rewrite::{
-    rewrite_network_in_place_ctx, RewriteConfig, RewriteMode, DEFAULT_DFF_PHASES,
-};
+use crate::rewrite::{rewrite_network_in_place_ctx, RewriteConfig, DEFAULT_DFF_PHASES};
 use sfq_netlist::aig::Aig;
 use sfq_netlist::transform::sweep_in_place;
 use std::fmt;
@@ -74,266 +73,41 @@ impl fmt::Display for PassStats {
     }
 }
 
-/// A network optimization pass.
-///
-/// Passes transform the network in place and keep the analysis context
-/// honest: the returned [`Preserved`] set (already applied to `ctx` by the
-/// time `run` returns) names exactly the cached analyses that are still
-/// valid for the output network. The shared runner upgrades the report to
-/// [`Preserved::all`] when the pass verifiably reproduced the network
-/// unchanged, so converged fixpoint rounds cost no analysis work.
-pub trait OptPass {
-    /// Short stable name (also the `--passes` spelling).
-    fn name(&self) -> &'static str;
-    /// Transforms `aig` in place, returning the run's statistics and the
-    /// preservation report applied to `ctx`.
-    fn run(&self, aig: &mut Aig, ctx: &mut OptContext) -> (PassStats, Preserved);
-}
-
-fn stats_around(
-    pass: &'static str,
-    aig: &mut Aig,
-    ctx: &mut OptContext,
-    f: impl FnOnce(&Aig, &mut OptContext) -> (Aig, usize, Preserved),
-) -> (PassStats, Preserved) {
-    let _span = sfq_obs::span_owned(|| format!("opt:{pass}"));
-    let start = Instant::now();
-    let snap = ctx.counters();
-    let nodes_before = aig.and_count();
-    let depth_before = ctx.depth(aig);
-    let (next, applied, mut preserved) = f(aig, ctx);
-    // A verbatim rebuild (the converged-round common case) preserves every
-    // analysis regardless of what the pass claims.
-    if same_structure(aig, &next) {
-        preserved = Preserved::all();
-    }
-    *aig = next;
-    ctx.retain(&preserved);
-    let nodes_after = aig.and_count();
-    let depth_after = ctx.depth(aig);
-    let delta = ctx.counters().delta_since(&snap);
-    (
-        PassStats {
-            pass,
-            nodes_before,
-            nodes_after,
-            depth_before,
-            depth_after,
-            applied,
-            cache_hits: delta.cache_hits,
-            invalidations: delta.invalidations,
-            sta_refreshed: delta.sta_nodes_refreshed,
-            sta_builds: delta.sta_full_builds,
-            micros: start.elapsed().as_micros() as u64,
-        },
-        preserved,
-    )
-}
-
-/// The [`stats_around`] counterpart for ID-stable passes that edit the
-/// network in place instead of returning a rebuilt one. With zero
-/// applications an in-place pass has verifiably not touched the network at
-/// all, so the report is upgraded to [`Preserved::all`] — the converged
-/// fixpoint rounds that dominate paper-scale runs then cost no
-/// reconstruction and no analysis invalidation.
-fn stats_around_in_place(
-    pass: &'static str,
-    aig: &mut Aig,
-    ctx: &mut OptContext,
-    f: impl FnOnce(&mut Aig, &mut OptContext) -> (usize, Preserved),
-) -> (PassStats, Preserved) {
-    let _span = sfq_obs::span_owned(|| format!("opt:{pass}"));
-    let start = Instant::now();
-    let snap = ctx.counters();
-    let nodes_before = aig.and_count();
-    let depth_before = ctx.depth(aig);
-    let (applied, mut preserved) = f(aig, ctx);
-    if applied == 0 {
-        preserved = Preserved::all();
-    }
-    ctx.retain(&preserved);
-    let nodes_after = aig.and_count();
-    let depth_after = ctx.depth(aig);
-    let delta = ctx.counters().delta_since(&snap);
-    (
-        PassStats {
-            pass,
-            nodes_before,
-            nodes_after,
-            depth_before,
-            depth_after,
-            applied,
-            cache_hits: delta.cache_hits,
-            invalidations: delta.invalidations,
-            sta_refreshed: delta.sta_nodes_refreshed,
-            sta_builds: delta.sta_full_builds,
-            micros: start.elapsed().as_micros() as u64,
-        },
-        preserved,
-    )
-}
-
-/// Structural hashing / deduplication pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Strash;
-
-impl OptPass for Strash {
-    fn name(&self) -> &'static str {
-        "strash"
-    }
-    fn run(&self, aig: &mut Aig, ctx: &mut OptContext) -> (PassStats, Preserved) {
-        stats_around("strash", aig, ctx, |g, _| {
-            let (out, applied) = strash_network(g);
-            (out, applied, Preserved::none())
-        })
-    }
-}
-
-/// Dangling-node sweep with constant propagation.
-///
-/// Kills unreachable nodes in place ([`sweep_in_place`]), leaving free
-/// slots behind instead of rebuilding — survivors keep their ids, so the
-/// next timing rebind's dirty set is exactly the killed nodes. The cached
-/// analyses are invalidated even though live nodes are untouched: freed
-/// slots change the *indexed* views (levels, signatures) at their
-/// positions, and dead nodes in a stale timing graph would
-/// phantom-constrain live required times.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sweep;
-
-impl OptPass for Sweep {
-    fn name(&self) -> &'static str {
-        "sweep"
-    }
-    fn run(&self, aig: &mut Aig, ctx: &mut OptContext) -> (PassStats, Preserved) {
-        stats_around_in_place("sweep", aig, ctx, |g, _| {
-            let applied = sweep_in_place(g);
-            // Occupancy guard: when sweeping killed most of the array (a
-            // huge dead cone, e.g. random scale-class networks), leaving
-            // the holes would make every later len()-sized analysis pay for
-            // slots that no longer exist. Compaction preserves live-node
-            // order, so the resulting structure is unaffected; on
-            // paper-scale incremental rounds the dead fraction stays tiny
-            // and this is skipped.
-            if g.dead_count() * 2 > g.len() {
-                g.compact();
-            }
-            (applied, Preserved::none())
-        })
-    }
-}
-
-/// Depth-oriented AND-tree rebalancing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Balance;
-
-impl OptPass for Balance {
-    fn name(&self) -> &'static str {
-        "balance"
-    }
-    fn run(&self, aig: &mut Aig, ctx: &mut OptContext) -> (PassStats, Preserved) {
-        stats_around("balance", aig, ctx, |g, _| {
-            let (out, applied) = balance_network(g);
-            (out, applied, Preserved::none())
-        })
-    }
-}
-
-/// Slack-prioritized rebalancing: only zero-slack trees are rebuilt (see
-/// [`crate::passes::balance_critical_network`]). Consumes the context's
-/// cached timing analysis instead of building a throwaway one.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BalanceCritical;
-
-impl OptPass for BalanceCritical {
-    fn name(&self) -> &'static str {
-        "balance-slack"
-    }
-    fn run(&self, aig: &mut Aig, ctx: &mut OptContext) -> (PassStats, Preserved) {
-        stats_around("balance-slack", aig, ctx, |g, ctx| {
-            let (out, applied) = balance_critical_network_ctx(g, ctx);
-            (out, applied, Preserved::none())
-        })
-    }
-}
-
-/// Cut-based NPN rewriting; the config's [`RewriteMode`] selects the
-/// depth/pricing policy (and the pass name shown in stats tables).
-///
-/// Accepted sites are committed by editing slots in place
-/// ([`rewrite_network_in_place_ctx`]); a round with zero accepted sites
-/// then leaves the network completely untouched.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Rewrite {
-    /// Enumeration parameters and depth policy.
-    pub config: RewriteConfig,
-}
-
-impl Rewrite {
-    /// The slack-aware variant (depth budget = required time).
-    pub fn slack_aware() -> Self {
-        Rewrite {
-            config: RewriteConfig::slack_aware(),
-        }
-    }
-
-    /// The DFF-objective variant (slack-aware budget, sites priced by the
-    /// per-edge DFF cost under `n`-phase clocking).
-    pub fn dff_aware(n: u32) -> Self {
-        Rewrite {
-            config: RewriteConfig::dff_aware(n),
-        }
-    }
-}
-
-impl OptPass for Rewrite {
-    fn name(&self) -> &'static str {
-        match self.config.mode {
-            RewriteMode::Conservative => "rewrite",
-            RewriteMode::SlackAware => "rewrite-slack",
-            RewriteMode::DffAware => "rewrite-dff",
-        }
-    }
-    fn run(&self, aig: &mut Aig, ctx: &mut OptContext) -> (PassStats, Preserved) {
-        // The timing modes rebound the context's STA to the output network
-        // themselves (invalidating only the reconstructed cones through the
-        // incremental refresh), and the rebound arrivals are the output's
-        // levels.
-        let preserved = if self.config.mode != RewriteMode::Conservative {
-            Preserved::none().with_sta().with_levels()
-        } else {
-            Preserved::none()
-        };
-        stats_around_in_place(self.name(), aig, ctx, |g, ctx| {
-            (
-                rewrite_network_in_place_ctx(g, &self.config, ctx),
-                preserved,
-            )
-        })
-    }
-}
-
-/// Name of a concrete pass — the configuration-level (and CLI-level)
-/// currency, kept separate from the trait objects so [`OptConfig`] stays
-/// plain cloneable data.
+/// A concrete optimization pass — the configuration-level (and CLI-level)
+/// currency, plain data so [`OptConfig`] stays cloneable and
+/// fingerprintable, and the pass itself ([`PassKind::run`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassKind {
-    /// [`Strash`].
+    /// Structural hashing / deduplication.
     Strash,
-    /// [`Sweep`].
+    /// Dangling-node sweep with constant propagation.
+    ///
+    /// Kills unreachable nodes in place ([`sweep_in_place`]), leaving free
+    /// slots behind instead of rebuilding — survivors keep their ids, so
+    /// the next timing rebind's dirty set is exactly the killed nodes. The
+    /// cached analyses are invalidated even though live nodes are
+    /// untouched: freed slots change the *indexed* views (levels,
+    /// signatures) at their positions, and dead nodes in a stale timing
+    /// graph would phantom-constrain live required times.
     Sweep,
-    /// [`Rewrite`] in the depth-conservative mode.
+    /// Cut-based NPN rewriting in the depth-conservative mode. Accepted
+    /// sites are committed by editing slots in place
+    /// ([`rewrite_network_in_place_ctx`]); a round with zero accepted sites
+    /// leaves the network completely untouched.
     Rewrite,
-    /// [`Rewrite`] in the slack-aware mode (sites may grow up to their
+    /// Rewriting in the slack-aware mode (sites may grow up to their
     /// required-time slack; network depth still never increases).
     RewriteSlack,
-    /// [`Rewrite`] in the DFF-objective mode under the given phase count:
+    /// Rewriting in the DFF-objective mode under the given phase count:
     /// the slack-aware depth budget plus site pricing by the per-edge DFF
     /// cost (§II-B accounting at unit delay).
     RewriteDff(u32),
-    /// [`Balance`].
+    /// Depth-oriented AND-tree rebalancing.
     Balance,
-    /// [`BalanceCritical`] — only zero-slack trees are rebuilt.
+    /// Slack-prioritized rebalancing: only zero-slack trees are rebuilt
+    /// (see [`crate::passes::balance_critical_network`]). Consumes the
+    /// context's cached timing analysis instead of building a throwaway
+    /// one.
     BalanceSlack,
 }
 
@@ -401,15 +175,86 @@ impl PassKind {
         }
     }
 
-    fn instantiate(self) -> Box<dyn OptPass + Send + Sync> {
+    /// Runs the pass once on `aig`, threading `ctx`, and measures it.
+    ///
+    /// On return `ctx` holds exactly the analyses still valid for the
+    /// output network. A pass that verifiably left the network unchanged —
+    /// a rebuild that reproduced it structurally, or an in-place pass with
+    /// zero applications — keeps every analysis, so the converged fixpoint
+    /// rounds that dominate paper-scale runs cost no analysis work.
+    pub fn run(self, aig: &mut Aig, ctx: &mut OptContext) -> PassStats {
+        let pass = self.name();
+        let _span = sfq_obs::span_owned(|| format!("opt:{pass}"));
+        let start = Instant::now();
+        let snap = ctx.counters();
+        let nodes_before = aig.and_count();
+        let depth_before = ctx.depth(aig);
+        let (rebuilt, applied, mut preserved) = self.transform(aig, ctx);
+        let unchanged = match rebuilt {
+            Some(next) => {
+                let same = same_structure(aig, &next);
+                *aig = next;
+                same
+            }
+            None => applied == 0,
+        };
+        if unchanged {
+            preserved = Preserved::all();
+        }
+        ctx.retain(&preserved);
+        let nodes_after = aig.and_count();
+        let depth_after = ctx.depth(aig);
+        let delta = ctx.counters().delta_since(&snap);
+        PassStats {
+            pass,
+            nodes_before,
+            nodes_after,
+            depth_before,
+            depth_after,
+            applied,
+            cache_hits: delta.cache_hits,
+            invalidations: delta.invalidations,
+            sta_refreshed: delta.sta_nodes_refreshed,
+            sta_builds: delta.sta_full_builds,
+            micros: start.elapsed().as_micros() as u64,
+        }
+    }
+
+    /// The pass proper: either a rebuilt network (`strash`, `balance`,
+    /// `balance-slack`) or an in-place edit of `aig` (`None`), the
+    /// application count, and the analyses the pass keeps valid.
+    fn transform(self, aig: &mut Aig, ctx: &mut OptContext) -> (Option<Aig>, usize, Preserved) {
+        let rebuilt = |(out, applied): (Aig, usize)| (Some(out), applied, Preserved::none());
+        // The timing modes rebound the context's STA to the output network
+        // themselves (invalidating only the reconstructed cones through the
+        // incremental refresh), and the rebound arrivals are the output's
+        // levels.
+        let retimed = Preserved::none().with_sta().with_levels();
+        let mut rewrite = |config: RewriteConfig, preserved: Preserved| {
+            let applied = rewrite_network_in_place_ctx(aig, &config, ctx);
+            (None, applied, preserved)
+        };
         match self {
-            PassKind::Strash => Box::new(Strash),
-            PassKind::Sweep => Box::new(Sweep),
-            PassKind::Rewrite => Box::new(Rewrite::default()),
-            PassKind::RewriteSlack => Box::new(Rewrite::slack_aware()),
-            PassKind::RewriteDff(n) => Box::new(Rewrite::dff_aware(n)),
-            PassKind::Balance => Box::new(Balance),
-            PassKind::BalanceSlack => Box::new(BalanceCritical),
+            PassKind::Strash => rebuilt(strash_network(aig)),
+            PassKind::Balance => rebuilt(balance_network(aig)),
+            PassKind::BalanceSlack => rebuilt(balance_critical_network_ctx(aig, ctx)),
+            PassKind::Sweep => {
+                let applied = sweep_in_place(aig);
+                // Occupancy guard: when sweeping killed most of the array
+                // (a huge dead cone, e.g. random scale-class networks),
+                // leaving the holes would make every later len()-sized
+                // analysis pay for slots that no longer exist. Compaction
+                // preserves live-node order, so the resulting structure is
+                // unaffected; on paper-scale incremental rounds the dead
+                // fraction stays tiny and this is skipped.
+                if aig.dead_count() * 2 > aig.len() {
+                    aig.compact();
+                }
+                (None, applied, Preserved::none())
+            }
+            PassKind::Rewrite => rewrite(RewriteConfig::conservative(), Preserved::none()),
+            PassKind::RewriteSlack => rewrite(RewriteConfig::slack_aware(), retimed),
+            PassKind::RewriteDff(n) => rewrite(RewriteConfig::dff_aware(n), retimed),
         }
     }
 }
@@ -446,7 +291,7 @@ pub struct OptConfig {
     /// Pass sequence of one round.
     pub passes: Vec<PassKind>,
     /// Iterate the sequence to convergence (guarded; see
-    /// [`Pipeline::run_until_fixpoint`]).
+    /// [`optimize_with`]).
     pub fixpoint: bool,
     /// Round limit for the convergence loop.
     pub max_rounds: usize,
@@ -558,138 +403,121 @@ impl OptReport {
     }
 }
 
-/// A configured sequence of passes.
-pub struct Pipeline {
-    passes: Vec<Box<dyn OptPass + Send + Sync>>,
+/// Runs the optimization stage described by `config` on `aig` in place,
+/// threading the caller's analysis context through **all** passes and
+/// rounds — the crate's one round loop.
+///
+/// A disabled config leaves `aig` untouched and reports no rounds. A
+/// single-shot config (`fixpoint: false`) runs the pass sequence once. A
+/// fixpoint config repeats it until a round changes neither node count
+/// nor depth, up to `max_rounds` rounds. That loop is *guarded*: a round
+/// whose result has more nodes or more depth than it started with is
+/// rolled back and the loop stops, so the final network never has more
+/// nodes or depth than the input — the invariant `opt --fixpoint` and the
+/// flow's pre-mapping stage rely on.
+///
+/// In-place passes may leave freed slots behind; [`optimize`] compacts,
+/// this does not.
+pub fn optimize_with(aig: &mut Aig, config: &OptConfig, ctx: &mut OptContext) -> OptReport {
+    run_rounds(aig, config, ctx, None)
 }
 
-impl Pipeline {
-    /// Builds a pipeline from explicit pass objects.
-    pub fn new(passes: Vec<Box<dyn OptPass + Send + Sync>>) -> Self {
-        Pipeline { passes }
-    }
+/// A per-pass acceptance check: the pass's input network, its output
+/// network and its name. Returning `false` rejects the pass.
+type PassCheck<'a> = &'a mut dyn FnMut(&Aig, &Aig, &'static str) -> bool;
 
-    /// Builds a pipeline from pass names.
-    pub fn from_kinds(kinds: &[PassKind]) -> Self {
-        Pipeline::new(kinds.iter().map(|k| k.instantiate()).collect())
+/// [`optimize_with`], optionally handing every pass's input and output to
+/// `check`. A rejected pass is rolled back and ends the run; its stats
+/// close the report's last round, and the run counts as converged (it
+/// stopped by itself, not at the round limit).
+fn run_rounds(
+    aig: &mut Aig,
+    config: &OptConfig,
+    ctx: &mut OptContext,
+    mut check: Option<PassCheck<'_>>,
+) -> OptReport {
+    if !config.enabled {
+        let (nodes, depth) = (aig.and_count(), aig.depth());
+        return OptReport {
+            rounds: Vec::new(),
+            converged: true,
+            nodes_before: nodes,
+            nodes_after: nodes,
+            depth_before: depth,
+            depth_after: depth,
+            analysis: CtxCounters::default(),
+        };
     }
-
-    /// Builds the pipeline described by `config` (ignoring its `enabled`
-    /// and `fixpoint` switches — those select *whether/how* callers run it).
-    pub fn from_config(config: &OptConfig) -> Self {
-        Pipeline::from_kinds(&config.passes)
-    }
-
-    /// Runs every pass once, in order, against a fresh analysis context.
-    pub fn run(&self, aig: &mut Aig) -> Vec<PassStats> {
-        self.run_with(aig, &mut OptContext::new())
-    }
-
-    /// Runs every pass once, in order, threading the caller's context.
-    pub fn run_with(&self, aig: &mut Aig, ctx: &mut OptContext) -> Vec<PassStats> {
-        self.passes.iter().map(|p| p.run(aig, ctx).0).collect()
-    }
-
-    /// Runs the pass sequence repeatedly until no round improves the
-    /// network, up to `max_rounds` rounds, against a fresh analysis
-    /// context.
-    ///
-    /// The loop is *guarded*: a round whose result has more nodes or more
-    /// depth than it started with is rolled back and the loop stops, so the
-    /// final network never has more nodes or depth than the input — the
-    /// invariant `opt --fixpoint` and the flow's pre-mapping stage rely on.
-    pub fn run_until_fixpoint(&self, aig: &mut Aig, max_rounds: usize) -> OptReport {
-        self.run_until_fixpoint_with(aig, max_rounds, &mut OptContext::new())
-    }
-
-    /// [`Pipeline::run_until_fixpoint`] threading the caller's analysis
-    /// context through **all** rounds: analyses survive both pass and
-    /// round boundaries, so e.g. `rewrite-slack` builds its timing
-    /// analysis from scratch at most once per run and converged rounds
-    /// cost no analysis work at all.
-    pub fn run_until_fixpoint_with(
-        &self,
-        aig: &mut Aig,
-        max_rounds: usize,
-        ctx: &mut OptContext,
-    ) -> OptReport {
-        let entry = ctx.counters();
-        let nodes_before = aig.and_count();
-        let depth_before = ctx.depth(aig);
-        let mut rounds = Vec::new();
-        let mut converged = false;
-        for _ in 0..max_rounds {
-            let prev_nodes = aig.and_count();
-            let prev_depth = ctx.depth(aig);
-            let snapshot = aig.clone();
-            let stats = self.run_with(aig, ctx);
-            let nodes = aig.and_count();
-            let depth = ctx.depth(aig);
-            if nodes > prev_nodes || depth > prev_depth {
-                *aig = snapshot; // guard: roll the regression back
-                ctx.invalidate_all();
-                converged = true;
-                break;
+    let entry = ctx.counters();
+    let nodes_before = aig.and_count();
+    let depth_before = ctx.depth(aig);
+    let max_rounds = if config.fixpoint {
+        config.max_rounds
+    } else {
+        1
+    };
+    let mut rounds = Vec::new();
+    let mut converged = !config.fixpoint;
+    'rounds: for _ in 0..max_rounds {
+        let guard = config
+            .fixpoint
+            .then(|| (aig.and_count(), ctx.depth(aig), aig.clone()));
+        let mut stats = Vec::with_capacity(config.passes.len());
+        for &kind in &config.passes {
+            // The pre-pass network is only kept when something checks it.
+            let before = check.is_some().then(|| aig.clone());
+            let s = kind.run(aig, ctx);
+            stats.push(s);
+            if let (Some(check), Some(before)) = (check.as_mut(), before) {
+                if !check(&before, aig, s.pass) {
+                    *aig = before;
+                    ctx.invalidate_all();
+                    rounds.push(stats);
+                    converged = true;
+                    break 'rounds;
+                }
             }
+        }
+        let Some((prev_nodes, prev_depth, snapshot)) = guard else {
             rounds.push(stats);
-            if nodes == prev_nodes && depth == prev_depth {
-                converged = true;
-                break;
-            }
+            break;
+        };
+        let (nodes, depth) = (aig.and_count(), ctx.depth(aig));
+        if nodes > prev_nodes || depth > prev_depth {
+            *aig = snapshot; // guard: roll the regression back
+            ctx.invalidate_all();
+            converged = true;
+            break;
         }
-        OptReport {
-            rounds,
-            converged,
-            nodes_before,
-            nodes_after: aig.and_count(),
-            depth_before,
-            depth_after: ctx.depth(aig),
-            analysis: ctx.counters().delta_since(&entry),
+        rounds.push(stats);
+        if nodes == prev_nodes && depth == prev_depth {
+            converged = true;
+            break;
         }
     }
+    let report = OptReport {
+        rounds,
+        converged,
+        nodes_before,
+        nodes_after: aig.and_count(),
+        depth_before,
+        depth_after: ctx.depth(aig),
+        analysis: ctx.counters().delta_since(&entry),
+    };
+    mirror_counters(&report.analysis);
+    report
 }
 
-/// Runs the optimization stage described by `config` on a copy of `aig`.
+/// Runs the optimization stage described by `config` on a copy of `aig`
+/// (see [`optimize_with`]) and hands back its dense form.
 ///
 /// The convenience entry point used by `t1map::flow::run_flow` and the CLI:
 /// a disabled config returns an untouched copy with an empty report.
 pub fn optimize(aig: &Aig, config: &OptConfig) -> (Aig, OptReport) {
     let mut g = aig.clone();
-    if !config.enabled {
-        let report = OptReport {
-            rounds: Vec::new(),
-            converged: true,
-            nodes_before: g.and_count(),
-            nodes_after: g.and_count(),
-            depth_before: g.depth(),
-            depth_after: g.depth(),
-            analysis: CtxCounters::default(),
-        };
-        return (g, report);
-    }
-    let pipeline = Pipeline::from_config(config);
-    let mut ctx = OptContext::new();
-    let report = if config.fixpoint {
-        pipeline.run_until_fixpoint_with(&mut g, config.max_rounds, &mut ctx)
-    } else {
-        let nodes_before = g.and_count();
-        let depth_before = ctx.depth(&g);
-        let stats = pipeline.run_with(&mut g, &mut ctx);
-        let depth_after = ctx.depth(&g);
-        OptReport {
-            rounds: vec![stats],
-            converged: true,
-            nodes_before,
-            nodes_after: g.and_count(),
-            depth_before,
-            depth_after,
-            analysis: ctx.counters(),
-        }
-    };
-    // In-place passes may leave freed slots behind; hand callers the dense
-    // form they always got (an identity when no pass left holes).
+    let report = optimize_with(&mut g, config, &mut OptContext::new());
+    // An identity when no pass left holes.
     g.compact();
-    mirror_counters(&report.analysis);
     (g, report)
 }
 
@@ -738,106 +566,54 @@ pub struct VerifiedRun {
 /// On a mismatch the run stops at the failing pass and returns the last
 /// verified network together with the counterexample.
 pub fn optimize_verified(subject: &Aig, config: &OptConfig, cec: &CecConfig) -> VerifiedRun {
-    let mut g = subject.clone();
-    let nodes_before = g.and_count();
-    let depth_before = g.depth();
-    let mut rounds = Vec::new();
-    let mut agg = CecStats::default();
-    let mut checked_stages = 0usize;
+    let mut aig = subject.clone();
     let mut verdict = CecVerdict::Equivalent;
     let mut failed_pass = None;
-    let mut converged = true;
-    let mut ctx = OptContext::new();
-
-    let pipeline = Pipeline::from_config(config);
-    let max_rounds = match (config.enabled, config.fixpoint) {
-        (false, _) => 0,
-        (true, false) => 1,
-        (true, true) => config.max_rounds,
-    };
-    'rounds: for round in 0..max_rounds {
-        let prev_nodes = g.and_count();
-        let prev_depth = g.depth();
-        let snapshot = g.clone();
-        let mut stats = Vec::new();
-        for pass in &pipeline.passes {
-            let before = g.clone();
-            let (s, _) = pass.run(&mut g, &mut ctx);
-            checked_stages += 1;
-            match check_equivalence(&before, &g, cec) {
-                Ok(out) => {
-                    agg.absorb(&out.stats);
-                    match out.verdict {
-                        CecVerdict::Equivalent => {}
-                        CecVerdict::NotEquivalent(cex) => {
-                            // A pass broke the function: stop on the last
-                            // verified network and report the witness.
-                            verdict = CecVerdict::NotEquivalent(cex);
-                            failed_pass = Some(s.pass);
-                            g = before;
-                            ctx.invalidate_all();
-                            stats.push(s);
-                            rounds.push(stats);
-                            break 'rounds;
+    let mut stats = CecStats::default();
+    let mut checked_stages = 0usize;
+    let mut check = |before: &Aig, after: &Aig, pass: &'static str| {
+        checked_stages += 1;
+        match check_equivalence(before, after, cec) {
+            Ok(out) => {
+                stats.absorb(&out.stats);
+                match out.verdict {
+                    CecVerdict::Equivalent => true,
+                    // Budget ran out: keep optimizing, but the run as a
+                    // whole is no longer fully proven.
+                    CecVerdict::Unknown => {
+                        if verdict == CecVerdict::Equivalent {
+                            verdict = CecVerdict::Unknown;
+                            failed_pass = Some(pass);
                         }
-                        CecVerdict::Unknown => {
-                            // Budget ran out: keep optimizing, but the run
-                            // as a whole is no longer fully proven.
-                            if verdict == CecVerdict::Equivalent {
-                                verdict = CecVerdict::Unknown;
-                                failed_pass = Some(s.pass);
-                            }
-                        }
+                        true
+                    }
+                    // A pass broke the function: stop on the last verified
+                    // network and report the witness.
+                    CecVerdict::NotEquivalent(cex) => {
+                        verdict = CecVerdict::NotEquivalent(cex);
+                        failed_pass = Some(pass);
+                        false
                     }
                 }
-                Err(_) => {
-                    // A pass changed the PI/PO interface — a contract
-                    // violation no counterexample can express.
-                    verdict = CecVerdict::Unknown;
-                    failed_pass = Some(s.pass);
-                    g = before;
-                    ctx.invalidate_all();
-                    stats.push(s);
-                    rounds.push(stats);
-                    break 'rounds;
-                }
             }
-            stats.push(s);
+            // A pass changed the PI/PO interface — a contract violation
+            // no counterexample can express.
+            Err(_) => {
+                verdict = CecVerdict::Unknown;
+                failed_pass = Some(pass);
+                false
+            }
         }
-        if !config.fixpoint {
-            rounds.push(stats);
-            break;
-        }
-        let (nodes, depth) = (g.and_count(), g.depth());
-        if nodes > prev_nodes || depth > prev_depth {
-            g = snapshot; // same guard as Pipeline::run_until_fixpoint
-            ctx.invalidate_all();
-            break;
-        }
-        rounds.push(stats);
-        if nodes == prev_nodes && depth == prev_depth {
-            break;
-        }
-        converged = round + 1 < max_rounds;
-    }
-
+    };
+    let report = run_rounds(&mut aig, config, &mut OptContext::new(), Some(&mut check));
     // As in [`optimize`]: hand back the dense form.
-    g.compact();
-    mirror_counters(&ctx.counters());
+    aig.compact();
     VerifiedRun {
-        report: OptReport {
-            rounds,
-            converged,
-            nodes_before,
-            nodes_after: g.and_count(),
-            depth_before,
-            depth_after: g.depth(),
-            analysis: ctx.counters(),
-        },
-        aig: g,
+        aig,
+        report,
         verdict,
         failed_pass,
-        cec: agg,
+        cec: stats,
         checked_stages,
     }
 }
@@ -965,9 +741,8 @@ mod tests {
         g.add_po(m);
         g.add_po(x);
         let (nodes0, depth0) = (g.and_count(), g.depth());
-        let pipeline = Pipeline::from_config(&OptConfig::standard());
         let mut opt = g.clone();
-        let report = pipeline.run_until_fixpoint(&mut opt, 8);
+        let report = optimize_with(&mut opt, &OptConfig::standard(), &mut OptContext::new());
         assert!(report.nodes_after <= nodes0);
         assert!(report.depth_after <= depth0);
         assert!(report.converged);

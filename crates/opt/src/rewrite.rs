@@ -88,8 +88,6 @@ pub enum RewriteMode {
 /// Parameters of the rewrite pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RewriteConfig {
-    /// Priority-cut limit per node during enumeration.
-    pub max_cuts: usize,
     /// Depth/pricing policy.
     pub mode: RewriteMode,
     /// Clock-phase count `n` of the DFF-objective pricing (used by
@@ -105,14 +103,14 @@ impl Default for RewriteConfig {
 }
 
 impl RewriteConfig {
-    /// Twelve cuts per node — enough to expose the profitable 3- and
-    /// 4-input cones without paying full mapping-grade enumeration.
+    /// Priority-cut limit per node during enumeration: twelve cuts — enough
+    /// to expose the profitable 3- and 4-input cones without paying full
+    /// mapping-grade enumeration.
     pub const DEFAULT_MAX_CUTS: usize = 12;
 
     /// The historical depth-conservative configuration.
     pub fn conservative() -> Self {
         RewriteConfig {
-            max_cuts: Self::DEFAULT_MAX_CUTS,
             mode: RewriteMode::Conservative,
             dff_phases: DEFAULT_DFF_PHASES,
         }
@@ -131,7 +129,6 @@ impl RewriteConfig {
         RewriteConfig {
             mode: RewriteMode::DffAware,
             dff_phases: n.max(1),
-            ..Self::conservative()
         }
     }
 }
@@ -327,7 +324,7 @@ fn select_sites(
         aig,
         &CutConfig {
             max_leaves: 4,
-            max_cuts: config.max_cuts,
+            max_cuts: RewriteConfig::DEFAULT_MAX_CUTS,
         },
     );
     // The timing modes run on the unit-delay required-time analysis; its

@@ -18,7 +18,7 @@ use sfq_circuits::random::{random_aig, RandomAigConfig};
 use sfq_netlist::aig::Aig;
 use sfq_opt::analysis::signatures_of;
 use sfq_opt::{
-    check_equivalence, CecConfig, CecVerdict, OptConfig, OptContext, PassKind, Pipeline,
+    check_equivalence, optimize_with, CecConfig, CecVerdict, OptConfig, OptContext, PassKind,
 };
 use sfq_sta::AigSta;
 
@@ -84,26 +84,24 @@ proptest! {
         );
         let mut ctx = OptContext::new();
         for &pick in &sequence {
-            let kind = PassKind::KNOWN[pick];
-            let pipeline = Pipeline::from_kinds(&[kind]);
-            pipeline.run_with(&mut aig, &mut ctx);
+            PassKind::KNOWN[pick].run(&mut aig, &mut ctx);
             assert_ctx_matches_fresh(&mut ctx, &aig);
         }
     }
 }
 
-/// Acceptance: `run_until_fixpoint` with `rewrite-slack` builds the STA
-/// from scratch at most once per run while producing byte-identical
-/// results to the scratch pipeline (== the pre-refactor behavior), CEC-
-/// verified against the subject on the Table-I small suite.
+/// Acceptance: the slack-aware fixpoint loop builds the STA from scratch
+/// at most once per run while producing byte-identical results to the
+/// scratch pipeline (== the pre-refactor behavior), CEC-verified against
+/// the subject on the Table-I small suite.
 #[test]
 fn slack_fixpoint_builds_sta_at_most_once_and_matches_scratch() {
     for (name, aig) in table1_small() {
-        let pipeline = Pipeline::from_config(&OptConfig::slack_aware());
+        let config = OptConfig::slack_aware();
 
         let mut shared = aig.clone();
         let mut shared_ctx = OptContext::new();
-        let shared_report = pipeline.run_until_fixpoint_with(&mut shared, 8, &mut shared_ctx);
+        let shared_report = optimize_with(&mut shared, &config, &mut shared_ctx);
 
         // The instrumentation counter: one from-scratch STA build for the
         // whole run, every later round served incrementally.
@@ -121,7 +119,7 @@ fn slack_fixpoint_builds_sta_at_most_once_and_matches_scratch() {
         // the pre-context pipeline. Results must be byte-identical.
         let mut scratch = aig.clone();
         let mut scratch_ctx = OptContext::scratch();
-        let scratch_report = pipeline.run_until_fixpoint_with(&mut scratch, 8, &mut scratch_ctx);
+        let scratch_report = optimize_with(&mut scratch, &config, &mut scratch_ctx);
         assert!(
             scratch_report.analysis.sta_full_builds > 1,
             "{name}: scratch mode rebuilds the STA per consumer"
@@ -174,7 +172,7 @@ fn dff_aware_mode_is_guarded_and_live() {
     );
 }
 
-/// One shared context across *different* pipeline invocations (the
+/// One shared context across *different* pass runs (the
 /// `balance-slack` satellite): after a slack-aware rewrite leaves a fresh
 /// STA in the context, a following `balance-slack` consumes it as a cache
 /// hit instead of building its own.
@@ -183,8 +181,8 @@ fn balance_slack_reuses_the_rewrite_sta() {
     let aig = epfl::adder(16);
     let mut g = aig.clone();
     let mut ctx = OptContext::new();
-    let pipeline = Pipeline::from_kinds(&[PassKind::RewriteSlack, PassKind::BalanceSlack]);
-    let stats = pipeline.run_with(&mut g, &mut ctx);
+    let stats =
+        [PassKind::RewriteSlack, PassKind::BalanceSlack].map(|kind| kind.run(&mut g, &mut ctx));
     assert_eq!(stats.len(), 2);
     let c = ctx.counters();
     assert_eq!(

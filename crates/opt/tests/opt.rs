@@ -5,7 +5,10 @@
 
 use sfq_circuits::{epfl, named};
 use sfq_netlist::aig::{Aig, Lit, NodeId, NodeKind};
-use sfq_opt::{check_equivalence, optimize, CecConfig, CecVerdict, OptConfig, PassKind};
+use sfq_opt::{
+    check_equivalence, optimize, optimize_verified, CecConfig, CecVerdict, OptConfig, OptReport,
+    PassKind,
+};
 
 fn assert_optimizes(name: &str, aig: &Aig) {
     let (opt, report) = optimize(aig, &OptConfig::standard());
@@ -264,6 +267,64 @@ fn fixpoint_report_structure() {
         assert_eq!(round.len(), PassKind::ALL.len());
         for (stats, kind) in round.iter().zip(PassKind::ALL) {
             assert_eq!(stats.pass, kind.name());
+        }
+    }
+}
+
+/// `optimize` and `optimize_verified` run the same round loop, so on an
+/// equivalent run their reports agree in every field but wall time —
+/// including the per-pass analysis-cache accounting `opt --stats` prints.
+#[test]
+fn verified_report_equals_plain_report() {
+    let without_micros = |mut report: OptReport| {
+        for stats in report.rounds.iter_mut().flatten() {
+            stats.micros = 0;
+        }
+        report
+    };
+    // Only a rejected pass could end the two runs differently, and an
+    // exhausted budget never rejects, so a simulation-only check (no SAT
+    // sweep, no final miter conflicts) compares the same loop at half the
+    // cost of the full CEC in a debug build.
+    let budgeted = CecConfig {
+        sweep: false,
+        final_conflicts: Some(0),
+        ..CecConfig::default()
+    };
+    let single_round = OptConfig {
+        fixpoint: false,
+        ..OptConfig::standard()
+    };
+    let configs = [
+        OptConfig::standard(),
+        OptConfig::slack_aware(),
+        OptConfig::dff_aware(4),
+        single_round,
+    ];
+    for (name, aig) in [
+        ("adder16", epfl::adder(16)),
+        ("multiplier8", epfl::multiplier(8)),
+        ("sin8", epfl::sin(8)),
+        ("voter31", epfl::voter(31)),
+    ] {
+        for cfg in &configs {
+            let (opt, plain) = optimize(&aig, cfg);
+            let run = optimize_verified(&aig, cfg, &budgeted);
+            let refuted = matches!(run.verdict, CecVerdict::NotEquivalent(_));
+            assert!(!refuted, "{name}: a pass broke the function");
+            assert_eq!(
+                run.aig.structural_hash(),
+                opt.structural_hash(),
+                "{name} {:?}: same network",
+                cfg.passes
+            );
+            assert_eq!(
+                without_micros(run.report),
+                without_micros(plain),
+                "{name} {:?} (fixpoint {}): reports differ",
+                cfg.passes,
+                cfg.fixpoint
+            );
         }
     }
 }

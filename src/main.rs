@@ -863,6 +863,14 @@ fn cmd_store_gc(args: &Args) -> Result<(), String> {
 /// cache-source breakdown and span totals.
 fn cmd_bench_report(args: &Args) -> Result<(), String> {
     if let Some(path) = args.value("--check") {
+        if let Some(flag) = ["--small", "--pre-opt", "--jobs", "--cache-dir", "-o"]
+            .into_iter()
+            .find(|&f| args.has(f))
+        {
+            return Err(format!(
+                "bench-report: {flag} has no effect with --check (which only validates FILE)"
+            ));
+        }
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         validate_bench_report(&text).map_err(|e| format!("{path}: {e}"))?;
         println!("{path}: valid bench report");
@@ -1088,6 +1096,15 @@ fn parse_serve_request(line: &str, lib: &CellLibrary) -> Result<Job, String> {
 
 fn cmd_gen(args: &Args) -> Result<(), String> {
     let name = args.positional(0).expect("required positional");
+    if name == "random" && args.positional(1).is_some() {
+        return Err("gen random: takes no width (size it with --nodes N)".into());
+    }
+    if let Some(flag) = ["--nodes", "--seed"]
+        .into_iter()
+        .find(|&f| name != "random" && args.has(f))
+    {
+        return Err(format!("gen: {flag} only applies to `gen random`"));
+    }
     let out = args.value("-o").unwrap_or("out.aag");
     let aig = if name == "random" {
         // Scale-class generator: `gen random --nodes N --seed S` emits a

@@ -1185,6 +1185,14 @@ fn every_command_parses_from_its_flag_table() {
         ("verify x.aag --models m.v", "--models"),
         ("sta adder 4 --phases 4", "--phases"),
         ("sta adder 4 --no-t1", "--no-t1"),
+        ("gen adder 4 --nodes 100", "--nodes"),
+        ("gen adder 4 --seed 7", "--seed"),
+        ("gen random 4 --nodes 100", "width"),
+        ("bench-report --check b.json --small", "--small"),
+        ("bench-report --check b.json --pre-opt", "--pre-opt"),
+        ("bench-report --check b.json --jobs 2", "--jobs"),
+        ("bench-report --check b.json --cache-dir s", "--cache-dir"),
+        ("bench-report --check b.json -o out.json", "-o"),
     ] {
         reject(args, named);
     }
