@@ -1,4 +1,4 @@
-//! Ablation studies extending the paper's evaluation:
+//! Ablation studies extending the paper's evaluation (`sfq-t1 ablation`):
 //!
 //! 1. **Phase-count sweep** (`abl-phases`): area/DFF/depth of the baseline
 //!    and T1 flows as the number of clock phases varies. The paper fixes
@@ -14,32 +14,25 @@
 //! 5. **Slack-aware rewriting** (`abl-sta`): what required-time-bounded
 //!    rewriting (`sfq-sta` slack) buys over the conservative pipeline —
 //!    node/depth deltas at the AIG level and #DFF deltas end to end.
-//! 6. **Analysis context** (`abl-ctx`): scratch-vs-incremental analysis
-//!    cost of the slack-aware fixpoint pipeline — one shared `OptContext`
-//!    (STA built once, then incrementally rebound) against per-consumer
-//!    scratch rebuilds, with byte-identical results asserted per row.
 //!
 //! ```sh
-//! cargo run --release -p sfq-bench --bin ablation \
-//!     [-- --jobs N] [--pre-opt] [--small|--paper] [--cache-dir DIR]
+//! sfq-t1 ablation [--jobs N] [--pre-opt] [--small|--paper] [--cache-dir DIR]
 //! ```
 //!
 //! `--pre-opt` additionally runs the phase sweep itself on pre-optimized
-//! networks. The benchmark-suite sections (`abl-opt`, `abl-sta`,
-//! `abl-ctx`) run at small scale by default (`--small` spells it out, as
-//! CI does); `--paper` selects the full Table-I widths. With `--cache-dir`
-//! every engine-backed section shares one persistent result store, so
-//! repeated runs (and other front ends pointed at the same directory) skip
-//! already-computed flows.
+//! networks. The benchmark-suite sections (`abl-opt`, `abl-sta`) run at
+//! small scale by default (`--small` spells it out, as CI does); `--paper`
+//! selects the full Table-I widths. With `--cache-dir` every engine-backed
+//! section shares one persistent result store, so repeated runs (and other
+//! front ends pointed at the same directory) skip already-computed flows.
 
-use sfq_bench::args::{self, Command, Flag, CACHE_DIR, JOBS, PRE_OPT, SMALL};
-use sfq_bench::{
+use crate::args::{Args, Command, Flag, CACHE_DIR, JOBS, PRE_OPT, SMALL};
+use crate::{
     opt_sweep_jobs, phase_sweep_jobs_with, progress_event, progress_line, slack_sweep_jobs,
     BenchmarkScale, SWEEP_PHASES,
 };
 use sfq_circuits::epfl;
 use sfq_engine::SuiteRunner;
-use std::process::ExitCode;
 use std::sync::Arc;
 use t1map::cells::CellLibrary;
 use t1map::dff::insert_dffs;
@@ -47,11 +40,8 @@ use t1map::flow::{run_flow, FlowConfig};
 use t1map::mapper::map;
 use t1map::phase::{assign_phases_exact, assign_phases_with, edge_dff_objective, SearchObjective};
 
-// Same counting allocator as the other binaries: inert until tracing.
-#[global_allocator]
-static ALLOC: sfq_obs::alloc::CountingAlloc = sfq_obs::alloc::CountingAlloc::new();
-
-const ABLATION: Command = Command {
+/// The `ablation` command's flag table.
+pub const ABLATION: Command = Command {
     name: "ablation",
     positionals: "",
     about: "ablation studies extending the paper's evaluation",
@@ -59,13 +49,14 @@ const ABLATION: Command = Command {
 };
 const PAPER: Flag = Flag("--paper  Table-I widths for the suite sections");
 
-/// One engine runner (backed by the shared `--cache-dir` store), plus
-/// `--pre-opt` and `--paper`; `None` when `--help` printed the usage.
-fn options(argv: &[String]) -> Result<Option<(SuiteRunner, bool, bool)>, String> {
-    let Some(args) = args::parse(&ABLATION, argv)? else {
-        print!("{}", ABLATION.usage(""));
-        return Ok(None);
-    };
+/// Runs every ablation section, printing each table to stdout and the
+/// engine's per-job progress to stderr.
+///
+/// # Errors
+///
+/// Rejects `--small` together with `--paper`, and propagates `--jobs` and
+/// `--cache-dir` errors, before any section runs.
+pub fn run(args: &Args) -> Result<(), String> {
     let paper = args.has("--paper");
     if paper && args.has("--small") {
         return Err("ablation: --small and --paper are mutually exclusive".into());
@@ -74,20 +65,8 @@ fn options(argv: &[String]) -> Result<Option<(SuiteRunner, bool, bool)>, String>
     if let Some(store) = args.store()? {
         runner = runner.with_store(store);
     }
-    Ok(Some((runner, args.has("--pre-opt"), paper)))
-}
-
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let pre_opt = args.has("--pre-opt");
     let lib = CellLibrary::default();
-    let (runner, pre_opt, paper) = match options(&argv) {
-        Ok(Some(options)) => options,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     // The suite sections run small-scale unless --paper asks for Table-I
     // widths (--small spells the default out; CI passes it explicitly).
     let (suite_scale, scale_label) = if paper {
@@ -383,67 +362,6 @@ fn main() -> ExitCode {
         );
     }
 
-    println!("\n=== abl-ctx: shared analysis context vs scratch rebuilds ({scale_label}, slack-aware fixpoint) ===");
-    println!(
-        "{:<10} | {:>6} | {:>9} {:>9} {:>7} | {:>9} {:>9} | {:>11} | {:>9}",
-        "circuit",
-        "nodes",
-        "scratch",
-        "ctx",
-        "ratio",
-        "STA s/c",
-        "refr/net",
-        "cache hits",
-        "identical"
-    );
-    {
-        use sfq_bench::paper_benchmarks;
-        use sfq_opt::{optimize_with, OptConfig, OptContext};
-        use std::time::Instant;
-        let config = OptConfig::slack_aware();
-        let mut identical_rows = 0usize;
-        let mut rows = 0usize;
-        for (name, aig) in paper_benchmarks(&suite_scale) {
-            let t0 = Instant::now();
-            let mut scratch_net = aig.clone();
-            let mut scratch_ctx = OptContext::scratch();
-            let scratch = optimize_with(&mut scratch_net, &config, &mut scratch_ctx);
-            let t_scratch = t0.elapsed();
-
-            let t1 = Instant::now();
-            let mut ctx_net = aig.clone();
-            let mut ctx = OptContext::new();
-            let shared = optimize_with(&mut ctx_net, &config, &mut ctx);
-            let t_ctx = t1.elapsed();
-
-            let identical = scratch_net.structural_hash() == ctx_net.structural_hash();
-            rows += 1;
-            identical_rows += identical as usize;
-            println!(
-                "{:<10} | {:>6} | {:>9.1?} {:>9.1?} {:>6.2}x | {:>4}/{:<4} {:>9} | {:>11} | {:>9}",
-                name,
-                shared.nodes_after,
-                t_scratch,
-                t_ctx,
-                t_scratch.as_secs_f64() / t_ctx.as_secs_f64().max(1e-9),
-                scratch.analysis.sta_full_builds,
-                shared.analysis.sta_full_builds,
-                format!(
-                    "{}/{}",
-                    shared.analysis.sta_nodes_refreshed,
-                    2 * aig.len() * scratch.analysis.sta_full_builds.max(1)
-                ),
-                shared.analysis.cache_hits,
-                if identical { "yes" } else { "NO" }
-            );
-        }
-        println!(
-            "abl-ctx: identical results on {identical_rows}/{rows} benchmarks; the shared \
-             context builds the STA at most once per run\n(refr/net = STA nodes refreshed \
-             incrementally vs ≈2·n node visits a scratch pipeline pays across its rebuilds)"
-        );
-    }
-
     println!("\n=== abl-retime: per-edge (paper) vs sharing-aware objective ===");
     println!(
         "{:<10} {:>2} | {:>10} {:>12} {:>8}",
@@ -462,5 +380,5 @@ fn main() -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

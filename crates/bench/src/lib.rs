@@ -4,15 +4,15 @@
 //!
 //! - the Table-I suite (all eight benchmarks × three flows, ratio columns
 //!   and averages), which `sfq-t1 suite` prints and writes as CSV;
-//! - [`args`] — the one command-line parser, a flag table per command,
-//!   shared by `sfq-t1` and the `ablation` binary;
-//! - `ablation` binary — phase-count sweep and heuristic-vs-exact /
-//!   sharing-aware-retiming ablations (extensions beyond the paper);
+//! - [`args`] — the one command-line parser, a flag table per command;
+//! - [`ablation`] — `sfq-t1 ablation`: phase-count sweep and
+//!   heuristic-vs-exact / sharing-aware-retiming ablations (extensions
+//!   beyond the paper);
 //! - Criterion benches (`table1`, `substrates`) — flow and substrate
 //!   runtime measurements.
 //!
 //! The paper-scale benchmark set is exposed as [`paper_benchmarks`] so the
-//! binaries, the Criterion benches and the integration tests agree on the
+//! CLI, the Criterion benches and the integration tests agree on the
 //! exact workloads, and the suites themselves are exposed as `sfq-engine`
 //! job lists ([`table1_jobs`], [`phase_sweep_jobs`]) so every consumer runs
 //! them through the same parallel, cached execution engine.
@@ -24,6 +24,7 @@ use std::sync::Arc;
 use t1map::cells::CellLibrary;
 use t1map::flow::FlowConfig;
 
+pub mod ablation;
 pub mod args;
 pub mod diff;
 pub mod progress;
@@ -254,7 +255,7 @@ pub fn phase_sweep_jobs_with(
 /// [`paper_benchmarks`] order, so chunking the engine's results by 2 yields
 /// one `(plain, pre-opt)` pair per row. Together with a local
 /// `sfq_opt::optimize` run for the AIG-level numbers, this is what the
-/// `ablation` binary's `abl-opt` section prints (node/depth/#DFF deltas per
+/// `abl-opt` section of `sfq-t1 ablation` prints (node/depth/#DFF deltas per
 /// benchmark).
 pub fn opt_sweep_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> Vec<Job> {
     let mut jobs = Vec::new();

@@ -29,12 +29,12 @@ use t1map::phase::Schedule;
 use t1map::timing::TimingSummary;
 
 use sfq_netlist::truth_table::TruthTable;
-use sfq_opt::{CtxCounters, OptReport, PassKind, PassStats};
+use sfq_opt::{OptReport, PassKind, PassStats};
 
 /// Version of the serialization format. Participates in the on-disk
 /// directory layout, so bumping it invalidates every persisted entry at
 /// once. Bump on **any** change to [`encode`]'s output.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header line opening every encoded result.
 const HEADER: &str = "sfq-flow-result";
@@ -193,34 +193,18 @@ pub fn encode(result: &FlowResult) -> String {
                 report.depth_after
             )
             .unwrap();
-            let a = &report.analysis;
-            writeln!(
-                w,
-                "x {} {} {} {} {} {}",
-                a.cache_hits,
-                a.recomputes,
-                a.invalidations,
-                a.sta_full_builds,
-                a.sta_rebinds,
-                a.sta_nodes_refreshed
-            )
-            .unwrap();
             for round in &report.rounds {
                 writeln!(w, "q {}", round.len()).unwrap();
                 for p in round {
                     writeln!(
                         w,
-                        "s {} {} {} {} {} {} {} {} {} {} {}",
+                        "s {} {} {} {} {} {} {}",
                         p.pass,
                         p.nodes_before,
                         p.nodes_after,
                         p.depth_before,
                         p.depth_after,
                         p.applied,
-                        p.cache_hits,
-                        p.invalidations,
-                        p.sta_refreshed,
-                        p.sta_builds,
                         p.micros
                     )
                     .unwrap();
@@ -604,16 +588,6 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
         let depth_before: u32 = f.num()?;
         let depth_after: u32 = f.num()?;
         f.done()?;
-        let mut f = lines.next("x")?;
-        let analysis = CtxCounters {
-            cache_hits: f.num()?,
-            recomputes: f.num()?,
-            invalidations: f.num()?,
-            sta_full_builds: f.num()?,
-            sta_rebinds: f.num()?,
-            sta_nodes_refreshed: f.num()?,
-        };
-        f.done()?;
         let mut rounds = Vec::with_capacity(nrounds);
         for _ in 0..nrounds {
             let mut f = lines.next("q")?;
@@ -638,10 +612,6 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
                     depth_before: f.num()?,
                     depth_after: f.num()?,
                     applied: f.num()?,
-                    cache_hits: f.num()?,
-                    invalidations: f.num()?,
-                    sta_refreshed: f.num()?,
-                    sta_builds: f.num()?,
                     micros: f.num()?,
                 });
                 f.done()?;
@@ -655,7 +625,6 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
             nodes_after,
             depth_before,
             depth_after,
-            analysis,
         })
     } else {
         None
@@ -733,7 +702,7 @@ mod tests {
             &CellLibrary::default(),
             &FlowConfig::single_phase(),
         );
-        let text = encode(&result).replace("v1", "v999");
+        let text = encode(&result).replace(&format!("v{FORMAT_VERSION}"), "v999");
         let err = decode(&text).expect_err("wrong version rejected");
         assert!(err.reason.contains("version"), "{err}");
     }
@@ -753,18 +722,14 @@ mod tests {
 
     #[test]
     fn hostile_edges_are_rejected_before_the_builder_panics() {
+        let bad = |body: &str| format!("{HEADER} v{FORMAT_VERSION}\nstats 0 0 0 0 0 0 0 0\n{body}");
         // Forward reference.
-        let bad = "sfq-flow-result v1\nstats 0 0 0 0 0 0 0 0\ncells 1\ng 1 2 5 0 0\n";
-        assert!(decode(bad).is_err());
+        assert!(decode(&bad("cells 1\ng 1 2 5 0 0\n")).is_err());
         // Port out of range on a non-T1 producer.
-        let bad = "sfq-flow-result v1\nstats 0 0 0 0 0 0 0 0\ncells 2\ni 0\ng 1 2 0 2 0\n";
-        assert!(decode(bad).is_err());
+        assert!(decode(&bad("cells 2\ni 0\ng 1 2 0 2 0\n")).is_err());
         // Inverted T1 operand.
-        let bad =
-            "sfq-flow-result v1\nstats 0 0 0 0 0 0 0 0\ncells 4\ni 0\ni 1\ni 2\nt 0 0 1 1 0 0 2 0 0\n";
-        assert!(decode(bad).is_err());
+        assert!(decode(&bad("cells 4\ni 0\ni 1\ni 2\nt 0 0 1 1 0 0 2 0 0\n")).is_err());
         // Absurd count field must not allocate.
-        let bad = "sfq-flow-result v1\nstats 0 0 0 0 0 0 0 0\ncells 99999999999\n";
-        assert!(decode(bad).is_err());
+        assert!(decode(&bad("cells 99999999999\n")).is_err());
     }
 }

@@ -17,7 +17,7 @@ use t1map::timing::TimingSummary;
 
 use proptest::prelude::*;
 use sfq_netlist::truth_table::TruthTable;
-use sfq_opt::{CtxCounters, OptReport, PassKind, PassStats};
+use sfq_opt::{OptReport, PassKind, PassStats};
 
 /// Fresh per-test scratch directory (removed by the test when it cares;
 /// the temp dir is process-unique so parallel test binaries never clash).
@@ -167,10 +167,6 @@ fn synthetic_result(seed: u64, with_pre_opt: bool, with_timing: bool) -> FlowRes
                         depth_before: rng.below(99) as u32,
                         depth_after: rng.below(99) as u32,
                         applied: rng.below(999) as usize,
-                        cache_hits: rng.below(999) as usize,
-                        invalidations: rng.below(999) as usize,
-                        sta_refreshed: rng.below(999) as usize,
-                        sta_builds: rng.below(9) as usize,
                         micros: rng.next(),
                     })
                     .collect()
@@ -181,14 +177,6 @@ fn synthetic_result(seed: u64, with_pre_opt: bool, with_timing: bool) -> FlowRes
         nodes_after: rng.below(9999) as usize,
         depth_before: rng.below(99) as u32,
         depth_after: rng.below(99) as u32,
-        analysis: CtxCounters {
-            cache_hits: rng.below(999) as usize,
-            recomputes: rng.below(999) as usize,
-            invalidations: rng.below(999) as usize,
-            sta_full_builds: rng.below(9) as usize,
-            sta_rebinds: rng.below(99) as usize,
-            sta_nodes_refreshed: rng.below(99_999) as usize,
-        },
     });
 
     let timing = with_timing.then(|| TimingSummary {

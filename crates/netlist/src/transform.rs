@@ -5,8 +5,7 @@
 //!   builder's simplification rules, and re-strashing);
 //! - [`sweep_in_place`] — the ID-stable variant behind the `sweep` pass of
 //!   the `sfq-opt` pass manager: kills unreachable nodes where they stand
-//!   instead of rebuilding, so downstream incremental consumers (e.g. STA
-//!   rebind) see a dirty set equal to the true edit footprint;
+//!   instead of rebuilding, so surviving nodes keep their ids;
 //! - [`cleanup`] — the historical name for the same operation, kept as a
 //!   thin alias so existing callers don't break;
 //! - [`ConeRewrite`] / [`apply_cone_rewrites_in_place`] — the batch

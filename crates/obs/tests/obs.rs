@@ -20,14 +20,18 @@ fn recorded(f: impl FnOnce()) -> Trace {
 #[test]
 fn spans_balance_including_nesting() {
     let trace = recorded(|| {
-        let _outer = sfq_obs::span("outer");
-        for _ in 0..3 {
-            let _inner = sfq_obs::span("inner");
-            sfq_obs::counter("work", 1);
+        {
+            let _outer = sfq_obs::span("outer");
+            for _ in 0..3 {
+                let _inner = sfq_obs::span("inner");
+                sfq_obs::counter("work", 1);
+            }
+            assert_eq!(sfq_obs::open_spans(), 1, "outer still open");
         }
-        assert_eq!(sfq_obs::open_spans(), 1, "outer still open");
+        // Checked under the lock: once `recorded` returns, another test
+        // may already be holding spans open on the shared recorder.
+        assert_eq!(sfq_obs::open_spans(), 0, "all spans closed");
     });
-    assert_eq!(sfq_obs::open_spans(), 0, "all spans closed");
     assert_eq!(trace.events.len(), 4);
     let outer = trace.events.iter().find(|e| e.name == "outer").unwrap();
     assert_eq!(outer.depth, 0);

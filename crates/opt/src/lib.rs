@@ -4,7 +4,7 @@
 //! pre-mapping synthesis layer of the T1 flow, in the spirit of ABC-style
 //! `rewrite; balance; dc2` scripts.
 //!
-//! Three cooperating pieces:
+//! Two cooperating pieces:
 //!
 //! - **Pass manager** ([`pass`]) — [`PassKind`], which names each pass
 //!   and runs it with per-pass node/level deltas ([`PassKind::run`]), the
@@ -18,15 +18,9 @@
 //!   `balance` (depth-optimal AND-tree rebalancing) and `rewrite` (4-input
 //!   cut enumeration → NPN-canonical class lookup against the precomputed
 //!   subgraph table of [`table`] → MFFC-gain-based replacement, with
-//!   slack-aware and DFF-objective pricing modes).
-//!
-//! - **Analysis manager** ([`analysis`]) — the [`OptContext`] threaded
-//!   through every pass: a typed cache of lazily-computed,
-//!   incrementally-refreshed analyses (levels/depth, unit-delay STA,
-//!   fanout counts, simulation signatures). Passes report [`Preserved`]
-//!   sets; stale timing analyses are rebound incrementally rather than
-//!   rebuilt, so a fixpoint run constructs the STA from scratch at most
-//!   once.
+//!   slack-aware and DFF-objective pricing modes). Each pass computes the
+//!   analyses it reads — node levels, or `sfq-sta`'s unit-delay timing
+//!   analysis in the slack-aware modes — from the network it is given.
 //!
 //! - **Verification guard** ([`cec`]) — combinational equivalence checking
 //!   of original vs. optimized networks: random-simulation prefilter,
@@ -56,7 +50,6 @@
 //! assert_eq!(cec.verdict, CecVerdict::Equivalent);
 //! ```
 
-pub mod analysis;
 pub mod cec;
 pub mod pass;
 pub mod passes;
@@ -64,14 +57,11 @@ pub mod rewrite;
 pub mod table;
 mod util;
 
-pub use analysis::{signatures_of, signatures_of_into, CtxCounters, OptContext, Preserved};
 pub use cec::{check_equivalence, CecConfig, CecError, CecOutcome, CecStats, CecVerdict};
 pub use pass::{
     optimize, optimize_verified, optimize_with, parse_passes, OptConfig, OptReport, PassKind,
     PassStats, VerifiedRun,
 };
-pub use passes::{
-    balance_critical_network, balance_critical_network_ctx, balance_network, strash_network,
-};
+pub use passes::{balance_critical_network, balance_network, strash_network};
 pub use rewrite::{rewrite_network, RewriteConfig, RewriteMode, DEFAULT_DFF_PHASES};
 pub use table::{Program, ProgramBuilder, RewriteTable};

@@ -2,27 +2,21 @@
 //! per-pass statistics, the guarded round loop [`optimize_with`] that runs
 //! them, and the fingerprinted [`OptConfig`] that flows and caches key on.
 //!
-//! Every pass runs against an [`OptContext`] — the typed analysis cache of
-//! [`crate::analysis`] — and marks stale exactly the cached analyses its
-//! output network no longer matches. The round loop threads **one**
-//! context through all passes and all fixpoint rounds, so analyses survive
-//! pass boundaries: levels are recomputed only when a pass restructured the
-//! network, and the unit-delay timing analysis is built from scratch at
-//! most once per run (stale copies are incrementally rebound — see
-//! [`sfq_sta::AigSta::rebind`]). [`optimize`] and [`optimize_verified`]
-//! are that one loop, the latter with a per-pass equivalence check.
+//! A pass computes the analyses it reads (levels, the unit-delay timing
+//! analysis) from the network it is given. [`optimize`] and
+//! [`optimize_verified`] are the one round loop, the latter with a
+//! per-pass equivalence check.
 
-use crate::analysis::{same_structure, CtxCounters, OptContext, Preserved};
 use crate::cec::{check_equivalence, CecConfig, CecStats, CecVerdict};
-use crate::passes::{balance_critical_network_ctx, balance_network, strash_network};
-use crate::rewrite::{rewrite_network_in_place_ctx, RewriteConfig, DEFAULT_DFF_PHASES};
+use crate::passes::{balance_critical_network, balance_network, strash_network};
+use crate::rewrite::{rewrite_network_in_place, RewriteConfig, DEFAULT_DFF_PHASES};
 use sfq_netlist::aig::Aig;
 use sfq_netlist::transform::sweep_in_place;
 use std::fmt;
 use std::hash::Hasher;
 use std::time::Instant;
 
-/// Node/level deltas and analysis-cache accounting of one pass execution.
+/// Node/level deltas of one pass execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassStats {
     /// Pass name (as shown in stats tables).
@@ -38,15 +32,6 @@ pub struct PassStats {
     /// Pass-specific application count (nodes merged/removed, trees
     /// rebuilt, rewrite sites committed).
     pub applied: usize,
-    /// Analysis requests served from the context cache during this pass.
-    pub cache_hits: usize,
-    /// Cached analyses this pass invalidated (marked stale).
-    pub invalidations: usize,
-    /// STA nodes incrementally refreshed (rebind dirty cones) during this
-    /// pass — compare against `sta_builds` × network size.
-    pub sta_refreshed: usize,
-    /// From-scratch STA builds during this pass.
-    pub sta_builds: usize,
     /// Wall-clock time of the pass in microseconds.
     pub micros: u64,
 }
@@ -83,16 +68,11 @@ pub enum PassKind {
     /// Dangling-node sweep with constant propagation.
     ///
     /// Kills unreachable nodes in place ([`sweep_in_place`]), leaving free
-    /// slots behind instead of rebuilding — survivors keep their ids, so
-    /// the next timing rebind's dirty set is exactly the killed nodes. The
-    /// cached analyses are invalidated even though live nodes are
-    /// untouched: freed slots change the *indexed* views (levels,
-    /// signatures) at their positions, and dead nodes in a stale timing
-    /// graph would phantom-constrain live required times.
+    /// slots behind instead of rebuilding — survivors keep their ids.
     Sweep,
     /// Cut-based NPN rewriting in the depth-conservative mode. Accepted
     /// sites are committed by editing slots in place
-    /// ([`rewrite_network_in_place_ctx`]); a round with zero accepted sites
+    /// ([`rewrite_network_in_place`]); a round with zero accepted sites
     /// leaves the network completely untouched.
     Rewrite,
     /// Rewriting in the slack-aware mode (sites may grow up to their
@@ -105,9 +85,7 @@ pub enum PassKind {
     /// Depth-oriented AND-tree rebalancing.
     Balance,
     /// Slack-prioritized rebalancing: only zero-slack trees are rebuilt
-    /// (see [`crate::passes::balance_critical_network`]). Consumes the
-    /// context's cached timing analysis instead of building a throwaway
-    /// one.
+    /// (see [`crate::passes::balance_critical_network`]).
     BalanceSlack,
 }
 
@@ -175,69 +153,33 @@ impl PassKind {
         }
     }
 
-    /// Runs the pass once on `aig`, threading `ctx`, and measures it.
-    ///
-    /// On return `ctx` holds exactly the analyses still valid for the
-    /// output network. A pass that verifiably left the network unchanged —
-    /// a rebuild that reproduced it structurally, or an in-place pass with
-    /// zero applications — keeps every analysis, so the converged fixpoint
-    /// rounds that dominate paper-scale runs cost no analysis work.
-    pub fn run(self, aig: &mut Aig, ctx: &mut OptContext) -> PassStats {
+    /// Runs the pass once on `aig` and measures it.
+    pub fn run(self, aig: &mut Aig) -> PassStats {
         let pass = self.name();
         let _span = sfq_obs::span_owned(|| format!("opt:{pass}"));
         let start = Instant::now();
-        let snap = ctx.counters();
         let nodes_before = aig.and_count();
-        let depth_before = ctx.depth(aig);
-        let (rebuilt, applied, mut preserved) = self.transform(aig, ctx);
-        let unchanged = match rebuilt {
-            Some(next) => {
-                let same = same_structure(aig, &next);
-                *aig = next;
-                same
-            }
-            None => applied == 0,
-        };
-        if unchanged {
-            preserved = Preserved::all();
-        }
-        ctx.retain(&preserved);
-        let nodes_after = aig.and_count();
-        let depth_after = ctx.depth(aig);
-        let delta = ctx.counters().delta_since(&snap);
+        let depth_before = aig.depth();
+        let applied = self.transform(aig);
         PassStats {
             pass,
             nodes_before,
-            nodes_after,
+            nodes_after: aig.and_count(),
             depth_before,
-            depth_after,
+            depth_after: aig.depth(),
             applied,
-            cache_hits: delta.cache_hits,
-            invalidations: delta.invalidations,
-            sta_refreshed: delta.sta_nodes_refreshed,
-            sta_builds: delta.sta_full_builds,
             micros: start.elapsed().as_micros() as u64,
         }
     }
 
-    /// The pass proper: either a rebuilt network (`strash`, `balance`,
-    /// `balance-slack`) or an in-place edit of `aig` (`None`), the
-    /// application count, and the analyses the pass keeps valid.
-    fn transform(self, aig: &mut Aig, ctx: &mut OptContext) -> (Option<Aig>, usize, Preserved) {
-        let rebuilt = |(out, applied): (Aig, usize)| (Some(out), applied, Preserved::none());
-        // The timing modes rebound the context's STA to the output network
-        // themselves (invalidating only the reconstructed cones through the
-        // incremental refresh), and the rebound arrivals are the output's
-        // levels.
-        let retimed = Preserved::none().with_sta().with_levels();
-        let mut rewrite = |config: RewriteConfig, preserved: Preserved| {
-            let applied = rewrite_network_in_place_ctx(aig, &config, ctx);
-            (None, applied, preserved)
-        };
-        match self {
-            PassKind::Strash => rebuilt(strash_network(aig)),
-            PassKind::Balance => rebuilt(balance_network(aig)),
-            PassKind::BalanceSlack => rebuilt(balance_critical_network_ctx(aig, ctx)),
+    /// The pass proper: rewrites `aig` (rebuilt by `strash`, `balance` and
+    /// `balance-slack`, edited in place by the others) and returns the
+    /// application count.
+    fn transform(self, aig: &mut Aig) -> usize {
+        let (rebuilt, applied) = match self {
+            PassKind::Strash => strash_network(aig),
+            PassKind::Balance => balance_network(aig),
+            PassKind::BalanceSlack => balance_critical_network(aig),
             PassKind::Sweep => {
                 let applied = sweep_in_place(aig);
                 // Occupancy guard: when sweeping killed most of the array
@@ -250,12 +192,20 @@ impl PassKind {
                 if aig.dead_count() * 2 > aig.len() {
                     aig.compact();
                 }
-                (None, applied, Preserved::none())
+                return applied;
             }
-            PassKind::Rewrite => rewrite(RewriteConfig::conservative(), Preserved::none()),
-            PassKind::RewriteSlack => rewrite(RewriteConfig::slack_aware(), retimed),
-            PassKind::RewriteDff(n) => rewrite(RewriteConfig::dff_aware(n), retimed),
-        }
+            PassKind::Rewrite => {
+                return rewrite_network_in_place(aig, &RewriteConfig::conservative())
+            }
+            PassKind::RewriteSlack => {
+                return rewrite_network_in_place(aig, &RewriteConfig::slack_aware())
+            }
+            PassKind::RewriteDff(n) => {
+                return rewrite_network_in_place(aig, &RewriteConfig::dff_aware(n))
+            }
+        };
+        *aig = rebuilt;
+        applied
     }
 }
 
@@ -375,7 +325,7 @@ impl Default for OptConfig {
 }
 
 /// Outcome of a pipeline run: per-round, per-pass statistics plus the
-/// end-to-end deltas and the analysis-cache accounting.
+/// end-to-end deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptReport {
     /// Statistics of every executed pass, grouped by round.
@@ -391,9 +341,6 @@ pub struct OptReport {
     pub depth_before: u32,
     /// Depth after optimization.
     pub depth_after: u32,
-    /// Aggregate analysis-context counters over the whole run (cache hits,
-    /// invalidations, STA builds vs. incremental refreshes).
-    pub analysis: CtxCounters,
 }
 
 impl OptReport {
@@ -403,9 +350,8 @@ impl OptReport {
     }
 }
 
-/// Runs the optimization stage described by `config` on `aig` in place,
-/// threading the caller's analysis context through **all** passes and
-/// rounds — the crate's one round loop.
+/// Runs the optimization stage described by `config` on `aig` in place —
+/// the crate's one round loop.
 ///
 /// A disabled config leaves `aig` untouched and reports no rounds. A
 /// single-shot config (`fixpoint: false`) runs the pass sequence once. A
@@ -418,8 +364,8 @@ impl OptReport {
 ///
 /// In-place passes may leave freed slots behind; [`optimize`] compacts,
 /// this does not.
-pub fn optimize_with(aig: &mut Aig, config: &OptConfig, ctx: &mut OptContext) -> OptReport {
-    run_rounds(aig, config, ctx, None)
+pub fn optimize_with(aig: &mut Aig, config: &OptConfig) -> OptReport {
+    run_rounds(aig, config, None)
 }
 
 /// A per-pass acceptance check: the pass's input network, its output
@@ -430,12 +376,7 @@ type PassCheck<'a> = &'a mut dyn FnMut(&Aig, &Aig, &'static str) -> bool;
 /// `check`. A rejected pass is rolled back and ends the run; its stats
 /// close the report's last round, and the run counts as converged (it
 /// stopped by itself, not at the round limit).
-fn run_rounds(
-    aig: &mut Aig,
-    config: &OptConfig,
-    ctx: &mut OptContext,
-    mut check: Option<PassCheck<'_>>,
-) -> OptReport {
+fn run_rounds(aig: &mut Aig, config: &OptConfig, mut check: Option<PassCheck<'_>>) -> OptReport {
     if !config.enabled {
         let (nodes, depth) = (aig.and_count(), aig.depth());
         return OptReport {
@@ -445,12 +386,10 @@ fn run_rounds(
             nodes_after: nodes,
             depth_before: depth,
             depth_after: depth,
-            analysis: CtxCounters::default(),
         };
     }
-    let entry = ctx.counters();
     let nodes_before = aig.and_count();
-    let depth_before = ctx.depth(aig);
+    let depth_before = aig.depth();
     let max_rounds = if config.fixpoint {
         config.max_rounds
     } else {
@@ -461,17 +400,16 @@ fn run_rounds(
     'rounds: for _ in 0..max_rounds {
         let guard = config
             .fixpoint
-            .then(|| (aig.and_count(), ctx.depth(aig), aig.clone()));
+            .then(|| (aig.and_count(), aig.depth(), aig.clone()));
         let mut stats = Vec::with_capacity(config.passes.len());
         for &kind in &config.passes {
             // The pre-pass network is only kept when something checks it.
             let before = check.is_some().then(|| aig.clone());
-            let s = kind.run(aig, ctx);
+            let s = kind.run(aig);
             stats.push(s);
             if let (Some(check), Some(before)) = (check.as_mut(), before) {
                 if !check(&before, aig, s.pass) {
                     *aig = before;
-                    ctx.invalidate_all();
                     rounds.push(stats);
                     converged = true;
                     break 'rounds;
@@ -482,10 +420,9 @@ fn run_rounds(
             rounds.push(stats);
             break;
         };
-        let (nodes, depth) = (aig.and_count(), ctx.depth(aig));
+        let (nodes, depth) = (aig.and_count(), aig.depth());
         if nodes > prev_nodes || depth > prev_depth {
             *aig = snapshot; // guard: roll the regression back
-            ctx.invalidate_all();
             converged = true;
             break;
         }
@@ -495,17 +432,14 @@ fn run_rounds(
             break;
         }
     }
-    let report = OptReport {
+    OptReport {
         rounds,
         converged,
         nodes_before,
         nodes_after: aig.and_count(),
         depth_before,
-        depth_after: ctx.depth(aig),
-        analysis: ctx.counters().delta_since(&entry),
-    };
-    mirror_counters(&report.analysis);
-    report
+        depth_after: aig.depth(),
+    }
 }
 
 /// Runs the optimization stage described by `config` on a copy of `aig`
@@ -515,21 +449,10 @@ fn run_rounds(
 /// a disabled config returns an untouched copy with an empty report.
 pub fn optimize(aig: &Aig, config: &OptConfig) -> (Aig, OptReport) {
     let mut g = aig.clone();
-    let report = optimize_with(&mut g, config, &mut OptContext::new());
+    let report = optimize_with(&mut g, config);
     // An identity when no pass left holes.
     g.compact();
     (g, report)
-}
-
-/// Mirrors a run's analysis-context counters into the `sfq-obs` recorder,
-/// so `--stats`/`--trace` see the same numbers the [`OptReport`] carries.
-fn mirror_counters(c: &CtxCounters) {
-    sfq_obs::counter("opt.cache_hits", c.cache_hits as u64);
-    sfq_obs::counter("opt.recomputes", c.recomputes as u64);
-    sfq_obs::counter("opt.invalidations", c.invalidations as u64);
-    sfq_obs::counter("opt.sta_builds", c.sta_full_builds as u64);
-    sfq_obs::counter("opt.sta_rebinds", c.sta_rebinds as u64);
-    sfq_obs::counter("opt.sta_nodes_refreshed", c.sta_nodes_refreshed as u64);
 }
 
 /// Outcome of [`optimize_verified`]: the optimized network plus the
@@ -605,7 +528,7 @@ pub fn optimize_verified(subject: &Aig, config: &OptConfig, cec: &CecConfig) -> 
             }
         }
     };
-    let report = run_rounds(&mut aig, config, &mut OptContext::new(), Some(&mut check));
+    let report = run_rounds(&mut aig, config, Some(&mut check));
     // As in [`optimize`]: hand back the dense form.
     aig.compact();
     VerifiedRun {
@@ -742,7 +665,7 @@ mod tests {
         g.add_po(x);
         let (nodes0, depth0) = (g.and_count(), g.depth());
         let mut opt = g.clone();
-        let report = optimize_with(&mut opt, &OptConfig::standard(), &mut OptContext::new());
+        let report = optimize_with(&mut opt, &OptConfig::standard());
         assert!(report.nodes_after <= nodes0);
         assert!(report.depth_after <= depth0);
         assert!(report.converged);

@@ -3,9 +3,9 @@
 //! [`sfq_netlist::transform::sweep_in_place`]; rewriting lives in
 //! [`crate::rewrite`]).
 
-use crate::analysis::OptContext;
 use crate::util::mapped;
 use sfq_netlist::aig::{Aig, Lit, NodeId, NodeKind};
+use sfq_sta::AigSta;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -105,15 +105,7 @@ pub fn balance_network(aig: &Aig) -> (Aig, usize) {
 /// any sharing rewriting set up there) is left untouched. Returns the
 /// network and the number of trees rebuilt.
 pub fn balance_critical_network(aig: &Aig) -> (Aig, usize) {
-    balance_critical_network_ctx(aig, &mut OptContext::scratch())
-}
-
-/// [`balance_critical_network`] consuming the caller's analysis context:
-/// the slack classification reads the context's cached timing analysis (a
-/// cache hit or an incremental rebind when a slack-aware rewrite ran
-/// earlier in the pipeline) instead of building a throwaway one.
-pub fn balance_critical_network_ctx(aig: &Aig, ctx: &mut OptContext) -> (Aig, usize) {
-    let sta = ctx.sta(aig);
+    let sta = AigSta::new(aig);
     let mut internal = internal_flags(aig);
     // Restrict the dissolve set to trees rooted at zero-slack nodes: an
     // internal node keeps its flag only if its (unique) maximal tree root

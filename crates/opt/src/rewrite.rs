@@ -42,18 +42,14 @@
 //!
 //! Accepted sites are lowered to [`sfq_netlist::transform::ConeRewrite`]
 //! plans and committed by the netlist crate's ID-stable batch engine
-//! ([`rewrite_network_in_place_ctx`]), which edits slots in place; a round
+//! ([`rewrite_network_in_place`]), which edits slots in place; a round
 //! with zero accepted sites leaves the network completely untouched.
 //!
-//! Analyses are consumed through the [`OptContext`] threaded down from the
-//! pass manager: levels are a cache hit when the previous pass preserved
-//! them, and the timing modes *take* the context's incrementally-maintained
-//! [`sfq_sta::AigSta`] (built from scratch at most once per pipeline run),
-//! feed accepted growth back through `raise_arrival`, and hand it back
-//! rebound to the reconstructed network — only the rebuilt cones are
-//! refreshed.
+//! Each invocation computes the analyses it prices against from the
+//! network it is given: the conservative mode reads [`Aig::levels`], and
+//! the timing modes build one [`sfq_sta::AigSta`], feed accepted growth
+//! back through `raise_arrival` and drop it when the sites are selected.
 
-use crate::analysis::OptContext;
 use crate::table::{Program, RewriteTable};
 use sfq_netlist::aig::{Aig, Lit, NodeId};
 use sfq_netlist::cut::{enumerate_cuts, CutConfig};
@@ -272,54 +268,32 @@ fn freed_edge_dffs(aig: &Aig, arrivals: &[i64], freed: &[NodeId], n: u32) -> i64
 
 /// Rewrites a copy of `aig` once; returns the dense (compacted) network and
 /// the number of replacement sites committed. One-shot convenience over
-/// [`rewrite_network_in_place_ctx`] (every analysis is computed from
-/// scratch and dropped).
+/// [`rewrite_network_in_place`].
 pub fn rewrite_network(aig: &Aig, config: &RewriteConfig) -> (Aig, usize) {
     let mut out = aig.clone();
-    let applied = rewrite_network_in_place_ctx(&mut out, config, &mut OptContext::scratch());
+    let applied = rewrite_network_in_place(&mut out, config);
     out.compact();
     (out, applied)
 }
 
-/// Rewrites `aig` once in place against the caller's analysis context:
-/// selects sites, then commits them by editing slots
-/// ([`apply_cone_rewrites_in_place`]). Levels and the timing analysis are
-/// consumed from (and, for the timing modes, returned to) `ctx` instead of
-/// being rebuilt per invocation. With zero accepted sites the network is
-/// left completely untouched — the converged fixpoint rounds that dominate
-/// paper-scale `opt --fixpoint` runs then cost no reconstruction, no
-/// compaction and no analysis invalidation at all. Returns the number of
-/// sites committed.
-pub fn rewrite_network_in_place_ctx(
-    aig: &mut Aig,
-    config: &RewriteConfig,
-    ctx: &mut OptContext,
-) -> usize {
-    let (sites, sta) = select_sites(aig, config, ctx);
-    let applied = sites.len();
-    if applied > 0 {
+/// Rewrites `aig` once in place: selects sites, then commits them by
+/// editing slots ([`apply_cone_rewrites_in_place`]). With zero accepted
+/// sites the network is left completely untouched — the converged
+/// fixpoint rounds that dominate paper-scale `opt --fixpoint` runs then
+/// cost no reconstruction and no compaction. Returns the number of sites
+/// committed.
+pub fn rewrite_network_in_place(aig: &mut Aig, config: &RewriteConfig) -> usize {
+    let sites = select_sites(aig, config);
+    if !sites.is_empty() {
         apply_cone_rewrites_in_place(aig, &sites);
     }
-    if let Some(sta) = sta {
-        // Hand the analysis back rebound to the edited network: floors are
-        // cleared and only the changed cones are refreshed, so the next
-        // timing consumer (this pass's next round, or a later
-        // balance-slack) gets an exact analysis without a rebuild.
-        ctx.finish_sta(sta, aig);
-    }
-    applied
+    sites.len()
 }
 
 /// The shared selection phase: enumerates cuts, prices candidate
 /// replacements and greedily commits non-overlapping sites, returning them
-/// lowered to [`ConeRewrite`]s in root-scan (topological) order together
-/// with the timing analysis taken from the context (timing modes only —
-/// hand it back through [`OptContext::finish_sta`] after applying).
-fn select_sites(
-    aig: &Aig,
-    config: &RewriteConfig,
-    ctx: &mut OptContext,
-) -> (Vec<ConeRewrite>, Option<AigSta>) {
+/// lowered to [`ConeRewrite`]s in root-scan (topological) order.
+fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
     let cuts = enumerate_cuts(
         aig,
         &CutConfig {
@@ -330,17 +304,15 @@ fn select_sites(
     // The timing modes run on the unit-delay required-time analysis; its
     // arrival view starts at the static levels and is floored upward as
     // growing sites are accepted, so later estimates price against the
-    // post-rewrite cone depths. The analysis is *taken* from the context —
-    // a cache hit or an incremental rebind, a from-scratch build only on
-    // the context's very first timing request.
+    // post-rewrite cone depths.
     let mut sta = match config.mode {
         RewriteMode::Conservative => None,
-        RewriteMode::SlackAware | RewriteMode::DffAware => Some(ctx.take_sta(aig)),
+        RewriteMode::SlackAware | RewriteMode::DffAware => Some(AigSta::new(aig)),
     };
     let static_levels: Vec<i64> = match &sta {
-        // The taken analysis carries the levels as arrivals already.
+        // The analysis carries the levels as arrivals already.
         Some(_) => Vec::new(),
-        None => ctx.levels(aig).iter().map(|&l| i64::from(l)).collect(),
+        None => aig.levels().into_iter().map(i64::from).collect(),
     };
     let dff_phases = match config.mode {
         RewriteMode::DffAware => config.dff_phases.max(1),
@@ -468,7 +440,7 @@ fn select_sites(
             sites.push(site.lower(root, freed));
         }
     }
-    (sites, sta)
+    sites
 }
 
 #[cfg(test)]

@@ -10,6 +10,15 @@ use sfq_opt::{
     PassKind,
 };
 
+fn table1_small() -> Vec<(&'static str, Aig)> {
+    vec![
+        ("adder16", epfl::adder(16)),
+        ("multiplier8", epfl::multiplier(8)),
+        ("sin8", epfl::sin(8)),
+        ("voter31", epfl::voter(31)),
+    ]
+}
+
 fn assert_optimizes(name: &str, aig: &Aig) {
     let (opt, report) = optimize(aig, &OptConfig::standard());
     assert!(
@@ -136,12 +145,7 @@ fn flip_fanin(aig: &Aig, victim: NodeId) -> Option<Aig> {
 #[test]
 fn slack_aware_rewriting_dominates_conservative() {
     let mut dominated = 0usize;
-    for (name, aig) in [
-        ("adder16", epfl::adder(16)),
-        ("multiplier8", epfl::multiplier(8)),
-        ("voter31", epfl::voter(31)),
-        ("sin8", epfl::sin(8)),
-    ] {
+    for (name, aig) in table1_small() {
         let (_, cons) = optimize(&aig, &OptConfig::standard());
         let (slack_net, slack) = optimize(&aig, &OptConfig::slack_aware());
         assert!(
@@ -194,6 +198,50 @@ fn single_pass_pipelines_preserve_function() {
             kind.name()
         );
     }
+}
+
+/// The slack-aware rewrite followed by the slack-prioritized balance (two
+/// timing consumers in a row, each timing the network it is handed)
+/// preserves the function.
+#[test]
+fn rewrite_slack_then_balance_slack_preserves_function() {
+    let aig = epfl::adder(16);
+    let mut g = aig.clone();
+    for kind in [PassKind::RewriteSlack, PassKind::BalanceSlack] {
+        assert_eq!(kind.run(&mut g).pass, kind.name());
+    }
+    let cec = check_equivalence(&aig, &g, &CecConfig::default()).unwrap();
+    assert_eq!(cec.verdict, CecVerdict::Equivalent);
+}
+
+/// The DFF-objective mode must be guarded like every other mode (never
+/// more nodes or depth than the subject, CEC-equivalent) and *live*: on at
+/// least one suite benchmark its pricing makes a different decision than
+/// plain slack-aware rewriting.
+#[test]
+fn dff_aware_mode_is_guarded_and_live() {
+    let mut diverged = 0usize;
+    for (name, aig) in table1_small() {
+        let (dff, report) = sfq_opt::optimize(&aig, &OptConfig::dff_aware(4));
+        assert!(
+            report.nodes_after <= report.nodes_before,
+            "{name}: node guard"
+        );
+        assert!(
+            report.depth_after <= report.depth_before,
+            "{name}: depth guard"
+        );
+        let cec = check_equivalence(&aig, &dff, &CecConfig::default()).unwrap();
+        assert_eq!(cec.verdict, CecVerdict::Equivalent, "{name}: CEC");
+        let (slack, _) = sfq_opt::optimize(&aig, &OptConfig::slack_aware());
+        if dff.structural_hash() != slack.structural_hash() {
+            diverged += 1;
+        }
+    }
+    assert!(
+        diverged >= 1,
+        "DFF pricing never changed a decision — the mode is dead"
+    );
 }
 
 /// Golden structural hashes of every pipeline flavor on real benchmark
@@ -272,8 +320,8 @@ fn fixpoint_report_structure() {
 }
 
 /// `optimize` and `optimize_verified` run the same round loop, so on an
-/// equivalent run their reports agree in every field but wall time —
-/// including the per-pass analysis-cache accounting `opt --stats` prints.
+/// equivalent run their reports agree in every field but wall time, so
+/// `opt --stats` prints the same table with and without `--verify`.
 #[test]
 fn verified_report_equals_plain_report() {
     let without_micros = |mut report: OptReport| {
@@ -301,12 +349,7 @@ fn verified_report_equals_plain_report() {
         OptConfig::dff_aware(4),
         single_round,
     ];
-    for (name, aig) in [
-        ("adder16", epfl::adder(16)),
-        ("multiplier8", epfl::multiplier(8)),
-        ("sin8", epfl::sin(8)),
-        ("voter31", epfl::voter(31)),
-    ] {
+    for (name, aig) in table1_small() {
         for cfg in &configs {
             let (opt, plain) = optimize(&aig, cfg);
             let run = optimize_verified(&aig, cfg, &budgeted);

@@ -2,14 +2,11 @@
 //! horizon is the network depth, and per-node slack is the headroom a
 //! rewrite site may consume without deepening the network.
 //!
-//! [`AigSta`] is the view `sfq-opt`'s slack-aware rewriting runs on: its
-//! analysis context builds one (reusing a cached level vector — see
-//! [`AigSta::with_levels`]) at most once per pipeline run, updates it
+//! [`AigSta`] is the view `sfq-opt`'s slack-aware rewriting runs on: each
+//! `rewrite-slack`/`rewrite-dff` invocation builds one and updates it
 //! incrementally as sites are accepted ([`AigSta::raise_arrival`] floors
 //! the site root at its estimated post-rewrite level and re-propagates
-//! only the affected cone), and carries it across pass and round
-//! boundaries by diff-rebinding it to each rebuilt network
-//! ([`AigSta::rebind`]).
+//! only the affected cone).
 //!
 //! # Examples
 //!
@@ -43,20 +40,6 @@ pub struct AigSta {
     analysis: TimingAnalysis,
 }
 
-/// Cost accounting of one [`AigSta::rebind`]: how much of the network the
-/// incremental path actually touched, versus the full rebuild it avoided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RebindStats {
-    /// Seed dirty-set size (structurally changed nodes, cleared floors,
-    /// flipped sinks, truncation survivors).
-    pub dirty: usize,
-    /// Node recomputations performed by the refresh (forward + backward).
-    pub refreshed: usize,
-    /// Nodes in the rebound network — what a from-scratch build would have
-    /// visited twice (arrival and required sweeps).
-    pub total: usize,
-}
-
 fn build_graph(aig: &Aig) -> TimingGraph {
     let mut graph = TimingGraph::new();
     for id in aig.node_ids() {
@@ -78,32 +61,11 @@ fn build_graph(aig: &Aig) -> TimingGraph {
 impl AigSta {
     /// Analyzes `aig` under the unit-delay model. The horizon is *pinned*
     /// to the network depth at construction time — it does not drift if
-    /// arrivals are later floored past it — so both constructors give
-    /// [`AigSta::raise_arrival`] the same fixed-deadline semantics.
+    /// arrivals are later floored past it — which gives
+    /// [`AigSta::raise_arrival`] its fixed-deadline semantics.
     pub fn new(aig: &Aig) -> Self {
-        Self::with_levels(aig, &aig.levels())
-    }
-
-    /// [`AigSta::new`] reusing a level vector the caller already computed
-    /// (see [`Aig::levels`]); the levels pin the horizon and are
-    /// cross-checked in debug builds.
-    pub fn with_levels(aig: &Aig, levels: &[u32]) -> Self {
         let graph = build_graph(aig);
-        let horizon = aig
-            .pos()
-            .iter()
-            .map(|po| levels[po.node().index()] as i64)
-            .max()
-            .unwrap_or(0);
-        let analysis = TimingAnalysis::analyze_with_horizon(&graph, horizon);
-        debug_assert!(
-            analysis
-                .arrival
-                .iter()
-                .zip(levels)
-                .all(|(&a, &l)| a == l as i64),
-            "caller-provided levels disagree with the unit-delay arrivals"
-        );
+        let analysis = TimingAnalysis::analyze_with_horizon(&graph, i64::from(aig.depth()));
         AigSta { graph, analysis }
     }
 
@@ -143,102 +105,14 @@ impl AigSta {
     /// once a site is accepted at an estimated post-rewrite level, every
     /// later estimate must see the (possibly deeper) cone it feeds.
     ///
-    /// The horizon is pinned at construction (both constructors), so it
-    /// and the required times are untouched — a floor pushing a sink past
+    /// The horizon is pinned at construction, so it and the required
+    /// times are untouched — a floor pushing a sink past
     /// the deadline shows up as *negative* slack rather than silently
     /// loosening every deadline, which is exactly what a depth-budget
     /// check needs.
     pub fn raise_arrival(&mut self, node: NodeId, level: i64) {
         self.graph.set_floor(node.index(), level);
         self.analysis.refresh(&self.graph, &[node.index()]);
-    }
-
-    /// Re-targets this analysis at `aig` — typically the *rebuilt* network
-    /// an optimization pass produced from the one this analysis was
-    /// computed on — without a from-scratch rebuild: the cached graph is
-    /// diffed against the new network node by node, only structurally
-    /// changed nodes (plus any [`AigSta::raise_arrival`] floors, which are
-    /// cleared) enter the dirty set, and [`TimingAnalysis::refresh`]
-    /// re-propagates just the affected cone. The pinned horizon is then
-    /// moved to the new network depth by a uniform required-time shift.
-    ///
-    /// The result is exactly the analysis [`AigSta::new`] would compute
-    /// for `aig` (cross-checked in debug builds); the cost is proportional
-    /// to the structural diff plus the refreshed cone, so a converged
-    /// fixpoint round — where passes reproduce the network verbatim — is
-    /// nearly free.
-    pub fn rebind(&mut self, aig: &Aig) -> RebindStats {
-        let _span = sfq_obs::span("sta:rebind");
-        let new_len = aig.len();
-        let old_len = self.graph.len();
-        let mut dirty: Vec<usize> = Vec::new();
-        if new_len < old_len {
-            dirty.extend(self.graph.truncate(new_len));
-            self.analysis.arrival.truncate(new_len);
-            self.analysis.required.truncate(new_len);
-        }
-        let common = old_len.min(new_len);
-        for id in aig.node_ids() {
-            let i = id.index();
-            let want: &[(usize, i64)] = match aig.kind(id) {
-                NodeKind::Const0 | NodeKind::Input(_) => &[],
-                NodeKind::And(a, b) => &[(a.node().index(), 1), (b.node().index(), 1)],
-            };
-            if i < common {
-                let same = {
-                    let have = self.graph.fanins_raw(i);
-                    have.len() == want.len()
-                        && have
-                            .iter()
-                            .zip(want)
-                            .all(|(&(hu, hd), &(wu, wd))| hu as usize == wu && hd == wd)
-                };
-                if !same {
-                    // The previous fanins lost a consumer: their required
-                    // times may change, so they are dirty too.
-                    dirty.extend(self.graph.fanins(i).map(|(u, _)| u));
-                    self.graph.set_fanins(i, want);
-                    dirty.push(i);
-                }
-            } else {
-                let added = self.graph.add_node(want);
-                debug_assert_eq!(added, i);
-                self.analysis.arrival.push(0);
-                self.analysis.required.push(i64::MAX);
-                dirty.push(i);
-            }
-            if self.graph.floor(i) != i64::MIN {
-                self.graph.set_floor(i, i64::MIN);
-                dirty.push(i);
-            }
-        }
-        let sink_nodes: Vec<usize> = aig.pos().iter().map(|po| po.node().index()).collect();
-        dirty.extend(self.graph.set_sinks(&sink_nodes));
-        dirty.sort_unstable();
-        dirty.dedup();
-        let refreshed = self.analysis.refresh(&self.graph, &dirty);
-        // The horizon is pinned; move it to the new network depth with a
-        // uniform required-time shift (exact under a shared deadline).
-        let new_horizon = self
-            .graph
-            .sinks()
-            .map(|s| self.analysis.arrival[s])
-            .max()
-            .unwrap_or(0);
-        self.analysis.retarget_horizon(new_horizon);
-        debug_assert!(
-            self.analysis
-                .arrival
-                .iter()
-                .zip(aig.levels())
-                .all(|(&a, l)| a == l as i64),
-            "rebound arrivals disagree with the network levels"
-        );
-        RebindStats {
-            dirty: dirty.len(),
-            refreshed,
-            total: new_len,
-        }
     }
 
     /// Borrow of the underlying graph (for path extraction / reporting).
@@ -301,21 +175,5 @@ mod tests {
         assert_eq!(sta.slack(ab.node()), 0);
         assert_eq!(sta.arrival(top.node()), 5, "output level unchanged");
         assert_eq!(sta.horizon(), 5);
-    }
-
-    #[test]
-    fn with_levels_matches_new() {
-        let mut g = Aig::new();
-        let a = g.add_pi();
-        let b = g.add_pi();
-        let x = g.xor(a, b);
-        g.add_po(x);
-        let levels = g.levels();
-        let s1 = AigSta::new(&g);
-        let s2 = AigSta::with_levels(&g, &levels);
-        assert_eq!(s1.horizon(), s2.horizon());
-        for id in g.node_ids() {
-            assert_eq!(s1.slack(id), s2.slack(id));
-        }
     }
 }

@@ -126,93 +126,10 @@ impl TimingGraph {
         self.fanins[node][slot].1 = delay;
     }
 
-    /// The raw `(fanin, delay)` edge list of `node` — the comparison
-    /// currency of diff-based rebinding (see `AigSta::rebind`).
-    pub(crate) fn fanins_raw(&self, node: usize) -> &[(u32, i64)] {
-        &self.fanins[node]
-    }
-
-    /// Replaces **all** fanin edges of `node`, maintaining the reverse
-    /// (fanout) lists. As with delay edits, the caller must hand `node` —
-    /// and, for the backward pass, the *previous* fanins, which lost a
-    /// consumer — to the next [`TimingAnalysis::refresh`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or any new fanin index is not
-    /// smaller than `node` (topological-order violation).
-    pub fn set_fanins(&mut self, node: usize, fanins: &[(usize, i64)]) {
-        let id = node as u32;
-        for &(u, _) in &self.fanins[node] {
-            self.fanouts[u as usize].retain(|&w| w != id);
-        }
-        for &(u, _) in fanins {
-            assert!(
-                u < node,
-                "fanin {u} of node {node} violates topological order"
-            );
-            self.fanouts[u].push(id);
-        }
-        self.fanins[node] = fanins.iter().map(|&(u, d)| (u as u32, d)).collect();
-    }
-
-    /// Drops every node with index `>= len`, unhooking them from the
-    /// fanout lists of the survivors. Returns the (sorted, deduplicated)
-    /// survivors that lost a consumer — their required times may change,
-    /// so they belong in the next refresh's dirty set.
-    pub fn truncate(&mut self, len: usize) -> Vec<usize> {
-        let mut changed = Vec::new();
-        for r in len..self.fanins.len() {
-            for &(u, _) in &self.fanins[r] {
-                if (u as usize) < len {
-                    changed.push(u as usize);
-                }
-            }
-        }
-        for &u in &changed {
-            self.fanouts[u].retain(|&w| (w as usize) < len);
-        }
-        self.fanins.truncate(len);
-        self.fanouts.truncate(len);
-        self.floors.truncate(len);
-        self.is_sink.truncate(len);
-        self.sinks.retain(|&s| (s as usize) < len);
-        changed.sort_unstable();
-        changed.dedup();
-        changed
-    }
-
-    /// Replaces the sink set, returning every node whose sink flag flipped
-    /// (those nodes' required times change, so they belong in the next
-    /// refresh's dirty set).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sink index is out of range.
-    pub fn set_sinks(&mut self, sinks: &[usize]) -> Vec<usize> {
-        let mut new_flag = vec![false; self.len()];
-        for &s in sinks {
-            new_flag[s] = true;
-        }
-        let flips: Vec<usize> = (0..self.len())
-            .filter(|&v| new_flag[v] != self.is_sink[v])
-            .collect();
-        self.sinks = (0..self.len() as u32)
-            .filter(|&v| new_flag[v as usize])
-            .collect();
-        self.is_sink = new_flag;
-        flips
-    }
-
     /// Sets the arrival floor of `node` (`i64::MIN` clears it). As with
     /// delay edits, the caller must hand `node` to the next refresh.
     pub fn set_floor(&mut self, node: usize, floor: i64) {
         self.floors[node] = floor;
-    }
-
-    /// The arrival floor of `node` (`i64::MIN` = none).
-    pub fn floor(&self, node: usize) -> i64 {
-        self.floors[node]
     }
 
     fn arrival_of(&self, node: usize, arrival: &[i64]) -> i64 {
@@ -312,19 +229,12 @@ impl TimingAnalysis {
     /// backward the same way. When the refresh moves an auto-tracked
     /// horizon, the backward pass falls back to a full recompute (the
     /// deadline shift touches every constrained node by definition).
-    ///
-    /// Returns the number of node recomputations performed (the refreshed
-    /// cone size, forward plus backward) — the cost the incremental path
-    /// actually paid, which consumers like `sfq-opt`'s analysis context
-    /// surface as "nodes refreshed vs. rebuilt" statistics.
-    pub fn refresh(&mut self, graph: &TimingGraph, dirty: &[usize]) -> usize {
+    pub fn refresh(&mut self, graph: &TimingGraph, dirty: &[usize]) {
         use std::collections::BTreeSet;
         let _span = sfq_obs::span("sta:refresh");
-        let mut recomputed = 0usize;
         // Forward: arrivals.
         let mut work: BTreeSet<usize> = dirty.iter().copied().collect();
         while let Some(v) = work.pop_first() {
-            recomputed += 1;
             let a = graph.arrival_of(v, &self.arrival);
             if a != self.arrival[v] {
                 self.arrival[v] = a;
@@ -339,7 +249,7 @@ impl TimingAnalysis {
                 for v in (0..graph.len()).rev() {
                     self.required[v] = graph.required_of(v, &self.required, self.horizon);
                 }
-                return recomputed + graph.len();
+                return;
             }
         }
         // Backward: required times. A delay edit at node v changes the
@@ -351,43 +261,12 @@ impl TimingAnalysis {
             work.extend(graph.fanins(v).map(|(u, _)| u));
         }
         while let Some(v) = work.pop_last() {
-            recomputed += 1;
             let r = graph.required_of(v, &self.required, self.horizon);
             if r != self.required[v] {
                 self.required[v] = r;
                 work.extend(graph.fanins(v).map(|(u, _)| u));
             }
         }
-        recomputed
-    }
-
-    /// Moves a *pinned* horizon to `new_horizon`, shifting every
-    /// constrained required time uniformly. Exact by construction: under a
-    /// single shared deadline `h`, `required(v) = h − maxdist(v → sink)`
-    /// and the longest-distance term is purely structural, so a deadline
-    /// change is a uniform shift — no graph traversal needed. Arrivals and
-    /// unconstrained (`i64::MAX`) nodes are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the analysis tracks its horizon
-    /// automatically — auto horizons follow sink arrivals through
-    /// [`TimingAnalysis::refresh`] instead.
-    pub fn retarget_horizon(&mut self, new_horizon: i64) {
-        debug_assert!(
-            self.fixed_horizon,
-            "retarget_horizon is for pinned-horizon analyses"
-        );
-        let delta = new_horizon - self.horizon;
-        if delta == 0 {
-            return;
-        }
-        for r in &mut self.required {
-            if *r != i64::MAX {
-                *r += delta;
-            }
-        }
-        self.horizon = new_horizon;
     }
 }
 

@@ -11,17 +11,11 @@
 //!   times backward from the sink deadline, per-node slack, and an
 //!   incremental [`TimingAnalysis::refresh`] that re-propagates only the
 //!   cone affected by a localized edit (dirty-set propagation — a rewrite
-//!   site does not trigger whole-network retraversal). The graph is
-//!   editable in place ([`TimingGraph::set_fanins`],
-//!   [`TimingGraph::truncate`], [`TimingGraph::set_sinks`]) so an analysis
-//!   can survive network restructuring.
+//!   site does not trigger whole-network retraversal).
 //! - [`aig`] — [`AigSta`], the unit-delay view of an
 //!   [`Aig`](sfq_netlist::aig::Aig): arrivals are logic levels, the
 //!   horizon is the network depth, and slack is the headroom slack-aware
 //!   rewriting (`sfq-opt`) may consume without deepening the network.
-//!   [`AigSta::rebind`] diffs a cached analysis against a *rebuilt*
-//!   network and refreshes only the changed cone — the mechanism behind
-//!   `sfq-opt`'s analysis context never building the STA twice.
 //! - [`path`] — [`top_paths`]: exact best-first extraction of the k
 //!   longest source→sink paths with per-hop delay contributions.
 //! - [`report`] / [`config`] — the rendered [`TimingReport`] behind the
@@ -63,7 +57,7 @@ pub mod graph;
 pub mod path;
 pub mod report;
 
-pub use aig::{AigSta, RebindStats};
+pub use aig::AigSta;
 pub use config::TimingConfig;
 pub use graph::{TimingAnalysis, TimingGraph};
 pub use path::{top_paths, top_paths_bounded, TimingPath};

@@ -3,13 +3,11 @@
 //! - slack is non-negative on every constrained node,
 //! - at least one PI→PO path is tight (zero slack along its whole length),
 //! - incremental recompute after random localized edits matches a
-//!   from-scratch analysis exactly,
-//! - rebinding an analysis after ID-stable in-place netlist edits matches
-//!   a from-scratch STA, with a dirty set bounded by the edit footprint.
+//!   from-scratch analysis exactly.
 
 use proptest::prelude::*;
 use sfq_circuits::random::{random_aig, RandomAigConfig};
-use sfq_netlist::aig::{Aig, Lit, NodeId, NodeKind};
+use sfq_netlist::aig::{Aig, NodeKind};
 use sfq_sta::{top_paths, AigSta, TimingAnalysis, TimingGraph};
 
 fn subject(seed: u64, gates: usize) -> Aig {
@@ -121,103 +119,6 @@ proptest! {
                 node
             );
         }
-    }
-
-    #[test]
-    fn rebind_matches_scratch_across_arbitrary_restructuring(
-        seed_a in any::<u64>(),
-        gates_a in 8usize..64,
-        seed_b in any::<u64>(),
-        gates_b in 8usize..64,
-        floors in proptest::collection::vec((any::<u32>(), 0i64..6), 0..6),
-    ) {
-        // Analyze one network, consume slack through arrival floors (the
-        // slack-aware-rewrite usage pattern), then rebind the analysis to a
-        // completely unrelated network: the result must be exactly what a
-        // from-scratch analysis of the new network computes.
-        let a = subject(seed_a, gates_a);
-        let b = subject(seed_b, gates_b);
-        let mut sta = AigSta::new(&a);
-        let ids: Vec<_> = a.node_ids().collect();
-        for (pick, extra) in floors {
-            let node = ids[pick as usize % ids.len()];
-            let cur = sta.arrival(node);
-            sta.raise_arrival(node, cur + extra);
-        }
-        let stats = sta.rebind(&b);
-        prop_assert_eq!(stats.total, b.len());
-        let fresh = AigSta::new(&b);
-        prop_assert_eq!(sta.horizon(), fresh.horizon());
-        prop_assert_eq!(
-            sta.analysis(),
-            fresh.analysis(),
-            "rebound analysis diverged from scratch"
-        );
-    }
-
-    #[test]
-    fn rebind_after_in_place_edits_matches_scratch(
-        seed in any::<u64>(),
-        gates in 8usize..64,
-        edits in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..8),
-    ) {
-        // The tentpole contract: after ID-stable in-place edits the length
-        // of the node array is unchanged, so `rebind` diffs slot by slot —
-        // its dirty set must stay proportional to the true edit footprint
-        // (changed slots, their former fanins, repointed sinks), and the
-        // rebound analysis must equal a from-scratch one on the edited
-        // (still hole-carrying) network.
-        let mut aig = subject(seed, gates);
-        let before: Vec<_> = aig.node_ids().map(|id| aig.kind(id)).collect();
-        let mut sta = AigSta::new(&aig);
-        for (pick, alt, reclaim) in edits {
-            let ands: Vec<NodeId> = aig.and_ids().collect();
-            if ands.is_empty() {
-                break;
-            }
-            let old = ands[pick as usize % ands.len()];
-            let pool: Vec<NodeId> = aig
-                .node_ids()
-                .filter(|&n| n.0 < old.0 && !aig.is_dead(n))
-                .collect();
-            let target = pool[alt as usize % pool.len()];
-            aig.substitute(old, Lit::new(target, (alt >> 16) & 1 == 1));
-            if reclaim {
-                aig.delete_mffc(old);
-            }
-        }
-        let stats = sta.rebind(&aig);
-        prop_assert_eq!(stats.total, aig.len(), "in-place edits never move ids");
-        let changed = aig
-            .node_ids()
-            .filter(|&id| aig.kind(id) != before[id.index()])
-            .count();
-        // Every changed slot contributes itself plus its two former fanins;
-        // repointed POs can dirty old and new sink drivers.
-        prop_assert!(
-            stats.dirty <= 3 * changed + 2 * aig.po_count(),
-            "dirty set ({}) exceeds the edit footprint ({} changed slots)",
-            stats.dirty,
-            changed
-        );
-        let fresh = AigSta::new(&aig);
-        prop_assert_eq!(sta.horizon(), fresh.horizon());
-        prop_assert_eq!(
-            sta.analysis(),
-            fresh.analysis(),
-            "rebound analysis diverged from scratch after in-place edits"
-        );
-    }
-
-    #[test]
-    fn rebind_to_the_same_network_is_cheap(seed in any::<u64>(), gates in 8usize..64) {
-        let aig = subject(seed, gates);
-        let mut sta = AigSta::new(&aig);
-        let stats = sta.rebind(&aig);
-        prop_assert_eq!(stats.dirty, 0, "identical network: empty dirty set");
-        prop_assert_eq!(stats.refreshed, 0);
-        let fresh = AigSta::new(&aig);
-        prop_assert_eq!(sta.analysis(), fresh.analysis());
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use sfq_t1::bench::ablation::{self, ABLATION};
 use sfq_t1::bench::args::{
     self, Args, Command, Flag, BENCH_JSON, CACHE_DIR, CSV, JOBS, OUTPUT, PHASES, PRE_OPT, SMALL,
     TRACE,
@@ -83,7 +84,7 @@ const OPT: Command = Command {
         Flag("--fixpoint  iterate the sequence to convergence (guarded)"),
         Flag("--rounds N  fixpoint round limit (default 8)"),
         Flag("--verify  CEC the result against the input (simulation + SAT miter)"),
-        Flag("--stats  per-pass node/depth deltas, analysis cache, wall time"),
+        Flag("--stats  per-pass node/depth deltas and wall time"),
         TRACE,
         BENCH_JSON,
         OUTPUT,
@@ -176,7 +177,7 @@ const BENCH_DIFF: Command = Command {
 type Handler = fn(&Args) -> Result<(), String>;
 
 /// Every command: its flag table and the function that runs it.
-static COMMANDS: [(&Command, Handler); 11] = [
+static COMMANDS: [(&Command, Handler); 12] = [
     (&GEN, cmd_gen),
     (&MAP, |args| map_flow(args, false)),
     (&VERIFY, |args| map_flow(args, true)),
@@ -188,6 +189,7 @@ static COMMANDS: [(&Command, Handler); 11] = [
     (&STORE_GC, cmd_store_gc),
     (&BENCH_REPORT, cmd_bench_report),
     (&BENCH_DIFF, cmd_bench_diff),
+    (&ABLATION, ablation::run),
 ];
 
 fn main() -> ExitCode {
@@ -495,13 +497,13 @@ fn cmd_opt(args: &Args) -> Result<(), String> {
 
     if args.has("--stats") {
         println!(
-            "\n{:>5} {:<13} {:>15} {:>10} {:>7} {:>5} {:>6} {:>13} {:>9}",
-            "round", "pass", "nodes", "depth", "applied", "hits", "inval", "STA refr/bld", "µs"
+            "\n{:>5} {:<13} {:>15} {:>10} {:>7} {:>9}",
+            "round", "pass", "nodes", "depth", "applied", "µs"
         );
         for (round, stats) in report.rounds.iter().enumerate() {
             for s in stats {
                 println!(
-                    "{:>5} {:<13} {:>7}->{:<7} {:>4}->{:<5} {:>7} {:>5} {:>6} {:>9}/{:<3} {:>9}",
+                    "{:>5} {:<13} {:>7}->{:<7} {:>4}->{:<5} {:>7} {:>9}",
                     round + 1,
                     s.pass,
                     s.nodes_before,
@@ -509,28 +511,12 @@ fn cmd_opt(args: &Args) -> Result<(), String> {
                     s.depth_before,
                     s.depth_after,
                     s.applied,
-                    s.cache_hits,
-                    s.invalidations,
-                    s.sta_refreshed,
-                    s.sta_builds,
                     s.micros
                 );
             }
         }
-        // The in-place/rebuild identity contract, observable from the
-        // shell: equal hashes here mean equal networks, bit for bit.
+        // Equal hashes mean equal networks, bit for bit.
         println!("structural hash: {:#018x}", optimized.structural_hash());
-        let a = &report.analysis;
-        println!(
-            "analysis cache: {} hits, {} invalidations, {} recomputes, {} STA builds, \
-             {} rebinds ({} STA nodes refreshed incrementally)",
-            a.cache_hits,
-            a.invalidations,
-            a.recomputes,
-            a.sta_full_builds,
-            a.sta_rebinds,
-            a.sta_nodes_refreshed
-        );
     }
 
     if let Some(run) = verified {

@@ -1,11 +1,12 @@
-//! The `ablation` binary parses its flags from its table: malformed
+//! `sfq-t1 ablation` parses its flags from its table: malformed
 //! invocations fail before any section runs, and `--help` prints the table.
 
 fn ablation(args: &[&str]) -> std::process::Output {
-    std::process::Command::new(env!("CARGO_BIN_EXE_ablation"))
+    std::process::Command::new(env!("CARGO_BIN_EXE_sfq-t1"))
+        .arg("ablation")
         .args(args)
         .output()
-        .expect("run ablation")
+        .expect("run sfq-t1 ablation")
 }
 
 #[test]

@@ -1105,7 +1105,7 @@ fn gen_random_then_opt_matches_golden_hash() {
 }
 
 /// Every command, with its positionals.
-const COMMANDS: [&str; 11] = [
+const COMMANDS: [&str; 12] = [
     "gen adder 4",
     "map x.aag",
     "verify x.aag",
@@ -1117,6 +1117,7 @@ const COMMANDS: [&str; 11] = [
     "store gc dir",
     "bench-report",
     "bench-report diff a.json b.json",
+    "ablation",
 ];
 
 #[test]
