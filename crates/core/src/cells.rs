@@ -17,6 +17,7 @@
 //! absorbed into the cell variant, which is why costs are per class
 //! (DESIGN.md §4).
 
+use crate::func3;
 use sfq_netlist::truth_table::TruthTable;
 
 /// Functional class of a (≤ 3)-input clocked SFQ cell.
@@ -37,8 +38,13 @@ pub enum GateClass {
 }
 
 /// Classifies a gate truth table into its cost class, or `None` if no
-/// library cell implements it (3-input functions other than ±MAJ3/±XOR3
-/// modulo input polarities).
+/// library cell implements it.
+///
+/// The only 3-input cell is ±MAJ3 modulo input polarities. In particular
+/// there is no XOR3: like the standard cell library of ref \[6\], sums are
+/// realized as two XOR2 levels, which is what gives the paper's baseline
+/// its fourth path-balancing chain per adder bit (and the T1 flow its 25%
+/// adder win). The class is a lookup into the 3-input function table.
 ///
 /// # Panics
 ///
@@ -49,50 +55,7 @@ pub fn classify(tt: TruthTable) -> Option<GateClass> {
         tt.num_vars() <= 3,
         "baseline SFQ cells have at most 3 inputs"
     );
-    let support = tt.support_size();
-    match support {
-        0 => Some(GateClass::Constant),
-        1 => {
-            // Project onto the support variable and inspect polarity.
-            let (small, _) = tt.shrink_to_support();
-            if small == TruthTable::var(1, 0) {
-                Some(GateClass::Buffer)
-            } else {
-                Some(GateClass::Not)
-            }
-        }
-        2 => {
-            let (small, _) = tt.shrink_to_support();
-            let xor = TruthTable::var(2, 0) ^ TruthTable::var(2, 1);
-            if small == xor || small == !xor {
-                Some(GateClass::XorClass)
-            } else {
-                Some(GateClass::AndClass)
-            }
-        }
-        _ => {
-            let (small, _) = tt.shrink_to_support();
-            // MAJ3's orbit under input negation: flip any subset of inputs.
-            // No other 3-input cell exists in the library — in particular no
-            // XOR3: like the standard cell library of ref [6], sums are
-            // realized as two XOR2 levels, which is what gives the paper's
-            // baseline its fourth path-balancing chain per adder bit (and
-            // the T1 flow its 25% adder win).
-            let m3 = TruthTable::maj3();
-            for mask in 0u8..8 {
-                let mut t = m3;
-                for v in 0..3 {
-                    if mask >> v & 1 == 1 {
-                        t = t.flip_var(v);
-                    }
-                }
-                if small == t || small == !t {
-                    return Some(GateClass::Maj3Class);
-                }
-            }
-            None
-        }
-    }
+    func3::class(tt)
 }
 
 /// JJ-count area model for all cells used by the flows.

@@ -16,12 +16,11 @@
 //! descending gain, which is the mockturtle convention.
 
 use crate::cells::CellLibrary;
-use crate::mapped::{T1_PORT_CARRY, T1_PORT_OR, T1_PORT_SUM};
+use crate::func3;
 use crate::mapper::{map, T1Group, T1Member, T1Selection};
 use sfq_netlist::aig::{Aig, NodeId, NodeKind};
 use sfq_netlist::cut::{enumerate_cuts, CutConfig};
 use sfq_netlist::mffc::Mffc;
-use sfq_netlist::truth_table::TruthTable;
 use std::collections::{HashMap, HashSet};
 
 /// Parameters of the detection stage.
@@ -29,8 +28,8 @@ use std::collections::{HashMap, HashSet};
 pub struct DetectConfig {
     /// Cut enumeration parameters (cuts wider than 3 leaves are ignored).
     pub cut: CutConfig,
-    /// Keep groups with non-positive gain as candidates (they are never
-    /// selected, but are reported as "found").
+    /// Minimum number of member functions a candidate group needs (groups
+    /// with fewer are dropped before bundling and are not "found").
     pub min_members: usize,
 }
 
@@ -78,25 +77,6 @@ impl DetectionResult {
     }
 }
 
-/// The five T1-implementable functions, as (port, base table) pairs.
-fn port_functions() -> [(u8, TruthTable); 3] {
-    [
-        (T1_PORT_SUM, TruthTable::xor3()),
-        (T1_PORT_CARRY, TruthTable::maj3()),
-        (T1_PORT_OR, TruthTable::or3()),
-    ]
-}
-
-fn apply_mask(tt: TruthTable, mask: u8) -> TruthTable {
-    let mut out = tt;
-    for v in 0..3 {
-        if mask >> v & 1 == 1 {
-            out = out.flip_var(v);
-        }
-    }
-    out
-}
-
 /// Runs T1 detection on `aig`.
 ///
 /// The baseline mapping is computed internally to attribute realistic cell
@@ -117,50 +97,39 @@ pub fn detect_with_attribution(
         let _span = sfq_obs::span("detect:cuts");
         enumerate_cuts(aig, &config.cut)
     };
-    let ports = port_functions();
 
-    // (leaves, mask) → members.
+    // One ((leaves, mask), member) entry per match, grouped by sorting:
+    // members of a group stay in node order.
     let match_span = sfq_obs::span("detect:match");
-    let mut groups: HashMap<([NodeId; 3], u8), Vec<T1Member>> = HashMap::new();
+    let mut hits: Vec<(([NodeId; 3], u8), T1Member)> = Vec::new();
+    let mut seen: Vec<[NodeId; 3]> = Vec::new();
     for id in aig.node_ids() {
         if !matches!(aig.kind(id), NodeKind::And(..)) {
             continue;
         }
-        let mut seen_masks = HashSet::new();
+        seen.clear();
         for cut in cuts.cuts(id) {
-            if cut.leaves().len() != 3 {
+            let &[a, b, c] = cut.leaves() else {
+                continue;
+            };
+            // A node is one member per (leaves, mask): skip duplicate
+            // cuts of the same node.
+            let leaves = [a, b, c];
+            if seen.contains(&leaves) {
                 continue;
             }
-            let tt = cut.truth_table();
-            if tt.support_size() != 3 {
-                continue;
-            }
-            let leaves = [cut.leaves()[0], cut.leaves()[1], cut.leaves()[2]];
-            for mask in 0u8..8 {
-                for &(port, base) in &ports {
-                    let target = apply_mask(base, mask);
-                    let inv = if tt == target {
-                        Some(false)
-                    } else if tt == !target {
-                        Some(true)
-                    } else {
-                        None
-                    };
-                    if let Some(output_invert) = inv {
-                        // A node matches one port per (leaves, mask); guard
-                        // against duplicate cuts of the same node.
-                        if seen_masks.insert((leaves, mask)) {
-                            groups.entry((leaves, mask)).or_default().push(T1Member {
-                                root: id,
-                                port,
-                                output_invert,
-                            });
-                        }
-                    }
-                }
+            seen.push(leaves);
+            for m in func3::t1_matches(cut.truth_table()) {
+                let member = T1Member {
+                    root: id,
+                    port: m.port,
+                    output_invert: m.output_invert,
+                };
+                hits.push(((leaves, m.mask), member));
             }
         }
     }
+    hits.sort_by_key(|&(key, _)| key);
     drop(match_span);
 
     // Bundle mask variants of the same replacement (same leaves, same root
@@ -179,10 +148,12 @@ pub fn detect_with_attribution(
     // (leaf triple, root-set union) → mask variants with their members.
     type BundleKey = ([NodeId; 3], Vec<NodeId>);
     let mut bundles: HashMap<BundleKey, Vec<(u8, Vec<T1Member>)>> = HashMap::new();
-    for ((leaves, mask), members) in groups {
-        if members.len() < config.min_members {
+    for group in hits.chunk_by(|x, y| x.0 == y.0) {
+        if group.len() < config.min_members {
             continue;
         }
+        let (leaves, mask) = group[0].0;
+        let members: Vec<T1Member> = group.iter().map(|&(_, m)| m).collect();
         let mut roots: Vec<NodeId> = members.iter().map(|m| m.root).collect();
         roots.sort();
         bundles
@@ -358,6 +329,7 @@ pub fn select_exact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapped::{T1_PORT_CARRY, T1_PORT_SUM};
     use sfq_circuits::epfl::adder;
 
     fn full_adder_aig() -> Aig {

@@ -21,10 +21,8 @@
 //! greedy `+n` stepping achieves; window extension beyond the last forced
 //! point likewise adds the provably minimal `⌊(t − p − 1)/n⌋` members.
 
-use crate::mapped::{CellId, MappedCell, MappedCircuit};
+use crate::mapped::{CellId, Edge, MappedCell, MappedCircuit};
 use crate::phase::Schedule;
-use std::collections::BTreeSet;
-use std::collections::HashMap;
 
 /// A delivery requirement placed on a driver's DFF chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,18 +76,18 @@ impl Chain {
     /// Number of splitters needed: each element (driver or DFF) with
     /// fanout `f > 1` needs `f − 1` splitters.
     pub fn splitter_count(&self, source: i64) -> u64 {
-        let mut fanout: HashMap<i64, u64> = HashMap::new();
-        for &t in &self.taps {
-            *fanout.entry(t).or_insert(0) += 1;
+        // One entry per fanout branch, naming the element that drives it:
+        // the taps, then the chain succession source → members[0] → ….
+        let mut branches = self.taps.clone();
+        if let Some((_, drivers)) = self.members.split_last() {
+            branches.push(source);
+            branches.extend_from_slice(drivers);
         }
-        // Chain succession: source → members[0] → members[1] → …
-        if !self.members.is_empty() {
-            *fanout.entry(source).or_insert(0) += 1;
-            for w in self.members.windows(2) {
-                *fanout.entry(w[0]).or_insert(0) += 1;
-            }
-        }
-        fanout.values().map(|&f| f.saturating_sub(1)).sum()
+        // Σ (f − 1) over the elements with fanout f ≥ 1.
+        let total = branches.len();
+        branches.sort_unstable();
+        branches.dedup();
+        (total - branches.len()) as u64
     }
 }
 
@@ -100,6 +98,233 @@ impl Chain {
 /// Panics if a requirement is infeasible for the given source stage:
 /// `Exact(τ)` with `τ < source`, or `Window(t)` with `t <= source`.
 pub fn build_chain(source: i64, reqs: &[Requirement], n: i64) -> Chain {
+    assert!(n >= 1, "need at least one phase");
+    let mut exact = Vec::new();
+    let mut windows = Vec::new();
+    for r in reqs {
+        match *r {
+            Requirement::Exact(tau) => {
+                assert!(
+                    tau >= source,
+                    "exact delivery at {tau} before source {source}"
+                );
+                if tau > source {
+                    exact.push(tau);
+                }
+            }
+            Requirement::Window(t) => {
+                assert!(t > source, "consumer at {t} not after source {source}");
+                windows.push(t);
+            }
+        }
+    }
+    exact.sort_unstable();
+    exact.dedup();
+    windows.sort_unstable();
+    // Fill gaps so consecutive elements are at most n apart. `members`
+    // stays ascending, and every member is above `source`.
+    let mut members = Vec::with_capacity(exact.len());
+    let mut prev = source;
+    for m in exact {
+        while m - prev > n {
+            prev += n;
+            members.push(prev);
+        }
+        members.push(m);
+        prev = m;
+    }
+    // The element serving a window consumer at `t` is the last one before
+    // `t`: returns where a member before `t` would be inserted, and the
+    // stage of that element.
+    let latest_before = |members: &[i64], t: i64| {
+        let at = members.partition_point(|&m| m < t);
+        (at, if at == 0 { source } else { members[at - 1] })
+    };
+    // Extend for window consumers beyond the current chain end.
+    for &t in &windows {
+        let (mut at, mut p) = latest_before(&members, t);
+        while p < t - n {
+            p += n;
+            members.insert(at, p);
+            at += 1;
+        }
+    }
+    // Assign taps.
+    let taps: Vec<i64> = reqs
+        .iter()
+        .map(|r| match *r {
+            Requirement::Exact(tau) => tau,
+            Requirement::Window(t) => {
+                let (_, p) = latest_before(&members, t);
+                debug_assert!(p >= t - n, "window consumer unserved");
+                p
+            }
+        })
+        .collect();
+    Chain { members, taps }
+}
+
+/// The DFF chain of one driver, with its consumers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DriverPlan {
+    /// Driving cell and output port.
+    pub source: (CellId, u8),
+    /// Stage of the driver.
+    pub source_stage: i64,
+    /// The shared chain.
+    pub chain: Chain,
+    /// Consumers in the same order as `chain.taps`.
+    pub consumers: Vec<(Consumer, Requirement)>,
+}
+
+/// Complete DFF-insertion plan for a scheduled netlist.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DffPlan {
+    /// Per-driver chains (only drivers with at least one consumer).
+    pub drivers: Vec<DriverPlan>,
+    /// Total path-balancing DFFs.
+    pub total_dffs: u64,
+    /// Total splitters.
+    pub total_splitters: u64,
+}
+
+impl DffPlan {
+    /// Looks up the plan for a given driver.
+    pub fn driver(&self, source: (CellId, u8)) -> Option<&DriverPlan> {
+        self.drivers.iter().find(|d| d.source == source)
+    }
+}
+
+impl Consumer {
+    /// The requirement this consumer places on its driver under `sched`,
+    /// with its cell at stage `stage(cell)`: a gate input captures in a
+    /// window, a T1 operand at its delivery slot, and a primary output in
+    /// the window of the environment's capture at `horizon + 1` (every
+    /// output is latency-equalized to the cycle granularity).
+    pub(crate) fn requirement(
+        self,
+        sched: &Schedule,
+        stage: impl Fn(CellId) -> i64,
+    ) -> Requirement {
+        match self {
+            Consumer::GateInput { cell, .. } => Requirement::Window(stage(cell)),
+            Consumer::T1Input { cell, slot } => {
+                let offsets = sched.t1_offsets[cell.index()].expect("T1 cell has offsets");
+                Requirement::Exact(stage(cell) - offsets[slot])
+            }
+            Consumer::Output { .. } => Requirement::Window(sched.horizon + 1),
+        }
+    }
+}
+
+/// The consumers of every driver `(cell, port)` of a mapped circuit, in
+/// compressed sparse row form.
+///
+/// Each driver lists its consumers in netlist order: the inputs of gates
+/// and T1 cells by cell id and slot, then the primary outputs. Outputs
+/// driven by a constant are left out, as they need no balancing.
+pub(crate) struct Fanouts {
+    /// Consumers of driver `d = 3·cell + port` (a cell has at most three
+    /// ports): `consumers[start[d]..start[d + 1]]`.
+    start: Vec<usize>,
+    consumers: Vec<Consumer>,
+}
+
+impl Fanouts {
+    fn driver(cell: CellId, port: u8) -> usize {
+        3 * cell.index() + port as usize
+    }
+
+    pub(crate) fn new(mc: &MappedCircuit) -> Self {
+        let driver = |e: &Edge| Self::driver(e.cell, e.port);
+        let mut start = vec![0; 3 * mc.len() + 1];
+        for_each_use(mc, |e, _| start[driver(e) + 1] += 1);
+        for d in 1..start.len() {
+            start[d] += start[d - 1];
+        }
+        let mut next = start.clone();
+        let mut consumers = vec![Consumer::Output { index: 0 }; start[start.len() - 1]];
+        for_each_use(mc, |e, c| {
+            consumers[next[driver(e)]] = c;
+            next[driver(e)] += 1;
+        });
+        Fanouts { start, consumers }
+    }
+
+    /// The consumers of output `port` of `cell`.
+    pub(crate) fn of(&self, cell: CellId, port: u8) -> &[Consumer] {
+        let d = Self::driver(cell, port);
+        &self.consumers[self.start[d]..self.start[d + 1]]
+    }
+}
+
+/// Calls `f` on every (driver edge, consumer) pair in netlist order.
+fn for_each_use(mc: &MappedCircuit, mut f: impl FnMut(&Edge, Consumer)) {
+    for (id, cell) in mc.cells() {
+        match cell {
+            MappedCell::Input { .. } | MappedCell::Const0 => {}
+            MappedCell::Gate { fanins, .. } => {
+                for (slot, e) in fanins.iter().enumerate() {
+                    f(e, Consumer::GateInput { cell: id, slot });
+                }
+            }
+            MappedCell::T1 { fanins } => {
+                for (slot, e) in fanins.iter().enumerate() {
+                    f(e, Consumer::T1Input { cell: id, slot });
+                }
+            }
+        }
+    }
+    for (index, e) in mc.pos().iter().enumerate() {
+        if !matches!(mc.cell(e.cell), MappedCell::Const0) {
+            f(e, Consumer::Output { index });
+        }
+    }
+}
+
+/// Inserts shared DFF chains for every driver of the scheduled netlist.
+pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
+    let fanouts = Fanouts::new(mc);
+    let n = sched.n as i64;
+    let stage = |c: CellId| sched.stages[c.index()];
+    let mut drivers = Vec::new();
+    let mut total_dffs = 0u64;
+    let mut total_splitters = 0u64;
+    for (cell, _) in mc.cells() {
+        for port in 0..mc.num_ports(cell) as u8 {
+            let uses = fanouts.of(cell, port);
+            if uses.is_empty() {
+                continue;
+            }
+            let consumers: Vec<(Consumer, Requirement)> = uses
+                .iter()
+                .map(|&c| (c, c.requirement(sched, stage)))
+                .collect();
+            let rs: Vec<Requirement> = consumers.iter().map(|&(_, r)| r).collect();
+            let source_stage = stage(cell);
+            let chain = build_chain(source_stage, &rs, n);
+            total_dffs += chain.dff_count() as u64;
+            total_splitters += chain.splitter_count(source_stage);
+            drivers.push(DriverPlan {
+                source: (cell, port),
+                source_stage,
+                chain,
+                consumers,
+            });
+        }
+    }
+    DffPlan {
+        drivers,
+        total_dffs,
+        total_splitters,
+    }
+}
+
+/// The `BTreeSet` chain builder [`build_chain`] replaces, kept as its
+/// test oracle.
+#[cfg(test)]
+pub(crate) fn build_chain_reference(source: i64, reqs: &[Requirement], n: i64) -> Chain {
+    use std::collections::BTreeSet;
     assert!(n >= 1, "need at least one phase");
     let mut members: BTreeSet<i64> = BTreeSet::new();
     for r in reqs {
@@ -157,15 +382,11 @@ pub fn build_chain(source: i64, reqs: &[Requirement], n: i64) -> Chain {
         .iter()
         .map(|r| match *r {
             Requirement::Exact(tau) => tau,
-            Requirement::Window(t) => {
-                let p = members
-                    .range(..=t - 1)
-                    .next_back()
-                    .copied()
-                    .unwrap_or(source);
-                debug_assert!(p >= t - n, "window consumer unserved");
-                p
-            }
+            Requirement::Window(t) => members
+                .range(..=t - 1)
+                .next_back()
+                .copied()
+                .unwrap_or(source),
         })
         .collect();
     Chain {
@@ -174,114 +395,63 @@ pub fn build_chain(source: i64, reqs: &[Requirement], n: i64) -> Chain {
     }
 }
 
-/// The DFF chain of one driver, with its consumers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DriverPlan {
-    /// Driving cell and output port.
-    pub source: (CellId, u8),
-    /// Stage of the driver.
-    pub source_stage: i64,
-    /// The shared chain.
-    pub chain: Chain,
-    /// Consumers in the same order as `chain.taps`.
-    pub consumers: Vec<(Consumer, Requirement)>,
-}
-
-/// Complete DFF-insertion plan for a scheduled netlist.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DffPlan {
-    /// Per-driver chains (only drivers with at least one consumer).
-    pub drivers: Vec<DriverPlan>,
-    /// Total path-balancing DFFs.
-    pub total_dffs: u64,
-    /// Total splitters.
-    pub total_splitters: u64,
-}
-
-impl DffPlan {
-    /// Looks up the plan for a given driver.
-    pub fn driver(&self, source: (CellId, u8)) -> Option<&DriverPlan> {
-        self.drivers.iter().find(|d| d.source == source)
-    }
-}
-
-/// Collects the consumer requirements of every driver under `sched`.
-pub fn collect_requirements(
-    mc: &MappedCircuit,
-    sched: &Schedule,
-) -> HashMap<(CellId, u8), Vec<(Consumer, Requirement)>> {
-    let mut map: HashMap<(CellId, u8), Vec<(Consumer, Requirement)>> = HashMap::new();
-    for (id, cell) in mc.cells() {
-        match cell {
-            MappedCell::Input { .. } | MappedCell::Const0 => {}
-            MappedCell::Gate { fanins, .. } => {
-                for (slot, e) in fanins.iter().enumerate() {
-                    map.entry((e.cell, e.port)).or_default().push((
-                        Consumer::GateInput { cell: id, slot },
-                        Requirement::Window(sched.stages[id.index()]),
-                    ));
-                }
-            }
-            MappedCell::T1 { fanins } => {
-                let offsets = sched.t1_offsets[id.index()].expect("T1 cell has offsets");
-                for (slot, e) in fanins.iter().enumerate() {
-                    let tau = sched.stages[id.index()] - offsets[slot];
-                    map.entry((e.cell, e.port)).or_default().push((
-                        Consumer::T1Input { cell: id, slot },
-                        Requirement::Exact(tau),
-                    ));
-                }
-            }
-        }
-    }
-    for (index, e) in mc.pos().iter().enumerate() {
-        // Constant outputs need no balancing.
-        if matches!(mc.cell(e.cell), MappedCell::Const0) {
-            continue;
-        }
-        // Outputs are captured by the environment at stage horizon + 1:
-        // every PO must deliver within that capture window (same epoch),
-        // i.e. latency-equalized to the cycle granularity.
-        map.entry((e.cell, e.port)).or_default().push((
-            Consumer::Output { index },
-            Requirement::Window(sched.horizon + 1),
-        ));
-    }
-    map
-}
-
-/// Inserts shared DFF chains for every driver of the scheduled netlist.
-pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
-    let reqs = collect_requirements(mc, sched);
-    let n = sched.n as i64;
-    let mut drivers = Vec::with_capacity(reqs.len());
-    let mut total_dffs = 0u64;
-    let mut total_splitters = 0u64;
-    let mut sorted: Vec<_> = reqs.into_iter().collect();
-    sorted.sort_by_key(|((c, p), _)| (*c, *p));
-    for ((cell, port), consumers) in sorted {
-        let source_stage = sched.stages[cell.index()];
-        let rs: Vec<Requirement> = consumers.iter().map(|&(_, r)| r).collect();
-        let chain = build_chain(source_stage, &rs, n);
-        total_dffs += chain.dff_count() as u64;
-        total_splitters += chain.splitter_count(source_stage);
-        drivers.push(DriverPlan {
-            source: (cell, port),
-            source_stage,
-            chain,
-            consumers,
-        });
-    }
-    DffPlan {
-        drivers,
-        total_dffs,
-        total_splitters,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 500, ..ProptestConfig::default() })]
+
+        /// The sorted-`Vec` chain builder equals the `BTreeSet` one, and
+        /// the splitter count equals the per-element fanout tally.
+        #[test]
+        fn build_chain_matches_reference(
+            source in -4i64..12,
+            n in 1i64..=6,
+            raw in prop::collection::vec((any::<bool>(), 0i64..40), 0..12),
+        ) {
+            // Feasible requirements: exact at or after the source, windows
+            // strictly after it.
+            let reqs: Vec<Requirement> = raw
+                .iter()
+                .map(|&(exact, d)| {
+                    if exact {
+                        Requirement::Exact(source + d)
+                    } else {
+                        Requirement::Window(source + 1 + d)
+                    }
+                })
+                .collect();
+            let chain = build_chain(source, &reqs, n);
+            prop_assert_eq!(
+                &chain,
+                &build_chain_reference(source, &reqs, n),
+                "source {} n {} reqs {:?}", source, n, reqs
+            );
+            prop_assert_eq!(
+                chain.splitter_count(source),
+                splitter_count_reference(&chain, source)
+            );
+        }
+    }
+
+    /// The `HashMap` fanout tally [`Chain::splitter_count`] replaces.
+    fn splitter_count_reference(chain: &Chain, source: i64) -> u64 {
+        use std::collections::HashMap;
+        let mut fanout: HashMap<i64, u64> = HashMap::new();
+        for &t in &chain.taps {
+            *fanout.entry(t).or_insert(0) += 1;
+        }
+        // Chain succession: source → members[0] → members[1] → …
+        if !chain.members.is_empty() {
+            *fanout.entry(source).or_insert(0) += 1;
+            for w in chain.members.windows(2) {
+                *fanout.entry(w[0]).or_insert(0) += 1;
+            }
+        }
+        fanout.values().map(|&f| f.saturating_sub(1)).sum()
+    }
 
     #[test]
     fn single_phase_full_balancing() {

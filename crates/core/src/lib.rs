@@ -48,6 +48,7 @@ pub mod dff;
 pub mod dot;
 pub mod energy;
 pub mod flow;
+mod func3;
 pub mod mapped;
 pub mod mapper;
 pub mod phase;

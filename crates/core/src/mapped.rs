@@ -214,11 +214,11 @@ impl MappedCircuit {
     }
 
     /// Fanin edges of a cell.
-    pub fn fanins(&self, id: CellId) -> Vec<Edge> {
+    pub fn fanins(&self, id: CellId) -> &[Edge] {
         match &self.cells[id.index()] {
-            MappedCell::Input { .. } | MappedCell::Const0 => vec![],
-            MappedCell::Gate { fanins, .. } => fanins.clone(),
-            MappedCell::T1 { fanins } => fanins.to_vec(),
+            MappedCell::Input { .. } | MappedCell::Const0 => &[],
+            MappedCell::Gate { fanins, .. } => fanins,
+            MappedCell::T1 { fanins } => fanins,
         }
     }
 

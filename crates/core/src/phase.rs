@@ -23,11 +23,10 @@
 //!   linearization `n·d ≥ σ(j) − σ(i) − n` (exact, for small instances and
 //!   cross-validation).
 
-use crate::dff::{build_chain, Requirement};
+use crate::dff::{build_chain, Consumer, Fanouts, Requirement};
 use crate::mapped::{CellId, MappedCell, MappedCircuit};
 use sfq_solver::linear::{LinExpr, Sense};
 use sfq_solver::milp::{MilpError, MilpProblem};
-use std::collections::HashMap;
 
 /// A stage assignment for a mapped netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,17 +193,6 @@ pub enum SearchObjective {
     SharedChains,
 }
 
-/// Consumer bookkeeping for the local search.
-#[derive(Debug, Clone, Copy)]
-enum Use {
-    /// (consumer cell, weight 1)
-    Gate(CellId),
-    /// (T1 cell, operand slot)
-    T1(CellId, usize),
-    /// Primary output.
-    Po,
-}
-
 /// Heuristic phase assignment: ASAP followed by `passes` rounds of DFF-aware
 /// local search (coordinate descent on σ in reverse topological order),
 /// minimizing the paper's per-edge objective.
@@ -219,6 +207,9 @@ pub fn assign_phases(mc: &MappedCircuit, n: u32, passes: usize) -> Schedule {
 
 /// [`assign_phases`] with an explicit search objective.
 ///
+/// Adds the number of candidate stages the local search evaluated to the
+/// `t1map.phase_evals` counter.
+///
 /// # Panics
 ///
 /// Same conditions as [`assign_phases`].
@@ -228,63 +219,32 @@ pub fn assign_phases_with(
     passes: usize,
     objective: SearchObjective,
 ) -> Schedule {
+    let (sched, evals) = local_search(mc, n, passes, objective);
+    sfq_obs::counter("t1map.phase_evals", evals);
+    sched
+}
+
+/// Drivers whose fanout exceeds this are left out of a candidate's cost.
+const MAX_FANOUT_FOR_EVAL: usize = 64;
+
+/// The local search of [`assign_phases_with`], returning the schedule and
+/// the number of candidate stages evaluated.
+fn local_search(
+    mc: &MappedCircuit,
+    n: u32,
+    passes: usize,
+    objective: SearchObjective,
+) -> (Schedule, u64) {
     assert!(n >= 1, "need at least one phase");
     if mc.t1_count() > 0 {
         assert!(n >= 3, "T1 cells need at least 3 phases");
     }
     let mut sched = asap(mc, n);
-
-    // users[(cell, port)] = consumers.
-    let mut users: HashMap<(CellId, u8), Vec<Use>> = HashMap::new();
-    for (id, cell) in mc.cells() {
-        match cell {
-            MappedCell::Gate { fanins, .. } => {
-                for e in fanins {
-                    users
-                        .entry((e.cell, e.port))
-                        .or_default()
-                        .push(Use::Gate(id));
-                }
-            }
-            MappedCell::T1 { fanins } => {
-                for (slot, e) in fanins.iter().enumerate() {
-                    users
-                        .entry((e.cell, e.port))
-                        .or_default()
-                        .push(Use::T1(id, slot));
-                }
-            }
-            _ => {}
-        }
-    }
-    for e in mc.pos() {
-        if !matches!(mc.cell(e.cell), MappedCell::Const0) {
-            users.entry((e.cell, e.port)).or_default().push(Use::Po);
-        }
-    }
-
+    let fanouts = Fanouts::new(mc);
     let nn = n as i64;
-    let max_fanout_for_eval = 64usize;
-    // Cost of one driver's requirement set under the chosen objective.
-    let req_cost = |source: i64, reqs: &[Requirement]| -> u64 {
-        match objective {
-            SearchObjective::SharedChains => build_chain(source, reqs, nn).dff_count() as u64,
-            SearchObjective::PerEdge => reqs
-                .iter()
-                .map(|r| match *r {
-                    Requirement::Window(t) => ((t - source - 1).max(0) / nn) as u64,
-                    Requirement::Exact(tau) => {
-                        let d = tau - source;
-                        if d <= 0 {
-                            0
-                        } else {
-                            ((d + nn - 1) / nn) as u64
-                        }
-                    }
-                })
-                .sum(),
-        }
-    };
+    let mut scratch: Vec<Requirement> = Vec::new();
+    let mut candidates: Vec<i64> = Vec::new();
+    let mut evals = 0u64;
     for _ in 0..passes {
         let mut improved = false;
         for idx in (0..mc.len()).rev() {
@@ -312,101 +272,91 @@ pub fn assign_phases_with(
                 }
                 _ => unreachable!(),
             };
+            let at = |c: CellId| sched.stages[c.index()];
             let mut hi = i64::MAX;
             for port in 0..mc.num_ports(id) as u8 {
-                if let Some(us) = users.get(&(id, port)) {
-                    for u in us {
-                        let bound = match u {
-                            Use::Gate(j) => sched.stages[j.index()] - 1,
-                            Use::T1(t, slot) => {
-                                let o = sched.t1_offsets[t.index()].expect("offsets")[*slot];
-                                sched.stages[t.index()] - o
-                            }
-                            Use::Po => sched.horizon,
-                        };
-                        hi = hi.min(bound);
-                    }
-                } else if port == 0 && mc.num_ports(id) == 1 {
+                let uses = fanouts.of(id, port);
+                if uses.is_empty() && mc.num_ports(id) == 1 {
                     // Dead cell: keep at lo.
                     hi = hi.min(lo);
+                }
+                for u in uses {
+                    // The latest stage that still meets the requirement.
+                    let bound = match u.requirement(&sched, at) {
+                        Requirement::Window(t) => t - 1,
+                        Requirement::Exact(tau) => tau,
+                    };
+                    hi = hi.min(bound);
                 }
             }
             if hi == i64::MAX {
                 hi = lo; // fully unused multi-port cell
             }
             if hi <= lo {
-                sched.stages[idx] = lo.min(hi.max(lo));
+                sched.stages[idx] = lo;
                 continue;
             }
-            // Cost of a candidate stage: own chains + fanin-driver chains.
+            // Cost of a candidate stage `s`: own chains + fanin-driver
+            // chains, with this cell's requirements moved to `s`.
             let current = sched.stages[idx];
-            let eval = |s: i64, sched: &Schedule| -> u64 {
-                let mut cost = 0u64;
-                for port in 0..mc.num_ports(id) as u8 {
-                    if let Some(us) = users.get(&(id, port)) {
-                        let reqs: Vec<Requirement> = us
+            let mut eval = |s: i64| -> u64 {
+                evals += 1;
+                let at = |c: CellId| if c == id { s } else { sched.stages[c.index()] };
+                let mut cost = |source: i64, uses: &[Consumer]| -> u64 {
+                    match objective {
+                        SearchObjective::PerEdge => uses
                             .iter()
-                            .map(|u| match u {
-                                Use::Gate(j) => Requirement::Window(sched.stages[j.index()]),
-                                Use::T1(t, slot) => {
-                                    let o = sched.t1_offsets[t.index()].expect("offsets")[*slot];
-                                    Requirement::Exact(sched.stages[t.index()] - o)
+                            .map(|u| match u.requirement(&sched, at) {
+                                Requirement::Window(t) => ((t - source - 1).max(0) / nn) as u64,
+                                Requirement::Exact(tau) => {
+                                    let d = tau - source;
+                                    if d <= 0 {
+                                        0
+                                    } else {
+                                        ((d + nn - 1) / nn) as u64
+                                    }
                                 }
-                                Use::Po => Requirement::Window(sched.horizon + 1),
                             })
-                            .collect();
-                        cost += req_cost(s, &reqs);
+                            .sum(),
+                        SearchObjective::SharedChains => {
+                            scratch.clear();
+                            scratch.extend(uses.iter().map(|u| u.requirement(&sched, at)));
+                            build_chain(source, &scratch, nn).dff_count() as u64
+                        }
+                    }
+                };
+                let mut total = 0u64;
+                for port in 0..mc.num_ports(id) as u8 {
+                    total += cost(s, fanouts.of(id, port));
+                }
+                for e in mc.fanins(id) {
+                    let uses = fanouts.of(e.cell, e.port);
+                    if uses.len() <= MAX_FANOUT_FOR_EVAL {
+                        total += cost(sched.stages[e.cell.index()], uses);
                     }
                 }
-                // Fanin drivers: recompute with this cell's requirement at s.
-                for e in mc.fanins(id).iter() {
-                    let Some(us) = users.get(&(e.cell, e.port)) else {
-                        continue;
-                    };
-                    if us.len() > max_fanout_for_eval {
-                        continue;
-                    }
-                    let src = sched.stages[e.cell.index()];
-                    let reqs: Vec<Requirement> = us
-                        .iter()
-                        .map(|u| match u {
-                            Use::Gate(j) => {
-                                let t = if *j == id { s } else { sched.stages[j.index()] };
-                                Requirement::Window(t)
-                            }
-                            Use::T1(t, sl) => {
-                                let o = sched.t1_offsets[t.index()].expect("offsets")[*sl];
-                                // The moved cell may itself be this consumer.
-                                let ts = if *t == id { s } else { sched.stages[t.index()] };
-                                Requirement::Exact(ts - o)
-                            }
-                            Use::Po => Requirement::Window(sched.horizon + 1),
-                        })
-                        .collect();
-                    cost += req_cost(src, &reqs);
-                }
-                cost
+                total
             };
             // Candidate set: bounded sweep of the feasible range.
             let span = hi - lo;
-            let mut candidates: Vec<i64> = if span <= 40 {
-                (lo..=hi).collect()
+            candidates.clear();
+            if span <= 40 {
+                candidates.extend(lo..=hi);
             } else {
                 let stride = span / 40 + 1;
-                let mut v: Vec<i64> = (lo..=hi).step_by(stride as usize).collect();
-                v.push(hi);
-                v.push(current);
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
-            candidates.retain(|&s| s >= lo && s <= hi);
-            let mut best = (eval(current, &sched), current);
+                candidates.extend((lo..=hi).step_by(stride as usize));
+                candidates.push(hi);
+                candidates.push(current);
+                candidates.sort_unstable();
+                candidates.dedup();
+                candidates.retain(|&s| s >= lo && s <= hi);
+            }
+            let mut best = (eval(current), current);
             for &s in &candidates {
                 if s == current {
                     continue;
                 }
-                let c = eval(s, &sched);
+                let c = eval(s);
                 if c < best.0 {
                     best = (c, s);
                 }
@@ -429,7 +379,7 @@ pub fn assign_phases_with(
         }
     }
     debug_assert_eq!(sched.validate(mc), Ok(()));
-    sched
+    (sched, evals)
 }
 
 /// Exact phase assignment via the MILP of §II-B (per-edge linearized DFF
@@ -571,10 +521,341 @@ pub fn edge_dff_objective(mc: &MappedCircuit, sched: &Schedule) -> u64 {
 mod tests {
     use super::*;
     use crate::cells::CellLibrary;
+    use crate::detect::{detect, DetectConfig};
     use crate::dff::insert_dffs;
     use crate::mapped::Edge;
     use crate::mapper::map;
+    use proptest::prelude::*;
+    use sfq_netlist::aig::{Aig, Lit};
     use sfq_netlist::truth_table::TruthTable;
+
+    /// Consumer bookkeeping of the reference search.
+    #[derive(Debug, Clone, Copy)]
+    enum Use {
+        /// (consumer cell, weight 1)
+        Gate(CellId),
+        /// (T1 cell, operand slot)
+        T1(CellId, usize),
+        /// Primary output.
+        Po,
+    }
+
+    /// The `HashMap`-and-requirement-vector local search that
+    /// [`local_search`] replaces, kept as its test oracle: the same
+    /// schedule and the same number of candidate evaluations.
+    fn local_search_reference(
+        mc: &MappedCircuit,
+        n: u32,
+        passes: usize,
+        objective: SearchObjective,
+    ) -> (Schedule, u64) {
+        use crate::dff::build_chain_reference;
+        use std::collections::HashMap;
+        assert!(n >= 1, "need at least one phase");
+        if mc.t1_count() > 0 {
+            assert!(n >= 3, "T1 cells need at least 3 phases");
+        }
+        let mut sched = asap(mc, n);
+        let mut evals = 0u64;
+
+        // users[(cell, port)] = consumers.
+        let mut users: HashMap<(CellId, u8), Vec<Use>> = HashMap::new();
+        for (id, cell) in mc.cells() {
+            match cell {
+                MappedCell::Gate { fanins, .. } => {
+                    for e in fanins {
+                        users
+                            .entry((e.cell, e.port))
+                            .or_default()
+                            .push(Use::Gate(id));
+                    }
+                }
+                MappedCell::T1 { fanins } => {
+                    for (slot, e) in fanins.iter().enumerate() {
+                        users
+                            .entry((e.cell, e.port))
+                            .or_default()
+                            .push(Use::T1(id, slot));
+                    }
+                }
+                _ => {}
+            }
+        }
+        for e in mc.pos() {
+            if !matches!(mc.cell(e.cell), MappedCell::Const0) {
+                users.entry((e.cell, e.port)).or_default().push(Use::Po);
+            }
+        }
+
+        let nn = n as i64;
+        let max_fanout_for_eval = 64usize;
+        // Cost of one driver's requirement set under the chosen objective.
+        let req_cost = |source: i64, reqs: &[Requirement]| -> u64 {
+            match objective {
+                SearchObjective::SharedChains => {
+                    build_chain_reference(source, reqs, nn).dff_count() as u64
+                }
+                SearchObjective::PerEdge => reqs
+                    .iter()
+                    .map(|r| match *r {
+                        Requirement::Window(t) => ((t - source - 1).max(0) / nn) as u64,
+                        Requirement::Exact(tau) => {
+                            let d = tau - source;
+                            if d <= 0 {
+                                0
+                            } else {
+                                ((d + nn - 1) / nn) as u64
+                            }
+                        }
+                    })
+                    .sum(),
+            }
+        };
+        for _ in 0..passes {
+            let mut improved = false;
+            for idx in (0..mc.len()).rev() {
+                let id = CellId(idx as u32);
+                let cell = mc.cell(id);
+                if matches!(cell, MappedCell::Input { .. } | MappedCell::Const0) {
+                    continue;
+                }
+                // Feasible range.
+                let lo = match cell {
+                    MappedCell::Gate { fanins, .. } => {
+                        fanins
+                            .iter()
+                            .map(|e| sched.stages[e.cell.index()])
+                            .max()
+                            .unwrap_or(0)
+                            + 1
+                    }
+                    MappedCell::T1 { fanins } => {
+                        let offsets = sched.t1_offsets[idx].expect("offsets");
+                        (0..3)
+                            .map(|k| sched.stages[fanins[k].cell.index()] + offsets[k])
+                            .max()
+                            .unwrap()
+                    }
+                    _ => unreachable!(),
+                };
+                let mut hi = i64::MAX;
+                for port in 0..mc.num_ports(id) as u8 {
+                    if let Some(us) = users.get(&(id, port)) {
+                        for u in us {
+                            let bound = match u {
+                                Use::Gate(j) => sched.stages[j.index()] - 1,
+                                Use::T1(t, slot) => {
+                                    let o = sched.t1_offsets[t.index()].expect("offsets")[*slot];
+                                    sched.stages[t.index()] - o
+                                }
+                                Use::Po => sched.horizon,
+                            };
+                            hi = hi.min(bound);
+                        }
+                    } else if port == 0 && mc.num_ports(id) == 1 {
+                        // Dead cell: keep at lo.
+                        hi = hi.min(lo);
+                    }
+                }
+                if hi == i64::MAX {
+                    hi = lo; // fully unused multi-port cell
+                }
+                if hi <= lo {
+                    sched.stages[idx] = lo.min(hi.max(lo));
+                    continue;
+                }
+                // Cost of a candidate stage: own chains + fanin-driver chains.
+                let current = sched.stages[idx];
+                let mut eval = |s: i64, sched: &Schedule| -> u64 {
+                    evals += 1;
+                    let mut cost = 0u64;
+                    for port in 0..mc.num_ports(id) as u8 {
+                        if let Some(us) = users.get(&(id, port)) {
+                            let reqs: Vec<Requirement> = us
+                                .iter()
+                                .map(|u| match u {
+                                    Use::Gate(j) => Requirement::Window(sched.stages[j.index()]),
+                                    Use::T1(t, slot) => {
+                                        let o =
+                                            sched.t1_offsets[t.index()].expect("offsets")[*slot];
+                                        Requirement::Exact(sched.stages[t.index()] - o)
+                                    }
+                                    Use::Po => Requirement::Window(sched.horizon + 1),
+                                })
+                                .collect();
+                            cost += req_cost(s, &reqs);
+                        }
+                    }
+                    // Fanin drivers: recompute with this cell's requirement at s.
+                    for e in mc.fanins(id).iter() {
+                        let Some(us) = users.get(&(e.cell, e.port)) else {
+                            continue;
+                        };
+                        if us.len() > max_fanout_for_eval {
+                            continue;
+                        }
+                        let src = sched.stages[e.cell.index()];
+                        let reqs: Vec<Requirement> = us
+                            .iter()
+                            .map(|u| match u {
+                                Use::Gate(j) => {
+                                    let t = if *j == id { s } else { sched.stages[j.index()] };
+                                    Requirement::Window(t)
+                                }
+                                Use::T1(t, sl) => {
+                                    let o = sched.t1_offsets[t.index()].expect("offsets")[*sl];
+                                    // The moved cell may itself be this consumer.
+                                    let ts = if *t == id { s } else { sched.stages[t.index()] };
+                                    Requirement::Exact(ts - o)
+                                }
+                                Use::Po => Requirement::Window(sched.horizon + 1),
+                            })
+                            .collect();
+                        cost += req_cost(src, &reqs);
+                    }
+                    cost
+                };
+                // Candidate set: bounded sweep of the feasible range.
+                let span = hi - lo;
+                let mut candidates: Vec<i64> = if span <= 40 {
+                    (lo..=hi).collect()
+                } else {
+                    let stride = span / 40 + 1;
+                    let mut v: Vec<i64> = (lo..=hi).step_by(stride as usize).collect();
+                    v.push(hi);
+                    v.push(current);
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                };
+                candidates.retain(|&s| s >= lo && s <= hi);
+                let mut best = (eval(current, &sched), current);
+                for &s in &candidates {
+                    if s == current {
+                        continue;
+                    }
+                    let c = eval(s, &sched);
+                    if c < best.0 {
+                        best = (c, s);
+                    }
+                }
+                if best.1 != current {
+                    sched.stages[idx] = best.1;
+                    improved = true;
+                }
+            }
+            // Horizon can only stay or shrink (PO drivers never move past it).
+            sched.horizon = mc
+                .pos()
+                .iter()
+                .filter(|e| !matches!(mc.cell(e.cell), MappedCell::Const0))
+                .map(|e| sched.stages[e.cell.index()])
+                .max()
+                .unwrap_or(0);
+            if !improved {
+                break;
+            }
+        }
+        (sched, evals)
+    }
+
+    /// A random network from a byte script: each 4-byte chunk picks three
+    /// literals, mostly among the six most recent pool entries (so most of
+    /// the network stays in the output cones), else anywhere (so some
+    /// edges span many stages), and adds an AND, an XOR or a MAJ3 of
+    /// possibly complemented literals, or a full adder (its sum and carry)
+    /// of plain ones, so T1 groups are common. The last `pos` pool entries,
+    /// and optionally a constant, are the outputs.
+    fn script_aig(script: &[u8], num_pis: usize, pos: usize, const_po: bool) -> Aig {
+        let mut g = Aig::new();
+        let mut pool: Vec<Lit> = (0..num_pis).map(|_| g.add_pi()).collect();
+        for chunk in script.chunks_exact(4) {
+            let pick = |byte: u8| {
+                let window = if byte < 0xC0 {
+                    pool.len().min(6)
+                } else {
+                    pool.len()
+                };
+                pool[pool.len() - 1 - byte as usize % window]
+            };
+            let (a, b, c) = (pick(chunk[0]), pick(chunk[1]), pick(chunk[2]));
+            let neg = |l: Lit, bit: u8| if chunk[3] >> bit & 1 == 1 { !l } else { l };
+            match chunk[3] >> 3 & 7 {
+                0 | 1 => pool.push(g.and(neg(a, 0), neg(b, 1))),
+                2 => pool.push(g.xor(neg(a, 0), neg(b, 1))),
+                3 => pool.push(g.maj3(neg(a, 0), neg(b, 1), neg(c, 2))),
+                _ => {
+                    let sum = g.xor3(a, b, c);
+                    let carry = g.maj3(a, b, c);
+                    pool.extend([sum, carry]);
+                }
+            }
+        }
+        for &o in pool.iter().rev().take(pos) {
+            g.add_po(o);
+        }
+        if const_po {
+            g.add_po(Lit::FALSE);
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+        /// The CSR local search finds the reference search's schedule with
+        /// the same number of candidate evaluations, on mapped circuits
+        /// with and without T1 cells, under both objectives.
+        #[test]
+        fn local_search_matches_reference(
+            script in prop::collection::vec(any::<u8>(), 4..240),
+            num_pis in 3usize..=6,
+            pos in 1usize..=4,
+            const_po in any::<bool>(),
+            n in 1u32..=6,
+            passes in 0usize..=4,
+            shared in any::<bool>(),
+        ) {
+            let aig = script_aig(&script, num_pis, pos, const_po);
+            let lib = CellLibrary::default();
+            let det = detect(&aig, &lib, &DetectConfig::default());
+            let mc = map(&aig, &lib, Some(&det.selection)).circuit;
+            let n = if mc.t1_count() > 0 { n.max(3) } else { n };
+            let objective = if shared {
+                SearchObjective::SharedChains
+            } else {
+                SearchObjective::PerEdge
+            };
+            let (got, evals) = local_search(&mc, n, passes, objective);
+            let (want, want_evals) = local_search_reference(&mc, n, passes, objective);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(evals, want_evals);
+        }
+    }
+
+    #[test]
+    fn random_circuits_exercise_t1_cells() {
+        // The proptest's generator must produce T1 cells often enough to
+        // test the T1 paths of the search.
+        let lib = CellLibrary::default();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let with_t1 = (0..40)
+            .filter(|_| {
+                let script: Vec<u8> = (0..80)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state as u8
+                    })
+                    .collect();
+                let aig = script_aig(&script, 4, 2, false);
+                let det = detect(&aig, &lib, &DetectConfig::default());
+                map(&aig, &lib, Some(&det.selection)).circuit.t1_count() > 0
+            })
+            .count();
+        assert!(with_t1 >= 10, "{with_t1} of 40 circuits have T1 cells");
+    }
 
     fn and2() -> TruthTable {
         TruthTable::var(2, 0) & TruthTable::var(2, 1)

@@ -1,5 +1,6 @@
-//! The mapping and detection sub-stage spans, and how often a flow
-//! enumerates cuts. One test function: the `sfq-obs` recorder is global.
+//! The mapping and detection sub-stage spans, how often a flow
+//! enumerates cuts, and the phase-assignment work counter. One test
+//! function: the `sfq-obs` recorder is global.
 
 use sfq_circuits::epfl::adder;
 use t1map::cells::CellLibrary;
@@ -49,6 +50,8 @@ fn t1_flow_enumerates_mapping_cuts_once_and_covers_twice() {
     // cut counted.
     assert_eq!(counter(&t1, "netlist.cut_enumerations"), 2);
     assert!(counter(&t1, "netlist.cuts_kept") > 2 * aig.len() as u64);
+    // The multiphase local search evaluates candidate stages.
+    assert!(counter(&t1, "t1map.phase_evals") > 0);
     assert_eq!(sfq_obs::open_spans(), 0);
 
     let single = traced(|| {
