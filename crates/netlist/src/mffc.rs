@@ -10,6 +10,16 @@
 //! virtually remove `r`, decrement fanin references, and recurse into fanins
 //! whose count reaches zero.
 //!
+//! # Cost model
+//!
+//! A [`Mffc`] sizes its state to the network once, in [`Mffc::new`]: one
+//! working fanout-count array and one visited array. Every query after that
+//! costs O(cone), not O(network): the walk undo-logs each count it
+//! decrements and each node it visits, and restores both before returning,
+//! so between calls the working counts equal [`Aig::fanout_counts`] again
+//! and no node is marked. Queries may therefore be issued in any order on
+//! one calculator, with the same answers a fresh calculator would give.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,7 +43,15 @@ use crate::aig::{Aig, NodeId, NodeKind};
 #[derive(Debug)]
 pub struct Mffc<'a> {
     aig: &'a Aig,
-    base_refs: Vec<u32>,
+    /// Working fanout counts; equal to `aig.fanout_counts()` between calls.
+    refs: Vec<u32>,
+    /// Visited marks; all `false` between calls.
+    visited: Vec<bool>,
+    /// Undo log of `refs`: one entry per decrement of the current walk.
+    derefed: Vec<NodeId>,
+    /// Members found by the current walk, in visit order; also the undo log
+    /// of `visited`.
+    members: Vec<NodeId>,
 }
 
 impl<'a> Mffc<'a> {
@@ -41,13 +59,16 @@ impl<'a> Mffc<'a> {
     pub fn new(aig: &'a Aig) -> Self {
         Mffc {
             aig,
-            base_refs: aig.fanout_counts(),
+            refs: aig.fanout_counts(),
+            visited: vec![false; aig.len()],
+            derefed: Vec::new(),
+            members: Vec::new(),
         }
     }
 
     /// Number of AND nodes in the MFFC of `root`.
     pub fn size(&mut self, root: NodeId) -> usize {
-        self.members(root).len()
+        self.walk(&[root], &[])
     }
 
     /// The AND nodes forming the MFFC of `root` (including `root` itself if
@@ -75,43 +96,52 @@ impl<'a> Mffc<'a> {
     /// Bounded variant of [`Mffc::union_members`]; see
     /// [`Mffc::members_bounded`].
     pub fn union_members_bounded(&mut self, roots: &[NodeId], boundary: &[NodeId]) -> Vec<NodeId> {
-        let mut refs = self.base_refs.clone();
-        let mut visited = vec![false; self.aig.len()];
-        let mut out = Vec::new();
-        for &r in roots {
-            if boundary.contains(&r) {
-                continue;
-            }
-            Self::deref_rec(self.aig, r, &mut refs, &mut visited, &mut out, boundary);
-        }
+        self.walk(roots, boundary);
+        let mut out = self.members.clone();
         out.sort();
         out
     }
 
-    fn deref_rec(
-        aig: &Aig,
-        node: NodeId,
-        refs: &mut [u32],
-        visited: &mut [bool],
-        out: &mut Vec<NodeId>,
-        boundary: &[NodeId],
-    ) {
+    /// Dereferences `roots` into `self.members`, then restores the working
+    /// state from the undo logs. Returns the member count.
+    fn walk(&mut self, roots: &[NodeId], boundary: &[NodeId]) -> usize {
+        self.members.clear();
+        for &r in roots {
+            if boundary.contains(&r) {
+                continue;
+            }
+            self.deref_rec(r, boundary);
+        }
+        for n in self.derefed.drain(..) {
+            self.refs[n.index()] += 1;
+        }
+        for n in &self.members {
+            self.visited[n.index()] = false;
+        }
+        self.members.len()
+    }
+
+    fn deref_rec(&mut self, node: NodeId, boundary: &[NodeId]) {
         // A node may be reached both as an explicit root and as a fanin
         // whose reference count dropped to zero; its own fanin edges must
         // only be released once.
-        if visited[node.index()] {
+        if self.visited[node.index()] {
             return;
         }
-        if let NodeKind::And(a, b) = aig.kind(node) {
-            visited[node.index()] = true;
-            out.push(node);
+        if let NodeKind::And(a, b) = self.aig.kind(node) {
+            self.visited[node.index()] = true;
+            self.members.push(node);
             for f in [a.node(), b.node()] {
                 if boundary.contains(&f) {
                     continue;
                 }
-                refs[f.index()] = refs[f.index()].saturating_sub(1);
-                if refs[f.index()] == 0 {
-                    Self::deref_rec(aig, f, refs, visited, out, boundary);
+                let count = &mut self.refs[f.index()];
+                if *count > 0 {
+                    *count -= 1;
+                    self.derefed.push(f);
+                }
+                if *count == 0 {
+                    self.deref_rec(f, boundary);
                 }
             }
         }
@@ -121,6 +151,121 @@ impl<'a> Mffc<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aig::Lit;
+    use crate::cut::{enumerate_cuts, CutConfig};
+    use proptest::prelude::*;
+
+    /// The reference walk: fresh counts and marks for every query.
+    fn reference_members(aig: &Aig, roots: &[NodeId], boundary: &[NodeId]) -> Vec<NodeId> {
+        fn deref_rec(
+            aig: &Aig,
+            node: NodeId,
+            refs: &mut [u32],
+            visited: &mut [bool],
+            out: &mut Vec<NodeId>,
+            boundary: &[NodeId],
+        ) {
+            if visited[node.index()] {
+                return;
+            }
+            if let NodeKind::And(a, b) = aig.kind(node) {
+                visited[node.index()] = true;
+                out.push(node);
+                for f in [a.node(), b.node()] {
+                    if boundary.contains(&f) {
+                        continue;
+                    }
+                    refs[f.index()] = refs[f.index()].saturating_sub(1);
+                    if refs[f.index()] == 0 {
+                        deref_rec(aig, f, refs, visited, out, boundary);
+                    }
+                }
+            }
+        }
+        let mut refs = aig.fanout_counts();
+        let mut visited = vec![false; aig.len()];
+        let mut out = Vec::new();
+        for &r in roots {
+            if !boundary.contains(&r) {
+                deref_rec(aig, r, &mut refs, &mut visited, &mut out, boundary);
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// A random network from a byte script: each 3-byte chunk ANDs or XORs
+    /// two (possibly complemented) literals of everything built so far, and
+    /// every fourth node is also an output, so cones share fanout.
+    fn script_aig(script: &[u8], num_pis: usize) -> Aig {
+        let mut g = Aig::new();
+        let mut pool: Vec<Lit> = (0..num_pis).map(|_| g.add_pi()).collect();
+        for (i, chunk) in script.chunks_exact(3).enumerate() {
+            let a = pool[chunk[0] as usize % pool.len()];
+            let b = pool[chunk[1] as usize % pool.len()];
+            let a = if chunk[2] & 1 != 0 { !a } else { a };
+            let b = if chunk[2] & 2 != 0 { !b } else { b };
+            let out = if chunk[2] & 4 != 0 {
+                g.xor(a, b)
+            } else {
+                g.and(a, b)
+            };
+            pool.push(out);
+            if i % 4 == 3 {
+                g.add_po(out);
+            }
+        }
+        g.add_po(*pool.last().expect("nonempty pool"));
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+        /// One reused calculator answers a random query sequence exactly
+        /// like the reference walk, and every query leaves its working
+        /// state as it found it.
+        #[test]
+        fn reused_walk_matches_reference(
+            script in prop::collection::vec(any::<u8>(), 3..240),
+            num_pis in 1usize..=6,
+            ops in prop::collection::vec((0u8..4, prop::collection::vec(any::<u16>(), 4), any::<u16>()), 1..40),
+        ) {
+            let g = script_aig(&script, num_pis);
+            let cuts = enumerate_cuts(&g, &CutConfig { max_leaves: 4, max_cuts: 8 });
+            let nodes: Vec<NodeId> = g.node_ids().collect();
+            let fanout_counts = g.fanout_counts();
+            let mut mffc = Mffc::new(&g);
+            for (kind, picks, cut_pick) in ops {
+                let roots: Vec<NodeId> = picks
+                    .iter()
+                    .map(|&p| nodes[p as usize % nodes.len()])
+                    .collect();
+                // Boundaries are real cut leaves of the first root.
+                let root_cuts = cuts.cuts(roots[0]);
+                let boundary = root_cuts[cut_pick as usize % root_cuts.len()].leaves();
+                let (got, want) = match kind {
+                    0 => (mffc.members(roots[0]), reference_members(&g, &roots[..1], &[])),
+                    1 => (
+                        mffc.members_bounded(roots[0], boundary),
+                        reference_members(&g, &roots[..1], boundary),
+                    ),
+                    2 => {
+                        let got = mffc.union_members_bounded(&roots, boundary);
+                        (got, reference_members(&g, &roots, boundary))
+                    }
+                    _ => {
+                        let single = reference_members(&g, &roots[..1], &[]);
+                        prop_assert_eq!(mffc.size(roots[0]), single.len());
+                        (mffc.union_members(&roots), reference_members(&g, &roots, &[]))
+                    }
+                };
+                prop_assert_eq!(got, want, "op {} roots {:?}", kind, roots);
+                prop_assert_eq!(&mffc.refs, &fanout_counts, "counts restored");
+                prop_assert!(mffc.visited.iter().all(|&v| !v), "marks cleared");
+            }
+        }
+    }
 
     #[test]
     fn single_chain_mffc_is_whole_cone() {

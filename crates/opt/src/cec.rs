@@ -25,6 +25,18 @@
 //! The sweep makes the check scale to the paper's benchmarks: after cut
 //! rewriting the two networks differ only in small local cones, each
 //! discharged by a SAT query over a few dozen clauses.
+//!
+//! # Cost model
+//!
+//! A sweep query costs O(cone), not O(network): one check owns one
+//! encoder — a SAT solver, a node→variable map, queued marks and the BFS
+//! queue — and every query resets it. The solver's
+//! [`SatSolver::reset`] keeps its allocations; the map and the marks are
+//! cleared through the list of nodes the previous query touched, so
+//! nothing network-sized is allocated or scanned per query. A reset
+//! encoder creates variables and clauses in the same order as a fresh one,
+//! so each query's search, model and answer do not depend on the queries
+//! before it.
 
 use crate::util::mapped;
 use sfq_netlist::aig::{Aig, Lit, NodeId, NodeKind};
@@ -163,20 +175,35 @@ impl Rng {
     }
 }
 
-/// Tseitin encoder over one AIG, with window-bounded cone collection.
-struct Encoder<'a> {
-    aig: &'a Aig,
+/// Tseitin encoder with window-bounded cone collection, reused by every
+/// query of one check (see the module's cost model).
+#[derive(Default)]
+struct Encoder {
     solver: SatSolver,
+    /// Per-node variable of the current query.
     vars: Vec<Option<SatVar>>,
+    /// The nodes with an entry in `vars`.
+    touched: Vec<NodeId>,
+    /// Per-node "already queued" marks of the current query.
+    queued: Vec<bool>,
+    /// Breadth-first queue of the current query. Popping only advances a
+    /// head index, so the vector also lists every node marked in `queued`.
+    queue: Vec<NodeId>,
 }
 
-impl<'a> Encoder<'a> {
-    fn new(aig: &'a Aig) -> Self {
-        Encoder {
-            aig,
-            solver: SatSolver::new(),
-            vars: vec![None; aig.len()],
+impl Encoder {
+    /// Empties the encoder for a query over `aig`, in time proportional to
+    /// the previous query.
+    fn reset(&mut self, aig: &Aig) {
+        self.solver.reset();
+        for n in self.touched.drain(..) {
+            self.vars[n.index()] = None;
         }
+        for n in self.queue.drain(..) {
+            self.queued[n.index()] = false;
+        }
+        self.vars.resize(aig.len(), None);
+        self.queued.resize(aig.len(), false);
     }
 
     fn var(&mut self, n: NodeId) -> SatVar {
@@ -185,6 +212,7 @@ impl<'a> Encoder<'a> {
         }
         let v = self.solver.new_var();
         self.vars[n.index()] = Some(v);
+        self.touched.push(n);
         if n == NodeId::CONST0 {
             self.solver.add_clause([SatLit::neg(v)]);
         }
@@ -208,17 +236,20 @@ impl<'a> Encoder<'a> {
     /// deep chain under the first root would eat the whole budget and leave
     /// the second root's cone fully abstracted (making every bounded query
     /// spuriously satisfiable).
-    fn encode_cones(&mut self, roots: &[NodeId], window: usize) {
-        let mut queue: std::collections::VecDeque<NodeId> = roots.iter().copied().collect();
-        let mut queued = vec![false; self.aig.len()];
+    fn encode_cones(&mut self, aig: &Aig, roots: &[NodeId], window: usize) {
+        let mut head = self.queue.len();
+        self.queue.extend_from_slice(roots);
         for n in roots {
-            queued[n.index()] = true;
+            self.queued[n.index()] = true;
         }
         let mut constrained = 0usize;
-        while let Some(n) = queue.pop_front() {
-            if let NodeKind::And(a, b) = self.aig.kind(n) {
+        while let Some(&n) = self.queue.get(head) {
+            head += 1;
+            if let NodeKind::And(a, b) = aig.kind(n) {
                 if constrained >= window {
-                    continue; // abstracted frontier: free variable
+                    // The window is full: this node and everything still
+                    // queued stay free variables (abstracted frontier).
+                    break;
                 }
                 constrained += 1;
                 let o = self.var(n);
@@ -228,17 +259,42 @@ impl<'a> Encoder<'a> {
                 self.solver.add_clause([SatLit::neg(o), lb]);
                 self.solver.add_clause([SatLit::pos(o), !la, !lb]);
                 for f in [a.node(), b.node()] {
-                    if !queued[f.index()] {
-                        queued[f.index()] = true;
-                        queue.push_back(f);
+                    if !self.queued[f.index()] {
+                        self.queued[f.index()] = true;
+                        self.queue.push(f);
                     }
                 }
             }
         }
     }
+
+    /// Window-bounded equivalence query for `x ≡ y` over `aig`.
+    fn prove_equal(&mut self, aig: &Aig, x: Lit, y: Lit, window: usize, budget: u64) -> Proof {
+        self.reset(aig);
+        self.encode_cones(aig, &[x.node(), y.node()], window);
+        let lx = self.lit(x);
+        let ly = self.lit(y);
+        // SAT iff x ≠ y somewhere: exactly one of the two is true.
+        self.solver.add_clause([lx, ly]);
+        self.solver.add_clause([!lx, !ly]);
+        match self.solver.solve_limited(Some(budget)) {
+            SolveOutcome::Unsat => Proof::Proved,
+            SolveOutcome::Unknown => Proof::Unknown,
+            SolveOutcome::Sat(model) => Proof::Refuted(self.pi_values(aig, &model)),
+        }
+    }
+
+    /// The primary-input assignment of a model (unencoded inputs read 0).
+    fn pi_values(&self, aig: &Aig, model: &[bool]) -> Vec<bool> {
+        aig.pis()
+            .iter()
+            .map(|&pi| self.vars[pi.index()].is_some_and(|v| model[v.index()]))
+            .collect()
+    }
 }
 
 /// Outcome of one window-bounded equivalence query.
+#[derive(Debug, PartialEq, Eq)]
 enum Proof {
     /// `x ≡ y` proven (UNSAT).
     Proved,
@@ -251,27 +307,6 @@ enum Proof {
     Refuted(Vec<bool>),
     /// Budget expired.
     Unknown,
-}
-
-/// Window-bounded equivalence query for `x ≡ y`.
-fn prove_equal(aig: &Aig, x: Lit, y: Lit, window: usize, budget: u64) -> Proof {
-    let mut enc = Encoder::new(aig);
-    enc.encode_cones(&[x.node(), y.node()], window);
-    let lx = enc.lit(x);
-    let ly = enc.lit(y);
-    // SAT iff x ≠ y somewhere: exactly one of the two is true.
-    enc.solver.add_clause([lx, ly]);
-    enc.solver.add_clause([!lx, !ly]);
-    match enc.solver.solve_limited(Some(budget)) {
-        SolveOutcome::Unsat => Proof::Proved,
-        SolveOutcome::Unknown => Proof::Unknown,
-        SolveOutcome::Sat(model) => Proof::Refuted(
-            aig.pis()
-                .iter()
-                .map(|&pi| enc.vars[pi.index()].is_some_and(|v| model[v.index()]))
-                .collect(),
-        ),
-    }
 }
 
 fn flip(l: Lit, c: bool) -> Lit {
@@ -296,6 +331,8 @@ struct SweepSpace {
     /// Normalized signature → class members (joint AND nodes).
     classes: HashMap<[u64; SIG_WORDS], Vec<NodeId>>,
     classified: Vec<bool>,
+    /// The encoder every SAT query of this check reuses.
+    enc: Encoder,
     stats_merges: usize,
     stats_queries: usize,
     stats_refinements: usize,
@@ -320,6 +357,7 @@ impl SweepSpace {
             patterns: 0,
             classes: HashMap::new(),
             classified: Vec::new(),
+            enc: Encoder::default(),
             stats_merges: 0,
             stats_queries: 0,
             stats_refinements: 0,
@@ -449,7 +487,7 @@ impl SweepSpace {
             let target = Lit::new(cand, phase ^ cand_phase);
             queries += 1;
             self.stats_queries += 1;
-            match prove_equal(
+            match self.enc.prove_equal(
                 &self.joint,
                 Lit::new(node, false),
                 target,
@@ -577,12 +615,13 @@ pub fn check_equivalence(a: &Aig, b: &Aig, cfg: &CecConfig) -> Result<CecOutcome
     // Stage 3: miter over the unresolved pairs.
     stats.used_final_sat = true;
     stats.sat_queries += 1;
-    let mut enc = Encoder::new(&space.joint);
+    let enc = &mut space.enc;
+    enc.reset(&space.joint);
     let roots: Vec<NodeId> = unresolved
         .iter()
         .flat_map(|&(x, y)| [x.node(), y.node()])
         .collect();
-    enc.encode_cones(&roots, usize::MAX);
+    enc.encode_cones(&space.joint, &roots, usize::MAX);
     let mut selectors = Vec::with_capacity(unresolved.len());
     for &(x, y) in &unresolved {
         let lx = enc.lit(x);
@@ -606,12 +645,7 @@ pub fn check_equivalence(a: &Aig, b: &Aig, cfg: &CecConfig) -> Result<CecOutcome
             stats,
         }),
         SolveOutcome::Sat(model) => {
-            let cex: Vec<bool> = space
-                .joint
-                .pis()
-                .iter()
-                .map(|&pi| enc.vars[pi.index()].is_some_and(|v| model[v.index()]))
-                .collect();
+            let cex = enc.pi_values(&space.joint, &model);
             if a.eval(&cex) != b.eval(&cex) {
                 Ok(CecOutcome {
                     verdict: CecVerdict::NotEquivalent(cex),
@@ -764,6 +798,66 @@ mod tests {
         // finds its chain twin and merges; without, the 8-candidate cap
         // often buries the right candidate. More merges for fewer queries.
         assert!(refined.stats.sweep_merges >= base.stats.sweep_merges);
+    }
+
+    /// One reused encoder answers a query sequence exactly like the
+    /// reference, a fresh encoder per query: same proof, same model, same
+    /// solver work.
+    #[test]
+    fn reused_encoder_matches_fresh_encoders() {
+        // A random network in which every majority is built twice, in two
+        // structurally different forms, so some queries are provable.
+        let mut g = Aig::new();
+        let mut pool: Vec<Lit> = (0..8).map(|_| g.add_pi()).collect();
+        let mut rng = Rng::new(0xC0FFEE);
+        let pick = |pool: &[Lit], rng: &mut Rng| {
+            let r = rng.next();
+            let l = pool[r as usize % pool.len()];
+            l.with_complement(l.is_complement() ^ (r >> 32 & 1 == 1))
+        };
+        for _ in 0..120 {
+            let (x, y, z) = (
+                pick(&pool, &mut rng),
+                pick(&pool, &mut rng),
+                pick(&pool, &mut rng),
+            );
+            match rng.next() % 3 {
+                0 => pool.push(g.and(x, y)),
+                1 => pool.push(g.xor(x, y)),
+                _ => {
+                    pool.push(g.maj3(x, y, z));
+                    let xy = g.and(x, y);
+                    let xoy = g.or(x, y);
+                    let t = g.and(z, xoy);
+                    pool.push(g.or(xy, t));
+                }
+            }
+        }
+        let mut reused = Encoder::default();
+        let mut seen = [0usize; 3];
+        for i in 8..pool.len() {
+            for j in [i - 1, i / 2, i - 7] {
+                for (window, budget) in [(3, 500), (200, 1), (200, 500)] {
+                    let (x, y) = (pool[i], pool[j]);
+                    let mut fresh = Encoder::default();
+                    let want = fresh.prove_equal(&g, x, y, window, budget);
+                    let got = reused.prove_equal(&g, x, y, window, budget);
+                    assert_eq!(got, want, "query {i} vs {j}, window {window}");
+                    assert_eq!(reused.solver.num_vars(), fresh.solver.num_vars());
+                    assert_eq!(reused.solver.conflicts, fresh.solver.conflicts);
+                    assert_eq!(reused.solver.decisions, fresh.solver.decisions);
+                    seen[match got {
+                        Proof::Proved => 0,
+                        Proof::Refuted(_) => 1,
+                        Proof::Unknown => 2,
+                    }] += 1;
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every outcome exercised: {seen:?}"
+        );
     }
 
     #[test]

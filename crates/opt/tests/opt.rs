@@ -3,11 +3,11 @@
 //! deepening them, and the CEC guard must prove every run equivalent — and
 //! catch a deliberately injected bug.
 
-use sfq_circuits::{epfl, named};
+use sfq_circuits::{epfl, iscas, named};
 use sfq_netlist::aig::{Aig, Lit, NodeId, NodeKind};
 use sfq_opt::{
-    check_equivalence, optimize, optimize_verified, CecConfig, CecVerdict, OptConfig, OptReport,
-    PassKind,
+    check_equivalence, optimize, optimize_verified, CecConfig, CecStats, CecVerdict, OptConfig,
+    OptReport, PassKind,
 };
 
 fn table1_small() -> Vec<(&'static str, Aig)> {
@@ -369,5 +369,53 @@ fn verified_report_equals_plain_report() {
                 cfg.fixpoint
             );
         }
+    }
+}
+
+/// The verified pipeline's CEC work, pinned exactly: every counter of the
+/// pass-by-pass checks, the number of checked stages and the result. The
+/// counters are deterministic, so any drift means the sweep asked
+/// different SAT questions or got different answers — a behaviour change,
+/// not a speed-up.
+#[test]
+fn verified_cec_work_is_pinned() {
+    let subjects = [
+        (
+            "c6288",
+            iscas::c6288_like(),
+            CecStats {
+                sim_words: 320,
+                structural_matches: 640,
+                sweep_merges: 931,
+                sat_queries: 1971,
+                refinements: 701,
+                alias_skips: 1730,
+                used_final_sat: false,
+            },
+            20,
+            0x05991d4767bb63b9,
+        ),
+        (
+            "adder32",
+            epfl::adder(32),
+            CecStats {
+                sim_words: 128,
+                structural_matches: 264,
+                sweep_merges: 31,
+                sat_queries: 31,
+                refinements: 0,
+                alias_skips: 0,
+                used_final_sat: false,
+            },
+            8,
+            0xe1624bab0ce4bc5e,
+        ),
+    ];
+    for (name, aig, cec, stages, hash) in subjects {
+        let run = optimize_verified(&aig, &OptConfig::standard(), &CecConfig::default());
+        assert_eq!(run.verdict, CecVerdict::Equivalent, "{name}: verdict");
+        assert_eq!(run.cec, cec, "{name}: CEC counters");
+        assert_eq!(run.checked_stages, stages, "{name}: checked stages");
+        assert_eq!(run.aig.structural_hash(), hash, "{name}: structural hash");
     }
 }

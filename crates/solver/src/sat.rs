@@ -6,6 +6,19 @@
 //! (the paper relies on OR-Tools; this workspace builds its own solvers —
 //! DESIGN.md §2).
 //!
+//! # Reuse
+//!
+//! Callers that issue many small queries (the SAT sweep of `sfq-opt` asks
+//! thousands per check) keep one solver and call [`SatSolver::reset`]
+//! between queries. `reset()` empties the solver — no variables, no
+//! clauses, zeroed statistics — but keeps every allocation: the per-variable
+//! arrays, the watch lists and the clause arena. A reset solver behaves
+//! exactly like [`SatSolver::new`]: the same instance gives the same
+//! outcome, model, `conflicts` and `decisions`. Clauses (original and
+//! learnt) live back to back in one literal arena, and conflict analysis
+//! reuses one mark buffer, so once the buffers have grown to a query's size
+//! neither adding a clause nor learning one allocates.
+//!
 //! # Examples
 //!
 //! ```
@@ -118,8 +131,13 @@ pub enum SolveOutcome {
 /// CDCL SAT solver.
 #[derive(Debug, Default)]
 pub struct SatSolver {
-    clauses: Vec<Vec<SatLit>>,
-    /// watches[lit.index()] = clauses watching `lit`.
+    /// Literals of every clause, back to back.
+    lits: Vec<SatLit>,
+    /// `(start, len)` of each clause in `lits`, indexed by [`ClauseRef`].
+    clauses: Vec<(usize, usize)>,
+    /// watches[lit.index()] = clauses watching `lit`. After a
+    /// [`SatSolver::reset`] the lists past the live variables are empty and
+    /// kept for their capacity.
     watches: Vec<Vec<ClauseRef>>,
     assign: Vec<Value>,
     level: Vec<u32>,
@@ -131,6 +149,10 @@ pub struct SatSolver {
     act_inc: f64,
     /// Saved phases for phase saving.
     phase: Vec<bool>,
+    /// Conflict-analysis marks per variable; all `false` between conflicts.
+    seen: Vec<bool>,
+    /// The clause being added or learnt.
+    scratch: Vec<SatLit>,
     ok: bool,
     /// Statistics: number of conflicts encountered.
     pub conflicts: u64,
@@ -150,6 +172,32 @@ impl SatSolver {
         }
     }
 
+    /// Empties the solver (no variables, no clauses, zeroed statistics)
+    /// while keeping its allocations, so the next instance is built without
+    /// allocating up to the sizes already reached. Afterwards the solver
+    /// behaves exactly like a fresh [`SatSolver::new`].
+    pub fn reset(&mut self) {
+        for w in &mut self.watches[..2 * self.assign.len()] {
+            w.clear();
+        }
+        self.lits.clear();
+        self.clauses.clear();
+        self.assign.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.prop_head = 0;
+        self.activity.clear();
+        self.act_inc = 1.0;
+        self.phase.clear();
+        self.seen.clear();
+        self.ok = true;
+        self.conflicts = 0;
+        self.decisions = 0;
+        self.propagations = 0;
+    }
+
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> SatVar {
         let v = SatVar(self.assign.len() as u32);
@@ -158,8 +206,11 @@ impl SatSolver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.phase.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.seen.push(false);
+        let lits = 2 * self.assign.len();
+        if self.watches.len() < lits {
+            self.watches.resize_with(lits, Vec::new);
+        }
         v
     }
 
@@ -174,33 +225,47 @@ impl SatSolver {
         if !self.ok {
             return;
         }
-        let mut c: Vec<SatLit> = lits.into_iter().collect();
-        c.sort_by_key(|l| l.0);
+        let mut c = std::mem::take(&mut self.scratch);
+        c.clear();
+        c.extend(lits);
+        c.sort_unstable_by_key(|l| l.0);
         c.dedup();
         // Tautology check.
         if c.windows(2).any(|w| w[0] == !w[1]) {
+            self.scratch = c;
             return;
         }
         debug_assert_eq!(self.trail_lim.len(), 0, "clauses must be added at level 0");
         // Remove literals already false at level 0; detect satisfied clauses.
         c.retain(|&l| self.value(l) != Value::False);
-        if c.iter().any(|&l| self.value(l) == Value::True) {
+        let satisfied = c.iter().any(|&l| self.value(l) == Value::True);
+        self.scratch = c;
+        if satisfied {
             return;
         }
-        match c.len() {
+        match self.scratch.len() {
             0 => self.ok = false,
             1 => {
-                if !self.enqueue(c[0], None) || self.propagate().is_some() {
+                if !self.enqueue(self.scratch[0], None) || self.propagate().is_some() {
                     self.ok = false;
                 }
             }
             _ => {
-                let idx = self.clauses.len();
-                self.watches[c[0].negate().index()].push(idx);
-                self.watches[c[1].negate().index()].push(idx);
-                self.clauses.push(c);
+                self.push_scratch_clause();
             }
         }
+    }
+
+    /// Appends `self.scratch` (at least two literals) to the clause arena,
+    /// watching its first two literals.
+    fn push_scratch_clause(&mut self) -> ClauseRef {
+        let idx = self.clauses.len();
+        let c = &self.scratch;
+        self.watches[c[0].negate().index()].push(idx);
+        self.watches[c[1].negate().index()].push(idx);
+        self.clauses.push((self.lits.len(), c.len()));
+        self.lits.extend_from_slice(c);
+        idx
     }
 
     fn value(&self, l: SatLit) -> Value {
@@ -241,24 +306,22 @@ impl SatSolver {
             while i < ws.len() {
                 let cref = ws[i];
                 let false_lit = !p;
+                let (start, len) = self.clauses[cref];
                 // Ensure false_lit is at position 1.
-                {
-                    let c = &mut self.clauses[cref];
-                    if c[0] == false_lit {
-                        c.swap(0, 1);
-                    }
+                if self.lits[start] == false_lit {
+                    self.lits.swap(start, start + 1);
                 }
-                let first = self.clauses[cref][0];
+                let first = self.lits[start];
                 if self.value(first) == Value::True {
                     i += 1;
                     continue;
                 }
                 // Find a new watch.
                 let mut moved = false;
-                for k in 2..self.clauses[cref].len() {
-                    let lk = self.clauses[cref][k];
+                for k in start + 2..start + len {
+                    let lk = self.lits[k];
                     if self.value(lk) != Value::False {
-                        self.clauses[cref].swap(1, k);
+                        self.lits.swap(start + 1, k);
                         self.watches[lk.negate().index()].push(cref);
                         ws.swap_remove(i);
                         moved = true;
@@ -270,8 +333,11 @@ impl SatSolver {
                 }
                 // Clause is unit or conflicting.
                 if !self.enqueue(first, Some(cref)) {
-                    // Conflict: restore remaining watches.
-                    self.watches[p.index()].append(&mut ws);
+                    // Conflict: restore the watches. A new watch is never
+                    // `¬p` itself (that literal is false), so the list
+                    // taken above is still empty and takes `ws` back whole.
+                    debug_assert!(self.watches[p.index()].is_empty());
+                    self.watches[p.index()] = ws;
                     return Some(cref);
                 }
                 i += 1;
@@ -295,23 +361,27 @@ impl SatSolver {
         self.act_inc /= 0.95;
     }
 
-    /// First-UIP conflict analysis. Returns (learnt clause, backjump level).
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<SatLit>, u32) {
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.scratch` (asserting literal first) and returns the backjump
+    /// level.
+    fn analyze(&mut self, confl: ClauseRef) -> u32 {
         let cur_level = self.trail_lim.len() as u32;
-        let mut learnt: Vec<SatLit> = vec![SatLit(0)]; // placeholder for UIP
-        let mut seen = vec![false; self.num_vars()];
+        let mut learnt = std::mem::take(&mut self.scratch);
+        learnt.clear();
+        learnt.push(SatLit(0)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<SatLit> = None;
         let mut cref = confl;
         let mut idx = self.trail.len();
 
         loop {
-            let start = usize::from(p.is_some());
-            for k in start..self.clauses[cref].len() {
-                let q = self.clauses[cref][k];
+            let skip = usize::from(p.is_some());
+            let (start, len) = self.clauses[cref];
+            for k in start + skip..start + len {
+                let q = self.lits[k];
                 let v = q.var().index();
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump(v);
                     if self.level[v] == cur_level {
                         counter += 1;
@@ -324,7 +394,7 @@ impl SatSolver {
             loop {
                 idx -= 1;
                 let l = self.trail[idx];
-                if seen[l.var().index()] {
+                if self.seen[l.var().index()] {
                     p = Some(l);
                     break;
                 }
@@ -334,9 +404,14 @@ impl SatSolver {
                 break;
             }
             cref = self.reason[p.unwrap().var().index()].expect("resolved literal has a reason");
-            seen[p.unwrap().var().index()] = false;
+            self.seen[p.unwrap().var().index()] = false;
         }
         learnt[0] = !p.unwrap();
+        // Every mark still set belongs to a learnt literal: the UIP, and
+        // the lower-level literals. Clearing those restores all-false.
+        for l in &learnt {
+            self.seen[l.var().index()] = false;
+        }
         // Backjump level = max level among non-UIP literals; move that
         // literal into watch position 1 (standard MiniSat invariant).
         let mut bj = 0u32;
@@ -351,7 +426,8 @@ impl SatSolver {
         if learnt.len() > 1 {
             learnt.swap(1, max_idx);
         }
-        (learnt, bj)
+        self.scratch = learnt;
+        bj
     }
 
     fn backtrack(&mut self, level: u32) {
@@ -427,17 +503,14 @@ impl SatSolver {
                     self.backtrack(0);
                     return SolveOutcome::Unknown;
                 }
-                let (learnt, bj) = self.analyze(confl);
+                let bj = self.analyze(confl);
                 self.backtrack(bj);
-                let asserting = learnt[0];
-                if learnt.len() == 1 {
+                let asserting = self.scratch[0];
+                if self.scratch.len() == 1 {
                     let ok = self.enqueue(asserting, None);
                     debug_assert!(ok, "asserting unit must be enqueueable");
                 } else {
-                    let idx = self.clauses.len();
-                    self.watches[learnt[0].negate().index()].push(idx);
-                    self.watches[learnt[1].negate().index()].push(idx);
-                    self.clauses.push(learnt);
+                    let idx = self.push_scratch_clause();
                     let ok = self.enqueue(asserting, Some(idx));
                     debug_assert!(ok, "asserting literal must be enqueueable");
                 }

