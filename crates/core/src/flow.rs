@@ -12,12 +12,20 @@
 //! Each flow produces a [`FlowResult`] bundling the mapped netlist, the
 //! schedule, the DFF plan and the aggregate [`FlowStats`] (the paper's
 //! Table-I metrics: #DFF, area in JJs, depth in cycles, T1 found/used).
+//!
+//! A flow runs in two stages. The [`Subject`] stage optimizes the network
+//! (when the pre-mapping stage is on), chooses its cuts and covers it
+//! without T1 cells; it depends only on the network, the library and the
+//! pre-mapping stage, so the three flows of one subject share it. The
+//! per-config tail ([`Subject::run`]) detects and instantiates T1 cells
+//! (T1 flow only), assigns phases, inserts DFFs and runs the optional
+//! timing stage. [`run_flow`] runs both stages.
 
 use crate::cells::CellLibrary;
 use crate::detect::{detect_with_attribution, DetectConfig};
 use crate::dff::{insert_dffs, DffPlan};
 use crate::mapped::MappedCircuit;
-use crate::mapper::{map, MapPlan, MapResult};
+use crate::mapper::{MapPlan, MapResult};
 use crate::phase::{assign_phases, assign_phases_exact, Schedule};
 use crate::timing::{analyze_mapped, TimingConfig, TimingSummary};
 use sfq_netlist::aig::Aig;
@@ -259,7 +267,125 @@ pub struct FlowResult {
     pub timing: Option<TimingSummary>,
 }
 
-/// Runs a complete flow on `aig`.
+/// The selection- and phase-independent half of a flow on one network:
+/// the pre-mapping optimization result, the mapper's cut choice and the
+/// baseline cover.
+///
+/// None of these depends on the phase count, the phase engine, the T1
+/// selection or the timing stage — only on the network, the library and
+/// the pre-mapping optimization stage. So the 1φ, nφ and T1 flows of one
+/// subject (and every phase count of a sweep) can share one `Subject`:
+/// [`Subject::new`] does the shared work, [`Subject::run`] the per-config
+/// tail. [`run_flow`] is the two in sequence, and `sfq-engine` builds one
+/// subject per (network, library, pre-opt stage) in a run.
+#[derive(Debug)]
+pub struct Subject {
+    /// The optimized network and the optimizer's report, present when the
+    /// pre-mapping stage is enabled.
+    pre_opt: Option<(Aig, OptReport)>,
+    /// Chosen cuts of the mapped network.
+    plan: MapPlan,
+    /// The cover without T1 cells: the 1φ/nφ netlist, and the attribution
+    /// that prices T1 candidates (eq. 2).
+    baseline: MapResult,
+}
+
+impl Subject {
+    /// Optimizes `aig` under `pre_opt` (when enabled), then chooses its
+    /// cuts and covers it without T1 cells.
+    pub fn new(aig: &Aig, lib: &CellLibrary, pre_opt: &OptConfig) -> Self {
+        let _span = sfq_obs::span("flow:map");
+        // Pre-mapping optimization: a guarded `sfq-opt` pipeline run, so the
+        // mapped network is never larger or deeper than the subject network.
+        let pre_opt = pre_opt.enabled.then(|| {
+            let _span = sfq_obs::span("flow:pre-opt");
+            sfq_opt::optimize(aig, pre_opt)
+        });
+        let net = pre_opt.as_ref().map_or(aig, |(net, _)| net);
+        let plan = MapPlan::new(net, lib);
+        let baseline = plan.cover(net, lib, None);
+        Subject {
+            pre_opt,
+            plan,
+            baseline,
+        }
+    }
+
+    /// Runs the rest of `config`'s flow: T1 detection and the T1-aware
+    /// cover (T1 flows only; 1φ and nφ take the baseline cover), phase
+    /// assignment, DFF insertion and the optional timing stage.
+    ///
+    /// `aig` and `lib` must be the network and library the subject was
+    /// built from, and `config.pre_opt` its pre-mapping stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.use_t1` with fewer than 3 phases, or if the exact
+    /// engine fails on an instance it cannot solve.
+    pub fn run(&self, aig: &Aig, lib: &CellLibrary, config: &FlowConfig) -> FlowResult {
+        assert!(
+            !config.use_t1 || config.phases >= 3,
+            "T1 staggering needs at least 3 phases"
+        );
+        debug_assert_eq!(self.pre_opt.is_some(), config.pre_opt.enabled);
+        let aig = self.pre_opt.as_ref().map_or(aig, |(net, _)| net);
+        let (mc, t1_found, t1_used) = if config.use_t1 {
+            let det = {
+                let _span = sfq_obs::span("flow:detect");
+                detect_with_attribution(aig, lib, &config.detect, &self.baseline.attribution)
+            };
+            let mapped = {
+                let _span = sfq_obs::span("flow:map");
+                self.plan.cover(aig, lib, Some(&det.selection))
+            };
+            (mapped.circuit, det.found(), mapped.t1_used)
+        } else {
+            (self.baseline.circuit.clone(), 0, 0)
+        };
+        let schedule = {
+            let _span = sfq_obs::span("flow:phase-assign");
+            match config.engine {
+                PhaseEngine::Heuristic => assign_phases(&mc, config.phases, config.opt_passes),
+                PhaseEngine::Exact => {
+                    assign_phases_exact(&mc, config.phases).expect("exact phase assignment failed")
+                }
+            }
+        };
+        let plan = {
+            let _span = sfq_obs::span("flow:dff-insert");
+            insert_dffs(&mc, &schedule)
+        };
+        let timing = config.timing.enabled.then(|| {
+            let _span = sfq_obs::span("flow:timing");
+            analyze_mapped(&mc, &schedule).summary(&mc, &schedule, &plan)
+        });
+        let cell_area = mc.cell_area(lib);
+        let area = cell_area
+            + plan.total_dffs * lib.dff as u64
+            + plan.total_splitters * lib.splitter as u64;
+        let stats = FlowStats {
+            t1_found,
+            t1_used,
+            dffs: plan.total_dffs,
+            splitters: plan.total_splitters,
+            cell_area,
+            area,
+            depth_cycles: schedule.depth_cycles(),
+            gates: mc.gate_count(),
+        };
+        FlowResult {
+            mapped: mc,
+            schedule,
+            plan,
+            stats,
+            pre_opt: self.pre_opt.as_ref().map(|(_, report)| report.clone()),
+            timing,
+        }
+    }
+}
+
+/// Runs a complete flow on `aig`: [`Subject::new`], then
+/// [`Subject::run`].
 ///
 /// # Panics
 ///
@@ -267,83 +393,8 @@ pub struct FlowResult {
 /// engine fails on an instance it cannot solve (use the heuristic for large
 /// netlists).
 pub fn run_flow(aig: &Aig, lib: &CellLibrary, config: &FlowConfig) -> FlowResult {
-    assert!(
-        !config.use_t1 || config.phases >= 3,
-        "T1 staggering needs at least 3 phases"
-    );
-    let _flow_span = sfq_obs::span("flow:run");
-    // Pre-mapping optimization: a guarded `sfq-opt` pipeline run, so the
-    // mapped network is never larger or deeper than the subject network.
-    let optimized;
-    let mut pre_opt = None;
-    let aig = if config.pre_opt.enabled {
-        let _span = sfq_obs::span("flow:pre-opt");
-        let (net, report) = sfq_opt::optimize(aig, &config.pre_opt);
-        optimized = net;
-        pre_opt = Some(report);
-        &optimized
-    } else {
-        aig
-    };
-    let (map_result, t1_found): (MapResult, usize) = if config.use_t1 {
-        // The baseline and the T1-aware cover share one cut set and cut
-        // choice: neither depends on the selection.
-        let (plan, det) = {
-            let _span = sfq_obs::span("flow:detect");
-            let plan = MapPlan::new(aig, lib);
-            let baseline = plan.cover(None);
-            let det = detect_with_attribution(aig, lib, &config.detect, &baseline.attribution);
-            (plan, det)
-        };
-        let found = det.found();
-        let mapped = {
-            let _span = sfq_obs::span("flow:map");
-            plan.cover(Some(&det.selection))
-        };
-        (mapped, found)
-    } else {
-        let _span = sfq_obs::span("flow:map");
-        (map(aig, lib, None), 0)
-    };
-    let mc = map_result.circuit;
-    let schedule = {
-        let _span = sfq_obs::span("flow:phase-assign");
-        match config.engine {
-            PhaseEngine::Heuristic => assign_phases(&mc, config.phases, config.opt_passes),
-            PhaseEngine::Exact => {
-                assign_phases_exact(&mc, config.phases).expect("exact phase assignment failed")
-            }
-        }
-    };
-    let plan = {
-        let _span = sfq_obs::span("flow:dff-insert");
-        insert_dffs(&mc, &schedule)
-    };
-    let timing = config.timing.enabled.then(|| {
-        let _span = sfq_obs::span("flow:timing");
-        analyze_mapped(&mc, &schedule).summary(&mc, &schedule, &plan)
-    });
-    let cell_area = mc.cell_area(lib);
-    let area =
-        cell_area + plan.total_dffs * lib.dff as u64 + plan.total_splitters * lib.splitter as u64;
-    let stats = FlowStats {
-        t1_found,
-        t1_used: map_result.t1_used,
-        dffs: plan.total_dffs,
-        splitters: plan.total_splitters,
-        cell_area,
-        area,
-        depth_cycles: schedule.depth_cycles(),
-        gates: mc.gate_count(),
-    };
-    FlowResult {
-        mapped: mc,
-        schedule,
-        plan,
-        stats,
-        pre_opt,
-        timing,
-    }
+    let _span = sfq_obs::span("flow:run");
+    Subject::new(aig, lib, &config.pre_opt).run(aig, lib, config)
 }
 
 // Compile-time Send + Sync audit: `sfq-engine` moves jobs (AIG + library +
@@ -357,6 +408,7 @@ const _: () = {
     assert_send_sync::<FlowConfig>();
     assert_send_sync::<FlowStats>();
     assert_send_sync::<FlowResult>();
+    assert_send_sync::<Subject>();
     assert_send_sync::<MappedCircuit>();
     assert_send_sync::<Schedule>();
     assert_send_sync::<DffPlan>();

@@ -64,25 +64,28 @@ pub struct MapResult {
 /// Maps `aig` onto the library, optionally instantiating the given T1
 /// selection.
 ///
-/// Shorthand for `MapPlan::new(aig, lib).cover(t1)`; build the
+/// Shorthand for `MapPlan::new(aig, lib).cover(aig, lib, t1)`; build the
 /// [`MapPlan`] yourself to cover one network more than once.
 ///
 /// # Panics
 ///
 /// Panics if a selected T1 group references nodes outside `aig`.
 pub fn map(aig: &Aig, lib: &CellLibrary, t1: Option<&T1Selection>) -> MapResult {
-    MapPlan::new(aig, lib).cover(t1)
+    MapPlan::new(aig, lib).cover(aig, lib, t1)
 }
 
-/// The selection-independent half of mapping one network: its 3-feasible
-/// cuts and the area-flow choice of one cut per AND node.
+/// The selection-independent half of mapping one network: the area-flow
+/// choice of one 3-feasible cut per AND node.
 ///
-/// Neither depends on the T1 selection, so a flow that maps a network
-/// twice — the baseline cover whose attribution prices T1 candidates
-/// (eq. 2), then the T1-aware cover — enumerates and chooses cuts once and
-/// calls [`MapPlan::cover`] twice. The plan keeps one chosen cut per AND
-/// node, not the whole cut set. Each cover is exactly what [`map`] returns
-/// for the same selection.
+/// The choice does not depend on the T1 selection, so everything that
+/// covers one network more than once — the baseline cover whose
+/// attribution prices T1 candidates (eq. 2), then the T1-aware cover —
+/// enumerates and chooses cuts once and calls [`MapPlan::cover`] per
+/// selection. The flow keeps its plan in a
+/// [`Subject`](crate::flow::Subject), which the 1φ, nφ and T1 flows of one
+/// network share. The plan owns nothing but the chosen cuts;
+/// [`MapPlan::cover`] takes the network and library it was built from.
+/// Each cover is exactly what [`map`] returns for the same selection.
 ///
 /// # Examples
 ///
@@ -98,21 +101,19 @@ pub fn map(aig: &Aig, lib: &CellLibrary, t1: Option<&T1Selection>) -> MapResult 
 /// let lib = CellLibrary::default();
 ///
 /// let plan = MapPlan::new(&aig, &lib);
-/// let baseline = plan.cover(None);
+/// let baseline = plan.cover(&aig, &lib, None);
 /// assert_eq!(baseline.circuit, map(&aig, &lib, None).circuit);
 /// ```
 #[derive(Debug)]
-pub struct MapPlan<'a> {
-    aig: &'a Aig,
-    lib: &'a CellLibrary,
+pub struct MapPlan {
     /// `best[node]`: the cut chosen for each AND node (`None` elsewhere).
     best: Vec<Option<Cut>>,
 }
 
-impl<'a> MapPlan<'a> {
+impl MapPlan {
     /// Enumerates the 3-feasible cuts of `aig` (the library has 1/2-input
     /// cells plus MAJ3/XOR3) and chooses one per AND node by area flow.
-    pub fn new(aig: &'a Aig, lib: &'a CellLibrary) -> Self {
+    pub fn new(aig: &Aig, lib: &CellLibrary) -> Self {
         let cuts = {
             let _span = sfq_obs::span("map:cuts");
             enumerate_cuts(
@@ -129,18 +130,19 @@ impl<'a> MapPlan<'a> {
             let _span = sfq_obs::span("map:choose");
             choose_cuts(aig, lib, &cuts)
         };
-        MapPlan { aig, lib, best }
+        MapPlan { best }
     }
 
-    /// Covers the network with the chosen cuts, instantiating the given T1
-    /// selection.
+    /// Covers `aig` — the network the plan was built from — with the
+    /// chosen cuts, instantiating the given T1 selection.
     ///
     /// # Panics
     ///
     /// Panics if a selected T1 group references nodes outside the network.
-    pub fn cover(&self, t1: Option<&T1Selection>) -> MapResult {
+    pub fn cover(&self, aig: &Aig, lib: &CellLibrary, t1: Option<&T1Selection>) -> MapResult {
+        debug_assert_eq!(self.best.len(), aig.len(), "plan built for another network");
         let _span = sfq_obs::span("map:cover");
-        Cover::new(self.aig, self.lib, &self.best, t1).run()
+        Cover::new(aig, lib, &self.best, t1).run()
     }
 }
 

@@ -239,7 +239,11 @@ fn local_search(
     if mc.t1_count() > 0 {
         assert!(n >= 3, "T1 cells need at least 3 phases");
     }
-    let mut sched = asap(mc, n);
+    let mut sched = {
+        let _span = sfq_obs::span("phase:asap");
+        asap(mc, n)
+    };
+    let _span = sfq_obs::span("phase:search");
     let fanouts = Fanouts::new(mc);
     let nn = n as i64;
     let mut scratch: Vec<Requirement> = Vec::new();

@@ -1,8 +1,11 @@
-//! The mapping and detection sub-stage spans, how often a flow
-//! enumerates cuts, and the phase-assignment work counter. One test
-//! function: the `sfq-obs` recorder is global.
+//! The mapping, detection and phase-assignment sub-stage spans, how often
+//! a flow (and a suite of flows on one subject) enumerates cuts, and the
+//! phase-assignment work counter. One test function: the `sfq-obs`
+//! recorder is global.
 
 use sfq_circuits::epfl::adder;
+use sfq_engine::{Job, SuiteRunner};
+use std::sync::Arc;
 use t1map::cells::CellLibrary;
 use t1map::flow::{run_flow, FlowConfig};
 
@@ -52,6 +55,9 @@ fn t1_flow_enumerates_mapping_cuts_once_and_covers_twice() {
     assert!(counter(&t1, "netlist.cuts_kept") > 2 * aig.len() as u64);
     // The multiphase local search evaluates candidate stages.
     assert!(counter(&t1, "t1map.phase_evals") > 0);
+    for stage in ["phase:asap", "phase:search"] {
+        assert_eq!(span_count(&t1, stage), 1, "{stage}");
+    }
     assert_eq!(sfq_obs::open_spans(), 0);
 
     let single = traced(|| {
@@ -61,4 +67,24 @@ fn t1_flow_enumerates_mapping_cuts_once_and_covers_twice() {
     assert_eq!(span_count(&single, "map:cover"), 1);
     assert_eq!(span_count(&single, "detect:cuts"), 0);
     assert_eq!(counter(&single, "netlist.cut_enumerations"), 1);
+
+    // The three paper flows of one subject, through the engine: one cut
+    // choice and one baseline cover serve all three, and only the T1 flow
+    // covers again and enumerates detection cuts.
+    let shared = Arc::new(aig.clone());
+    let jobs = [
+        ("1φ", FlowConfig::single_phase()),
+        ("nφ", FlowConfig::multiphase(4)),
+        ("T1", FlowConfig::t1(4)),
+    ]
+    .map(|(flow, config)| Job::new("adder8", flow, shared.clone(), lib, config));
+    let suite = traced(|| {
+        SuiteRunner::new(1).run(&jobs);
+    });
+    assert_eq!(span_count(&suite, "map:cuts"), 1);
+    assert_eq!(span_count(&suite, "map:choose"), 1);
+    assert_eq!(span_count(&suite, "map:cover"), 2);
+    assert_eq!(counter(&suite, "netlist.cut_enumerations"), 2);
+    assert_eq!(counter(&suite, "engine.subject_builds"), 1);
+    assert_eq!(counter(&suite, "engine.subject_reuses"), 2);
 }

@@ -37,6 +37,35 @@ impl CacheKey {
     }
 }
 
+/// Address of a job's [`Subject`](t1map::flow::Subject) — the half of a
+/// flow that depends only on the network, the library and the pre-mapping
+/// stage. Jobs with equal subject keys can share one subject within a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct SubjectKey {
+    /// [`CacheKey::aig`] of the job.
+    aig: u64,
+    /// FNV-1a over [`CellLibrary::fingerprint`].
+    lib: u64,
+    /// FNV-1a over the pre-mapping stage's
+    /// [`OptConfig::fingerprint`](sfq_opt::OptConfig::fingerprint).
+    pre_opt: u64,
+}
+
+impl SubjectKey {
+    /// The subject address of `job`, whose content address is `key`.
+    pub(crate) fn of(job: &Job, key: CacheKey) -> Self {
+        let mut lib = Fnv1a::new();
+        job.lib.fingerprint(&mut lib);
+        let mut pre_opt = Fnv1a::new();
+        job.config.pre_opt.fingerprint(&mut pre_opt);
+        SubjectKey {
+            aig: key.aig,
+            lib: lib.finish(),
+            pre_opt: pre_opt.finish(),
+        }
+    }
+}
+
 /// One unit of batch work: run a mapping flow on a named AIG.
 ///
 /// The AIG is shared via `Arc` so a suite that maps the same benchmark under

@@ -8,7 +8,7 @@
 //!
 //! ## Architecture
 //!
-//! The engine is four small layers:
+//! The engine is four small layers, plus one per-run memo:
 //!
 //! - **[`Job`]** ([`job`]) — the unit of work: a named AIG × a
 //!   [`CellLibrary`](t1map::cells::CellLibrary) × a
@@ -45,6 +45,19 @@
 //!   of completion order — `--jobs 1` and `--jobs 8` render byte-identical
 //!   tables. [`SuiteRunner::with_store`] swaps the per-run cache for a
 //!   shared, long-lived (and optionally disk-backed) store.
+//!
+//! - **The subject memo** ([`pool`]) — inside one run, computed jobs on the
+//!   same network, library and pre-mapping stage share one
+//!   [`Subject`](t1map::flow::Subject): the pre-opt result, the cut choice
+//!   and the baseline cover that the 1φ, nφ and T1 flows (and every phase
+//!   count of a sweep) have in common. It is keyed by the AIG's structural
+//!   hash and the fingerprints of the library and the pre-mapping stage,
+//!   built only inside a cache miss's compute closure (hits never build
+//!   one), and dropped when the run's last job with that key finishes. It
+//!   is not a persisted tier: nothing outlives the run, so the results a
+//!   [`ResultStore`] holds are the only thing shared across runs. Its hits
+//!   show as the `engine.subject_builds` and `engine.subject_reuses`
+//!   counters.
 //!
 //! ## Example
 //!

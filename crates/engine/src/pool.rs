@@ -1,11 +1,12 @@
 //! Fixed-size worker pool and suite orchestration.
 
 use crate::cache::{CacheStats, HitSource, ResultCache};
-use crate::job::{CacheKey, Job};
+use crate::job::{CacheKey, Job, SubjectKey};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use t1map::flow::{run_flow, FlowResult, FlowStats};
+use t1map::flow::{FlowResult, FlowStats, Subject};
 
 /// Worker count to use when the caller does not specify one: the machine's
 /// [`available_parallelism`](std::thread::available_parallelism), or 1 if
@@ -30,9 +31,10 @@ pub struct JobOutcome<'a> {
     pub completed: usize,
     /// Total number of submitted jobs.
     pub total: usize,
-    /// The job's content address, as computed by the worker — streaming
-    /// consumers (e.g. the `sfq-explore` sweep runner) group deduplicated
-    /// submissions by this key without re-hashing the AIG.
+    /// The job's content address, computed once before the workers
+    /// start — streaming consumers (e.g. the `sfq-explore` sweep runner)
+    /// group deduplicated submissions by this key without re-hashing the
+    /// AIG.
     pub key: CacheKey,
     /// Which tier served the result (or [`HitSource::Computed`] if the
     /// flow ran).
@@ -40,7 +42,11 @@ pub struct JobOutcome<'a> {
     /// Wall-clock time this job occupied a worker. Near zero for hits on an
     /// already-finished entry; a hit that piggybacked on another worker's
     /// in-flight computation of the same key reports the time spent waiting
-    /// for that computation instead.
+    /// for that computation instead. The first computed job of a subject
+    /// (see [`SuiteRunner`]) is charged for building it, so the 1φ job of
+    /// a Table-I triple takes longer than its nφ and T1 siblings would
+    /// alone; a job that waited for another worker's build is charged the
+    /// wait.
     pub duration: Duration,
     /// Monotonic wall-clock time from the start of the whole run to this
     /// job's completion — the timestamp progress reporters print.
@@ -80,6 +86,13 @@ pub struct SuiteReport {
 /// invokes the progress callback (no `Send`/`Sync` bound on the callback)
 /// and slots each result into its submission-order position.
 ///
+/// Within a run, computed jobs that share a network, a library and a
+/// pre-mapping stage share one [`Subject`]: the first to compute builds it
+/// (pre-opt, cut choice, baseline cover), later ones reuse it, and it is
+/// dropped when the run's last job with that subject finishes. The memo is
+/// per run and never persisted; cache hits never build a subject. The
+/// `engine.subject_builds` and `engine.subject_reuses` counters show it.
+///
 /// By default each run uses a private in-memory [`ResultCache`] that dies
 /// with the run. [`with_store`](SuiteRunner::with_store) attaches a shared,
 /// long-lived store instead — typically a [`ResultCache`] layered over a
@@ -89,6 +102,50 @@ pub struct SuiteReport {
 pub struct SuiteRunner {
     workers: usize,
     store: Option<Arc<ResultCache>>,
+}
+
+/// The run's subject memo: one lazily built [`Subject`] per subject key.
+struct Subjects {
+    live: Mutex<HashMap<SubjectKey, LiveSubject>>,
+}
+
+struct LiveSubject {
+    subject: Arc<OnceLock<Subject>>,
+    /// Jobs of the run that have yet to finish with this subject.
+    pending: usize,
+}
+
+impl Subjects {
+    fn new(keys: &[SubjectKey]) -> Self {
+        let mut live = HashMap::new();
+        for &key in keys {
+            live.entry(key)
+                .or_insert_with(|| LiveSubject {
+                    subject: Arc::new(OnceLock::new()),
+                    pending: 0,
+                })
+                .pending += 1;
+        }
+        Subjects {
+            live: Mutex::new(live),
+        }
+    }
+
+    /// The (possibly not yet built) subject of a job with subject `key`.
+    fn claim(&self, key: SubjectKey) -> Arc<OnceLock<Subject>> {
+        self.live.lock().unwrap()[&key].subject.clone()
+    }
+
+    /// Records that a job with subject `key` finished; the last one drops
+    /// the memo's reference.
+    fn release(&self, key: SubjectKey) {
+        let mut live = self.live.lock().unwrap();
+        let entry = live.get_mut(&key).expect("claimed subject");
+        entry.pending -= 1;
+        if entry.pending == 0 {
+            live.remove(&key);
+        }
+    }
 }
 
 struct WorkerEvent {
@@ -157,6 +214,13 @@ impl SuiteRunner {
             }
         };
         let before = cache.stats();
+        let keys: Vec<CacheKey> = jobs.iter().map(Job::key).collect();
+        let subject_keys: Vec<SubjectKey> = jobs
+            .iter()
+            .zip(&keys)
+            .map(|(job, &key)| SubjectKey::of(job, key))
+            .collect();
+        let subjects = Subjects::new(&subject_keys);
         let cursor = AtomicUsize::new(0);
         let mut results: Vec<Option<Arc<FlowResult>>> = vec![None; total];
         // Queue-wait spans are measured from this common origin; `None`
@@ -167,7 +231,8 @@ impl SuiteRunner {
             let (tx, rx) = mpsc::channel::<WorkerEvent>();
             for _ in 0..workers {
                 let tx = tx.clone();
-                let cursor = &cursor;
+                let (cursor, keys, subject_keys, subjects) =
+                    (&cursor, &keys, &subject_keys, &subjects);
                 scope.spawn(move || loop {
                     let index = cursor.fetch_add(1, Ordering::Relaxed);
                     if index >= total {
@@ -179,14 +244,26 @@ impl SuiteRunner {
                     }
                     let t0 = Instant::now();
                     let alloc0 = sfq_obs::alloc::thread_allocated();
-                    let key = job.key();
+                    let (key, subject_key) = (keys[index], subject_keys[index]);
+                    let subject = subjects.claim(subject_key);
                     let (result, source) = {
                         let _span = sfq_obs::span_labeled("engine:job", || job.label());
                         cache.get_or_compute(key, || {
                             let _span = sfq_obs::span_labeled("engine:compute", || job.label());
-                            run_flow(&job.aig, &job.lib, &job.config)
+                            let _flow = sfq_obs::span("flow:run");
+                            let mut built = false;
+                            let subject = subject.get_or_init(|| {
+                                built = true;
+                                sfq_obs::counter("engine.subject_builds", 1);
+                                Subject::new(&job.aig, &job.lib, &job.config.pre_opt)
+                            });
+                            if !built {
+                                sfq_obs::counter("engine.subject_reuses", 1);
+                            }
+                            subject.run(&job.aig, &job.lib, &job.config)
                         })
                     };
+                    subjects.release(subject_key);
                     // The receiver only disappears if the collector loop
                     // ended early (callback panic); nothing left to report.
                     let _ = tx.send(WorkerEvent {

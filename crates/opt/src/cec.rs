@@ -564,6 +564,7 @@ pub fn check_equivalence(a: &Aig, b: &Aig, cfg: &CecConfig) -> Result<CecOutcome
     // pattern word ([`Aig::eval64_into`]) — at `sim_words = 8` on a
     // million-node network the naive form would allocate sixteen fresh
     // node-sized vectors before the solver even starts.
+    let sim_span = sfq_obs::span("cec:sim");
     let mut inputs = Vec::with_capacity(a.pi_count());
     let (mut scratch, mut oa, mut ob) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..cfg.sim_words {
@@ -586,7 +587,10 @@ pub fn check_equivalence(a: &Aig, b: &Aig, cfg: &CecConfig) -> Result<CecOutcome
         }
     }
 
+    drop(sim_span);
+
     // Stage 2: shared reconstruction, with SAT sweeping when enabled.
+    let sweep_span = sfq_obs::span("cec:sweep");
     let mut space = SweepSpace::new(a.pi_count(), &mut rng);
     let map_a = space.absorb(a, cfg);
     let map_b = space.absorb(b, cfg);
@@ -612,7 +616,10 @@ pub fn check_equivalence(a: &Aig, b: &Aig, cfg: &CecConfig) -> Result<CecOutcome
         });
     }
 
+    drop(sweep_span);
+
     // Stage 3: miter over the unresolved pairs.
+    let _span = sfq_obs::span("cec:miter");
     stats.used_final_sat = true;
     stats.sat_queries += 1;
     let enc = &mut space.enc;
