@@ -227,6 +227,7 @@ impl ResultCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         sfq_obs::counter("store.misses", 1);
         if let Some(backing) = &self.backing {
+            let _span = sfq_obs::span("store:put");
             backing.put(key, &result);
         }
         (result, HitSource::Computed)
@@ -288,6 +289,7 @@ impl ResultStore for ResultCache {
     fn put(&self, key: CacheKey, result: &Arc<FlowResult>) {
         self.insert_ready(key, result.clone());
         if let Some(backing) = &self.backing {
+            let _span = sfq_obs::span("store:put");
             backing.put(key, result);
         }
     }

@@ -9,19 +9,63 @@
 //! elements it governs, so the decoder never guesses and never reads past
 //! a section.
 //!
+//! # Canonical grammar
+//!
+//! Each line is a tag followed by zero or more fields, each field preceded
+//! by exactly one space, and the line ends in one `\n` (no `\r`, no
+//! trailing space). Numbers are decimal without sign or leading zeros
+//! (`0` itself excepted); signed fields add a leading `-` to a non-zero
+//! magnitude. A truth table is lower-case hex of its `2^vars` rows, again
+//! without leading zeros. Flags are `0` or `1`.
+//!
+//! ```text
+//! sfq-flow-result v2
+//! stats <t1_found> <t1_used> <dffs> <splitters> <cell_area> <area> <depth_cycles> <gates>
+//! cells <N>                      then N cell lines, in id order:
+//!   i <index>                      primary input
+//!   k                              constant 0
+//!   g <vars> <hex> {<cell> <port> <invert>}×vars
+//!   t {<cell> <port> 0}×3          T1 cell
+//! pos <P>                        then P lines `p <cell> <port> <invert>`
+//! sched <n> <horizon> <N>
+//! stages {<stage>}×N
+//! t1off <N> <K>                  then K lines `o <cell> <o0> <o1> <o2>`, cells ascending
+//! plan <D> <total_dffs> <total_splitters>
+//!                                then per driver:
+//!   d <cell> <port> <stage> <M> <C>
+//!   m {<member>}×M
+//!   a {<tap>}×C
+//!   c <g|t> <cell> <slot> <w|e> <t>  or  c o <index> 0 <w|e> <t>   (C lines)
+//! preopt 0 | preopt 1            then, when 1:
+//!   r <R> <converged> <nodes_before> <nodes_after> <depth_before> <depth_after>
+//!   q <S>                          R times, each then S lines:
+//!   s <pass> <nodes_before> <nodes_after> <depth_before> <depth_after> <applied> <micros>
+//! timing 0 | timing 1            then, when 1:
+//!   y <horizon> <phases> <scheduled> <zero_slack> <worst> <total> <edge_dffs> <chained_dffs>
+//! end
+//! ```
+//!
+//! [`encode`] appends this text straight into one pre-sized byte buffer;
+//! [`decode`] reads it back in a single pass of one byte cursor, parsing
+//! each number in the scan that finds it.
+//!
 //! [`decode`] is *total*: any input — corrupt, truncated, hostile — yields
 //! either an equal [`FlowResult`] or a [`DecodeError`] with the offending
-//! line, never a panic. In particular it pre-validates everything the
-//! [`MappedCircuit`] builder asserts (topological order, port ranges, gate
-//! arity, positive T1 operands), so rebuilding through the public builder
-//! API cannot trip an assertion.
+//! line, never a panic. It accepts exactly the canonical text: anything
+//! [`encode`] would not have written (extra whitespace, `\r\n` line ends,
+//! leading zeros, bytes after `end`) is an error, which the store counts
+//! as a miss. It pre-validates everything the [`MappedCircuit`] builder
+//! asserts (topological order, port ranges, gate arity, positive T1
+//! operands), so rebuilding through the public builder API cannot trip an
+//! assertion. It never allocates for elements the input cannot hold: the
+//! per-cell arrays (`stages`, `t1off`) must match the cell count, and
+//! every other count is checked against the bytes left in the entry.
 //!
 //! [`FORMAT_VERSION`] participates in the [`DiskStore`](super::DiskStore)
 //! directory layout (`<dir>/v<N>/`): bumping it on any format change
 //! orphans old entries cleanly instead of misdecoding them.
 
 use std::fmt;
-use std::str::{FromStr, SplitWhitespace};
 use t1map::dff::{Chain, Consumer, DffPlan, DriverPlan, Requirement};
 use t1map::flow::{FlowResult, FlowStats};
 use t1map::mapped::{CellId, Edge, MappedCell, MappedCircuit};
@@ -30,6 +74,12 @@ use t1map::timing::TimingSummary;
 
 use sfq_netlist::truth_table::TruthTable;
 use sfq_opt::{OptReport, PassKind, PassStats};
+
+#[cfg(test)]
+mod oracle;
+#[cfg(test)]
+#[path = "../../tests/synthetic/mod.rs"]
+mod synthetic;
 
 /// Version of the serialization format. Participates in the on-disk
 /// directory layout, so bumping it invalidates every persisted entry at
@@ -60,230 +110,262 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Serializes `result` into the versioned text format.
-pub fn encode(result: &FlowResult) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let w = &mut s;
-    writeln!(w, "{HEADER} v{FORMAT_VERSION}").unwrap();
-    let st = &result.stats;
-    writeln!(
-        w,
-        "stats {} {} {} {} {} {} {} {}",
-        st.t1_found,
-        st.t1_used,
-        st.dffs,
-        st.splitters,
-        st.cell_area,
-        st.area,
-        st.depth_cycles,
-        st.gates
-    )
-    .unwrap();
+/// Append-only writer of canonical lines: a tag, then space-prefixed
+/// fields, then `\n`.
+struct Writer {
+    buf: Vec<u8>,
+}
 
-    let mc = &result.mapped;
-    writeln!(w, "cells {}", mc.len()).unwrap();
-    for (_, cell) in mc.cells() {
-        match cell {
-            MappedCell::Input { index } => writeln!(w, "i {index}").unwrap(),
-            MappedCell::Const0 => writeln!(w, "k").unwrap(),
-            MappedCell::Gate { tt, fanins } => {
-                write!(w, "g {} {:x}", tt.num_vars(), tt.bits()).unwrap();
-                for e in fanins {
-                    write!(w, " {} {} {}", e.cell.0, e.port, e.invert as u8).unwrap();
-                }
-                writeln!(w).unwrap();
-            }
-            MappedCell::T1 { fanins } => {
-                write!(w, "t").unwrap();
-                for e in fanins {
-                    write!(w, " {} {} {}", e.cell.0, e.port, e.invert as u8).unwrap();
-                }
-                writeln!(w).unwrap();
+impl Writer {
+    /// Starts a line with `tag`.
+    fn tag(&mut self, tag: &str) -> &mut Self {
+        self.buf.extend_from_slice(tag.as_bytes());
+        self
+    }
+
+    /// Appends the decimal digits of `v`.
+    fn digits(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
             }
         }
+        self.buf.extend_from_slice(&digits[i..]);
     }
-    writeln!(w, "pos {}", mc.pos().len()).unwrap();
+
+    fn u64(&mut self, v: u64) -> &mut Self {
+        self.buf.push(b' ');
+        self.digits(v);
+        self
+    }
+
+    fn usize(&mut self, v: usize) -> &mut Self {
+        self.u64(v as u64)
+    }
+
+    fn i64(&mut self, v: i64) -> &mut Self {
+        self.buf.extend_from_slice(if v < 0 { b" -" } else { b" " });
+        self.digits(v.unsigned_abs());
+        self
+    }
+
+    fn hex(&mut self, v: u64) -> &mut Self {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let nibbles = (64 - (v | 1).leading_zeros()).div_ceil(4);
+        self.buf.push(b' ');
+        for k in (0..nibbles).rev() {
+            self.buf.push(HEX[(v >> (4 * k)) as usize & 15]);
+        }
+        self
+    }
+
+    fn word(&mut self, w: &str) -> &mut Self {
+        self.buf.push(b' ');
+        self.buf.extend_from_slice(w.as_bytes());
+        self
+    }
+
+    fn flag(&mut self, b: bool) -> &mut Self {
+        self.buf.extend_from_slice(if b { b" 1" } else { b" 0" });
+        self
+    }
+
+    fn edge(&mut self, e: &Edge) -> &mut Self {
+        self.u64(e.cell.0.into()).u64(e.port.into()).flag(e.invert)
+    }
+
+    fn i64s(&mut self, vs: &[i64]) -> &mut Self {
+        for &v in vs {
+            self.i64(v);
+        }
+        self
+    }
+
+    /// Ends the current line.
+    fn end(&mut self) {
+        self.buf.push(b'\n');
+    }
+}
+
+/// A capacity estimate for [`encode`]'s buffer, from the element counts:
+/// generous for typical results, so the buffer rarely grows.
+fn encoded_size_hint(result: &FlowResult) -> usize {
+    let drivers: usize = result
+        .plan
+        .drivers
+        .iter()
+        .map(|d| 24 + 4 * d.chain.members.len() + 16 * d.consumers.len())
+        .sum();
+    let passes: usize = result.pre_opt.as_ref().map_or(0, |r| {
+        r.rounds.iter().map(|round| 8 + 48 * round.len()).sum()
+    });
+    256 + 40 * result.mapped.len() + 16 * result.mapped.pos().len() + drivers + passes
+}
+
+/// Serializes `result` into the versioned text format.
+pub fn encode(result: &FlowResult) -> String {
+    let mut w = Writer {
+        buf: Vec::with_capacity(encoded_size_hint(result)),
+    };
+    w.tag(HEADER).word(&format!("v{FORMAT_VERSION}")).end();
+    let st = &result.stats;
+    w.tag("stats")
+        .usize(st.t1_found)
+        .usize(st.t1_used)
+        .u64(st.dffs)
+        .u64(st.splitters)
+        .u64(st.cell_area)
+        .u64(st.area)
+        .i64(st.depth_cycles)
+        .usize(st.gates)
+        .end();
+
+    let mc = &result.mapped;
+    w.tag("cells").usize(mc.len()).end();
+    for (_, cell) in mc.cells() {
+        match cell {
+            MappedCell::Input { index } => w.tag("i").u64((*index).into()),
+            MappedCell::Const0 => w.tag("k"),
+            MappedCell::Gate { tt, fanins } => {
+                w.tag("g").usize(tt.num_vars()).hex(tt.bits());
+                for e in fanins {
+                    w.edge(e);
+                }
+                &mut w
+            }
+            MappedCell::T1 { fanins } => {
+                w.tag("t");
+                for e in fanins {
+                    w.edge(e);
+                }
+                &mut w
+            }
+        }
+        .end();
+    }
+    w.tag("pos").usize(mc.pos().len()).end();
     for e in mc.pos() {
-        writeln!(w, "p {} {} {}", e.cell.0, e.port, e.invert as u8).unwrap();
+        w.tag("p").edge(e).end();
     }
 
     let sched = &result.schedule;
-    writeln!(
-        w,
-        "sched {} {} {}",
-        sched.n,
-        sched.horizon,
-        sched.stages.len()
-    )
-    .unwrap();
-    write!(w, "stages").unwrap();
-    for s in &sched.stages {
-        write!(w, " {s}").unwrap();
-    }
-    writeln!(w).unwrap();
-    let offsets: Vec<(usize, [i64; 3])> = sched
-        .t1_offsets
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| o.map(|o| (i, o)))
-        .collect();
-    writeln!(w, "t1off {} {}", sched.t1_offsets.len(), offsets.len()).unwrap();
-    for (i, o) in offsets {
-        writeln!(w, "o {} {} {} {}", i, o[0], o[1], o[2]).unwrap();
+    w.tag("sched")
+        .u64(sched.n.into())
+        .i64(sched.horizon)
+        .usize(sched.stages.len())
+        .end();
+    w.tag("stages").i64s(&sched.stages).end();
+    let offsets = sched.t1_offsets.iter().flatten().count();
+    w.tag("t1off")
+        .usize(sched.t1_offsets.len())
+        .usize(offsets)
+        .end();
+    for (i, o) in sched.t1_offsets.iter().enumerate() {
+        if let Some(o) = o {
+            w.tag("o").usize(i).i64s(o).end();
+        }
     }
 
     let plan = &result.plan;
-    writeln!(
-        w,
-        "plan {} {} {}",
-        plan.drivers.len(),
-        plan.total_dffs,
-        plan.total_splitters
-    )
-    .unwrap();
+    w.tag("plan")
+        .usize(plan.drivers.len())
+        .u64(plan.total_dffs)
+        .u64(plan.total_splitters)
+        .end();
     for d in &plan.drivers {
-        writeln!(
-            w,
-            "d {} {} {} {} {}",
-            d.source.0 .0,
-            d.source.1,
-            d.source_stage,
-            d.chain.members.len(),
-            d.consumers.len()
-        )
-        .unwrap();
-        write!(w, "m").unwrap();
-        for m in &d.chain.members {
-            write!(w, " {m}").unwrap();
-        }
-        writeln!(w).unwrap();
-        write!(w, "a").unwrap();
-        for t in &d.chain.taps {
-            write!(w, " {t}").unwrap();
-        }
-        writeln!(w).unwrap();
+        w.tag("d")
+            .u64(d.source.0 .0.into())
+            .u64(d.source.1.into())
+            .i64(d.source_stage)
+            .usize(d.chain.members.len())
+            .usize(d.consumers.len())
+            .end();
+        w.tag("m").i64s(&d.chain.members).end();
+        w.tag("a").i64s(&d.chain.taps).end();
         for (consumer, req) in &d.consumers {
+            w.tag("c");
             match consumer {
-                Consumer::GateInput { cell, slot } => write!(w, "c g {} {}", cell.0, slot),
-                Consumer::T1Input { cell, slot } => write!(w, "c t {} {}", cell.0, slot),
-                Consumer::Output { index } => write!(w, "c o {index} 0"),
-            }
-            .unwrap();
+                Consumer::GateInput { cell, slot } => w.word("g").u64(cell.0.into()).usize(*slot),
+                Consumer::T1Input { cell, slot } => w.word("t").u64(cell.0.into()).usize(*slot),
+                Consumer::Output { index } => w.word("o").usize(*index).u64(0),
+            };
             match req {
-                Requirement::Window(t) => writeln!(w, " w {t}"),
-                Requirement::Exact(tau) => writeln!(w, " e {tau}"),
+                Requirement::Window(t) => w.word("w").i64(*t),
+                Requirement::Exact(tau) => w.word("e").i64(*tau),
             }
-            .unwrap();
+            .end();
         }
     }
 
     match &result.pre_opt {
-        None => writeln!(w, "preopt 0").unwrap(),
+        None => w.tag("preopt").flag(false).end(),
         Some(report) => {
-            writeln!(w, "preopt 1").unwrap();
-            writeln!(
-                w,
-                "r {} {} {} {} {} {}",
-                report.rounds.len(),
-                report.converged as u8,
-                report.nodes_before,
-                report.nodes_after,
-                report.depth_before,
-                report.depth_after
-            )
-            .unwrap();
+            w.tag("preopt").flag(true).end();
+            w.tag("r")
+                .usize(report.rounds.len())
+                .flag(report.converged)
+                .usize(report.nodes_before)
+                .usize(report.nodes_after)
+                .u64(report.depth_before.into())
+                .u64(report.depth_after.into())
+                .end();
             for round in &report.rounds {
-                writeln!(w, "q {}", round.len()).unwrap();
+                w.tag("q").usize(round.len()).end();
                 for p in round {
-                    writeln!(
-                        w,
-                        "s {} {} {} {} {} {} {}",
-                        p.pass,
-                        p.nodes_before,
-                        p.nodes_after,
-                        p.depth_before,
-                        p.depth_after,
-                        p.applied,
-                        p.micros
-                    )
-                    .unwrap();
+                    w.tag("s")
+                        .word(p.pass)
+                        .usize(p.nodes_before)
+                        .usize(p.nodes_after)
+                        .u64(p.depth_before.into())
+                        .u64(p.depth_after.into())
+                        .usize(p.applied)
+                        .u64(p.micros)
+                        .end();
                 }
             }
         }
     }
 
     match &result.timing {
-        None => writeln!(w, "timing 0").unwrap(),
+        None => w.tag("timing").flag(false).end(),
         Some(t) => {
-            writeln!(w, "timing 1").unwrap();
-            writeln!(
-                w,
-                "y {} {} {} {} {} {} {} {}",
-                t.horizon,
-                t.phases,
-                t.scheduled_cells,
-                t.zero_slack_cells,
-                t.worst_slack,
-                t.total_slack,
-                t.edge_dffs,
-                t.chained_dffs
-            )
-            .unwrap();
+            w.tag("timing").flag(true).end();
+            w.tag("y")
+                .i64(t.horizon)
+                .u64(t.phases.into())
+                .usize(t.scheduled_cells)
+                .usize(t.zero_slack_cells)
+                .i64(t.worst_slack)
+                .i64(t.total_slack)
+                .u64(t.edge_dffs)
+                .u64(t.chained_dffs)
+                .end();
         }
     }
-    writeln!(w, "end").unwrap();
-    s
+    w.tag("end").end();
+    String::from_utf8(w.buf).expect("every field is ASCII or a whole `str`")
 }
 
-/// Line cursor with 1-based positions for error reporting.
-struct Lines<'a> {
-    inner: std::str::Lines<'a>,
+/// Cap on declared element counts, whatever the entry's length.
+const MAX_COUNT: u64 = 1 << 28;
+
+/// Byte cursor over one entry, reading the canonical grammar left to
+/// right: [`tag`](Cursor::tag) opens a line, each field reader consumes
+/// one space and one field, [`eol`](Cursor::eol) closes the line.
+struct Cursor<'a> {
+    bytes: &'a [u8],
     pos: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn new(text: &'a str) -> Self {
-        Lines {
-            inner: text.lines(),
-            pos: 0,
-        }
-    }
-
-    /// Next line, as a tagged field cursor; EOF is a decode error.
-    fn next(&mut self, expect: &str) -> Result<Fields<'a>, DecodeError> {
-        match self.inner.next() {
-            Some(line) => {
-                self.pos += 1;
-                Fields::new(self.pos, line, expect)
-            }
-            None => Err(DecodeError {
-                line: 0,
-                reason: format!("missing '{expect}' section"),
-            }),
-        }
-    }
-}
-
-/// Whitespace-separated fields of one line, consumed left to right.
-struct Fields<'a> {
+    /// 1-based number of the line `pos` is on.
     line: usize,
-    it: SplitWhitespace<'a>,
 }
 
-impl<'a> Fields<'a> {
-    /// Splits `line`, requiring its first token to equal `tag`.
-    fn new(pos: usize, line: &'a str, tag: &str) -> Result<Self, DecodeError> {
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some(t) if t == tag => Ok(Fields { line: pos, it }),
-            other => Err(DecodeError {
-                line: pos,
-                reason: format!("expected '{tag}', found '{}'", other.unwrap_or("")),
-            }),
-        }
-    }
-
+impl<'a> Cursor<'a> {
+    #[cold]
     fn fail(&self, reason: impl Into<String>) -> DecodeError {
         DecodeError {
             line: self.line,
@@ -291,216 +373,331 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn str(&mut self) -> Result<&'a str, DecodeError> {
-        self.it
-            .next()
-            .ok_or_else(|| self.fail("missing field".to_string()))
-    }
-
-    fn num<T: FromStr>(&mut self) -> Result<T, DecodeError> {
-        let tok = self.str()?;
-        tok.parse()
-            .map_err(|_| self.fail(format!("malformed number '{tok}'")))
-    }
-
-    fn hex_u64(&mut self) -> Result<u64, DecodeError> {
-        let tok = self.str()?;
-        u64::from_str_radix(tok, 16).map_err(|_| self.fail(format!("malformed hex '{tok}'")))
-    }
-
-    fn bool01(&mut self) -> Result<bool, DecodeError> {
-        match self.str()? {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            other => Err(self.fail(format!("expected 0 or 1, found '{other}'"))),
+    #[cold]
+    fn eof(&self, reason: impl Into<String>) -> DecodeError {
+        DecodeError {
+            line: 0,
+            reason: reason.into(),
         }
     }
 
-    /// Parses a count field, bounded by [`MAX_COUNT`] so a corrupt count
-    /// cannot make the decoder attempt a huge allocation before the
-    /// (inevitable) parse error surfaces.
+    /// The error for an unexpected byte (or the end of input) at `pos`.
+    #[cold]
+    fn unexpected(&self, what: &str) -> DecodeError {
+        match self.peek() {
+            Some(b) => self.fail(format!("expected {what}, found {:?}", b as char)),
+            None => self.eof(format!("expected {what}")),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    /// Opens a line, which must start with `tag`.
+    fn tag(&mut self, tag: &str) -> Result<(), DecodeError> {
+        if self.bytes[self.pos..].starts_with(tag.as_bytes()) {
+            self.pos += tag.len();
+            Ok(())
+        } else if self.pos == self.bytes.len() {
+            Err(self.eof(format!("missing '{tag}' section")))
+        } else {
+            Err(self.fail(format!("expected '{tag}'")))
+        }
+    }
+
+    /// Closes a line.
+    fn eol(&mut self) -> Result<(), DecodeError> {
+        if self.peek() != Some(b'\n') {
+            return Err(self.unexpected("end of line"));
+        }
+        self.pos += 1;
+        self.line += 1;
+        Ok(())
+    }
+
+    /// Consumes the space that opens a field.
+    fn sep(&mut self) -> Result<(), DecodeError> {
+        if self.peek() != Some(b' ') {
+            return Err(self.unexpected("a field"));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Accepts `v`, read from the digits at `start..pos`, unless there are
+    /// none or they have a leading zero.
+    fn canonical(&self, start: usize, v: u64) -> Result<u64, DecodeError> {
+        match self.pos - start {
+            0 => Err(self.unexpected("a digit")),
+            1 => Ok(v),
+            _ if self.bytes[start] == b'0' => Err(self.fail("number with a leading zero")),
+            _ => Ok(v),
+        }
+    }
+
+    /// Decimal digits, parsed as they are scanned.
+    fn magnitude(&mut self) -> Result<u64, DecodeError> {
+        let start = self.pos;
+        let mut v: u64 = 0;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            v = match v.checked_mul(10).and_then(|v| v.checked_add(d.into())) {
+                Some(v) => v,
+                None => return Err(self.fail("number out of range")),
+            };
+            self.pos += 1;
+        }
+        self.canonical(start, v)
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.sep()?;
+        self.magnitude()
+    }
+
+    /// An unsigned field that must fit `T`.
+    fn num<T: TryFrom<u64>>(&mut self) -> Result<T, DecodeError> {
+        let v = self.u64()?;
+        T::try_from(v).map_err(|_| self.fail(format!("number {v} out of range")))
+    }
+
+    fn i64(&mut self) -> Result<i64, DecodeError> {
+        self.sep()?;
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        match (negative, self.magnitude()?) {
+            (false, m) if m <= i64::MAX as u64 => Ok(m as i64),
+            (true, 0) => Err(self.fail("negative zero")),
+            (true, m) if m <= i64::MIN.unsigned_abs() => Ok((m as i64).wrapping_neg()),
+            _ => Err(self.fail("number out of range")),
+        }
+    }
+
+    fn i64s(&mut self, n: usize) -> Result<Vec<i64>, DecodeError> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.i64()?);
+        }
+        Ok(out)
+    }
+
+    /// Lower-case hex digits, at most 16.
+    fn hex(&mut self) -> Result<u64, DecodeError> {
+        self.sep()?;
+        let start = self.pos;
+        let mut v: u64 = 0;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            let d = match b {
+                b'0'..=b'9' => b - b'0',
+                b'a'..=b'f' => b - b'a' + 10,
+                _ => break,
+            };
+            if self.pos - start == 16 {
+                return Err(self.fail("hex number out of range"));
+            }
+            v = v << 4 | u64::from(d);
+            self.pos += 1;
+        }
+        self.canonical(start, v)
+    }
+
+    fn flag(&mut self) -> Result<bool, DecodeError> {
+        self.sep()?;
+        let v = match self.peek() {
+            Some(b'0') => false,
+            Some(b'1') => true,
+            _ => return Err(self.unexpected("0 or 1")),
+        };
+        self.pos += 1;
+        Ok(v)
+    }
+
+    /// A non-empty field of any bytes but space and newline.
+    fn word(&mut self) -> Result<&'a [u8], DecodeError> {
+        self.sep()?;
+        let start = self.pos;
+        while matches!(self.peek(), Some(b) if b != b' ' && b != b'\n') {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.unexpected("a field"));
+        }
+        Ok(&self.bytes[start..self.pos])
+    }
+
+    /// The count of a section's elements. Every element takes at least
+    /// two bytes, so a count the rest of the entry cannot hold fails here,
+    /// before anything is allocated for it.
     fn count(&mut self, what: &str) -> Result<usize, DecodeError> {
-        let n: usize = self.num()?;
-        if n > MAX_COUNT {
+        let n = self.u64()?;
+        let room = (self.bytes.len() - self.pos) / 2;
+        if n > MAX_COUNT || n > room as u64 {
             return Err(self.fail(format!("implausible {what} count {n}")));
         }
-        Ok(n)
+        Ok(n as usize)
     }
 
-    /// Requires the line to be fully consumed.
-    fn done(mut self) -> Result<(), DecodeError> {
-        match self.it.next() {
-            None => Ok(()),
-            Some(extra) => Err(self.fail(format!("trailing field '{extra}'"))),
+    /// A `(cell, port, invert)` edge, validated against the cells of `mc`
+    /// built so far.
+    fn edge(&mut self, mc: &MappedCircuit) -> Result<Edge, DecodeError> {
+        let cell: u32 = self.num()?;
+        let port: u8 = self.num()?;
+        let invert = self.flag()?;
+        if cell as usize >= mc.len() {
+            return Err(self.fail(format!("edge references cell {cell} before creation")));
         }
+        if usize::from(port) >= mc.num_ports(CellId(cell)) {
+            return Err(self.fail(format!("port {port} out of range for cell {cell}")));
+        }
+        Ok(Edge {
+            cell: CellId(cell),
+            port,
+            invert,
+        })
     }
 }
-
-/// Reads one `(cell, port, invert)` edge triple, validated against the
-/// cells decoded so far (`ports[c]` = output-port count of cell `c`).
-fn read_edge(f: &mut Fields<'_>, ports: &[u8]) -> Result<Edge, DecodeError> {
-    let cell: u32 = f.num()?;
-    let port: u8 = f.num()?;
-    let invert = f.bool01()?;
-    let nports = *ports
-        .get(cell as usize)
-        .ok_or_else(|| f.fail(format!("edge references cell {cell} before creation")))?;
-    if port >= nports {
-        return Err(f.fail(format!("port {port} out of range for cell {cell}")));
-    }
-    Ok(Edge {
-        cell: CellId(cell),
-        port,
-        invert,
-    })
-}
-
-/// Cap on declared element counts (see [`Fields::count`]).
-const MAX_COUNT: usize = 1 << 28;
 
 /// Deserializes a [`FlowResult`] previously produced by [`encode`].
 ///
 /// # Errors
 ///
-/// Any malformed, truncated or version-mismatched input yields a
-/// [`DecodeError`] naming the offending line; the store layers treat every
-/// such error as a cache miss.
+/// Any malformed, non-canonical, truncated or version-mismatched input
+/// yields a [`DecodeError`] naming the offending line; the store layers
+/// treat every such error as a cache miss.
 pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
-    let mut lines = Lines::new(text);
+    let mut c = Cursor {
+        bytes: text.as_bytes(),
+        pos: 0,
+        line: 1,
+    };
 
-    let mut f = lines.next(HEADER)?;
-    let version = f.str()?;
-    if version != format!("v{FORMAT_VERSION}") {
-        return Err(f.fail(format!(
-            "format version mismatch: found '{version}', expected 'v{FORMAT_VERSION}'"
+    c.tag(HEADER)?;
+    let version = c.word()?;
+    if version != format!("v{FORMAT_VERSION}").as_bytes() {
+        return Err(c.fail(format!(
+            "format version mismatch: found '{}', expected 'v{FORMAT_VERSION}'",
+            String::from_utf8_lossy(version)
         )));
     }
-    f.done()?;
+    c.eol()?;
 
-    let mut f = lines.next("stats")?;
+    c.tag("stats")?;
     let stats = FlowStats {
-        t1_found: f.num()?,
-        t1_used: f.num()?,
-        dffs: f.num()?,
-        splitters: f.num()?,
-        cell_area: f.num()?,
-        area: f.num()?,
-        depth_cycles: f.num()?,
-        gates: f.num()?,
+        t1_found: c.num()?,
+        t1_used: c.num()?,
+        dffs: c.u64()?,
+        splitters: c.u64()?,
+        cell_area: c.u64()?,
+        area: c.u64()?,
+        depth_cycles: c.i64()?,
+        gates: c.num()?,
     };
-    f.done()?;
+    c.eol()?;
 
     // Mapped netlist: rebuild through the public builder, pre-validating
     // everything the builder asserts.
-    let mut f = lines.next("cells")?;
-    let ncells = f.count("cell")?;
-    f.done()?;
+    c.tag("cells")?;
+    let ncells = c.count("cell")?;
+    c.eol()?;
     let mut mapped = MappedCircuit::new();
-    let mut ports: Vec<u8> = Vec::with_capacity(ncells);
     for _ in 0..ncells {
-        let raw = match lines.inner.next() {
-            Some(l) => l,
-            None => {
-                return Err(DecodeError {
-                    line: 0,
-                    reason: "missing cell line".into(),
-                })
-            }
-        };
-        lines.pos += 1;
-        let mut it = raw.split_whitespace();
-        let tag = it.next().unwrap_or("");
-        let mut f = Fields {
-            line: lines.pos,
-            it,
-        };
+        let tag = c.peek().ok_or_else(|| c.eof("missing cell line"))?;
+        c.pos += 1;
         match tag {
-            "i" => {
-                let index: u32 = f.num()?;
+            b'i' => {
+                let index: u32 = c.num()?;
                 if index as usize != mapped.num_inputs() {
-                    return Err(f.fail(format!(
+                    return Err(c.fail(format!(
                         "input index {index} out of sequence (expected {})",
                         mapped.num_inputs()
                     )));
                 }
                 mapped.add_input();
-                ports.push(1);
             }
-            "k" => {
+            b'k' => {
                 mapped.add_const0();
-                ports.push(1);
             }
-            "g" => {
-                let nvars: usize = f.num()?;
+            b'g' => {
+                let nvars: usize = c.num()?;
                 if nvars > TruthTable::MAX_VARS {
-                    return Err(f.fail(format!("gate arity {nvars} exceeds 6")));
+                    return Err(c.fail(format!("gate arity {nvars} exceeds 6")));
                 }
-                let bits = f.hex_u64()?;
+                let bits = c.hex()?;
                 let tt = TruthTable::from_bits(nvars, bits);
+                if tt.bits() != bits {
+                    return Err(c.fail(format!(
+                        "truth table {bits:x} has bits beyond {nvars} variables"
+                    )));
+                }
                 let mut fanins = Vec::with_capacity(nvars);
                 for _ in 0..nvars {
-                    fanins.push(read_edge(&mut f, &ports)?);
+                    fanins.push(c.edge(&mapped)?);
                 }
                 mapped.add_gate(tt, fanins);
-                ports.push(1);
             }
-            "t" => {
+            b't' => {
                 let mut fanins = [Edge::plain(CellId(0)); 3];
                 for slot in &mut fanins {
-                    let e = read_edge(&mut f, &ports)?;
-                    if e.invert {
-                        return Err(f.fail("inverted T1 operand".to_string()));
+                    *slot = c.edge(&mapped)?;
+                    if slot.invert {
+                        return Err(c.fail("inverted T1 operand"));
                     }
-                    *slot = e;
                 }
                 mapped.add_t1(fanins);
-                ports.push(3);
             }
-            other => return Err(f.fail(format!("unknown cell tag '{other}'"))),
+            other => return Err(c.fail(format!("unknown cell tag {:?}", other as char))),
         }
-        f.done()?;
+        c.eol()?;
     }
-    let mut f = lines.next("pos")?;
-    let npos = f.count("output")?;
-    f.done()?;
+    c.tag("pos")?;
+    let npos = c.count("output")?;
+    c.eol()?;
     for _ in 0..npos {
-        let mut f = lines.next("p")?;
-        let e = read_edge(&mut f, &ports)?;
+        c.tag("p")?;
+        let e = c.edge(&mapped)?;
+        c.eol()?;
         mapped.add_po(e);
-        f.done()?;
     }
 
-    // Schedule.
-    let mut f = lines.next("sched")?;
-    let n: u32 = f.num()?;
-    let horizon: i64 = f.num()?;
-    let nstages = f.count("stage")?;
-    f.done()?;
-    let mut f = lines.next("stages")?;
-    let mut stages = Vec::with_capacity(nstages);
-    for _ in 0..nstages {
-        stages.push(f.num::<i64>()?);
+    // Schedule: stages and T1 offset slots are per-cell arrays.
+    c.tag("sched")?;
+    let n: u32 = c.num()?;
+    let horizon = c.i64()?;
+    let nstages: u64 = c.u64()?;
+    if nstages != ncells as u64 {
+        return Err(c.fail(format!(
+            "stage count {nstages} does not match cell count {ncells}"
+        )));
     }
-    f.done()?;
-    let mut f = lines.next("t1off")?;
-    let noff_slots = f.count("offset-slot")?;
-    let noff = f.count("offset")?;
-    f.done()?;
-    let mut t1_offsets: Vec<Option<[i64; 3]>> = vec![None; noff_slots];
+    c.eol()?;
+    c.tag("stages")?;
+    let stages = c.i64s(ncells)?;
+    c.eol()?;
+    c.tag("t1off")?;
+    let nslots = c.u64()?;
+    if nslots != ncells as u64 {
+        return Err(c.fail(format!(
+            "T1 offset slot count {nslots} does not match cell count {ncells}"
+        )));
+    }
+    let noff = c.count("offset")?;
+    c.eol()?;
+    let mut t1_offsets: Vec<Option<[i64; 3]>> = vec![None; ncells];
+    // Offset lines name their cells in ascending order.
+    let mut next = 0;
     for _ in 0..noff {
-        let mut f = lines.next("o")?;
-        let idx: usize = f.num()?;
-        let o = [f.num()?, f.num()?, f.num()?];
-        f.done()?;
-        match t1_offsets.get_mut(idx) {
-            Some(slot) => *slot = Some(o),
-            None => {
-                return Err(DecodeError {
-                    line: lines.pos,
-                    reason: format!("T1 offset index {idx} out of range"),
-                })
-            }
+        c.tag("o")?;
+        let idx: usize = c.num()?;
+        if idx < next || idx >= ncells {
+            return Err(c.fail(format!("T1 offset index {idx} out of order or range")));
         }
+        t1_offsets[idx] = Some([c.i64()?, c.i64()?, c.i64()?]);
+        next = idx + 1;
+        c.eol()?;
     }
     let schedule = Schedule {
         n,
@@ -510,60 +707,66 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
     };
 
     // DFF plan.
-    let mut f = lines.next("plan")?;
-    let ndrivers = f.count("driver")?;
-    let total_dffs: u64 = f.num()?;
-    let total_splitters: u64 = f.num()?;
-    f.done()?;
+    c.tag("plan")?;
+    let ndrivers = c.count("driver")?;
+    let total_dffs = c.u64()?;
+    let total_splitters = c.u64()?;
+    c.eol()?;
     let mut drivers = Vec::with_capacity(ndrivers);
     for _ in 0..ndrivers {
-        let mut f = lines.next("d")?;
-        let cell: u32 = f.num()?;
-        let port: u8 = f.num()?;
-        let source_stage: i64 = f.num()?;
-        let nmembers = f.count("chain-member")?;
-        let ncons = f.count("consumer")?;
-        f.done()?;
-        let mut f = lines.next("m")?;
-        let mut members = Vec::with_capacity(nmembers);
-        for _ in 0..nmembers {
-            members.push(f.num::<i64>()?);
-        }
-        f.done()?;
-        let mut f = lines.next("a")?;
-        let mut taps = Vec::with_capacity(ncons);
-        for _ in 0..ncons {
-            taps.push(f.num::<i64>()?);
-        }
-        f.done()?;
+        c.tag("d")?;
+        let source = (CellId(c.num()?), c.num()?);
+        let source_stage = c.i64()?;
+        let nmembers = c.count("chain-member")?;
+        let ncons = c.count("consumer")?;
+        c.eol()?;
+        c.tag("m")?;
+        let members = c.i64s(nmembers)?;
+        c.eol()?;
+        c.tag("a")?;
+        let taps = c.i64s(ncons)?;
+        c.eol()?;
         let mut consumers = Vec::with_capacity(ncons);
         for _ in 0..ncons {
-            let mut f = lines.next("c")?;
-            let kind = f.str()?;
-            let a: usize = f.num()?;
-            let b: usize = f.num()?;
-            let consumer = match kind {
-                "g" => Consumer::GateInput {
-                    cell: CellId(a as u32),
-                    slot: b,
+            c.tag("c")?;
+            let consumer = match c.word()? {
+                b"g" => Consumer::GateInput {
+                    cell: CellId(c.num()?),
+                    slot: c.num()?,
                 },
-                "t" => Consumer::T1Input {
-                    cell: CellId(a as u32),
-                    slot: b,
+                b"t" => Consumer::T1Input {
+                    cell: CellId(c.num()?),
+                    slot: c.num()?,
                 },
-                "o" => Consumer::Output { index: a },
-                other => return Err(f.fail(format!("unknown consumer kind '{other}'"))),
+                b"o" => {
+                    let index = c.num()?;
+                    if c.u64()? != 0 {
+                        return Err(c.fail("output consumer with a non-zero slot"));
+                    }
+                    Consumer::Output { index }
+                }
+                other => {
+                    return Err(c.fail(format!(
+                        "unknown consumer kind '{}'",
+                        String::from_utf8_lossy(other)
+                    )))
+                }
             };
-            let req = match f.str()? {
-                "w" => Requirement::Window(f.num()?),
-                "e" => Requirement::Exact(f.num()?),
-                other => return Err(f.fail(format!("unknown requirement kind '{other}'"))),
+            let req = match c.word()? {
+                b"w" => Requirement::Window(c.i64()?),
+                b"e" => Requirement::Exact(c.i64()?),
+                other => {
+                    return Err(c.fail(format!(
+                        "unknown requirement kind '{}'",
+                        String::from_utf8_lossy(other)
+                    )))
+                }
             };
-            f.done()?;
+            c.eol()?;
             consumers.push((consumer, req));
         }
         drivers.push(DriverPlan {
-            source: (CellId(cell), port),
+            source,
             source_stage,
             chain: Chain { members, taps },
             consumers,
@@ -576,45 +779,50 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
     };
 
     // Optional pre-mapping optimization report.
-    let mut f = lines.next("preopt")?;
-    let has_preopt = f.bool01()?;
-    f.done()?;
+    c.tag("preopt")?;
+    let has_preopt = c.flag()?;
+    c.eol()?;
     let pre_opt = if has_preopt {
-        let mut f = lines.next("r")?;
-        let nrounds = f.count("round")?;
-        let converged = f.bool01()?;
-        let nodes_before: usize = f.num()?;
-        let nodes_after: usize = f.num()?;
-        let depth_before: u32 = f.num()?;
-        let depth_after: u32 = f.num()?;
-        f.done()?;
+        c.tag("r")?;
+        let nrounds = c.count("round")?;
+        let converged = c.flag()?;
+        let nodes_before = c.num()?;
+        let nodes_after = c.num()?;
+        let depth_before = c.num()?;
+        let depth_after = c.num()?;
+        c.eol()?;
         let mut rounds = Vec::with_capacity(nrounds);
         for _ in 0..nrounds {
-            let mut f = lines.next("q")?;
-            let npasses = f.count("pass")?;
-            f.done()?;
+            c.tag("q")?;
+            let npasses = c.count("pass")?;
+            c.eol()?;
             let mut round = Vec::with_capacity(npasses);
             for _ in 0..npasses {
-                let mut f = lines.next("s")?;
-                let name = f.str()?;
+                c.tag("s")?;
+                let name = c.word()?;
                 // `PassStats::pass` is `&'static str`: re-intern the decoded
                 // name against the known pass vocabulary. A name outside it
                 // means the entry came from an incompatible build — a miss.
                 let pass = PassKind::KNOWN
                     .iter()
                     .map(|p| p.name())
-                    .find(|n| *n == name)
-                    .ok_or_else(|| f.fail(format!("unknown pass name '{name}'")))?;
+                    .find(|n| n.as_bytes() == name)
+                    .ok_or_else(|| {
+                        c.fail(format!(
+                            "unknown pass name '{}'",
+                            String::from_utf8_lossy(name)
+                        ))
+                    })?;
                 round.push(PassStats {
                     pass,
-                    nodes_before: f.num()?,
-                    nodes_after: f.num()?,
-                    depth_before: f.num()?,
-                    depth_after: f.num()?,
-                    applied: f.num()?,
-                    micros: f.num()?,
+                    nodes_before: c.num()?,
+                    nodes_after: c.num()?,
+                    depth_before: c.num()?,
+                    depth_after: c.num()?,
+                    applied: c.num()?,
+                    micros: c.u64()?,
                 });
-                f.done()?;
+                c.eol()?;
             }
             rounds.push(round);
         }
@@ -631,29 +839,33 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
     };
 
     // Optional timing summary.
-    let mut f = lines.next("timing")?;
-    let has_timing = f.bool01()?;
-    f.done()?;
+    c.tag("timing")?;
+    let has_timing = c.flag()?;
+    c.eol()?;
     let timing = if has_timing {
-        let mut f = lines.next("y")?;
+        c.tag("y")?;
         let t = TimingSummary {
-            horizon: f.num()?,
-            phases: f.num()?,
-            scheduled_cells: f.num()?,
-            zero_slack_cells: f.num()?,
-            worst_slack: f.num()?,
-            total_slack: f.num()?,
-            edge_dffs: f.num()?,
-            chained_dffs: f.num()?,
+            horizon: c.i64()?,
+            phases: c.num()?,
+            scheduled_cells: c.num()?,
+            zero_slack_cells: c.num()?,
+            worst_slack: c.i64()?,
+            total_slack: c.i64()?,
+            edge_dffs: c.u64()?,
+            chained_dffs: c.u64()?,
         };
-        f.done()?;
+        c.eol()?;
         Some(t)
     } else {
         None
     };
 
     // Truncation guard: a partially written file is missing this marker.
-    lines.next("end")?.done()?;
+    c.tag("end")?;
+    c.eol()?;
+    if c.pos != c.bytes.len() {
+        return Err(c.fail("bytes after the 'end' marker"));
+    }
 
     Ok(FlowResult {
         mapped,
@@ -667,7 +879,9 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
 
 #[cfg(test)]
 mod tests {
+    use super::synthetic::{extreme_result, synthetic_result};
     use super::*;
+    use proptest::prelude::*;
     use sfq_circuits::epfl::adder;
     use t1map::cells::CellLibrary;
     use t1map::flow::{run_flow, FlowConfig};
@@ -690,8 +904,24 @@ mod tests {
         ] {
             let result = run_flow(&aig, &lib, &cfg);
             let text = encode(&result);
+            assert_eq!(text, oracle::encode(&result), "same bytes under {cfg:?}");
             let back = decode(&text).expect("decodes");
             assert_eq!(result, back, "round trip under {cfg:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn encode_writes_the_oracle_bytes(
+            seed in any::<u64>(),
+            with_pre_opt in any::<bool>(),
+            with_timing in any::<bool>(),
+        ) {
+            for result in [synthetic_result(seed, with_pre_opt, with_timing), extreme_result(seed)] {
+                prop_assert_eq!(encode(&result), oracle::encode(&result), "seed {}", seed);
+            }
         }
     }
 
@@ -720,6 +950,34 @@ mod tests {
         assert!(decode(&text).is_ok());
     }
 
+    /// Every byte of a real entry replaced by each of a few bytes that
+    /// look like grammar: the decoder returns, and whatever it accepts is
+    /// canonical (re-encodes to the very same bytes).
+    #[test]
+    fn every_byte_replacement_decodes_or_errs() {
+        let cfg = FlowConfig::t1(4)
+            .to_builder()
+            .standard_opt()
+            .timing(true)
+            .build();
+        let result = run_flow(&adder(3), &CellLibrary::default(), &cfg);
+        let mut bytes = encode(&result).into_bytes();
+        let mut accepted = 0;
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for b in *b" \n-09x\r" {
+                bytes[i] = b;
+                let text = std::str::from_utf8(&bytes).expect("ASCII");
+                if let Ok(back) = decode(text) {
+                    assert_eq!(encode(&back), text, "byte {i} set to {:?}", b as char);
+                    accepted += 1;
+                }
+            }
+            bytes[i] = original;
+        }
+        assert!(accepted > 0, "digit swaps inside values still decode");
+    }
+
     #[test]
     fn hostile_edges_are_rejected_before_the_builder_panics() {
         let bad = |body: &str| format!("{HEADER} v{FORMAT_VERSION}\nstats 0 0 0 0 0 0 0 0\n{body}");
@@ -731,5 +989,56 @@ mod tests {
         assert!(decode(&bad("cells 4\ni 0\ni 1\ni 2\nt 0 0 1 1 0 0 2 0 0\n")).is_err());
         // Absurd count field must not allocate.
         assert!(decode(&bad("cells 99999999999\n")).is_err());
+    }
+
+    /// A 92-byte entry declaring 2^28 T1 offset slots for zero cells once
+    /// made the decoder allocate 8 GiB. Per-cell arrays must match the
+    /// cell count, and other counts must fit the bytes left.
+    #[test]
+    fn counts_larger_than_the_entry_fail_before_allocating() {
+        let entry = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
+                     sched 4 0 0\nstages\nt1off 268435456 0\n";
+        assert_eq!(entry.len(), 92);
+        let err = decode(entry).expect_err("slot count is not the cell count");
+        assert!(err.reason.contains("slot count"), "{err}");
+
+        let head = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
+                    sched 4 0 0\nstages\nt1off 0 0\n";
+        for tail in [
+            "plan 1000 0 0\n",
+            "plan 1 0 0\nd 0 0 0 268435456 0\n",
+            "plan 1 0 0\nd 0 0 0 0 1000000\n",
+            "plan 0 0 0\npreopt 1\nr 100000 0 0 0 0 0\n",
+        ] {
+            let err = decode(&format!("{head}{tail}")).expect_err(tail);
+            assert!(err.reason.contains("implausible"), "{tail}: {err}");
+        }
+        let stages = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
+                      sched 4 0 268435456\n";
+        assert!(decode(stages).is_err());
+    }
+
+    #[test]
+    fn non_canonical_text_is_an_error() {
+        let result = run_flow(&adder(3), &CellLibrary::default(), &FlowConfig::t1(4));
+        let text = encode(&result);
+        assert!(decode(&text).is_ok());
+        for (from, to) in [
+            ("\n", "\r\n"),
+            ("cells ", "cells  "),
+            ("cells ", "cells 0"),
+            ("sched ", "sched +"),
+            ("\nend\n", "\nend \n"),
+            ("\nend\n", "\nend"),
+            ("\nend\n", "\nend\n\n"),
+        ] {
+            let mangled = text.replacen(from, to, 1);
+            assert_ne!(mangled, text);
+            assert!(decode(&mangled).is_err(), "{from:?} -> {to:?} accepted");
+        }
+        // A truth table with bits beyond its variables' 2^n rows.
+        let gate = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 2\ni 0\ng 1 6 0 0 0\n";
+        let err = decode(gate).unwrap_err();
+        assert!(err.reason.contains("beyond 1 variables"), "{err}");
     }
 }

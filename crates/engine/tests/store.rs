@@ -1,23 +1,20 @@
 //! Integration tests of the persistent result store: codec round-trips
-//! (property-based and on real flows), corrupt/stale entries behaving as
-//! misses, cross-process sharing, warm starts computing nothing, and
-//! concurrent runners sharing one disk-backed store.
+//! (property-based and on real flows), the golden format-v2 entry,
+//! corrupt/stale entries behaving as misses, cross-process sharing, warm
+//! starts computing nothing, and concurrent runners sharing one
+//! disk-backed store.
 
+mod synthetic;
+
+use proptest::prelude::*;
 use sfq_circuits::epfl;
 use sfq_engine::store::codec;
 use sfq_engine::{DiskStore, Job, ResultCache, ResultStore, SuiteRunner};
 use std::path::PathBuf;
 use std::sync::Arc;
+use synthetic::{extreme_result, synthetic_result};
 use t1map::cells::CellLibrary;
-use t1map::dff::{Chain, Consumer, DffPlan, DriverPlan, Requirement};
-use t1map::flow::{FlowConfig, FlowResult, FlowStats};
-use t1map::mapped::{CellId, Edge, MappedCircuit};
-use t1map::phase::Schedule;
-use t1map::timing::TimingSummary;
-
-use proptest::prelude::*;
-use sfq_netlist::truth_table::TruthTable;
-use sfq_opt::{OptReport, PassKind, PassStats};
+use t1map::flow::FlowConfig;
 
 /// Fresh per-test scratch directory (removed by the test when it cares;
 /// the temp dir is process-unique so parallel test binaries never clash).
@@ -25,188 +22,6 @@ fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sfq-store-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Small deterministic generator for the synthetic-result proptest.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    fn stage(&mut self) -> i64 {
-        self.below(2001) as i64 - 1000
-    }
-}
-
-/// Builds a structurally valid — but otherwise arbitrary — [`FlowResult`]
-/// from a seed: random netlist shape, schedule, DFF plan and optional
-/// reports. This exercises codec paths real flows rarely produce (empty
-/// chains, negative stages, exotic truth tables, multi-round reports).
-fn synthetic_result(seed: u64, with_pre_opt: bool, with_timing: bool) -> FlowResult {
-    let mut rng = XorShift(seed | 1);
-    let mut mc = MappedCircuit::new();
-    // Output-port count of each built cell (3 for T1, 1 otherwise).
-    let mut ports: Vec<u8> = Vec::new();
-
-    let inputs = 1 + rng.below(4) as usize;
-    for _ in 0..inputs {
-        mc.add_input();
-    }
-    ports.resize(inputs, 1);
-    if rng.below(2) == 0 {
-        mc.add_const0();
-        ports.push(1);
-    }
-    fn edge(rng: &mut XorShift, ports: &[u8], positive: bool) -> Edge {
-        let cell = rng.below(ports.len() as u64) as usize;
-        Edge {
-            cell: CellId(cell as u32),
-            port: rng.below(ports[cell] as u64) as u8,
-            invert: !positive && rng.below(2) == 0,
-        }
-    }
-    let extra = rng.below(12) as usize;
-    for _ in 0..extra {
-        if ports.len() >= 3 && rng.below(4) == 0 {
-            let fanins = [
-                edge(&mut rng, &ports, true),
-                edge(&mut rng, &ports, true),
-                edge(&mut rng, &ports, true),
-            ];
-            mc.add_t1(fanins);
-            ports.push(3);
-        } else {
-            let nvars = 1 + rng.below(6) as usize;
-            let tt = TruthTable::from_bits(nvars, rng.next());
-            let fanins: Vec<Edge> = (0..nvars).map(|_| edge(&mut rng, &ports, false)).collect();
-            mc.add_gate(tt, fanins);
-            ports.push(1);
-        }
-    }
-    let pos = 1 + rng.below(3) as usize;
-    for _ in 0..pos {
-        let cell = rng.below(ports.len() as u64) as usize;
-        mc.add_po(Edge {
-            cell: CellId(cell as u32),
-            port: rng.below(ports[cell] as u64) as u8,
-            invert: rng.below(2) == 0,
-        });
-    }
-
-    let ncells = ports.len();
-    let schedule = Schedule {
-        n: 1 + rng.below(8) as u32,
-        stages: (0..ncells).map(|_| rng.stage()).collect(),
-        horizon: rng.stage(),
-        t1_offsets: (0..ncells)
-            .map(|i| (ports[i] == 3).then(|| [rng.stage(), rng.stage(), rng.stage()]))
-            .collect(),
-    };
-
-    let drivers = (0..rng.below(5))
-        .map(|_| {
-            let cell = rng.below(ncells as u64) as usize;
-            let ncons = rng.below(4) as usize;
-            DriverPlan {
-                source: (CellId(cell as u32), rng.below(ports[cell] as u64) as u8),
-                source_stage: rng.stage(),
-                chain: Chain {
-                    members: (0..rng.below(6)).map(|_| rng.stage()).collect(),
-                    taps: (0..ncons).map(|_| rng.stage()).collect(),
-                },
-                consumers: (0..ncons)
-                    .map(|_| {
-                        let consumer = match rng.below(3) {
-                            0 => Consumer::GateInput {
-                                cell: CellId(rng.below(ncells as u64) as u32),
-                                slot: rng.below(6) as usize,
-                            },
-                            1 => Consumer::T1Input {
-                                cell: CellId(rng.below(ncells as u64) as u32),
-                                slot: rng.below(3) as usize,
-                            },
-                            _ => Consumer::Output {
-                                index: rng.below(8) as usize,
-                            },
-                        };
-                        let req = if rng.below(2) == 0 {
-                            Requirement::Window(rng.stage())
-                        } else {
-                            Requirement::Exact(rng.stage())
-                        };
-                        (consumer, req)
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-    let plan = DffPlan {
-        drivers,
-        total_dffs: rng.below(10_000),
-        total_splitters: rng.below(1_000),
-    };
-
-    let pre_opt = with_pre_opt.then(|| OptReport {
-        rounds: (0..1 + rng.below(3))
-            .map(|_| {
-                (0..rng.below(4))
-                    .map(|_| PassStats {
-                        pass: PassKind::KNOWN[rng.below(PassKind::KNOWN.len() as u64) as usize]
-                            .name(),
-                        nodes_before: rng.below(9999) as usize,
-                        nodes_after: rng.below(9999) as usize,
-                        depth_before: rng.below(99) as u32,
-                        depth_after: rng.below(99) as u32,
-                        applied: rng.below(999) as usize,
-                        micros: rng.next(),
-                    })
-                    .collect()
-            })
-            .collect(),
-        converged: rng.below(2) == 0,
-        nodes_before: rng.below(9999) as usize,
-        nodes_after: rng.below(9999) as usize,
-        depth_before: rng.below(99) as u32,
-        depth_after: rng.below(99) as u32,
-    });
-
-    let timing = with_timing.then(|| TimingSummary {
-        horizon: rng.stage(),
-        phases: 1 + rng.below(8) as u32,
-        scheduled_cells: rng.below(9999) as usize,
-        zero_slack_cells: rng.below(9999) as usize,
-        worst_slack: rng.stage(),
-        total_slack: rng.stage(),
-        edge_dffs: rng.below(99_999),
-        chained_dffs: rng.below(99_999),
-    });
-
-    FlowResult {
-        mapped: mc,
-        schedule,
-        plan,
-        stats: FlowStats {
-            t1_found: rng.below(999) as usize,
-            t1_used: rng.below(999) as usize,
-            dffs: rng.below(99_999),
-            splitters: rng.below(9_999),
-            cell_area: rng.below(999_999),
-            area: rng.below(999_999),
-            depth_cycles: rng.stage(),
-            gates: rng.below(9999) as usize,
-        },
-        pre_opt,
-        timing,
-    }
 }
 
 proptest! {
@@ -224,7 +39,24 @@ proptest! {
         prop_assert_eq!(Ok(&original), back.as_ref(), "seed {}", seed);
         // Encoding is deterministic, so the round trip is a fixpoint.
         prop_assert_eq!(text.clone(), codec::encode(&back.unwrap()));
+
+        let extreme = extreme_result(seed);
+        prop_assert_eq!(codec::decode(&codec::encode(&extreme)), Ok(extreme));
     }
+}
+
+/// Seed of the result the golden entry encodes.
+const GOLDEN_SEED: u64 = 33;
+
+/// The committed entry pins format v2 byte for byte: a change to the
+/// encoder's output must bump `FORMAT_VERSION` (and replace this file).
+#[test]
+fn golden_entry_pins_format_v2() {
+    let golden = include_str!("golden/entry_v2.sfqr");
+    let result = synthetic_result(GOLDEN_SEED, true, true);
+    assert_eq!(codec::FORMAT_VERSION, 2);
+    assert_eq!(codec::encode(&result), golden);
+    assert_eq!(codec::decode(golden), Ok(result));
 }
 
 /// One small real job per flow flavor the front ends submit, including
