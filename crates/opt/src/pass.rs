@@ -365,18 +365,27 @@ impl OptReport {
 /// In-place passes may leave freed slots behind; [`optimize`] compacts,
 /// this does not.
 pub fn optimize_with(aig: &mut Aig, config: &OptConfig) -> OptReport {
-    run_rounds(aig, config, None)
+    run_rounds(aig, config, &mut PassKind::run, None)
 }
+
+/// Runs one pass of the configured sequence on a network: [`PassKind::run`]
+/// everywhere except in the tests, which inject stages of their own.
+type Stage<'a> = &'a mut dyn FnMut(PassKind, &mut Aig) -> PassStats;
 
 /// A per-pass acceptance check: the pass's input network, its output
 /// network and its name. Returning `false` rejects the pass.
 type PassCheck<'a> = &'a mut dyn FnMut(&Aig, &Aig, &'static str) -> bool;
 
-/// [`optimize_with`], optionally handing every pass's input and output to
-/// `check`. A rejected pass is rolled back and ends the run; its stats
+/// [`optimize_with`] with each pass run by `stage`, optionally handing
+/// every pass's input and output to `check`. A rejected pass is rolled back and ends the run; its stats
 /// close the report's last round, and the run counts as converged (it
 /// stopped by itself, not at the round limit).
-fn run_rounds(aig: &mut Aig, config: &OptConfig, mut check: Option<PassCheck<'_>>) -> OptReport {
+fn run_rounds(
+    aig: &mut Aig,
+    config: &OptConfig,
+    stage: Stage<'_>,
+    mut check: Option<PassCheck<'_>>,
+) -> OptReport {
     if !config.enabled {
         let (nodes, depth) = (aig.and_count(), aig.depth());
         return OptReport {
@@ -405,7 +414,7 @@ fn run_rounds(aig: &mut Aig, config: &OptConfig, mut check: Option<PassCheck<'_>
         for &kind in &config.passes {
             // The pre-pass network is only kept when something checks it.
             let before = check.is_some().then(|| aig.clone());
-            let s = kind.run(aig);
+            let s = stage(kind, aig);
             stats.push(s);
             if let (Some(check), Some(before)) = (check.as_mut(), before) {
                 if !check(&before, aig, s.pass) {
@@ -489,6 +498,16 @@ pub struct VerifiedRun {
 /// On a mismatch the run stops at the failing pass and returns the last
 /// verified network together with the counterexample.
 pub fn optimize_verified(subject: &Aig, config: &OptConfig, cec: &CecConfig) -> VerifiedRun {
+    verified_rounds(subject, config, cec, &mut PassKind::run)
+}
+
+/// [`optimize_verified`] with each pass run by `stage`.
+fn verified_rounds(
+    subject: &Aig,
+    config: &OptConfig,
+    cec: &CecConfig,
+    stage: Stage<'_>,
+) -> VerifiedRun {
     let mut aig = subject.clone();
     let mut verdict = CecVerdict::Equivalent;
     let mut failed_pass = None;
@@ -528,7 +547,7 @@ pub fn optimize_verified(subject: &Aig, config: &OptConfig, cec: &CecConfig) -> 
             }
         }
     };
-    let report = run_rounds(&mut aig, config, Some(&mut check));
+    let report = run_rounds(&mut aig, config, stage, Some(&mut check));
     // As in [`optimize`]: hand back the dense form.
     aig.compact();
     VerifiedRun {
@@ -544,6 +563,7 @@ pub fn optimize_verified(subject: &Aig, config: &OptConfig, cec: &CecConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfq_netlist::aig::{Lit, NodeKind};
     use sfq_netlist::fnv::Fnv1a;
     use std::hash::Hasher;
 
@@ -674,6 +694,95 @@ mod tests {
             let bits = [i & 1 == 1, i >> 1 & 1 == 1, i >> 2 & 1 == 1];
             assert_eq!(g.eval(&bits), opt.eval(&bits), "input {i}");
         }
+    }
+
+    /// A copy of `aig` rebuilt node for node, with its outputs replaced by
+    /// `pos(old outputs)` (mapped into the copy).
+    fn with_pos(aig: &Aig, pos: impl Fn(&[Lit]) -> Vec<Lit>) -> Aig {
+        let mut g = Aig::new();
+        let mut map = vec![Lit::FALSE; aig.len()];
+        let remap = |map: &[Lit], l: Lit| {
+            map[l.node().index()]
+                .with_complement(map[l.node().index()].is_complement() ^ l.is_complement())
+        };
+        for id in aig.node_ids() {
+            map[id.index()] = match aig.kind(id) {
+                NodeKind::Const0 => Lit::FALSE,
+                NodeKind::Input(_) => g.add_pi(),
+                NodeKind::And(a, b) => {
+                    let (a, b) = (remap(&map, a), remap(&map, b));
+                    g.and(a, b)
+                }
+            };
+        }
+        for l in pos(aig.pos()) {
+            let l = remap(&map, l);
+            g.add_po(l);
+        }
+        g
+    }
+
+    /// Two stages injected after a real rewrite: a no-op, then one that
+    /// complements the first output, keeping node count and depth. The
+    /// verified loop must name the broken stage, hand back the counter-
+    /// example, and return the rewritten network it last proved.
+    #[test]
+    fn a_broken_stage_is_caught_and_named() {
+        let mut g = Aig::new();
+        let (a, b, c) = (g.add_pi(), g.add_pi(), g.add_pi());
+        let m = g.maj3(a, b, c);
+        let x = g.xor3(a, b, c);
+        g.add_po(m);
+        g.add_po(x);
+        let config = OptConfig {
+            enabled: true,
+            passes: vec![PassKind::Rewrite, PassKind::Strash, PassKind::Sweep],
+            fixpoint: false,
+            max_rounds: 1,
+        };
+        let flip = |aig: &Aig| with_pos(aig, |pos| vec![!pos[0], pos[1]]);
+        let mut stage = |kind: PassKind, aig: &mut Aig| match kind {
+            PassKind::Strash | PassKind::Sweep => {
+                let (nodes, depth) = (aig.and_count(), aig.depth());
+                let pass = if kind == PassKind::Strash {
+                    "no-op"
+                } else {
+                    *aig = flip(aig);
+                    "flip-po"
+                };
+                assert_eq!((aig.and_count(), aig.depth()), (nodes, depth));
+                PassStats {
+                    pass,
+                    nodes_before: nodes,
+                    nodes_after: nodes,
+                    depth_before: depth,
+                    depth_after: depth,
+                    applied: 0,
+                    micros: 0,
+                }
+            }
+            _ => kind.run(aig),
+        };
+        let run = verified_rounds(&g, &config, &CecConfig::default(), &mut stage);
+
+        let mut rewritten = g.clone();
+        assert!(PassKind::Rewrite.run(&mut rewritten).applied > 0);
+        rewritten.compact();
+        let broken = flip(&rewritten);
+        let CecVerdict::NotEquivalent(cex) = &run.verdict else {
+            panic!("expected a counterexample, got {:?}", run.verdict);
+        };
+        assert_ne!(rewritten.eval(cex), broken.eval(cex), "cex must replay");
+        assert_ne!(g.eval(cex), broken.eval(cex), "cex must replay");
+        assert_eq!(run.failed_pass, Some("flip-po"));
+        assert_eq!(
+            run.aig.structural_hash(),
+            rewritten.structural_hash(),
+            "the last verified network is the rewritten one"
+        );
+        assert_ne!(run.aig.structural_hash(), g.structural_hash());
+        let passes: Vec<_> = run.report.rounds.concat().iter().map(|s| s.pass).collect();
+        assert_eq!(passes, ["rewrite", "no-op", "flip-po"]);
     }
 
     #[test]
