@@ -918,6 +918,25 @@ impl Aig {
         }
         h.finish()
     }
+
+    /// Whether `other` is this network node for node: the same node kinds
+    /// in the same slots (dead slots included), the same primary inputs and
+    /// the same primary output literals. Identical networks compute
+    /// identical functions, so `sfq-opt`'s verified loop skips the
+    /// equivalence check of a pass whose output is identical to its input.
+    ///
+    /// Unlike comparing [`Aig::structural_hash`]es this is exact, and it
+    /// returns at the first difference.
+    pub fn is_identical(&self, other: &Aig) -> bool {
+        self.pis == other.pis
+            && self.pos == other.pos
+            && self.nodes.len() == other.nodes.len()
+            && self
+                .nodes
+                .iter()
+                .zip(&other.nodes)
+                .all(|(a, b)| a.kind == b.kind)
+    }
 }
 
 /// The trivial AND simplifications, the single source of truth shared by
@@ -1084,6 +1103,31 @@ mod tests {
         let po = g.pos()[0];
         g.pos[0] = !po;
         assert_ne!(h1, g.structural_hash());
+    }
+
+    #[test]
+    fn identical_means_node_for_node() {
+        let mut g = Aig::new();
+        let (a, b, c) = (g.add_pi(), g.add_pi(), g.add_pi());
+        let ab = g.and(a, b);
+        let top = g.and(ab, c);
+        let side = g.and(!ab, c);
+        g.add_po(top);
+        g.add_po(side);
+        assert!(g.is_identical(&g.clone()));
+        let mut swapped = g.clone();
+        swapped.pos.swap(0, 1);
+        assert!(!g.is_identical(&swapped), "output order counts");
+        // Free `side` (a dead slot), then compact it away: the two networks
+        // compute the same function but are not the same node array.
+        let mut edited = g.clone();
+        edited.substitute(side.node(), top);
+        edited.delete_mffc(side.node());
+        let mut dense = edited.clone();
+        dense.compact();
+        assert!(edited.is_identical(&edited.clone()));
+        assert!(!edited.is_identical(&dense), "dead slots count");
+        assert!(!g.is_identical(&edited));
     }
 
     #[test]

@@ -74,14 +74,18 @@ impl<'a> Mffc<'a> {
     /// The AND nodes forming the MFFC of `root` (including `root` itself if
     /// it is an AND node). PIs and the constant node are never members.
     pub fn members(&mut self, root: NodeId) -> Vec<NodeId> {
-        self.members_bounded(root, &[])
+        self.members_bounded(root, &[]).to_vec()
     }
 
     /// MFFC of `root` bounded by `boundary` nodes: the dereference walk does
     /// not descend past (or include) boundary nodes. Used with cut leaves to
     /// measure exactly the cone a cut replacement removes.
-    pub fn members_bounded(&mut self, root: NodeId, boundary: &[NodeId]) -> Vec<NodeId> {
-        self.union_members_bounded(&[root], boundary)
+    ///
+    /// The sorted members are borrowed from the calculator's walk buffer,
+    /// valid until the next query, so the per-cut pricing loop of
+    /// `sfq-opt`'s rewriter allocates nothing per candidate.
+    pub fn members_bounded(&mut self, root: NodeId, boundary: &[NodeId]) -> &[NodeId] {
+        self.sorted_walk(&[root], boundary)
     }
 
     /// Union of MFFCs of several roots: the set of AND nodes that die when
@@ -96,10 +100,15 @@ impl<'a> Mffc<'a> {
     /// Bounded variant of [`Mffc::union_members`]; see
     /// [`Mffc::members_bounded`].
     pub fn union_members_bounded(&mut self, roots: &[NodeId], boundary: &[NodeId]) -> Vec<NodeId> {
+        self.sorted_walk(roots, boundary).to_vec()
+    }
+
+    /// [`Mffc::walk`], then the members sorted in place (members are
+    /// distinct, so the unstable sort is exact and allocates nothing).
+    fn sorted_walk(&mut self, roots: &[NodeId], boundary: &[NodeId]) -> &[NodeId] {
         self.walk(roots, boundary);
-        let mut out = self.members.clone();
-        out.sort();
-        out
+        self.members.sort_unstable();
+        &self.members
     }
 
     /// Dereferences `roots` into `self.members`, then restores the working
@@ -246,8 +255,9 @@ mod tests {
                 let boundary = root_cuts[cut_pick as usize % root_cuts.len()].leaves();
                 let (got, want) = match kind {
                     0 => (mffc.members(roots[0]), reference_members(&g, &roots[..1], &[])),
+                    // The borrowed query, answered from the walk buffer.
                     1 => (
-                        mffc.members_bounded(roots[0], boundary),
+                        mffc.members_bounded(roots[0], boundary).to_vec(),
                         reference_members(&g, &roots[..1], boundary),
                     ),
                     2 => {

@@ -142,7 +142,7 @@ pub fn sweep_in_place(aig: &mut Aig) -> usize {
 /// This is the network-independent form the `sfq-opt` rewriter lowers its
 /// accepted sites into; [`apply_cone_rewrites_in_place`] applies a batch of
 /// them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConeRewrite {
     /// The cone's root node — the highest-indexed member of `freed`.
     pub root: NodeId,

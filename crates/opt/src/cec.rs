@@ -26,6 +26,13 @@
 //! rewriting the two networks differ only in small local cones, each
 //! discharged by a SAT query over a few dozen clauses.
 //!
+//! The pass-by-pass guard ([`crate::optimize_verified`]) calls the check
+//! only for passes that changed the network: a pass whose output is its
+//! input node for node ([`Aig::is_identical`]) is the identity and needs
+//! no proof. Every call is self-contained — fresh patterns from
+//! [`CecConfig::seed`], a fresh shared network — so skipping some calls
+//! never changes what the others ask the solver.
+//!
 //! # Cost model
 //!
 //! A sweep query costs O(cone), not O(network): one check owns one

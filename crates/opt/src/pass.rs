@@ -4,8 +4,8 @@
 //!
 //! A pass computes the analyses it reads (levels, the unit-delay timing
 //! analysis) from the network it is given. [`optimize`] and
-//! [`optimize_verified`] are the one round loop, the latter with a
-//! per-pass equivalence check.
+//! [`optimize_verified`] are the one round loop, the latter with an
+//! equivalence check of every pass that changed the network.
 
 use crate::cec::{check_equivalence, CecConfig, CecStats, CecVerdict};
 use crate::passes::{balance_critical_network, balance_network, strash_network};
@@ -377,9 +377,9 @@ type Stage<'a> = &'a mut dyn FnMut(PassKind, &mut Aig) -> PassStats;
 type PassCheck<'a> = &'a mut dyn FnMut(&Aig, &Aig, &'static str) -> bool;
 
 /// [`optimize_with`] with each pass run by `stage`, optionally handing
-/// every pass's input and output to `check`. A rejected pass is rolled back and ends the run; its stats
-/// close the report's last round, and the run counts as converged (it
-/// stopped by itself, not at the round limit).
+/// every pass's input and output to `check`. A rejected pass is rolled
+/// back and ends the run; its stats close the report's last round, and the
+/// run counts as converged (it stopped by itself, not at the round limit).
 fn run_rounds(
     aig: &mut Aig,
     config: &OptConfig,
@@ -473,21 +473,34 @@ pub struct VerifiedRun {
     /// Per-round, per-pass statistics, as in [`optimize`].
     pub report: OptReport,
     /// [`CecVerdict::Equivalent`] only if **every** executed pass was
-    /// proven equivalent to its input; a counterexample identifies the
-    /// first pass that broke the function.
+    /// proven equivalent to its input (a pass that left its input
+    /// identical needs no proof); a counterexample identifies the first
+    /// pass that broke the function.
     pub verdict: CecVerdict,
     /// Name of the pass that failed verification, if any.
     pub failed_pass: Option<&'static str>,
     /// Aggregated CEC counters over all stage checks.
     pub cec: CecStats,
-    /// Number of pass executions that were equivalence-checked.
+    /// Number of pass executions that were equivalence-checked: those that
+    /// changed the network.
     pub checked_stages: usize,
+    /// Number of pass executions whose output was identical to their input
+    /// ([`Aig::is_identical`]) and therefore not checked.
+    pub skipped_stages: usize,
 }
 
-/// [`optimize`] with the verification guard engaged: every executed pass is
-/// equivalence-checked against its input network, and the results chain by
-/// transitivity into an end-to-end proof that the final network computes
-/// the subject functions.
+/// [`optimize`] with the verification guard engaged: every executed pass
+/// that changed the network is equivalence-checked against its input
+/// network, and the results chain by transitivity into an end-to-end proof
+/// that the final network computes the subject functions.
+///
+/// A pass whose output is identical to its input node for node
+/// ([`Aig::is_identical`]: same node kinds, dead slots included, same
+/// inputs, same output literals) is the identity, so its check is skipped
+/// and counted in [`VerifiedRun::skipped_stages`]; converged fixpoint
+/// rounds are mostly such passes. Every remaining check is a fresh
+/// [`check_equivalence`] call, so it asks the solver exactly what it would
+/// have asked without the skips.
 ///
 /// Checking adjacent stages (rather than original vs. final once) is what
 /// keeps the SAT work tractable at paper scale: consecutive networks differ
@@ -512,8 +525,12 @@ fn verified_rounds(
     let mut verdict = CecVerdict::Equivalent;
     let mut failed_pass = None;
     let mut stats = CecStats::default();
-    let mut checked_stages = 0usize;
+    let (mut checked_stages, mut skipped_stages) = (0usize, 0usize);
     let mut check = |before: &Aig, after: &Aig, pass: &'static str| {
+        if before.is_identical(after) {
+            skipped_stages += 1;
+            return true;
+        }
         checked_stages += 1;
         match check_equivalence(before, after, cec) {
             Ok(out) => {
@@ -557,13 +574,16 @@ fn verified_rounds(
         failed_pass,
         cec: stats,
         checked_stages,
+        skipped_stages,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfq_netlist::aig::{Lit, NodeKind};
+    use proptest::prelude::*;
+    use sfq_circuits::{random_aig, RandomAigConfig};
+    use sfq_netlist::aig::{Lit, NodeId, NodeKind};
     use sfq_netlist::fnv::Fnv1a;
     use std::hash::Hasher;
 
@@ -722,6 +742,20 @@ mod tests {
         g
     }
 
+    /// Stats of an injected stage that kept node count and depth.
+    fn unchanged(pass: &'static str, aig: &Aig) -> PassStats {
+        let (nodes, depth) = (aig.and_count(), aig.depth());
+        PassStats {
+            pass,
+            nodes_before: nodes,
+            nodes_after: nodes,
+            depth_before: depth,
+            depth_after: depth,
+            applied: 0,
+            micros: 0,
+        }
+    }
+
     /// Two stages injected after a real rewrite: a no-op, then one that
     /// complements the first output, keeping node count and depth. The
     /// verified loop must name the broken stage, hand back the counter-
@@ -742,24 +776,12 @@ mod tests {
         };
         let flip = |aig: &Aig| with_pos(aig, |pos| vec![!pos[0], pos[1]]);
         let mut stage = |kind: PassKind, aig: &mut Aig| match kind {
-            PassKind::Strash | PassKind::Sweep => {
+            PassKind::Strash => unchanged("no-op", aig),
+            PassKind::Sweep => {
                 let (nodes, depth) = (aig.and_count(), aig.depth());
-                let pass = if kind == PassKind::Strash {
-                    "no-op"
-                } else {
-                    *aig = flip(aig);
-                    "flip-po"
-                };
+                *aig = flip(aig);
                 assert_eq!((aig.and_count(), aig.depth()), (nodes, depth));
-                PassStats {
-                    pass,
-                    nodes_before: nodes,
-                    nodes_after: nodes,
-                    depth_before: depth,
-                    depth_after: depth,
-                    applied: 0,
-                    micros: 0,
-                }
+                unchanged("flip-po", aig)
             }
             _ => kind.run(aig),
         };
@@ -783,6 +805,120 @@ mod tests {
         assert_ne!(run.aig.structural_hash(), g.structural_hash());
         let passes: Vec<_> = run.report.rounds.concat().iter().map(|s| s.pass).collect();
         assert_eq!(passes, ["rewrite", "no-op", "flip-po"]);
+        assert_eq!((run.checked_stages, run.skipped_stages), (2, 1));
+    }
+
+    /// One single edit of `g`, selected by `which` and placed by `pick`:
+    /// a fanin's complement flipped, an output complemented, two distinct
+    /// outputs swapped, or one AND fanin rewired to another live node.
+    /// `None` when `g` offers no place for that edit.
+    fn edited(g: &Aig, which: usize, pick: usize) -> Option<Aig> {
+        let ands: Vec<NodeId> = g.and_ids().collect();
+        let n = g.po_count();
+        match which {
+            0 | 3 => {
+                let node = *ands.get(pick % ands.len().max(1))?;
+                let (a, b) = g.fanins(node)?;
+                let old = if pick & 1 == 0 { a } else { b };
+                let new = if which == 0 {
+                    !old
+                } else {
+                    let below: Vec<NodeId> = (1..node.0)
+                        .map(NodeId)
+                        .filter(|&m| !g.is_dead(m) && m != old.node())
+                        .collect();
+                    Lit::new(*below.get(pick / 2 % below.len().max(1))?, false)
+                };
+                let mut e = g.clone();
+                e.replace_fanin(node, old, new);
+                Some(e)
+            }
+            1 => Some(with_pos(g, |pos| {
+                let mut pos = pos.to_vec();
+                pos[pick % n] = !pos[pick % n];
+                pos
+            })),
+            _ => {
+                let i = pick % n;
+                let j = (0..n).find(|&j| g.pos()[j] != g.pos()[i])?;
+                Some(with_pos(g, |pos| {
+                    let mut pos = pos.to_vec();
+                    pos.swap(i, j);
+                    pos
+                }))
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The skip is sound: a copy is identical and its stage is
+        /// skipped, every single edit makes a network that is not
+        /// identical, and every stage a real pipeline skips is one the
+        /// CEC proves equivalent.
+        #[test]
+        fn identical_stages_are_skipped_soundly(
+            seed in any::<u64>(),
+            num_pis in 1usize..=6,
+            num_gates in 1usize..60,
+            num_pos in 1usize..=6,
+            holes in any::<bool>(),
+            picks in prop::collection::vec(any::<usize>(), 4),
+        ) {
+            let config = RandomAigConfig { num_pis, num_gates, num_pos, xor_percent: 30 };
+            let mut g = random_aig(seed, &config);
+            if holes {
+                // In-place rewriting leaves dead slots behind.
+                PassKind::Rewrite.run(&mut g);
+            }
+            prop_assert!(g.is_identical(&g.clone()));
+            let once = OptConfig {
+                enabled: true,
+                passes: vec![PassKind::Sweep],
+                fixpoint: false,
+                max_rounds: 1,
+            };
+            let cec = CecConfig::default();
+            let mut copy = |_: PassKind, aig: &mut Aig| {
+                *aig = aig.clone();
+                unchanged("copy", aig)
+            };
+            let run = verified_rounds(&g, &once, &cec, &mut copy);
+            prop_assert_eq!((run.checked_stages, run.skipped_stages), (0, 1));
+            prop_assert_eq!(run.verdict, CecVerdict::Equivalent);
+            prop_assert_eq!(run.cec, CecStats::default());
+
+            // Each edit kind once, at a drawn place. The output edits
+            // rebuild the network, so they are compared with a rebuilt copy.
+            let rebuilt = with_pos(&g, <[Lit]>::to_vec);
+            for (which, &pick) in picks.iter().enumerate() {
+                let subject = if which == 1 || which == 2 { &rebuilt } else { &g };
+                if let Some(e) = edited(subject, which, pick) {
+                    prop_assert!(!subject.is_identical(&e), "edit {} compared equal", which);
+                    prop_assert!(!e.is_identical(subject), "edit {} compared equal", which);
+                }
+            }
+
+            // A real pipeline: each stage it skips is provably the identity.
+            let mut skipped = Vec::new();
+            let mut record = |kind: PassKind, aig: &mut Aig| {
+                let before = aig.clone();
+                let s = kind.run(aig);
+                if before.is_identical(aig) {
+                    skipped.push((before, aig.clone()));
+                }
+                s
+            };
+            let run = verified_rounds(&g, &OptConfig::standard(), &cec, &mut record);
+            prop_assert_eq!(run.verdict, CecVerdict::Equivalent);
+            prop_assert_eq!(run.skipped_stages, skipped.len());
+            prop_assert!(run.skipped_stages > 0, "a converged round skips");
+            for (before, after) in &skipped {
+                let out = check_equivalence(before, after, &cec).expect("same interface");
+                prop_assert_eq!(out.verdict, CecVerdict::Equivalent);
+            }
+        }
     }
 
     #[test]

@@ -129,13 +129,14 @@ impl RewriteConfig {
     }
 }
 
-/// One committed replacement: the class program plus the network literals
-/// feeding its canonical inputs.
+/// The best replacement found so far at one root: the class program plus
+/// the network literals feeding its canonical inputs.
 struct Site {
     program: Arc<Program>,
-    /// `inputs[j]` drives canonical input `j`; complements encode the NPN
-    /// input negations.
-    inputs: Vec<Lit>,
+    /// `inputs[j]` drives canonical input `j` for `j < num_inputs`;
+    /// complements encode the NPN input negations.
+    inputs: [Lit; 4],
+    num_inputs: usize,
     /// Complement the program output (NPN output negation).
     output_neg: bool,
 }
@@ -145,98 +146,147 @@ impl Site {
     /// [`ConeRewrite`] form: the program steps ride along verbatim (the
     /// packed-literal encodings match by construction) and the NPN output
     /// negation folds into the output literal's complement bit.
-    fn lower(self, root: NodeId, freed: Vec<NodeId>) -> ConeRewrite {
+    fn lower(&self, root: NodeId, freed: &[NodeId]) -> ConeRewrite {
         ConeRewrite {
             root,
-            freed,
-            inputs: self.inputs,
+            freed: freed.to_vec(),
+            inputs: self.inputs[..self.num_inputs].to_vec(),
             steps: self.program.steps().to_vec(),
             out: self.program.out() ^ u16::from(self.output_neg),
         }
     }
 }
 
-/// Cost/level probe of instantiating `prog` with `inputs` against the
-/// existing network: returns `(new_nodes, output_level, new_edge_dffs)`
-/// estimates, where strash hits on live nodes are free and everything else
-/// costs one node. Level estimates use current levels for hits, so they
-/// upper-bound the levels realized after reconstruction. `new_edge_dffs`
-/// is the per-edge DFF cost of the *created* steps under `dff_phases`-phase
-/// clocking (0 when `dff_phases` is 0 — the non-DFF modes skip the
-/// accounting; strash hits contribute nothing since their edges already
-/// exist).
-fn estimate(
-    aig: &Aig,
-    levels: &[i64],
-    freed: &[NodeId],
-    dead: &[bool],
-    prog: &Program,
-    inputs: &[Lit],
+/// A cut function's memoized canonization: the support it shrinks to, the
+/// NPN transform of the shrunk function and the class program, so the
+/// shared [`RewriteTable`] is locked once per function, not once per cut.
+struct Canonized {
+    /// `kept[i]` is the cut variable that shrunk variable `i` came from,
+    /// for `i < num_vars`.
+    kept: [u8; 4],
+    num_vars: usize,
+    canon: NpnCanon,
+    program: Arc<Program>,
+}
+
+impl Canonized {
+    fn new(func: TruthTable, table: &RewriteTable) -> Self {
+        let (shrunk, vars) = func.shrink_to_support();
+        let mut kept = [0u8; 4];
+        for (k, &v) in kept.iter_mut().zip(&vars) {
+            *k = v as u8;
+        }
+        let canon = npn_canonical(shrunk);
+        Canonized {
+            kept,
+            num_vars: vars.len(),
+            canon,
+            program: table.lookup(canon.canon),
+        }
+    }
+}
+
+/// One slot of a program instantiation being priced.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Exists in the network today (literal, level).
+    Known(Lit, i64),
+    /// Would be created (level estimate).
+    New(i64),
+}
+
+impl Slot {
+    fn level(self) -> i64 {
+        match self {
+            Slot::Known(_, l) | Slot::New(l) => l,
+        }
+    }
+}
+
+/// Prices program instantiations against the network, reusing one slot
+/// buffer for every candidate cut.
+struct Estimator {
+    slots: Vec<Slot>,
+    /// Clock-phase count of the per-edge DFF accounting; 0 skips it.
     dff_phases: u32,
-) -> (usize, i64, i64) {
-    #[derive(Clone, Copy)]
-    enum Slot {
-        /// Exists in the network today (literal, level).
-        Known(Lit, i64),
-        /// Would be created (level estimate).
-        New(i64),
-    }
-    let level_of = |s: Slot| match s {
-        Slot::Known(_, l) | Slot::New(l) => l,
-    };
-    let mut slots: Vec<Slot> = Vec::with_capacity(1 + prog.num_vars() + prog.len());
-    slots.push(Slot::Known(Lit::FALSE, 0));
-    for &l in inputs {
-        slots.push(Slot::Known(l, levels[l.node().index()]));
-    }
-    let resolve = |slots: &[Slot], pl: u16| -> Slot {
-        match slots[(pl >> 1) as usize] {
-            Slot::Known(l, lv) => {
-                Slot::Known(l.with_complement(l.is_complement() ^ (pl & 1 == 1)), lv)
+}
+
+impl Estimator {
+    /// Cost/level probe of instantiating `prog` with `inputs` against the
+    /// existing network: returns `(new_nodes, output_level,
+    /// new_edge_dffs)` estimates, where strash hits on live nodes are free
+    /// and everything else costs one node. Level estimates use current
+    /// levels for hits, so they upper-bound the levels realized after
+    /// reconstruction. `new_edge_dffs` is the per-edge DFF cost of the
+    /// *created* steps under `dff_phases`-phase clocking (0 when
+    /// `dff_phases` is 0 — the non-DFF modes skip the accounting; strash
+    /// hits contribute nothing since their edges already exist).
+    fn estimate(
+        &mut self,
+        aig: &Aig,
+        levels: &[i64],
+        freed: &[NodeId],
+        dead: &[bool],
+        prog: &Program,
+        inputs: &[Lit],
+    ) -> (usize, i64, i64) {
+        let dff_phases = self.dff_phases;
+        let slots = &mut self.slots;
+        slots.clear();
+        slots.push(Slot::Known(Lit::FALSE, 0));
+        for &l in inputs {
+            slots.push(Slot::Known(l, levels[l.node().index()]));
+        }
+        let resolve = |slots: &[Slot], pl: u16| -> Slot {
+            match slots[(pl >> 1) as usize] {
+                Slot::Known(l, lv) => {
+                    Slot::Known(l.with_complement(l.is_complement() ^ (pl & 1 == 1)), lv)
+                }
+                s => s,
             }
-            s => s,
-        }
-    };
-    let mut cost = 0usize;
-    let mut new_dffs = 0i64;
-    // A created step at level `l = 1 + max(la, lb)` adds two fanin edges
-    // spanning `l − la − 1` and `l − lb − 1` levels; each spanned level
-    // block of `n` costs one path-balancing DFF.
-    let mut price_step = |la: i64, lb: i64| -> i64 {
-        let l = 1 + la.max(lb);
-        if dff_phases > 0 {
-            new_dffs += dffs_for_gap(l - la - 1, dff_phases);
-            new_dffs += dffs_for_gap(l - lb - 1, dff_phases);
-        }
-        l
-    };
-    for &(a, b) in prog.steps() {
-        let (ra, rb) = (resolve(&slots, a), resolve(&slots, b));
-        let slot = if let (Slot::Known(la, lva), Slot::Known(lb, lvb)) = (ra, rb) {
-            match aig.lookup_and(la, lb) {
-                Some(hit) => {
-                    let hn = hit.node();
-                    if freed.binary_search(&hn).is_ok() || dead[hn.index()] {
-                        // The hit is being freed — it will not survive the
-                        // reconstruction, so the step must be rebuilt.
+        };
+        let mut cost = 0usize;
+        let mut new_dffs = 0i64;
+        // A created step at level `l = 1 + max(la, lb)` adds two fanin
+        // edges spanning `l − la − 1` and `l − lb − 1` levels; each spanned
+        // level block of `n` costs one path-balancing DFF.
+        let mut price_step = |la: i64, lb: i64| -> i64 {
+            let l = 1 + la.max(lb);
+            if dff_phases > 0 {
+                new_dffs += dffs_for_gap(l - la - 1, dff_phases);
+                new_dffs += dffs_for_gap(l - lb - 1, dff_phases);
+            }
+            l
+        };
+        for &(a, b) in prog.steps() {
+            let (ra, rb) = (resolve(slots, a), resolve(slots, b));
+            let slot = if let (Slot::Known(la, lva), Slot::Known(lb, lvb)) = (ra, rb) {
+                match aig.lookup_and(la, lb) {
+                    Some(hit) => {
+                        let hn = hit.node();
+                        if freed.binary_search(&hn).is_ok() || dead[hn.index()] {
+                            // The hit is being freed — it will not survive
+                            // the reconstruction, so the step must be
+                            // rebuilt.
+                            cost += 1;
+                            Slot::New(price_step(lva, lvb))
+                        } else {
+                            Slot::Known(hit, levels[hn.index()])
+                        }
+                    }
+                    None => {
                         cost += 1;
                         Slot::New(price_step(lva, lvb))
-                    } else {
-                        Slot::Known(hit, levels[hn.index()])
                     }
                 }
-                None => {
-                    cost += 1;
-                    Slot::New(price_step(lva, lvb))
-                }
-            }
-        } else {
-            cost += 1;
-            Slot::New(price_step(level_of(ra), level_of(rb)))
-        };
-        slots.push(slot);
+            } else {
+                cost += 1;
+                Slot::New(price_step(ra.level(), rb.level()))
+            };
+            slots.push(slot);
+        }
+        (cost, resolve(slots, prog.out()).level(), new_dffs)
     }
-    (cost, level_of(resolve(&slots, prog.out())), new_dffs)
 }
 
 /// Path-balancing DFFs of one fanin edge spanning `gap` logic levels under
@@ -254,7 +304,8 @@ fn dffs_for_gap(gap: i64, n: u32) -> i64 {
 
 /// Per-edge DFF cost of the fanin edges of `freed` at the current
 /// `arrivals` under `n`-phase clocking — the balancing cost the site's
-/// removal reclaims (the counterpart of `estimate`'s `new_edge_dffs`).
+/// removal reclaims (the counterpart of [`Estimator::estimate`]'s
+/// `new_edge_dffs`).
 fn freed_edge_dffs(aig: &Aig, arrivals: &[i64], freed: &[NodeId], n: u32) -> i64 {
     let mut dffs = 0i64;
     for &f in freed {
@@ -293,6 +344,12 @@ pub fn rewrite_network_in_place(aig: &mut Aig, config: &RewriteConfig) -> usize 
 /// The shared selection phase: enumerates cuts, prices candidate
 /// replacements and greedily commits non-overlapping sites, returning them
 /// lowered to [`ConeRewrite`]s in root-scan (topological) order.
+///
+/// Pricing a candidate cut allocates nothing: its bounded MFFC is borrowed
+/// from the [`Mffc`] walk buffer, its inputs live in a fixed array, the
+/// estimate reuses one slot buffer, and the function's canonization and
+/// class program come from a per-run memo. Only a cut that beats the
+/// root's best so far is copied out.
 fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
     let cuts = enumerate_cuts(
         aig,
@@ -318,17 +375,23 @@ fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
         RewriteMode::DffAware => config.dff_phases.max(1),
         _ => 0,
     };
+    let mut estimator = Estimator {
+        slots: Vec::new(),
+        dff_phases,
+    };
     let mut mffc = Mffc::new(aig);
     let table = RewriteTable::global();
     // Cut functions repeat heavily (every full adder contributes the same
-    // XOR3/MAJ3 tables), so canonization is memoized per run. FNV keying:
-    // truth tables are short fixed-width non-adversarial keys, the case
-    // `sfq_netlist::fnv` exists for.
-    let mut canon_memo: FnvHashMap<TruthTable, NpnCanon> = FnvHashMap::default();
+    // XOR3/MAJ3 tables), so canonization is memoized per run, keyed by the
+    // cut function itself. FNV keying: truth tables are short fixed-width
+    // non-adversarial keys, the case `sfq_netlist::fnv` exists for.
+    let mut canon_memo: FnvHashMap<TruthTable, Canonized> = FnvHashMap::default();
 
     let mut sites: Vec<ConeRewrite> = Vec::new();
     let mut dead = vec![false; aig.len()];
     let mut is_root = vec![false; aig.len()];
+    // The best site's freed cone, reused across roots.
+    let mut best_freed: Vec<NodeId> = Vec::new();
 
     for root in aig.and_ids() {
         if dead[root.index()] {
@@ -345,7 +408,7 @@ fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
             Some(s) => s.required(root),
             None => static_levels[root.index()],
         };
-        let mut best: Option<(i64, i64, Site, Vec<NodeId>)> = None;
+        let mut best: Option<(i64, i64, Site)> = None;
         for cut in cuts.cuts(root) {
             let leaves = cut.leaves();
             if leaves.len() == 1 && leaves[0] == root {
@@ -362,18 +425,18 @@ fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
             {
                 continue; // overlaps an earlier site
             }
-            let (func, kept) = cut.truth_table().shrink_to_support();
-            let canon = *canon_memo
+            let func = cut.truth_table();
+            let c = canon_memo
                 .entry(func)
-                .or_insert_with(|| npn_canonical(func));
-            let program = table.lookup(canon.canon);
-            let mut inputs = vec![Lit::FALSE; func.num_vars()];
-            for (i, &orig_var) in kept.iter().enumerate() {
-                let neg = canon.input_neg >> i & 1 == 1;
-                inputs[canon.perm[i] as usize] = Lit::new(leaves[orig_var], neg);
+                .or_insert_with(|| Canonized::new(func, table));
+            let mut inputs = [Lit::FALSE; 4];
+            for (i, &orig_var) in c.kept[..c.num_vars].iter().enumerate() {
+                let neg = c.canon.input_neg >> i & 1 == 1;
+                inputs[c.canon.perm[i] as usize] = Lit::new(leaves[orig_var as usize], neg);
             }
+            let inputs = &inputs[..c.num_vars];
             let (cost, out_level, new_dffs) =
-                estimate(aig, arrivals, &freed, &dead, &program, &inputs, dff_phases);
+                estimator.estimate(aig, arrivals, freed, &dead, &c.program, inputs);
             if out_level > level_limit {
                 continue; // would exceed the site's depth budget
             }
@@ -397,7 +460,7 @@ fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
             // increases at a site in any mode.
             let score = if dff_phases > 0 {
                 node_gain * i64::from(dff_phases)
-                    + freed_edge_dffs(aig, arrivals, &freed, dff_phases)
+                    + freed_edge_dffs(aig, arrivals, freed, dff_phases)
                     - new_dffs
             } else {
                 node_gain
@@ -409,22 +472,26 @@ fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
             // slack is only consumed when it buys something.
             if best
                 .as_ref()
-                .is_none_or(|&(s, lv, ..)| (score, -out_level) > (s, -lv))
+                .is_none_or(|&(s, lv, _)| (score, -out_level) > (s, -lv))
             {
+                let mut site_inputs = [Lit::FALSE; 4];
+                site_inputs[..inputs.len()].copy_from_slice(inputs);
                 best = Some((
                     score,
                     out_level,
                     Site {
-                        program,
-                        inputs,
-                        output_neg: canon.output_neg,
+                        program: Arc::clone(&c.program),
+                        inputs: site_inputs,
+                        num_inputs: inputs.len(),
+                        output_neg: c.canon.output_neg,
                     },
-                    freed,
                 ));
+                best_freed.clear();
+                best_freed.extend_from_slice(freed);
             }
         }
-        if let Some((_, out_level, site, freed)) = best {
-            for &n in &freed {
+        if let Some((_, out_level, site)) = best {
+            for &n in &best_freed {
                 if n != root {
                     dead[n.index()] = true;
                 }
@@ -437,15 +504,74 @@ fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
                     s.raise_arrival(root, out_level);
                 }
             }
-            sites.push(site.lower(root, freed));
+            sites.push(site.lower(root, &best_freed));
         }
     }
     sites
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sfq_circuits::{epfl, iscas, random_aig, RandomAigConfig};
+
+    /// The three pricing modes, the DFF one at `n` phases.
+    fn modes(n: u32) -> [RewriteConfig; 3] {
+        [
+            RewriteConfig::conservative(),
+            RewriteConfig::slack_aware(),
+            RewriteConfig::dff_aware(n),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The allocation-free selection picks exactly the oracle's sites:
+        /// same roots, freed cones, inputs, steps and outputs, in order.
+        #[test]
+        fn select_sites_matches_the_oracle(
+            seed in any::<u64>(),
+            num_pis in 2usize..=8,
+            num_gates in 1usize..120,
+            num_pos in 1usize..=8,
+            n in 1u32..=6,
+            holes in any::<bool>(),
+        ) {
+            let config = RandomAigConfig { num_pis, num_gates, num_pos, xor_percent: 30 };
+            let mut g = random_aig(seed, &config);
+            if holes {
+                // In-place rewriting leaves dead slots behind.
+                rewrite_network_in_place(&mut g, &RewriteConfig::conservative());
+            }
+            for config in modes(n) {
+                prop_assert_eq!(select_sites(&g, &config), oracle::select_sites(&g, &config));
+            }
+        }
+    }
+
+    #[test]
+    fn select_sites_matches_the_oracle_on_benchmarks() {
+        let subjects = [
+            epfl::adder(16),
+            epfl::multiplier(8),
+            epfl::sin(8),
+            iscas::c6288_like(),
+        ];
+        for g in &subjects {
+            for n in [1, 4, 6] {
+                for config in modes(n) {
+                    let sites = select_sites(g, &config);
+                    assert!(!sites.is_empty(), "{config:?} found no site");
+                    assert_eq!(sites, oracle::select_sites(g, &config), "{config:?}");
+                }
+            }
+        }
+    }
 
     fn eval_equal(a: &Aig, b: &Aig) {
         assert_eq!(a.pi_count(), b.pi_count());

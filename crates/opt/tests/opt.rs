@@ -384,38 +384,41 @@ fn verified_cec_work_is_pinned() {
             "c6288",
             iscas::c6288_like(),
             CecStats {
-                sim_words: 320,
-                structural_matches: 640,
-                sweep_merges: 931,
-                sat_queries: 1971,
-                refinements: 701,
-                alias_skips: 1730,
+                sim_words: 80,
+                structural_matches: 160,
+                sweep_merges: 779,
+                sat_queries: 1179,
+                refinements: 233,
+                alias_skips: 640,
                 used_final_sat: false,
             },
-            20,
+            5,
+            15,
             0x05991d4767bb63b9,
         ),
         (
             "adder32",
             epfl::adder(32),
             CecStats {
-                sim_words: 128,
-                structural_matches: 264,
+                sim_words: 16,
+                structural_matches: 33,
                 sweep_merges: 31,
                 sat_queries: 31,
                 refinements: 0,
                 alias_skips: 0,
                 used_final_sat: false,
             },
-            8,
+            1,
+            7,
             0xe1624bab0ce4bc5e,
         ),
     ];
-    for (name, aig, cec, stages, hash) in subjects {
+    for (name, aig, cec, stages, skipped, hash) in subjects {
         let run = optimize_verified(&aig, &OptConfig::standard(), &CecConfig::default());
         assert_eq!(run.verdict, CecVerdict::Equivalent, "{name}: verdict");
         assert_eq!(run.cec, cec, "{name}: CEC counters");
         assert_eq!(run.checked_stages, stages, "{name}: checked stages");
+        assert_eq!(run.skipped_stages, skipped, "{name}: skipped stages");
         assert_eq!(run.aig.structural_hash(), hash, "{name}: structural hash");
     }
 }

@@ -83,7 +83,7 @@ const OPT: Command = Command {
         PHASES,
         Flag("--fixpoint  iterate the sequence to convergence (guarded)"),
         Flag("--rounds N  fixpoint round limit (default 8)"),
-        Flag("--verify  CEC the result against the input (simulation + SAT miter)"),
+        Flag("--verify  CEC every pass that changed the network against its input"),
         Flag("--stats  per-pass node/depth deltas and wall time"),
         TRACE,
         BENCH_JSON,
@@ -522,9 +522,10 @@ fn cmd_opt(args: &Args) -> Result<(), String> {
     if let Some(run) = verified {
         match run.verdict {
             CecVerdict::Equivalent => println!(
-                "verified equivalent: {} pass checks, {} simulation words, {} sweep merges, \
-                 {} SAT queries{}",
+                "verified equivalent: {} pass checks, {} unchanged passes skipped, \
+                 {} simulation words, {} sweep merges, {} SAT queries{}",
                 run.checked_stages,
+                run.skipped_stages,
                 run.cec.sim_words,
                 run.cec.sweep_merges,
                 run.cec.sat_queries,
