@@ -53,6 +53,6 @@ pub use aig::{Aig, Lit, NodeId, NodeKind};
 pub use aiger::ParseAigerError;
 pub use cut::{enumerate_cuts, Cut, CutConfig, CutSet};
 pub use mffc::Mffc;
-pub use npn::{npn_canonical, npn_equivalent, npn_match, NpnCanon};
+pub use npn::{npn_canonical, npn_equivalent, NpnCanon};
 pub use transform::{cleanup, sweep, NetworkStats};
 pub use truth_table::TruthTable;

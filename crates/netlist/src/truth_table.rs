@@ -231,6 +231,28 @@ impl TruthTable {
         }
     }
 
+    /// Swaps variables `a` and `b` (in either order; equal indices are a
+    /// no-op). [`TruthTable::swap_adjacent`] is the constant-shift special
+    /// case that cut enumeration's hot loop uses.
+    pub fn swap_vars(&self, a: usize, b: usize) -> Self {
+        assert!(a < self.num_vars as usize && b < self.num_vars as usize);
+        let (lo, hi) = (a.min(b), a.max(b));
+        if lo == hi {
+            return *self;
+        }
+        let shift = (1usize << hi) - (1usize << lo);
+        // Partition minterms by the values of (lo, hi): keep the 00 and 11
+        // blocks, exchange the 10 and 01 blocks.
+        let m10 = VAR_MASK[lo] & !VAR_MASK[hi];
+        let m01 = !VAR_MASK[lo] & VAR_MASK[hi];
+        let keep = self.bits & !(m10 | m01);
+        let bits = keep | ((self.bits & m10) << shift) | ((self.bits & m01) >> shift);
+        TruthTable {
+            bits,
+            num_vars: self.num_vars,
+        }
+    }
+
     /// Applies an arbitrary variable permutation.
     ///
     /// `perm[i]` is the new position of old variable `i`.
@@ -249,18 +271,19 @@ impl TruthTable {
             assert!(p < perm.len() && !seen[p], "not a permutation");
             seen[p] = true;
         }
-        // Apply as a sequence of adjacent transpositions (selection sort).
-        let mut cur: Vec<usize> = (0..perm.len()).map(|i| perm[i]).collect();
+        // Apply as a sequence of adjacent transpositions (bubble sort).
+        let mut buf = [0usize; Self::MAX_VARS];
+        let cur = &mut buf[..perm.len()];
+        cur.copy_from_slice(perm);
         let mut t = *self;
         // Sort `cur` with adjacent swaps; each swap on positions (i, i+1)
         // corresponds to swapping variables i and i+1 of the table.
-        let n = cur.len();
         loop {
             let mut swapped = false;
-            for i in 0..n - 1 {
-                if cur[i] > cur[i + 1] {
-                    cur.swap(i, i + 1);
-                    t = t.swap_adjacent(i);
+            for i in 1..cur.len() {
+                if cur[i - 1] > cur[i] {
+                    cur.swap(i - 1, i);
+                    t = t.swap_adjacent(i - 1);
                     swapped = true;
                 }
             }
@@ -422,6 +445,26 @@ mod tests {
         let f = TruthTable::from_bits(4, 0x1234);
         for v in 0..3 {
             assert_eq!(f.swap_adjacent(v).swap_adjacent(v), f);
+        }
+    }
+
+    #[test]
+    fn swap_vars_is_a_transposition() {
+        let f = TruthTable::from_bits(5, 0x1234_5678_9abc_def0);
+        for a in 0..5 {
+            for b in 0..5 {
+                let mut perm = [0, 1, 2, 3, 4];
+                perm.swap(a, b);
+                assert_eq!(f.swap_vars(a, b), f.permute(&perm), "swap {a} {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn permute_accepts_the_empty_permutation() {
+        for bits in [0, 1] {
+            let f = TruthTable::from_bits(0, bits);
+            assert_eq!(f.permute(&[]), f);
         }
     }
 

@@ -49,13 +49,20 @@
 //! network it is given: the conservative mode reads [`Aig::levels`], and
 //! the timing modes build one [`sfq_sta::AigSta`], feed accepted growth
 //! back through `raise_arrival` and drop it when the sites are selected.
+//! The one thing that outlives an invocation is the canonization of each
+//! cut function ([`RewriteTable::canonize`]), a pure function of its truth
+//! table: it costs ≈2.4 µs the first time a process sees the function and
+//! a map probe after that, so evaluation is dominated by cut enumeration,
+//! MFFC walks and strash probes. An invocation records the trace spans
+//! `rewrite:cuts` (enumeration), `rewrite:select` (pricing and greedy
+//! selection) and `rewrite:commit` (the in-place edit, when any site is
+//! accepted).
 
-use crate::table::{Program, RewriteTable};
+use crate::table::{CutCanon, Program, RewriteTable};
 use sfq_netlist::aig::{Aig, Lit, NodeId};
 use sfq_netlist::cut::{enumerate_cuts, CutConfig};
 use sfq_netlist::fnv::FnvHashMap;
 use sfq_netlist::mffc::Mffc;
-use sfq_netlist::npn::{npn_canonical, NpnCanon};
 use sfq_netlist::transform::{apply_cone_rewrites_in_place, ConeRewrite};
 use sfq_netlist::truth_table::TruthTable;
 use sfq_sta::AigSta;
@@ -157,31 +164,19 @@ impl Site {
     }
 }
 
-/// A cut function's memoized canonization: the support it shrinks to, the
-/// NPN transform of the shrunk function and the class program, so the
-/// shared [`RewriteTable`] is locked once per function, not once per cut.
+/// A cut function's canonization plus its class program, memoized per run
+/// so a repeated function costs one lock-free map probe.
 struct Canonized {
-    /// `kept[i]` is the cut variable that shrunk variable `i` came from,
-    /// for `i < num_vars`.
-    kept: [u8; 4],
-    num_vars: usize,
-    canon: NpnCanon,
+    cut: CutCanon,
     program: Arc<Program>,
 }
 
 impl Canonized {
     fn new(func: TruthTable, table: &RewriteTable) -> Self {
-        let (shrunk, vars) = func.shrink_to_support();
-        let mut kept = [0u8; 4];
-        for (k, &v) in kept.iter_mut().zip(&vars) {
-            *k = v as u8;
-        }
-        let canon = npn_canonical(shrunk);
+        let cut = table.canonize(func);
         Canonized {
-            kept,
-            num_vars: vars.len(),
-            canon,
-            program: table.lookup(canon.canon),
+            cut,
+            program: table.lookup(cut.npn.canon),
         }
     }
 }
@@ -334,8 +329,9 @@ pub fn rewrite_network(aig: &Aig, config: &RewriteConfig) -> (Aig, usize) {
 /// cost no reconstruction and no compaction. Returns the number of sites
 /// committed.
 pub fn rewrite_network_in_place(aig: &mut Aig, config: &RewriteConfig) -> usize {
-    let sites = select_sites(aig, config);
+    let sites = select_sites(aig, config, RewriteTable::global());
     if !sites.is_empty() {
+        let _span = sfq_obs::span("rewrite:commit");
         apply_cone_rewrites_in_place(aig, &sites);
     }
     sites.len()
@@ -348,16 +344,21 @@ pub fn rewrite_network_in_place(aig: &mut Aig, config: &RewriteConfig) -> usize 
 /// Pricing a candidate cut allocates nothing: its bounded MFFC is borrowed
 /// from the [`Mffc`] walk buffer, its inputs live in a fixed array, the
 /// estimate reuses one slot buffer, and the function's canonization and
-/// class program come from a per-run memo. Only a cut that beats the
-/// root's best so far is copied out.
-fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
-    let cuts = enumerate_cuts(
-        aig,
-        &CutConfig {
-            max_leaves: 4,
-            max_cuts: RewriteConfig::DEFAULT_MAX_CUTS,
-        },
-    );
+/// class program come from a per-run memo in front of `table`'s
+/// process-wide canonization memo. Only a cut that beats the root's best
+/// so far is copied out.
+fn select_sites(aig: &Aig, config: &RewriteConfig, table: &RewriteTable) -> Vec<ConeRewrite> {
+    let cuts = {
+        let _span = sfq_obs::span("rewrite:cuts");
+        enumerate_cuts(
+            aig,
+            &CutConfig {
+                max_leaves: 4,
+                max_cuts: RewriteConfig::DEFAULT_MAX_CUTS,
+            },
+        )
+    };
+    let _span = sfq_obs::span("rewrite:select");
     // The timing modes run on the unit-delay required-time analysis; its
     // arrival view starts at the static levels and is floored upward as
     // growing sites are accepted, so later estimates price against the
@@ -380,11 +381,12 @@ fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
         dff_phases,
     };
     let mut mffc = Mffc::new(aig);
-    let table = RewriteTable::global();
     // Cut functions repeat heavily (every full adder contributes the same
-    // XOR3/MAJ3 tables), so canonization is memoized per run, keyed by the
-    // cut function itself. FNV keying: truth tables are short fixed-width
-    // non-adversarial keys, the case `sfq_netlist::fnv` exists for.
+    // XOR3/MAJ3 tables), so each distinct function takes the shared
+    // table's locks once per run; later cuts probe this lock-free memo,
+    // keyed by the cut function itself. FNV keying: truth tables are short
+    // fixed-width non-adversarial keys, the case `sfq_netlist::fnv` exists
+    // for.
     let mut canon_memo: FnvHashMap<TruthTable, Canonized> = FnvHashMap::default();
 
     let mut sites: Vec<ConeRewrite> = Vec::new();
@@ -429,12 +431,17 @@ fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
             let c = canon_memo
                 .entry(func)
                 .or_insert_with(|| Canonized::new(func, table));
+            let CutCanon {
+                kept,
+                num_vars,
+                npn,
+            } = c.cut;
             let mut inputs = [Lit::FALSE; 4];
-            for (i, &orig_var) in c.kept[..c.num_vars].iter().enumerate() {
-                let neg = c.canon.input_neg >> i & 1 == 1;
-                inputs[c.canon.perm[i] as usize] = Lit::new(leaves[orig_var as usize], neg);
+            for (i, &orig_var) in kept[..num_vars].iter().enumerate() {
+                let neg = npn.input_neg >> i & 1 == 1;
+                inputs[npn.perm[i] as usize] = Lit::new(leaves[orig_var as usize], neg);
             }
-            let inputs = &inputs[..c.num_vars];
+            let inputs = &inputs[..num_vars];
             let (cost, out_level, new_dffs) =
                 estimator.estimate(aig, arrivals, freed, &dead, &c.program, inputs);
             if out_level > level_limit {
@@ -483,7 +490,7 @@ fn select_sites(aig: &Aig, config: &RewriteConfig) -> Vec<ConeRewrite> {
                         program: Arc::clone(&c.program),
                         inputs: site_inputs,
                         num_inputs: inputs.len(),
-                        output_neg: c.canon.output_neg,
+                        output_neg: npn.output_neg,
                     },
                 ));
                 best_freed.clear();
@@ -549,7 +556,10 @@ mod tests {
                 rewrite_network_in_place(&mut g, &RewriteConfig::conservative());
             }
             for config in modes(n) {
-                prop_assert_eq!(select_sites(&g, &config), oracle::select_sites(&g, &config));
+                prop_assert_eq!(
+                    select_sites(&g, &config, RewriteTable::global()),
+                    oracle::select_sites(&g, &config)
+                );
             }
         }
     }
@@ -565,11 +575,26 @@ mod tests {
         for g in &subjects {
             for n in [1, 4, 6] {
                 for config in modes(n) {
-                    let sites = select_sites(g, &config);
+                    let sites = select_sites(g, &config, RewriteTable::global());
                     assert!(!sites.is_empty(), "{config:?} found no site");
                     assert_eq!(sites, oracle::select_sites(g, &config), "{config:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_warm_canon_memo_picks_the_cold_sites() {
+        let g = epfl::log2(16);
+        for config in modes(4) {
+            let table = RewriteTable::seeded();
+            assert_eq!(table.canonized_len(), 0);
+            let cold = select_sites(&g, &config, &table);
+            let filled = table.canonized_len();
+            assert!(!cold.is_empty() && filled > 0, "{config:?}");
+            let warm = select_sites(&g, &config, &table);
+            assert_eq!(cold, warm, "{config:?}");
+            assert_eq!(table.canonized_len(), filled, "{config:?}: memo grew");
         }
     }
 

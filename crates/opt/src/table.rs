@@ -15,9 +15,16 @@
 //! network found by a Shannon-style decomposition search. There are only
 //! 222 NPN classes of ≤ 4-input functions, so the table stays tiny and each
 //! class is synthesized at most once per process.
+//!
+//! The table also memoizes each cut function's canonization
+//! ([`RewriteTable::canonize`]): a pure function of the truth table, so it
+//! is computed at most once per process and never goes stale. Keys are cut
+//! functions of at most four inputs, which bounds the memo at
+//! 2^16 + 2^8 + 2^4 + 2^2 + 2 entries (a few MB at worst) with no eviction.
 
 use sfq_netlist::aig::{Aig, Lit};
-use sfq_netlist::npn::npn_canonical;
+use sfq_netlist::fnv::FnvHashMap;
+use sfq_netlist::npn::{npn_canonical, NpnCanon};
 use sfq_netlist::truth_table::TruthTable;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -344,11 +351,45 @@ fn decompose(
     lit
 }
 
-/// The NPN-class → subgraph table. Thread-safe; obtain the process-wide
-/// instance with [`RewriteTable::global`].
+/// A cut function's canonization: the support it shrinks to and the NPN
+/// transform of the shrunk function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CutCanon {
+    /// `kept[i]` is the cut variable that shrunk variable `i` came from,
+    /// for `i < num_vars`.
+    pub kept: [u8; 4],
+    /// Size of the function's support.
+    pub num_vars: usize,
+    /// The NPN transform of the shrunk function.
+    pub npn: NpnCanon,
+}
+
+impl CutCanon {
+    /// Shrinks `func` to its support and canonizes the result.
+    fn of(func: TruthTable) -> Self {
+        let (shrunk, vars) = func.shrink_to_support();
+        let mut kept = [0u8; 4];
+        for (k, &v) in kept.iter_mut().zip(&vars) {
+            *k = v as u8;
+        }
+        CutCanon {
+            kept,
+            num_vars: vars.len(),
+            npn: npn_canonical(shrunk),
+        }
+    }
+}
+
+/// The NPN-class → subgraph table plus the cut-function canonization memo.
+/// Thread-safe; obtain the process-wide instance with
+/// [`RewriteTable::global`].
 #[derive(Debug, Default)]
 pub struct RewriteTable {
     classes: Mutex<HashMap<TruthTable, Arc<Program>>>,
+    /// Cut function → canonization. Holds no programs, so
+    /// [`RewriteTable::insert`] can never leave a stale one behind. FNV
+    /// keying: truth tables are short fixed-width non-adversarial keys.
+    canons: Mutex<FnvHashMap<TruthTable, CutCanon>>,
 }
 
 impl RewriteTable {
@@ -408,6 +449,28 @@ impl RewriteTable {
         let prog = Arc::new(synthesize(canon));
         let mut classes = self.classes.lock().expect("table lock");
         classes.entry(canon).or_insert_with(|| prog.clone()).clone()
+    }
+
+    /// The canonization of cut function `func`: its support and the NPN
+    /// transform of the function shrunk to it, computed on the first
+    /// request to this table and memoized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `func`'s support has more than four variables.
+    pub fn canonize(&self, func: TruthTable) -> CutCanon {
+        if let Some(&c) = self.canons.lock().expect("canon memo lock").get(&func) {
+            return c;
+        }
+        // Computed outside the lock, so a panic here cannot poison it.
+        let c = CutCanon::of(func);
+        self.canons.lock().expect("canon memo lock").insert(func, c);
+        c
+    }
+
+    /// Number of cut functions canonized so far (diagnostic).
+    pub fn canonized_len(&self) -> usize {
+        self.canons.lock().expect("canon memo lock").len()
     }
 
     /// Number of classes currently materialized (diagnostic).
@@ -490,6 +553,18 @@ mod tests {
             let c = npn_canonical(f);
             assert_eq!(table.lookup(c.canon).eval(), c.canon);
         }
+    }
+
+    #[test]
+    fn canonize_memoizes_the_shrunk_transform() {
+        let table = RewriteTable::default();
+        // a & c over three cut variables: b is outside the support.
+        let f = TruthTable::var(3, 0) & TruthTable::var(3, 2);
+        let c = table.canonize(f);
+        assert_eq!((c.num_vars, &c.kept[..2]), (2, &[0u8, 2][..]));
+        assert_eq!(c.npn, npn_canonical(f.shrink_to_support().0));
+        assert_eq!(table.canonize(f), c);
+        assert_eq!(table.canonized_len(), 1);
     }
 
     #[test]

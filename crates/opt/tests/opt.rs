@@ -274,6 +274,11 @@ fn optimized_networks_match_golden_hashes() {
             [0x1e6a7263472cbbc2, 0xc46671cf6aaa7718, 0xc8b00efcd443ddff],
         ),
         (
+            "log2_16",
+            epfl::log2(16),
+            [0xfd2f09e71ee8ec3c, 0x4d6ad4c519e67264, 0xc557c3d221dcf332],
+        ),
+        (
             "scale-100k:2000",
             named::build("scale-100k", 2_000).unwrap(),
             [0x057e2dadeb29265e, 0x2e3c7605148c6c15, 0x22f61cbd73d298dc],

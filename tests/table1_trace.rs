@@ -94,7 +94,15 @@ fn pre_opt_run_traces_optimizer_passes() {
         String::from_utf8_lossy(&out.stderr)
     );
     let names = span_names(&trace);
-    for required in ["flow:pre-opt", "opt:strash", "opt:sweep", "opt:rewrite"] {
+    for required in [
+        "flow:pre-opt",
+        "opt:strash",
+        "opt:sweep",
+        "opt:rewrite",
+        "rewrite:cuts",
+        "rewrite:select",
+        "rewrite:commit",
+    ] {
         assert!(
             names.iter().any(|n| n == required),
             "pre-opt trace must contain span '{required}': {names:?}"
