@@ -7,12 +7,10 @@
 //! - [`args`] — the one command-line parser, a flag table per command;
 //! - [`ablation`] — `sfq-t1 ablation`: phase-count sweep and
 //!   heuristic-vs-exact / sharing-aware-retiming ablations (extensions
-//!   beyond the paper);
-//! - Criterion benches (`table1`, `substrates`) — flow and substrate
-//!   runtime measurements.
+//!   beyond the paper).
 //!
 //! The paper-scale benchmark set is exposed as [`paper_benchmarks`] so the
-//! CLI, the Criterion benches and the integration tests agree on the
+//! CLI, the benchmark binary and the integration tests agree on the
 //! exact workloads, and the suites themselves are exposed as `sfq-engine`
 //! job lists ([`table1_jobs`], [`phase_sweep_jobs`]) so every consumer runs
 //! them through the same parallel, cached execution engine.

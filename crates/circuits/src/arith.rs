@@ -35,11 +35,6 @@ pub fn full_adder(g: &mut Aig, a: Lit, b: Lit, c: Lit) -> (Lit, Lit) {
     (g.xor3(a, b, c), g.maj3(a, b, c))
 }
 
-/// One-bit half adder; returns `(sum, carry)`.
-pub fn half_adder(g: &mut Aig, a: Lit, b: Lit) -> (Lit, Lit) {
-    (g.xor(a, b), g.and(a, b))
-}
-
 /// Ripple-carry addition of two equal-width vectors with optional carry-in.
 ///
 /// Returns `(sum_bits, carry_out)`.

@@ -45,7 +45,9 @@ pub fn known_names() -> Vec<&'static str> {
 ///
 /// # Errors
 ///
-/// Unknown names are a hard error listing every known benchmark.
+/// Unknown names are a hard error listing every known benchmark, and so is
+/// a width on a fixed-size benchmark (it would name the same network under
+/// a different label).
 pub fn build(name: &str, width: usize) -> Result<Aig, String> {
     let default = KNOWN_BENCHMARKS
         .iter()
@@ -57,6 +59,9 @@ pub fn build(name: &str, width: usize) -> Result<Aig, String> {
                 known_names().join(", ")
             )
         })?;
+    if default == 0 && width != 0 {
+        return Err(format!("{name} is fixed-size and takes no width"));
+    }
     let width = if width == 0 { default } else { width };
     Ok(match name {
         "adder" => epfl::adder(width),
@@ -153,5 +158,9 @@ mod tests {
         assert!(build_subject("adder:x").is_err());
         assert!(build_subject("adder:0").is_err());
         assert!(build_subject("nope:4").is_err());
+        for fixed in ["c6288", "c7552"] {
+            let err = build_subject(&format!("{fixed}:3")).unwrap_err();
+            assert_eq!(err, format!("{fixed} is fixed-size and takes no width"));
+        }
     }
 }

@@ -253,7 +253,7 @@ pub fn detect_with_attribution(
 /// Pairwise compatibility is the static part of the greedy rules (disjoint
 /// removed cones; a leaf inside another group's cone only if it is one of
 /// that group's member roots). Gains are priced optimistically (negations
-/// free), matching the greedy's tie-free ordering criterion; the realized
+/// free), matching the greedy's tie-free ordering rule; the realized
 /// area is decided by the cover as usual.
 ///
 /// Intended for small/medium candidate sets (the constraint count is

@@ -166,18 +166,6 @@ impl FlowBuilder {
         self
     }
 
-    /// Local-search passes for the heuristic engine.
-    pub fn opt_passes(mut self, passes: usize) -> Self {
-        self.cfg.opt_passes = passes;
-        self
-    }
-
-    /// Replaces the T1 detection parameters.
-    pub fn detect(mut self, detect: DetectConfig) -> Self {
-        self.cfg.detect = detect;
-        self
-    }
-
     /// Replaces the pre-mapping optimization stage wholesale (the escape
     /// hatch; the named variants below cover the shipped pipelines).
     pub fn pre_opt(mut self, pre_opt: OptConfig) -> Self {

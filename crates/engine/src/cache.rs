@@ -21,11 +21,6 @@ pub enum HitSource {
 }
 
 impl HitSource {
-    /// `true` unless the flow had to run.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, HitSource::Computed)
-    }
-
     /// Short label used by progress lines.
     pub fn label(self) -> &'static str {
         match self {
@@ -55,8 +50,6 @@ pub struct CacheStats {
     pub disk_hits: u64,
     /// Requests that ran the flow.
     pub misses: u64,
-    /// In-memory entries removed by [`ResultStore::gc`].
-    pub evicted: u64,
     /// Counters of the backing store, if one is attached.
     pub disk: StoreStats,
 }
@@ -79,7 +72,6 @@ impl CacheStats {
             memory_hits: self.memory_hits.saturating_sub(earlier.memory_hits),
             disk_hits: self.disk_hits.saturating_sub(earlier.disk_hits),
             misses: self.misses.saturating_sub(earlier.misses),
-            evicted: self.evicted.saturating_sub(earlier.evicted),
             disk: self.disk.delta_since(&earlier.disk),
         }
     }
@@ -88,9 +80,8 @@ impl CacheStats {
 enum Slot {
     /// A worker is computing this key; waiters block on the condvar.
     InFlight,
-    /// Finished result plus its insertion sequence number (the eviction
-    /// order used by [`ResultStore::gc`]).
-    Ready(Arc<FlowResult>, u64),
+    /// Finished result.
+    Ready(Arc<FlowResult>),
 }
 
 /// A content-addressed store of flow results.
@@ -115,11 +106,9 @@ pub struct ResultCache {
     slots: Mutex<HashMap<CacheKey, Slot>>,
     ready: Condvar,
     backing: Option<Arc<dyn ResultStore>>,
-    seq: AtomicU64,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
-    evicted: AtomicU64,
 }
 
 impl std::fmt::Debug for ResultCache {
@@ -164,16 +153,10 @@ impl ResultCache {
         }
     }
 
-    /// The backing store, if one is attached.
-    pub fn backing(&self) -> Option<&Arc<dyn ResultStore>> {
-        self.backing.as_ref()
-    }
-
     /// Inserts `result` as a finished entry, waking any waiters.
     fn insert_ready(&self, key: CacheKey, result: Arc<FlowResult>) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut slots = self.slots.lock().unwrap();
-        slots.insert(key, Slot::Ready(result, seq));
+        slots.insert(key, Slot::Ready(result));
         self.ready.notify_all();
     }
 
@@ -188,7 +171,7 @@ impl ResultCache {
             let mut slots = self.slots.lock().unwrap();
             loop {
                 match slots.get(&key) {
-                    Some(Slot::Ready(result, _)) => {
+                    Some(Slot::Ready(result)) => {
                         self.memory_hits.fetch_add(1, Ordering::Relaxed);
                         sfq_obs::counter("store.memory.hits", 1);
                         return (result.clone(), HitSource::Memory);
@@ -254,90 +237,8 @@ impl ResultCache {
             memory_hits: self.memory_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
             disk: self.backing.as_ref().map(|b| b.stats()).unwrap_or_default(),
         }
-    }
-}
-
-/// The layered view of the cache: memory in front, the backing store (if
-/// any) behind, with promotion on disk hits and write-through on puts.
-impl ResultStore for ResultCache {
-    fn get(&self, key: CacheKey) -> Option<Arc<FlowResult>> {
-        if let Some(Slot::Ready(result, _)) = self.slots.lock().unwrap().get(&key) {
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(result.clone());
-        }
-        match self.backing.as_ref().and_then(|b| b.get(key)) {
-            Some(found) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                // Promote, but never displace an in-flight claim.
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                let mut slots = self.slots.lock().unwrap();
-                slots
-                    .entry(key)
-                    .or_insert_with(|| Slot::Ready(found.clone(), seq));
-                Some(found)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn put(&self, key: CacheKey, result: &Arc<FlowResult>) {
-        self.insert_ready(key, result.clone());
-        if let Some(backing) = &self.backing {
-            let _span = sfq_obs::span("store:put");
-            backing.put(key, result);
-        }
-    }
-
-    fn contains(&self, key: CacheKey) -> bool {
-        if matches!(self.slots.lock().unwrap().get(&key), Some(Slot::Ready(..))) {
-            return true;
-        }
-        self.backing.as_ref().is_some_and(|b| b.contains(key))
-    }
-
-    fn stats(&self) -> StoreStats {
-        let s = self.stats();
-        StoreStats {
-            entries: self.len(),
-            hits: s.hits(),
-            misses: s.misses,
-            puts: s.disk.puts,
-            errors: s.disk.errors,
-            evicted: s.evicted + s.disk.evicted,
-        }
-    }
-
-    fn gc(&self, keep_newest: usize) -> usize {
-        let mut removed = 0usize;
-        {
-            let mut slots = self.slots.lock().unwrap();
-            let mut ready: Vec<(u64, CacheKey)> = slots
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready(_, seq) => Some((*seq, *k)),
-                    Slot::InFlight => None,
-                })
-                .collect();
-            if ready.len() > keep_newest {
-                ready.sort_unstable_by_key(|(seq, _)| *seq);
-                let excess = ready.len() - keep_newest;
-                for (_, key) in ready.into_iter().take(excess) {
-                    slots.remove(&key);
-                    removed += 1;
-                }
-            }
-        }
-        self.evicted.fetch_add(removed as u64, Ordering::Relaxed);
-        if let Some(backing) = &self.backing {
-            removed += backing.gc(keep_newest);
-        }
-        removed
     }
 }
 
@@ -366,13 +267,11 @@ mod tests {
             small_result()
         });
         assert_eq!(source, HitSource::Computed);
-        assert!(!source.is_hit());
         let (_, source) = cache.get_or_compute(key, || {
             runs += 1;
             small_result()
         });
         assert_eq!(source, HitSource::Memory);
-        assert!(source.is_hit());
         assert_eq!(runs, 1);
         let stats = cache.stats();
         assert_eq!(
@@ -382,8 +281,6 @@ mod tests {
         assert_eq!(stats.hits(), 1);
         assert_eq!(stats.requests(), 2);
         assert_eq!(cache.len(), 1);
-        assert!(ResultStore::get(&cache, key).is_some());
-        assert!(ResultStore::get(&cache, CacheKey { aig: 9, setup: 9 }).is_none());
     }
 
     #[test]
@@ -422,22 +319,5 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits() + stats.misses, 4);
         assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
-    fn gc_evicts_oldest_entries_first() {
-        let cache = ResultCache::new();
-        let result = Arc::new(small_result());
-        for aig in 0..5u64 {
-            ResultStore::put(&cache, CacheKey { aig, setup: 0 }, &result);
-        }
-        let removed = cache.gc(2);
-        assert_eq!(removed, 3);
-        assert_eq!(cache.len(), 2);
-        // The newest two survive.
-        assert!(ResultStore::get(&cache, CacheKey { aig: 3, setup: 0 }).is_some());
-        assert!(ResultStore::get(&cache, CacheKey { aig: 4, setup: 0 }).is_some());
-        assert!(ResultStore::get(&cache, CacheKey { aig: 0, setup: 0 }).is_none());
-        assert_eq!(cache.stats().evicted, 3);
     }
 }

@@ -20,9 +20,9 @@
 //!
 //! - **[`ResultStore`]** ([`store`]) — the storage abstraction: a
 //!   content-addressed map from [`CacheKey`] to shared results with uniform
-//!   counters and a gc hook. [`DiskStore`] implements it on disk (one
+//!   counters and a gc hook. Its one backend, [`DiskStore`], keeps one
 //!   atomically written file per key under a format-versioned directory,
-//!   encoded by the [`store::codec`] text codec), so results persist across
+//!   encoded by the [`store::codec`] text codec, so results persist across
 //!   processes.
 //!
 //! - **[`ResultCache`]** ([`cache`]) — the in-memory tier.

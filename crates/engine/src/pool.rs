@@ -168,11 +168,6 @@ impl SuiteRunner {
         }
     }
 
-    /// Creates a runner sized by [`default_workers`].
-    pub fn with_default_workers() -> Self {
-        Self::new(default_workers())
-    }
-
     /// Uses `store` for every run instead of a fresh per-run cache, so
     /// results are shared across runs (and across runners holding clones of
     /// the same `Arc`).
@@ -184,11 +179,6 @@ impl SuiteRunner {
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The shared store, if one is attached.
-    pub fn store(&self) -> Option<&Arc<ResultCache>> {
-        self.store.as_ref()
     }
 
     /// Executes `jobs` and collects the report, without progress reporting.

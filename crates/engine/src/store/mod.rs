@@ -3,18 +3,15 @@
 //! [`ResultStore`] is the storage abstraction of the engine's result layer:
 //! a content-addressed map from [`CacheKey`] to shared
 //! [`FlowResult`]s with uniform counters
-//! ([`StoreStats`]) and a garbage-collection hook. Two backends implement
-//! it:
-//!
-//! - [`ResultCache`](crate::cache::ResultCache) — the in-memory store with
-//!   in-flight deduplication (the fast tier). With a backing store attached
-//!   ([`ResultCache::with_backing`](crate::cache::ResultCache::with_backing))
-//!   it becomes the *layered* view: memory in front, the backing store
-//!   behind, write-through on compute.
-//! - [`DiskStore`] ([`disk`]) — one file per key under a
-//!   format-versioned directory, written atomically (temp file + rename),
-//!   so results survive the process and are shared across runs, CLI
-//!   invocations and CI steps.
+//! ([`StoreStats`]) and a garbage-collection hook. [`DiskStore`] ([`disk`])
+//! implements it: one file per key under a format-versioned directory,
+//! written atomically (temp file + rename), so results survive the process
+//! and are shared across runs, CLI invocations and CI steps. The in-memory
+//! [`ResultCache`](crate::cache::ResultCache) is not a backend but the tier
+//! in front of one: layered over a store with
+//! [`ResultCache::with_backing`](crate::cache::ResultCache::with_backing),
+//! its [`get_or_compute`](crate::cache::ResultCache::get_or_compute) probes
+//! the store on memory misses and writes computed results through.
 //!
 //! On-disk entries are encoded by the hand-rolled, self-describing codec of
 //! [`codec`]; its [`FORMAT_VERSION`](codec::FORMAT_VERSION) participates in

@@ -9,7 +9,7 @@ mod synthetic;
 use proptest::prelude::*;
 use sfq_circuits::epfl;
 use sfq_engine::store::codec;
-use sfq_engine::{DiskStore, Job, ResultCache, ResultStore, SuiteRunner};
+use sfq_engine::{DiskStore, HitSource, Job, ResultCache, ResultStore, SuiteRunner};
 use std::path::PathBuf;
 use std::sync::Arc;
 use synthetic::{extreme_result, synthetic_result};
@@ -220,22 +220,26 @@ fn concurrent_runners_sharing_one_store_compute_each_key_once() {
 fn layered_cache_promotes_disk_hits_into_memory() {
     let dir = tmp_dir("promote");
     let key = sfq_engine::CacheKey { aig: 5, setup: 5 };
-    {
-        let disk = Arc::new(DiskStore::open(&dir).unwrap());
-        let warmup = ResultCache::with_backing(disk);
-        warmup.put(key, &Arc::new(synthetic_result(9, false, false)));
-    }
+    let stored = Arc::new(synthetic_result(9, false, false));
+    DiskStore::open(&dir).unwrap().put(key, &stored);
     let disk = Arc::new(DiskStore::open(&dir).unwrap());
     let cache = ResultCache::with_backing(disk);
     assert!(cache.is_empty());
-    assert!(cache.contains(key), "contains falls through to disk");
-    assert!(
-        ResultStore::get(&cache, key).is_some(),
-        "first get hits disk"
+    let compute = || -> t1map::flow::FlowResult { panic!("the stored entry must be served") };
+    let (first, first_source) = cache.get_or_compute(key, compute);
+    let (second, second_source) = cache.get_or_compute(key, compute);
+    assert_eq!(
+        (first_source, second_source),
+        (HitSource::Disk, HitSource::Memory),
+        "the first request reads disk, the second is served from memory"
     );
+    assert_eq!(*first, *stored);
+    assert!(Arc::ptr_eq(&first, &second), "the promoted entry is shared");
     assert_eq!(cache.len(), 1, "promoted into memory");
-    assert!(ResultStore::get(&cache, key).is_some());
     let stats = cache.stats();
-    assert_eq!((stats.disk_hits, stats.memory_hits), (1, 1));
+    assert_eq!(
+        (stats.disk_hits, stats.memory_hits, stats.misses),
+        (1, 1, 0)
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -15,6 +15,7 @@
 
 use crate::spec::{FLOW_TOKENS, LIBRARY_VARIANTS, OBJECTIVE_TOKENS, OPT_TOKENS};
 use crate::sweep::ExploreRun;
+use sfq_obs::escape_json;
 use sfq_obs::json::{self, Value};
 use std::fmt::Write as _;
 
@@ -26,22 +27,6 @@ pub const EXPLORE_SCHEMA_VERSION: u64 = 1;
 /// Provenance labels a point may carry.
 const SOURCES: [&str; 4] = ["memory", "disk", "computed", "unknown"];
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the report. One line per point, so line-oriented tooling
 /// (and [`strip_provenance`]) can treat points atomically.
 pub fn explore_report_json(run: &ExploreRun) -> String {
@@ -49,7 +34,7 @@ pub fn explore_report_json(run: &ExploreRun) -> String {
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{EXPLORE_SCHEMA}\",");
     let _ = writeln!(out, "  \"schema_version\": {EXPLORE_SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"sweep\": \"{}\",", esc(&run.spec.name));
+    let _ = writeln!(out, "  \"sweep\": \"{}\",", escape_json(&run.spec.name));
     let objectives: Vec<String> = run
         .spec
         .objectives
@@ -63,7 +48,7 @@ pub fn explore_report_json(run: &ExploreRun) -> String {
     let ranges = run.benchmark_ranges();
     for (b, (benchmark, range)) in ranges.iter().enumerate() {
         out.push_str("    {\n");
-        let _ = writeln!(out, "      \"benchmark\": \"{}\",", esc(benchmark));
+        let _ = writeln!(out, "      \"benchmark\": \"{}\",", escape_json(benchmark));
         let frontier_size = range.clone().filter(|&i| run.frontier[i]).count();
         let _ = writeln!(out, "      \"frontier_size\": {frontier_size},");
         out.push_str("      \"points\": [\n");
@@ -71,7 +56,7 @@ pub fn explore_report_json(run: &ExploreRun) -> String {
             let p = &run.points[i];
             let s = &run.stats[i];
             let dominated_by = match run.dominated_by[i] {
-                Some(w) => format!("\"{}\"", esc(&run.points[w].config_label())),
+                Some(w) => format!("\"{}\"", escape_json(&run.points[w].config_label())),
                 None => "null".into(),
             };
             let _ = writeln!(
@@ -82,7 +67,7 @@ pub fn explore_report_json(run: &ExploreRun) -> String {
                  \"gates\": {}, \"depth_cycles\": {}, \"dffs\": {}, \
                  \"splitters\": {}, \"cell_area\": {}, \"area\": {}, \
                  \"t1_used\": {}, \"frontier\": {}, \"dominated_by\": {}}}{}",
-                esc(&p.config_label()),
+                escape_json(&p.config_label()),
                 p.flow.token(),
                 p.phases,
                 p.opt,

@@ -54,5 +54,5 @@ pub use aiger::ParseAigerError;
 pub use cut::{enumerate_cuts, Cut, CutConfig, CutSet};
 pub use mffc::Mffc;
 pub use npn::{npn_canonical, npn_equivalent, NpnCanon};
-pub use transform::{cleanup, sweep, NetworkStats};
+pub use transform::{sweep, NetworkStats};
 pub use truth_table::TruthTable;

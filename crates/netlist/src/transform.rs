@@ -6,8 +6,6 @@
 //! - [`sweep_in_place`] — the ID-stable variant behind the `sweep` pass of
 //!   the `sfq-opt` pass manager: kills unreachable nodes where they stand
 //!   instead of rebuilding, so surviving nodes keep their ids;
-//! - [`cleanup`] — the historical name for the same operation, kept as a
-//!   thin alias so existing callers don't break;
 //! - [`ConeRewrite`] / [`apply_cone_rewrites_in_place`] — the batch
 //!   cone-rewrite engine: a network-independent description of "replace
 //!   this fanout-free cone with this AND program", applied by editing slots
@@ -20,7 +18,7 @@
 //!
 //! ```
 //! use sfq_netlist::aig::Aig;
-//! use sfq_netlist::transform::{cleanup, NetworkStats};
+//! use sfq_netlist::transform::{sweep, NetworkStats};
 //!
 //! let mut g = Aig::new();
 //! let a = g.add_pi();
@@ -28,7 +26,7 @@
 //! let used = g.and(a, b);
 //! let _dead = g.xor(a, b); // never drives an output
 //! g.add_po(used);
-//! let clean = cleanup(&g);
+//! let clean = sweep(&g);
 //! assert_eq!(clean.and_count(), 1);
 //! let stats = NetworkStats::of(&clean);
 //! assert_eq!(stats.ands, 1);
@@ -84,11 +82,6 @@ pub fn sweep(aig: &Aig) -> Aig {
         out.add_po(base.with_complement(base.is_complement() ^ po.is_complement()));
     }
     out
-}
-
-/// The historical name of [`sweep`], kept for source compatibility.
-pub fn cleanup(aig: &Aig) -> Aig {
-    sweep(aig)
 }
 
 /// [`sweep`] without the rebuild: kills every AND unreachable from the
@@ -471,7 +464,7 @@ mod tests {
         let _dead1 = g.xor(a, b);
         let _dead2 = g.or(a, b);
         g.add_po(keep);
-        let clean = cleanup(&g);
+        let clean = sweep(&g);
         assert_eq!(clean.and_count(), 1);
         assert_eq!(clean.pi_count(), 2);
         for x in 0..4u32 {
@@ -490,7 +483,7 @@ mod tests {
         let m = g.maj3(a, b, c);
         g.add_po(!x);
         g.add_po(m);
-        let clean = cleanup(&g);
+        let clean = sweep(&g);
         for i in 0..8u32 {
             let bits = [i & 1 == 1, i >> 1 & 1 == 1, i >> 2 & 1 == 1];
             assert_eq!(g.eval(&bits), clean.eval(&bits), "input {i}");
@@ -503,7 +496,7 @@ mod tests {
         let _a = g.add_pi();
         g.add_po(Lit::TRUE);
         g.add_po(Lit::FALSE);
-        let clean = cleanup(&g);
+        let clean = sweep(&g);
         assert_eq!(clean.eval(&[false]), vec![true, false]);
     }
 

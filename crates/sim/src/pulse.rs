@@ -315,11 +315,6 @@ impl PulseCircuit {
             .count()
     }
 
-    /// Maximum stage over all elements.
-    pub fn max_stage(&self) -> u32 {
-        self.elements.iter().map(Element::stage).max().unwrap_or(0)
-    }
-
     /// Validates the schedule for `n`-phase operation.
     ///
     /// # Errors

@@ -577,7 +577,7 @@ fn write_aiger(path: &str, aig: &Aig) -> Result<(), String> {
 /// Flow configuration shared by `map`, `verify` and `sta --mapped`:
 /// `--phases` (default 4) and `--no-t1`.
 fn flow_config(args: &Args) -> Result<(u32, FlowConfig), String> {
-    let phases: u32 = args.parse("--phases")?.unwrap_or(4);
+    let phases: u32 = args.positive("--phases")?.unwrap_or(4);
     let use_t1 = !args.has("--no-t1");
     if use_t1 && phases < 3 {
         return Err("T1 flows need at least 3 phases (use --no-t1 for fewer)".into());
@@ -1051,13 +1051,12 @@ fn serve_stats_line(store: &ResultCache) -> String {
 fn parse_serve_request(line: &str, lib: &CellLibrary) -> Result<Job, String> {
     let mut fields = line.split_whitespace();
     let subject = fields.next().ok_or("benchmark required")?;
-    let (label, aig) = sfq_t1::circuits::named::build_subject(subject)?;
-
     let flow = fields
         .next()
         .ok_or("flow required (one of: 1phi, nphi, t1)")?;
     let mut rest = fields.peekable();
     let phases: u32 = match rest.peek().and_then(|t| t.parse().ok()) {
+        Some(0) => return Err("phases must be at least 1, got 0".into()),
         Some(n) => {
             rest.next();
             n
@@ -1078,6 +1077,7 @@ fn parse_serve_request(line: &str, lib: &CellLibrary) -> Result<Job, String> {
     for opt in rest {
         builder = sfq_t1::explore::apply_config_token(builder, opt)?;
     }
+    let (label, aig) = sfq_t1::circuits::named::build_subject(subject)?;
     Ok(Job::new(label, flow, Arc::new(aig), *lib, builder.build()))
 }
 

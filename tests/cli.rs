@@ -170,6 +170,18 @@ fn errors_are_reported() {
         .expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("at least 3 phases"));
+    // Zero phases is an error (exit 1), not a panic in the phase assigner.
+    let file = aag.to_str().unwrap();
+    for args in [
+        ["map", file, "--phases", "0", "--no-t1"].as_slice(),
+        &["verify", file, "--phases", "0", "--no-t1"],
+        &["sta", file, "--mapped", "--phases", "0", "--no-t1"],
+    ] {
+        let out = bin().args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("bad --phases '0'"), "{args:?}: {stderr}");
+    }
     let _ = std::fs::remove_file(&aag);
 }
 
@@ -1030,6 +1042,46 @@ fn serve_shares_the_explore_config_vocabulary() {
     ] {
         assert!(err.contains(token), "error must list '{token}': {err}");
     }
+}
+
+#[test]
+fn serve_rejects_zero_phases_and_keeps_serving() {
+    use std::io::Write;
+    // Zero phases and a width on a fixed-size benchmark are request
+    // errors: each gets an err line, and the session serves on.
+    let mut child = bin()
+        .args(["serve", "--jobs", "1"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(b"adder:8 nphi 0\nadder:4 1phi\nc6288:3 1phi\n")
+        .expect("write requests");
+    let out = child.wait_with_output().expect("serve exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "serve must survive: {stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(
+        lines.iter().any(|l| l.starts_with("err 0 ")),
+        "zero phases reported: {stdout}"
+    );
+    assert!(
+        lines.iter().any(|l| l.starts_with("done 1 adder:4/1phi ")),
+        "the next request is answered: {stdout}"
+    );
+    let err = lines
+        .iter()
+        .find(|l| l.starts_with("err 2 "))
+        .expect("fixed-size width reported");
+    assert!(
+        err.contains("c6288 is fixed-size and takes no width"),
+        "{err}"
+    );
 }
 
 #[test]
