@@ -376,6 +376,27 @@ impl Aig {
             .unwrap_or(0)
     }
 
+    /// Marks the transitive fanin of the primary outputs: afterwards
+    /// `reached[i]` says whether node slot `i` feeds some output (the
+    /// constant and PIs included when they do). Writes into a caller-owned
+    /// buffer, mirroring [`Aig::levels_into`], and walks with an explicit
+    /// stack, so it neither recurses nor relies on the id order. Dead slots
+    /// are never reached: no live node references them.
+    pub fn mark_output_cones(&self, reached: &mut Vec<bool>) {
+        reached.clear();
+        reached.resize(self.nodes.len(), false);
+        let mut stack: Vec<NodeId> = self.pos.iter().map(|l| l.node()).collect();
+        while let Some(n) = stack.pop() {
+            if std::mem::replace(&mut reached[n.index()], true) {
+                continue;
+            }
+            if let NodeKind::And(a, b) = self.nodes[n.index()].kind {
+                stack.push(a.node());
+                stack.push(b.node());
+            }
+        }
+    }
+
     /// Evaluates all primary outputs on 64 input vectors at once.
     ///
     /// `inputs[i]` packs 64 Boolean values of PI `i`; the result packs the
@@ -1352,6 +1373,28 @@ mod tests {
         let mut counts = vec![9u32; 1];
         g.fanout_counts_into(&mut counts);
         assert_eq!(counts, g.fanout_counts());
+    }
+
+    #[test]
+    fn output_cones_exclude_dangling_and_dead_logic() {
+        let mut g = Aig::new();
+        let pis: Vec<Lit> = (0..3).map(|_| g.add_pi()).collect();
+        let used = g.and(pis[0], !pis[1]);
+        let _dangling = g.xor(pis[1], pis[2]);
+        let doomed = g.and(pis[0], pis[2]);
+        let top = g.or(used, doomed);
+        g.add_po(!used);
+        g.add_po(top);
+        g.substitute(top.node(), pis[1]);
+        g.delete_mffc(top.node());
+        assert!(g.is_dead(doomed.node()));
+        let mut reached = vec![true; 2];
+        g.mark_output_cones(&mut reached);
+        assert_eq!(reached.len(), g.len());
+        let want: Vec<NodeId> = vec![pis[0].node(), pis[1].node(), used.node()];
+        for id in g.node_ids() {
+            assert_eq!(reached[id.index()], want.contains(&id), "n{}", id.0);
+        }
     }
 
     #[test]

@@ -33,7 +33,6 @@
 //! ```
 
 use crate::aig::{fold_and, Aig, Lit, NodeId, NodeKind};
-use crate::fnv::FnvHashMap;
 use std::fmt;
 
 /// Rebuilds `aig` keeping only logic in the transitive fanin of the primary
@@ -41,45 +40,29 @@ use std::fmt;
 /// merge nodes that became equivalent through the copy, and constants feed
 /// through the builder's simplification rules (constant propagation).
 pub fn sweep(aig: &Aig) -> Aig {
+    let mut reached = Vec::new();
+    aig.mark_output_cones(&mut reached);
     let mut out = Aig::new();
-    let mut map: FnvHashMap<NodeId, Lit> = FnvHashMap::default();
-    map.insert(NodeId::CONST0, Lit::FALSE);
+    // Old node → new literal; only entries of reached nodes are ever read.
+    let mut map = vec![Lit::FALSE; aig.len()];
     for &pi in aig.pis() {
-        let new_pi = out.add_pi();
-        map.insert(pi, new_pi);
+        map[pi.index()] = out.add_pi();
     }
-    // Nodes are stored topologically; one forward pass with a reachability
-    // mark from the POs would also work, but copying on demand is simpler:
-    // walk the PO cones iteratively.
-    let mut stack: Vec<NodeId> = aig.pos().iter().map(|l| l.node()).collect();
-    let mut order: Vec<NodeId> = Vec::new();
-    let mut seen = vec![false; aig.len()];
-    while let Some(n) = stack.pop() {
-        if seen[n.index()] {
+    let follow = |map: &[Lit], l: Lit| {
+        let base = map[l.node().index()];
+        base.with_complement(base.is_complement() ^ l.is_complement())
+    };
+    // Build in id order (topological) restricted to reachable nodes.
+    for id in aig.node_ids() {
+        if !reached[id.index()] {
             continue;
         }
-        seen[n.index()] = true;
-        order.push(n);
-        if let Some((a, b)) = aig.fanins(n) {
-            stack.push(a.node());
-            stack.push(b.node());
+        if let NodeKind::And(a, b) = aig.kind(id) {
+            map[id.index()] = out.and(follow(&map, a), follow(&map, b));
         }
     }
-    // Build in id order (topological) restricted to reachable nodes.
-    order.sort();
-    for n in order {
-        if let NodeKind::And(a, b) = aig.kind(n) {
-            let fa =
-                map[&a.node()].with_complement(map[&a.node()].is_complement() ^ a.is_complement());
-            let fb =
-                map[&b.node()].with_complement(map[&b.node()].is_complement() ^ b.is_complement());
-            let lit = out.and(fa, fb);
-            map.insert(n, lit);
-        }
-    }
-    for po in aig.pos() {
-        let base = map[&po.node()];
-        out.add_po(base.with_complement(base.is_complement() ^ po.is_complement()));
+    for &po in aig.pos() {
+        out.add_po(follow(&map, po));
     }
     out
 }
@@ -97,21 +80,10 @@ pub fn sweep(aig: &Aig) -> Aig {
 /// rebuilding [`sweep`] whenever the PIs precede all ANDs (the order every
 /// builder in this workspace uses).
 pub fn sweep_in_place(aig: &mut Aig) -> usize {
-    let mut seen = vec![false; aig.len()];
-    seen[0] = true;
-    let mut stack: Vec<NodeId> = aig.pos().iter().map(|l| l.node()).collect();
-    while let Some(n) = stack.pop() {
-        if seen[n.index()] {
-            continue;
-        }
-        seen[n.index()] = true;
-        if let Some((a, b)) = aig.fanins(n) {
-            stack.push(a.node());
-            stack.push(b.node());
-        }
-    }
+    let mut reached = Vec::new();
+    aig.mark_output_cones(&mut reached);
     let mut removed = 0;
-    for (idx, &reachable) in seen.iter().enumerate().skip(1) {
+    for (idx, &reachable) in reached.iter().enumerate() {
         let id = NodeId(idx as u32);
         if reachable || aig.is_dead(id) {
             continue;

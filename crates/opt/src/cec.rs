@@ -7,17 +7,20 @@
 //! 1. **Random-simulation prefilter** — both networks are evaluated on
 //!    packed 64-bit pattern words ([`Aig::eval64`]); any mismatch yields a
 //!    concrete counterexample without touching the solver.
-//! 2. **SAT sweeping** — both networks are rebuilt into one shared,
-//!    structurally hashed network; internal nodes whose simulation
-//!    signatures collide (modulo complement) are proven equivalent with
-//!    small window-bounded SAT queries against `sfq_solver::sat` and merged,
-//!    so locally rewritten regions collapse back onto the original
-//!    structure. Output pairs that merge to the same literal are proven
-//!    structurally. Refuted queries are not wasted: their distinguishing
-//!    patterns are simulated back into the signatures (counterexample-
-//!    guided refinement, the classic fraiging loop), so an alias class —
-//!    nodes that 256 random patterns cannot tell apart — splits after one
-//!    refutation instead of being refuted pairwise.
+//! 2. **SAT sweeping** — the output cones of both networks are rebuilt
+//!    into one shared, structurally hashed network
+//!    ([`Aig::mark_output_cones`]: logic no output reads is never copied,
+//!    since outputs depend only on their cones); internal nodes whose
+//!    simulation signatures collide (modulo complement) are proven
+//!    equivalent with small window-bounded SAT queries against
+//!    `sfq_solver::sat` and merged, so locally rewritten regions collapse
+//!    back onto the original structure. Output pairs that merge to the
+//!    same literal are proven structurally. Refuted queries are not
+//!    wasted: their distinguishing patterns are simulated back into the
+//!    signatures (counterexample-guided refinement, the classic fraiging
+//!    loop), so an alias class — nodes that 256 random patterns cannot
+//!    tell apart — splits after one refutation instead of being refuted
+//!    pairwise.
 //! 3. **Miter SAT** — any still-unresolved output pair goes into a final
 //!    miter (XOR per pair, OR over pairs, assert true); UNSAT proves
 //!    equivalence, a model is a counterexample.
@@ -34,6 +37,12 @@
 //! never changes what the others ask the solver.
 //!
 //! # Cost model
+//!
+//! The sweep costs O(output cones), not O(network): dangling logic gets
+//! no signature, class, SAT query or refinement walk. That matters for
+//! the check of a `sweep` pass, whose input can be mostly dead (on the
+//! 10k-gate random net, 14,759 of 15,936 ANDs). Only the prefilter still
+//! simulates every node slot.
 //!
 //! A sweep query costs O(cone), not O(network): one check owns one
 //! encoder — a SAT solver, a node→variable map, queued marks and the BFS
@@ -530,13 +539,19 @@ impl SweepSpace {
         result
     }
 
-    /// Copies `aig` into the joint network, returning the canonical literal
-    /// of every original node.
+    /// Copies the output cones of `aig` into the joint network, returning
+    /// the canonical literal of every node they contain. Logic no output
+    /// reads is never copied, so it costs no signature, class or query.
     fn absorb(&mut self, aig: &Aig, cfg: &CecConfig) -> Vec<Option<Lit>> {
         let mut map: Vec<Option<Lit>> = vec![None; aig.len()];
         map[NodeId::CONST0.index()] = Some(Lit::FALSE);
         self.sync();
+        let mut reached = Vec::new();
+        aig.mark_output_cones(&mut reached);
         for id in aig.node_ids() {
+            if !reached[id.index()] {
+                continue;
+            }
             match aig.kind(id) {
                 NodeKind::Const0 => {}
                 NodeKind::Input(i) => map[id.index()] = Some(self.pis[i as usize]),
@@ -682,6 +697,10 @@ pub fn check_equivalence(a: &Aig, b: &Aig, cfg: &CecConfig) -> Result<CecOutcome
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::PassKind;
+    use proptest::prelude::*;
+    use sfq_circuits::{random_aig, RandomAigConfig};
+    use sfq_netlist::transform::sweep_in_place;
 
     fn xor_chain(n: usize, twist: bool) -> Aig {
         let mut g = Aig::new();
@@ -743,6 +762,15 @@ mod tests {
     fn detectors(keys: &[u16], balanced: bool) -> Aig {
         let mut g = Aig::new();
         let pis: Vec<Lit> = (0..12).map(|_| g.add_pi()).collect();
+        for out in detector_logic(&mut g, &pis, keys, balanced) {
+            g.add_po(out);
+        }
+        g
+    }
+
+    /// The detector cones over `pis`, one output literal per key.
+    fn detector_logic(g: &mut Aig, pis: &[Lit], keys: &[u16], balanced: bool) -> Vec<Lit> {
+        let mut outs = Vec::with_capacity(keys.len());
         for &k in keys {
             let lits: Vec<Lit> = (0..12)
                 .map(|i| {
@@ -778,9 +806,9 @@ mod tests {
                 }
                 acc
             };
-            g.add_po(out);
+            outs.push(out);
         }
-        g
+        outs
     }
 
     /// Satellite: counterexample-guided refinement must slash the number
@@ -812,6 +840,62 @@ mod tests {
         // finds its chain twin and merges; without, the 8-candidate cap
         // often buries the right candidate. More merges for fewer queries.
         assert!(refined.stats.sweep_merges >= base.stats.sweep_merges);
+    }
+
+    /// A cone no output reads is never absorbed: an unconnected alias class
+    /// beside `before` leaves every counter of the check unchanged.
+    #[test]
+    fn dangling_alias_cone_costs_nothing() {
+        let keys: Vec<u16> = (0..24).map(|i| (i * 157 + 3) % 4096).collect();
+        let before = detectors(&keys, false);
+        let after = detectors(&keys, true);
+        let mut dangling = before.clone();
+        let pis: Vec<Lit> = dangling.pis().iter().map(|&n| Lit::new(n, false)).collect();
+        let others: Vec<u16> = (0..24).map(|i| (i * 389 + 11) % 4096).collect();
+        detector_logic(&mut dangling, &pis, &others, true);
+        assert!(dangling.and_count() > before.and_count());
+        let cfg = CecConfig::default();
+        let clean = check_equivalence(&before, &after, &cfg).unwrap();
+        assert_eq!(clean.verdict, CecVerdict::Equivalent);
+        assert!(
+            clean.stats.alias_skips > 0,
+            "the live class is an alias class"
+        );
+        let out = check_equivalence(&dangling, &after, &cfg).unwrap();
+        assert_eq!(out, clean);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Logic no output reads is invisible to the check: sweeping it off
+        /// `g` first changes neither the verdict (counterexample included)
+        /// nor a single counter, whether `h` is an optimized copy of `g` or
+        /// an unrelated network.
+        #[test]
+        fn dangling_logic_is_invisible(
+            seed in any::<u64>(),
+            num_pis in 1usize..=8,
+            num_gates in 1usize..80,
+            num_pos in 1usize..=4,
+            unrelated in any::<bool>(),
+            sim_words in 0usize..=2,
+        ) {
+            let config = RandomAigConfig { num_pis, num_gates, num_pos, xor_percent: 30 };
+            let g = random_aig(seed, &config);
+            let h = if unrelated {
+                random_aig(seed ^ 1, &config)
+            } else {
+                let mut h = g.clone();
+                PassKind::Rewrite.run(&mut h);
+                PassKind::Balance.run(&mut h);
+                h
+            };
+            let mut swept = g.clone();
+            sweep_in_place(&mut swept);
+            let cfg = CecConfig { sim_words, ..CecConfig::default() };
+            prop_assert_eq!(check_equivalence(&g, &h, &cfg), check_equivalence(&swept, &h, &cfg));
+        }
     }
 
     /// One reused encoder answers a query sequence exactly like the

@@ -392,9 +392,9 @@ fn verified_cec_work_is_pinned() {
                 sim_words: 80,
                 structural_matches: 160,
                 sweep_merges: 779,
-                sat_queries: 1179,
+                sat_queries: 1171,
                 refinements: 233,
-                alias_skips: 640,
+                alias_skips: 629,
                 used_final_sat: false,
             },
             5,

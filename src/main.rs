@@ -1166,7 +1166,7 @@ fn map_flow(args: &Args, verify: bool) -> Result<(), String> {
     }
 
     if verify {
-        let waves: usize = args.parse("--waves")?.unwrap_or(8);
+        let waves: usize = args.positive("--waves")?.unwrap_or(8);
         let pc = to_pulse_circuit(&res.mapped, &res.schedule, &res.plan);
         let mut seed = 0xD1CE_F00D_u64 | 1;
         let vectors: Vec<Vec<bool>> = (0..waves)

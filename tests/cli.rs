@@ -182,6 +182,14 @@ fn errors_are_reported() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("bad --phases '0'"), "{args:?}: {stderr}");
     }
+    // Zero verification waves would simulate nothing and still report a pass.
+    let out = bin()
+        .args(["verify", file, "--waves", "0"])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bad --waves '0'"), "{stderr}");
     let _ = std::fs::remove_file(&aag);
 }
 
