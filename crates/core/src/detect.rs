@@ -19,7 +19,7 @@ use crate::cells::CellLibrary;
 use crate::func3;
 use crate::mapper::{map, T1Group, T1Member, T1Selection};
 use sfq_netlist::aig::{Aig, NodeId, NodeKind};
-use sfq_netlist::cut::{enumerate_cuts, CutConfig};
+use sfq_netlist::cut::{enumerate_cuts, CutConfig, CutSet};
 use sfq_netlist::mffc::Mffc;
 use std::collections::{HashMap, HashSet};
 
@@ -97,7 +97,23 @@ pub fn detect_with_attribution(
         let _span = sfq_obs::span("detect:cuts");
         enumerate_cuts(aig, &config.cut)
     };
+    detect_with_cuts(aig, lib, config, attribution, &cuts)
+}
 
+/// Like [`detect_with_attribution`], but matching over `cuts`, which must
+/// be what `enumerate_cuts(aig, &config.cut)` returns
+/// ([`CutSet::serves`]).
+pub(crate) fn detect_with_cuts(
+    aig: &Aig,
+    lib: &CellLibrary,
+    config: &DetectConfig,
+    attribution: &HashMap<NodeId, u32>,
+    cuts: &CutSet,
+) -> DetectionResult {
+    debug_assert!(
+        cuts.serves(&config.cut),
+        "cuts enumerated under another limit"
+    );
     // One ((leaves, mask), member) entry per match, grouped by sorting:
     // members of a group stay in node order.
     let match_span = sfq_obs::span("detect:match");

@@ -76,9 +76,16 @@ impl Chain {
     /// Number of splitters needed: each element (driver or DFF) with
     /// fanout `f > 1` needs `f − 1` splitters.
     pub fn splitter_count(&self, source: i64) -> u64 {
+        self.splitter_count_with(source, &mut Vec::new())
+    }
+
+    /// [`Chain::splitter_count`], tallying in the caller's `branches`
+    /// buffer.
+    fn splitter_count_with(&self, source: i64, branches: &mut Vec<i64>) -> u64 {
         // One entry per fanout branch, naming the element that drives it:
         // the taps, then the chain succession source → members[0] → ….
-        let mut branches = self.taps.clone();
+        branches.clear();
+        branches.extend_from_slice(&self.taps);
         if let Some((_, drivers)) = self.members.split_last() {
             branches.push(source);
             branches.extend_from_slice(drivers);
@@ -91,6 +98,17 @@ impl Chain {
     }
 }
 
+/// Working buffers of [`build_chain_with`] and
+/// [`Chain::splitter_count_with`], reused across the drivers of one plan
+/// so that a chain allocates only the vectors it returns.
+#[derive(Debug, Default)]
+struct ChainScratch {
+    exact: Vec<i64>,
+    windows: Vec<i64>,
+    members: Vec<i64>,
+    branches: Vec<i64>,
+}
+
 /// Builds the minimal shared chain for one driver.
 ///
 /// # Panics
@@ -98,9 +116,26 @@ impl Chain {
 /// Panics if a requirement is infeasible for the given source stage:
 /// `Exact(τ)` with `τ < source`, or `Window(t)` with `t <= source`.
 pub fn build_chain(source: i64, reqs: &[Requirement], n: i64) -> Chain {
+    build_chain_with(source, reqs, n, &mut ChainScratch::default())
+}
+
+/// [`build_chain`], working in the caller's `scratch` buffers.
+fn build_chain_with(
+    source: i64,
+    reqs: &[Requirement],
+    n: i64,
+    scratch: &mut ChainScratch,
+) -> Chain {
     assert!(n >= 1, "need at least one phase");
-    let mut exact = Vec::new();
-    let mut windows = Vec::new();
+    let ChainScratch {
+        exact,
+        windows,
+        members,
+        ..
+    } = scratch;
+    exact.clear();
+    windows.clear();
+    members.clear();
     for r in reqs {
         match *r {
             Requirement::Exact(tau) => {
@@ -123,9 +158,8 @@ pub fn build_chain(source: i64, reqs: &[Requirement], n: i64) -> Chain {
     windows.sort_unstable();
     // Fill gaps so consecutive elements are at most n apart. `members`
     // stays ascending, and every member is above `source`.
-    let mut members = Vec::with_capacity(exact.len());
     let mut prev = source;
-    for m in exact {
+    for &m in exact.iter() {
         while m - prev > n {
             prev += n;
             members.push(prev);
@@ -141,8 +175,8 @@ pub fn build_chain(source: i64, reqs: &[Requirement], n: i64) -> Chain {
         (at, if at == 0 { source } else { members[at - 1] })
     };
     // Extend for window consumers beyond the current chain end.
-    for &t in &windows {
-        let (mut at, mut p) = latest_before(&members, t);
+    for &t in windows.iter() {
+        let (mut at, mut p) = latest_before(members, t);
         while p < t - n {
             p += n;
             members.insert(at, p);
@@ -155,13 +189,16 @@ pub fn build_chain(source: i64, reqs: &[Requirement], n: i64) -> Chain {
         .map(|r| match *r {
             Requirement::Exact(tau) => tau,
             Requirement::Window(t) => {
-                let (_, p) = latest_before(&members, t);
+                let (_, p) = latest_before(members, t);
                 debug_assert!(p >= t - n, "window consumer unserved");
                 p
             }
         })
         .collect();
-    Chain { members, taps }
+    Chain {
+        members: members.to_vec(),
+        taps,
+    }
 }
 
 /// The DFF chain of one driver, with its consumers.
@@ -186,13 +223,6 @@ pub struct DffPlan {
     pub total_dffs: u64,
     /// Total splitters.
     pub total_splitters: u64,
-}
-
-impl DffPlan {
-    /// Looks up the plan for a given driver.
-    pub fn driver(&self, source: (CellId, u8)) -> Option<&DriverPlan> {
-        self.drivers.iter().find(|d| d.source == source)
-    }
 }
 
 impl Consumer {
@@ -283,10 +313,16 @@ fn for_each_use(mc: &MappedCircuit, mut f: impl FnMut(&Edge, Consumer)) {
 }
 
 /// Inserts shared DFF chains for every driver of the scheduled netlist.
+///
+/// Per driver, only the vectors the plan keeps are allocated: the
+/// requirement list and the chain builder's working buffers are reused
+/// across drivers.
 pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
     let fanouts = Fanouts::new(mc);
     let n = sched.n as i64;
     let stage = |c: CellId| sched.stages[c.index()];
+    let mut reqs: Vec<Requirement> = Vec::new();
+    let mut scratch = ChainScratch::default();
     let mut drivers = Vec::new();
     let mut total_dffs = 0u64;
     let mut total_splitters = 0u64;
@@ -300,11 +336,12 @@ pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
                 .iter()
                 .map(|&c| (c, c.requirement(sched, stage)))
                 .collect();
-            let rs: Vec<Requirement> = consumers.iter().map(|&(_, r)| r).collect();
+            reqs.clear();
+            reqs.extend(consumers.iter().map(|&(_, r)| r));
             let source_stage = stage(cell);
-            let chain = build_chain(source_stage, &rs, n);
+            let chain = build_chain_with(source_stage, &reqs, n, &mut scratch);
             total_dffs += chain.dff_count() as u64;
-            total_splitters += chain.splitter_count(source_stage);
+            total_splitters += chain.splitter_count_with(source_stage, &mut scratch.branches);
             drivers.push(DriverPlan {
                 source: (cell, port),
                 source_stage,
@@ -404,35 +441,99 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 500, ..ProptestConfig::default() })]
 
         /// The sorted-`Vec` chain builder equals the `BTreeSet` one, and
-        /// the splitter count equals the per-element fanout tally.
+        /// the splitter count equals the per-element fanout tally, both
+        /// fresh and through one scratch reused across a sequence of
+        /// drivers (so no state leaks from one driver to the next).
         #[test]
         fn build_chain_matches_reference(
-            source in -4i64..12,
             n in 1i64..=6,
-            raw in prop::collection::vec((any::<bool>(), 0i64..40), 0..12),
+            drivers in prop::collection::vec(
+                (-4i64..12, prop::collection::vec((any::<bool>(), 0i64..40), 0..12)),
+                1..8,
+            ),
         ) {
-            // Feasible requirements: exact at or after the source, windows
-            // strictly after it.
-            let reqs: Vec<Requirement> = raw
-                .iter()
-                .map(|&(exact, d)| {
-                    if exact {
-                        Requirement::Exact(source + d)
-                    } else {
-                        Requirement::Window(source + 1 + d)
-                    }
-                })
+            let mut scratch = ChainScratch::default();
+            for (source, raw) in drivers {
+                // Feasible requirements: exact at or after the source,
+                // windows strictly after it.
+                let reqs: Vec<Requirement> = raw
+                    .iter()
+                    .map(|&(exact, d)| {
+                        if exact {
+                            Requirement::Exact(source + d)
+                        } else {
+                            Requirement::Window(source + 1 + d)
+                        }
+                    })
+                    .collect();
+                let reference = build_chain_reference(source, &reqs, n);
+                let splitters = splitter_count_reference(&reference, source);
+                let chain = build_chain(source, &reqs, n);
+                prop_assert_eq!(
+                    &chain,
+                    &reference,
+                    "source {} n {} reqs {:?}", source, n, reqs
+                );
+                prop_assert_eq!(chain.splitter_count(source), splitters);
+                let reused = build_chain_with(source, &reqs, n, &mut scratch);
+                prop_assert_eq!(
+                    &reused,
+                    &reference,
+                    "reused scratch: source {} n {} reqs {:?}", source, n, reqs
+                );
+                prop_assert_eq!(
+                    reused.splitter_count_with(source, &mut scratch.branches),
+                    splitters
+                );
+            }
+        }
+    }
+
+    /// The per-driver fresh-allocation [`insert_dffs`] oracle: consumers
+    /// grouped by driver in a map, each chain built and tallied by the
+    /// reference functions.
+    fn insert_dffs_reference(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
+        use std::collections::BTreeMap;
+        let stage = |c: CellId| sched.stages[c.index()];
+        let mut uses: BTreeMap<(CellId, u8), Vec<Consumer>> = BTreeMap::new();
+        for_each_use(mc, |e, c| uses.entry((e.cell, e.port)).or_default().push(c));
+        let mut plan = DffPlan {
+            drivers: Vec::new(),
+            total_dffs: 0,
+            total_splitters: 0,
+        };
+        for (source, consumers) in uses {
+            let consumers: Vec<(Consumer, Requirement)> = consumers
+                .into_iter()
+                .map(|c| (c, c.requirement(sched, stage)))
                 .collect();
-            let chain = build_chain(source, &reqs, n);
-            prop_assert_eq!(
-                &chain,
-                &build_chain_reference(source, &reqs, n),
-                "source {} n {} reqs {:?}", source, n, reqs
-            );
-            prop_assert_eq!(
-                chain.splitter_count(source),
-                splitter_count_reference(&chain, source)
-            );
+            let reqs: Vec<Requirement> = consumers.iter().map(|&(_, r)| r).collect();
+            let source_stage = stage(source.0);
+            let chain = build_chain_reference(source_stage, &reqs, sched.n as i64);
+            plan.total_dffs += chain.dff_count() as u64;
+            plan.total_splitters += splitter_count_reference(&chain, source_stage);
+            plan.drivers.push(DriverPlan {
+                source,
+                source_stage,
+                chain,
+                consumers,
+            });
+        }
+        plan
+    }
+
+    #[test]
+    fn insert_dffs_matches_fresh_allocation_oracle() {
+        use crate::cells::CellLibrary;
+        use crate::flow::{run_flow, FlowConfig};
+        let lib = CellLibrary::default();
+        let aig = sfq_circuits::epfl::adder(16);
+        for config in [FlowConfig::t1(4), FlowConfig::single_phase()] {
+            let flow = run_flow(&aig, &lib, &config);
+            assert_eq!(flow.stats.t1_used > 0, config.use_t1);
+            let plan = insert_dffs(&flow.mapped, &flow.schedule);
+            assert_eq!(plan, insert_dffs_reference(&flow.mapped, &flow.schedule));
+            assert_eq!(plan, flow.plan);
         }
     }
 

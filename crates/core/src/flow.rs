@@ -22,13 +22,14 @@
 //! timing stage. [`run_flow`] runs both stages.
 
 use crate::cells::CellLibrary;
-use crate::detect::{detect_with_attribution, DetectConfig};
+use crate::detect::{detect_with_attribution, detect_with_cuts, DetectConfig};
 use crate::dff::{insert_dffs, DffPlan};
 use crate::mapped::MappedCircuit;
 use crate::mapper::{MapPlan, MapResult};
 use crate::phase::{assign_phases, assign_phases_exact, Schedule};
 use crate::timing::{analyze_mapped, TimingConfig, TimingSummary};
 use sfq_netlist::aig::Aig;
+use sfq_netlist::cut::CutSet;
 use sfq_opt::{OptConfig, OptReport};
 
 /// Phase-assignment engine selection.
@@ -256,8 +257,8 @@ pub struct FlowResult {
 }
 
 /// The selection- and phase-independent half of a flow on one network:
-/// the pre-mapping optimization result, the mapper's cut choice and the
-/// baseline cover.
+/// the pre-mapping optimization result, the mapper's 3-cuts and cut
+/// choice, and the baseline cover.
 ///
 /// None of these depends on the phase count, the phase engine, the T1
 /// selection or the timing stage — only on the network, the library and
@@ -266,6 +267,10 @@ pub struct FlowResult {
 /// [`Subject::new`] does the shared work, [`Subject::run`] the per-config
 /// tail. [`run_flow`] is the two in sequence, and `sfq-engine` builds one
 /// subject per (network, library, pre-opt stage) in a run.
+///
+/// The subject holds the mapper's full cut set until it is dropped, after
+/// its last job: T1 detection matches over the same 3-cuts, so a T1 tail
+/// borrows them instead of enumerating again.
 #[derive(Debug)]
 pub struct Subject {
     /// The optimized network and the optimizer's report, present when the
@@ -273,6 +278,9 @@ pub struct Subject {
     pre_opt: Option<(Aig, OptReport)>,
     /// Chosen cuts of the mapped network.
     plan: MapPlan,
+    /// The 3-cuts `plan` chose from, which T1 detection reuses when they
+    /// are what its own limits would enumerate.
+    cuts: CutSet,
     /// The cover without T1 cells: the 1φ/nφ netlist, and the attribution
     /// that prices T1 candidates (eq. 2).
     baseline: MapResult,
@@ -290,11 +298,12 @@ impl Subject {
             sfq_opt::optimize(aig, pre_opt)
         });
         let net = pre_opt.as_ref().map_or(aig, |(net, _)| net);
-        let plan = MapPlan::new(net, lib);
+        let (plan, cuts) = MapPlan::with_cuts(net, lib);
         let baseline = plan.cover(net, lib, None);
         Subject {
             pre_opt,
             plan,
+            cuts,
             baseline,
         }
     }
@@ -302,6 +311,10 @@ impl Subject {
     /// Runs the rest of `config`'s flow: T1 detection and the T1-aware
     /// cover (T1 flows only; 1φ and nφ take the baseline cover), phase
     /// assignment, DFF insertion and the optional timing stage.
+    ///
+    /// Detection matches over the subject's cuts when they are exactly what
+    /// `config.detect.cut` would enumerate ([`CutSet::serves`]), and
+    /// enumerates its own otherwise; the result is the same either way.
     ///
     /// `aig` and `lib` must be the network and library the subject was
     /// built from, and `config.pre_opt` its pre-mapping stage.
@@ -320,7 +333,12 @@ impl Subject {
         let (mc, t1_found, t1_used) = if config.use_t1 {
             let det = {
                 let _span = sfq_obs::span("flow:detect");
-                detect_with_attribution(aig, lib, &config.detect, &self.baseline.attribution)
+                let attribution = &self.baseline.attribution;
+                if self.cuts.serves(&config.detect.cut) {
+                    detect_with_cuts(aig, lib, &config.detect, attribution, &self.cuts)
+                } else {
+                    detect_with_attribution(aig, lib, &config.detect, attribution)
+                }
             };
             let mapped = {
                 let _span = sfq_obs::span("flow:map");

@@ -114,6 +114,13 @@ impl MapPlan {
     /// Enumerates the 3-feasible cuts of `aig` (the library has 1/2-input
     /// cells plus MAJ3/XOR3) and chooses one per AND node by area flow.
     pub fn new(aig: &Aig, lib: &CellLibrary) -> Self {
+        Self::with_cuts(aig, lib).0
+    }
+
+    /// [`MapPlan::new`], also returning the cut set the plan chose from.
+    /// A [`Subject`](crate::flow::Subject) keeps it for T1 detection, which
+    /// matches over the same 3-cuts.
+    pub(crate) fn with_cuts(aig: &Aig, lib: &CellLibrary) -> (Self, CutSet) {
         let cuts = {
             let _span = sfq_obs::span("map:cuts");
             enumerate_cuts(
@@ -124,13 +131,11 @@ impl MapPlan {
                 },
             )
         };
-        // Only the chosen cuts outlive `new`: the full cut set is freed
-        // before a T1 flow runs detection.
         let best = {
             let _span = sfq_obs::span("map:choose");
             choose_cuts(aig, lib, &cuts)
         };
-        MapPlan { best }
+        (MapPlan { best }, cuts)
     }
 
     /// Covers `aig` — the network the plan was built from — with the

@@ -139,6 +139,10 @@ pub struct CutSet {
     cuts: Vec<Cut>,
     /// `cuts[offsets[i]..offsets[i + 1]]` are the cuts of node `i`.
     offsets: Vec<usize>,
+    /// The parameters the set was enumerated under.
+    config: CutConfig,
+    /// The most non-trivial cuts any node kept.
+    max_kept: usize,
 }
 
 impl CutSet {
@@ -152,6 +156,20 @@ impl CutSet {
     /// Total number of stored cuts (diagnostic).
     pub fn total(&self) -> usize {
         self.cuts.len()
+    }
+
+    /// Whether this set is exactly what `enumerate_cuts(aig, other)` would
+    /// return on the network it was enumerated from, so a consumer asking
+    /// for `other` can use it instead of enumerating again.
+    ///
+    /// The width must match. The per-node limit need not: when no node
+    /// kept as many non-trivial cuts as either limit allows, neither limit
+    /// truncated any node, and both enumerations keep every undominated
+    /// cut.
+    pub fn serves(&self, other: &CutConfig) -> bool {
+        self.config.max_leaves == other.max_leaves
+            && (self.config.max_cuts == other.max_cuts
+                || self.max_kept < self.config.max_cuts.min(other.max_cuts))
     }
 }
 
@@ -263,6 +281,7 @@ pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> CutSet {
     let mut offsets: Vec<usize> = Vec::with_capacity(aig.len() + 1);
     offsets.push(0);
     let mut merged: Vec<Candidate> = Vec::new();
+    let mut max_kept = 0;
     for id in aig.node_ids() {
         match aig.kind(id) {
             NodeKind::Const0 => cuts.push(Cut::constant()),
@@ -317,6 +336,7 @@ pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> CutSet {
                         }
                     }
                 }
+                max_kept = max_kept.max(cuts.len() - start);
                 // The trivial cut is always present (consumers build their
                 // direct fanin cuts from it); it rides on top of the limit
                 // so it can never be crowded out.
@@ -329,7 +349,12 @@ pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> CutSet {
         sfq_obs::counter("netlist.cut_enumerations", 1);
         sfq_obs::counter("netlist.cuts_kept", cuts.len() as u64);
     }
-    CutSet { cuts, offsets }
+    CutSet {
+        cuts,
+        offsets,
+        config: *config,
+        max_kept,
+    }
 }
 
 #[cfg(test)]
@@ -492,6 +517,37 @@ mod tests {
                 total += got.len();
             }
             prop_assert_eq!(fast.total(), total);
+        }
+
+        /// A set serves another limit only when it is exactly that
+        /// limit's enumeration, and never when some node reached its own
+        /// limit.
+        #[test]
+        fn served_limit_gets_the_identical_set(
+            script in prop::collection::vec(any::<u8>(), 0..400),
+            num_pis in 1usize..=8,
+            max_leaves in 2usize..=4,
+            limit in 1usize..=12,
+            other in 1usize..=12,
+        ) {
+            let g = script_aig(&script, num_pis);
+            let config = |max_cuts| CutConfig { max_leaves, max_cuts };
+            let set = enumerate_cuts(&g, &config(limit));
+            prop_assert!(set.serves(&config(limit)));
+            prop_assert!(!set.serves(&CutConfig { max_leaves: max_leaves + 1, max_cuts: limit }));
+            let at_limit = g.node_ids().any(|id| {
+                matches!(g.kind(id), NodeKind::And(..)) && set.cuts(id).len() == limit + 1
+            });
+            if at_limit && other != limit {
+                prop_assert!(!set.serves(&config(other)));
+            }
+            if set.serves(&config(other)) {
+                let fresh = enumerate_cuts(&g, &config(other));
+                for id in g.node_ids() {
+                    prop_assert_eq!(set.cuts(id), fresh.cuts(id), "node {:?}", id);
+                }
+                prop_assert_eq!(set.total(), fresh.total());
+            }
         }
     }
 
