@@ -20,6 +20,20 @@
 //! the gap constraint admits at most `⌈gap/n⌉ − 1` free members, which the
 //! greedy `+n` stepping achieves; window extension beyond the last forced
 //! point likewise adds the provably minimal `⌊(t − p − 1)/n⌋` members.
+//!
+//! # Plan layout
+//!
+//! A [`DffPlan`] is stored in compressed sparse row form: one head per
+//! driver (its source, its source stage and where its slices end), plus
+//! one shared vector each of chain members, taps and consumers. A driver
+//! owns the members from the previous driver's end to its own, and
+//! likewise the taps and the consumers; a driver has one tap per consumer,
+//! so those two share an end. [`DffPlan::drivers`] walks the heads and
+//! yields borrowed [`DriverPlan`] views. Building a plan
+//! ([`insert_dffs`], or the store decoding one through
+//! [`DffPlan::push_member`] and its siblings) appends to the shared
+//! vectors, so a plan costs a handful of allocations whatever its driver
+//! count.
 
 use crate::mapped::{CellId, Edge, MappedCell, MappedCircuit};
 use crate::phase::Schedule;
@@ -57,7 +71,7 @@ pub enum Consumer {
     },
 }
 
-/// A shared DFF chain for one driver.
+/// A shared DFF chain for one driver, as [`build_chain`] returns it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Chain {
     /// Stages of the chain DFFs, ascending (the driver itself is not listed).
@@ -76,36 +90,34 @@ impl Chain {
     /// Number of splitters needed: each element (driver or DFF) with
     /// fanout `f > 1` needs `f − 1` splitters.
     pub fn splitter_count(&self, source: i64) -> u64 {
-        self.splitter_count_with(source, &mut Vec::new())
-    }
-
-    /// [`Chain::splitter_count`], tallying in the caller's `branches`
-    /// buffer.
-    fn splitter_count_with(&self, source: i64, branches: &mut Vec<i64>) -> u64 {
-        // One entry per fanout branch, naming the element that drives it:
-        // the taps, then the chain succession source → members[0] → ….
-        branches.clear();
-        branches.extend_from_slice(&self.taps);
-        if let Some((_, drivers)) = self.members.split_last() {
-            branches.push(source);
-            branches.extend_from_slice(drivers);
-        }
-        // Σ (f − 1) over the elements with fanout f ≥ 1.
-        let total = branches.len();
-        branches.sort_unstable();
-        branches.dedup();
-        (total - branches.len()) as u64
+        splitter_count(source, &self.members, &self.taps, &mut Vec::new())
     }
 }
 
-/// Working buffers of [`build_chain_with`] and
-/// [`Chain::splitter_count_with`], reused across the drivers of one plan
-/// so that a chain allocates only the vectors it returns.
+/// [`Chain::splitter_count`] of the chain `members` and `taps` of a driver
+/// at stage `source`, tallying in the caller's `branches` buffer.
+fn splitter_count(source: i64, members: &[i64], taps: &[i64], branches: &mut Vec<i64>) -> u64 {
+    // One entry per fanout branch, naming the element that drives it:
+    // the taps, then the chain succession source → members[0] → ….
+    branches.clear();
+    branches.extend_from_slice(taps);
+    if let Some((_, drivers)) = members.split_last() {
+        branches.push(source);
+        branches.extend_from_slice(drivers);
+    }
+    // Σ (f − 1) over the elements with fanout f ≥ 1.
+    let total = branches.len();
+    branches.sort_unstable();
+    branches.dedup();
+    (total - branches.len()) as u64
+}
+
+/// Working buffers of [`append_chain`] and [`splitter_count`], reused
+/// across the drivers of one plan.
 #[derive(Debug, Default)]
 struct ChainScratch {
     exact: Vec<i64>,
     windows: Vec<i64>,
-    members: Vec<i64>,
     branches: Vec<i64>,
 }
 
@@ -116,26 +128,39 @@ struct ChainScratch {
 /// Panics if a requirement is infeasible for the given source stage:
 /// `Exact(τ)` with `τ < source`, or `Window(t)` with `t <= source`.
 pub fn build_chain(source: i64, reqs: &[Requirement], n: i64) -> Chain {
-    build_chain_with(source, reqs, n, &mut ChainScratch::default())
+    let mut chain = Chain::default();
+    append_chain(
+        source,
+        reqs,
+        n,
+        &mut ChainScratch::default(),
+        &mut chain.members,
+        &mut chain.taps,
+    );
+    chain
 }
 
-/// [`build_chain`], working in the caller's `scratch` buffers.
-fn build_chain_with(
+/// The chain builder behind [`build_chain`] and [`insert_dffs`]: appends
+/// the minimal shared chain of a driver at stage `source` to `members`
+/// (ascending) and one tap per requirement to `taps`, working in the
+/// caller's `scratch` buffers. Elements already in `members` and `taps`
+/// are left alone.
+///
+/// # Panics
+///
+/// As [`build_chain`].
+fn append_chain(
     source: i64,
     reqs: &[Requirement],
     n: i64,
     scratch: &mut ChainScratch,
-) -> Chain {
+    members: &mut Vec<i64>,
+    taps: &mut Vec<i64>,
+) {
     assert!(n >= 1, "need at least one phase");
-    let ChainScratch {
-        exact,
-        windows,
-        members,
-        ..
-    } = scratch;
+    let ChainScratch { exact, windows, .. } = scratch;
     exact.clear();
     windows.clear();
-    members.clear();
     for r in reqs {
         match *r {
             Requirement::Exact(tau) => {
@@ -156,8 +181,10 @@ fn build_chain_with(
     exact.sort_unstable();
     exact.dedup();
     windows.sort_unstable();
-    // Fill gaps so consecutive elements are at most n apart. `members`
-    // stays ascending, and every member is above `source`.
+    // Fill gaps so consecutive elements are at most n apart. The chain,
+    // `members[start..]`, stays ascending, and every member is above
+    // `source`.
+    let start = members.len();
     let mut prev = source;
     for &m in exact.iter() {
         while m - prev > n {
@@ -168,61 +195,152 @@ fn build_chain_with(
         prev = m;
     }
     // The element serving a window consumer at `t` is the last one before
-    // `t`: returns where a member before `t` would be inserted, and the
-    // stage of that element.
-    let latest_before = |members: &[i64], t: i64| {
-        let at = members.partition_point(|&m| m < t);
-        (at, if at == 0 { source } else { members[at - 1] })
+    // `t`: returns where a member before `t` would be inserted in `chain`,
+    // and the stage of that element.
+    let latest_before = |chain: &[i64], t: i64| {
+        let at = chain.partition_point(|&m| m < t);
+        (at, if at == 0 { source } else { chain[at - 1] })
     };
     // Extend for window consumers beyond the current chain end.
     for &t in windows.iter() {
-        let (mut at, mut p) = latest_before(members, t);
+        let (mut at, mut p) = latest_before(&members[start..], t);
         while p < t - n {
             p += n;
-            members.insert(at, p);
+            members.insert(start + at, p);
             at += 1;
         }
     }
     // Assign taps.
-    let taps: Vec<i64> = reqs
-        .iter()
-        .map(|r| match *r {
-            Requirement::Exact(tau) => tau,
-            Requirement::Window(t) => {
-                let (_, p) = latest_before(members, t);
-                debug_assert!(p >= t - n, "window consumer unserved");
-                p
-            }
-        })
-        .collect();
-    Chain {
-        members: members.to_vec(),
-        taps,
-    }
+    let chain = &members[start..];
+    taps.extend(reqs.iter().map(|r| match *r {
+        Requirement::Exact(tau) => tau,
+        Requirement::Window(t) => {
+            let (_, p) = latest_before(chain, t);
+            debug_assert!(p >= t - n, "window consumer unserved");
+            p
+        }
+    }));
 }
 
-/// The DFF chain of one driver, with its consumers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DriverPlan {
+/// The DFF chain of one driver, with its consumers: a borrowed view of one
+/// driver of a [`DffPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DriverPlan<'a> {
     /// Driving cell and output port.
     pub source: (CellId, u8),
     /// Stage of the driver.
     pub source_stage: i64,
-    /// The shared chain.
-    pub chain: Chain,
-    /// Consumers in the same order as `chain.taps`.
-    pub consumers: Vec<(Consumer, Requirement)>,
+    /// Stages of the chain DFFs, ascending (the driver itself is not
+    /// listed).
+    pub members: &'a [i64],
+    /// For each consumer, in order: the stage of the serving element
+    /// (`source_stage` means the driver serves directly).
+    pub taps: &'a [i64],
+    /// Consumers with their requirements, in the same order as `taps`.
+    pub consumers: &'a [(Consumer, Requirement)],
 }
 
-/// Complete DFF-insertion plan for a scheduled netlist.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One driver of a [`DffPlan`]: its source, and where its slices end in the
+/// plan's shared vectors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DriverHead {
+    source: (CellId, u8),
+    source_stage: i64,
+    /// End of the driver's chain in `members`.
+    members_end: usize,
+    /// End of the driver's taps in `taps`, and of its consumers in
+    /// `consumers`.
+    consumers_end: usize,
+}
+
+/// Complete DFF-insertion plan for a scheduled netlist, in compressed
+/// sparse row form (see the [module docs](self#plan-layout)): per-driver
+/// heads over one shared vector each of chain members, taps and
+/// consumers. Read it through [`DffPlan::drivers`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DffPlan {
-    /// Per-driver chains (only drivers with at least one consumer).
-    pub drivers: Vec<DriverPlan>,
+    heads: Vec<DriverHead>,
+    members: Vec<i64>,
+    taps: Vec<i64>,
+    consumers: Vec<(Consumer, Requirement)>,
     /// Total path-balancing DFFs.
     pub total_dffs: u64,
     /// Total splitters.
     pub total_splitters: u64,
+}
+
+impl DffPlan {
+    /// The per-driver chains (only drivers with at least one consumer), in
+    /// the order they were built: [`insert_dffs`] lists cells ascending,
+    /// then ports.
+    pub fn drivers(&self) -> impl ExactSizeIterator<Item = DriverPlan<'_>> + '_ {
+        let (mut members, mut consumers) = (0, 0);
+        self.heads.iter().map(move |h| {
+            let d = DriverPlan {
+                source: h.source,
+                source_stage: h.source_stage,
+                members: &self.members[members..h.members_end],
+                taps: &self.taps[consumers..h.consumers_end],
+                consumers: &self.consumers[consumers..h.consumers_end],
+            };
+            (members, consumers) = (h.members_end, h.consumers_end);
+            d
+        })
+    }
+
+    /// An empty plan with room for `drivers` drivers, `members` chain
+    /// members in all, and `consumers` consumers (and as many taps) in
+    /// all.
+    pub fn with_capacity(drivers: usize, members: usize, consumers: usize) -> Self {
+        DffPlan {
+            heads: Vec::with_capacity(drivers),
+            members: Vec::with_capacity(members),
+            taps: Vec::with_capacity(consumers),
+            consumers: Vec::with_capacity(consumers),
+            total_dffs: 0,
+            total_splitters: 0,
+        }
+    }
+
+    /// Appends a chain member (its stage) to the driver being built.
+    #[inline]
+    pub fn push_member(&mut self, stage: i64) {
+        self.members.push(stage);
+    }
+
+    /// Appends a tap (the stage of the serving element) to the driver
+    /// being built.
+    #[inline]
+    pub fn push_tap(&mut self, stage: i64) {
+        self.taps.push(stage);
+    }
+
+    /// Appends a consumer and its requirement to the driver being built.
+    #[inline]
+    pub fn push_consumer(&mut self, consumer: Consumer, req: Requirement) {
+        self.consumers.push((consumer, req));
+    }
+
+    /// Closes the driver being built: output `source` of a cell at stage
+    /// `source_stage`, owning every member, tap and consumer pushed since
+    /// the previous driver was closed. The totals are left alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the plan holds as many taps as consumers.
+    pub fn finish_driver(&mut self, source: (CellId, u8), source_stage: i64) {
+        assert_eq!(
+            self.taps.len(),
+            self.consumers.len(),
+            "a driver has one tap per consumer"
+        );
+        self.heads.push(DriverHead {
+            source,
+            source_stage,
+            members_end: self.members.len(),
+            consumers_end: self.consumers.len(),
+        });
+    }
 }
 
 impl Consumer {
@@ -286,6 +404,11 @@ impl Fanouts {
         let d = Self::driver(cell, port);
         &self.consumers[self.start[d]..self.start[d + 1]]
     }
+
+    /// The number of drivers with at least one consumer.
+    fn used_drivers(&self) -> usize {
+        self.start.windows(2).filter(|w| w[0] < w[1]).count()
+    }
 }
 
 /// Calls `f` on every (driver edge, consumer) pair in netlist order.
@@ -314,47 +437,52 @@ fn for_each_use(mc: &MappedCircuit, mut f: impl FnMut(&Edge, Consumer)) {
 
 /// Inserts shared DFF chains for every driver of the scheduled netlist.
 ///
-/// Per driver, only the vectors the plan keeps are allocated: the
-/// requirement list and the chain builder's working buffers are reused
-/// across drivers.
+/// Each driver's consumers, chain members and taps are appended straight
+/// to the plan's shared vectors, so the plan allocates a handful of
+/// vectors whatever its driver count; the requirement list and the chain
+/// builder's working buffers are reused across drivers.
 pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
     let fanouts = Fanouts::new(mc);
     let n = sched.n as i64;
     let stage = |c: CellId| sched.stages[c.index()];
     let mut reqs: Vec<Requirement> = Vec::new();
     let mut scratch = ChainScratch::default();
-    let mut drivers = Vec::new();
-    let mut total_dffs = 0u64;
-    let mut total_splitters = 0u64;
+    // Every use is one consumer with one tap.
+    let mut plan = DffPlan::with_capacity(fanouts.used_drivers(), 0, fanouts.consumers.len());
     for (cell, _) in mc.cells() {
         for port in 0..mc.num_ports(cell) as u8 {
             let uses = fanouts.of(cell, port);
             if uses.is_empty() {
                 continue;
             }
-            let consumers: Vec<(Consumer, Requirement)> = uses
-                .iter()
-                .map(|&c| (c, c.requirement(sched, stage)))
-                .collect();
             reqs.clear();
-            reqs.extend(consumers.iter().map(|&(_, r)| r));
+            for &c in uses {
+                let r = c.requirement(sched, stage);
+                reqs.push(r);
+                plan.consumers.push((c, r));
+            }
             let source_stage = stage(cell);
-            let chain = build_chain_with(source_stage, &reqs, n, &mut scratch);
-            total_dffs += chain.dff_count() as u64;
-            total_splitters += chain.splitter_count_with(source_stage, &mut scratch.branches);
-            drivers.push(DriverPlan {
-                source: (cell, port),
+            let (members_start, taps_start) = (plan.members.len(), plan.taps.len());
+            append_chain(
                 source_stage,
-                chain,
-                consumers,
-            });
+                &reqs,
+                n,
+                &mut scratch,
+                &mut plan.members,
+                &mut plan.taps,
+            );
+            let members = &plan.members[members_start..];
+            plan.total_dffs += members.len() as u64;
+            plan.total_splitters += splitter_count(
+                source_stage,
+                members,
+                &plan.taps[taps_start..],
+                &mut scratch.branches,
+            );
+            plan.finish_driver((cell, port), source_stage);
         }
     }
-    DffPlan {
-        drivers,
-        total_dffs,
-        total_splitters,
-    }
+    plan
 }
 
 /// The `BTreeSet` chain builder [`build_chain`] replaces, kept as its
@@ -442,8 +570,8 @@ mod tests {
 
         /// The sorted-`Vec` chain builder equals the `BTreeSet` one, and
         /// the splitter count equals the per-element fanout tally, both
-        /// fresh and through one scratch reused across a sequence of
-        /// drivers (so no state leaks from one driver to the next).
+        /// fresh and appended after earlier drivers' chains through one
+        /// reused scratch (so no state leaks from one driver to the next).
         #[test]
         fn build_chain_matches_reference(
             n in 1i64..=6,
@@ -453,6 +581,7 @@ mod tests {
             ),
         ) {
             let mut scratch = ChainScratch::default();
+            let (mut members, mut taps) = (Vec::new(), Vec::new());
             for (source, raw) in drivers {
                 // Feasible requirements: exact at or after the source,
                 // windows strictly after it.
@@ -475,33 +604,61 @@ mod tests {
                     "source {} n {} reqs {:?}", source, n, reqs
                 );
                 prop_assert_eq!(chain.splitter_count(source), splitters);
-                let reused = build_chain_with(source, &reqs, n, &mut scratch);
+                let (members_start, taps_start) = (members.len(), taps.len());
+                append_chain(source, &reqs, n, &mut scratch, &mut members, &mut taps);
+                let appended = Chain {
+                    members: members[members_start..].to_vec(),
+                    taps: taps[taps_start..].to_vec(),
+                };
                 prop_assert_eq!(
-                    &reused,
+                    &appended,
                     &reference,
-                    "reused scratch: source {} n {} reqs {:?}", source, n, reqs
+                    "appended: source {} n {} reqs {:?}", source, n, reqs
                 );
                 prop_assert_eq!(
-                    reused.splitter_count_with(source, &mut scratch.branches),
+                    splitter_count(
+                        source,
+                        &members[members_start..],
+                        &taps[taps_start..],
+                        &mut scratch.branches,
+                    ),
                     splitters
                 );
             }
         }
     }
 
+    /// One driver of the per-driver [`insert_dffs`] oracle, owning its
+    /// chain and consumers.
+    struct OwnedDriver {
+        source: (CellId, u8),
+        source_stage: i64,
+        chain: Chain,
+        consumers: Vec<(Consumer, Requirement)>,
+    }
+
+    impl OwnedDriver {
+        fn view(&self) -> DriverPlan<'_> {
+            DriverPlan {
+                source: self.source,
+                source_stage: self.source_stage,
+                members: &self.chain.members,
+                taps: &self.chain.taps,
+                consumers: &self.consumers,
+            }
+        }
+    }
+
     /// The per-driver fresh-allocation [`insert_dffs`] oracle: consumers
     /// grouped by driver in a map, each chain built and tallied by the
-    /// reference functions.
-    fn insert_dffs_reference(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
+    /// reference functions into vectors of its own. Returns the drivers
+    /// and the DFF and splitter totals.
+    fn insert_dffs_reference(mc: &MappedCircuit, sched: &Schedule) -> (Vec<OwnedDriver>, u64, u64) {
         use std::collections::BTreeMap;
         let stage = |c: CellId| sched.stages[c.index()];
         let mut uses: BTreeMap<(CellId, u8), Vec<Consumer>> = BTreeMap::new();
         for_each_use(mc, |e, c| uses.entry((e.cell, e.port)).or_default().push(c));
-        let mut plan = DffPlan {
-            drivers: Vec::new(),
-            total_dffs: 0,
-            total_splitters: 0,
-        };
+        let (mut drivers, mut total_dffs, mut total_splitters) = (Vec::new(), 0, 0);
         for (source, consumers) in uses {
             let consumers: Vec<(Consumer, Requirement)> = consumers
                 .into_iter()
@@ -510,16 +667,24 @@ mod tests {
             let reqs: Vec<Requirement> = consumers.iter().map(|&(_, r)| r).collect();
             let source_stage = stage(source.0);
             let chain = build_chain_reference(source_stage, &reqs, sched.n as i64);
-            plan.total_dffs += chain.dff_count() as u64;
-            plan.total_splitters += splitter_count_reference(&chain, source_stage);
-            plan.drivers.push(DriverPlan {
+            total_dffs += chain.dff_count() as u64;
+            total_splitters += splitter_count_reference(&chain, source_stage);
+            drivers.push(OwnedDriver {
                 source,
                 source_stage,
                 chain,
                 consumers,
             });
         }
-        plan
+        (drivers, total_dffs, total_splitters)
+    }
+
+    /// Whether the flat `plan` lists the oracle's drivers, view for view,
+    /// with its totals.
+    fn matches_reference(plan: &DffPlan, mc: &MappedCircuit, sched: &Schedule) -> bool {
+        let (drivers, total_dffs, total_splitters) = insert_dffs_reference(mc, sched);
+        plan.drivers().eq(drivers.iter().map(OwnedDriver::view))
+            && (plan.total_dffs, plan.total_splitters) == (total_dffs, total_splitters)
     }
 
     #[test]
@@ -532,8 +697,41 @@ mod tests {
             let flow = run_flow(&aig, &lib, &config);
             assert_eq!(flow.stats.t1_used > 0, config.use_t1);
             let plan = insert_dffs(&flow.mapped, &flow.schedule);
-            assert_eq!(plan, insert_dffs_reference(&flow.mapped, &flow.schedule));
+            assert!(matches_reference(&plan, &flow.mapped, &flow.schedule));
             assert_eq!(plan, flow.plan);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The flat plan of a random mapped network, T1 flow or not, under
+        /// 1–6 phases, lists every driver and both totals exactly as the
+        /// per-driver oracle builds them.
+        #[test]
+        fn flat_plan_matches_per_driver_oracle(
+            script in prop::collection::vec(any::<u8>(), 4..240),
+            num_pis in 3usize..=6,
+            pos in 1usize..=4,
+            const_po in any::<bool>(),
+            n in 1u32..=6,
+            use_t1 in any::<bool>(),
+        ) {
+            use crate::cells::CellLibrary;
+            use crate::flow::{run_flow, FlowConfig};
+            let aig = crate::phase::tests::script_aig(&script, num_pis, pos, const_po);
+            let config = if use_t1 && n >= 3 {
+                FlowConfig::t1(n)
+            } else {
+                FlowConfig::multiphase(n)
+            };
+            let flow = run_flow(&aig, &CellLibrary::default(), &config);
+            let plan = insert_dffs(&flow.mapped, &flow.schedule);
+            prop_assert!(
+                matches_reference(&plan, &flow.mapped, &flow.schedule),
+                "{} T1 cells under {:?}", flow.stats.t1_used, config
+            );
+            prop_assert_eq!(&plan, &flow.plan);
         }
     }
 

@@ -66,7 +66,7 @@ pub fn to_dot(res: &FlowResult) -> String {
         }
     }
     // DFF chains as intermediate nodes; edges follow the tap resolution.
-    for d in &res.plan.drivers {
+    for d in res.plan.drivers() {
         let (cell, port) = d.source;
         let src_name = |stage: i64| {
             if stage == d.source_stage {
@@ -76,7 +76,7 @@ pub fn to_dot(res: &FlowResult) -> String {
             }
         };
         let mut prev = d.source_stage;
-        for &m in &d.chain.members {
+        for &m in d.members {
             let _ = writeln!(
                 out,
                 "  {} [label=\"DFF σ{m}\" shape=box style=filled fillcolor=lightgrey fontsize=8];",
@@ -85,7 +85,7 @@ pub fn to_dot(res: &FlowResult) -> String {
             let _ = writeln!(out, "  {} -> {};", src_name(prev), src_name(m));
             prev = m;
         }
-        for ((consumer, _), &tap) in d.consumers.iter().zip(d.chain.taps.iter()) {
+        for ((consumer, _), &tap) in d.consumers.iter().zip(d.taps) {
             match *consumer {
                 Consumer::GateInput { cell: c, .. } | Consumer::T1Input { cell: c, .. } => {
                     let _ = writeln!(out, "  {} -> c{};", src_name(tap), c.0);

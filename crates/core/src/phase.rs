@@ -522,7 +522,7 @@ pub fn edge_dff_objective(mc: &MappedCircuit, sched: &Schedule) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cells::CellLibrary;
     use crate::detect::{detect, DetectConfig};
@@ -770,7 +770,7 @@ mod tests {
     /// possibly complemented literals, or a full adder (its sum and carry)
     /// of plain ones, so T1 groups are common. The last `pos` pool entries,
     /// and optionally a constant, are the outputs.
-    fn script_aig(script: &[u8], num_pis: usize, pos: usize, const_po: bool) -> Aig {
+    pub(crate) fn script_aig(script: &[u8], num_pis: usize, pos: usize, const_po: bool) -> Aig {
         let mut g = Aig::new();
         let mut pool: Vec<Lit> = (0..num_pis).map(|_| g.add_pi()).collect();
         for chunk in script.chunks_exact(4) {

@@ -77,8 +77,8 @@ pub fn to_pulse_circuit(mc: &MappedCircuit, sched: &Schedule, plan: &DffPlan) ->
     // consumer (cell, slot) → where its pulse is tapped from
     let mut taps: HashMap<(CellId, usize), TapSource> = HashMap::new();
     let mut po_taps: HashMap<usize, TapSource> = HashMap::new();
-    for d in &plan.drivers {
-        for ((consumer, _req), &tap) in d.consumers.iter().zip(d.chain.taps.iter()) {
+    for d in plan.drivers() {
+        for ((consumer, _req), &tap) in d.consumers.iter().zip(d.taps) {
             match *consumer {
                 Consumer::GateInput { cell, slot } | Consumer::T1Input { cell, slot } => {
                     taps.insert((cell, slot), (d.source, tap, d.source_stage));
@@ -91,10 +91,8 @@ pub fn to_pulse_circuit(mc: &MappedCircuit, sched: &Schedule, plan: &DffPlan) ->
     }
 
     // Driver plans indexed by source for chain creation.
-    let mut plans_by_source: HashMap<(CellId, u8), &crate::dff::DriverPlan> = HashMap::new();
-    for d in &plan.drivers {
-        plans_by_source.insert(d.source, d);
-    }
+    let plans_by_source: HashMap<(CellId, u8), crate::dff::DriverPlan<'_>> =
+        plan.drivers().map(|d| (d.source, d)).collect();
 
     // 3. Walk cells topologically: create the element, then its chains.
     for (id, cell) in mc.cells() {
@@ -138,7 +136,7 @@ pub fn to_pulse_circuit(mc: &MappedCircuit, sched: &Schedule, plan: &DffPlan) ->
                     elem: cell_elem[id.index()],
                     port,
                 };
-                for &m in &d.chain.members {
+                for &m in d.members {
                     let elem = pc.add_dff(
                         Fanin {
                             source: prev,

@@ -127,9 +127,9 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
     // Tap map: consumer -> wire carrying its delivered value.
     let mut tap_wire: HashMap<(CellId, usize), String> = HashMap::new();
     let mut po_wire: HashMap<usize, String> = HashMap::new();
-    for d in &res.plan.drivers {
+    for d in res.plan.drivers() {
         let (cell, port) = d.source;
-        for ((consumer, _req), &tap) in d.consumers.iter().zip(d.chain.taps.iter()) {
+        for ((consumer, _req), &tap) in d.consumers.iter().zip(d.taps) {
             let w = if tap == d.source_stage {
                 source_wire(mc, cell, port)
             } else {
@@ -160,8 +160,8 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
             }
         }
     }
-    for d in &res.plan.drivers {
-        for &m in &d.chain.members {
+    for d in res.plan.drivers() {
+        for &m in d.members {
             let _ = writeln!(v, "  wire {};", dff_wire(d.source.0, d.source.1, m));
         }
     }
@@ -254,11 +254,11 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
     }
 
     // DFF chains.
-    for d in &res.plan.drivers {
+    for d in res.plan.drivers() {
         let (cell, port) = d.source;
         let mut prev = source_wire(mc, cell, port);
         let mut prev_stage = d.source_stage;
-        for &m in &d.chain.members {
+        for &m in d.members {
             let w = dff_wire(cell, port, m);
             let _ = writeln!(
                 v,

@@ -45,9 +45,13 @@
 //! end
 //! ```
 //!
-//! [`encode`] appends this text straight into one pre-sized byte buffer;
-//! [`decode`] reads it back in a single pass of one byte cursor, parsing
-//! each number in the scan that finds it.
+//! [`encode`] appends this text straight into one pre-sized byte buffer,
+//! walking the plan's [`DffPlan::drivers`] views; [`decode`] reads it
+//! back in a single pass of one byte cursor, parsing each number in the
+//! scan that finds it. Decode appends every driver's chain members, taps
+//! and consumers into the plan's shared arrays (see [`DffPlan`]), so a
+//! decoded entry allocates one fanin vector per gate and otherwise a
+//! fixed number of vectors, never one per driver.
 //!
 //! [`decode`] is *total*: any input — corrupt, truncated, hostile — yields
 //! either an equal [`FlowResult`] or a [`DecodeError`] with the offending
@@ -58,15 +62,17 @@
 //! asserts (topological order, port ranges, gate arity, positive T1
 //! operands), so rebuilding through the public builder API cannot trip an
 //! assertion. It never allocates for elements the input cannot hold: the
-//! per-cell arrays (`stages`, `t1off`) must match the cell count, and
-//! every other count is checked against the bytes left in the entry.
+//! per-cell arrays (`stages`, `t1off`) must match the cell count, every
+//! other count is checked against the bytes left in the entry, and the
+//! plan's arrays are sized up front for no more than those bytes can
+//! hold.
 //!
 //! [`FORMAT_VERSION`] participates in the [`DiskStore`](super::DiskStore)
 //! directory layout (`<dir>/v<N>/`): bumping it on any format change
 //! orphans old entries cleanly instead of misdecoding them.
 
 use std::fmt;
-use t1map::dff::{Chain, Consumer, DffPlan, DriverPlan, Requirement};
+use t1map::dff::{Consumer, DffPlan, Requirement};
 use t1map::flow::{FlowResult, FlowStats};
 use t1map::mapped::{CellId, Edge, MappedCell, MappedCircuit};
 use t1map::phase::Schedule;
@@ -197,9 +203,8 @@ impl Writer {
 fn encoded_size_hint(result: &FlowResult) -> usize {
     let drivers: usize = result
         .plan
-        .drivers
-        .iter()
-        .map(|d| 24 + 4 * d.chain.members.len() + 16 * d.consumers.len())
+        .drivers()
+        .map(|d| 24 + 4 * d.members.len() + 16 * d.consumers.len())
         .sum();
     let passes: usize = result.pre_opt.as_ref().map_or(0, |r| {
         r.rounds.iter().map(|round| 8 + 48 * round.len()).sum()
@@ -273,21 +278,21 @@ pub fn encode(result: &FlowResult) -> String {
 
     let plan = &result.plan;
     w.tag("plan")
-        .usize(plan.drivers.len())
+        .usize(plan.drivers().len())
         .u64(plan.total_dffs)
         .u64(plan.total_splitters)
         .end();
-    for d in &plan.drivers {
+    for d in plan.drivers() {
         w.tag("d")
             .u64(d.source.0 .0.into())
             .u64(d.source.1.into())
             .i64(d.source_stage)
-            .usize(d.chain.members.len())
+            .usize(d.members.len())
             .usize(d.consumers.len())
             .end();
-        w.tag("m").i64s(&d.chain.members).end();
-        w.tag("a").i64s(&d.chain.taps).end();
-        for (consumer, req) in &d.consumers {
+        w.tag("m").i64s(d.members).end();
+        w.tag("a").i64s(d.taps).end();
+        for (consumer, req) in d.consumers {
             w.tag("c");
             match consumer {
                 Consumer::GateInput { cell, slot } => w.word("g").u64(cell.0.into()).usize(*slot),
@@ -604,6 +609,8 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
     let ncells = c.count("cell")?;
     c.eol()?;
     let mut mapped = MappedCircuit::new();
+    // Uses of cell outputs (fanins, then outputs): the plan's consumers.
+    let mut uses = 0;
     for _ in 0..ncells {
         let tag = c.peek().ok_or_else(|| c.eof("missing cell line"))?;
         c.pos += 1;
@@ -637,6 +644,7 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
                 for _ in 0..nvars {
                     fanins.push(c.edge(&mapped)?);
                 }
+                uses += nvars;
                 mapped.add_gate(tt, fanins);
             }
             b't' => {
@@ -647,6 +655,7 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
                         return Err(c.fail("inverted T1 operand"));
                     }
                 }
+                uses += 3;
                 mapped.add_t1(fanins);
             }
             other => return Err(c.fail(format!("unknown cell tag {:?}", other as char))),
@@ -655,6 +664,7 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
     }
     c.tag("pos")?;
     let npos = c.count("output")?;
+    uses += npos;
     c.eol()?;
     for _ in 0..npos {
         c.tag("p")?;
@@ -706,13 +716,24 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
         t1_offsets,
     };
 
-    // DFF plan.
+    // DFF plan: every driver's members, taps and consumers are appended
+    // to the plan's shared vectors. A real plan holds `total_dffs` chain
+    // members and one consumer per use of a cell output, so the vectors
+    // are sized for those up front, but never beyond what the bytes left
+    // can hold: a member takes at least 2 bytes, a consumer line 12.
     c.tag("plan")?;
     let ndrivers = c.count("driver")?;
     let total_dffs = c.u64()?;
     let total_splitters = c.u64()?;
     c.eol()?;
-    let mut drivers = Vec::with_capacity(ndrivers);
+    let room = c.bytes.len() - c.pos;
+    let mut plan = DffPlan::with_capacity(
+        ndrivers,
+        total_dffs.min(room as u64 / 2) as usize,
+        uses.min(room / 12),
+    );
+    plan.total_dffs = total_dffs;
+    plan.total_splitters = total_splitters;
     for _ in 0..ndrivers {
         c.tag("d")?;
         let source = (CellId(c.num()?), c.num()?);
@@ -721,12 +742,15 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
         let ncons = c.count("consumer")?;
         c.eol()?;
         c.tag("m")?;
-        let members = c.i64s(nmembers)?;
+        for _ in 0..nmembers {
+            plan.push_member(c.i64()?);
+        }
         c.eol()?;
         c.tag("a")?;
-        let taps = c.i64s(ncons)?;
+        for _ in 0..ncons {
+            plan.push_tap(c.i64()?);
+        }
         c.eol()?;
-        let mut consumers = Vec::with_capacity(ncons);
         for _ in 0..ncons {
             c.tag("c")?;
             let consumer = match c.word()? {
@@ -763,20 +787,10 @@ pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
                 }
             };
             c.eol()?;
-            consumers.push((consumer, req));
+            plan.push_consumer(consumer, req);
         }
-        drivers.push(DriverPlan {
-            source,
-            source_stage,
-            chain: Chain { members, taps },
-            consumers,
-        });
+        plan.finish_driver(source, source_stage);
     }
-    let plan = DffPlan {
-        drivers,
-        total_dffs,
-        total_splitters,
-    };
 
     // Optional pre-mapping optimization report.
     c.tag("preopt")?;

@@ -84,33 +84,33 @@ pub fn encode(result: &FlowResult) -> String {
     writeln!(
         w,
         "plan {} {} {}",
-        plan.drivers.len(),
+        plan.drivers().len(),
         plan.total_dffs,
         plan.total_splitters
     )
     .unwrap();
-    for d in &plan.drivers {
+    for d in plan.drivers() {
         writeln!(
             w,
             "d {} {} {} {} {}",
             d.source.0 .0,
             d.source.1,
             d.source_stage,
-            d.chain.members.len(),
+            d.members.len(),
             d.consumers.len()
         )
         .unwrap();
         write!(w, "m").unwrap();
-        for m in &d.chain.members {
+        for m in d.members {
             write!(w, " {m}").unwrap();
         }
         writeln!(w).unwrap();
         write!(w, "a").unwrap();
-        for t in &d.chain.taps {
+        for t in d.taps {
             write!(w, " {t}").unwrap();
         }
         writeln!(w).unwrap();
-        for (consumer, req) in &d.consumers {
+        for (consumer, req) in d.consumers {
             match consumer {
                 Consumer::GateInput { cell, slot } => write!(w, "c g {} {}", cell.0, slot),
                 Consumer::T1Input { cell, slot } => write!(w, "c t {} {}", cell.0, slot),

@@ -1,7 +1,7 @@
 //! Synthetic [`FlowResult`]s for the store codec's tests, shared by the
 //! codec's unit tests and the store's integration tests.
 
-use t1map::dff::{Chain, Consumer, DffPlan, DriverPlan, Requirement};
+use t1map::dff::{Consumer, DffPlan, Requirement};
 use t1map::flow::{FlowResult, FlowStats};
 use t1map::mapped::{CellId, Edge, MappedCircuit};
 use t1map::phase::Schedule;
@@ -95,48 +95,43 @@ pub fn synthetic_result(seed: u64, with_pre_opt: bool, with_timing: bool) -> Flo
             .collect(),
     };
 
-    let drivers = (0..rng.below(5))
-        .map(|_| {
-            let cell = rng.below(ncells as u64) as usize;
-            let ncons = rng.below(4) as usize;
-            DriverPlan {
-                source: (CellId(cell as u32), rng.below(ports[cell] as u64) as u8),
-                source_stage: rng.stage(),
-                chain: Chain {
-                    members: (0..rng.below(6)).map(|_| rng.stage()).collect(),
-                    taps: (0..ncons).map(|_| rng.stage()).collect(),
+    let mut plan = DffPlan::default();
+    for _ in 0..rng.below(5) {
+        let cell = rng.below(ncells as u64) as usize;
+        let ncons = rng.below(4);
+        let source = (CellId(cell as u32), rng.below(ports[cell] as u64) as u8);
+        let source_stage = rng.stage();
+        for _ in 0..rng.below(6) {
+            plan.push_member(rng.stage());
+        }
+        for _ in 0..ncons {
+            plan.push_tap(rng.stage());
+        }
+        for _ in 0..ncons {
+            let consumer = match rng.below(3) {
+                0 => Consumer::GateInput {
+                    cell: CellId(rng.below(ncells as u64) as u32),
+                    slot: rng.below(6) as usize,
                 },
-                consumers: (0..ncons)
-                    .map(|_| {
-                        let consumer = match rng.below(3) {
-                            0 => Consumer::GateInput {
-                                cell: CellId(rng.below(ncells as u64) as u32),
-                                slot: rng.below(6) as usize,
-                            },
-                            1 => Consumer::T1Input {
-                                cell: CellId(rng.below(ncells as u64) as u32),
-                                slot: rng.below(3) as usize,
-                            },
-                            _ => Consumer::Output {
-                                index: rng.below(8) as usize,
-                            },
-                        };
-                        let req = if rng.below(2) == 0 {
-                            Requirement::Window(rng.stage())
-                        } else {
-                            Requirement::Exact(rng.stage())
-                        };
-                        (consumer, req)
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-    let plan = DffPlan {
-        drivers,
-        total_dffs: rng.below(10_000),
-        total_splitters: rng.below(1_000),
-    };
+                1 => Consumer::T1Input {
+                    cell: CellId(rng.below(ncells as u64) as u32),
+                    slot: rng.below(3) as usize,
+                },
+                _ => Consumer::Output {
+                    index: rng.below(8) as usize,
+                },
+            };
+            let req = if rng.below(2) == 0 {
+                Requirement::Window(rng.stage())
+            } else {
+                Requirement::Exact(rng.stage())
+            };
+            plan.push_consumer(consumer, req);
+        }
+        plan.finish_driver(source, source_stage);
+    }
+    plan.total_dffs = rng.below(10_000);
+    plan.total_splitters = rng.below(1_000);
 
     let pre_opt = with_pre_opt.then(|| OptReport {
         rounds: (0..1 + rng.below(3))
@@ -217,34 +212,31 @@ pub fn extreme_result(seed: u64) -> FlowResult {
     let plan = &mut r.plan;
     plan.total_dffs = u64::MAX;
     plan.total_splitters = u64::MAX;
-    plan.drivers.push(DriverPlan {
-        source: (CellId(u32::MAX), u8::MAX),
-        source_stage: i64::MIN,
-        chain: Chain {
-            members: vec![i64::MIN, i64::MAX],
-            taps: vec![i64::MAX, i64::MIN, 0],
+    for member in [i64::MIN, i64::MAX] {
+        plan.push_member(member);
+    }
+    for tap in [i64::MAX, i64::MIN, 0] {
+        plan.push_tap(tap);
+    }
+    plan.push_consumer(
+        Consumer::GateInput {
+            cell: CellId(u32::MAX),
+            slot: usize::MAX,
         },
-        consumers: vec![
-            (
-                Consumer::GateInput {
-                    cell: CellId(u32::MAX),
-                    slot: usize::MAX,
-                },
-                Requirement::Window(i64::MIN),
-            ),
-            (
-                Consumer::T1Input {
-                    cell: CellId(u32::MAX),
-                    slot: usize::MAX,
-                },
-                Requirement::Exact(i64::MAX),
-            ),
-            (
-                Consumer::Output { index: usize::MAX },
-                Requirement::Exact(i64::MIN),
-            ),
-        ],
-    });
+        Requirement::Window(i64::MIN),
+    );
+    plan.push_consumer(
+        Consumer::T1Input {
+            cell: CellId(u32::MAX),
+            slot: usize::MAX,
+        },
+        Requirement::Exact(i64::MAX),
+    );
+    plan.push_consumer(
+        Consumer::Output { index: usize::MAX },
+        Requirement::Exact(i64::MIN),
+    );
+    plan.finish_driver((CellId(u32::MAX), u8::MAX), i64::MIN);
 
     r.stats = FlowStats {
         t1_found: usize::MAX,

@@ -331,18 +331,7 @@ pub fn parse(text: &str) -> Result<SweepSpec, String> {
             "benchmarks" => {
                 let mut subjects = Vec::new();
                 for subject in values {
-                    let name = subject.split(':').next().unwrap_or(subject);
-                    if !sfq_circuits::named::is_known(name) {
-                        return Err(at(format!(
-                            "unknown benchmark '{name}' (known benchmarks: {})",
-                            sfq_circuits::named::known_names().join(", ")
-                        )));
-                    }
-                    if let Some((_, w)) = subject.split_once(':') {
-                        if !w.parse::<usize>().is_ok_and(|w| w >= 1) {
-                            return Err(at(format!("bad width '{w}' in '{subject}'")));
-                        }
-                    }
+                    sfq_circuits::named::parse_subject(subject).map_err(&at)?;
                     reject_duplicate("benchmarks", subject, &subjects, &subject.to_string())
                         .map_err(&at)?;
                     subjects.push(subject.to_string());
@@ -494,6 +483,11 @@ mod tests {
         let err = parse("benchmarks nosuch\n").unwrap_err();
         assert!(err.contains("unknown benchmark 'nosuch'"), "{err}");
         assert!(err.contains("adder"), "{err}");
+        // A width too large to build fails the parse, before any job runs.
+        let err = parse("benchmarks adder:100000000\n").unwrap_err();
+        assert!(err.contains("above its largest width"), "{err}");
+        let err = parse("benchmarks voter:4\n").unwrap_err();
+        assert!(err.contains("odd input count"), "{err}");
     }
 
     #[test]

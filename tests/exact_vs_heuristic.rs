@@ -244,10 +244,6 @@ fn insertion_total_is_sum_of_chains() {
     let mc = map(&aig, &lib, None).circuit;
     let sched = assign_phases(&mc, 4, 2);
     let plan = insert_dffs(&mc, &sched);
-    let sum: u64 = plan
-        .drivers
-        .iter()
-        .map(|d| d.chain.dff_count() as u64)
-        .sum();
+    let sum: u64 = plan.drivers().map(|d| d.members.len() as u64).sum();
     assert_eq!(sum, plan.total_dffs);
 }
