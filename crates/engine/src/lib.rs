@@ -37,10 +37,12 @@
 //!   over a populated store compute nothing.
 //!
 //! - **[`SuiteRunner`]** ([`pool`]) — a fixed-size worker pool built on
-//!   `std::thread::scope` and channels. Workers claim jobs from a shared
-//!   atomic cursor, results stream back over an `mpsc` channel as
-//!   [`JobOutcome`] progress events (delivered on the *calling* thread, so
-//!   progress callbacks need no synchronisation), and the final
+//!   `std::thread::scope` and channels. The calling thread is worker 0
+//!   (a one-worker run spawns no thread); it and the helper threads claim
+//!   jobs from a shared atomic cursor, helpers' results stream back over
+//!   an `mpsc` channel, and every job becomes a [`JobOutcome`] progress
+//!   event (delivered on the *calling* thread, so progress callbacks need
+//!   no synchronisation, in completion order). The final
 //!   [`SuiteReport`] lists results in deterministic input order regardless
 //!   of completion order — `--jobs 1` and `--jobs 8` render byte-identical
 //!   tables. [`SuiteRunner::with_store`] swaps the per-run cache for a

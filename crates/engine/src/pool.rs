@@ -75,16 +75,21 @@ pub struct SuiteReport {
     pub cache: CacheStats,
     /// Wall-clock time of the whole suite.
     pub elapsed: Duration,
-    /// Number of worker threads actually used.
+    /// Number of threads that ran jobs, the calling thread included (the
+    /// configured count, shrunk to the job count).
     pub workers: usize,
 }
 
 /// A fixed-size pool that executes a batch of [`Job`]s.
 ///
-/// Workers are `std::thread`s claiming jobs from a shared atomic cursor;
-/// results flow back over an `mpsc` channel to the calling thread, which
-/// invokes the progress callback (no `Send`/`Sync` bound on the callback)
-/// and slots each result into its submission-order position.
+/// The calling thread is worker 0: a run with `n` workers spawns `n - 1`
+/// scoped helper threads, and all of them, the caller included, claim jobs
+/// from a shared atomic cursor. A one-worker run spawns no thread at all,
+/// so results decoded from a disk store live in the caller's allocator
+/// arena, which keeps its pages from one run to the next. Helpers send
+/// their results over an `mpsc` channel to the caller, which invokes the
+/// progress callback (no `Send`/`Sync` bound on the callback) and slots
+/// each result into its submission-order position.
 ///
 /// Within a run, computed jobs that share a network, a library and a
 /// pre-mapping stage share one [`Subject`]: the first to compute builds it
@@ -160,7 +165,8 @@ struct WorkerEvent {
 }
 
 impl SuiteRunner {
-    /// Creates a runner with `workers` threads (clamped to at least 1).
+    /// Creates a runner with `workers` workers (clamped to at least 1): the
+    /// calling thread and `workers - 1` helper threads.
     pub fn new(workers: usize) -> Self {
         SuiteRunner {
             workers: workers.max(1),
@@ -188,6 +194,11 @@ impl SuiteRunner {
 
     /// Executes `jobs`, invoking `on_event` on the calling thread as each
     /// job finishes, and collects the report.
+    ///
+    /// The calling thread runs jobs itself (it is worker 0), so events are
+    /// delivered in completion order between its own jobs: a helper's
+    /// event is delivered at the latest when the caller finishes its
+    /// current job, and before the caller's own event for that job.
     pub fn run_with_progress<F>(&self, jobs: &[Job], mut on_event: F) -> SuiteReport
     where
         F: FnMut(JobOutcome<'_>),
@@ -217,75 +228,91 @@ impl SuiteRunner {
         // while the recorder is disabled, making the whole path free.
         let run_start_us = sfq_obs::now_us();
 
+        // One job's whole stay on a worker, from claim to event.
+        let run_job = |index: usize| -> WorkerEvent {
+            let job = &jobs[index];
+            if let (Some(submit), Some(picked)) = (run_start_us, sfq_obs::now_us()) {
+                sfq_obs::emit_span("engine:queue-wait", submit, picked, || job.label());
+            }
+            let t0 = Instant::now();
+            let alloc0 = sfq_obs::alloc::thread_allocated();
+            let (key, subject_key) = (keys[index], subject_keys[index]);
+            let subject = subjects.claim(subject_key);
+            let (result, source) = {
+                let _span = sfq_obs::span_labeled("engine:job", || job.label());
+                cache.get_or_compute(key, || {
+                    let _span = sfq_obs::span_labeled("engine:compute", || job.label());
+                    let _flow = sfq_obs::span("flow:run");
+                    let mut built = false;
+                    let subject = subject.get_or_init(|| {
+                        built = true;
+                        sfq_obs::counter("engine.subject_builds", 1);
+                        Subject::new(&job.aig, &job.lib, &job.config.pre_opt)
+                    });
+                    if !built {
+                        sfq_obs::counter("engine.subject_reuses", 1);
+                    }
+                    subject.run(&job.aig, &job.lib, &job.config)
+                })
+            };
+            subjects.release(subject_key);
+            WorkerEvent {
+                index,
+                result,
+                key,
+                source,
+                duration: t0.elapsed(),
+                elapsed: start.elapsed(),
+                alloc_bytes: sfq_obs::alloc::thread_allocated().saturating_sub(alloc0),
+                peak_bytes: sfq_obs::alloc::stats().peak,
+            }
+        };
+        let claim = || {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            (index < total).then_some(index)
+        };
+        let mut completed = 0;
+        let mut deliver = |event: WorkerEvent| {
+            completed += 1;
+            on_event(JobOutcome {
+                job: &jobs[event.index],
+                index: event.index,
+                completed,
+                total,
+                key: event.key,
+                source: event.source,
+                duration: event.duration,
+                elapsed: event.elapsed,
+                alloc_bytes: event.alloc_bytes,
+                peak_bytes: event.peak_bytes,
+                stats: event.result.stats,
+            });
+            results[event.index] = Some(event.result);
+        };
+
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<WorkerEvent>();
-            for _ in 0..workers {
+            let (run_job, claim) = (&run_job, &claim);
+            for _ in 1..workers {
                 let tx = tx.clone();
-                let (cursor, keys, subject_keys, subjects) =
-                    (&cursor, &keys, &subject_keys, &subjects);
-                scope.spawn(move || loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= total {
-                        break;
+                scope.spawn(move || {
+                    while let Some(index) = claim() {
+                        // The receiver only disappears if the caller's loop
+                        // ended early (callback panic); nothing left to report.
+                        let _ = tx.send(run_job(index));
                     }
-                    let job = &jobs[index];
-                    if let (Some(submit), Some(picked)) = (run_start_us, sfq_obs::now_us()) {
-                        sfq_obs::emit_span("engine:queue-wait", submit, picked, || job.label());
-                    }
-                    let t0 = Instant::now();
-                    let alloc0 = sfq_obs::alloc::thread_allocated();
-                    let (key, subject_key) = (keys[index], subject_keys[index]);
-                    let subject = subjects.claim(subject_key);
-                    let (result, source) = {
-                        let _span = sfq_obs::span_labeled("engine:job", || job.label());
-                        cache.get_or_compute(key, || {
-                            let _span = sfq_obs::span_labeled("engine:compute", || job.label());
-                            let _flow = sfq_obs::span("flow:run");
-                            let mut built = false;
-                            let subject = subject.get_or_init(|| {
-                                built = true;
-                                sfq_obs::counter("engine.subject_builds", 1);
-                                Subject::new(&job.aig, &job.lib, &job.config.pre_opt)
-                            });
-                            if !built {
-                                sfq_obs::counter("engine.subject_reuses", 1);
-                            }
-                            subject.run(&job.aig, &job.lib, &job.config)
-                        })
-                    };
-                    subjects.release(subject_key);
-                    // The receiver only disappears if the collector loop
-                    // ended early (callback panic); nothing left to report.
-                    let _ = tx.send(WorkerEvent {
-                        index,
-                        result,
-                        key,
-                        source,
-                        duration: t0.elapsed(),
-                        elapsed: start.elapsed(),
-                        alloc_bytes: sfq_obs::alloc::thread_allocated().saturating_sub(alloc0),
-                        peak_bytes: sfq_obs::alloc::stats().peak,
-                    });
                 });
             }
             drop(tx);
 
-            for (done, event) in rx.into_iter().enumerate() {
-                on_event(JobOutcome {
-                    job: &jobs[event.index],
-                    index: event.index,
-                    completed: done + 1,
-                    total,
-                    key: event.key,
-                    source: event.source,
-                    duration: event.duration,
-                    elapsed: event.elapsed,
-                    alloc_bytes: event.alloc_bytes,
-                    peak_bytes: event.peak_bytes,
-                    stats: event.result.stats,
-                });
-                results[event.index] = Some(event.result);
+            // The caller is worker 0: it runs jobs too, and after each one
+            // delivers the helpers' events that finished meanwhile first.
+            while let Some(index) = claim() {
+                let own = run_job(index);
+                rx.try_iter().for_each(&mut deliver);
+                deliver(own);
             }
+            rx.into_iter().for_each(&mut deliver);
         });
 
         SuiteReport {

@@ -930,7 +930,9 @@ fn cmd_bench_diff(args: &Args) -> Result<(), String> {
 /// Request lines: `<benchmark>[:width] <1phi|nphi|t1> [phases]
 /// [pre-opt|slack-opt|dff-opt] [timing]`. Blank lines and `#` comments are
 /// ignored; `---` flushes the accumulated batch through the engine early
-/// (responses stream back in completion order); EOF flushes and exits. All
+/// (responses stream back in completion order; this thread is one of the
+/// `--jobs` workers, so a response from another worker waits at most until
+/// this thread's current job ends); EOF flushes and exits. All
 /// requests share one result store for the whole session — with
 /// `--cache-dir`, the persistent one.
 fn cmd_serve(args: &Args) -> Result<(), String> {
