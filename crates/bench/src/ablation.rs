@@ -248,11 +248,10 @@ pub fn run(args: &Args) -> Result<(), String> {
             let mut hazards = 0u64;
             let mut errors = 0u64;
             for js in 0..4u64 {
-                let (out, _) = pc
+                let out = pc
                     .simulate_opts(
                         &vectors,
                         4,
-                        None,
                         SimOptions {
                             jitter_amplitude: amplitude,
                             jitter_seed: js,

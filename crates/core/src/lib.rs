@@ -17,8 +17,8 @@
 //! Supporting modules: [`cells`] (JJ area model), [`mapper`] (cut-based
 //! covering), [`mapped`] (netlist model), [`flow`] (end-to-end flows),
 //! [`timing`] (phase-granular schedule slack via `sfq-sta`), [`report`]
-//! (Table-I assembly) and [`sim_bridge`] (pulse-level verification via
-//! `sfq-sim`).
+//! (Table-I assembly), [`sim_bridge`] (pulse-level verification via
+//! `sfq-sim`), and [`dot`] and [`verilog`] (netlist export).
 //!
 //! # Example
 //!
@@ -46,7 +46,6 @@ pub mod cells;
 pub mod detect;
 pub mod dff;
 pub mod dot;
-pub mod energy;
 pub mod flow;
 mod func3;
 pub mod mapped;
@@ -61,7 +60,6 @@ pub use cells::{CellLibrary, GateClass};
 pub use detect::{detect, select_exact, DetectConfig, DetectionResult};
 pub use dff::{build_chain, insert_dffs, Chain, Consumer, DffPlan, Requirement};
 pub use dot::to_dot;
-pub use energy::{EnergyModel, EnergyReport};
 pub use flow::{run_flow, FlowBuilder, FlowConfig, FlowResult, FlowStats, PhaseEngine, Subject};
 pub use mapped::{CellId, Edge, MappedCell, MappedCircuit};
 pub use mapper::{map, MapResult, T1Group, T1Member, T1Selection};

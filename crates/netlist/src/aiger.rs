@@ -58,6 +58,9 @@ pub enum ParseAigerError {
     LiteralOutOfRange(u64),
     /// An AND gate's fanin is not defined before use.
     UndefinedFanin(u64),
+    /// An input or AND gate defines a variable that is already defined
+    /// (the constant, an earlier input or an earlier AND gate).
+    Redefined(u64),
     /// Binary payload truncated or malformed.
     BadBinary(String),
     /// The underlying reader failed (streaming entry points only).
@@ -76,6 +79,7 @@ impl fmt::Display for ParseAigerError {
             }
             ParseAigerError::LiteralOutOfRange(l) => write!(f, "literal {l} out of range"),
             ParseAigerError::UndefinedFanin(l) => write!(f, "fanin literal {l} undefined"),
+            ParseAigerError::Redefined(l) => write!(f, "literal {l} is defined twice"),
             ParseAigerError::BadBinary(s) => write!(f, "bad binary AIGER: {s}"),
             ParseAigerError::Io(s) => write!(f, "AIGER read failed: {s}"),
         }
@@ -160,8 +164,18 @@ impl VarMap {
         Ok(var)
     }
 
+    fn get(&self, var: u64) -> Option<Lit> {
+        usize::try_from(var)
+            .ok()
+            .and_then(|v| self.dense.get(v).copied().flatten())
+            .or_else(|| self.sparse.get(&var).copied())
+    }
+
     fn define(&mut self, ext_lit: u64, lit: Lit) -> Result<(), ParseAigerError> {
         let var = self.var(ext_lit)?;
+        if self.get(var).is_some() {
+            return Err(ParseAigerError::Redefined(ext_lit));
+        }
         // A defining literal is always even; fold any complement here.
         let lit = lit.with_complement(lit.is_complement() ^ (ext_lit & 1 == 1));
         self.defined += 1;
@@ -181,10 +195,8 @@ impl VarMap {
 
     fn resolve(&self, ext_lit: u64) -> Result<Lit, ParseAigerError> {
         let var = self.var(ext_lit)?;
-        let base = usize::try_from(var)
-            .ok()
-            .and_then(|v| self.dense.get(v).copied().flatten())
-            .or_else(|| self.sparse.get(&var).copied())
+        let base = self
+            .get(var)
             .ok_or(ParseAigerError::UndefinedFanin(ext_lit))?;
         Ok(if ext_lit & 1 == 1 { !base } else { base })
     }
@@ -626,6 +638,37 @@ mod tests {
         assert_eq!(
             read_ascii(text).unwrap_err(),
             ParseAigerError::LiteralOutOfRange(99)
+        );
+    }
+
+    #[test]
+    fn rejects_an_input_defined_twice() {
+        assert_eq!(
+            read_ascii("aag 2 2 0 0 0\n2\n2\n").unwrap_err(),
+            ParseAigerError::Redefined(2)
+        );
+        // Also when the first definition sits in the sparse map.
+        let far = "aag 4000000000 2 0 0 0\n8000000000\n8000000000\n";
+        assert_eq!(
+            read_ascii(far).unwrap_err(),
+            ParseAigerError::Redefined(8000000000)
+        );
+    }
+
+    #[test]
+    fn rejects_an_and_that_redefines_an_input_or_an_and() {
+        assert_eq!(
+            read_ascii("aag 2 2 0 0 1\n2\n4\n4 2 3\n").unwrap_err(),
+            ParseAigerError::Redefined(4)
+        );
+        assert_eq!(
+            read_ascii("aag 3 2 0 0 2\n2\n4\n6 2 4\n6 3 5\n").unwrap_err(),
+            ParseAigerError::Redefined(6)
+        );
+        // Variable 0 is the constant, defined before any line is read.
+        assert_eq!(
+            read_ascii("aag 1 1 0 0 1\n2\n0 2 3\n").unwrap_err(),
+            ParseAigerError::Redefined(0)
         );
     }
 

@@ -74,11 +74,10 @@ pub fn sweep(aig: &Aig) -> Aig {
 ///
 /// Freed slots stay on the free list until [`Aig::compact`]; every analysis
 /// in this crate tolerates the holes. On networks built through [`Aig::and`]
-/// and the in-place primitives — which fold constants and merge duplicates
-/// eagerly — the reachable logic is already simplified, so
-/// `sweep_in_place(&mut g); g.compact();` produces the same network as the
-/// rebuilding [`sweep`] whenever the PIs precede all ANDs (the order every
-/// builder in this workspace uses).
+/// — which folds constants and merges duplicates eagerly — the reachable
+/// logic is already simplified, so `sweep_in_place(&mut g); g.compact();`
+/// produces the same network as the rebuilding [`sweep`] whenever the PIs
+/// precede all ANDs (the order every builder in this workspace uses).
 pub fn sweep_in_place(aig: &mut Aig) -> usize {
     let mut reached = Vec::new();
     aig.mark_output_cones(&mut reached);

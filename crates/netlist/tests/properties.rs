@@ -1,7 +1,7 @@
 //! Property-based tests for the netlist substrate: truth-table algebra, NPN
-//! canonization, cut enumeration, MFFC, AIGER round-trips, and the ID-stable
-//! in-place editing primitives (random edit sequences followed by
-//! [`Aig::compact`] must match a from-scratch builder rebuild exactly).
+//! canonization, cut enumeration, MFFC, AIGER round-trips, and ID-stable
+//! in-place editing (a random network swept in place and then
+//! [`Aig::compact`]ed must match a from-scratch builder rebuild exactly).
 
 use proptest::prelude::*;
 use sfq_netlist::aig::{Aig, Lit, NodeId, NodeKind};
@@ -9,6 +9,7 @@ use sfq_netlist::aiger::{read_ascii, read_binary, write_ascii, write_binary};
 use sfq_netlist::cut::{enumerate_cuts, CutConfig};
 use sfq_netlist::mffc::Mffc;
 use sfq_netlist::npn::npn_canonical;
+use sfq_netlist::transform::{sweep, sweep_in_place};
 use sfq_netlist::truth_table::TruthTable;
 
 /// A deterministic small random AIG built from a byte script.
@@ -41,8 +42,8 @@ fn build_aig(script: &[u8], num_pis: usize) -> Aig {
 }
 
 /// Replays the live nodes of `g` (which may contain freed slots) through
-/// the public builder API — the from-scratch rebuild the in-place editing
-/// primitives are pinned against. Because `Aig::and` eagerly folds and
+/// the public builder API — the from-scratch rebuild in-place editing is
+/// pinned against. Because `Aig::and` eagerly folds and
 /// deduplicates, hash equality with [`Aig::compact`]'s output proves the
 /// edited network stayed *canonical*: no live AND is trivial or a
 /// structural duplicate.
@@ -71,28 +72,6 @@ fn rebuild_via_builder(g: &Aig) -> Aig {
         out.add_po(mapped(&map, po));
     }
     out
-}
-
-/// Applies one random substitute(+delete) edit decoded from `(pick, alt,
-/// reclaim)`; a no-op when the network has no editable AND left.
-fn apply_random_edit(g: &mut Aig, pick: u32, alt: u32, reclaim: bool) {
-    let ands: Vec<NodeId> = g.and_ids().collect();
-    if ands.is_empty() {
-        return;
-    }
-    let old = ands[pick as usize % ands.len()];
-    // Any live node strictly below the target is a valid replacement;
-    // the constant (node 0) is always live, so the pool is never empty.
-    let pool: Vec<NodeId> = g
-        .node_ids()
-        .filter(|&n| n.0 < old.0 && !g.is_dead(n))
-        .collect();
-    let target = pool[alt as usize % pool.len()];
-    let neg = (alt >> 16) & 1 == 1;
-    g.substitute(old, Lit::new(target, neg));
-    if reclaim {
-        g.delete_mffc(old);
-    }
 }
 
 /// The `index`-th (0..24) permutation of `[0, 1, 2, 3]`, via Lehmer-code
@@ -270,36 +249,33 @@ proptest! {
     #[test]
     fn random_edits_then_compact_match_a_builder_rebuild(
         script in prop::collection::vec(any::<u8>(), 12..90),
-        edits in prop::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..10),
     ) {
-        // Any sequence of in-place substitute/delete edits must leave a
-        // canonical network: squeezing its free slots out (`compact`) and
-        // replaying it through the eagerly-hashing builder must agree node
-        // for node — the rebuild-path identity the in-place optimizer
-        // passes inherit.
-        let mut g = build_aig(&script, 4);
-        for (pick, alt, reclaim) in edits {
-            apply_random_edit(&mut g, pick, alt, reclaim);
-        }
-        let rebuilt = rebuild_via_builder(&g);
-        let edited_function: Vec<u64> = {
-            let inputs: Vec<u64> =
-                (0..4u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-            g.eval64(&inputs)
-        };
-        let mut compacted = g;
+        // Sweeping a random network in place leaves holes wherever its
+        // dangling logic stood; squeezing them out (`compact`) must agree
+        // node for node with replaying the swept network through the
+        // eagerly-hashing builder and with the rebuilding `sweep` — the
+        // rebuild-path identity the in-place optimizer passes inherit.
+        let g = build_aig(&script, 4);
+        let mut edited = g.clone();
+        let removed = sweep_in_place(&mut edited);
+        prop_assert_eq!(edited.dead_count(), removed);
+        let rebuilt = rebuild_via_builder(&edited);
+        let inputs: Vec<u64> =
+            (0..4u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let edited_function = edited.eval64(&inputs);
+        prop_assert_eq!(&edited_function, &g.eval64(&inputs));
+        let mut compacted = edited;
         compacted.compact();
         prop_assert_eq!(compacted.dead_count(), 0);
         prop_assert_eq!(
             compacted.structural_hash(),
             rebuilt.structural_hash(),
-            "compact() of the edited network must equal the builder rebuild"
+            "compact() of the swept network must equal the builder rebuild"
         );
+        prop_assert_eq!(compacted.structural_hash(), sweep(&g).structural_hash());
         // Compaction renumbers but must not change the function.
-        let inputs: Vec<u64> =
-            (0..4u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
         prop_assert_eq!(compacted.eval64(&inputs), edited_function);
-        // Fanout bookkeeping survives the whole edit+compact sequence.
+        // Fanout bookkeeping survives the whole sweep+compact sequence.
         let recounted = {
             let mut c = compacted.clone();
             c.recompute_fanouts();

@@ -10,9 +10,10 @@
 //! Installation is per *binary* (that is what `#[global_allocator]`
 //! means), so library users opt in explicitly:
 //!
-//! ```ignore
+//! ```
 //! #[global_allocator]
 //! static ALLOC: sfq_obs::alloc::CountingAlloc = sfq_obs::alloc::CountingAlloc::new();
+//! # fn main() {}
 //! ```
 //!
 //! [`crate::enable`] resets the counters, so [`stats`] reports the window

@@ -7,7 +7,11 @@
 //! - [`t1cell`] — behavioural T1 flip-flop (Fig. 1 of the paper), including
 //!   pulse-overlap hazard detection,
 //! - [`pulse`] — wave-pipelined simulation of a scheduled netlist with
-//!   capture-window validation.
+//!   capture-window validation, and optional deterministic clock jitter
+//!   ([`SimOptions`]) for timing-margin studies.
+//!
+//! A run reports the sampled outputs, the T1 hazard count and the number
+//! of data pulses ([`SimOutcome`]); it records no per-event trace.
 //!
 //! # Example
 //!
@@ -29,8 +33,6 @@
 
 pub mod pulse;
 pub mod t1cell;
-pub mod trace;
 
 pub use pulse::{ElementId, Fanin, OutRef, PulseCircuit, SimError, SimOptions, SimOutcome};
 pub use t1cell::{T1Cell, T1Event};
-pub use trace::{render_waveform, TraceEvent, TraceKind};

@@ -371,28 +371,11 @@ impl PulseCircuit {
     /// Propagates [`PulseCircuit::validate`] errors and rejects vectors of
     /// the wrong width.
     pub fn simulate(&self, vectors: &[Vec<bool>], n: u32) -> Result<SimOutcome, SimError> {
-        self.simulate_traced(vectors, n, None).map(|(o, _)| o)
+        self.simulate_opts(vectors, n, SimOptions::default())
     }
 
-    /// Like [`PulseCircuit::simulate`], optionally recording a pulse trace
-    /// (see [`crate::trace`]). `watch` limits recording to the given
-    /// elements (`None` records everything).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PulseCircuit::simulate`].
-    pub fn simulate_traced(
-        &self,
-        vectors: &[Vec<bool>],
-        n: u32,
-        watch: Option<&[ElementId]>,
-    ) -> Result<(SimOutcome, Vec<crate::trace::TraceEvent>), SimError> {
-        self.simulate_opts(vectors, n, watch, SimOptions::default())
-    }
-
-    /// Full-control entry point: like [`PulseCircuit::simulate_traced`] with
-    /// explicit [`SimOptions`] (clock jitter injection for timing-margin
-    /// studies).
+    /// [`PulseCircuit::simulate`] with explicit [`SimOptions`] (clock jitter
+    /// injection for timing-margin studies).
     ///
     /// # Errors
     ///
@@ -401,10 +384,8 @@ impl PulseCircuit {
         &self,
         vectors: &[Vec<bool>],
         n: u32,
-        watch: Option<&[ElementId]>,
         opts: SimOptions,
-    ) -> Result<(SimOutcome, Vec<crate::trace::TraceEvent>), SimError> {
-        use crate::trace::{TraceEvent, TraceKind};
+    ) -> Result<SimOutcome, SimError> {
         // SplitMix64-style hash for deterministic per-event jitter.
         let jitter = |elem: u32, wave: u32| -> i64 {
             if opts.jitter_amplitude == 0 {
@@ -420,17 +401,6 @@ impl PulseCircuit {
             let span = 2 * opts.jitter_amplitude + 1;
             (z % span) as i64 - opts.jitter_amplitude as i64
         };
-        let mut trace: Vec<TraceEvent> = Vec::new();
-        let record =
-            |trace: &mut Vec<TraceEvent>, time: u64, element: ElementId, kind: TraceKind| {
-                if watch.is_none_or(|w| w.contains(&element)) {
-                    trace.push(TraceEvent {
-                        time,
-                        element,
-                        kind,
-                    });
-                }
-            };
         self.validate(n)?;
         for v in vectors {
             if v.len() != self.num_inputs {
@@ -533,12 +503,6 @@ impl PulseCircuit {
                 }
                 Ev::Clock(id, wave) => {
                     let i = id.index();
-                    if !matches!(
-                        self.elements[i],
-                        Element::Input { .. } | Element::Const { .. }
-                    ) {
-                        record(&mut trace, time, id, TraceKind::Clock);
-                    }
                     let value = match &self.elements[i] {
                         Element::Input { .. } | Element::Const { .. } => Some(true),
                         Element::Gate { tt, fanins, .. } => {
@@ -572,7 +536,6 @@ impl PulseCircuit {
                                 [(0u8, T1Event::S), (1, T1Event::C), (2, T1Event::Q)]
                             {
                                 if events.contains(&ev_kind) {
-                                    record(&mut trace, time + EMIT_DELAY, id, TraceKind::Emit);
                                     for &(consumer, slot) in &fanouts[i][port as usize] {
                                         pulses += 1;
                                         push(
@@ -590,7 +553,6 @@ impl PulseCircuit {
                         // T1 inverted-input handling lives in the mapping
                         // flow (explicit NOT gates), so plain emission is
                         // correct for all single-port elements.
-                        record(&mut trace, time + EMIT_DELAY, id, TraceKind::Emit);
                         for &(consumer, slot) in &fanouts[i][0] {
                             pulses += 1;
                             push(&mut queue, time + EMIT_DELAY, Ev::Pulse(consumer, slot));
@@ -601,14 +563,11 @@ impl PulseCircuit {
         }
 
         let hazards = t1_state.iter().flatten().map(T1Cell::hazards).sum();
-        Ok((
-            SimOutcome {
-                outputs,
-                hazards,
-                pulses,
-            },
-            trace,
-        ))
+        Ok(SimOutcome {
+            outputs,
+            hazards,
+            pulses,
+        })
     }
 }
 
@@ -873,11 +832,10 @@ mod jitter_tests {
             .map(|i| (0..3).map(|k| (i >> k) & 1 == 1).collect())
             .collect();
         let plain = c.simulate(&vectors, 4).unwrap();
-        let (opt, _) = c
+        let opt = c
             .simulate_opts(
                 &vectors,
                 4,
-                None,
                 SimOptions {
                     jitter_amplitude: 0,
                     jitter_seed: 7,
@@ -896,11 +854,10 @@ mod jitter_tests {
             .map(|i| (0..3).map(|k| (i >> k) & 1 == 1).collect())
             .collect();
         for seed in 0..5 {
-            let (out, _) = c
+            let out = c
                 .simulate_opts(
                     &vectors,
                     4,
-                    None,
                     SimOptions {
                         jitter_amplitude: 100,
                         jitter_seed: seed,
@@ -926,11 +883,10 @@ mod jitter_tests {
         let vectors: Vec<Vec<bool>> = (0..16).map(|_| vec![true, true, true]).collect();
         let mut total_hazards = 0;
         for seed in 0..8 {
-            let (out, _) = c
+            let out = c
                 .simulate_opts(
                     &vectors,
                     4,
-                    None,
                     SimOptions {
                         jitter_amplitude: 700,
                         jitter_seed: seed,
@@ -953,8 +909,8 @@ mod jitter_tests {
             jitter_amplitude: 300,
             jitter_seed: 42,
         };
-        let (a, _) = c.simulate_opts(&vectors, 4, None, opts).unwrap();
-        let (b, _) = c.simulate_opts(&vectors, 4, None, opts).unwrap();
+        let a = c.simulate_opts(&vectors, 4, opts).unwrap();
+        let b = c.simulate_opts(&vectors, 4, opts).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -87,26 +87,7 @@ fn fig1c() {
     let vectors: Vec<Vec<bool>> = (0..8u32)
         .map(|i| (0..3).map(|k| (i >> k) & 1 == 1).collect())
         .collect();
-    let (out, trace) = c
-        .simulate_traced(&vectors, 4, Some(&[a, b, cin, da, db, dc, t1]))
-        .expect("valid schedule");
-    println!("pulse waveform (first epochs; '|' clock, '*' pulse, '#' both):");
-    println!(
-        "{}",
-        sfq_t1::sim::render_waveform(
-            &trace,
-            &[
-                (a, "a"),
-                (b, "b"),
-                (cin, "cin"),
-                (da, "dff@phi1"),
-                (db, "dff@phi2"),
-                (dc, "dff@phi3"),
-                (t1, "T1"),
-            ],
-            34,
-        )
-    );
+    let out = c.simulate(&vectors, 4).expect("valid schedule");
     println!(
         "{:<10} {:>12} {:>12} {:>10}",
         "a b cin", "S (xor3)", "C (maj3)", "Q (or3)"

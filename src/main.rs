@@ -1000,9 +1000,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
     };
 
-    for line in stdin.lock().lines() {
+    // Lines are read as bytes: one that is not UTF-8 is a bad request,
+    // answered like any other, not the end of the session.
+    for line in stdin.lock().split(b'\n') {
         let line = line.map_err(|e| format!("serve: cannot read stdin: {e}"))?;
-        let trimmed = line.trim();
+        let text = String::from_utf8_lossy(&line);
+        let trimmed = text.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
@@ -1018,7 +1021,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
         let index = next_index;
         next_index += 1;
-        match parse_serve_request(trimmed, &lib) {
+        let request = match std::str::from_utf8(&line) {
+            Ok(_) => parse_serve_request(trimmed, &lib),
+            Err(e) => Err(format!("request is not valid UTF-8: {e}")),
+        };
+        match request {
             Ok(job) => batch.push((index, job)),
             Err(e) => respond(format!("err {index} {e}"))?,
         }

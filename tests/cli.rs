@@ -1093,6 +1093,36 @@ fn serve_rejects_zero_phases_and_keeps_serving() {
 }
 
 #[test]
+fn serve_answers_a_non_utf8_line_and_keeps_serving() {
+    use std::io::Write;
+    let mut child = bin()
+        .args(["serve", "--jobs", "1"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(b"adder:4 1phi\n\xff\nadder:4 nphi\n")
+        .expect("write requests");
+    let out = child.wait_with_output().expect("serve exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "serve must survive: {stdout}");
+    let mut lines: Vec<&str> = stdout.lines().collect();
+    lines.sort_unstable();
+    assert_eq!(lines.len(), 3, "one answer per request: {stdout}");
+    assert!(lines[0].starts_with("done 0 adder:4/1phi "), "{stdout}");
+    assert!(lines[1].starts_with("done 2 adder:4/"), "{stdout}");
+    assert!(
+        lines[2].starts_with("err 1 request is not valid UTF-8"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn gen_random_then_opt_matches_golden_hash() {
     let aag = tmp("scale.aag");
     let out = bin()

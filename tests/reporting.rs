@@ -1,9 +1,9 @@
 //! Reporting-layer integration tests: ratio columns, averages, CSV schema,
-//! Verilog export consistency and the energy model on real flow results.
+//! Verilog export consistency and library-driven area accounting on real
+//! flow results.
 
 use sfq_t1::circuits::epfl;
 use sfq_t1::t1map::cells::CellLibrary;
-use sfq_t1::t1map::energy::EnergyModel;
 use sfq_t1::t1map::flow::{run_flow, FlowConfig};
 use sfq_t1::t1map::report::{TableOne, TableRow};
 use sfq_t1::t1map::verilog::{cell_models, export, ExportOptions};
@@ -67,18 +67,6 @@ fn verilog_wire_counts_match_netlist() {
 
 fn cell_models_gate_decls() -> usize {
     0 // `export` emits instances only; declarations live in `cell_models()`.
-}
-
-#[test]
-fn energy_scales_linearly_with_jj_count() {
-    let m = EnergyModel::default();
-    let r1 = m.report(100, 10.0, 1e9);
-    let r2 = m.report(200, 10.0, 1e9);
-    assert!((r2.static_power_w - 2.0 * r1.static_power_w).abs() < 1e-15);
-    assert!(
-        (r2.dynamic_power_w - r1.dynamic_power_w).abs() < 1e-18,
-        "dynamic independent of JJs"
-    );
 }
 
 #[test]
