@@ -293,12 +293,12 @@ pub fn run(args: &Args) -> Result<(), String> {
         "circuit", "nodes", "opt", "Δ%", "depth", "opt", "T1 DFF", "opt DFF", "Δ%"
     );
     {
-        use sfq_opt::{optimize, OptConfig};
         let scale = suite_scale;
         let jobs = opt_sweep_jobs(&scale, 4, &lib);
         let report = runner.run(&jobs);
         for (pair, job) in report.results.chunks(2).zip(jobs.iter().step_by(2)) {
-            let (_, opt_report) = optimize(&job.aig, &OptConfig::standard());
+            // The T1+opt flow already ran the pipeline inside the engine.
+            let opt_report = pair[1].pre_opt.as_ref().expect("T1+opt ran pre-opt");
             let (plain, opted) = (&pair[0].stats, &pair[1].stats);
             println!(
                 "{:<10} | {:>6} {:>6} {:>5.1}% | {:>5} {:>5} | {:>8} {:>8} {:>6.1}%",

@@ -15,7 +15,7 @@
 //! job lists ([`table1_jobs`], [`phase_sweep_jobs`]) so every consumer runs
 //! them through the same parallel, cached execution engine.
 
-use sfq_circuits::{epfl, iscas};
+use sfq_circuits::named;
 use sfq_engine::Job;
 use sfq_netlist::aig::Aig;
 use std::sync::Arc;
@@ -34,73 +34,77 @@ pub use report::{
     bench_report_json, tool_report_json, validate as validate_bench_report, JobSample, ReportEntry,
     ReportMeta,
 };
-pub use rows::{progress_event, result_rows, store_summary, suite_summary, table_one, ResultRow};
+pub use rows::{progress_event, store_summary, suite_summary, table_one};
 
-/// Operand widths used for the Table-I reproduction.
+/// The widths the suites build their subjects at: one per
+/// [`named`] registry entry, in registry order (0 for the fixed-size
+/// entries).
 ///
 /// The generators reproduce each benchmark's *structure class*
-/// (DESIGN.md §4); widths are chosen paper-scale where runtime permits and
-/// reduced otherwise (noted per benchmark in EXPERIMENTS.md).
+/// (DESIGN.md §4). Paper scale is the registry's default widths, chosen
+/// paper-scale where runtime permits and reduced otherwise (noted per
+/// benchmark in EXPERIMENTS.md); small scale shrinks every parametric
+/// benchmark for CI and unit tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchmarkScale {
-    /// `adder` width (paper: 128).
-    pub adder_bits: usize,
-    /// `multiplier` width (paper: 64; array multipliers grow quadratically).
-    pub multiplier_bits: usize,
-    /// `square` width (paper: 64).
-    pub square_bits: usize,
-    /// `sin` fixed-point width (paper: 24).
-    pub sin_bits: usize,
-    /// `log2` width (paper: 32).
-    pub log2_bits: usize,
-    /// `voter` input count (paper: 1001).
-    pub voter_inputs: usize,
-    /// Gate budget of the scale-class random benchmark (paper: 100 000,
-    /// matching the `scale-100k` registry default).
-    pub scale_gates: usize,
+    widths: [(&'static str, usize); named::KNOWN_BENCHMARKS.len()],
 }
 
 impl BenchmarkScale {
-    /// The scale used by the shipped Table-I reproduction.
+    /// The scale used by the shipped Table-I reproduction: every registry
+    /// default (adder 128, multiplier 32, square 32, sin 16, log2 32,
+    /// voter 255, scale-100k 100 000).
     pub fn paper() -> Self {
         BenchmarkScale {
-            adder_bits: 128,
-            multiplier_bits: 32,
-            square_bits: 32,
-            sin_bits: 16,
-            log2_bits: 32,
-            voter_inputs: 255,
-            scale_gates: 100_000,
+            widths: named::KNOWN_BENCHMARKS.map(|(name, default, _)| (name, default)),
         }
     }
 
     /// A small scale for CI and unit tests.
     pub fn small() -> Self {
         BenchmarkScale {
-            adder_bits: 16,
-            multiplier_bits: 8,
-            square_bits: 8,
-            sin_bits: 8,
-            log2_bits: 16,
-            voter_inputs: 31,
-            scale_gates: 2_000,
+            widths: [
+                ("adder", 16),
+                ("multiplier", 8),
+                ("square", 8),
+                ("sin", 8),
+                ("log2", 16),
+                ("voter", 31),
+                ("c6288", 0),
+                ("c7552", 0),
+                ("scale-100k", 2_000),
+            ],
         }
     }
+
+    /// Builds registry entry `name` at this scale.
+    fn build(&self, name: &'static str) -> (&'static str, Aig) {
+        let &(_, width) = self
+            .widths
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .expect("every registry name has a width");
+        let aig = named::build(name, width).expect("suite widths are within the registry's bounds");
+        (name, aig)
+    }
 }
+
+/// The eight Table-I benchmarks, in the paper's row order.
+const TABLE1_BENCHMARKS: [&str; 8] = [
+    "adder",
+    "c7552",
+    "c6288",
+    "sin",
+    "voter",
+    "square",
+    "multiplier",
+    "log2",
+];
 
 /// Builds the eight Table-I benchmarks (in the paper's row order) at the
 /// given scale.
 pub fn paper_benchmarks(scale: &BenchmarkScale) -> Vec<(&'static str, Aig)> {
-    vec![
-        ("adder", epfl::adder(scale.adder_bits)),
-        ("c7552", iscas::c7552_like()),
-        ("c6288", iscas::c6288_like()),
-        ("sin", epfl::sin(scale.sin_bits)),
-        ("voter", epfl::voter(scale.voter_inputs)),
-        ("square", epfl::square(scale.square_bits)),
-        ("multiplier", epfl::multiplier(scale.multiplier_bits)),
-        ("log2", epfl::log2(scale.log2_bits)),
-    ]
+    TABLE1_BENCHMARKS.map(|name| scale.build(name)).into()
 }
 
 /// Flow labels of the three Table-I columns, in column order. Every
@@ -162,16 +166,8 @@ pub const FIXPOINT_OPT_FLOW: &str = "T1+fix";
 /// they pin the cost of the optimizer's in-place transforms.
 pub fn fixpoint_opt_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> Vec<Job> {
     let opt = sfq_opt::OptConfig::standard();
-    let subjects = [
-        ("adder", epfl::adder(scale.adder_bits)),
-        ("multiplier", epfl::multiplier(scale.multiplier_bits)),
-        (
-            "scale-100k",
-            sfq_circuits::named::build("scale-100k", scale.scale_gates)
-                .expect("scale-100k is registered"),
-        ),
-    ];
-    subjects
+    ["adder", "multiplier", "scale-100k"]
+        .map(|name| scale.build(name))
         .into_iter()
         .map(|(name, aig)| {
             Job::new(
@@ -251,10 +247,9 @@ pub fn phase_sweep_jobs_with(
 /// The pre-mapping optimization sweep: for every Table-I benchmark, the T1
 /// flow without and with the `sfq-opt` stage — two jobs per benchmark, in
 /// [`paper_benchmarks`] order, so chunking the engine's results by 2 yields
-/// one `(plain, pre-opt)` pair per row. Together with a local
-/// `sfq_opt::optimize` run for the AIG-level numbers, this is what the
-/// `abl-opt` section of `sfq-t1 ablation` prints (node/depth/#DFF deltas per
-/// benchmark).
+/// one `(plain, pre-opt)` pair per row. With the AIG-level numbers of the
+/// pre-opt job's own optimizer report, this is what the `abl-opt` section
+/// of `sfq-t1 ablation` prints (node/depth/#DFF deltas per benchmark).
 pub fn opt_sweep_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (name, aig) in paper_benchmarks(scale) {
@@ -275,8 +270,8 @@ pub fn opt_sweep_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> Vec<
 /// every Table-I benchmark, the T1 flow with the conservative pre-opt stage
 /// and with the slack-aware one — two jobs per benchmark, in
 /// [`paper_benchmarks`] order, so chunking the engine's results by 2 yields
-/// one `(conservative, slack-aware)` pair per row. Combined with local
-/// `sfq_opt::optimize` runs for the AIG-level numbers, this quantifies what
+/// one `(conservative, slack-aware)` pair per row. With the AIG-level
+/// numbers of both jobs' optimizer reports, this quantifies what
 /// required-time-bounded rewriting buys end to end (node/depth/#DFF deltas).
 pub fn slack_sweep_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> Vec<Job> {
     let mut jobs = Vec::new();
@@ -330,7 +325,7 @@ mod tests {
     #[test]
     fn phase_sweep_repeats_the_single_phase_reference() {
         let lib = CellLibrary::default();
-        let aig = Arc::new(epfl::adder(4));
+        let aig = Arc::new(named::build("adder", 4).unwrap());
         let jobs = phase_sweep_jobs("adder4", &aig, &lib);
         assert_eq!(jobs.len(), SWEEP_PHASES.len() * 3);
         let reference_key = jobs[2].key();
@@ -395,6 +390,18 @@ mod tests {
             labels,
             ["adder/T1+fix", "multiplier/T1+fix", "scale-100k/T1+fix"]
         );
+    }
+
+    #[test]
+    fn scales_name_every_registry_entry_and_paper_is_its_defaults() {
+        let (paper, small) = (BenchmarkScale::paper(), BenchmarkScale::small());
+        for (i, (name, default, _)) in named::KNOWN_BENCHMARKS.into_iter().enumerate() {
+            assert_eq!(paper.widths[i], (name, default));
+            assert_eq!(small.widths[i].0, name);
+            assert!(named::check(name, small.widths[i].1).is_ok(), "{name}");
+        }
+        assert_eq!(paper.widths[0], ("adder", 128));
+        assert_eq!(paper.widths[8], ("scale-100k", 100_000));
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! of absolute timestamps: two runs of equal speed produce structurally
 //! identical reports, which keeps diffs reviewable.
 
-use crate::rows::ResultRow;
 use sfq_engine::{CacheStats, Job, JobOutcome, SuiteReport};
 use sfq_obs::json::Value;
 use sfq_obs::{escape_json, Trace};
@@ -116,27 +115,30 @@ pub struct ReportEntry {
 pub fn bench_report_json(
     meta: &ReportMeta,
     jobs: &[Job],
-    rows: &[ResultRow],
     report: &SuiteReport,
     samples: &[JobSample],
     trace: &Trace,
 ) -> String {
-    assert_eq!(jobs.len(), rows.len(), "rows must match the job list");
+    assert_eq!(
+        jobs.len(),
+        report.results.len(),
+        "report does not match the job list"
+    );
     let entries: Vec<ReportEntry> = jobs
         .iter()
-        .zip(rows)
+        .zip(&report.results)
         .enumerate()
-        .map(|(i, (job, row))| {
+        .map(|(i, (job, result))| {
             let sample = samples.get(i).copied().unwrap_or(JobSample {
                 micros: 0,
                 source: "unknown",
                 alloc_bytes: 0,
                 peak_bytes: 0,
             });
-            let s = row.stats;
+            let s = result.stats;
             ReportEntry {
-                benchmark: row.name.clone(),
-                flow: row.flow.clone(),
+                benchmark: job.name.clone(),
+                flow: job.flow.clone(),
                 micros: sample.micros,
                 source: sample.source.to_string(),
                 ands: job.aig.and_count() as u64,
@@ -454,7 +456,7 @@ pub fn validate(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{result_rows, table1_jobs, BenchmarkScale};
+    use crate::{table1_jobs, BenchmarkScale};
     use sfq_engine::SuiteRunner;
     use t1map::cells::CellLibrary;
 
@@ -469,14 +471,13 @@ mod tests {
         let report = SuiteRunner::new(2).run_with_progress(&jobs, |o| {
             samples[o.index] = JobSample::from_outcome(&o);
         });
-        let rows = result_rows(&jobs, &report);
         let meta = ReportMeta {
             suite: "table1".to_string(),
             scale: "small".to_string(),
             phases: 4,
             pre_opt: false,
         };
-        bench_report_json(&meta, &jobs, &rows, &report, &samples, &Trace::default())
+        bench_report_json(&meta, &jobs, &report, &samples, &Trace::default())
     }
 
     #[test]

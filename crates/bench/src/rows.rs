@@ -1,57 +1,17 @@
 //! Shared result-row formatting for every suite front end.
 //!
 //! The CLI `suite`, `explore` and `bench-report` subcommands and the
-//! `ablation` binary all turn a job list plus a [`SuiteReport`] into rows,
-//! progress lines, summary lines and CSV. One implementation keeps the
-//! front ends byte-identical where they overlap — in particular, the engine's submission-ordered results make
-//! every function here independent of worker count, so `--jobs 1` and
-//! `--jobs N` produce identical tables and CSV.
+//! `ablation` binary all turn a job list plus a [`SuiteReport`] into
+//! tables, progress lines, summary lines and CSV. One implementation keeps
+//! the front ends byte-identical where they overlap — in particular, the
+//! engine's submission-ordered results make every function here
+//! independent of worker count, so `--jobs 1` and `--jobs N` produce
+//! identical tables and CSV.
 
 use sfq_engine::{Job, JobOutcome, SuiteReport};
-use t1map::flow::FlowStats;
 use t1map::report::{TableOne, TableRow};
 
 use crate::progress_line;
-
-/// One job's result, labelled for rendering: the benchmark and flow names
-/// from the [`Job`] plus the aggregate [`FlowStats`] of its result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResultRow {
-    /// Benchmark name (e.g. `"adder"`).
-    pub name: String,
-    /// Flow label (e.g. `"1φ"`, `"T1@4φ"`).
-    pub flow: String,
-    /// Aggregate metrics of the result.
-    pub stats: FlowStats,
-}
-
-impl ResultRow {
-    /// `name/flow`, matching [`Job::label`].
-    pub fn label(&self) -> String {
-        format!("{}/{}", self.name, self.flow)
-    }
-}
-
-/// Pairs each submitted job with its (submission-ordered) result.
-///
-/// # Panics
-///
-/// Panics if `report` was produced from a different job list.
-pub fn result_rows(jobs: &[Job], report: &SuiteReport) -> Vec<ResultRow> {
-    assert_eq!(
-        jobs.len(),
-        report.results.len(),
-        "report does not match the job list"
-    );
-    jobs.iter()
-        .zip(&report.results)
-        .map(|(job, result)| ResultRow {
-            name: job.name.clone(),
-            flow: job.flow.clone(),
-            stats: result.stats,
-        })
-        .collect()
-}
 
 /// Assembles the Table-I view from a suite laid out as consecutive
 /// `(1φ, nφ, T1)` triples (the layout of
@@ -135,14 +95,15 @@ mod tests {
         let serial = SuiteRunner::new(1).run(&jobs);
         let parallel = SuiteRunner::new(4).run(&jobs);
 
-        let rows1 = result_rows(&jobs, &serial);
-        let rows_n = result_rows(&jobs, &parallel);
-        assert_eq!(rows1, rows_n);
-        assert_eq!(
-            table_one(&jobs, &serial).to_csv(),
-            table_one(&jobs, &parallel).to_csv(),
-            "Table-I CSV"
-        );
-        assert_eq!(rows1[0].label(), "adder/1φ");
+        let (table1, table_n) = (table_one(&jobs, &serial), table_one(&jobs, &parallel));
+        let rows = |t: &TableOne| {
+            t.rows
+                .iter()
+                .map(|r| (r.name.clone(), r.single, r.multi, r.t1))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&table1), rows(&table_n), "every stat of every job");
+        assert_eq!(table1.to_csv(), table_n.to_csv(), "Table-I CSV");
+        assert_eq!(table1.rows[0].name, "adder");
     }
 }

@@ -1,10 +1,11 @@
 //! Name-addressed benchmark registry.
 //!
-//! The CLI (`gen`/`opt`/`sta`/`serve`) and the `sfq-explore` sweep spec all
-//! resolve benchmarks by name; one registry keeps them agreeing on the
-//! legal names, the default widths and the no-silent-typo policy (an
-//! unknown name is a hard error listing every known benchmark, so a typo
-//! can never fall through to another circuit).
+//! The CLI (`gen`/`opt`/`sta`/`serve`), the `sfq-bench` suites and the
+//! `sfq-explore` sweep spec all build benchmarks by name; one registry
+//! keeps them agreeing on the legal names, the default and largest widths
+//! and the no-silent-typo policy (an unknown name is a hard error listing
+//! every known benchmark, so a typo can never fall through to another
+//! circuit).
 
 use crate::random::{random_aig, RandomAigConfig};
 use crate::{epfl, iscas};
@@ -98,17 +99,27 @@ pub fn build(name: &str, width: usize) -> Result<Aig, String> {
         "voter" => epfl::voter(width),
         "c6288" => iscas::c6288_like(),
         "c7552" => iscas::c7552_like(),
-        "scale-100k" => random_aig(
-            SCALE_SEED,
-            &RandomAigConfig {
-                num_pis: 64,
-                num_gates: width,
-                num_pos: 32,
-                xor_percent: 30,
-            },
-        ),
+        "scale-100k" => return build_random(SCALE_SEED, width),
         _ => unreachable!("name validated above"),
     })
+}
+
+/// Builds the scale-class network behind `scale-100k` and `gen random`
+/// from `seed`: `gates` construction attempts (0 = the entry's default)
+/// over 64 inputs and 32 outputs, 30 % of them XORs.
+///
+/// # Errors
+///
+/// A gate budget above the `scale-100k` entry's largest width, before
+/// anything is built.
+pub fn build_random(seed: u64, gates: usize) -> Result<Aig, String> {
+    let config = RandomAigConfig {
+        num_pis: 64,
+        num_gates: check("scale-100k", gates)?,
+        num_pos: 32,
+        xor_percent: 30,
+    };
+    Ok(random_aig(seed, &config))
 }
 
 /// Parses and [`check`]s a `name[:width]` subject (the spelling shared by
@@ -176,6 +187,20 @@ mod tests {
         assert_eq!(a.pi_count(), 64);
         assert_eq!(a.po_count(), 32);
         assert!(a.and_count() > 2_000, "strashing must not collapse it");
+    }
+
+    #[test]
+    fn random_builds_are_the_scale_entry_under_a_seed() {
+        let scale = build("scale-100k", 2_000).unwrap();
+        let random = build_random(SCALE_SEED, 2_000).unwrap();
+        assert_eq!(scale.structural_hash(), random.structural_hash());
+        let other = build_random(SCALE_SEED + 1, 2_000).unwrap();
+        assert_ne!(scale.structural_hash(), other.structural_hash());
+        let err = build_random(1, 100_000_000_000).unwrap_err();
+        assert_eq!(
+            err,
+            "scale-100k width 100000000000 is above its largest width 2097152"
+        );
     }
 
     #[test]

@@ -47,6 +47,20 @@ pub enum Requirement {
     Exact(i64),
 }
 
+impl Requirement {
+    /// The §II-B per-edge DFF cost of meeting this requirement from a
+    /// driver at stage `source` under `n` phases, sharing no DFF with the
+    /// driver's other consumers: `⌊(t − s − 1)/n⌋` for a window at `t`,
+    /// `⌈(τ − s)/n⌉` for an exact delivery at `τ` (0 when already met).
+    pub fn edge_dffs(self, source: i64, n: i64) -> u64 {
+        let dffs = match self {
+            Requirement::Window(t) => (t - source - 1).max(0) / n,
+            Requirement::Exact(tau) => ((tau - source).max(0) + n - 1) / n,
+        };
+        dffs as u64
+    }
+}
+
 /// Who a requirement belongs to (used to rebuild the netlist for simulation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Consumer {
@@ -412,7 +426,7 @@ impl Fanouts {
 }
 
 /// Calls `f` on every (driver edge, consumer) pair in netlist order.
-fn for_each_use(mc: &MappedCircuit, mut f: impl FnMut(&Edge, Consumer)) {
+pub(crate) fn for_each_use(mc: &MappedCircuit, mut f: impl FnMut(&Edge, Consumer)) {
     for (id, cell) in mc.cells() {
         match cell {
             MappedCell::Input { .. } | MappedCell::Const0 => {}

@@ -23,7 +23,7 @@
 //!   linearization `n·d ≥ σ(j) − σ(i) − n` (exact, for small instances and
 //!   cross-validation).
 
-use crate::dff::{build_chain, Consumer, Fanouts, Requirement};
+use crate::dff::{build_chain, for_each_use, Consumer, Fanouts, Requirement};
 use crate::mapped::{CellId, MappedCell, MappedCircuit};
 use sfq_solver::linear::{LinExpr, Sense};
 use sfq_solver::milp::{MilpError, MilpProblem};
@@ -310,17 +310,7 @@ fn local_search(
                     match objective {
                         SearchObjective::PerEdge => uses
                             .iter()
-                            .map(|u| match u.requirement(&sched, at) {
-                                Requirement::Window(t) => ((t - source - 1).max(0) / nn) as u64,
-                                Requirement::Exact(tau) => {
-                                    let d = tau - source;
-                                    if d <= 0 {
-                                        0
-                                    } else {
-                                        ((d + nn - 1) / nn) as u64
-                                    }
-                                }
-                            })
+                            .map(|u| u.requirement(&sched, at).edge_dffs(source, nn))
                             .sum(),
                         SearchObjective::SharedChains => {
                             scratch.clear();
@@ -480,45 +470,19 @@ pub fn assign_phases_exact(mc: &MappedCircuit, n: u32) -> Result<Schedule, MilpE
     Ok(sched)
 }
 
-/// The per-edge linearized DFF objective of §II-B: for every fanin edge,
-/// `⌊(σ(j) − σ(i) − 1)/n⌋` (T1 operands: `⌈(slot − σ(i))/n⌉`, primary
-/// outputs: `⌈(horizon − σ)/n⌉`). This is what [`assign_phases_exact`]
-/// minimizes; realized DFF counts after fanout-shared insertion can be
-/// lower.
+/// The per-edge linearized DFF objective of §II-B: the
+/// [`Requirement::edge_dffs`] of every fanin edge and primary output —
+/// `⌊(σ(j) − σ(i) − 1)/n⌋` per gate edge, `⌈(slot − σ(i))/n⌉` per T1
+/// operand and `⌊(horizon − σ)/n⌋` per output. This is what
+/// [`assign_phases_exact`] minimizes; realized DFF counts after
+/// fanout-shared insertion can be lower.
 pub fn edge_dff_objective(mc: &MappedCircuit, sched: &Schedule) -> u64 {
-    let n = sched.n as i64;
-    let ceil_div = |a: i64, b: i64| -> i64 {
-        if a <= 0 {
-            0
-        } else {
-            a.div_euclid(b) + i64::from(a.rem_euclid(b) != 0)
-        }
-    };
-    let mut total = 0i64;
-    for (id, cell) in mc.cells() {
-        let s = sched.stages[id.index()];
-        match cell {
-            MappedCell::Input { .. } | MappedCell::Const0 => {}
-            MappedCell::Gate { fanins, .. } => {
-                for e in fanins {
-                    total += (s - sched.stages[e.cell.index()] - 1).max(0) / n;
-                }
-            }
-            MappedCell::T1 { fanins } => {
-                let offsets = sched.t1_offsets[id.index()].expect("offsets");
-                for (k, e) in fanins.iter().enumerate() {
-                    total += ceil_div(s - offsets[k] - sched.stages[e.cell.index()], n);
-                }
-            }
-        }
-    }
-    for e in mc.pos() {
-        if !matches!(mc.cell(e.cell), MappedCell::Const0) {
-            // Window capture at horizon + 1: ⌊(horizon − σ)/n⌋.
-            total += (sched.horizon - sched.stages[e.cell.index()]).max(0) / n;
-        }
-    }
-    total as u64
+    let (n, stage) = (sched.n as i64, |c: CellId| sched.stages[c.index()]);
+    let mut total = 0;
+    for_each_use(mc, |e, c| {
+        total += c.requirement(sched, stage).edge_dffs(stage(e.cell), n);
+    });
+    total
 }
 
 #[cfg(test)]

@@ -174,11 +174,6 @@ fn timing_configs_get_distinct_cache_keys() {
         timed.key(),
         "the timing stage must contribute to the cache key"
     );
-    // top_paths is a rendering knob, not a computation input: two timing
-    // configs differing only there must SHARE a cache entry.
-    let mut deep = FlowConfig::t1(4).to_builder().timing(true).build();
-    deep.timing.top_paths = 10;
-    assert_eq!(timed.key(), CacheKey::compute(&aig, &lib, &deep));
     // The slack-aware pre-opt stage keys differently from the standard one.
     assert_ne!(
         CacheKey::compute(

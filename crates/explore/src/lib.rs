@@ -12,9 +12,9 @@
 //!   benchmarks, flows, phase counts, optimization pipelines, timing,
 //!   cell-library variants, objectives), with hard-error validation
 //!   that lists every legal alternative on any unknown key or value.
-//!   Also home of [`spec::CONFIG_TOKENS`] and
-//!   [`spec::apply_config_token`], the single flow-option token table
-//!   shared with the CLI `serve` request parser.
+//!   Also home of the `serve` request parser [`spec::parse_request`],
+//!   which reads a request line through the same flow, phase-floor and
+//!   option tables ([`spec::CONFIG_TOKENS`]) without building anything.
 //! - [`sweep`] — combinatorial expansion of a spec into grid
 //!   [`sweep::Point`]s with *fingerprint-deduplicated* engine jobs
 //!   (coordinates whose configurations content-address identically are
@@ -52,5 +52,5 @@ pub mod spec;
 pub mod sweep;
 
 pub use report::{explore_report_json, explore_summary, frontier_table, validate};
-pub use spec::{apply_config_token, SweepSpec, CONFIG_TOKENS};
+pub use spec::{parse_request, SweepSpec, CONFIG_TOKENS};
 pub use sweep::{expand, run_sweep, ExploreRun};

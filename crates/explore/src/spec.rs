@@ -1,4 +1,5 @@
-//! The sweep-spec text format and the shared configuration-token table.
+//! The job vocabulary: the sweep-spec text format, the `serve` request
+//! line, and the flow and option tables both are read through.
 //!
 //! A sweep spec is a line-oriented, zero-dependency text file declaring
 //! the axes of a design-space sweep. Each non-empty line is
@@ -23,11 +24,12 @@
 //! shrink a sweep. Cross-axis contradictions (the `t1` flow under fewer
 //! than 3 phases) are rejected at parse time, naming the combination.
 //!
-//! The module also owns [`CONFIG_TOKENS`] and [`apply_config_token`]:
-//! the single table of flow-configuration suffix tokens shared by the
-//! spec's `opt`/`timing` axes and the CLI `serve` request parser, so
-//! both spell options identically and reject unknown ones with the same
-//! exhaustive list.
+//! The module also owns serve's parse step, [`parse_request`], which
+//! checks a whole request line without building its subject. Spec and
+//! request share every table — the [`sfq_circuits::named`] registry,
+//! [`Flow::parse`], the phase floor of [`Flow::preset`] and
+//! [`CONFIG_TOKENS`] — so both spell everything identically and reject
+//! unknown tokens with the same exhaustive list.
 
 use t1map::cells::CellLibrary;
 use t1map::flow::{FlowBuilder, FlowConfig, FlowStats};
@@ -147,14 +149,86 @@ impl Flow {
         }
     }
 
-    /// The preset configuration of this flow at `phases`, as a builder.
-    pub fn preset(self, phases: u32) -> FlowBuilder {
-        match self {
+    /// The preset configuration of this flow at `phases`, as a builder
+    /// (`1phi` runs at one phase whatever `phases` says).
+    ///
+    /// # Errors
+    ///
+    /// Fewer phases than the flow runs at: one for every flow, and three
+    /// for `t1`, whose cells take their three operands in three distinct
+    /// phases. This is the one place that floor is decided.
+    pub fn preset(self, phases: u32) -> Result<FlowBuilder, String> {
+        let least = match self {
+            Flow::T1 => 3,
+            Flow::SinglePhase | Flow::Multiphase => 1,
+        };
+        if phases < least {
+            return Err(format!(
+                "flow '{}' needs at least {least} phase{}, got {phases}",
+                self.token(),
+                if least == 1 { "" } else { "s" }
+            ));
+        }
+        Ok(match self {
             Flow::SinglePhase => FlowConfig::single_phase().to_builder(),
             Flow::Multiphase => FlowConfig::multiphase(phases).to_builder(),
             Flow::T1 => FlowConfig::t1(phases).to_builder(),
-        }
+        })
     }
+}
+
+/// A checked `serve` request line: the subject to build and the flow to
+/// run on it. Parsing builds nothing.
+#[derive(Debug, Clone)]
+pub struct Request<'a> {
+    /// The `name[:width]` subject as written (it labels the job).
+    pub subject: &'a str,
+    /// The subject's registry name.
+    pub name: &'a str,
+    /// The subject's width (0 = the registry default).
+    pub width: usize,
+    /// The flow.
+    pub flow: Flow,
+    /// The flow's configuration, option tokens applied.
+    pub config: FlowConfig,
+}
+
+/// Parses one `serve` request line,
+/// `<benchmark>[:width] <1phi|nphi|t1> [phases] [option ...]`, left to
+/// right; the phase count defaults to 4.
+///
+/// # Errors
+///
+/// A missing subject or flow, and the first field that
+/// [`sfq_circuits::named::parse_subject`], [`Flow::parse`],
+/// [`Flow::preset`] or [`apply_config_token`] rejects.
+pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
+    let mut fields = line.split_whitespace();
+    let subject = fields.next().ok_or("benchmark required")?;
+    let (name, width) = sfq_circuits::named::parse_subject(subject)?;
+    let flow = fields
+        .next()
+        .ok_or_else(|| format!("flow required (one of: {})", FLOW_TOKENS.join(", ")))?;
+    let flow = Flow::parse(flow)?;
+    let mut rest = fields.peekable();
+    let phases = match rest.peek().and_then(|t| t.parse().ok()) {
+        Some(n) => {
+            rest.next();
+            n
+        }
+        None => 4,
+    };
+    let mut builder = flow.preset(phases)?;
+    for token in rest {
+        builder = apply_config_token(builder, token)?;
+    }
+    Ok(Request {
+        subject,
+        name,
+        width,
+        flow,
+        config: builder.build(),
+    })
 }
 
 /// A minimization objective over [`FlowStats`].
@@ -404,12 +478,14 @@ pub fn parse(text: &str) -> Result<SweepSpec, String> {
     if !have_benchmarks {
         return Err("sweep spec has no 'benchmarks' line (it is the one required key)".into());
     }
-    if spec.flows.contains(&Flow::T1) {
-        if let Some(&p) = spec.phases.iter().find(|&&p| p < 3) {
-            return Err(format!(
-                "flow 't1' needs at least 3 phases, but the phases axis contains {p} \
-                 (drop 't1' from 'flows' or raise 'phases')"
-            ));
+    for &flow in &spec.flows {
+        for &phases in &spec.phases {
+            flow.preset(phases).map_err(|e| {
+                format!(
+                    "{e} on the phases axis (drop '{}' from 'flows' or raise 'phases')",
+                    flow.token()
+                )
+            })?;
         }
     }
     Ok(spec)

@@ -96,7 +96,7 @@ pub fn expand(spec: &SweepSpec) -> Result<Expansion, String> {
                     for &timing in &spec.timing {
                         for &library in &spec.libraries {
                             let lib = crate::spec::library_variant(library)?;
-                            let builder = flow.preset(phases);
+                            let builder = flow.preset(phases)?;
                             let builder = crate::spec::apply_config_token(builder, opt)?;
                             let config = builder.timing(timing).build();
                             let mut point = Point {

@@ -13,34 +13,21 @@ use std::hash::Hasher;
 pub struct TimingConfig {
     /// Master switch; a disabled stage costs nothing and reports nothing.
     pub enabled: bool,
-    /// Critical paths to extract when reporting.
-    pub top_paths: u32,
 }
 
 impl TimingConfig {
     /// The disabled stage (flow default).
     pub fn disabled() -> Self {
-        TimingConfig {
-            enabled: false,
-            top_paths: 3,
-        }
+        TimingConfig { enabled: false }
     }
 
     /// The standard enabled stage.
     pub fn standard() -> Self {
-        TimingConfig {
-            enabled: true,
-            ..Self::disabled()
-        }
+        TimingConfig { enabled: true }
     }
 
     /// Canonical encoding of the configuration into `h` (versioned, fixed
     /// field order) — the `sfq-engine` cache-key contribution.
-    ///
-    /// Only computation-affecting fields participate: `top_paths` is a
-    /// rendering knob (path extraction happens at report time, not inside
-    /// the flow), so two configs differing only there produce identical
-    /// flow results and must share a cache entry.
     pub fn fingerprint(&self, h: &mut impl Hasher) {
         h.write_u8(1); // encoding version
         h.write_u8(self.enabled as u8);
@@ -81,9 +68,5 @@ mod tests {
     fn fingerprint_distinguishes_configs() {
         assert_ne!(fp(&TimingConfig::disabled()), fp(&TimingConfig::standard()));
         assert_eq!(fp(&TimingConfig::standard()), fp(&TimingConfig::standard()));
-        // A rendering-only knob must NOT re-key the computation.
-        let mut more_paths = TimingConfig::standard();
-        more_paths.top_paths = 10;
-        assert_eq!(fp(&TimingConfig::standard()), fp(&more_paths));
     }
 }

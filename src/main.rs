@@ -15,12 +15,13 @@ use sfq_t1::bench::args::{
     TRACE,
 };
 use sfq_t1::bench::{
-    bench_report_json, diff_reports, fixpoint_opt_jobs, progress_event, progress_line, result_rows,
+    bench_report_json, diff_reports, fixpoint_opt_jobs, progress_event, progress_line,
     store_summary, suite_summary, table1_jobs_with, table_one, tool_report_json,
     validate_bench_report, BenchmarkScale, JobSample, ReportEntry, ReportMeta,
     DEFAULT_MAX_REGRESS_PCT,
 };
 use sfq_t1::engine::{DiskStore, Job, ResultCache, SuiteReport, SuiteRunner};
+use sfq_t1::explore::spec::Flow;
 use sfq_t1::explore::{explore_report_json, explore_summary, frontier_table};
 use sfq_t1::netlist::aiger;
 use sfq_t1::netlist::Aig;
@@ -578,16 +579,14 @@ fn write_aiger(path: &str, aig: &Aig) -> Result<(), String> {
 /// `--phases` (default 4) and `--no-t1`.
 fn flow_config(args: &Args) -> Result<(u32, FlowConfig), String> {
     let phases: u32 = args.positive("--phases")?.unwrap_or(4);
-    let use_t1 = !args.has("--no-t1");
-    if use_t1 && phases < 3 {
-        return Err("T1 flows need at least 3 phases (use --no-t1 for fewer)".into());
-    }
-    let cfg = if use_t1 {
-        FlowConfig::t1(phases)
+    let builder = if args.has("--no-t1") {
+        Flow::Multiphase.preset(phases)?
     } else {
-        FlowConfig::multiphase(phases)
+        Flow::T1
+            .preset(phases)
+            .map_err(|e| format!("{e} (use --no-t1 for fewer)"))?
     };
-    Ok((phases, cfg))
+    Ok((phases, builder.build()))
 }
 
 /// Static timing analysis: unit-delay slack over the AIG, or phase-granular
@@ -711,9 +710,9 @@ fn scale(small: bool) -> (BenchmarkScale, &'static str) {
 /// Runs the full Table-I suite through the `sfq-engine` worker pool.
 fn cmd_suite(args: &Args) -> Result<(), String> {
     let phases: u32 = args.parse("--phases")?.unwrap_or(4);
-    if phases < 3 {
-        return Err("suite runs the T1 flow, which needs at least 3 phases".into());
-    }
+    Flow::T1
+        .preset(phases)
+        .map_err(|e| format!("suite runs the T1 flow: {e}"))?;
     let pre_opt = args.has("--pre-opt");
     let stats = args.has("--stats");
     // One recorder feeds every sink: the `--stats` summary table, the
@@ -752,8 +751,7 @@ fn cmd_suite(args: &Args) -> Result<(), String> {
     }
     observer.write(&trace, || {
         let meta = table1_meta(scale_name, phases, pre_opt);
-        let rows = result_rows(&jobs, &report);
-        bench_report_json(&meta, &jobs, &rows, &report, &samples, &trace)
+        bench_report_json(&meta, &jobs, &report, &samples, &trace)
     })
 }
 
@@ -821,8 +819,7 @@ fn cmd_explore(args: &Args) -> Result<(), String> {
             phases: run.spec.phases[0],
             pre_opt: run.spec.opts.contains(&"pre-opt"),
         };
-        let rows = result_rows(&run.jobs, &run.report);
-        bench_report_json(&meta, &run.jobs, &rows, &run.report, &run.samples, &trace)
+        bench_report_json(&meta, &run.jobs, &run.report, &run.samples, &trace)
     })
 }
 
@@ -881,8 +878,7 @@ fn cmd_bench_report(args: &Args) -> Result<(), String> {
     progress_line(suite_summary(jobs.len(), &report));
 
     let meta = table1_meta(scale_name, phases, pre_opt);
-    let rows = result_rows(&jobs, &report);
-    let text = bench_report_json(&meta, &jobs, &rows, &report, &samples, &trace);
+    let text = bench_report_json(&meta, &jobs, &report, &samples, &trace);
     // A report that fails its own schema must never reach disk.
     validate_bench_report(&text).map_err(|e| format!("internal: emitted report invalid: {e}"))?;
     write_file(out, text)?;
@@ -928,13 +924,13 @@ fn cmd_bench_diff(args: &Args) -> Result<(), String> {
 /// `done`/`err` response line per request on stdout.
 ///
 /// Request lines: `<benchmark>[:width] <1phi|nphi|t1> [phases]
-/// [pre-opt|slack-opt|dff-opt] [timing]`. Blank lines and `#` comments are
-/// ignored; `---` flushes the accumulated batch through the engine early
-/// (responses stream back in completion order; this thread is one of the
-/// `--jobs` workers, so a response from another worker waits at most until
-/// this thread's current job ends); EOF flushes and exits. All
-/// requests share one result store for the whole session — with
-/// `--cache-dir`, the persistent one.
+/// [option ...]`, read by [`sfq_t1::explore::parse_request`]. Blank lines
+/// and `#` comments are ignored; `---` flushes the accumulated batch
+/// through the engine early (responses stream back in completion order;
+/// this thread is one of the `--jobs` workers, so a response from another
+/// worker waits at most until this thread's current job ends); EOF
+/// flushes and exits. All requests share one result store for the whole
+/// session — with `--cache-dir`, the persistent one.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::io::{BufRead, Write};
 
@@ -1050,44 +1046,20 @@ fn serve_stats_line(store: &ResultCache) -> String {
     )
 }
 
-/// Parses one `serve` request line into a [`Job`] (see [`cmd_serve`]).
-///
-/// Subjects resolve through the shared [`sfq_t1::circuits::named`]
-/// registry and option suffixes through the explore spec's
-/// [`sfq_t1::explore::apply_config_token`] table, so `serve` and
-/// `explore` accept the same spellings and reject unknown tokens with
-/// the same exhaustive list.
+/// Turns one `serve` request line into a [`Job`] (see [`cmd_serve`]):
+/// [`sfq_t1::explore::parse_request`] checks the whole line, the same
+/// vocabulary an explore spec is read with, and only then is the subject
+/// built.
 fn parse_serve_request(line: &str, lib: &CellLibrary) -> Result<Job, String> {
-    let mut fields = line.split_whitespace();
-    let subject = fields.next().ok_or("benchmark required")?;
-    let flow = fields
-        .next()
-        .ok_or("flow required (one of: 1phi, nphi, t1)")?;
-    let mut rest = fields.peekable();
-    let phases: u32 = match rest.peek().and_then(|t| t.parse().ok()) {
-        Some(0) => return Err("phases must be at least 1, got 0".into()),
-        Some(n) => {
-            rest.next();
-            n
-        }
-        None => 4,
-    };
-    let mut builder = match flow {
-        "1phi" => FlowConfig::single_phase().to_builder(),
-        "nphi" => FlowConfig::multiphase(phases).to_builder(),
-        "t1" => {
-            if phases < 3 {
-                return Err(format!("t1 needs at least 3 phases, got {phases}"));
-            }
-            FlowConfig::t1(phases).to_builder()
-        }
-        other => return Err(format!("unknown flow '{other}' (one of: 1phi, nphi, t1)")),
-    };
-    for opt in rest {
-        builder = sfq_t1::explore::apply_config_token(builder, opt)?;
-    }
-    let (label, aig) = sfq_t1::circuits::named::build_subject(subject)?;
-    Ok(Job::new(label, flow, Arc::new(aig), *lib, builder.build()))
+    let request = sfq_t1::explore::parse_request(line)?;
+    let aig = sfq_t1::circuits::named::build(request.name, request.width)?;
+    Ok(Job::new(
+        request.subject,
+        request.flow.token(),
+        Arc::new(aig),
+        *lib,
+        request.config,
+    ))
 }
 
 fn cmd_gen(args: &Args) -> Result<(), String> {
@@ -1103,24 +1075,16 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     }
     let out = args.value("-o").unwrap_or("out.aag");
     let aig = if name == "random" {
-        // Scale-class generator: `gen random --nodes N --seed S` emits a
-        // seeded random network in the same shape as the `scale-100k`
-        // registry entry, so CI smoke sizes are a one-flag choice.
+        // The `scale-100k` generator under any seed, so CI smoke sizes are
+        // a one-flag choice; its largest width bounds --nodes.
         let nodes: usize = args
             .positive("--nodes")?
             .ok_or("gen random: --nodes <count> required")?;
         let seed: u64 = args
             .parse("--seed")?
             .unwrap_or(sfq_t1::circuits::named::SCALE_SEED);
-        sfq_t1::circuits::random::random_aig(
-            seed,
-            &sfq_t1::circuits::random::RandomAigConfig {
-                num_pis: 64,
-                num_gates: nodes,
-                num_pos: 32,
-                xor_percent: 30,
-            },
-        )
+        sfq_t1::circuits::named::build_random(seed, nodes)
+            .map_err(|e| format!("gen random --nodes: {e}"))?
     } else {
         sfq_t1::circuits::named::build(name, width(args)?)?
     };

@@ -1190,6 +1190,19 @@ fn gen_random_then_opt_matches_golden_hash() {
         String::from_utf8_lossy(&out.stderr).contains("--nodes"),
         "error must name --nodes"
     );
+    // --nodes is held to the scale-100k entry's largest width, before
+    // anything is built.
+    let out = bin()
+        .args(["gen", "random", "--nodes", "100000000000", "-o"])
+        .arg(&aag)
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("above its largest width 2097152"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_file(&aag);
     let _ = std::fs::remove_file(&aag2);
 }
