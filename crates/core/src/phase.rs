@@ -120,7 +120,7 @@ fn asap(mc: &MappedCircuit, n: u32) -> Schedule {
                 // Choose three *distinct* delivery offsets in 1..=n (eq. 5
                 // generalized to the full capture window), minimizing first
                 // the T1 stage (eq. 3) and then the DFFs needed to reach the
-                // slots. With n ≤ 4 the brute-force assignment is tiny.
+                // slots.
                 let srcs = [
                     stages[fanins[0].cell.index()],
                     stages[fanins[1].cell.index()],
@@ -149,33 +149,64 @@ fn asap(mc: &MappedCircuit, n: u32) -> Schedule {
 
 /// Chooses distinct delivery offsets (in `1..=n`) for a T1's three operands
 /// given their source stages: minimal feasible σ first (eq. 3), then minimal
-/// chain DFFs `Σ ⌈(σ − oₖ − srcₖ)/n⌉` as a tiebreak.
+/// chain DFFs `Σ ⌈(σ − oₖ − srcₖ)/n⌉` as a tiebreak, then the
+/// lexicographically smallest offsets.
+///
+/// Constant time in `n`. At a given σ, operand `k` may take any offset up
+/// to its cap `min(n, σ − srcₖ)`, and three distinct offsets exist exactly
+/// when the sorted caps are at least 1, 2 and 3; the least such σ lies in
+/// `max(src) + 1..=max(src) + 3`. Every assignment within the caps of that
+/// σ reaches it. An operand's DFF cost is non-increasing in its offset and
+/// takes at most two values over `1..=cap` (the lags `σ − srcₖ − o` span
+/// at most `n` consecutive values), and an optimum never needs more than
+/// the three smallest offsets of a cost level (the other two operands block
+/// at most two of them). So a search over those ≤ 6 candidates per operand,
+/// in the brute force's order, returns the brute force's answer.
 fn best_t1_slots(srcs: &[i64; 3], n: i64) -> (i64, [i64; 3]) {
     let n = n.max(3);
     let ceil_div = |a: i64, b: i64| if a <= 0 { 0 } else { (a + b - 1) / b };
-    let mut best: Option<(i64, i64, [i64; 3])> = None;
-    let mut offs = [0i64; 3];
-    for o0 in 1..=n {
-        for o1 in 1..=n {
-            if o1 == o0 {
-                continue;
+    let top = srcs.iter().copied().max().expect("three sources");
+    let caps_at = |sigma: i64| srcs.map(|src| n.min(sigma - src));
+    let sigma = (top + 1..=top + 3)
+        .find(|&sigma| {
+            let mut caps = caps_at(sigma);
+            caps.sort_unstable();
+            caps[0] >= 1 && caps[1] >= 2 && caps[2] >= 3
+        })
+        .expect("caps of at least 3 admit three distinct offsets");
+    let caps = caps_at(sigma);
+    // Per operand, ascending: the (up to) three smallest offsets of the
+    // higher cost level `1..low`, then of the lowest level `low..=cap`.
+    let candidates: [([i64; 6], usize); 3] = std::array::from_fn(|k| {
+        let lag = sigma - srcs[k];
+        let low = (lag - ceil_div(lag - caps[k], n) * n).max(1);
+        let (mut offs, mut len) = ([0; 6], 0);
+        for o in (1..low.min(4)).chain(low..low + 3) {
+            if o <= caps[k] {
+                offs[len] = o;
+                len += 1;
             }
-            for o2 in 1..=n {
-                if o2 == o0 || o2 == o1 {
+        }
+        (offs, len)
+    });
+    let [c0, c1, c2] = candidates.each_ref().map(|(offs, len)| &offs[..*len]);
+    let cost =
+        |offs: [i64; 3]| -> i64 { (0..3).map(|k| ceil_div(sigma - offs[k] - srcs[k], n)).sum() };
+    let mut best: Option<(i64, [i64; 3])> = None;
+    for &o0 in c0 {
+        for &o1 in c1 {
+            for &o2 in c2 {
+                if o0 == o1 || o0 == o2 || o1 == o2 {
                     continue;
                 }
-                offs[0] = o0;
-                offs[1] = o1;
-                offs[2] = o2;
-                let sigma = (0..3).map(|k| srcs[k] + offs[k]).max().unwrap();
-                let cost: i64 = (0..3).map(|k| ceil_div(sigma - offs[k] - srcs[k], n)).sum();
-                if best.is_none_or(|(s, c, _)| (sigma, cost) < (s, c)) {
-                    best = Some((sigma, cost, offs));
+                let c = cost([o0, o1, o2]);
+                if best.is_none_or(|(b, _)| c < b) {
+                    best = Some((c, [o0, o1, o2]));
                 }
             }
         }
     }
-    let (sigma, _, offsets) = best.expect("n >= 3 always admits an assignment");
+    let (_, offsets) = best.expect("the least feasible σ admits an assignment");
     (sigma, offsets)
 }
 
@@ -799,6 +830,54 @@ pub(crate) mod tests {
             prop_assert_eq!(got, want);
             prop_assert_eq!(evals, want_evals);
         }
+    }
+
+    /// The brute force that [`best_t1_slots`] replaces, kept as its test
+    /// oracle: every ordered triple of distinct offsets in `1..=n`, the
+    /// first least (σ, DFF cost) in lexicographic order wins. O(n³).
+    fn best_t1_slots_brute_force(srcs: &[i64; 3], n: i64) -> (i64, [i64; 3]) {
+        let n = n.max(3);
+        let ceil_div = |a: i64, b: i64| if a <= 0 { 0 } else { (a + b - 1) / b };
+        let mut best: Option<(i64, i64, [i64; 3])> = None;
+        for o0 in 1..=n {
+            for o1 in (1..=n).filter(|&o1| o1 != o0) {
+                for o2 in (1..=n).filter(|&o2| o2 != o0 && o2 != o1) {
+                    let offs = [o0, o1, o2];
+                    let sigma = (0..3).map(|k| srcs[k] + offs[k]).max().unwrap();
+                    let cost: i64 = (0..3).map(|k| ceil_div(sigma - offs[k] - srcs[k], n)).sum();
+                    if best.is_none_or(|(s, c, _)| (sigma, cost) < (s, c)) {
+                        best = Some((sigma, cost, offs));
+                    }
+                }
+            }
+        }
+        let (sigma, _, offsets) = best.unwrap();
+        (sigma, offsets)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// The constant-time slot choice equals the brute force, on source
+        /// stages from one stage apart to 200 apart.
+        #[test]
+        fn t1_slots_match_brute_force(
+            n in 1i64..=40,
+            spread in 1i64..=200,
+            a in 0i64..200,
+            b in 0i64..200,
+            c in 0i64..200,
+        ) {
+            let srcs = [a % spread, b % spread, c % spread];
+            prop_assert_eq!(best_t1_slots(&srcs, n), best_t1_slots_brute_force(&srcs, n));
+        }
+    }
+
+    #[test]
+    fn t1_slots_at_huge_phase_counts() {
+        let n = i64::from(u32::MAX);
+        assert_eq!(best_t1_slots(&[0, 5, 5], n), (7, [7, 1, 2]));
+        assert_eq!(best_t1_slots(&[7, 7, 7], n), (10, [1, 2, 3]));
     }
 
     #[test]

@@ -14,6 +14,15 @@ use t1map::flow::FlowConfig;
 /// [`FlowResult`](t1map::flow::FlowResult); the two halves are kept separate
 /// (rather than folded into one word) so a collision requires *both* 64-bit
 /// digests to collide at once.
+///
+/// The digest half is a whole-network hash and costs as much as a pass over
+/// the AIG, while the setup half is cheap. So a run that submits many jobs
+/// on few networks hashes each network once and builds every key from that
+/// digest with [`CacheKey::from_digest`]: the [`SuiteRunner`] memoizes
+/// digests per shared `Arc<Aig>`, and the `sfq-explore` expander hashes each
+/// subject once.
+///
+/// [`SuiteRunner`]: crate::SuiteRunner
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// [`Aig::structural_hash`] of the subject network.
@@ -25,13 +34,20 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Computes the content address of running `config` on `aig` under
-    /// `lib`.
+    /// `lib`, hashing the whole network.
     pub fn compute(aig: &Aig, lib: &CellLibrary, config: &FlowConfig) -> Self {
+        Self::from_digest(aig.structural_hash(), lib, config)
+    }
+
+    /// The content address of running `config` under `lib` on the network
+    /// whose [`Aig::structural_hash`] is `aig` — [`CacheKey::compute`]
+    /// without the pass over the network.
+    pub fn from_digest(aig: u64, lib: &CellLibrary, config: &FlowConfig) -> Self {
         let mut h = Fnv1a::new();
         lib.fingerprint(&mut h);
         config.fingerprint(&mut h);
         CacheKey {
-            aig: aig.structural_hash(),
+            aig,
             setup: h.finish(),
         }
     }
@@ -103,7 +119,9 @@ impl Job {
         }
     }
 
-    /// The job's content address (see [`CacheKey`]).
+    /// The job's content address (see [`CacheKey`]). Hashes the whole
+    /// network; a caller that already holds its digest calls
+    /// [`CacheKey::from_digest`] instead.
     pub fn key(&self) -> CacheKey {
         CacheKey::compute(&self.aig, &self.lib, &self.config)
     }

@@ -16,7 +16,10 @@
 //!   content address combining the AIG's stable
 //!   [`structural_hash`](sfq_netlist::aig::Aig::structural_hash) with
 //!   canonical fingerprints of the library and configuration — equal inputs
-//!   produce equal keys across threads, runs and platforms.
+//!   produce equal keys across threads, runs and platforms. The digest is a
+//!   pass over the whole network, so a run hashes each network once and
+//!   builds every key from it ([`CacheKey::from_digest`]): the pool keys a
+//!   batch with one hash per distinct `Arc<Aig>`.
 //!
 //! - **[`ResultStore`]** ([`store`]) — the storage abstraction: a
 //!   content-addressed map from [`CacheKey`] to shared results with uniform

@@ -2,6 +2,7 @@
 
 use crate::cache::{CacheStats, HitSource, ResultCache};
 use crate::job::{CacheKey, Job, SubjectKey};
+use sfq_netlist::aig::Aig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -31,8 +32,9 @@ pub struct JobOutcome<'a> {
     pub completed: usize,
     /// Total number of submitted jobs.
     pub total: usize,
-    /// The job's content address, computed once before the workers
-    /// start — streaming consumers (e.g. the `sfq-explore` sweep runner)
+    /// The job's content address (equal to [`Job::key`]), computed once
+    /// before the workers start from one structural hash per distinct
+    /// network — streaming consumers (e.g. the `sfq-explore` sweep runner)
     /// group deduplicated submissions by this key without re-hashing the
     /// AIG.
     pub key: CacheKey,
@@ -90,6 +92,12 @@ pub struct SuiteReport {
 /// their results over an `mpsc` channel to the caller, which invokes the
 /// progress callback (no `Send`/`Sync` bound on the callback) and slots
 /// each result into its submission-order position.
+///
+/// Before any job runs, the runner keys every job from one
+/// [`structural_hash`](Aig::structural_hash) per distinct `Arc<Aig>`, so a
+/// suite of many jobs on few shared networks hashes each network once per
+/// run. Equal networks behind distinct `Arc`s are hashed once each and
+/// still get equal keys.
 ///
 /// Within a run, computed jobs that share a network, a library and a
 /// pre-mapping stage share one [`Subject`]: the first to compute builds it
@@ -215,7 +223,19 @@ impl SuiteRunner {
             }
         };
         let before = cache.stats();
-        let keys: Vec<CacheKey> = jobs.iter().map(Job::key).collect();
+        // One structural hash per distinct network: jobs sharing an `Arc`
+        // share its digest. The pointers stay valid (and unique per live
+        // network) because `jobs` is borrowed for the whole run.
+        let mut digests: HashMap<*const Aig, u64> = HashMap::new();
+        let keys: Vec<CacheKey> = jobs
+            .iter()
+            .map(|job| {
+                let digest = *digests
+                    .entry(Arc::as_ptr(&job.aig))
+                    .or_insert_with(|| job.aig.structural_hash());
+                CacheKey::from_digest(digest, &job.lib, &job.config)
+            })
+            .collect();
         let subject_keys: Vec<SubjectKey> = jobs
             .iter()
             .zip(&keys)

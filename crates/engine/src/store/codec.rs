@@ -568,14 +568,17 @@ impl<'a> Cursor<'a> {
 
 /// Deserializes a [`FlowResult`] previously produced by [`encode`].
 ///
+/// Takes raw bytes: the grammar is ASCII and every byte is checked, so a
+/// byte outside it (UTF-8 or not) is an ordinary decode error.
+///
 /// # Errors
 ///
 /// Any malformed, non-canonical, truncated or version-mismatched input
 /// yields a [`DecodeError`] naming the offending line; the store layers
 /// treat every such error as a cache miss.
-pub fn decode(text: &str) -> Result<FlowResult, DecodeError> {
+pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
     let mut c = Cursor {
-        bytes: text.as_bytes(),
+        bytes,
         pos: 0,
         line: 1,
     };
@@ -919,7 +922,7 @@ mod tests {
             let result = run_flow(&aig, &lib, &cfg);
             let text = encode(&result);
             assert_eq!(text, oracle::encode(&result), "same bytes under {cfg:?}");
-            let back = decode(&text).expect("decodes");
+            let back = decode(text.as_bytes()).expect("decodes");
             assert_eq!(result, back, "round trip under {cfg:?}");
         }
     }
@@ -947,7 +950,7 @@ mod tests {
             &FlowConfig::single_phase(),
         );
         let text = encode(&result).replace(&format!("v{FORMAT_VERSION}"), "v999");
-        let err = decode(&text).expect_err("wrong version rejected");
+        let err = decode(text.as_bytes()).expect_err("wrong version rejected");
         assert!(err.reason.contains("version"), "{err}");
     }
 
@@ -957,16 +960,16 @@ mod tests {
         let text = encode(&result);
         // Every prefix must fail cleanly (the full text must not).
         for cut in 0..text.len().saturating_sub(1) {
-            if let Ok(val) = decode(&text[..cut]) {
+            if let Ok(val) = decode(&text.as_bytes()[..cut]) {
                 panic!("prefix of {cut} bytes decoded to {:?}", val.stats);
             }
         }
-        assert!(decode(&text).is_ok());
+        assert!(decode(text.as_bytes()).is_ok());
     }
 
-    /// Every byte of a real entry replaced by each of a few bytes that
-    /// look like grammar: the decoder returns, and whatever it accepts is
-    /// canonical (re-encodes to the very same bytes).
+    /// Every byte of a real entry replaced by each of the 256 byte values:
+    /// the decoder returns, and whatever it accepts is canonical
+    /// (re-encodes to the very same bytes).
     #[test]
     fn every_byte_replacement_decodes_or_errs() {
         let cfg = FlowConfig::t1(4)
@@ -979,11 +982,10 @@ mod tests {
         let mut accepted = 0;
         for i in 0..bytes.len() {
             let original = bytes[i];
-            for b in *b" \n-09x\r" {
+            for b in 0..=u8::MAX {
                 bytes[i] = b;
-                let text = std::str::from_utf8(&bytes).expect("ASCII");
-                if let Ok(back) = decode(text) {
-                    assert_eq!(encode(&back), text, "byte {i} set to {:?}", b as char);
+                if let Ok(back) = decode(&bytes) {
+                    assert_eq!(encode(&back).as_bytes(), bytes, "byte {i} set to {b:#04x}");
                     accepted += 1;
                 }
             }
@@ -994,7 +996,9 @@ mod tests {
 
     #[test]
     fn hostile_edges_are_rejected_before_the_builder_panics() {
-        let bad = |body: &str| format!("{HEADER} v{FORMAT_VERSION}\nstats 0 0 0 0 0 0 0 0\n{body}");
+        let bad = |body: &str| {
+            format!("{HEADER} v{FORMAT_VERSION}\nstats 0 0 0 0 0 0 0 0\n{body}").into_bytes()
+        };
         // Forward reference.
         assert!(decode(&bad("cells 1\ng 1 2 5 0 0\n")).is_err());
         // Port out of range on a non-T1 producer.
@@ -1013,7 +1017,7 @@ mod tests {
         let entry = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
                      sched 4 0 0\nstages\nt1off 268435456 0\n";
         assert_eq!(entry.len(), 92);
-        let err = decode(entry).expect_err("slot count is not the cell count");
+        let err = decode(entry.as_bytes()).expect_err("slot count is not the cell count");
         assert!(err.reason.contains("slot count"), "{err}");
 
         let head = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
@@ -1024,19 +1028,19 @@ mod tests {
             "plan 1 0 0\nd 0 0 0 0 1000000\n",
             "plan 0 0 0\npreopt 1\nr 100000 0 0 0 0 0\n",
         ] {
-            let err = decode(&format!("{head}{tail}")).expect_err(tail);
+            let err = decode(format!("{head}{tail}").as_bytes()).expect_err(tail);
             assert!(err.reason.contains("implausible"), "{tail}: {err}");
         }
         let stages = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
                       sched 4 0 268435456\n";
-        assert!(decode(stages).is_err());
+        assert!(decode(stages.as_bytes()).is_err());
     }
 
     #[test]
     fn non_canonical_text_is_an_error() {
         let result = run_flow(&adder(3), &CellLibrary::default(), &FlowConfig::t1(4));
         let text = encode(&result);
-        assert!(decode(&text).is_ok());
+        assert!(decode(text.as_bytes()).is_ok());
         for (from, to) in [
             ("\n", "\r\n"),
             ("cells ", "cells  "),
@@ -1048,11 +1052,14 @@ mod tests {
         ] {
             let mangled = text.replacen(from, to, 1);
             assert_ne!(mangled, text);
-            assert!(decode(&mangled).is_err(), "{from:?} -> {to:?} accepted");
+            assert!(
+                decode(mangled.as_bytes()).is_err(),
+                "{from:?} -> {to:?} accepted"
+            );
         }
         // A truth table with bits beyond its variables' 2^n rows.
         let gate = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 2\ni 0\ng 1 6 0 0 0\n";
-        let err = decode(gate).unwrap_err();
+        let err = decode(gate.as_bytes()).unwrap_err();
         assert!(err.reason.contains("beyond 1 variables"), "{err}");
     }
 }

@@ -187,8 +187,8 @@ impl DiskStore {
 impl ResultStore for DiskStore {
     fn get(&self, key: CacheKey) -> Option<Arc<FlowResult>> {
         let path = self.entry_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) => {
                 if e.kind() != io::ErrorKind::NotFound {
                     self.errors.fetch_add(1, Ordering::Relaxed);
@@ -198,7 +198,7 @@ impl ResultStore for DiskStore {
                 return None;
             }
         };
-        match codec::decode(&text) {
+        match codec::decode(&bytes) {
             Ok(result) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::new(result))

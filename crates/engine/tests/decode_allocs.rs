@@ -40,7 +40,7 @@ fn decode_allocates_per_gate_not_per_driver() {
     );
 
     sfq_obs::enable();
-    let back = decode(&text);
+    let back = decode(text.as_bytes());
     let calls = alloc::stats().calls;
     sfq_obs::disable();
 

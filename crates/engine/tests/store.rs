@@ -35,13 +35,13 @@ proptest! {
     ) {
         let original = synthetic_result(seed, with_pre_opt, with_timing);
         let text = codec::encode(&original);
-        let back = codec::decode(&text);
+        let back = codec::decode(text.as_bytes());
         prop_assert_eq!(Ok(&original), back.as_ref(), "seed {}", seed);
         // Encoding is deterministic, so the round trip is a fixpoint.
         prop_assert_eq!(text.clone(), codec::encode(&back.unwrap()));
 
         let extreme = extreme_result(seed);
-        prop_assert_eq!(codec::decode(&codec::encode(&extreme)), Ok(extreme));
+        prop_assert_eq!(codec::decode(codec::encode(&extreme).as_bytes()), Ok(extreme));
     }
 }
 
@@ -56,7 +56,7 @@ fn golden_entry_pins_format_v2() {
     let result = synthetic_result(GOLDEN_SEED, true, true);
     assert_eq!(codec::FORMAT_VERSION, 2);
     assert_eq!(codec::encode(&result), golden);
-    assert_eq!(codec::decode(golden), Ok(result));
+    assert_eq!(codec::decode(golden.as_bytes()), Ok(result));
 }
 
 /// One small real job per flow flavor the front ends submit, including
@@ -134,6 +134,27 @@ fn corrupt_and_truncated_files_are_misses_and_get_removed() {
     std::fs::write(&path, &text[..text.len() / 2]).unwrap();
     assert!(store.get(key).is_none(), "truncated entry is a miss");
     assert!(!path.exists());
+
+    // One byte that is not UTF-8 is a decode error like any other, not an
+    // I/O error that leaves the entry on disk. No other test of this
+    // binary enables the recorder or decodes a bad entry.
+    let mut bytes = text.into_bytes();
+    let middle = bytes.len() / 2;
+    bytes[middle] = 0xFF;
+    std::fs::write(&path, &bytes).unwrap();
+    sfq_obs::enable();
+    let got = store.get(key);
+    sfq_obs::disable();
+    let trace = sfq_obs::take();
+    assert!(got.is_none(), "non-UTF-8 entry is a miss");
+    assert!(!path.exists(), "non-UTF-8 entry removed");
+    assert_eq!(store.stats().errors, 3);
+    let decode_errors = trace
+        .counters
+        .iter()
+        .find(|(n, _)| n == "store.codec.decode_errors")
+        .map(|&(_, v)| v);
+    assert_eq!(decode_errors, Some(1));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -78,6 +78,11 @@ pub struct Expansion {
 
 /// Expands `spec` into its point grid with fingerprint-deduplicated jobs.
 ///
+/// Each subject is built and structurally hashed once, and every point's
+/// [`CacheKey`] is built from that digest; the jobs of one subject share
+/// one `Arc`, so [`run_sweep`]'s runner hashes it once more. A sweep thus
+/// hashes each network twice, however many points it has.
+///
 /// # Errors
 ///
 /// Benchmark construction failures (from [`sfq_circuits::named`]) and
@@ -89,6 +94,9 @@ pub fn expand(spec: &SweepSpec) -> Result<Expansion, String> {
 
     for subject in &spec.benchmarks {
         let (label, aig) = sfq_circuits::named::build_subject(subject)?;
+        // The one structural hash of this subject: every key below is
+        // built from it.
+        let digest = aig.structural_hash();
         let aig = Arc::new(aig);
         for &flow in &spec.flows {
             for &phases in &spec.phases {
@@ -99,6 +107,7 @@ pub fn expand(spec: &SweepSpec) -> Result<Expansion, String> {
                             let builder = flow.preset(phases)?;
                             let builder = crate::spec::apply_config_token(builder, opt)?;
                             let config = builder.timing(timing).build();
+                            let key = CacheKey::from_digest(digest, &lib, &config);
                             let mut point = Point {
                                 benchmark: label.clone(),
                                 flow,
@@ -107,7 +116,7 @@ pub fn expand(spec: &SweepSpec) -> Result<Expansion, String> {
                                 timing,
                                 library,
                                 job: usize::MAX,
-                                key: CacheKey { aig: 0, setup: 0 },
+                                key,
                             };
                             let job = Job::new(
                                 label.clone(),
@@ -116,8 +125,6 @@ pub fn expand(spec: &SweepSpec) -> Result<Expansion, String> {
                                 lib,
                                 config,
                             );
-                            let key = job.key();
-                            point.key = key;
                             point.job = *by_key.entry(key).or_insert_with(|| {
                                 jobs.push(job);
                                 jobs.len() - 1

@@ -710,8 +710,15 @@ impl Aig {
     /// Dead slots *do* participate (the digest is over the raw node array),
     /// so [`Aig::compact`] an edited network before using the digest as a
     /// content address.
+    ///
+    /// A call is a pass over the whole network; each one adds 1 to the
+    /// `netlist.structural_hashes` counter while the `sfq-obs` recorder is
+    /// enabled.
     pub fn structural_hash(&self) -> u64 {
         use std::hash::Hasher;
+        if sfq_obs::is_enabled() {
+            sfq_obs::counter("netlist.structural_hashes", 1);
+        }
         let mut h = crate::fnv::Fnv1a::new();
         h.write_usize(self.nodes.len());
         for node in &self.nodes {

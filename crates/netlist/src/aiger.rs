@@ -88,6 +88,17 @@ impl fmt::Display for ParseAigerError {
 
 impl std::error::Error for ParseAigerError {}
 
+/// The most inputs plus AND gates (`I + A`) a file's header may declare;
+/// both readers refuse a larger header with [`ParseAigerError::BadHeader`]
+/// before building anything.
+///
+/// A binary file's inputs take no bytes, so a 30-byte header could
+/// otherwise ask for hundreds of millions of inputs. The budget,
+/// 2²³ ≈ 8.4M nodes, is twice the largest network the `sfq-circuits`
+/// registry builds (`voter` at its largest width: ≈4.1M inputs plus AND
+/// gates), so every registry network round-trips through a file.
+pub const NODE_BUDGET: u64 = 1 << 23;
+
 struct Header {
     max_var: u64,
     inputs: u64,
@@ -114,12 +125,9 @@ fn parse_header(line: &str, magic: &str) -> Result<Header, ParseAigerError> {
             nums.len()
         )));
     }
-    // Literals pack a node index into 31 bits and node 0 is the constant,
-    // so no network holds more inputs plus AND gates than this.
-    const MAX_NODES: u64 = (1 << 31) - 1;
-    if nums[1].checked_add(nums[4]).is_none_or(|n| n > MAX_NODES) {
+    if nums[1].checked_add(nums[4]).is_none_or(|n| n > NODE_BUDGET) {
         return Err(ParseAigerError::BadHeader(format!(
-            "{} inputs plus {} AND gates exceed the {MAX_NODES}-node limit",
+            "{} inputs plus {} AND gates exceed the {NODE_BUDGET}-node budget",
             nums[1], nums[4]
         )));
     }
@@ -709,13 +717,91 @@ mod tests {
         // Header counts are promises the body must keep, not reservations.
         assert!(read_ascii("aag 1 0 0 4000000000 0\n").is_err());
         assert!(read_ascii("aag 18446744073709551615 18446744073709551615 0 0 1\n").is_err());
-        // Binary inputs are implicit: a count beyond the node limit is an
+        // Binary inputs are implicit: a count beyond the node budget is an
         // error, and `I + A` may not overflow.
         assert!(matches!(
             read_binary(b"aig 4000000000 4000000000 0 0 0\n"),
             Err(ParseAigerError::BadHeader(_))
         ));
         assert!(read_binary(b"aig 0 18446744073709551615 0 0 1\n").is_err());
+    }
+
+    #[test]
+    fn headers_beyond_the_node_budget_are_refused_before_building() {
+        // The 30-byte file that used to create 300M inputs.
+        let file = b"aig 300000000 300000000 0 0 0\n";
+        assert_eq!(file.len(), 30);
+        let err = read_binary(file).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad AIGER header: 300000000 inputs plus 0 AND gates exceed the 8388608-node budget"
+        );
+        let (i, a) = (NODE_BUDGET / 2, NODE_BUDGET / 2 + 1);
+        let over = format!("aag {} {i} 0 0 {a}\n", i + a);
+        assert!(matches!(
+            read_ascii(&over),
+            Err(ParseAigerError::BadHeader(_))
+        ));
+        // At the budget the header passes; here the missing body fails.
+        let at = format!("aig {NODE_BUDGET} 0 0 0 {NODE_BUDGET}\n");
+        assert_eq!(
+            read_binary(at.as_bytes()).unwrap_err(),
+            ParseAigerError::BadBinary("truncated delta".into())
+        );
+    }
+
+    /// A small network with inputs, a complemented and a constant output
+    /// and folded AND gates, in both formats.
+    fn fuzz_seed() -> Aig {
+        let mut g = Aig::new();
+        let pis: Vec<Lit> = (0..4).map(|_| g.add_pi()).collect();
+        let x = g.xor(pis[0], pis[1]);
+        let m = g.maj3(x, pis[2], !pis[3]);
+        g.add_po(m);
+        g.add_po(!x);
+        g.add_po(Lit::FALSE);
+        g
+    }
+
+    /// Whatever a reader accepts is a network: it writes and reads back to
+    /// an equivalent one.
+    fn check_accepted(g: &Aig) {
+        let back = read_ascii(&write_ascii(g)).expect("written files parse");
+        assert!(equivalent(g, &back, g.pi_count()));
+    }
+
+    /// Every prefix of both files, and every byte of both replaced by each
+    /// of the 256 byte values: each reader returns (never panics), and
+    /// whatever it accepts is a network.
+    #[test]
+    fn every_prefix_and_byte_replacement_parses_or_errs() {
+        let g = fuzz_seed();
+        let ascii = write_ascii(&g).into_bytes();
+        let binary = write_binary(&g);
+        type Reader = fn(&[u8]) -> Result<Aig, ParseAigerError>;
+        let readers: [(&[u8], Reader); 2] =
+            [(&ascii, |b| read_ascii_from(b)), (&binary, read_binary)];
+        for (file, read) in readers {
+            assert!(equivalent(&g, &read(file).unwrap(), 4));
+            for cut in 0..file.len() {
+                if let Ok(back) = read(&file[..cut]) {
+                    check_accepted(&back);
+                }
+            }
+            let mut bytes = file.to_vec();
+            let mut accepted = 0;
+            for i in 0..bytes.len() {
+                for b in 0..=u8::MAX {
+                    bytes[i] = b;
+                    if let Ok(back) = read(&bytes) {
+                        check_accepted(&back);
+                        accepted += 1;
+                    }
+                }
+                bytes[i] = file[i];
+            }
+            assert!(accepted > 1, "other literals still parse");
+        }
     }
 
     #[test]
