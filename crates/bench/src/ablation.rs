@@ -224,24 +224,11 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
     {
         use sfq_sim::pulse::{SimOptions, SLOT, T1_MIN_SEPARATION};
-        use t1map::to_pulse_circuit;
+        use t1map::sim_bridge::{random_waves, to_pulse_circuit};
         let aig = epfl::adder(16);
         let res = run_flow(&aig, &lib, &FlowConfig::t1(4));
         let pc = to_pulse_circuit(&res.mapped, &res.schedule, &res.plan);
-        let waves = 16usize;
-        let mut seed = 0xFEE1_600D_u64 | 1;
-        let vectors: Vec<Vec<bool>> = (0..waves)
-            .map(|_| {
-                (0..aig.pi_count())
-                    .map(|_| {
-                        seed ^= seed << 13;
-                        seed ^= seed >> 7;
-                        seed ^= seed << 17;
-                        seed & 1 == 1
-                    })
-                    .collect()
-            })
-            .collect();
+        let vectors = random_waves(aig.pi_count(), 16, 0xFEE1_600D);
         // The nominal margin: pulses are SLOT apart, hazard below
         // T1_MIN_SEPARATION, so overlap needs 2·jitter > SLOT − threshold.
         for amplitude in [0u64, 100, 200, 250, 300, 400, 600, 900] {

@@ -18,9 +18,11 @@
 use sfq_circuits::named;
 use sfq_engine::Job;
 use sfq_netlist::aig::Aig;
+use sfq_opt::OptConfig;
 use std::sync::Arc;
 use t1map::cells::CellLibrary;
 use t1map::flow::FlowConfig;
+use t1map::timing::TimingConfig;
 
 pub mod ablation;
 pub mod args;
@@ -133,13 +135,12 @@ pub fn table1_jobs_with(
     // analysis (stats and CSV provably unchanged — see
     // `timing_stage_attaches_a_summary` in `t1map::flow`), so traces and
     // bench reports carry schedule-slack data on every benchmark.
-    let stage = |config: FlowConfig| {
-        let timed = config.to_builder().timing(true);
+    let stage = |mut config: FlowConfig| {
+        config.timing = TimingConfig::standard();
         if pre_opt {
-            timed.standard_opt().build()
-        } else {
-            timed.build()
+            config.pre_opt = OptConfig::standard();
         }
+        config
     };
     let mut jobs = Vec::new();
     for (name, aig) in paper_benchmarks(scale) {
@@ -165,7 +166,6 @@ pub const FIXPOINT_OPT_FLOW: &str = "T1+fix";
 /// regression baseline — the optimizer dominates their `alloc_bytes`, so
 /// they pin the cost of the optimizer's in-place transforms.
 pub fn fixpoint_opt_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> Vec<Job> {
-    let opt = sfq_opt::OptConfig::standard();
     ["adder", "multiplier", "scale-100k"]
         .map(|name| scale.build(name))
         .into_iter()
@@ -175,11 +175,11 @@ pub fn fixpoint_opt_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> V
                 FIXPOINT_OPT_FLOW,
                 Arc::new(aig),
                 *lib,
-                FlowConfig::t1(n)
-                    .to_builder()
-                    .timing(true)
-                    .pre_opt(opt.clone())
-                    .build(),
+                FlowConfig {
+                    timing: TimingConfig::standard(),
+                    pre_opt: OptConfig::standard(),
+                    ..FlowConfig::t1(n)
+                },
             )
         })
         .collect()
@@ -210,12 +210,11 @@ pub fn phase_sweep_jobs_with(
     lib: &CellLibrary,
     pre_opt: bool,
 ) -> Vec<Job> {
-    let stage = |config: FlowConfig| {
+    let stage = |mut config: FlowConfig| {
         if pre_opt {
-            config.to_builder().standard_opt().build()
-        } else {
-            config
+            config.pre_opt = OptConfig::standard();
         }
+        config
     };
     let mut jobs = Vec::new();
     for n in SWEEP_PHASES {
@@ -260,7 +259,10 @@ pub fn opt_sweep_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> Vec<
             "T1+opt",
             aig.clone(),
             *lib,
-            FlowConfig::t1(n).to_builder().standard_opt().build(),
+            FlowConfig {
+                pre_opt: OptConfig::standard(),
+                ..FlowConfig::t1(n)
+            },
         ));
     }
     jobs
@@ -282,14 +284,20 @@ pub fn slack_sweep_jobs(scale: &BenchmarkScale, n: u32, lib: &CellLibrary) -> Ve
             "T1+opt",
             aig.clone(),
             *lib,
-            FlowConfig::t1(n).to_builder().standard_opt().build(),
+            FlowConfig {
+                pre_opt: OptConfig::standard(),
+                ..FlowConfig::t1(n)
+            },
         ));
         jobs.push(Job::new(
             name,
             "T1+slack",
             aig.clone(),
             *lib,
-            FlowConfig::t1(n).to_builder().slack_opt().build(),
+            FlowConfig {
+                pre_opt: OptConfig::slack_aware(),
+                ..FlowConfig::t1(n)
+            },
         ));
     }
     jobs

@@ -49,7 +49,7 @@ impl JobSample {
     pub fn from_outcome(o: &JobOutcome<'_>) -> Self {
         JobSample {
             micros: o.duration.as_micros() as u64,
-            source: o.source.serve_label(),
+            source: o.source.label(),
             alloc_bytes: o.alloc_bytes,
             peak_bytes: o.peak_bytes,
         }

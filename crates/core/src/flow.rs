@@ -43,6 +43,23 @@ pub enum PhaseEngine {
 }
 
 /// Configuration of a mapping flow.
+///
+/// The presets ([`FlowConfig::single_phase`], [`FlowConfig::multiphase`],
+/// [`FlowConfig::t1`]) spell the three paper flows; optional stages attach
+/// to them as struct updates:
+///
+/// ```
+/// use sfq_opt::OptConfig;
+/// use t1map::flow::FlowConfig;
+/// use t1map::timing::TimingConfig;
+///
+/// let cfg = FlowConfig {
+///     pre_opt: OptConfig::standard(),
+///     timing: TimingConfig::standard(),
+///     ..FlowConfig::t1(4)
+/// };
+/// assert!(cfg.use_t1 && cfg.pre_opt.enabled && cfg.timing.enabled);
+/// ```
 #[derive(Debug, Clone)]
 pub struct FlowConfig {
     /// Number of clock phases `n`.
@@ -113,102 +130,6 @@ impl FlowConfig {
         self.detect.fingerprint(h);
         self.pre_opt.fingerprint(h);
         self.timing.fingerprint(h);
-    }
-
-    /// Starts a [`FlowBuilder`] at `n` phases with every optional stage
-    /// disabled — the single entry point for composing flow variants
-    /// (replaces the removed `with_pre_opt`/`with_slack_opt`/
-    /// `with_dff_opt`/`with_timing` accretion methods).
-    pub fn builder(phases: u32) -> FlowBuilder {
-        FlowBuilder {
-            cfg: FlowConfig {
-                phases,
-                ..Self::single_phase()
-            },
-        }
-    }
-
-    /// Reopens this configuration as a [`FlowBuilder`], for deriving a
-    /// variant from an existing config (e.g. a CLI preset plus `--pre-opt`).
-    pub fn to_builder(self) -> FlowBuilder {
-        FlowBuilder { cfg: self }
-    }
-}
-
-/// Chainable construction of a [`FlowConfig`].
-///
-/// Every method returns `Self`, so flow variants compose in one
-/// expression; [`FlowBuilder::build`] yields the finished configuration.
-/// Presets ([`FlowConfig::single_phase`], [`FlowConfig::multiphase`],
-/// [`FlowConfig::t1`]) remain the spelling for the three paper flows;
-/// the builder is how optional stages attach to them:
-///
-/// ```
-/// use t1map::flow::FlowConfig;
-///
-/// let cfg = FlowConfig::builder(4).t1(true).standard_opt().timing(true).build();
-/// assert!(cfg.use_t1 && cfg.pre_opt.enabled && cfg.timing.enabled);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FlowBuilder {
-    cfg: FlowConfig,
-}
-
-impl FlowBuilder {
-    /// Enables or disables T1 detection and instantiation.
-    pub fn t1(mut self, enable: bool) -> Self {
-        self.cfg.use_t1 = enable;
-        self
-    }
-
-    /// Selects the phase-assignment engine.
-    pub fn engine(mut self, engine: PhaseEngine) -> Self {
-        self.cfg.engine = engine;
-        self
-    }
-
-    /// Replaces the pre-mapping optimization stage wholesale (the escape
-    /// hatch; the named variants below cover the shipped pipelines).
-    pub fn pre_opt(mut self, pre_opt: OptConfig) -> Self {
-        self.cfg.pre_opt = pre_opt;
-        self
-    }
-
-    /// The standard pre-mapping optimization stage (`--pre-opt` on the CLI
-    /// and the bench binaries).
-    pub fn standard_opt(self) -> Self {
-        self.pre_opt(OptConfig::standard())
-    }
-
-    /// The slack-aware pre-mapping optimization stage (`sfq-opt`'s
-    /// `rewrite-slack` pipeline).
-    pub fn slack_opt(self) -> Self {
-        self.pre_opt(OptConfig::slack_aware())
-    }
-
-    /// The DFF-objective pre-mapping optimization stage (`sfq-opt`'s
-    /// `rewrite-dff` pipeline): rewrite sites are priced by their projected
-    /// per-edge DFF cost under **this builder's** phase count, bridging the
-    /// §II-B `edge_dff_objective` accounting of `t1map::timing` into
-    /// pre-mapping synthesis.
-    pub fn dff_opt(self) -> Self {
-        let n = self.cfg.phases.max(1);
-        self.pre_opt(OptConfig::dff_aware(n))
-    }
-
-    /// Enables or disables the post-scheduling timing-analysis stage.
-    pub fn timing(mut self, enable: bool) -> Self {
-        self.cfg.timing = if enable {
-            TimingConfig::standard()
-        } else {
-            TimingConfig::disabled()
-        };
-        self
-    }
-
-    /// Finishes the configuration.
-    pub fn build(self) -> FlowConfig {
-        self.cfg
     }
 }
 
@@ -495,10 +416,14 @@ mod tests {
         let lib = CellLibrary::default();
         let aig = adder(8);
         let plain = run_flow(&aig, &lib, &FlowConfig::t1(4));
+        let pre_opt = OptConfig::standard();
         let pre = run_flow(
             &aig,
             &lib,
-            &FlowConfig::t1(4).to_builder().standard_opt().build(),
+            &FlowConfig {
+                pre_opt: pre_opt.clone(),
+                ..FlowConfig::t1(4)
+            },
         );
         // The mapped result of the optimized network still computes the
         // subject functions.
@@ -520,17 +445,7 @@ mod tests {
         // real mapping.
         assert!(pre.stats.gates > 0 && plain.stats.gates > 0);
         assert!(
-            sfq_opt::optimize(
-                &aig,
-                &FlowConfig::t1(4)
-                    .to_builder()
-                    .standard_opt()
-                    .build()
-                    .pre_opt
-            )
-            .0
-            .and_count()
-                <= aig.and_count(),
+            sfq_opt::optimize(&aig, &pre_opt).0.and_count() <= aig.and_count(),
             "the pre-opt stage itself never grows the AIG"
         );
     }
@@ -541,11 +456,11 @@ mod tests {
         use std::hash::Hasher;
         let lib = CellLibrary::default();
         let aig = adder(8);
-        let res = run_flow(
-            &aig,
-            &lib,
-            &FlowConfig::t1(4).to_builder().dff_opt().build(),
-        );
+        let dff_opt = FlowConfig {
+            pre_opt: OptConfig::dff_aware(4),
+            ..FlowConfig::t1(4)
+        };
+        let res = run_flow(&aig, &lib, &dff_opt);
         let mut state = 0x0DFF_0DFF_0DFF_0DFFu64 | 1;
         for _ in 0..4 {
             let inputs: Vec<u64> = (0..aig.pi_count())
@@ -565,23 +480,24 @@ mod tests {
             cfg.fingerprint(&mut h);
             h.finish()
         };
-        let plain = FlowConfig::t1(4);
-        assert_ne!(
-            fp(&plain),
-            fp(&plain.clone().to_builder().dff_opt().build())
-        );
-        assert_ne!(
-            fp(&plain.clone().to_builder().slack_opt().build()),
-            fp(&plain.clone().to_builder().dff_opt().build())
-        );
+        let slack_opt = FlowConfig {
+            pre_opt: OptConfig::slack_aware(),
+            ..FlowConfig::t1(4)
+        };
+        assert_ne!(fp(&FlowConfig::t1(4)), fp(&dff_opt));
+        assert_ne!(fp(&slack_opt), fp(&dff_opt));
         // Same flow phase count, different pricing phase count: only the
         // pre-opt stage encoding separates these two, so this pins the
         // RewriteDff parameter actually reaching the fingerprint.
-        let mut price4 = FlowConfig::t1(4);
-        price4.pre_opt = sfq_opt::OptConfig::dff_aware(4);
-        let mut price8 = FlowConfig::t1(4);
-        price8.pre_opt = sfq_opt::OptConfig::dff_aware(8);
-        assert_ne!(fp(&price4), fp(&price8), "the pricing phase count must key");
+        let price8 = FlowConfig {
+            pre_opt: OptConfig::dff_aware(8),
+            ..FlowConfig::t1(4)
+        };
+        assert_ne!(
+            fp(&dff_opt),
+            fp(&price8),
+            "the pricing phase count must key"
+        );
     }
 
     #[test]
@@ -593,7 +509,10 @@ mod tests {
         let timed = run_flow(
             &aig,
             &lib,
-            &FlowConfig::t1(4).to_builder().timing(true).build(),
+            &FlowConfig {
+                timing: TimingConfig::standard(),
+                ..FlowConfig::t1(4)
+            },
         );
         let summary = timed.timing.expect("enabled stage attaches a summary");
         assert_eq!(summary.horizon, timed.schedule.horizon);
@@ -602,41 +521,6 @@ mod tests {
         assert!(summary.zero_slack_cells > 0);
         // The stage is pure analysis: mapping results are untouched.
         assert_eq!(plain.stats, timed.stats);
-    }
-
-    #[test]
-    fn builder_reproduces_preset_fingerprints() {
-        use sfq_netlist::fnv::Fnv1a;
-        use std::hash::Hasher;
-        let fp = |cfg: &FlowConfig| {
-            let mut h = Fnv1a::new();
-            cfg.fingerprint(&mut h);
-            h.finish()
-        };
-        // The builder is a pure re-spelling: it must hit the exact content
-        // addresses the presets produce, or every persisted store entry
-        // written before this API existed would silently invalidate.
-        assert_eq!(
-            fp(&FlowConfig::builder(1).build()),
-            fp(&FlowConfig::single_phase())
-        );
-        assert_eq!(
-            fp(&FlowConfig::builder(4).build()),
-            fp(&FlowConfig::multiphase(4))
-        );
-        assert_eq!(
-            fp(&FlowConfig::builder(4).t1(true).build()),
-            fp(&FlowConfig::t1(4))
-        );
-        // dff_opt prices at the builder's phase count, not a global default.
-        let priced = FlowConfig::builder(6).t1(true).dff_opt().build();
-        assert_eq!(priced.pre_opt, OptConfig::dff_aware(6));
-        // Stages toggle off again, landing back on the preset address.
-        let toggled = FlowConfig::builder(4).timing(true).timing(false).build();
-        assert_eq!(fp(&toggled), fp(&FlowConfig::multiphase(4)));
-        // Exact-engine selection flows through the builder.
-        let exact = FlowConfig::builder(2).engine(PhaseEngine::Exact).build();
-        assert_eq!(exact.engine, PhaseEngine::Exact);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use cells::{CellLibrary, GateClass};
 pub use detect::{detect, select_exact, DetectConfig, DetectionResult};
 pub use dff::{build_chain, insert_dffs, Chain, Consumer, DffPlan, Requirement};
 pub use dot::to_dot;
-pub use flow::{run_flow, FlowBuilder, FlowConfig, FlowResult, FlowStats, PhaseEngine, Subject};
+pub use flow::{run_flow, FlowConfig, FlowResult, FlowStats, PhaseEngine, Subject};
 pub use mapped::{CellId, Edge, MappedCell, MappedCircuit};
 pub use mapper::{map, MapResult, T1Group, T1Member, T1Selection};
 pub use phase::{assign_phases, assign_phases_exact, Schedule};

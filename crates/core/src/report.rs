@@ -5,9 +5,7 @@
 //! all three flows, with `T1/1φ` and `T1/4φ` ratio columns and a final
 //! averages row.
 
-use crate::cells::CellLibrary;
-use crate::flow::{run_flow, FlowConfig, FlowStats};
-use sfq_netlist::aig::Aig;
+use crate::flow::FlowStats;
 use std::fmt;
 
 /// One benchmark row of Table I.
@@ -24,8 +22,8 @@ pub struct TableRow {
 }
 
 impl TableRow {
-    /// Assembles a row from already-measured flow stats (the `sfq-engine`
-    /// path: flows run elsewhere, possibly in parallel or from cache).
+    /// Assembles a row from already-measured flow stats (the flows run
+    /// through `sfq-engine`, possibly in parallel or from cache).
     pub fn from_stats(name: &str, single: FlowStats, multi: FlowStats, t1: FlowStats) -> Self {
         TableRow {
             name: name.to_string(),
@@ -33,14 +31,6 @@ impl TableRow {
             multi,
             t1,
         }
-    }
-
-    /// Runs all three flows on `aig` under `n` phases.
-    pub fn measure(name: &str, aig: &Aig, lib: &CellLibrary, n: u32) -> Self {
-        let single = run_flow(aig, lib, &FlowConfig::single_phase()).stats;
-        let multi = run_flow(aig, lib, &FlowConfig::multiphase(n)).stats;
-        let t1 = run_flow(aig, lib, &FlowConfig::t1(n)).stats;
-        Self::from_stats(name, single, multi, t1)
     }
 
     /// `T1 / 1φ` DFF ratio.
@@ -99,14 +89,7 @@ impl TableOne {
         Self::default()
     }
 
-    /// Measures and appends a benchmark.
-    pub fn add(&mut self, name: &str, aig: &Aig, lib: &CellLibrary, n: u32) -> &TableRow {
-        let row = TableRow::measure(name, aig, lib, n);
-        self.rows.push(row);
-        self.rows.last().expect("just pushed")
-    }
-
-    /// Appends an already-measured row (the `sfq-engine` path).
+    /// Appends an already-measured row.
     pub fn push(&mut self, row: TableRow) {
         self.rows.push(row);
     }
@@ -208,13 +191,25 @@ impl fmt::Display for TableOne {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::CellLibrary;
+    use crate::flow::{run_flow, FlowConfig};
     use sfq_circuits::epfl::adder;
+
+    /// The three flows of `adder(width)` at 4 phases, as one row.
+    fn adder_row(name: &str, width: usize) -> TableRow {
+        let (aig, lib) = (adder(width), CellLibrary::default());
+        let stats = |config: FlowConfig| run_flow(&aig, &lib, &config).stats;
+        TableRow::from_stats(
+            name,
+            stats(FlowConfig::single_phase()),
+            stats(FlowConfig::multiphase(4)),
+            stats(FlowConfig::t1(4)),
+        )
+    }
 
     #[test]
     fn table_row_on_small_adder() {
-        let lib = CellLibrary::default();
-        let aig = adder(8);
-        let row = TableRow::measure("adder8", &aig, &lib, 4);
+        let row = adder_row("adder8", 8);
         assert!(row.t1.t1_used > 0);
         assert!(row.dff_ratio_1() < 1.0, "T1 beats 1φ on DFFs");
         assert!(row.area_ratio_1() < 1.0, "T1 beats 1φ on area");
@@ -222,9 +217,8 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_rows() {
-        let lib = CellLibrary::default();
         let mut t = TableOne::new();
-        t.add("adder4", &adder(4), &lib, 4);
+        t.push(adder_row("adder4", 4));
         let csv = t.to_csv();
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.starts_with("benchmark,"));
@@ -232,9 +226,8 @@ mod tests {
 
     #[test]
     fn display_renders() {
-        let lib = CellLibrary::default();
         let mut t = TableOne::new();
-        t.add("adder4", &adder(4), &lib, 4);
+        t.push(adder_row("adder4", 4));
         let s = t.to_string();
         assert!(s.contains("adder4"));
         assert!(s.contains("Average"));

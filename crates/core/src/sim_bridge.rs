@@ -183,6 +183,24 @@ pub fn to_pulse_circuit(mc: &MappedCircuit, sched: &Schedule, plan: &DffPlan) ->
     pc
 }
 
+/// `waves` pseudo-random input vectors of `inputs` bits each, drawn from a
+/// xorshift64 generator started at `seed` (which must be nonzero). The
+/// stream is fixed by the seed, so a verification run is reproducible.
+pub fn random_waves(inputs: usize, waves: usize, mut seed: u64) -> Vec<Vec<bool>> {
+    (0..waves)
+        .map(|_| {
+            (0..inputs)
+                .map(|_| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    seed & 1 == 1
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,26 +210,11 @@ mod tests {
     use sfq_circuits::epfl::adder;
     use sfq_circuits::random::{random_aig, RandomAigConfig};
 
-    fn random_vectors(width: usize, count: usize, mut seed: u64) -> Vec<Vec<bool>> {
-        (0..count)
-            .map(|_| {
-                (0..width)
-                    .map(|_| {
-                        seed ^= seed << 13;
-                        seed ^= seed >> 7;
-                        seed ^= seed << 17;
-                        seed & 1 == 1
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     fn check_flow_in_sim(aig: &sfq_netlist::aig::Aig, cfg: &FlowConfig, waves: usize) {
         let lib = CellLibrary::default();
         let res = run_flow(aig, &lib, cfg);
         let pc = to_pulse_circuit(&res.mapped, &res.schedule, &res.plan);
-        let vectors = random_vectors(aig.pi_count(), waves, 0xABCDEF987654321);
+        let vectors = random_waves(aig.pi_count(), waves, 0xABCDEF987654321);
         let outcome = pc.simulate(&vectors, cfg.phases).expect("valid schedule");
         assert_eq!(outcome.hazards, 0, "no T1 pulse-overlap hazards");
         for (k, v) in vectors.iter().enumerate() {

@@ -94,25 +94,10 @@ impl MappedTiming {
         self.latest(cell).saturating_sub(sched.stages[cell.index()])
     }
 
-    /// The `k` structurally longest PI→PO paths (stage-weighted).
-    pub fn critical_paths(&self, k: usize) -> Vec<TimingPath> {
-        self.critical_paths_bounded(k).0
-    }
-
-    /// [`MappedTiming::critical_paths`] that also reports whether the
-    /// search budget expired before `k` paths were found.
+    /// The `k` structurally longest PI→PO paths (stage-weighted), and
+    /// whether the search budget expired before `k` paths were found.
     pub fn critical_paths_bounded(&self, k: usize) -> (Vec<TimingPath>, bool) {
         top_paths_bounded(&self.graph, &self.analysis, k)
-    }
-
-    /// Borrow of the underlying graph.
-    pub fn graph(&self) -> &TimingGraph {
-        &self.graph
-    }
-
-    /// Borrow of the underlying analysis.
-    pub fn analysis(&self) -> &TimingAnalysis {
-        &self.analysis
     }
 
     /// Condenses the analysis into the flow-level [`TimingSummary`].
@@ -223,8 +208,8 @@ mod tests {
             }
             assert!(timing.earliest(id) <= res.schedule.stages[id.index()]);
         }
-        let paths = timing.critical_paths(2);
-        assert!(!paths.is_empty());
+        let (paths, truncated) = timing.critical_paths_bounded(2);
+        assert!(!paths.is_empty() && !truncated);
         assert_eq!(paths[0].length, res.schedule.horizon, "ASAP top path");
         assert_eq!(paths[0].slack, 0);
     }

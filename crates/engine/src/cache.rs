@@ -21,17 +21,9 @@ pub enum HitSource {
 }
 
 impl HitSource {
-    /// Short label used by progress lines.
+    /// The provenance word every front end prints: `serve` response lines,
+    /// progress lines, explore and bench reports.
     pub fn label(self) -> &'static str {
-        match self {
-            HitSource::Memory => "cached",
-            HitSource::Disk => "disk",
-            HitSource::Computed => "mapped",
-        }
-    }
-
-    /// Label used by `serve` response lines.
-    pub fn serve_label(self) -> &'static str {
         match self {
             HitSource::Memory => "memory",
             HitSource::Disk => "disk",

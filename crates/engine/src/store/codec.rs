@@ -900,8 +900,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use sfq_circuits::epfl::adder;
+    use sfq_opt::OptConfig;
     use t1map::cells::CellLibrary;
     use t1map::flow::{run_flow, FlowConfig};
+    use t1map::timing::TimingConfig;
 
     #[test]
     fn real_flow_results_round_trip() {
@@ -911,13 +913,19 @@ mod tests {
             FlowConfig::single_phase(),
             FlowConfig::multiphase(4),
             FlowConfig::t1(4),
-            FlowConfig::t1(4).to_builder().standard_opt().build(),
-            FlowConfig::t1(4).to_builder().timing(true).build(),
-            FlowConfig::t1(4)
-                .to_builder()
-                .slack_opt()
-                .timing(true)
-                .build(),
+            FlowConfig {
+                pre_opt: OptConfig::standard(),
+                ..FlowConfig::t1(4)
+            },
+            FlowConfig {
+                timing: TimingConfig::standard(),
+                ..FlowConfig::t1(4)
+            },
+            FlowConfig {
+                pre_opt: OptConfig::slack_aware(),
+                timing: TimingConfig::standard(),
+                ..FlowConfig::t1(4)
+            },
         ] {
             let result = run_flow(&aig, &lib, &cfg);
             let text = encode(&result);
@@ -972,11 +980,11 @@ mod tests {
     /// (re-encodes to the very same bytes).
     #[test]
     fn every_byte_replacement_decodes_or_errs() {
-        let cfg = FlowConfig::t1(4)
-            .to_builder()
-            .standard_opt()
-            .timing(true)
-            .build();
+        let cfg = FlowConfig {
+            pre_opt: OptConfig::standard(),
+            timing: TimingConfig::standard(),
+            ..FlowConfig::t1(4)
+        };
         let result = run_flow(&adder(3), &CellLibrary::default(), &cfg);
         let mut bytes = encode(&result).into_bytes();
         let mut accepted = 0;

@@ -5,9 +5,11 @@
 use sfq_circuits::epfl;
 use sfq_engine::{CacheKey, Job, SuiteRunner};
 use sfq_netlist::aig::Aig;
+use sfq_opt::OptConfig;
 use std::sync::Arc;
 use t1map::cells::CellLibrary;
 use t1map::flow::FlowConfig;
+use t1map::timing::TimingConfig;
 
 /// Builds a 4-bit adder through the public construction API (not the `epfl`
 /// generator) so the test controls every gate.
@@ -131,7 +133,10 @@ fn pre_opt_jobs_get_distinct_cache_keys() {
         "T1+opt",
         aig.clone(),
         lib,
-        FlowConfig::t1(4).to_builder().standard_opt().build(),
+        FlowConfig {
+            pre_opt: OptConfig::standard(),
+            ..FlowConfig::t1(4)
+        },
     );
     assert_ne!(
         plain.key(),
@@ -143,7 +148,10 @@ fn pre_opt_jobs_get_distinct_cache_keys() {
         CacheKey::compute(
             &aig,
             &lib,
-            &FlowConfig::t1(4).to_builder().standard_opt().build()
+            &FlowConfig {
+                pre_opt: OptConfig::standard(),
+                ..FlowConfig::t1(4)
+            }
         ),
         "equal configurations agree on the key"
     );
@@ -167,7 +175,10 @@ fn timing_configs_get_distinct_cache_keys() {
         "T1+sta",
         aig.clone(),
         lib,
-        FlowConfig::t1(4).to_builder().timing(true).build(),
+        FlowConfig {
+            timing: TimingConfig::standard(),
+            ..FlowConfig::t1(4)
+        },
     );
     assert_ne!(
         plain.key(),
@@ -179,12 +190,18 @@ fn timing_configs_get_distinct_cache_keys() {
         CacheKey::compute(
             &aig,
             &lib,
-            &FlowConfig::t1(4).to_builder().standard_opt().build()
+            &FlowConfig {
+                pre_opt: OptConfig::standard(),
+                ..FlowConfig::t1(4)
+            }
         ),
         CacheKey::compute(
             &aig,
             &lib,
-            &FlowConfig::t1(4).to_builder().slack_opt().build()
+            &FlowConfig {
+                pre_opt: OptConfig::slack_aware(),
+                ..FlowConfig::t1(4)
+            }
         ),
         "conservative and slack-aware pre-opt must not share results"
     );

@@ -10,11 +10,13 @@ use proptest::prelude::*;
 use sfq_circuits::epfl;
 use sfq_engine::store::codec;
 use sfq_engine::{DiskStore, HitSource, Job, ResultCache, ResultStore, SuiteRunner};
+use sfq_opt::OptConfig;
 use std::path::PathBuf;
 use std::sync::Arc;
 use synthetic::{extreme_result, synthetic_result};
 use t1map::cells::CellLibrary;
 use t1map::flow::FlowConfig;
+use t1map::timing::TimingConfig;
 
 /// Fresh per-test scratch directory (removed by the test when it cares;
 /// the temp dir is process-unique so parallel test binaries never clash).
@@ -74,18 +76,21 @@ fn flavored_jobs() -> Vec<Job> {
             "T1+opt",
             aig.clone(),
             lib,
-            FlowConfig::t1(4).to_builder().standard_opt().build(),
+            FlowConfig {
+                pre_opt: OptConfig::standard(),
+                ..FlowConfig::t1(4)
+            },
         ),
         Job::new(
             "adder6",
             "T1+sta",
             aig,
             lib,
-            FlowConfig::t1(4)
-                .to_builder()
-                .slack_opt()
-                .timing(true)
-                .build(),
+            FlowConfig {
+                pre_opt: OptConfig::slack_aware(),
+                timing: TimingConfig::standard(),
+                ..FlowConfig::t1(4)
+            },
         ),
     ]
 }

@@ -36,7 +36,10 @@ fn jobs() -> Vec<Job> {
                     ("nφ", FlowConfig::multiphase(4)),
                     ("T1", FlowConfig::t1(4)),
                 ] {
-                    let config = config.to_builder().pre_opt(pre_opt.clone()).build();
+                    let config = FlowConfig {
+                        pre_opt: pre_opt.clone(),
+                        ..config
+                    };
                     jobs.push(Job::new(name, flow, aig.clone(), lib, config));
                 }
             }

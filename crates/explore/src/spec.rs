@@ -31,8 +31,10 @@
 //! [`CONFIG_TOKENS`] — so both spell everything identically and reject
 //! unknown tokens with the same exhaustive list.
 
+use sfq_opt::OptConfig;
 use t1map::cells::CellLibrary;
-use t1map::flow::{FlowBuilder, FlowConfig, FlowStats};
+use t1map::flow::{FlowConfig, FlowStats};
+use t1map::timing::TimingConfig;
 
 /// Legal `flows` axis values.
 pub const FLOW_TOKENS: [&str; 3] = ["1phi", "nphi", "t1"];
@@ -68,26 +70,28 @@ pub const CONFIG_TOKENS: [&str; 6] = [
     "no-timing",
 ];
 
-/// Applies one configuration token to a [`FlowBuilder`].
+/// Applies one configuration token to `config`. `dff-opt` prices its
+/// rewrites at `config`'s own phase count.
 ///
 /// # Errors
 ///
 /// Unknown tokens are a hard error listing all of [`CONFIG_TOKENS`].
-pub fn apply_config_token(builder: FlowBuilder, token: &str) -> Result<FlowBuilder, String> {
-    Ok(match token {
-        "none" => builder,
-        "pre-opt" => builder.standard_opt(),
-        "slack-opt" => builder.slack_opt(),
-        "dff-opt" => builder.dff_opt(),
-        "timing" => builder.timing(true),
-        "no-timing" => builder.timing(false),
+pub fn apply_config_token(config: &mut FlowConfig, token: &str) -> Result<(), String> {
+    match token {
+        "none" => {}
+        "pre-opt" => config.pre_opt = OptConfig::standard(),
+        "slack-opt" => config.pre_opt = OptConfig::slack_aware(),
+        "dff-opt" => config.pre_opt = OptConfig::dff_aware(config.phases.max(1)),
+        "timing" => config.timing = TimingConfig::standard(),
+        "no-timing" => config.timing = TimingConfig::disabled(),
         other => {
             return Err(format!(
                 "unknown option '{other}' (one of: {})",
                 CONFIG_TOKENS.join(", ")
             ))
         }
-    })
+    }
+    Ok(())
 }
 
 /// Resolves a named [`CellLibrary`] variant.
@@ -149,15 +153,15 @@ impl Flow {
         }
     }
 
-    /// The preset configuration of this flow at `phases`, as a builder
-    /// (`1phi` runs at one phase whatever `phases` says).
+    /// The preset configuration of this flow at `phases` (`1phi` runs at
+    /// one phase whatever `phases` says).
     ///
     /// # Errors
     ///
     /// Fewer phases than the flow runs at: one for every flow, and three
     /// for `t1`, whose cells take their three operands in three distinct
     /// phases. This is the one place that floor is decided.
-    pub fn preset(self, phases: u32) -> Result<FlowBuilder, String> {
+    pub fn preset(self, phases: u32) -> Result<FlowConfig, String> {
         let least = match self {
             Flow::T1 => 3,
             Flow::SinglePhase | Flow::Multiphase => 1,
@@ -170,9 +174,9 @@ impl Flow {
             ));
         }
         Ok(match self {
-            Flow::SinglePhase => FlowConfig::single_phase().to_builder(),
-            Flow::Multiphase => FlowConfig::multiphase(phases).to_builder(),
-            Flow::T1 => FlowConfig::t1(phases).to_builder(),
+            Flow::SinglePhase => FlowConfig::single_phase(),
+            Flow::Multiphase => FlowConfig::multiphase(phases),
+            Flow::T1 => FlowConfig::t1(phases),
         })
     }
 }
@@ -197,11 +201,16 @@ pub struct Request<'a> {
 /// `<benchmark>[:width] <1phi|nphi|t1> [phases] [option ...]`, left to
 /// right; the phase count defaults to 4.
 ///
+/// A request is one point, so it takes at most one option per axis: one
+/// of `none`/`pre-opt`/`slack-opt`/`dff-opt` and one of
+/// `timing`/`no-timing`.
+///
 /// # Errors
 ///
-/// A missing subject or flow, and the first field that
+/// A missing subject or flow, the first field that
 /// [`sfq_circuits::named::parse_subject`], [`Flow::parse`],
-/// [`Flow::preset`] or [`apply_config_token`] rejects.
+/// [`Flow::preset`] or [`apply_config_token`] rejects, and a second
+/// option on an axis (the message names both).
 pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
     let mut fields = line.split_whitespace();
     let subject = fields.next().ok_or("benchmark required")?;
@@ -218,16 +227,25 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
         }
         None => 4,
     };
-    let mut builder = flow.preset(phases)?;
+    let mut config = flow.preset(phases)?;
+    // The option set on each axis so far: [opt, timing].
+    let mut set: [Option<&str>; 2] = [None, None];
     for token in rest {
-        builder = apply_config_token(builder, token)?;
+        apply_config_token(&mut config, token)?;
+        let axis = usize::from(!OPT_TOKENS.contains(&token));
+        if let Some(first) = set[axis].replace(token) {
+            return Err(format!(
+                "options '{first}' and '{token}' both set the {} axis (a request takes one)",
+                ["opt", "timing"][axis]
+            ));
+        }
     }
     Ok(Request {
         subject,
         name,
         width,
         flow,
-        config: builder.build(),
+        config,
     })
 }
 
@@ -586,17 +604,31 @@ mod tests {
     fn config_tokens_cover_opt_axis_and_timing() {
         for token in OPT_TOKENS {
             assert!(CONFIG_TOKENS.contains(&token), "{token} must be shared");
-            assert!(apply_config_token(FlowConfig::builder(4), token).is_ok());
+            assert!(apply_config_token(&mut FlowConfig::multiphase(4), token).is_ok());
         }
-        let cfg = apply_config_token(FlowConfig::builder(4), "timing")
-            .unwrap()
-            .build();
+        let mut cfg = FlowConfig::multiphase(4);
+        apply_config_token(&mut cfg, "timing").unwrap();
         assert!(cfg.timing.enabled);
-        let err = apply_config_token(FlowConfig::builder(4), "fast").unwrap_err();
+        apply_config_token(&mut cfg, "dff-opt").unwrap();
+        assert_eq!(cfg.pre_opt, OptConfig::dff_aware(4));
+        let err = apply_config_token(&mut cfg, "fast").unwrap_err();
         assert!(err.contains("unknown option 'fast'"), "{err}");
         for token in CONFIG_TOKENS {
             assert!(err.contains(token), "error must list {token}: {err}");
         }
+    }
+
+    #[test]
+    fn a_request_takes_one_option_per_axis() {
+        let err = parse_request("adder:4 t1 4 pre-opt dff-opt").unwrap_err();
+        assert!(err.contains("'pre-opt' and 'dff-opt'"), "{err}");
+        let err = parse_request("adder:4 t1 4 timing pre-opt no-timing").unwrap_err();
+        assert!(err.contains("'timing' and 'no-timing'"), "{err}");
+        let err = parse_request("adder:4 t1 4 none none").unwrap_err();
+        assert!(err.contains("'none' and 'none'"), "{err}");
+        let request = parse_request("adder:4 t1 4 dff-opt timing").unwrap();
+        assert_eq!(request.config.pre_opt, OptConfig::dff_aware(4));
+        assert!(request.config.timing.enabled);
     }
 
     #[test]

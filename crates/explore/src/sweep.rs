@@ -104,9 +104,9 @@ pub fn expand(spec: &SweepSpec) -> Result<Expansion, String> {
                     for &timing in &spec.timing {
                         for &library in &spec.libraries {
                             let lib = crate::spec::library_variant(library)?;
-                            let builder = flow.preset(phases)?;
-                            let builder = crate::spec::apply_config_token(builder, opt)?;
-                            let config = builder.timing(timing).build();
+                            let mut config = flow.preset(phases)?;
+                            crate::spec::apply_config_token(&mut config, opt)?;
+                            config.timing.enabled = timing;
                             let key = CacheKey::from_digest(digest, &lib, &config);
                             let mut point = Point {
                                 benchmark: label.clone(),

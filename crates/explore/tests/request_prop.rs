@@ -4,7 +4,7 @@
 //! request vocabulary with hostile widths, zero and too few phases, and
 //! repeated and unknown tokens. Whatever the parser accepts names a
 //! subject within the registry's bounds and a flow at or above its phase
-//! floor.
+//! floor, and holds at most one option per axis.
 //!
 //! Parsing builds nothing: the random lines ask for subjects up to each
 //! benchmark's largest width (millions of AND nodes), so a parser that
@@ -12,8 +12,12 @@
 
 use proptest::prelude::*;
 use sfq_circuits::named::{self, KNOWN_BENCHMARKS};
-use sfq_explore::spec::{parse_request, Flow, Request, CONFIG_TOKENS, FLOW_TOKENS};
+use sfq_explore::spec::{parse_request, Flow, Request, CONFIG_TOKENS, FLOW_TOKENS, OPT_TOKENS};
 use std::panic::catch_unwind;
+
+/// The option axes of a request: the pre-mapping stage and the timing
+/// stage.
+const AXES: [&[&str]; 2] = [&OPT_TOKENS, &["timing", "no-timing"]];
 
 /// A valid request that uses every field.
 const FULL: &str = "adder:8 t1 6 pre-opt timing";
@@ -59,6 +63,13 @@ fn parse_total(line: &str) -> Option<Request<'_>> {
         Ok((request.name, request.width)),
         "{line:?}"
     );
+    for axis in AXES {
+        let set = line.split_whitespace().filter(|f| axis.contains(f));
+        assert!(
+            set.count() <= 1,
+            "two {axis:?} options accepted in {line:?}"
+        );
+    }
     let config = &request.config;
     assert!(config.phases >= 1, "{line:?}");
     assert_eq!(config.use_t1, request.flow == Flow::T1, "{line:?}");
@@ -114,6 +125,26 @@ fn the_t1_floor_and_zero_phases_are_request_errors() {
     );
     assert!(parse_request("adder:8 t1 3").is_ok());
     assert!(parse_request("adder:8 nphi 2").is_ok());
+}
+
+#[test]
+fn two_options_on_one_axis_are_rejected() {
+    for first in CONFIG_TOKENS {
+        for second in CONFIG_TOKENS {
+            let line = format!("adder:8 t1 4 {first} {second}");
+            let same_axis = AXES
+                .iter()
+                .any(|axis| axis.contains(&first) && axis.contains(&second));
+            match parse_total(&line) {
+                Some(_) => assert!(!same_axis, "{line:?} accepted"),
+                None => {
+                    assert!(same_axis, "{line:?} rejected");
+                    let err = parse_request(&line).unwrap_err();
+                    assert!(err.contains(first) && err.contains(second), "{err}");
+                }
+            }
+        }
+    }
 }
 
 /// Every subject name at its default, its largest width and one past it,

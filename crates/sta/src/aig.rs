@@ -95,11 +95,6 @@ impl AigSta {
         self.analysis.slack(node.index())
     }
 
-    /// Whether `node` lies on a tight path to an output.
-    pub fn is_critical(&self, node: NodeId) -> bool {
-        self.analysis.is_critical(node.index())
-    }
-
     /// Floors `node`'s arrival at `level` and incrementally re-propagates
     /// arrivals through the affected cone. Used by slack-aware rewriting:
     /// once a site is accepted at an estimated post-rewrite level, every

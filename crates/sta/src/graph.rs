@@ -22,10 +22,10 @@
 //! # Incremental recompute
 //!
 //! [`TimingAnalysis::refresh`] re-runs the recurrences only over the cone
-//! affected by a set of *dirty* nodes (nodes whose fanin delays or arrival
-//! floors changed): arrivals propagate forward through fanouts while they
-//! keep changing, required times propagate backward through fanins, and an
-//! untouched region is never revisited. A localized edit — the rewrite-site
+//! affected by a set of *dirty* nodes (nodes whose arrival floors
+//! changed): arrivals propagate forward through fanouts while they keep
+//! changing, required times propagate backward through fanins against the
+//! pinned horizon, and an untouched region is never revisited. A localized edit — the rewrite-site
 //! case — therefore costs time proportional to the affected cone, not the
 //! network.
 
@@ -115,19 +115,9 @@ impl TimingGraph {
         self.sinks.iter().map(|&s| s as usize)
     }
 
-    /// Changes the delay of fanin edge `slot` of `node`. The caller must
-    /// pass `node` to the next [`TimingAnalysis::refresh`] (or re-run
-    /// [`TimingAnalysis::analyze`]) for the analysis to see the edit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` or `slot` is out of range.
-    pub fn set_fanin_delay(&mut self, node: usize, slot: usize, delay: i64) {
-        self.fanins[node][slot].1 = delay;
-    }
-
-    /// Sets the arrival floor of `node` (`i64::MIN` clears it). As with
-    /// delay edits, the caller must hand `node` to the next refresh.
+    /// Sets the arrival floor of `node` (`i64::MIN` clears it). The caller
+    /// must pass `node` to the next [`TimingAnalysis::refresh`] for the
+    /// analysis to see the edit.
     pub fn set_floor(&mut self, node: usize, floor: i64) {
         self.floors[node] = floor;
     }
@@ -172,35 +162,22 @@ pub struct TimingAnalysis {
     /// Required time per node (`i64::MAX` = unconstrained: the node cannot
     /// reach any sink).
     pub required: Vec<i64>,
-    /// The sink deadline the required times were computed against.
+    /// The sink deadline the required times were computed against, pinned
+    /// by the caller.
     pub horizon: i64,
-    /// Whether the horizon tracks the worst sink arrival (`analyze`) or was
-    /// pinned by the caller (`analyze_with_horizon`).
-    fixed_horizon: bool,
 }
 
 impl TimingAnalysis {
-    /// Full analysis with the horizon set to the worst sink arrival (so at
-    /// least one sink is tight and the worst slack over sinks is exactly 0).
-    pub fn analyze(graph: &TimingGraph) -> Self {
-        Self::run(graph, None)
-    }
-
-    /// Full analysis against a caller-pinned deadline.
+    /// Full analysis against the caller's sink deadline `horizon`. The
+    /// horizon stays pinned: a later [`TimingAnalysis::refresh`] that moves
+    /// a sink past it shows up as negative slack.
     pub fn analyze_with_horizon(graph: &TimingGraph, horizon: i64) -> Self {
-        Self::run(graph, Some(horizon))
-    }
-
-    fn run(graph: &TimingGraph, horizon: Option<i64>) -> Self {
         let _span = sfq_obs::span("sta:build");
         let n = graph.len();
         let mut arrival = vec![0i64; n];
         for v in 0..n {
             arrival[v] = graph.arrival_of(v, &arrival);
         }
-        let fixed_horizon = horizon.is_some();
-        let horizon =
-            horizon.unwrap_or_else(|| graph.sinks().map(|s| arrival[s]).max().unwrap_or(0));
         let mut required = vec![i64::MAX; n];
         for v in (0..n).rev() {
             required[v] = graph.required_of(v, &required, horizon);
@@ -209,7 +186,6 @@ impl TimingAnalysis {
             arrival,
             required,
             horizon,
-            fixed_horizon,
         }
     }
 
@@ -218,17 +194,10 @@ impl TimingAnalysis {
         self.required[node].saturating_sub(self.arrival[node])
     }
 
-    /// Whether `node` lies on a tight path to a sink.
-    pub fn is_critical(&self, node: usize) -> bool {
-        self.slack(node) == 0
-    }
-
     /// Re-runs the analysis over the cone affected by `dirty` — nodes whose
-    /// fanin delays or arrival floors changed since the last run. Arrivals
-    /// propagate forward only while they change; required times propagate
-    /// backward the same way. When the refresh moves an auto-tracked
-    /// horizon, the backward pass falls back to a full recompute (the
-    /// deadline shift touches every constrained node by definition).
+    /// arrival floors changed since the last run. Arrivals propagate
+    /// forward only while they change; required times propagate backward
+    /// the same way. The horizon never moves.
     pub fn refresh(&mut self, graph: &TimingGraph, dirty: &[usize]) {
         use std::collections::BTreeSet;
         let _span = sfq_obs::span("sta:refresh");
@@ -241,20 +210,8 @@ impl TimingAnalysis {
                 work.extend(graph.fanouts(v));
             }
         }
-        // Horizon: tracked horizons follow the worst sink arrival.
-        if !self.fixed_horizon {
-            let new_horizon = graph.sinks().map(|s| self.arrival[s]).max().unwrap_or(0);
-            if new_horizon != self.horizon {
-                self.horizon = new_horizon;
-                for v in (0..graph.len()).rev() {
-                    self.required[v] = graph.required_of(v, &self.required, self.horizon);
-                }
-                return;
-            }
-        }
-        // Backward: required times. A delay edit at node v changes the
-        // required times of v's *fanins*, so seed with those; propagation
-        // handles the rest.
+        // Backward: required times, seeded with the dirty nodes and their
+        // fanins; propagation handles the rest.
         let mut work: BTreeSet<usize> = BTreeSet::new();
         for &v in dirty {
             work.insert(v);
@@ -288,21 +245,21 @@ mod tests {
     #[test]
     fn diamond_arrivals_and_slacks() {
         let g = diamond();
-        let t = TimingAnalysis::analyze(&g);
+        let t = TimingAnalysis::analyze_with_horizon(&g, 4);
         assert_eq!(t.arrival, vec![0, 1, 3, 4]);
         assert_eq!(t.horizon, 4);
         assert_eq!(t.required, vec![0, 3, 3, 4]);
         assert_eq!(t.slack(0), 0);
         assert_eq!(t.slack(1), 2, "short branch has slack");
         assert_eq!(t.slack(2), 0, "long branch is critical");
-        assert!(t.is_critical(3));
+        assert_eq!(t.slack(3), 0);
     }
 
     #[test]
     fn unreachable_nodes_are_unconstrained() {
         let mut g = diamond();
         let dangling = g.add_node(&[(0, 10)]);
-        let t = TimingAnalysis::analyze(&g);
+        let t = TimingAnalysis::analyze_with_horizon(&g, 4);
         assert_eq!(t.required[dangling], i64::MAX);
         assert_eq!(t.slack(dangling), i64::MAX - 10, "saturating slack");
         // The dangling fanout does not drag node 0's required time down.
@@ -316,19 +273,6 @@ mod tests {
         assert_eq!(t.slack(3), 2);
         assert_eq!(t.slack(2), 2);
         assert_eq!(t.slack(1), 4);
-    }
-
-    #[test]
-    fn refresh_matches_scratch_after_delay_edit() {
-        let mut g = diamond();
-        let mut t = TimingAnalysis::analyze(&g);
-        // Lengthen the short branch: b→d edge now dominates.
-        g.set_fanin_delay(1, 0, 5); // a→b delay 1 → 5
-        t.refresh(&g, &[1]);
-        assert_eq!(t, TimingAnalysis::analyze(&g));
-        assert_eq!(t.arrival[3], 6);
-        assert_eq!(t.slack(1), 0);
-        assert_eq!(t.slack(2), 2, "roles swapped");
     }
 
     #[test]
@@ -348,12 +292,14 @@ mod tests {
     }
 
     #[test]
-    fn refresh_tracks_auto_horizon() {
+    fn refresh_keeps_the_horizon_past_a_floor() {
         let mut g = diamond();
-        let mut t = TimingAnalysis::analyze(&g);
-        g.set_fanin_delay(2, 0, 7); // a→c delay 3 → 7
-        t.refresh(&g, &[2]);
-        assert_eq!(t, TimingAnalysis::analyze(&g));
-        assert_eq!(t.horizon, 8);
+        let mut t = TimingAnalysis::analyze_with_horizon(&g, 4);
+        g.set_floor(1, 5); // b deepens past what the deadline allows
+        t.refresh(&g, &[1]);
+        assert_eq!(t, TimingAnalysis::analyze_with_horizon(&g, 4));
+        assert_eq!(t.arrival[3], 6);
+        assert_eq!(t.horizon, 4, "the deadline does not follow the sink");
+        assert_eq!(t.slack(3), -2, "the overrun reads as negative slack");
     }
 }

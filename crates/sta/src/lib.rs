@@ -8,16 +8,17 @@
 //!
 //! - [`graph`] — the generic [`TimingGraph`] (DAG with integer edge
 //!   delays) and its [`TimingAnalysis`]: arrival times forward, required
-//!   times backward from the sink deadline, per-node slack, and an
-//!   incremental [`TimingAnalysis::refresh`] that re-propagates only the
-//!   cone affected by a localized edit (dirty-set propagation — a rewrite
-//!   site does not trigger whole-network retraversal).
+//!   times backward from a caller-pinned sink deadline, per-node slack,
+//!   and an incremental [`TimingAnalysis::refresh`] that re-propagates
+//!   only the cone affected by raised arrival floors (dirty-set
+//!   propagation — a rewrite site does not trigger whole-network
+//!   retraversal; the deadline never moves).
 //! - [`aig`] — [`AigSta`], the unit-delay view of an
 //!   [`Aig`](sfq_netlist::aig::Aig): arrivals are logic levels, the
 //!   horizon is the network depth, and slack is the headroom slack-aware
 //!   rewriting (`sfq-opt`) may consume without deepening the network.
-//! - [`path`] — [`top_paths`]: exact best-first extraction of the k
-//!   longest source→sink paths with per-hop delay contributions.
+//! - [`path`] — [`top_paths_bounded`]: exact best-first extraction of the
+//!   k longest source→sink paths with per-hop delay contributions.
 //! - [`report`] / [`config`] — the rendered [`TimingReport`] behind the
 //!   CLI `sta` subcommand, and the fingerprinted [`TimingConfig`] stage
 //!   that rides inside `t1map::flow::FlowConfig` so `sfq-engine` cache
@@ -60,5 +61,5 @@ pub mod report;
 pub use aig::AigSta;
 pub use config::TimingConfig;
 pub use graph::{TimingAnalysis, TimingGraph};
-pub use path::{top_paths, top_paths_bounded, TimingPath};
+pub use path::{top_paths_bounded, TimingPath};
 pub use report::TimingReport;

@@ -1,6 +1,6 @@
 //! Top-k critical path extraction.
 //!
-//! [`top_paths`] enumerates complete source→sink paths of a
+//! [`top_paths_bounded`] enumerates complete source→sink paths of a
 //! [`TimingGraph`] in non-increasing length order, using a best-first
 //! search guided by the exact longest-suffix potential `F(v)` (the longest
 //! delay from `v` to any sink). The bound is *exact*, so the search is an
@@ -35,17 +35,13 @@ struct State {
     done: bool,
 }
 
-/// Extracts the `k` longest source→sink paths, longest first. Ties are
-/// broken arbitrarily but deterministically. `analysis` supplies the
-/// horizon used for the per-path slack.
-pub fn top_paths(graph: &TimingGraph, analysis: &TimingAnalysis, k: usize) -> Vec<TimingPath> {
-    top_paths_bounded(graph, analysis, k).0
-}
-
-/// [`top_paths`] that also reports whether the search budget expired
-/// before `k` paths were found (`true` = more paths may exist than were
-/// returned). Callers that render reports should surface the flag instead
-/// of letting a truncated result read as "this network has few paths".
+/// Extracts the `k` longest source→sink paths, longest first, and whether
+/// the search budget expired before `k` paths were found (`true` = more
+/// paths may exist than were returned). Ties are broken arbitrarily but
+/// deterministically. `analysis` supplies the horizon used for the
+/// per-path slack. Callers that render reports should surface the flag
+/// instead of letting a truncated result read as "this network has few
+/// paths".
 pub fn top_paths_bounded(
     graph: &TimingGraph,
     analysis: &TimingAnalysis,
@@ -220,8 +216,8 @@ mod tests {
     #[test]
     fn paths_come_out_longest_first() {
         let g = ladder();
-        let t = TimingAnalysis::analyze(&g);
-        let paths = top_paths(&g, &t, 10);
+        let t = TimingAnalysis::analyze_with_horizon(&g, 5);
+        let paths = top_paths_bounded(&g, &t, 10).0;
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].length, 5);
         assert_eq!(paths[0].nodes, vec![0, 2, 3]);
@@ -235,9 +231,9 @@ mod tests {
     #[test]
     fn k_limits_the_enumeration() {
         let g = ladder();
-        let t = TimingAnalysis::analyze(&g);
-        assert_eq!(top_paths(&g, &t, 1).len(), 1);
-        assert!(top_paths(&g, &t, 0).is_empty());
+        let t = TimingAnalysis::analyze_with_horizon(&g, 5);
+        assert_eq!(top_paths_bounded(&g, &t, 1).0.len(), 1);
+        assert!(top_paths_bounded(&g, &t, 0).0.is_empty());
     }
 
     #[test]
@@ -249,8 +245,8 @@ mod tests {
         let t = g.add_node(&[(m, 2)]);
         g.mark_sink(m);
         g.mark_sink(t);
-        let a = TimingAnalysis::analyze(&g);
-        let paths = top_paths(&g, &a, 10);
+        let a = TimingAnalysis::analyze_with_horizon(&g, 4);
+        let paths = top_paths_bounded(&g, &a, 10).0;
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].nodes, vec![s, m, t]);
         assert_eq!(paths[0].length, 4);
@@ -261,8 +257,8 @@ mod tests {
     #[test]
     fn exhausts_without_panic_on_empty_graph() {
         let g = TimingGraph::new();
-        let a = TimingAnalysis::analyze(&g);
-        assert!(top_paths(&g, &a, 3).is_empty());
+        let a = TimingAnalysis::analyze_with_horizon(&g, 0);
+        assert!(top_paths_bounded(&g, &a, 3).0.is_empty());
     }
 
     #[test]
@@ -273,8 +269,8 @@ mod tests {
         let u = g.add_node(&[]);
         let w = g.add_node(&[(u, 1), (u, 3)]);
         g.mark_sink(w);
-        let t = TimingAnalysis::analyze(&g);
-        let paths = top_paths(&g, &t, 5);
+        let t = TimingAnalysis::analyze_with_horizon(&g, 3);
+        let paths = top_paths_bounded(&g, &t, 5).0;
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].length, 3);
         assert_eq!(paths[0].delays, vec![0, 3]);
@@ -295,7 +291,7 @@ mod tests {
             cur = g.add_node(&[(a, 1), (b, 1)]);
         }
         g.mark_sink(cur);
-        let t = TimingAnalysis::analyze(&g);
+        let t = TimingAnalysis::analyze_with_horizon(&g, 120);
         let (paths, truncated) = top_paths_bounded(&g, &t, 3);
         assert_eq!(paths.len(), 3, "three of the 2^60 paths extracted");
         assert!(!truncated, "budget must not be the limiting factor");

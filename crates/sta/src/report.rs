@@ -156,7 +156,7 @@ mod tests {
         let c = g.add_node(&[(a, 3)]);
         let d = g.add_node(&[(b, 1), (c, 1)]);
         g.mark_sink(d);
-        let t = TimingAnalysis::analyze(&g);
+        let t = TimingAnalysis::analyze_with_horizon(&g, 4);
         (g, t)
     }
 
@@ -189,7 +189,7 @@ mod tests {
     fn dangling_nodes_stay_out_of_the_report() {
         let (mut g, _) = sample();
         g.add_node(&[(0, 9)]); // unconstrained
-        let t = TimingAnalysis::analyze(&g);
+        let t = TimingAnalysis::analyze_with_horizon(&g, 4);
         let r = TimingReport::new(&g, &t, 0);
         assert_eq!(r.constrained, 4);
         let csv = TimingReport::node_csv(&g, &t);

@@ -31,7 +31,7 @@ use sfq_t1::opt::{
 };
 use sfq_t1::t1map::cells::CellLibrary;
 use sfq_t1::t1map::flow::{run_flow, FlowConfig, PhaseEngine};
-use sfq_t1::t1map::to_pulse_circuit;
+use sfq_t1::t1map::sim_bridge::{random_waves, to_pulse_circuit};
 use sfq_t1::t1map::verilog::{cell_models, export, ExportOptions};
 
 // Counting allocator wrapper: behaves exactly like the system allocator
@@ -579,14 +579,14 @@ fn write_aiger(path: &str, aig: &Aig) -> Result<(), String> {
 /// `--phases` (default 4) and `--no-t1`.
 fn flow_config(args: &Args) -> Result<(u32, FlowConfig), String> {
     let phases: u32 = args.positive("--phases")?.unwrap_or(4);
-    let builder = if args.has("--no-t1") {
+    let config = if args.has("--no-t1") {
         Flow::Multiphase.preset(phases)?
     } else {
         Flow::T1
             .preset(phases)
             .map_err(|e| format!("{e} (use --no-t1 for fewer)"))?
     };
-    Ok((phases, builder.build()))
+    Ok((phases, config))
 }
 
 /// Static timing analysis: unit-delay slack over the AIG, or phase-granular
@@ -972,7 +972,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 "done {index} {} source={} micros={} dffs={} splitters={} area={} depth={} \
                  gates={} t1={}/{} alloc_bytes={} peak_bytes={}",
                 o.job.label(),
-                o.source.serve_label(),
+                o.source.label(),
                 o.duration.as_micros(),
                 s.dffs,
                 s.splitters,
@@ -1109,7 +1109,7 @@ fn map_flow(args: &Args, verify: bool) -> Result<(), String> {
         cfg.engine = PhaseEngine::Exact;
     }
     if args.has("--pre-opt") {
-        cfg = cfg.to_builder().standard_opt().build();
+        cfg.pre_opt = OptConfig::standard();
     }
     let lib = CellLibrary::default();
     let res = run_flow(&aig, &lib, &cfg);
@@ -1141,19 +1141,7 @@ fn map_flow(args: &Args, verify: bool) -> Result<(), String> {
     if verify {
         let waves: usize = args.positive("--waves")?.unwrap_or(8);
         let pc = to_pulse_circuit(&res.mapped, &res.schedule, &res.plan);
-        let mut seed = 0xD1CE_F00D_u64 | 1;
-        let vectors: Vec<Vec<bool>> = (0..waves)
-            .map(|_| {
-                (0..aig.pi_count())
-                    .map(|_| {
-                        seed ^= seed << 13;
-                        seed ^= seed >> 7;
-                        seed ^= seed << 17;
-                        seed & 1 == 1
-                    })
-                    .collect()
-            })
-            .collect();
+        let vectors = random_waves(aig.pi_count(), waves, 0xD1CE_F00D);
         let outcome = pc.simulate(&vectors, phases).map_err(|e| e.to_string())?;
         for (k, v) in vectors.iter().enumerate() {
             if outcome.outputs[k] != aig.eval(v) {

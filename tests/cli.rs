@@ -917,6 +917,33 @@ fn explore_cold_warm_cache_dir_roundtrip() {
 }
 
 #[test]
+fn explore_report_pins_every_config_fingerprint() {
+    // Every flow x phases x opt x timing x library combination on two
+    // subjects: each point carries its cache-key fingerprint, so the
+    // committed report pins every configuration the option tokens build.
+    let golden = |name: &str| format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    let report = tmp("explore_tokens.json");
+    let out = bin()
+        .args(["explore", &golden("explore_tokens.sweep"), "--jobs", "2"])
+        .arg("-o")
+        .arg(&report)
+        .output()
+        .expect("run explore");
+    assert!(
+        out.status.success(),
+        "explore failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let expected = std::fs::read_to_string(golden("explore_tokens.json")).expect("golden");
+    assert!(
+        sfq_t1::explore::report::strip_provenance(&text) == expected,
+        "explore report differs from tests/golden/explore_tokens.json"
+    );
+    let _ = std::fs::remove_file(&report);
+}
+
+#[test]
 fn explore_spec_errors_name_the_line_and_legal_tokens() {
     // A bad axis value is a hard error naming the spec file, the line,
     // and the full legal vocabulary.

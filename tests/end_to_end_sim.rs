@@ -7,22 +7,7 @@ use sfq_t1::circuits::{epfl, iscas};
 use sfq_t1::netlist::Aig;
 use sfq_t1::t1map::cells::CellLibrary;
 use sfq_t1::t1map::flow::{run_flow, FlowConfig};
-use sfq_t1::t1map::to_pulse_circuit;
-
-fn random_vectors(width: usize, count: usize, mut seed: u64) -> Vec<Vec<bool>> {
-    (0..count)
-        .map(|_| {
-            (0..width)
-                .map(|_| {
-                    seed ^= seed << 13;
-                    seed ^= seed >> 7;
-                    seed ^= seed << 17;
-                    seed & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
+use sfq_t1::t1map::sim_bridge::{random_waves, to_pulse_circuit};
 
 fn verify(name: &str, aig: &Aig, cfg: &FlowConfig, waves: usize) {
     let lib = CellLibrary::default();
@@ -34,7 +19,7 @@ fn verify(name: &str, aig: &Aig, cfg: &FlowConfig, waves: usize) {
         res.plan.total_dffs,
         "{name}: plan/netlist DFF mismatch"
     );
-    let vectors = random_vectors(aig.pi_count(), waves, 0x5EED ^ aig.and_count() as u64);
+    let vectors = random_waves(aig.pi_count(), waves, 0x5EED ^ aig.and_count() as u64);
     let outcome = pc.simulate(&vectors, cfg.phases).expect("simulatable");
     assert_eq!(outcome.hazards, 0, "{name}: T1 pulse-overlap hazards");
     for (k, v) in vectors.iter().enumerate() {

@@ -2,16 +2,17 @@
 //! Verilog export consistency and library-driven area accounting on real
 //! flow results.
 
+mod common;
+
+use common::table;
 use sfq_t1::circuits::epfl;
 use sfq_t1::t1map::cells::CellLibrary;
 use sfq_t1::t1map::flow::{run_flow, FlowConfig};
-use sfq_t1::t1map::report::{TableOne, TableRow};
 use sfq_t1::t1map::verilog::{cell_models, export, ExportOptions};
 
 #[test]
 fn ratios_are_consistent_with_stats() {
-    let lib = CellLibrary::default();
-    let row = TableRow::measure("adder10", &epfl::adder(10), &lib, 4);
+    let row = table(vec![("adder10", epfl::adder(10))]).rows.remove(0);
     assert!((row.dff_ratio_1() - row.t1.dffs as f64 / row.single.dffs as f64).abs() < 1e-12);
     assert!((row.area_ratio_n() - row.t1.area as f64 / row.multi.area as f64).abs() < 1e-12);
     assert!(
@@ -22,10 +23,7 @@ fn ratios_are_consistent_with_stats() {
 
 #[test]
 fn averages_are_means_of_rows() {
-    let lib = CellLibrary::default();
-    let mut t = TableOne::new();
-    t.add("a", &epfl::adder(6), &lib, 4);
-    t.add("b", &epfl::adder(10), &lib, 4);
+    let t = table(vec![("a", epfl::adder(6)), ("b", epfl::adder(10))]);
     let avg = t.averages();
     let expect0 = (t.rows[0].dff_ratio_1() + t.rows[1].dff_ratio_1()) / 2.0;
     assert!((avg[0] - expect0).abs() < 1e-12);
@@ -35,9 +33,7 @@ fn averages_are_means_of_rows() {
 
 #[test]
 fn csv_schema_is_stable() {
-    let lib = CellLibrary::default();
-    let mut t = TableOne::new();
-    t.add("adder6", &epfl::adder(6), &lib, 4);
+    let t = table(vec![("adder6", epfl::adder(6))]);
     let csv = t.to_csv();
     let header = csv.lines().next().expect("header");
     let fields: Vec<&str> = header.split(',').collect();

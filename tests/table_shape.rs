@@ -1,9 +1,10 @@
 //! Integration test: the Table-I machinery end to end at small scale, and
 //! the qualitative *shape* of the paper's results.
 
+mod common;
+
+use common::table;
 use sfq_t1::circuits::{epfl, iscas};
-use sfq_t1::t1map::cells::CellLibrary;
-use sfq_t1::t1map::report::{TableOne, TableRow};
 
 #[test]
 fn adder_row_shape_matches_paper() {
@@ -11,8 +12,7 @@ fn adder_row_shape_matches_paper() {
     // depth 128/32/33. We check the same row at 32 bits: the ratios are
     // stable under scaling (both terms are dominated by the same
     // quadratic balancing chains).
-    let lib = CellLibrary::default();
-    let row = TableRow::measure("adder", &epfl::adder(32), &lib, 4);
+    let row = table(vec![("adder", epfl::adder(32))]).rows.remove(0);
     assert!(
         row.t1.t1_used >= 30,
         "nearly every FA becomes a T1: {}",
@@ -48,8 +48,7 @@ fn adder_row_shape_matches_paper() {
 #[test]
 fn multiplier_benefits_like_paper() {
     // Paper: c6288 area ratio 0.91, multiplier 0.95 vs 4φ.
-    let lib = CellLibrary::default();
-    let row = TableRow::measure("c6288", &iscas::c6288_like(), &lib, 4);
+    let row = table(vec![("c6288", iscas::c6288_like())]).rows.remove(0);
     assert!(
         row.t1.t1_used > 50,
         "array multipliers are full-adder fabrics"
@@ -66,8 +65,7 @@ fn multiplier_benefits_like_paper() {
 fn c7552_is_neutral_or_regresses() {
     // Paper: c7552 area ratio 1.02 (slight regression) — the comparator
     // shares the a⊕b terms with the adder, shrinking every MFFC.
-    let lib = CellLibrary::default();
-    let row = TableRow::measure("c7552", &iscas::c7552_like(), &lib, 4);
+    let row = table(vec![("c7552", iscas::c7552_like())]).rows.remove(0);
     assert!(
         row.area_ratio_n() >= 0.99,
         "c7552 must not benefit: {:.2}",
@@ -80,12 +78,12 @@ fn averages_match_paper_direction() {
     // On a reduced benchmark set: average area ratio vs 4φ below 1 (the
     // paper reports 0.94), average depth ratio vs 4φ at or above 1
     // (paper: 1.13), and the 1φ ratios far below 1.
-    let lib = CellLibrary::default();
-    let mut t = TableOne::new();
-    t.add("adder", &epfl::adder(24), &lib, 4);
-    t.add("square", &epfl::square(12), &lib, 4);
-    t.add("mult", &epfl::multiplier(10), &lib, 4);
-    t.add("voter", &epfl::voter(63), &lib, 4);
+    let t = table(vec![
+        ("adder", epfl::adder(24)),
+        ("square", epfl::square(12)),
+        ("mult", epfl::multiplier(10)),
+        ("voter", epfl::voter(63)),
+    ]);
     let avg = t.averages();
     assert!(avg[2] < 0.7, "area vs 1φ strongly improves: {:.2}", avg[2]);
     assert!(
@@ -99,10 +97,7 @@ fn averages_match_paper_direction() {
 
 #[test]
 fn csv_roundtrip_has_all_rows() {
-    let lib = CellLibrary::default();
-    let mut t = TableOne::new();
-    t.add("adder", &epfl::adder(8), &lib, 4);
-    t.add("voter", &epfl::voter(15), &lib, 4);
+    let t = table(vec![("adder", epfl::adder(8)), ("voter", epfl::voter(15))]);
     let csv = t.to_csv();
     assert_eq!(csv.lines().count(), 3, "header + 2 rows");
     assert!(csv.contains("adder,"));
