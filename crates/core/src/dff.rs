@@ -29,11 +29,9 @@
 //! owns the members from the previous driver's end to its own, and
 //! likewise the taps and the consumers; a driver has one tap per consumer,
 //! so those two share an end. [`DffPlan::drivers`] walks the heads and
-//! yields borrowed [`DriverPlan`] views. Building a plan
-//! ([`insert_dffs`], or the store decoding one through
-//! [`DffPlan::push_member`] and its siblings) appends to the shared
-//! vectors, so a plan costs a handful of allocations whatever its driver
-//! count.
+//! yields borrowed [`DriverPlan`] views. [`insert_dffs`], the only
+//! builder, appends to the shared vectors, so a plan costs a handful of
+//! allocations whatever its driver count.
 
 use crate::mapped::{CellId, Edge, MappedCell, MappedCircuit};
 use crate::phase::Schedule;
@@ -100,16 +98,11 @@ impl Chain {
     pub fn dff_count(&self) -> usize {
         self.members.len()
     }
-
-    /// Number of splitters needed: each element (driver or DFF) with
-    /// fanout `f > 1` needs `f − 1` splitters.
-    pub fn splitter_count(&self, source: i64) -> u64 {
-        splitter_count(source, &self.members, &self.taps, &mut Vec::new())
-    }
 }
 
-/// [`Chain::splitter_count`] of the chain `members` and `taps` of a driver
-/// at stage `source`, tallying in the caller's `branches` buffer.
+/// The splitters the chain `members` and `taps` of a driver at stage
+/// `source` need: each element (driver or DFF) with fanout `f > 1` needs
+/// `f − 1`. Tallies in the caller's `branches` buffer.
 fn splitter_count(source: i64, members: &[i64], taps: &[i64], branches: &mut Vec<i64>) -> u64 {
     // One entry per fanout branch, naming the element that drives it:
     // the taps, then the chain succession source → members[0] → ….
@@ -301,60 +294,6 @@ impl DffPlan {
             d
         })
     }
-
-    /// An empty plan with room for `drivers` drivers, `members` chain
-    /// members in all, and `consumers` consumers (and as many taps) in
-    /// all.
-    pub fn with_capacity(drivers: usize, members: usize, consumers: usize) -> Self {
-        DffPlan {
-            heads: Vec::with_capacity(drivers),
-            members: Vec::with_capacity(members),
-            taps: Vec::with_capacity(consumers),
-            consumers: Vec::with_capacity(consumers),
-            total_dffs: 0,
-            total_splitters: 0,
-        }
-    }
-
-    /// Appends a chain member (its stage) to the driver being built.
-    #[inline]
-    pub fn push_member(&mut self, stage: i64) {
-        self.members.push(stage);
-    }
-
-    /// Appends a tap (the stage of the serving element) to the driver
-    /// being built.
-    #[inline]
-    pub fn push_tap(&mut self, stage: i64) {
-        self.taps.push(stage);
-    }
-
-    /// Appends a consumer and its requirement to the driver being built.
-    #[inline]
-    pub fn push_consumer(&mut self, consumer: Consumer, req: Requirement) {
-        self.consumers.push((consumer, req));
-    }
-
-    /// Closes the driver being built: output `source` of a cell at stage
-    /// `source_stage`, owning every member, tap and consumer pushed since
-    /// the previous driver was closed. The totals are left alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the plan holds as many taps as consumers.
-    pub fn finish_driver(&mut self, source: (CellId, u8), source_stage: i64) {
-        assert_eq!(
-            self.taps.len(),
-            self.consumers.len(),
-            "a driver has one tap per consumer"
-        );
-        self.heads.push(DriverHead {
-            source,
-            source_stage,
-            members_end: self.members.len(),
-            consumers_end: self.consumers.len(),
-        });
-    }
 }
 
 impl Consumer {
@@ -462,7 +401,12 @@ pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
     let mut reqs: Vec<Requirement> = Vec::new();
     let mut scratch = ChainScratch::default();
     // Every use is one consumer with one tap.
-    let mut plan = DffPlan::with_capacity(fanouts.used_drivers(), 0, fanouts.consumers.len());
+    let mut plan = DffPlan {
+        heads: Vec::with_capacity(fanouts.used_drivers()),
+        taps: Vec::with_capacity(fanouts.consumers.len()),
+        consumers: Vec::with_capacity(fanouts.consumers.len()),
+        ..DffPlan::default()
+    };
     for (cell, _) in mc.cells() {
         for port in 0..mc.num_ports(cell) as u8 {
             let uses = fanouts.of(cell, port);
@@ -493,7 +437,12 @@ pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
                 &plan.taps[taps_start..],
                 &mut scratch.branches,
             );
-            plan.finish_driver((cell, port), source_stage);
+            plan.heads.push(DriverHead {
+                source: (cell, port),
+                source_stage,
+                members_end: plan.members.len(),
+                consumers_end: plan.consumers.len(),
+            });
         }
     }
     plan
@@ -617,7 +566,10 @@ mod tests {
                     &reference,
                     "source {} n {} reqs {:?}", source, n, reqs
                 );
-                prop_assert_eq!(chain.splitter_count(source), splitters);
+                prop_assert_eq!(
+                    splitter_count(source, &chain.members, &chain.taps, &mut Vec::new()),
+                    splitters
+                );
                 let (members_start, taps_start) = (members.len(), taps.len());
                 append_chain(source, &reqs, n, &mut scratch, &mut members, &mut taps);
                 let appended = Chain {
@@ -749,7 +701,7 @@ mod tests {
         }
     }
 
-    /// The `HashMap` fanout tally [`Chain::splitter_count`] replaces.
+    /// The `HashMap` fanout tally [`splitter_count`] replaces.
     fn splitter_count_reference(chain: &Chain, source: i64) -> u64 {
         use std::collections::HashMap;
         let mut fanout: HashMap<i64, u64> = HashMap::new();
@@ -862,7 +814,7 @@ mod tests {
         // Source fanout: chain successor + direct tap = 2 → 1 splitter.
         // Member 4 is the last and taps one consumer → fanout 1 → 0.
         // Members 1..3 drive only successors → 0.
-        assert_eq!(c.splitter_count(0), 1);
+        assert_eq!(splitter_count(0, &c.members, &c.taps, &mut Vec::new()), 1);
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! elements it governs, so the decoder never guesses and never reads past
 //! a section.
 //!
+//! An entry stores the mapped netlist, its schedule and the reports. The
+//! DFF plan is not stored: it is a deterministic function of the netlist
+//! and the schedule ([`insert_dffs`]), so [`decode`] derives it again.
+//!
 //! # Canonical grammar
 //!
 //! Each line is a tag followed by zero or more fields, each field preceded
@@ -19,7 +23,7 @@
 //! without leading zeros. Flags are `0` or `1`.
 //!
 //! ```text
-//! sfq-flow-result v2
+//! sfq-flow-result v3
 //! stats <t1_found> <t1_used> <dffs> <splitters> <cell_area> <area> <depth_cycles> <gates>
 //! cells <N>                      then N cell lines, in id order:
 //!   i <index>                      primary input
@@ -30,12 +34,6 @@
 //! sched <n> <horizon> <N>
 //! stages {<stage>}×N
 //! t1off <N> <K>                  then K lines `o <cell> <o0> <o1> <o2>`, cells ascending
-//! plan <D> <total_dffs> <total_splitters>
-//!                                then per driver:
-//!   d <cell> <port> <stage> <M> <C>
-//!   m {<member>}×M
-//!   a {<tap>}×C
-//!   c <g|t> <cell> <slot> <w|e> <t>  or  c o <index> 0 <w|e> <t>   (C lines)
 //! preopt 0 | preopt 1            then, when 1:
 //!   r <R> <converged> <nodes_before> <nodes_after> <depth_before> <depth_after>
 //!   q <S>                          R times, each then S lines:
@@ -45,13 +43,11 @@
 //! end
 //! ```
 //!
-//! [`encode`] appends this text straight into one pre-sized byte buffer,
-//! walking the plan's [`DffPlan::drivers`] views; [`decode`] reads it
-//! back in a single pass of one byte cursor, parsing each number in the
-//! scan that finds it. Decode appends every driver's chain members, taps
-//! and consumers into the plan's shared arrays (see [`DffPlan`]), so a
-//! decoded entry allocates one fanin vector per gate and otherwise a
-//! fixed number of vectors, never one per driver.
+//! [`encode`] appends this text straight into one pre-sized byte buffer;
+//! [`decode`] reads it back in a single pass of one byte cursor, parsing
+//! each number in the scan that finds it, then derives the plan. A decoded
+//! entry allocates one fanin vector per gate and otherwise a fixed number
+//! of vectors, never one per driver.
 //!
 //! [`decode`] is *total*: any input — corrupt, truncated, hostile — yields
 //! either an equal [`FlowResult`] or a [`DecodeError`] with the offending
@@ -61,18 +57,24 @@
 //! as a miss. It pre-validates everything the [`MappedCircuit`] builder
 //! asserts (topological order, port ranges, gate arity, positive T1
 //! operands), so rebuilding through the public builder API cannot trip an
-//! assertion. It never allocates for elements the input cannot hold: the
+//! assertion. Before deriving the plan it checks the schedule
+//! ([`Schedule::validate`], at least one phase, non-negative stages, a
+//! horizon below `i64::MAX`) and bounds the chain work the derivation
+//! would do; an entry whose derived DFF or splitter total differs from its
+//! `stats` line is an error too.
+//!
+//! Nothing is allocated beyond what the entry's length allows: the
 //! per-cell arrays (`stages`, `t1off`) must match the cell count, every
 //! other count is checked against the bytes left in the entry, and the
-//! plan's arrays are sized up front for no more than those bytes can
-//! hold.
+//! derivation runs only when its chain members stay within
+//! [`WORK_PER_BYTE`] per byte of the entry.
 //!
 //! [`FORMAT_VERSION`] participates in the [`DiskStore`](super::DiskStore)
 //! directory layout (`<dir>/v<N>/`): bumping it on any format change
 //! orphans old entries cleanly instead of misdecoding them.
 
 use std::fmt;
-use t1map::dff::{Consumer, DffPlan, Requirement};
+use t1map::dff::insert_dffs;
 use t1map::flow::{FlowResult, FlowStats};
 use t1map::mapped::{CellId, Edge, MappedCell, MappedCircuit};
 use t1map::phase::Schedule;
@@ -90,7 +92,7 @@ mod synthetic;
 /// Version of the serialization format. Participates in the on-disk
 /// directory layout, so bumping it invalidates every persisted entry at
 /// once. Bump on **any** change to [`encode`]'s output.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Header line opening every encoded result.
 const HEADER: &str = "sfq-flow-result";
@@ -201,15 +203,10 @@ impl Writer {
 /// A capacity estimate for [`encode`]'s buffer, from the element counts:
 /// generous for typical results, so the buffer rarely grows.
 fn encoded_size_hint(result: &FlowResult) -> usize {
-    let drivers: usize = result
-        .plan
-        .drivers()
-        .map(|d| 24 + 4 * d.members.len() + 16 * d.consumers.len())
-        .sum();
     let passes: usize = result.pre_opt.as_ref().map_or(0, |r| {
         r.rounds.iter().map(|round| 8 + 48 * round.len()).sum()
     });
-    256 + 40 * result.mapped.len() + 16 * result.mapped.pos().len() + drivers + passes
+    256 + 40 * result.mapped.len() + 16 * result.mapped.pos().len() + passes
 }
 
 /// Serializes `result` into the versioned text format.
@@ -273,37 +270,6 @@ pub fn encode(result: &FlowResult) -> String {
     for (i, o) in sched.t1_offsets.iter().enumerate() {
         if let Some(o) = o {
             w.tag("o").usize(i).i64s(o).end();
-        }
-    }
-
-    let plan = &result.plan;
-    w.tag("plan")
-        .usize(plan.drivers().len())
-        .u64(plan.total_dffs)
-        .u64(plan.total_splitters)
-        .end();
-    for d in plan.drivers() {
-        w.tag("d")
-            .u64(d.source.0 .0.into())
-            .u64(d.source.1.into())
-            .i64(d.source_stage)
-            .usize(d.members.len())
-            .usize(d.consumers.len())
-            .end();
-        w.tag("m").i64s(d.members).end();
-        w.tag("a").i64s(d.taps).end();
-        for (consumer, req) in d.consumers {
-            w.tag("c");
-            match consumer {
-                Consumer::GateInput { cell, slot } => w.word("g").u64(cell.0.into()).usize(*slot),
-                Consumer::T1Input { cell, slot } => w.word("t").u64(cell.0.into()).usize(*slot),
-                Consumer::Output { index } => w.word("o").usize(*index).u64(0),
-            };
-            match req {
-                Requirement::Window(t) => w.word("w").i64(*t),
-                Requirement::Exact(tau) => w.word("e").i64(*tau),
-            }
-            .end();
         }
     }
 
@@ -566,6 +532,73 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Chain members [`decode`] lets the plan derivation build per byte of
+/// the entry, by [`chain_work`]'s bound. The paper's benchmarks need at
+/// most ≈2.5 (the 128-bit adder under one phase). Ripple adders under one
+/// phase need DFFs quadratic in their width, so a wide one can exceed any
+/// fixed ratio: `adder:1024` under one phase needs ≈17.5 and still fits.
+const WORK_PER_BYTE: u64 = 32;
+
+/// Line number of the `stats` line, which follows the header.
+const STATS_LINE: usize = 2;
+
+/// Checks what [`insert_dffs`] relies on: at least one phase,
+/// non-negative stages, a horizon whose capture stage `horizon + 1` fits
+/// an `i64`, and [`Schedule::validate`] (every gate after its fanins,
+/// every T1 with distinct offsets in `1..=n` and no operand later than its
+/// slot). Then no requirement the derivation computes can overflow or
+/// precede its driver.
+fn check_schedule(mc: &MappedCircuit, sched: &Schedule) -> Result<(), String> {
+    if sched.n == 0 {
+        return Err("schedule with 0 phases".into());
+    }
+    if !(0..i64::MAX).contains(&sched.horizon) {
+        return Err(format!("horizon {} out of range", sched.horizon));
+    }
+    if let Some(s) = sched.stages.iter().find(|&&s| s < 0) {
+        return Err(format!("negative stage {s}"));
+    }
+    sched.validate(mc)
+}
+
+/// An upper bound on the chain members [`insert_dffs`] builds for a
+/// schedule that passed [`check_schedule`]: Σ over the uses of a cell
+/// output of `⌊gap/n⌋ + 1`, where the gap runs from the driver's stage to
+/// the consumer's (a gate's stage, a T1 delivery slot, or the outputs'
+/// capture at `horizon + 1`). A driver's chain spans its widest gap in
+/// steps of at most `n` plus one forced member per exact delivery, so it
+/// never needs more. Saturates instead of overflowing.
+fn chain_work(mc: &MappedCircuit, sched: &Schedule) -> u64 {
+    let n = u64::from(sched.n);
+    let stage = |e: &Edge| sched.stages[e.cell.index()];
+    // Checked schedules put every target at or after its driver.
+    let cost = |source: i64, target: i64| (target - source) as u64 / n + 1;
+    let mut work = 0u64;
+    for (id, cell) in mc.cells() {
+        let s = sched.stages[id.index()];
+        match cell {
+            MappedCell::Input { .. } | MappedCell::Const0 => {}
+            MappedCell::Gate { fanins, .. } => {
+                for e in fanins {
+                    work = work.saturating_add(cost(stage(e), s));
+                }
+            }
+            MappedCell::T1 { fanins } => {
+                let offsets = sched.t1_offsets[id.index()].expect("a checked T1 has offsets");
+                for (e, o) in fanins.iter().zip(offsets) {
+                    work = work.saturating_add(cost(stage(e), s - o));
+                }
+            }
+        }
+    }
+    for e in mc.pos() {
+        if !matches!(mc.cell(e.cell), MappedCell::Const0) {
+            work = work.saturating_add(cost(stage(e), sched.horizon + 1));
+        }
+    }
+    work
+}
+
 /// Deserializes a [`FlowResult`] previously produced by [`encode`].
 ///
 /// Takes raw bytes: the grammar is ASCII and every byte is checked, so a
@@ -574,8 +607,11 @@ impl<'a> Cursor<'a> {
 /// # Errors
 ///
 /// Any malformed, non-canonical, truncated or version-mismatched input
-/// yields a [`DecodeError`] naming the offending line; the store layers
-/// treat every such error as a cache miss.
+/// yields a [`DecodeError`] naming the offending line, and so does an
+/// unsound schedule, one whose DFF chains the entry's length cannot
+/// account for, or a `stats` line whose DFF or splitter total differs
+/// from the derived plan's; the store layers treat every such error as a
+/// cache miss.
 pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
     let mut c = Cursor {
         bytes,
@@ -612,8 +648,6 @@ pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
     let ncells = c.count("cell")?;
     c.eol()?;
     let mut mapped = MappedCircuit::new();
-    // Uses of cell outputs (fanins, then outputs): the plan's consumers.
-    let mut uses = 0;
     for _ in 0..ncells {
         let tag = c.peek().ok_or_else(|| c.eof("missing cell line"))?;
         c.pos += 1;
@@ -647,7 +681,6 @@ pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
                 for _ in 0..nvars {
                     fanins.push(c.edge(&mapped)?);
                 }
-                uses += nvars;
                 mapped.add_gate(tt, fanins);
             }
             b't' => {
@@ -658,7 +691,6 @@ pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
                         return Err(c.fail("inverted T1 operand"));
                     }
                 }
-                uses += 3;
                 mapped.add_t1(fanins);
             }
             other => return Err(c.fail(format!("unknown cell tag {:?}", other as char))),
@@ -667,7 +699,6 @@ pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
     }
     c.tag("pos")?;
     let npos = c.count("output")?;
-    uses += npos;
     c.eol()?;
     for _ in 0..npos {
         c.tag("p")?;
@@ -677,6 +708,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
     }
 
     // Schedule: stages and T1 offset slots are per-cell arrays.
+    let sched_line = c.line;
     c.tag("sched")?;
     let n: u32 = c.num()?;
     let horizon = c.i64()?;
@@ -718,82 +750,6 @@ pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
         horizon,
         t1_offsets,
     };
-
-    // DFF plan: every driver's members, taps and consumers are appended
-    // to the plan's shared vectors. A real plan holds `total_dffs` chain
-    // members and one consumer per use of a cell output, so the vectors
-    // are sized for those up front, but never beyond what the bytes left
-    // can hold: a member takes at least 2 bytes, a consumer line 12.
-    c.tag("plan")?;
-    let ndrivers = c.count("driver")?;
-    let total_dffs = c.u64()?;
-    let total_splitters = c.u64()?;
-    c.eol()?;
-    let room = c.bytes.len() - c.pos;
-    let mut plan = DffPlan::with_capacity(
-        ndrivers,
-        total_dffs.min(room as u64 / 2) as usize,
-        uses.min(room / 12),
-    );
-    plan.total_dffs = total_dffs;
-    plan.total_splitters = total_splitters;
-    for _ in 0..ndrivers {
-        c.tag("d")?;
-        let source = (CellId(c.num()?), c.num()?);
-        let source_stage = c.i64()?;
-        let nmembers = c.count("chain-member")?;
-        let ncons = c.count("consumer")?;
-        c.eol()?;
-        c.tag("m")?;
-        for _ in 0..nmembers {
-            plan.push_member(c.i64()?);
-        }
-        c.eol()?;
-        c.tag("a")?;
-        for _ in 0..ncons {
-            plan.push_tap(c.i64()?);
-        }
-        c.eol()?;
-        for _ in 0..ncons {
-            c.tag("c")?;
-            let consumer = match c.word()? {
-                b"g" => Consumer::GateInput {
-                    cell: CellId(c.num()?),
-                    slot: c.num()?,
-                },
-                b"t" => Consumer::T1Input {
-                    cell: CellId(c.num()?),
-                    slot: c.num()?,
-                },
-                b"o" => {
-                    let index = c.num()?;
-                    if c.u64()? != 0 {
-                        return Err(c.fail("output consumer with a non-zero slot"));
-                    }
-                    Consumer::Output { index }
-                }
-                other => {
-                    return Err(c.fail(format!(
-                        "unknown consumer kind '{}'",
-                        String::from_utf8_lossy(other)
-                    )))
-                }
-            };
-            let req = match c.word()? {
-                b"w" => Requirement::Window(c.i64()?),
-                b"e" => Requirement::Exact(c.i64()?),
-                other => {
-                    return Err(c.fail(format!(
-                        "unknown requirement kind '{}'",
-                        String::from_utf8_lossy(other)
-                    )))
-                }
-            };
-            c.eol()?;
-            plan.push_consumer(consumer, req);
-        }
-        plan.finish_driver(source, source_stage);
-    }
 
     // Optional pre-mapping optimization report.
     c.tag("preopt")?;
@@ -884,6 +840,31 @@ pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
         return Err(c.fail("bytes after the 'end' marker"));
     }
 
+    // DFF plan: derived, once the schedule is known to be sound and the
+    // derivation's work to fit the entry.
+    let line = |reason: String| DecodeError {
+        line: sched_line,
+        reason,
+    };
+    check_schedule(&mapped, &schedule).map_err(line)?;
+    let work = chain_work(&mapped, &schedule);
+    if work > (bytes.len() as u64).saturating_mul(WORK_PER_BYTE) {
+        return Err(line(format!(
+            "schedule needs up to {work} DFFs, implausible for a {}-byte entry",
+            bytes.len()
+        )));
+    }
+    let plan = insert_dffs(&mapped, &schedule);
+    if (plan.total_dffs, plan.total_splitters) != (stats.dffs, stats.splitters) {
+        return Err(DecodeError {
+            line: STATS_LINE,
+            reason: format!(
+                "stats list {} DFFs and {} splitters, the schedule needs {} and {}",
+                stats.dffs, stats.splitters, plan.total_dffs, plan.total_splitters
+            ),
+        });
+    }
+
     Ok(FlowResult {
         mapped,
         schedule,
@@ -902,7 +883,7 @@ mod tests {
     use sfq_circuits::epfl::adder;
     use sfq_opt::OptConfig;
     use t1map::cells::CellLibrary;
-    use t1map::flow::{run_flow, FlowConfig};
+    use t1map::flow::{run_flow, FlowConfig, PhaseEngine};
     use t1map::timing::TimingConfig;
 
     #[test]
@@ -913,6 +894,10 @@ mod tests {
             FlowConfig::single_phase(),
             FlowConfig::multiphase(4),
             FlowConfig::t1(4),
+            FlowConfig {
+                engine: PhaseEngine::Exact,
+                ..FlowConfig::t1(4)
+            },
             FlowConfig {
                 pre_opt: OptConfig::standard(),
                 ..FlowConfig::t1(4)
@@ -962,10 +947,23 @@ mod tests {
         assert!(err.reason.contains("version"), "{err}");
     }
 
+    /// A real T1 result with a pre-optimization report and a timing
+    /// summary, so its entry holds every section.
+    fn full_t1_result() -> FlowResult {
+        let cfg = FlowConfig {
+            pre_opt: OptConfig::standard(),
+            timing: TimingConfig::standard(),
+            ..FlowConfig::t1(4)
+        };
+        let result = run_flow(&adder(3), &CellLibrary::default(), &cfg);
+        assert!(result.stats.t1_used > 0, "a T1 entry");
+        assert!(result.pre_opt.is_some() && result.timing.is_some());
+        result
+    }
+
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
-        let result = run_flow(&adder(3), &CellLibrary::default(), &FlowConfig::t1(4));
-        let text = encode(&result);
+        let text = encode(&full_t1_result());
         // Every prefix must fail cleanly (the full text must not).
         for cut in 0..text.len().saturating_sub(1) {
             if let Ok(val) = decode(&text.as_bytes()[..cut]) {
@@ -980,13 +978,7 @@ mod tests {
     /// (re-encodes to the very same bytes).
     #[test]
     fn every_byte_replacement_decodes_or_errs() {
-        let cfg = FlowConfig {
-            pre_opt: OptConfig::standard(),
-            timing: TimingConfig::standard(),
-            ..FlowConfig::t1(4)
-        };
-        let result = run_flow(&adder(3), &CellLibrary::default(), &cfg);
-        let mut bytes = encode(&result).into_bytes();
+        let mut bytes = encode(&full_t1_result()).into_bytes();
         let mut accepted = 0;
         for i in 0..bytes.len() {
             let original = bytes[i];
@@ -1000,6 +992,77 @@ mod tests {
             bytes[i] = original;
         }
         assert!(accepted > 0, "digit swaps inside values still decode");
+    }
+
+    /// The first T1 cell (`t1`) or gate of `r`.
+    fn first(r: &FlowResult, t1: bool) -> usize {
+        let found = r.mapped.cells().find(|(_, cell)| match cell {
+            MappedCell::T1 { .. } => t1,
+            MappedCell::Gate { .. } => !t1,
+            _ => false,
+        });
+        found.expect("a cell of that kind").0.index()
+    }
+
+    /// The stage of the first gate of `r`.
+    fn gate_stage(r: &mut FlowResult) -> &mut i64 {
+        let gate = first(r, false);
+        &mut r.schedule.stages[gate]
+    }
+
+    /// The delivery offsets of the first T1 cell of `r`.
+    fn t1_offsets(r: &mut FlowResult) -> &mut Option<[i64; 3]> {
+        let t1 = first(r, true);
+        &mut r.schedule.t1_offsets[t1]
+    }
+
+    /// Adds `gap` to the stage of every cell but the inputs and constants,
+    /// and to the horizon.
+    fn widen(r: &mut FlowResult, gap: i64) {
+        for (id, cell) in r.mapped.cells() {
+            if !matches!(cell, MappedCell::Input { .. } | MappedCell::Const0) {
+                r.schedule.stages[id.index()] += gap;
+            }
+        }
+        r.schedule.horizon += gap;
+    }
+
+    /// Well-formed entries of a real T1 result with a hostile schedule or
+    /// `stats` line: each is an error (a panic under the dev profile's
+    /// overflow checks would fail the test), and none reaches the plan
+    /// derivation with work the entry's length cannot account for.
+    #[test]
+    fn hostile_schedules_and_stats_are_errors() {
+        type Tamper = fn(&mut FlowResult);
+        let cases: [(&str, Tamper); 14] = [
+            // A 2^62 stage gap: 2^60 chain members under 4 phases.
+            ("implausible", |r| widen(r, 1 << 62)),
+            ("negative stage", |r| *gate_stage(r) = -1),
+            ("negative stage", |r| *gate_stage(r) = i64::MIN),
+            ("horizon", |r| r.schedule.horizon = -1),
+            // The outputs' capture at `horizon + 1` does not fit an i64.
+            ("horizon", |r| r.schedule.horizon = i64::MAX),
+            ("0 phases", |r| r.schedule.n = 0),
+            ("not after fanin", |r| {
+                let gate = first(r, false);
+                let fanin = r.mapped.fanins(CellId(gate as u32))[0].cell.index();
+                r.schedule.stages[gate] = r.schedule.stages[fanin];
+            }),
+            ("lacks offsets", |r| *t1_offsets(r) = None),
+            ("duplicate offset", |r| *t1_offsets(r) = Some([1, 1, 2])),
+            ("out of range", |r| *t1_offsets(r) = Some([0, 1, 2])),
+            ("out of range", |r| *t1_offsets(r) = Some([5, 1, 2])),
+            ("out of range", |r| *t1_offsets(r) = Some([i64::MIN, 1, 2])),
+            ("the schedule needs", |r| r.stats.dffs += 1),
+            ("the schedule needs", |r| r.stats.splitters -= 1),
+        ];
+        for (i, (expected, tamper)) in cases.into_iter().enumerate() {
+            let mut result = full_t1_result();
+            assert!(!result.mapped.pos().is_empty() && result.schedule.n == 4);
+            tamper(&mut result);
+            let err = decode(encode(&result).as_bytes()).expect_err("tampered entry accepted");
+            assert!(err.reason.contains(expected), "case {i}: {err}");
+        }
     }
 
     #[test]
@@ -1022,24 +1085,23 @@ mod tests {
     /// cell count, and other counts must fit the bytes left.
     #[test]
     fn counts_larger_than_the_entry_fail_before_allocating() {
-        let entry = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
+        let entry = "sfq-flow-result v3\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
                      sched 4 0 0\nstages\nt1off 268435456 0\n";
         assert_eq!(entry.len(), 92);
         let err = decode(entry.as_bytes()).expect_err("slot count is not the cell count");
         assert!(err.reason.contains("slot count"), "{err}");
 
-        let head = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
-                    sched 4 0 0\nstages\nt1off 0 0\n";
+        let head = "sfq-flow-result v3\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
+                    sched 4 0 0\nstages\n";
         for tail in [
-            "plan 1000 0 0\n",
-            "plan 1 0 0\nd 0 0 0 268435456 0\n",
-            "plan 1 0 0\nd 0 0 0 0 1000000\n",
-            "plan 0 0 0\npreopt 1\nr 100000 0 0 0 0 0\n",
+            "t1off 0 1000\n",
+            "t1off 0 0\npreopt 1\nr 100000 0 0 0 0 0\n",
+            "t1off 0 0\npreopt 1\nr 1 0 0 0 0 0\nq 1000000\n",
         ] {
             let err = decode(format!("{head}{tail}").as_bytes()).expect_err(tail);
             assert!(err.reason.contains("implausible"), "{tail}: {err}");
         }
-        let stages = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
+        let stages = "sfq-flow-result v3\nstats 0 0 0 0 0 0 0 0\ncells 0\npos 0\n\
                       sched 4 0 268435456\n";
         assert!(decode(stages.as_bytes()).is_err());
     }
@@ -1066,7 +1128,7 @@ mod tests {
             );
         }
         // A truth table with bits beyond its variables' 2^n rows.
-        let gate = "sfq-flow-result v2\nstats 0 0 0 0 0 0 0 0\ncells 2\ni 0\ng 1 6 0 0 0\n";
+        let gate = "sfq-flow-result v3\nstats 0 0 0 0 0 0 0 0\ncells 2\ni 0\ng 1 6 0 0 0\n";
         let err = decode(gate.as_bytes()).unwrap_err();
         assert!(err.reason.contains("beyond 1 variables"), "{err}");
     }

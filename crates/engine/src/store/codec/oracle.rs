@@ -1,9 +1,9 @@
-//! The format-v2 encoder as it was before the single-pass rewrite, kept
-//! as the test oracle that pins [`super::encode`]'s bytes: every field
-//! goes through `write!`, one line at a time.
+//! The encoder as it was before the single-pass rewrite, less the DFF
+//! plan that format v3 no longer stores, kept as the test oracle that
+//! pins [`super::encode`]'s bytes: every field goes through `write!`, one
+//! line at a time.
 
 use super::{FORMAT_VERSION, HEADER};
-use t1map::dff::{Consumer, Requirement};
 use t1map::flow::FlowResult;
 use t1map::mapped::MappedCell;
 
@@ -78,51 +78,6 @@ pub fn encode(result: &FlowResult) -> String {
     writeln!(w, "t1off {} {}", sched.t1_offsets.len(), offsets.len()).unwrap();
     for (i, o) in offsets {
         writeln!(w, "o {} {} {} {}", i, o[0], o[1], o[2]).unwrap();
-    }
-
-    let plan = &result.plan;
-    writeln!(
-        w,
-        "plan {} {} {}",
-        plan.drivers().len(),
-        plan.total_dffs,
-        plan.total_splitters
-    )
-    .unwrap();
-    for d in plan.drivers() {
-        writeln!(
-            w,
-            "d {} {} {} {} {}",
-            d.source.0 .0,
-            d.source.1,
-            d.source_stage,
-            d.members.len(),
-            d.consumers.len()
-        )
-        .unwrap();
-        write!(w, "m").unwrap();
-        for m in d.members {
-            write!(w, " {m}").unwrap();
-        }
-        writeln!(w).unwrap();
-        write!(w, "a").unwrap();
-        for t in d.taps {
-            write!(w, " {t}").unwrap();
-        }
-        writeln!(w).unwrap();
-        for (consumer, req) in d.consumers {
-            match consumer {
-                Consumer::GateInput { cell, slot } => write!(w, "c g {} {}", cell.0, slot),
-                Consumer::T1Input { cell, slot } => write!(w, "c t {} {}", cell.0, slot),
-                Consumer::Output { index } => write!(w, "c o {index} 0"),
-            }
-            .unwrap();
-            match req {
-                Requirement::Window(t) => writeln!(w, " w {t}"),
-                Requirement::Exact(tau) => writeln!(w, " e {tau}"),
-            }
-            .unwrap();
-        }
     }
 
     match &result.pre_opt {

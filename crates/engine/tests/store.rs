@@ -1,5 +1,5 @@
 //! Integration tests of the persistent result store: codec round-trips
-//! (property-based and on real flows), the golden format-v2 entry,
+//! (property-based and on real flows), the golden format-v3 entry,
 //! corrupt/stale entries behaving as misses, cross-process sharing, warm
 //! starts computing nothing, and concurrent runners sharing one
 //! disk-backed store.
@@ -47,16 +47,19 @@ proptest! {
     }
 }
 
-/// Seed of the result the golden entry encodes.
-const GOLDEN_SEED: u64 = 33;
+/// Seed of the result the golden entry encodes: two T1 cells, pre-opt
+/// and timing.
+const GOLDEN_SEED: u64 = 6;
 
-/// The committed entry pins format v2 byte for byte: a change to the
+/// The committed entry pins format v3 byte for byte: a change to the
 /// encoder's output must bump `FORMAT_VERSION` (and replace this file).
+/// Decoding it derives the DFF plan the entry does not store.
 #[test]
-fn golden_entry_pins_format_v2() {
-    let golden = include_str!("golden/entry_v2.sfqr");
+fn golden_entry_pins_format_v3() {
+    let golden = include_str!("golden/entry_v3.sfqr");
     let result = synthetic_result(GOLDEN_SEED, true, true);
-    assert_eq!(codec::FORMAT_VERSION, 2);
+    assert_eq!(result.mapped.t1_count(), 2);
+    assert_eq!(codec::FORMAT_VERSION, 3);
     assert_eq!(codec::encode(&result), golden);
     assert_eq!(codec::decode(golden.as_bytes()), Ok(result));
 }

@@ -1,9 +1,9 @@
 //! Synthetic [`FlowResult`]s for the store codec's tests, shared by the
 //! codec's unit tests and the store's integration tests.
 
-use t1map::dff::{Consumer, DffPlan, Requirement};
+use t1map::dff::insert_dffs;
 use t1map::flow::{FlowResult, FlowStats};
-use t1map::mapped::{CellId, Edge, MappedCircuit};
+use t1map::mapped::{CellId, Edge, MappedCell, MappedCircuit};
 use t1map::phase::Schedule;
 use t1map::timing::TimingSummary;
 
@@ -28,14 +28,68 @@ impl XorShift {
     fn stage(&mut self) -> i64 {
         self.below(2001) as i64 - 1000
     }
+
+    /// Three distinct T1 delivery offsets in `1..=n` (`n >= 3`).
+    fn offsets(&mut self, n: u32) -> [i64; 3] {
+        let mut o = [0i64; 3];
+        for k in 0..3 {
+            o[k] = 1 + self.below(n.into()) as i64;
+            while o[..k].contains(&o[k]) {
+                o[k] = o[k] % i64::from(n) + 1;
+            }
+        }
+        o
+    }
 }
 
-/// Builds a structurally valid — but otherwise arbitrary — [`FlowResult`]
-/// from a seed: random netlist shape, schedule, DFF plan and optional
-/// reports. This exercises codec paths real flows rarely produce (empty
-/// chains, negative stages, exotic truth tables, multi-round reports).
+/// A valid schedule for `mc` under `n` phases: inputs and constants at
+/// stage 0, every other cell up to 2 stages later than it must be, T1
+/// cells with random distinct offsets, and the horizon up to 2 stages past
+/// the latest output driver.
+fn schedule(rng: &mut XorShift, mc: &MappedCircuit, n: u32) -> Schedule {
+    let mut stages = vec![0i64; mc.len()];
+    let mut t1_offsets = vec![None; mc.len()];
+    for (id, cell) in mc.cells() {
+        let earliest = match cell {
+            MappedCell::Input { .. } | MappedCell::Const0 => continue,
+            MappedCell::Gate { fanins, .. } => {
+                fanins.iter().map(|e| stages[e.cell.index()] + 1).max()
+            }
+            MappedCell::T1 { fanins } => {
+                let o = rng.offsets(n);
+                t1_offsets[id.index()] = Some(o);
+                fanins
+                    .iter()
+                    .zip(o)
+                    .map(|(e, o)| stages[e.cell.index()] + o)
+                    .max()
+            }
+        };
+        stages[id.index()] = earliest.unwrap_or(1) + rng.below(3) as i64;
+    }
+    let latest = mc
+        .pos()
+        .iter()
+        .filter(|e| !matches!(mc.cell(e.cell), MappedCell::Const0))
+        .map(|e| stages[e.cell.index()])
+        .max()
+        .unwrap_or(0);
+    Schedule {
+        n,
+        stages,
+        horizon: latest + rng.below(3) as i64,
+        t1_offsets,
+    }
+}
+
+/// Builds a valid — but otherwise arbitrary — [`FlowResult`] from a seed:
+/// random netlist shape, a valid schedule for it, the DFF plan
+/// [`insert_dffs`] derives (with the matching `stats` totals) and optional
+/// reports. This exercises codec paths real flows rarely produce (slack
+/// stages, exotic truth tables, unused cells, multi-round reports).
 pub fn synthetic_result(seed: u64, with_pre_opt: bool, with_timing: bool) -> FlowResult {
     let mut rng = XorShift(seed | 1);
+    let n = 1 + rng.below(8) as u32;
     let mut mc = MappedCircuit::new();
     // Output-port count of each built cell (3 for T1, 1 otherwise).
     let mut ports: Vec<u8> = Vec::new();
@@ -59,7 +113,7 @@ pub fn synthetic_result(seed: u64, with_pre_opt: bool, with_timing: bool) -> Flo
     }
     let extra = rng.below(12) as usize;
     for _ in 0..extra {
-        if ports.len() >= 3 && rng.below(4) == 0 {
+        if n >= 3 && rng.below(4) == 0 {
             let fanins = [
                 edge(&mut rng, &ports, true),
                 edge(&mut rng, &ports, true),
@@ -85,53 +139,7 @@ pub fn synthetic_result(seed: u64, with_pre_opt: bool, with_timing: bool) -> Flo
         });
     }
 
-    let ncells = ports.len();
-    let schedule = Schedule {
-        n: 1 + rng.below(8) as u32,
-        stages: (0..ncells).map(|_| rng.stage()).collect(),
-        horizon: rng.stage(),
-        t1_offsets: (0..ncells)
-            .map(|i| (ports[i] == 3).then(|| [rng.stage(), rng.stage(), rng.stage()]))
-            .collect(),
-    };
-
-    let mut plan = DffPlan::default();
-    for _ in 0..rng.below(5) {
-        let cell = rng.below(ncells as u64) as usize;
-        let ncons = rng.below(4);
-        let source = (CellId(cell as u32), rng.below(ports[cell] as u64) as u8);
-        let source_stage = rng.stage();
-        for _ in 0..rng.below(6) {
-            plan.push_member(rng.stage());
-        }
-        for _ in 0..ncons {
-            plan.push_tap(rng.stage());
-        }
-        for _ in 0..ncons {
-            let consumer = match rng.below(3) {
-                0 => Consumer::GateInput {
-                    cell: CellId(rng.below(ncells as u64) as u32),
-                    slot: rng.below(6) as usize,
-                },
-                1 => Consumer::T1Input {
-                    cell: CellId(rng.below(ncells as u64) as u32),
-                    slot: rng.below(3) as usize,
-                },
-                _ => Consumer::Output {
-                    index: rng.below(8) as usize,
-                },
-            };
-            let req = if rng.below(2) == 0 {
-                Requirement::Window(rng.stage())
-            } else {
-                Requirement::Exact(rng.stage())
-            };
-            plan.push_consumer(consumer, req);
-        }
-        plan.finish_driver(source, source_stage);
-    }
-    plan.total_dffs = rng.below(10_000);
-    plan.total_splitters = rng.below(1_000);
+    let schedule = schedule(&mut rng, &mc, n);
 
     let pre_opt = with_pre_opt.then(|| OptReport {
         rounds: (0..1 + rng.below(3))
@@ -168,81 +176,54 @@ pub fn synthetic_result(seed: u64, with_pre_opt: bool, with_timing: bool) -> Flo
         chained_dffs: rng.below(99_999),
     });
 
+    let plan = insert_dffs(&mc, &schedule);
     FlowResult {
-        mapped: mc,
-        schedule,
-        plan,
         stats: FlowStats {
             t1_found: rng.below(999) as usize,
             t1_used: rng.below(999) as usize,
-            dffs: rng.below(99_999),
-            splitters: rng.below(9_999),
+            dffs: plan.total_dffs,
+            splitters: plan.total_splitters,
             cell_area: rng.below(999_999),
             area: rng.below(999_999),
             depth_cycles: rng.stage(),
             gates: rng.below(9999) as usize,
         },
+        mapped: mc,
+        schedule,
+        plan,
         pre_opt,
         timing,
     }
 }
 
-/// [`synthetic_result`] pushed to the extremes of every field type:
-/// `i64::MIN`/`i64::MAX` stages, offsets, taps and slacks, `u64::MAX`
-/// truth-table bits, DFF counts and pass micros, and the largest cell
-/// ids, slots and counts. A 6-input all-ones gate and a T1 cell are
-/// appended so both are always present.
+/// [`synthetic_result`] pushed to the extremes of every stored field a
+/// valid schedule leaves free: `u64::MAX` truth-table bits and pass
+/// micros, `u32::MAX` phases and T1 offsets (so stages past `u32::MAX`),
+/// `i64::MIN`/`i64::MAX` slacks and depth, and the largest counts. A
+/// 6-input all-ones gate and a T1 cell are appended so both are always
+/// present. The plan and the `stats` DFF and splitter totals are derived
+/// again, as a decoder derives them.
 pub fn extreme_result(seed: u64) -> FlowResult {
     let mut r = synthetic_result(seed, true, true);
-    let extreme = |i: usize| [i64::MIN, i64::MAX, -1, 0][i % 4];
-
     r.mapped.add_gate(
         TruthTable::from_bits(6, u64::MAX),
         vec![Edge::plain(CellId(0)); 6],
     );
-    r.mapped.add_t1([Edge::plain(CellId(0)); 3]);
-    let ncells = r.mapped.len();
+    let t1 = r.mapped.add_t1([Edge::plain(CellId(0)); 3]);
+    r.mapped.add_po(Edge::plain(t1));
     let sched = &mut r.schedule;
     sched.n = u32::MAX;
-    sched.horizon = i64::MIN;
-    sched.stages = (0..ncells).map(extreme).collect();
-    sched.t1_offsets.resize(ncells - 1, None);
-    sched.t1_offsets.push(Some([i64::MIN, i64::MAX, 0]));
-
-    let plan = &mut r.plan;
-    plan.total_dffs = u64::MAX;
-    plan.total_splitters = u64::MAX;
-    for member in [i64::MIN, i64::MAX] {
-        plan.push_member(member);
-    }
-    for tap in [i64::MAX, i64::MIN, 0] {
-        plan.push_tap(tap);
-    }
-    plan.push_consumer(
-        Consumer::GateInput {
-            cell: CellId(u32::MAX),
-            slot: usize::MAX,
-        },
-        Requirement::Window(i64::MIN),
-    );
-    plan.push_consumer(
-        Consumer::T1Input {
-            cell: CellId(u32::MAX),
-            slot: usize::MAX,
-        },
-        Requirement::Exact(i64::MAX),
-    );
-    plan.push_consumer(
-        Consumer::Output { index: usize::MAX },
-        Requirement::Exact(i64::MIN),
-    );
-    plan.finish_driver((CellId(u32::MAX), u8::MAX), i64::MIN);
+    let top = i64::from(u32::MAX);
+    sched.stages.extend([1, top]);
+    sched.t1_offsets.extend([None, Some([top, 1, top - 1])]);
+    sched.horizon = sched.horizon.max(top);
+    r.plan = insert_dffs(&r.mapped, &r.schedule);
 
     r.stats = FlowStats {
         t1_found: usize::MAX,
         t1_used: usize::MAX,
-        dffs: u64::MAX,
-        splitters: u64::MAX,
+        dffs: r.plan.total_dffs,
+        splitters: r.plan.total_splitters,
         cell_area: u64::MAX,
         area: u64::MAX,
         depth_cycles: i64::MIN,

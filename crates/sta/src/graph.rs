@@ -21,13 +21,14 @@
 //!
 //! # Incremental recompute
 //!
-//! [`TimingAnalysis::refresh`] re-runs the recurrences only over the cone
-//! affected by a set of *dirty* nodes (nodes whose arrival floors
+//! [`TimingAnalysis::refresh`] re-runs the arrival recurrence only over
+//! the cone affected by a set of *dirty* nodes (nodes whose arrival floors
 //! changed): arrivals propagate forward through fanouts while they keep
-//! changing, required times propagate backward through fanins against the
-//! pinned horizon, and an untouched region is never revisited. A localized edit — the rewrite-site
-//! case — therefore costs time proportional to the affected cone, not the
-//! network.
+//! changing, and an untouched region is never revisited. Required times
+//! need no refresh: delays are fixed when the graph is built and the
+//! horizon is pinned, and floors enter only the arrivals. A localized edit
+//! — the rewrite-site case — therefore costs time proportional to its
+//! fanout cone, not the network.
 
 /// A DAG with integer edge delays, built bottom-up in topological order.
 #[derive(Debug, Clone, Default)]
@@ -196,32 +197,18 @@ impl TimingAnalysis {
 
     /// Re-runs the analysis over the cone affected by `dirty` — nodes whose
     /// arrival floors changed since the last run. Arrivals propagate
-    /// forward only while they change; required times propagate backward
-    /// the same way. The horizon never moves.
+    /// forward only while they change. Required times are left alone: they
+    /// read only the edge delays, the sinks and the pinned horizon, none of
+    /// which a floor edit touches.
     pub fn refresh(&mut self, graph: &TimingGraph, dirty: &[usize]) {
         use std::collections::BTreeSet;
         let _span = sfq_obs::span("sta:refresh");
-        // Forward: arrivals.
         let mut work: BTreeSet<usize> = dirty.iter().copied().collect();
         while let Some(v) = work.pop_first() {
             let a = graph.arrival_of(v, &self.arrival);
             if a != self.arrival[v] {
                 self.arrival[v] = a;
                 work.extend(graph.fanouts(v));
-            }
-        }
-        // Backward: required times, seeded with the dirty nodes and their
-        // fanins; propagation handles the rest.
-        let mut work: BTreeSet<usize> = BTreeSet::new();
-        for &v in dirty {
-            work.insert(v);
-            work.extend(graph.fanins(v).map(|(u, _)| u));
-        }
-        while let Some(v) = work.pop_last() {
-            let r = graph.required_of(v, &self.required, self.horizon);
-            if r != self.required[v] {
-                self.required[v] = r;
-                work.extend(graph.fanins(v).map(|(u, _)| u));
             }
         }
     }
