@@ -31,7 +31,23 @@
 //! so those two share an end. [`DffPlan::drivers`] walks the heads and
 //! yields borrowed [`DriverPlan`] views. [`insert_dffs`], the only
 //! builder, appends to the shared vectors, so a plan costs a handful of
-//! allocations whatever its driver count.
+//! allocations whatever its driver count. A consumer entry is 24 bytes:
+//! a [`Consumer`] keeps its slot in a `u8` and its output index in a
+//! `u32`.
+//!
+//! # Splitter count
+//!
+//! A driver with `u` consumers needs exactly `u − 1` splitters, whatever
+//! its chain. An element (the driver or a chain DFF) with fanout `f ≥ 1`
+//! needs `f − 1` splitters. The fanout branches of a chain with `k`
+//! members are the `u` taps plus the `k` succession edges driver →
+//! member 1 → … → member `k`, and its `k + 1` elements sit at distinct
+//! stages. Every element drives something: each one before the last
+//! drives its successor, and the last is tapped. It is an exact delivery,
+//! or the window extension placed for some consumer `t`, which then taps
+//! it as its latest element before `t`; with no members, every tap is at
+//! the driver. So the total is `(u + k) − (k + 1) = u − 1`, and
+//! [`insert_dffs`] adds that per driver without looking at the chain.
 
 use crate::mapped::{CellId, Edge, MappedCell, MappedCircuit};
 use crate::phase::Schedule;
@@ -67,19 +83,19 @@ pub enum Consumer {
         /// Consuming cell.
         cell: CellId,
         /// Fanin slot.
-        slot: usize,
+        slot: u8,
     },
     /// Operand slot of a T1 cell.
     T1Input {
         /// Consuming T1 cell.
         cell: CellId,
         /// Operand slot.
-        slot: usize,
+        slot: u8,
     },
     /// Primary output.
     Output {
         /// Output index.
-        index: usize,
+        index: u32,
     },
 }
 
@@ -100,32 +116,12 @@ impl Chain {
     }
 }
 
-/// The splitters the chain `members` and `taps` of a driver at stage
-/// `source` need: each element (driver or DFF) with fanout `f > 1` needs
-/// `f − 1`. Tallies in the caller's `branches` buffer.
-fn splitter_count(source: i64, members: &[i64], taps: &[i64], branches: &mut Vec<i64>) -> u64 {
-    // One entry per fanout branch, naming the element that drives it:
-    // the taps, then the chain succession source → members[0] → ….
-    branches.clear();
-    branches.extend_from_slice(taps);
-    if let Some((_, drivers)) = members.split_last() {
-        branches.push(source);
-        branches.extend_from_slice(drivers);
-    }
-    // Σ (f − 1) over the elements with fanout f ≥ 1.
-    let total = branches.len();
-    branches.sort_unstable();
-    branches.dedup();
-    (total - branches.len()) as u64
-}
-
-/// Working buffers of [`append_chain`] and [`splitter_count`], reused
-/// across the drivers of one plan.
+/// Working buffers of [`append_chain`], reused across the drivers of one
+/// plan.
 #[derive(Debug, Default)]
 struct ChainScratch {
     exact: Vec<i64>,
     windows: Vec<i64>,
-    branches: Vec<i64>,
 }
 
 /// Builds the minimal shared chain for one driver.
@@ -165,7 +161,7 @@ fn append_chain(
     taps: &mut Vec<i64>,
 ) {
     assert!(n >= 1, "need at least one phase");
-    let ChainScratch { exact, windows, .. } = scratch;
+    let ChainScratch { exact, windows } = scratch;
     exact.clear();
     windows.clear();
     for r in reqs {
@@ -311,7 +307,7 @@ impl Consumer {
             Consumer::GateInput { cell, .. } => Requirement::Window(stage(cell)),
             Consumer::T1Input { cell, slot } => {
                 let offsets = sched.t1_offsets[cell.index()].expect("T1 cell has offsets");
-                Requirement::Exact(stage(cell) - offsets[slot])
+                Requirement::Exact(stage(cell) - offsets[usize::from(slot)])
             }
             Consumer::Output { .. } => Requirement::Window(sched.horizon + 1),
         }
@@ -370,18 +366,18 @@ pub(crate) fn for_each_use(mc: &MappedCircuit, mut f: impl FnMut(&Edge, Consumer
         match cell {
             MappedCell::Input { .. } | MappedCell::Const0 => {}
             MappedCell::Gate { fanins, .. } => {
-                for (slot, e) in fanins.iter().enumerate() {
+                for (slot, e) in (0..).zip(fanins) {
                     f(e, Consumer::GateInput { cell: id, slot });
                 }
             }
             MappedCell::T1 { fanins } => {
-                for (slot, e) in fanins.iter().enumerate() {
+                for (slot, e) in (0..).zip(fanins) {
                     f(e, Consumer::T1Input { cell: id, slot });
                 }
             }
         }
     }
-    for (index, e) in mc.pos().iter().enumerate() {
+    for (index, e) in (0..).zip(mc.pos()) {
         if !matches!(mc.cell(e.cell), MappedCell::Const0) {
             f(e, Consumer::Output { index });
         }
@@ -393,7 +389,9 @@ pub(crate) fn for_each_use(mc: &MappedCircuit, mut f: impl FnMut(&Edge, Consumer
 /// Each driver's consumers, chain members and taps are appended straight
 /// to the plan's shared vectors, so the plan allocates a handful of
 /// vectors whatever its driver count; the requirement list and the chain
-/// builder's working buffers are reused across drivers.
+/// builder's working buffers are reused across drivers. A driver with `u`
+/// consumers adds `u − 1` splitters (see the
+/// [module docs](self#splitter-count)).
 pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
     let fanouts = Fanouts::new(mc);
     let n = sched.n as i64;
@@ -420,7 +418,7 @@ pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
                 plan.consumers.push((c, r));
             }
             let source_stage = stage(cell);
-            let (members_start, taps_start) = (plan.members.len(), plan.taps.len());
+            let members_start = plan.members.len();
             append_chain(
                 source_stage,
                 &reqs,
@@ -429,14 +427,8 @@ pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
                 &mut plan.members,
                 &mut plan.taps,
             );
-            let members = &plan.members[members_start..];
-            plan.total_dffs += members.len() as u64;
-            plan.total_splitters += splitter_count(
-                source_stage,
-                members,
-                &plan.taps[taps_start..],
-                &mut scratch.branches,
-            );
+            plan.total_dffs += (plan.members.len() - members_start) as u64;
+            plan.total_splitters += uses.len() as u64 - 1;
             plan.heads.push(DriverHead {
                 source: (cell, port),
                 source_stage,
@@ -528,13 +520,33 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The splitters the chain `members` and `taps` of a driver at stage
+    /// `source` need, tallied element by element: each element (driver or
+    /// DFF) with fanout `f > 1` needs `f − 1`. The sort-based count the
+    /// closed form `uses − 1` replaces, kept as its oracle.
+    fn splitter_count(source: i64, members: &[i64], taps: &[i64]) -> u64 {
+        // One entry per fanout branch, naming the element that drives it:
+        // the taps, then the chain succession source → members[0] → ….
+        let mut branches = taps.to_vec();
+        if let Some((_, drivers)) = members.split_last() {
+            branches.push(source);
+            branches.extend_from_slice(drivers);
+        }
+        // Σ (f − 1) over the elements with fanout f ≥ 1.
+        let total = branches.len();
+        branches.sort_unstable();
+        branches.dedup();
+        (total - branches.len()) as u64
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 500, ..ProptestConfig::default() })]
 
-        /// The sorted-`Vec` chain builder equals the `BTreeSet` one, and
-        /// the splitter count equals the per-element fanout tally, both
+        /// The sorted-`Vec` chain builder equals the `BTreeSet` one, both
         /// fresh and appended after earlier drivers' chains through one
-        /// reused scratch (so no state leaks from one driver to the next).
+        /// reused scratch (so no state leaks from one driver to the next),
+        /// and the per-element splitter tally of every chain is the closed
+        /// form `uses − 1`.
         #[test]
         fn build_chain_matches_reference(
             n in 1i64..=6,
@@ -559,17 +571,19 @@ mod tests {
                     })
                     .collect();
                 let reference = build_chain_reference(source, &reqs, n);
-                let splitters = splitter_count_reference(&reference, source);
                 let chain = build_chain(source, &reqs, n);
                 prop_assert_eq!(
                     &chain,
                     &reference,
                     "source {} n {} reqs {:?}", source, n, reqs
                 );
-                prop_assert_eq!(
-                    splitter_count(source, &chain.members, &chain.taps, &mut Vec::new()),
-                    splitters
-                );
+                if !reqs.is_empty() {
+                    prop_assert_eq!(
+                        splitter_count(source, &chain.members, &chain.taps),
+                        reqs.len() as u64 - 1,
+                        "source {} n {} reqs {:?}", source, n, reqs
+                    );
+                }
                 let (members_start, taps_start) = (members.len(), taps.len());
                 append_chain(source, &reqs, n, &mut scratch, &mut members, &mut taps);
                 let appended = Chain {
@@ -580,15 +594,6 @@ mod tests {
                     &appended,
                     &reference,
                     "appended: source {} n {} reqs {:?}", source, n, reqs
-                );
-                prop_assert_eq!(
-                    splitter_count(
-                        source,
-                        &members[members_start..],
-                        &taps[taps_start..],
-                        &mut scratch.branches,
-                    ),
-                    splitters
                 );
             }
         }
@@ -616,9 +621,9 @@ mod tests {
     }
 
     /// The per-driver fresh-allocation [`insert_dffs`] oracle: consumers
-    /// grouped by driver in a map, each chain built and tallied by the
-    /// reference functions into vectors of its own. Returns the drivers
-    /// and the DFF and splitter totals.
+    /// grouped by driver in a map, each chain built by the reference
+    /// builder into vectors of its own and its splitters tallied element
+    /// by element. Returns the drivers and the DFF and splitter totals.
     fn insert_dffs_reference(mc: &MappedCircuit, sched: &Schedule) -> (Vec<OwnedDriver>, u64, u64) {
         use std::collections::BTreeMap;
         let stage = |c: CellId| sched.stages[c.index()];
@@ -634,7 +639,7 @@ mod tests {
             let source_stage = stage(source.0);
             let chain = build_chain_reference(source_stage, &reqs, sched.n as i64);
             total_dffs += chain.dff_count() as u64;
-            total_splitters += splitter_count_reference(&chain, source_stage);
+            total_splitters += splitter_count(source_stage, &chain.members, &chain.taps);
             drivers.push(OwnedDriver {
                 source,
                 source_stage,
@@ -659,7 +664,11 @@ mod tests {
         use crate::flow::{run_flow, FlowConfig};
         let lib = CellLibrary::default();
         let aig = sfq_circuits::epfl::adder(16);
-        for config in [FlowConfig::t1(4), FlowConfig::single_phase()] {
+        for config in [
+            FlowConfig::t1(4),
+            FlowConfig::multiphase(4),
+            FlowConfig::single_phase(),
+        ] {
             let flow = run_flow(&aig, &lib, &config);
             assert_eq!(flow.stats.t1_used > 0, config.use_t1);
             let plan = insert_dffs(&flow.mapped, &flow.schedule);
@@ -699,23 +708,6 @@ mod tests {
             );
             prop_assert_eq!(&plan, &flow.plan);
         }
-    }
-
-    /// The `HashMap` fanout tally [`splitter_count`] replaces.
-    fn splitter_count_reference(chain: &Chain, source: i64) -> u64 {
-        use std::collections::HashMap;
-        let mut fanout: HashMap<i64, u64> = HashMap::new();
-        for &t in &chain.taps {
-            *fanout.entry(t).or_insert(0) += 1;
-        }
-        // Chain succession: source → members[0] → members[1] → …
-        if !chain.members.is_empty() {
-            *fanout.entry(source).or_insert(0) += 1;
-            for w in chain.members.windows(2) {
-                *fanout.entry(w[0]).or_insert(0) += 1;
-            }
-        }
-        fanout.values().map(|&f| f.saturating_sub(1)).sum()
     }
 
     #[test]
@@ -814,7 +806,12 @@ mod tests {
         // Source fanout: chain successor + direct tap = 2 → 1 splitter.
         // Member 4 is the last and taps one consumer → fanout 1 → 0.
         // Members 1..3 drive only successors → 0.
-        assert_eq!(splitter_count(0, &c.members, &c.taps, &mut Vec::new()), 1);
+        assert_eq!(splitter_count(0, &c.members, &c.taps), 1);
+    }
+
+    #[test]
+    fn consumer_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<(Consumer, Requirement)>(), 24);
     }
 
     #[test]

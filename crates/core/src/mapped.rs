@@ -10,10 +10,22 @@
 //! cell variant (see `cells` module); T1 fanins are always positive —
 //! negated T1 operands get explicit NOT gates during mapping, since a
 //! pulse-absence cannot toggle the T input.
+//!
+//! # Layout
+//!
+//! Every cell is stored inline in one vector: a gate keeps its fanins in
+//! a [`GateFanins`], room for [`TruthTable::MAX_VARS`] edges plus a
+//! length, and a T1 cell its three operands in an array. A netlist is
+//! therefore two vectors, its cells and its outputs, and building,
+//! cloning or dropping one costs a fixed number of allocations whatever
+//! its size. The capacity is the truth table's variable limit,
+//! not the mapper's three leaves, because stored entries may hold any
+//! gate the truth table can describe.
 
 use crate::cells::CellLibrary;
 use sfq_netlist::truth_table::TruthTable;
 use std::fmt;
+use std::ops::Deref;
 
 /// Identifier of a cell inside a [`MappedCircuit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,6 +76,56 @@ impl Edge {
     }
 }
 
+/// The fanin edges of a gate, stored inline: up to
+/// [`TruthTable::MAX_VARS`] edges and their count. Derefs to `[Edge]`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct GateFanins {
+    len: u8,
+    /// `edges[..len]` are the fanins; the rest stay at a fixed filler so
+    /// the derived comparisons see only the fanins.
+    edges: [Edge; TruthTable::MAX_VARS],
+}
+
+impl GateFanins {
+    /// Copies `edges` inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`TruthTable::MAX_VARS`] edges.
+    pub fn new(edges: &[Edge]) -> Self {
+        assert!(edges.len() <= TruthTable::MAX_VARS, "gate arity above 6");
+        let mut inline = [Edge::plain(CellId(0)); TruthTable::MAX_VARS];
+        inline[..edges.len()].copy_from_slice(edges);
+        GateFanins {
+            len: edges.len() as u8,
+            edges: inline,
+        }
+    }
+}
+
+impl Deref for GateFanins {
+    type Target = [Edge];
+
+    fn deref(&self) -> &[Edge] {
+        &self.edges[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a GateFanins {
+    type Item = &'a Edge;
+    type IntoIter = std::slice::Iter<'a, Edge>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for GateFanins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A mapped cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MappedCell {
@@ -79,7 +141,7 @@ pub enum MappedCell {
         /// Function over the fanin slots (after per-edge inversion).
         tt: TruthTable,
         /// Fanin edges (slot `i` is variable `i` of `tt`).
-        fanins: Vec<Edge>,
+        fanins: GateFanins,
     },
     /// T1 cell; fanins are merged into the `T` input, the clock acts as `R`.
     T1 {
@@ -100,6 +162,14 @@ impl MappedCircuit {
     /// Creates an empty netlist.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty netlist with room for `cells` cells.
+    pub fn with_capacity(cells: usize) -> Self {
+        MappedCircuit {
+            cells: Vec::with_capacity(cells),
+            ..Self::default()
+        }
     }
 
     /// Adds a primary input cell.
@@ -126,13 +196,16 @@ impl MappedCircuit {
     /// Panics if `tt.num_vars() != fanins.len()`, if any fanin references a
     /// not-yet-created cell (topological order violation), or if a fanin
     /// references a non-existent T1 port.
-    pub fn add_gate(&mut self, tt: TruthTable, fanins: Vec<Edge>) -> CellId {
+    pub fn add_gate(&mut self, tt: TruthTable, fanins: &[Edge]) -> CellId {
         assert_eq!(tt.num_vars(), fanins.len(), "gate arity mismatch");
-        for e in &fanins {
+        for e in fanins {
             self.check_edge(e);
         }
         let id = CellId(self.cells.len() as u32);
-        self.cells.push(MappedCell::Gate { tt, fanins });
+        self.cells.push(MappedCell::Gate {
+            tt,
+            fanins: GateFanins::new(fanins),
+        });
         id
     }
 
@@ -344,7 +417,7 @@ mod tests {
         let mut m = MappedCircuit::new();
         let a = m.add_input();
         let b = m.add_input();
-        let g = m.add_gate(and2(), vec![Edge::plain(a), Edge::plain(b)]);
+        let g = m.add_gate(and2(), &[Edge::plain(a), Edge::plain(b)]);
         m.add_po(Edge::plain(g));
         assert_eq!(m.eval(&[true, true]), vec![true]);
         assert_eq!(m.eval(&[true, false]), vec![false]);
@@ -357,7 +430,7 @@ mod tests {
         let b = m.add_input();
         let g = m.add_gate(
             and2(),
-            vec![
+            &[
                 Edge::plain(a),
                 Edge {
                     cell: b,
@@ -431,7 +504,7 @@ mod tests {
     fn forward_reference_rejected() {
         let mut m = MappedCircuit::new();
         let a = m.add_input();
-        m.add_gate(and2(), vec![Edge::plain(a), Edge::plain(CellId(99))]);
+        m.add_gate(and2(), &[Edge::plain(a), Edge::plain(CellId(99))]);
     }
 
     #[test]
@@ -441,7 +514,7 @@ mod tests {
         let a = m.add_input();
         let b = m.add_input();
         let c = m.add_input();
-        let g = m.add_gate(and2(), vec![Edge::plain(a), Edge::plain(b)]);
+        let g = m.add_gate(and2(), &[Edge::plain(a), Edge::plain(b)]);
         let t1 = m.add_t1([Edge::plain(a), Edge::plain(b), Edge::plain(c)]);
         m.add_po(Edge::plain(g));
         m.add_po(Edge {

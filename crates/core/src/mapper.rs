@@ -183,14 +183,24 @@ fn choose_cuts(aig: &Aig, lib: &CellLibrary, cuts: &CutSet) -> Vec<Option<Cut>> 
     best
 }
 
+/// One T1 member's place: its group, its port and its output inversion.
+#[derive(Debug, Clone, Copy)]
+struct T1Root {
+    group: u32,
+    port: u8,
+    invert: bool,
+}
+
 struct Cover<'a> {
     aig: &'a Aig,
     lib: &'a CellLibrary,
     best: &'a [Option<Cut>],
-    /// node → (group index, port, output inversion)
-    t1_roots: HashMap<NodeId, (usize, u8, bool)>,
+    /// `t1_roots[node]`: the T1 member realizing `node`, if any (empty
+    /// without a selection).
+    t1_roots: Vec<Option<T1Root>>,
     groups: Vec<&'a T1Group>,
-    built: HashMap<NodeId, Edge>,
+    /// `built[node]`: the edge realizing `node`, once built.
+    built: Vec<Option<Edge>>,
     t1_cells: Vec<Option<CellId>>,
     out: MappedCircuit,
     attribution: HashMap<NodeId, u32>,
@@ -205,13 +215,18 @@ impl<'a> Cover<'a> {
         best: &'a [Option<Cut>],
         t1: Option<&'a T1Selection>,
     ) -> Self {
-        let mut t1_roots = HashMap::new();
+        let mut t1_roots = Vec::new();
         let mut groups = Vec::new();
         if let Some(sel) = t1 {
+            t1_roots.resize(aig.len(), None);
             for (gi, g) in sel.groups.iter().enumerate() {
                 groups.push(g);
                 for m in &g.members {
-                    t1_roots.insert(m.root, (gi, m.port, m.output_invert));
+                    t1_roots[m.root.index()] = Some(T1Root {
+                        group: gi as u32,
+                        port: m.port,
+                        invert: m.output_invert,
+                    });
                 }
             }
         }
@@ -226,7 +241,7 @@ impl<'a> Cover<'a> {
             best,
             t1_roots,
             groups,
-            built: HashMap::new(),
+            built: vec![None; aig.len()],
             t1_cells,
             out,
             attribution: HashMap::new(),
@@ -258,35 +273,38 @@ impl<'a> Cover<'a> {
     }
 
     fn build(&mut self, node: NodeId) -> Edge {
-        if let Some(&e) = self.built.get(&node) {
+        if let Some(e) = self.built[node.index()] {
             return e;
         }
         let edge = match self.aig.kind(node) {
             NodeKind::Const0 => self.const_edge(),
             NodeKind::Input(i) => self.input_edges[i as usize],
             NodeKind::And(..) => {
-                if let Some(&(gi, port, inv)) = self.t1_roots.get(&node) {
-                    let cell = self.build_t1(gi);
+                if let Some(root) = self.t1_roots.get(node.index()).copied().flatten() {
                     Edge {
-                        cell,
-                        port,
-                        invert: inv,
+                        cell: self.build_t1(root.group as usize),
+                        port: root.port,
+                        invert: root.invert,
                     }
                 } else {
                     self.build_gate(node)
                 }
             }
         };
-        self.built.insert(node, edge);
+        self.built[node.index()] = Some(edge);
         edge
     }
 
     fn build_gate(&mut self, node: NodeId) -> Edge {
         let cut = self.best[node.index()].expect("every AND has a chosen cut");
         let tt = cut.truth_table();
-        let fanins: Vec<Edge> = cut.leaves().iter().map(|&l| self.build(l)).collect();
+        let leaves = cut.leaves();
+        let mut fanins = [Edge::plain(CellId(0)); 3];
+        for (slot, &leaf) in fanins.iter_mut().zip(leaves) {
+            *slot = self.build(leaf);
+        }
         let cost = self.lib.gate_cost(tt);
-        let cell = self.out.add_gate(tt, fanins);
+        let cell = self.out.add_gate(tt, &fanins[..leaves.len()]);
         self.attribution.insert(node, cost);
         Edge::plain(cell)
     }
@@ -309,7 +327,7 @@ impl<'a> Cover<'a> {
                     invert: false,
                 };
                 let not_tt = !TruthTable::var(1, 0);
-                Edge::plain(self.out.add_gate(not_tt, vec![raw]))
+                Edge::plain(self.out.add_gate(not_tt, &[raw]))
             } else {
                 Edge {
                     cell: e.cell,

@@ -912,9 +912,9 @@ pub(crate) mod tests {
         let mut m = MappedCircuit::new();
         let a = m.add_input();
         let b = m.add_input();
-        let mut prev = m.add_gate(and2(), vec![Edge::plain(a), Edge::plain(b)]);
+        let mut prev = m.add_gate(and2(), &[Edge::plain(a), Edge::plain(b)]);
         for _ in 1..depth {
-            prev = m.add_gate(and2(), vec![Edge::plain(prev), Edge::plain(a)]);
+            prev = m.add_gate(and2(), &[Edge::plain(prev), Edge::plain(a)]);
         }
         m.add_po(Edge::plain(prev));
         m
@@ -943,7 +943,7 @@ pub(crate) mod tests {
         let a = m.add_input();
         let b = m.add_input();
         let c = m.add_input();
-        let g = m.add_gate(and2(), vec![Edge::plain(a), Edge::plain(b)]); // stage 1
+        let g = m.add_gate(and2(), &[Edge::plain(a), Edge::plain(b)]); // stage 1
         let t1 = m.add_t1([Edge::plain(g), Edge::plain(b), Edge::plain(c)]);
         m.add_po(Edge {
             cell: t1,
@@ -969,14 +969,14 @@ pub(crate) mod tests {
         let mut m = MappedCircuit::new();
         let a = m.add_input();
         let b = m.add_input();
-        let mut prev = m.add_gate(and2(), vec![Edge::plain(a), Edge::plain(b)]);
+        let mut prev = m.add_gate(and2(), &[Edge::plain(a), Edge::plain(b)]);
         for i in 0..6 {
             let other = if i % 2 == 0 { a } else { b };
-            prev = m.add_gate(and2(), vec![Edge::plain(prev), Edge::plain(other)]);
+            prev = m.add_gate(and2(), &[Edge::plain(prev), Edge::plain(other)]);
         }
         // Shallow side gate: ASAP stage 1, but its consumer is at stage 8.
-        let side = m.add_gate(and2(), vec![Edge::plain(a), Edge::plain(b)]);
-        let top = m.add_gate(and2(), vec![Edge::plain(prev), Edge::plain(side)]);
+        let side = m.add_gate(and2(), &[Edge::plain(a), Edge::plain(b)]);
+        let top = m.add_gate(and2(), &[Edge::plain(prev), Edge::plain(side)]);
         m.add_po(Edge::plain(top));
         let asap_s = assign_phases(&m, 1, 0);
         let opt_s = assign_phases_with(&m, 1, 3, SearchObjective::SharedChains);

@@ -81,10 +81,10 @@ pub fn to_pulse_circuit(mc: &MappedCircuit, sched: &Schedule, plan: &DffPlan) ->
         for ((consumer, _req), &tap) in d.consumers.iter().zip(d.taps) {
             match *consumer {
                 Consumer::GateInput { cell, slot } | Consumer::T1Input { cell, slot } => {
-                    taps.insert((cell, slot), (d.source, tap, d.source_stage));
+                    taps.insert((cell, usize::from(slot)), (d.source, tap, d.source_stage));
                 }
                 Consumer::Output { index } => {
-                    po_taps.insert(index, (d.source, tap, d.source_stage));
+                    po_taps.insert(index as usize, (d.source, tap, d.source_stage));
                 }
             }
         }

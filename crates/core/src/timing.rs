@@ -24,6 +24,7 @@
 use crate::dff::DffPlan;
 use crate::mapped::{MappedCell, MappedCircuit};
 use crate::phase::{edge_dff_objective, Schedule};
+use sfq_netlist::truth_table::TruthTable;
 pub use sfq_sta::TimingConfig;
 use sfq_sta::{top_paths_bounded, TimingAnalysis, TimingGraph, TimingPath};
 
@@ -40,24 +41,23 @@ pub struct MappedTiming {
 ///
 /// Panics if `sched` does not belong to `mc` (missing T1 offsets).
 pub fn timing_graph(mc: &MappedCircuit, sched: &Schedule) -> TimingGraph {
-    let mut graph = TimingGraph::new();
+    let edges = mc.cells().map(|(id, _)| mc.fanins(id).len()).sum();
+    let mut graph = TimingGraph::with_capacity(mc.len(), edges);
     for (id, cell) in mc.cells() {
         match cell {
             MappedCell::Input { .. } | MappedCell::Const0 => {
                 graph.add_node(&[]);
             }
             MappedCell::Gate { fanins, .. } => {
-                let edges: Vec<(usize, i64)> = fanins.iter().map(|e| (e.cell.index(), 1)).collect();
-                graph.add_node(&edges);
+                let mut edges = [(0, 1); TruthTable::MAX_VARS];
+                for (edge, e) in edges.iter_mut().zip(fanins) {
+                    edge.0 = e.cell.index();
+                }
+                graph.add_node(&edges[..fanins.len()]);
             }
             MappedCell::T1 { fanins } => {
                 let offsets = sched.t1_offsets[id.index()].expect("T1 cell has offsets");
-                let edges: Vec<(usize, i64)> = fanins
-                    .iter()
-                    .zip(offsets)
-                    .map(|(e, o)| (e.cell.index(), o))
-                    .collect();
-                graph.add_node(&edges);
+                graph.add_node(&[0, 1, 2].map(|k| (fanins[k].cell.index(), offsets[k])));
             }
         }
     }

@@ -137,10 +137,10 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
             };
             match *consumer {
                 Consumer::GateInput { cell: c, slot } | Consumer::T1Input { cell: c, slot } => {
-                    tap_wire.insert((c, slot), w);
+                    tap_wire.insert((c, usize::from(slot)), w);
                 }
                 Consumer::Output { index } => {
-                    po_wire.insert(index, w);
+                    po_wire.insert(index as usize, w);
                 }
             }
         }

@@ -45,9 +45,10 @@
 //!
 //! [`encode`] appends this text straight into one pre-sized byte buffer;
 //! [`decode`] reads it back in a single pass of one byte cursor, parsing
-//! each number in the scan that finds it, then derives the plan. A decoded
-//! entry allocates one fanin vector per gate and otherwise a fixed number
-//! of vectors, never one per driver.
+//! each number in the scan that finds it, then derives the plan. It sizes
+//! the cell vector from the `cells` count and parses each gate's fanins
+//! into a stack array, which the netlist stores inline, so a decoded entry
+//! allocates a fixed number of vectors: never one per gate or per driver.
 //!
 //! [`decode`] is *total*: any input — corrupt, truncated, hostile — yields
 //! either an equal [`FlowResult`] or a [`DecodeError`] with the offending
@@ -67,7 +68,7 @@
 //! per-cell arrays (`stages`, `t1off`) must match the cell count, every
 //! other count is checked against the bytes left in the entry, and the
 //! derivation runs only when its chain members stay within
-//! [`WORK_PER_BYTE`] per byte of the entry.
+//! `WORK_PER_BYTE` per byte of the entry.
 //!
 //! [`FORMAT_VERSION`] participates in the [`DiskStore`](super::DiskStore)
 //! directory layout (`<dir>/v<N>/`): bumping it on any format change
@@ -647,7 +648,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
     c.tag("cells")?;
     let ncells = c.count("cell")?;
     c.eol()?;
-    let mut mapped = MappedCircuit::new();
+    let mut mapped = MappedCircuit::with_capacity(ncells);
     for _ in 0..ncells {
         let tag = c.peek().ok_or_else(|| c.eof("missing cell line"))?;
         c.pos += 1;
@@ -677,11 +678,11 @@ pub fn decode(bytes: &[u8]) -> Result<FlowResult, DecodeError> {
                         "truth table {bits:x} has bits beyond {nvars} variables"
                     )));
                 }
-                let mut fanins = Vec::with_capacity(nvars);
-                for _ in 0..nvars {
-                    fanins.push(c.edge(&mapped)?);
+                let mut fanins = [Edge::plain(CellId(0)); TruthTable::MAX_VARS];
+                for slot in &mut fanins[..nvars] {
+                    *slot = c.edge(&mapped)?;
                 }
-                mapped.add_gate(tt, fanins);
+                mapped.add_gate(tt, &fanins[..nvars]);
             }
             b't' => {
                 let mut fanins = [Edge::plain(CellId(0)); 3];

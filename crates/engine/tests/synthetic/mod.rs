@@ -125,7 +125,7 @@ pub fn synthetic_result(seed: u64, with_pre_opt: bool, with_timing: bool) -> Flo
             let nvars = 1 + rng.below(6) as usize;
             let tt = TruthTable::from_bits(nvars, rng.next());
             let fanins: Vec<Edge> = (0..nvars).map(|_| edge(&mut rng, &ports, false)).collect();
-            mc.add_gate(tt, fanins);
+            mc.add_gate(tt, &fanins);
             ports.push(1);
         }
     }
@@ -207,7 +207,7 @@ pub fn extreme_result(seed: u64) -> FlowResult {
     let mut r = synthetic_result(seed, true, true);
     r.mapped.add_gate(
         TruthTable::from_bits(6, u64::MAX),
-        vec![Edge::plain(CellId(0)); 6],
+        &[Edge::plain(CellId(0)); 6],
     );
     let t1 = r.mapped.add_t1([Edge::plain(CellId(0)); 3]);
     r.mapped.add_po(Edge::plain(t1));

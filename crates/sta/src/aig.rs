@@ -41,7 +41,7 @@ pub struct AigSta {
 }
 
 fn build_graph(aig: &Aig) -> TimingGraph {
-    let mut graph = TimingGraph::new();
+    let mut graph = TimingGraph::with_capacity(aig.len(), 2 * aig.and_count());
     for id in aig.node_ids() {
         match aig.kind(id) {
             NodeKind::Const0 | NodeKind::Input(_) => {

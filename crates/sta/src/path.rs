@@ -35,6 +35,26 @@ struct State {
     done: bool,
 }
 
+/// `F(v)`, the longest delay from `v` to any sink (`i64::MIN` = reaches
+/// none), by one reverse scatter over the fanins: a node's `F` is final
+/// when it is reached (its consumers all come later), and it raises each
+/// fanin `u` to at least `F(v) + d(u→v)`.
+fn longest_to_sink(graph: &TimingGraph) -> Vec<i64> {
+    let mut f = vec![i64::MIN; graph.len()];
+    for v in (0..graph.len()).rev() {
+        if graph.is_sink(v) {
+            f[v] = f[v].max(0);
+        }
+        if f[v] == i64::MIN {
+            continue;
+        }
+        for (u, d) in graph.fanins(v) {
+            f[u] = f[u].max(f[v] + d);
+        }
+    }
+    f
+}
+
 /// Extracts the `k` longest source→sink paths, longest first, and whether
 /// the search budget expired before `k` paths were found (`true` = more
 /// paths may exist than were returned). Ties are broken arbitrarily but
@@ -50,24 +70,7 @@ pub fn top_paths_bounded(
     if k == 0 || graph.is_empty() {
         return (Vec::new(), false);
     }
-    let n = graph.len();
-    // F(v): longest delay from v to any sink; i64::MIN = reaches none.
-    let mut f = vec![i64::MIN; n];
-    for v in (0..n).rev() {
-        if graph.is_sink(v) {
-            f[v] = 0;
-        }
-        for w in graph.fanouts(v) {
-            if f[w] == i64::MIN {
-                continue;
-            }
-            for (u, d) in graph.fanins(w) {
-                if u == v {
-                    f[v] = f[v].max(f[w] + d);
-                }
-            }
-        }
-    }
+    let f = longest_to_sink(graph);
 
     // Tie-break equal bounds toward the NEWEST state (plain `idx` in a
     // max-heap): on a network whose critical paths share one exact bound
@@ -168,13 +171,13 @@ pub fn top_paths_bounded(
         // (the shorter arm of a parallel pair is never the critical one);
         // the fanout list repeats such consumers, so dedupe to avoid
         // emitting the same path once per parallel edge. Duplicates are
-        // adjacent by construction (one add_node call pushes them in a row).
-        let mut fanouts: Vec<usize> = graph.fanouts(node).collect();
-        fanouts.dedup();
-        for w in fanouts {
-            if f[w] == i64::MIN {
+        // adjacent: the fanouts list consumers ascending.
+        let mut prev_w = usize::MAX;
+        for w in graph.fanouts(node) {
+            if w == prev_w || f[w] == i64::MIN {
                 continue;
             }
+            prev_w = w;
             let d = graph
                 .fanins(w)
                 .filter(|&(u, _)| u == node)
@@ -200,7 +203,51 @@ pub fn top_paths_bounded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::random_graph;
     use crate::graph::TimingAnalysis;
+    use proptest::prelude::*;
+
+    /// The fanout → fanin scan [`longest_to_sink`] replaces, kept as its
+    /// oracle.
+    fn longest_to_sink_reference(graph: &TimingGraph) -> Vec<i64> {
+        let n = graph.len();
+        let mut f = vec![i64::MIN; n];
+        for v in (0..n).rev() {
+            if graph.is_sink(v) {
+                f[v] = 0;
+            }
+            for w in graph.fanouts(v) {
+                if f[w] == i64::MIN {
+                    continue;
+                }
+                for (u, d) in graph.fanins(w) {
+                    if u == v {
+                        f[v] = f[v].max(f[w] + d);
+                    }
+                }
+            }
+        }
+        f
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// On random DAGs with parallel edges, unreachable nodes and
+        /// several sinks, the scatter `F` equals the fanout scan's, so the
+        /// search pops the same states and reports the same paths.
+        #[test]
+        fn scatter_longest_to_sink_matches_fanout_scan(
+            nodes in prop::collection::vec(
+                (prop::collection::vec((any::<u32>(), 0i64..5), 0..4), any::<bool>()),
+                1..40,
+            ),
+            sinks in prop::collection::vec(any::<u32>(), 0..5),
+        ) {
+            let g = random_graph(&nodes, &sinks);
+            prop_assert_eq!(longest_to_sink(&g), longest_to_sink_reference(&g));
+        }
+    }
 
     fn ladder() -> TimingGraph {
         // s → a → t(sink) with a parallel long edge s → b → t.
