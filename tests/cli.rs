@@ -75,6 +75,64 @@ fn binary_aiger_and_verilog_export() {
     }
 }
 
+/// `map --verilog` and `--dot` of two T1 results at 4 phases, with
+/// multi-member DFF chains, T1 operand taps and shared fanouts, against
+/// their goldens: the Verilog byte for byte, the dot file as a sorted set
+/// of lines (its line order is not part of the graph).
+#[test]
+fn map_exports_match_goldens() {
+    let golden = |name: &str| {
+        let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let sorted_lines = |text: &str| {
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.sort_unstable();
+        lines.join("\n")
+    };
+    for (bench, width) in [("adder", "16"), ("multiplier", "5")] {
+        let stem = format!("map_{bench}{width}_t1_4");
+        let (aag, v, dot) = (
+            tmp(&format!("{stem}.aag")),
+            tmp(&format!("{stem}.v")),
+            tmp(&format!("{stem}.dot")),
+        );
+        assert!(bin()
+            .args(["gen", bench, width, "-o"])
+            .arg(&aag)
+            .status()
+            .expect("gen")
+            .success());
+        let out = bin()
+            .arg("map")
+            .arg(&aag)
+            .args(["--phases", "4", "--verilog"])
+            .arg(&v)
+            .arg("--dot")
+            .arg(&dot)
+            .output()
+            .expect("map");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let verilog = std::fs::read_to_string(&v).expect("verilog written");
+        assert!(
+            verilog == golden(&format!("{stem}.v")),
+            "Verilog differs from tests/golden/{stem}.v"
+        );
+        let graph = std::fs::read_to_string(&dot).expect("dot written");
+        assert!(
+            sorted_lines(&graph) == sorted_lines(&golden(&format!("{stem}.dot"))),
+            "dot lines differ from tests/golden/{stem}.dot"
+        );
+        for f in [&aag, &v, &dot] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+}
+
 #[test]
 fn baseline_flow_flag() {
     let aag = tmp("voter.aag");
