@@ -28,7 +28,7 @@
 
 use crate::args::{Args, Command, Flag, CACHE_DIR, JOBS, PRE_OPT, SMALL};
 use crate::{
-    opt_sweep_jobs, phase_sweep_jobs_with, progress_event, progress_line, slack_sweep_jobs,
+    opt_sweep_jobs, phase_sweep_jobs, progress_event, progress_line, slack_sweep_jobs,
     BenchmarkScale, SWEEP_PHASES,
 };
 use sfq_circuits::epfl;
@@ -85,7 +85,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let aig = Arc::new(epfl::adder(64));
     // Each sweep point submits (baseline, T1, shared 1φ reference); the
     // engine's content-addressed cache computes the repeated 1φ job once.
-    let jobs = phase_sweep_jobs_with("adder64", &aig, &lib, pre_opt);
+    let jobs = phase_sweep_jobs("adder64", &aig, &lib, pre_opt);
     let report = runner.run_with_progress(&jobs, |o| progress_event(&o));
     for (n, triple) in SWEEP_PHASES.iter().zip(report.results.chunks(3)) {
         let (base, t1) = (&triple[0].stats, &triple[1].stats);

@@ -198,18 +198,9 @@ pub const SWEEP_PHASES: [u32; 5] = [3, 4, 5, 6, 8];
 /// content-addressed cache computes it once and serves the remaining
 /// `SWEEP_PHASES.len() - 1` requests as cache hits. This keeps the suite
 /// definition declarative (each row names everything it reads) without
-/// paying for the redundancy.
-pub fn phase_sweep_jobs(name: &str, aig: &Arc<Aig>, lib: &CellLibrary) -> Vec<Job> {
-    phase_sweep_jobs_with(name, aig, lib, false)
-}
-
-/// [`phase_sweep_jobs`] with an optional `sfq-opt` pre-mapping stage.
-pub fn phase_sweep_jobs_with(
-    name: &str,
-    aig: &Arc<Aig>,
-    lib: &CellLibrary,
-    pre_opt: bool,
-) -> Vec<Job> {
+/// paying for the redundancy. With `pre_opt`, every job runs the standard
+/// `sfq-opt` pre-mapping stage first.
+pub fn phase_sweep_jobs(name: &str, aig: &Arc<Aig>, lib: &CellLibrary, pre_opt: bool) -> Vec<Job> {
     let stage = |mut config: FlowConfig| {
         if pre_opt {
             config.pre_opt = OptConfig::standard();
@@ -334,7 +325,7 @@ mod tests {
     fn phase_sweep_repeats_the_single_phase_reference() {
         let lib = CellLibrary::default();
         let aig = Arc::new(named::build("adder", 4).unwrap());
-        let jobs = phase_sweep_jobs("adder4", &aig, &lib);
+        let jobs = phase_sweep_jobs("adder4", &aig, &lib, false);
         assert_eq!(jobs.len(), SWEEP_PHASES.len() * 3);
         let reference_key = jobs[2].key();
         for chunk in jobs.chunks(3) {

@@ -12,7 +12,7 @@ use t1map::cells::CellLibrary;
 fn phase_sweep_reports_cache_hits_for_the_shared_baseline() {
     let lib = CellLibrary::default();
     let aig = Arc::new(epfl::adder(8));
-    let jobs = phase_sweep_jobs("adder8", &aig, &lib);
+    let jobs = phase_sweep_jobs("adder8", &aig, &lib, false);
     let report = SuiteRunner::new(2).run(&jobs);
 
     // One 1φ reference per sweep point, identical content → exactly one

@@ -86,12 +86,14 @@ pub fn detect(aig: &Aig, lib: &CellLibrary, config: &DetectConfig) -> DetectionR
     detect_with_attribution(aig, lib, config, &attribution)
 }
 
-/// Like [`detect`], but reusing an existing baseline-mapping attribution.
+/// Like [`detect`], but reusing an existing baseline-mapping attribution
+/// ([`MapResult::attribution`](crate::mapper::MapResult::attribution) of a
+/// cover of `aig`).
 pub fn detect_with_attribution(
     aig: &Aig,
     lib: &CellLibrary,
     config: &DetectConfig,
-    attribution: &HashMap<NodeId, u32>,
+    attribution: &[u32],
 ) -> DetectionResult {
     let cuts = {
         let _span = sfq_obs::span("detect:cuts");
@@ -107,7 +109,7 @@ pub(crate) fn detect_with_cuts(
     aig: &Aig,
     lib: &CellLibrary,
     config: &DetectConfig,
-    attribution: &HashMap<NodeId, u32>,
+    attribution: &[u32],
     cuts: &CutSet,
 ) -> DetectionResult {
     debug_assert!(
@@ -182,10 +184,7 @@ pub(crate) fn detect_with_cuts(
         // Bound the dereference at the cut leaves: the replacement removes
         // exactly the cones between the roots and the shared cut.
         let union = mffc.union_members_bounded(&roots, &leaves);
-        let freed: i64 = union
-            .iter()
-            .map(|n| attribution.get(n).copied().unwrap_or(0) as i64)
-            .sum();
+        let freed: i64 = union.iter().map(|n| attribution[n.index()] as i64).sum();
         cands.push(Candidate {
             leaves,
             variants,

@@ -23,17 +23,25 @@
 //!
 //! # Plan layout
 //!
-//! A [`DffPlan`] is stored in compressed sparse row form: one head per
-//! driver (its source, its source stage and where its slices end), plus
-//! one shared vector each of chain members, taps and consumers. A driver
-//! owns the members from the previous driver's end to its own, and
-//! likewise the taps and the consumers; a driver has one tap per consumer,
-//! so those two share an end. [`DffPlan::drivers`] walks the heads and
-//! yields borrowed [`DriverPlan`] views. [`insert_dffs`], the only
-//! builder, appends to the shared vectors, so a plan costs a handful of
-//! allocations whatever its driver count. A consumer entry is 24 bytes:
-//! a [`Consumer`] keeps its slot in a `u8` and its output index in a
-//! `u32`.
+//! A [`DffPlan`] is two arrays its readers walk directly.
+//!
+//! - **Chains**, in compressed sparse row form: one offset per driver
+//!   `d = 3·cell + port` (a cell has at most three ports) over one shared
+//!   vector of member stages. [`DffPlan::chain`] looks a driver's chain up
+//!   by `(cell, port)`; chains are stored cells ascending, then ports.
+//! - **Taps**, one per use of a driver, in netlist use order: the fanin
+//!   slots of gates and T1 cells, cells ascending, then the primary
+//!   outputs not driven by a constant. A tap is the position, in its
+//!   driver's chain, of the element serving the use: 0 for the driver
+//!   itself, `k` for the `k`-th member.
+//!
+//! The plan repeats nothing the netlist and the schedule hold: a use's
+//! driver is its fanin edge, and its requirement follows from the stages.
+//! A reader walks the cells and their fanins in order, then the outputs,
+//! and takes the next of [`DffPlan::taps`] for each use. A use costs the
+//! plan 4 bytes. [`insert_dffs`], the only builder, fills both arrays in
+//! one pass over the drivers, so a plan costs a handful of allocations
+//! whatever its size.
 //!
 //! # Splitter count
 //!
@@ -51,6 +59,7 @@
 
 use crate::mapped::{CellId, Edge, MappedCell, MappedCircuit};
 use crate::phase::Schedule;
+use std::ops::Range;
 
 /// A delivery requirement placed on a driver's DFF chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,15 +84,14 @@ impl Requirement {
     }
 }
 
-/// Who a requirement belongs to (used to rebuild the netlist for simulation).
+/// Who a use of a driver belongs to: the requirement it places on the
+/// driver's chain follows from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Consumer {
+pub(crate) enum Consumer {
     /// Fanin slot of an ordinary gate.
     GateInput {
         /// Consuming cell.
         cell: CellId,
-        /// Fanin slot.
-        slot: u8,
     },
     /// Operand slot of a T1 cell.
     T1Input {
@@ -93,10 +101,7 @@ pub enum Consumer {
         slot: u8,
     },
     /// Primary output.
-    Output {
-        /// Output index.
-        index: u32,
-    },
+    Output,
 }
 
 /// A shared DFF chain for one driver, as [`build_chain`] returns it.
@@ -104,9 +109,9 @@ pub enum Consumer {
 pub struct Chain {
     /// Stages of the chain DFFs, ascending (the driver itself is not listed).
     pub members: Vec<i64>,
-    /// For each requirement (in input order): the stage of the serving
-    /// element (`source` stage means the driver serves directly).
-    pub taps: Vec<i64>,
+    /// For each requirement (in input order): the position of the serving
+    /// element in the chain (0 is the driver, `k` the `k`-th member).
+    pub taps: Vec<u32>,
 }
 
 impl Chain {
@@ -138,16 +143,17 @@ pub fn build_chain(source: i64, reqs: &[Requirement], n: i64) -> Chain {
         n,
         &mut ChainScratch::default(),
         &mut chain.members,
-        &mut chain.taps,
+        |_, tap| chain.taps.push(tap),
     );
     chain
 }
 
 /// The chain builder behind [`build_chain`] and [`insert_dffs`]: appends
 /// the minimal shared chain of a driver at stage `source` to `members`
-/// (ascending) and one tap per requirement to `taps`, working in the
-/// caller's `scratch` buffers. Elements already in `members` and `taps`
-/// are left alone.
+/// (ascending), working in the caller's `scratch` buffers, and calls
+/// `tap(i, k)` for each requirement `i` in order with the position `k` of
+/// its serving element (0 for the driver, `k` for the `k`-th appended
+/// member). Elements already in `members` are left alone.
 ///
 /// # Panics
 ///
@@ -158,7 +164,7 @@ fn append_chain(
     n: i64,
     scratch: &mut ChainScratch,
     members: &mut Vec<i64>,
-    taps: &mut Vec<i64>,
+    mut tap: impl FnMut(usize, u32),
 ) {
     assert!(n >= 1, "need at least one phase");
     let ChainScratch { exact, windows } = scratch;
@@ -198,8 +204,8 @@ fn append_chain(
         prev = m;
     }
     // The element serving a window consumer at `t` is the last one before
-    // `t`: returns where a member before `t` would be inserted in `chain`,
-    // and the stage of that element.
+    // `t`: returns its position (where a member before `t` would be
+    // inserted in `chain`), and its stage.
     let latest_before = |chain: &[i64], t: i64| {
         let at = chain.partition_point(|&m| m < t);
         (at, if at == 0 { source } else { chain[at - 1] })
@@ -213,59 +219,34 @@ fn append_chain(
             at += 1;
         }
     }
-    // Assign taps.
+    // Assign taps. An exact delivery above the source is a member, so its
+    // position counts the members up to it; one at the source counts none.
+    // A position is at most the plan's member count, which `insert_dffs`
+    // checks fits a `u32`.
     let chain = &members[start..];
-    taps.extend(reqs.iter().map(|r| match *r {
-        Requirement::Exact(tau) => tau,
-        Requirement::Window(t) => {
-            let (_, p) = latest_before(chain, t);
-            debug_assert!(p >= t - n, "window consumer unserved");
-            p
-        }
-    }));
+    for (i, r) in reqs.iter().enumerate() {
+        let at = match *r {
+            Requirement::Exact(tau) => chain.partition_point(|&m| m <= tau),
+            Requirement::Window(t) => {
+                let (at, p) = latest_before(chain, t);
+                debug_assert!(p >= t - n, "window consumer unserved");
+                at
+            }
+        };
+        tap(i, at as u32);
+    }
 }
 
-/// The DFF chain of one driver, with its consumers: a borrowed view of one
-/// driver of a [`DffPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriverPlan<'a> {
-    /// Driving cell and output port.
-    pub source: (CellId, u8),
-    /// Stage of the driver.
-    pub source_stage: i64,
-    /// Stages of the chain DFFs, ascending (the driver itself is not
-    /// listed).
-    pub members: &'a [i64],
-    /// For each consumer, in order: the stage of the serving element
-    /// (`source_stage` means the driver serves directly).
-    pub taps: &'a [i64],
-    /// Consumers with their requirements, in the same order as `taps`.
-    pub consumers: &'a [(Consumer, Requirement)],
-}
-
-/// One driver of a [`DffPlan`]: its source, and where its slices end in the
-/// plan's shared vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DriverHead {
-    source: (CellId, u8),
-    source_stage: i64,
-    /// End of the driver's chain in `members`.
-    members_end: usize,
-    /// End of the driver's taps in `taps`, and of its consumers in
-    /// `consumers`.
-    consumers_end: usize,
-}
-
-/// Complete DFF-insertion plan for a scheduled netlist, in compressed
-/// sparse row form (see the [module docs](self#plan-layout)): per-driver
-/// heads over one shared vector each of chain members, taps and
-/// consumers. Read it through [`DffPlan::drivers`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Complete DFF-insertion plan for a scheduled netlist: every driver's
+/// chain, and every use's tap into its driver's chain (see the
+/// [module docs](self#plan-layout)).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DffPlan {
-    heads: Vec<DriverHead>,
+    /// The chain of driver `d = 3·cell + port` is
+    /// `members[chain_start[d]..chain_start[d + 1]]`.
+    chain_start: Vec<u32>,
     members: Vec<i64>,
-    taps: Vec<i64>,
-    consumers: Vec<(Consumer, Requirement)>,
+    taps: Vec<u32>,
     /// Total path-balancing DFFs.
     pub total_dffs: u64,
     /// Total splitters.
@@ -273,22 +254,34 @@ pub struct DffPlan {
 }
 
 impl DffPlan {
-    /// The per-driver chains (only drivers with at least one consumer), in
-    /// the order they were built: [`insert_dffs`] lists cells ascending,
-    /// then ports.
-    pub fn drivers(&self) -> impl ExactSizeIterator<Item = DriverPlan<'_>> + '_ {
-        let (mut members, mut consumers) = (0, 0);
-        self.heads.iter().map(move |h| {
-            let d = DriverPlan {
-                source: h.source,
-                source_stage: h.source_stage,
-                members: &self.members[members..h.members_end],
-                taps: &self.taps[consumers..h.consumers_end],
-                consumers: &self.consumers[consumers..h.consumers_end],
-            };
-            (members, consumers) = (h.members_end, h.consumers_end);
-            d
-        })
+    /// The stages of the chain DFFs of output `port` of `cell`, ascending
+    /// (the driver itself is not listed; empty when no use needs a DFF).
+    pub fn chain(&self, cell: CellId, port: u8) -> &[i64] {
+        &self.members[self.chain_range(cell, port)]
+    }
+
+    /// The chain DFF serving a use of output `port` of `cell` whose tap is
+    /// `tap` (one of [`DffPlan::taps`]): `None` when the driver serves the
+    /// use itself, else the DFF's stage and its number among all the
+    /// plan's chain DFFs, numbered cells ascending, then ports, then along
+    /// each chain.
+    pub fn tapped_dff(&self, cell: CellId, port: u8, tap: u32) -> Option<(usize, i64)> {
+        let k = tap.checked_sub(1)? as usize;
+        let chain = self.chain_range(cell, port);
+        Some((chain.start + k, self.members[chain][k]))
+    }
+
+    fn chain_range(&self, cell: CellId, port: u8) -> Range<usize> {
+        let d = driver_index(cell, port);
+        self.chain_start[d] as usize..self.chain_start[d + 1] as usize
+    }
+
+    /// One tap per use, in netlist use order (see the
+    /// [module docs](self#plan-layout)): the position of the serving
+    /// element in the use's driver chain, 0 being the driver itself.
+    /// [`DffPlan::tapped_dff`] names the element.
+    pub fn taps(&self) -> &[u32] {
+        &self.taps
     }
 }
 
@@ -304,70 +297,85 @@ impl Consumer {
         stage: impl Fn(CellId) -> i64,
     ) -> Requirement {
         match self {
-            Consumer::GateInput { cell, .. } => Requirement::Window(stage(cell)),
+            Consumer::GateInput { cell } => Requirement::Window(stage(cell)),
             Consumer::T1Input { cell, slot } => {
                 let offsets = sched.t1_offsets[cell.index()].expect("T1 cell has offsets");
                 Requirement::Exact(stage(cell) - offsets[usize::from(slot)])
             }
-            Consumer::Output { .. } => Requirement::Window(sched.horizon + 1),
+            Consumer::Output => Requirement::Window(sched.horizon + 1),
         }
     }
 }
 
-/// The consumers of every driver `(cell, port)` of a mapped circuit, in
+/// The index of driver `(cell, port)` among all `3 · cells` driver slots
+/// (a cell has at most three ports).
+fn driver_index(cell: CellId, port: u8) -> usize {
+    3 * cell.index() + port as usize
+}
+
+/// The uses of every driver `(cell, port)` of a mapped circuit, in
 /// compressed sparse row form.
 ///
-/// Each driver lists its consumers in netlist order: the inputs of gates
-/// and T1 cells by cell id and slot, then the primary outputs. Outputs
-/// driven by a constant are left out, as they need no balancing.
+/// Each driver lists its uses in netlist order (see [`for_each_use`]),
+/// each with its consumer and its number in that order.
 pub(crate) struct Fanouts {
-    /// Consumers of driver `d = 3·cell + port` (a cell has at most three
-    /// ports): `consumers[start[d]..start[d + 1]]`.
+    /// Uses of driver `d` ([`driver_index`]):
+    /// `consumers[start[d]..start[d + 1]]` and `uses[start[d]..start[d + 1]]`.
     start: Vec<usize>,
     consumers: Vec<Consumer>,
+    /// The number of each use in netlist use order.
+    uses: Vec<u32>,
 }
 
 impl Fanouts {
-    fn driver(cell: CellId, port: u8) -> usize {
-        3 * cell.index() + port as usize
-    }
-
     pub(crate) fn new(mc: &MappedCircuit) -> Self {
-        let driver = |e: &Edge| Self::driver(e.cell, e.port);
+        let driver = |e: &Edge| driver_index(e.cell, e.port);
         let mut start = vec![0; 3 * mc.len() + 1];
         for_each_use(mc, |e, _| start[driver(e) + 1] += 1);
         for d in 1..start.len() {
             start[d] += start[d - 1];
         }
+        let total = start[start.len() - 1];
         let mut next = start.clone();
-        let mut consumers = vec![Consumer::Output { index: 0 }; start[start.len() - 1]];
+        let mut consumers = vec![Consumer::Output; total];
+        let mut uses = vec![0; total];
+        let mut count = 0;
         for_each_use(mc, |e, c| {
-            consumers[next[driver(e)]] = c;
+            let at = next[driver(e)];
+            consumers[at] = c;
+            uses[at] = count;
             next[driver(e)] += 1;
+            count += 1;
         });
-        Fanouts { start, consumers }
+        Fanouts {
+            start,
+            consumers,
+            uses,
+        }
+    }
+
+    fn range(&self, cell: CellId, port: u8) -> Range<usize> {
+        let d = driver_index(cell, port);
+        self.start[d]..self.start[d + 1]
     }
 
     /// The consumers of output `port` of `cell`.
     pub(crate) fn of(&self, cell: CellId, port: u8) -> &[Consumer] {
-        let d = Self::driver(cell, port);
-        &self.consumers[self.start[d]..self.start[d + 1]]
-    }
-
-    /// The number of drivers with at least one consumer.
-    fn used_drivers(&self) -> usize {
-        self.start.windows(2).filter(|w| w[0] < w[1]).count()
+        &self.consumers[self.range(cell, port)]
     }
 }
 
-/// Calls `f` on every (driver edge, consumer) pair in netlist order.
+/// Calls `f` on every (driver edge, consumer) pair in netlist use order:
+/// the fanins of gates and T1 cells, cells ascending and slots in order,
+/// then the primary outputs. Outputs driven by a constant are left out, as
+/// they need no balancing.
 pub(crate) fn for_each_use(mc: &MappedCircuit, mut f: impl FnMut(&Edge, Consumer)) {
     for (id, cell) in mc.cells() {
         match cell {
             MappedCell::Input { .. } | MappedCell::Const0 => {}
             MappedCell::Gate { fanins, .. } => {
-                for (slot, e) in (0..).zip(fanins) {
-                    f(e, Consumer::GateInput { cell: id, slot });
+                for e in fanins.iter() {
+                    f(e, Consumer::GateInput { cell: id });
                 }
             }
             MappedCell::T1 { fanins } => {
@@ -377,64 +385,64 @@ pub(crate) fn for_each_use(mc: &MappedCircuit, mut f: impl FnMut(&Edge, Consumer
             }
         }
     }
-    for (index, e) in (0..).zip(mc.pos()) {
+    for e in mc.pos() {
         if !matches!(mc.cell(e.cell), MappedCell::Const0) {
-            f(e, Consumer::Output { index });
+            f(e, Consumer::Output);
         }
     }
 }
 
 /// Inserts shared DFF chains for every driver of the scheduled netlist.
 ///
-/// Each driver's consumers, chain members and taps are appended straight
-/// to the plan's shared vectors, so the plan allocates a handful of
-/// vectors whatever its driver count; the requirement list and the chain
-/// builder's working buffers are reused across drivers. A driver with `u`
-/// consumers adds `u − 1` splitters (see the
-/// [module docs](self#splitter-count)).
+/// Each driver's chain members are appended straight to the plan's shared
+/// vector, and each of its uses' taps written straight into the use's
+/// slot, so the plan allocates a handful of vectors whatever its driver
+/// count; the requirement list and the chain builder's working buffers
+/// are reused across drivers. A driver with `u` consumers adds `u − 1`
+/// splitters (see the [module docs](self#splitter-count)).
+///
+/// # Panics
+///
+/// Panics if the plan would hold more than `u32::MAX` chain DFFs.
 pub fn insert_dffs(mc: &MappedCircuit, sched: &Schedule) -> DffPlan {
     let fanouts = Fanouts::new(mc);
     let n = sched.n as i64;
     let stage = |c: CellId| sched.stages[c.index()];
     let mut reqs: Vec<Requirement> = Vec::new();
     let mut scratch = ChainScratch::default();
-    // Every use is one consumer with one tap.
     let mut plan = DffPlan {
-        heads: Vec::with_capacity(fanouts.used_drivers()),
-        taps: Vec::with_capacity(fanouts.consumers.len()),
-        consumers: Vec::with_capacity(fanouts.consumers.len()),
-        ..DffPlan::default()
+        chain_start: Vec::with_capacity(fanouts.start.len()),
+        members: Vec::new(),
+        taps: vec![0; fanouts.uses.len()],
+        total_dffs: 0,
+        total_splitters: 0,
     };
+    plan.chain_start.push(0);
     for (cell, _) in mc.cells() {
-        for port in 0..mc.num_ports(cell) as u8 {
-            let uses = fanouts.of(cell, port);
-            if uses.is_empty() {
-                continue;
+        for port in 0..3 {
+            let range = fanouts.range(cell, port);
+            if !range.is_empty() {
+                let uses = &fanouts.uses[range.clone()];
+                reqs.clear();
+                reqs.extend(
+                    fanouts.consumers[range]
+                        .iter()
+                        .map(|c| c.requirement(sched, stage)),
+                );
+                let members_start = plan.members.len();
+                append_chain(
+                    stage(cell),
+                    &reqs,
+                    n,
+                    &mut scratch,
+                    &mut plan.members,
+                    |i, tap| plan.taps[uses[i] as usize] = tap,
+                );
+                plan.total_dffs += (plan.members.len() - members_start) as u64;
+                plan.total_splitters += uses.len() as u64 - 1;
             }
-            reqs.clear();
-            for &c in uses {
-                let r = c.requirement(sched, stage);
-                reqs.push(r);
-                plan.consumers.push((c, r));
-            }
-            let source_stage = stage(cell);
-            let members_start = plan.members.len();
-            append_chain(
-                source_stage,
-                &reqs,
-                n,
-                &mut scratch,
-                &mut plan.members,
-                &mut plan.taps,
-            );
-            plan.total_dffs += (plan.members.len() - members_start) as u64;
-            plan.total_splitters += uses.len() as u64 - 1;
-            plan.heads.push(DriverHead {
-                source: (cell, port),
-                source_stage,
-                members_end: plan.members.len(),
-                consumers_end: plan.consumers.len(),
-            });
+            let end = u32::try_from(plan.members.len()).expect("chain DFFs fit in u32");
+            plan.chain_start.push(end);
         }
     }
     plan
@@ -496,21 +504,17 @@ pub(crate) fn build_chain_reference(source: i64, reqs: &[Requirement], n: i64) -
             members.insert(p);
         }
     }
-    // Assign taps.
-    let member_vec: Vec<i64> = members.iter().copied().collect();
-    let taps: Vec<i64> = reqs
+    // Assign taps: the position of the serving element is the number of
+    // members up to it, 0 being the driver.
+    let taps: Vec<u32> = reqs
         .iter()
         .map(|r| match *r {
-            Requirement::Exact(tau) => tau,
-            Requirement::Window(t) => members
-                .range(..=t - 1)
-                .next_back()
-                .copied()
-                .unwrap_or(source),
+            Requirement::Exact(tau) => members.range(..=tau).count() as u32,
+            Requirement::Window(t) => members.range(..t).count() as u32,
         })
         .collect();
     Chain {
-        members: member_vec,
+        members: members.into_iter().collect(),
         taps,
     }
 }
@@ -520,18 +524,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The splitters the chain `members` and `taps` of a driver at stage
-    /// `source` need, tallied element by element: each element (driver or
-    /// DFF) with fanout `f > 1` needs `f − 1`. The sort-based count the
-    /// closed form `uses − 1` replaces, kept as its oracle.
-    fn splitter_count(source: i64, members: &[i64], taps: &[i64]) -> u64 {
-        // One entry per fanout branch, naming the element that drives it:
-        // the taps, then the chain succession source → members[0] → ….
+    /// The splitters a chain of `members` DFFs with the given `taps` needs,
+    /// tallied element by element: each element (driver or DFF) with
+    /// fanout `f > 1` needs `f − 1`. The sort-based count the closed form
+    /// `uses − 1` replaces, kept as its oracle.
+    fn splitter_count(members: usize, taps: &[u32]) -> u64 {
+        // One entry per fanout branch, naming the chain position of the
+        // element that drives it: the taps, then the chain succession
+        // driver (0) → member 1 → … → member `members`.
         let mut branches = taps.to_vec();
-        if let Some((_, drivers)) = members.split_last() {
-            branches.push(source);
-            branches.extend_from_slice(drivers);
-        }
+        branches.extend(0..members as u32);
         // Σ (f − 1) over the elements with fanout f ≥ 1.
         let total = branches.len();
         branches.sort_unstable();
@@ -579,13 +581,16 @@ mod tests {
                 );
                 if !reqs.is_empty() {
                     prop_assert_eq!(
-                        splitter_count(source, &chain.members, &chain.taps),
+                        splitter_count(chain.members.len(), &chain.taps),
                         reqs.len() as u64 - 1,
                         "source {} n {} reqs {:?}", source, n, reqs
                     );
                 }
                 let (members_start, taps_start) = (members.len(), taps.len());
-                append_chain(source, &reqs, n, &mut scratch, &mut members, &mut taps);
+                append_chain(source, &reqs, n, &mut scratch, &mut members, |i, tap| {
+                    assert_eq!(taps.len(), taps_start + i, "taps come in order");
+                    taps.push(tap);
+                });
                 let appended = Chain {
                     members: members[members_start..].to_vec(),
                     taps: taps[taps_start..].to_vec(),
@@ -599,63 +604,65 @@ mod tests {
         }
     }
 
-    /// One driver of the per-driver [`insert_dffs`] oracle, owning its
-    /// chain and consumers.
-    struct OwnedDriver {
-        source: (CellId, u8),
-        source_stage: i64,
-        chain: Chain,
-        consumers: Vec<(Consumer, Requirement)>,
+    /// What the per-driver fresh-allocation [`insert_dffs`] oracle builds:
+    /// the chain of every driver with a use, the taps in use order and
+    /// the DFF and splitter totals.
+    struct Reference {
+        chains: std::collections::BTreeMap<(CellId, u8), Vec<i64>>,
+        taps: Vec<u32>,
+        total_dffs: u64,
+        total_splitters: u64,
     }
 
-    impl OwnedDriver {
-        fn view(&self) -> DriverPlan<'_> {
-            DriverPlan {
-                source: self.source,
-                source_stage: self.source_stage,
-                members: &self.chain.members,
-                taps: &self.chain.taps,
-                consumers: &self.consumers,
-            }
-        }
-    }
-
-    /// The per-driver fresh-allocation [`insert_dffs`] oracle: consumers
-    /// grouped by driver in a map, each chain built by the reference
-    /// builder into vectors of its own and its splitters tallied element
-    /// by element. Returns the drivers and the DFF and splitter totals.
-    fn insert_dffs_reference(mc: &MappedCircuit, sched: &Schedule) -> (Vec<OwnedDriver>, u64, u64) {
+    /// The per-driver fresh-allocation [`insert_dffs`] oracle: uses grouped
+    /// by driver in a map with their numbers in use order, each chain built
+    /// by the reference builder into vectors of its own, its taps scattered
+    /// back to use order and its splitters tallied element by element.
+    fn insert_dffs_reference(mc: &MappedCircuit, sched: &Schedule) -> Reference {
         use std::collections::BTreeMap;
         let stage = |c: CellId| sched.stages[c.index()];
-        let mut uses: BTreeMap<(CellId, u8), Vec<Consumer>> = BTreeMap::new();
-        for_each_use(mc, |e, c| uses.entry((e.cell, e.port)).or_default().push(c));
-        let (mut drivers, mut total_dffs, mut total_splitters) = (Vec::new(), 0, 0);
+        let mut uses: BTreeMap<(CellId, u8), Vec<(usize, Consumer)>> = BTreeMap::new();
+        let mut count = 0;
+        for_each_use(mc, |e, c| {
+            uses.entry((e.cell, e.port)).or_default().push((count, c));
+            count += 1;
+        });
+        let mut reference = Reference {
+            chains: BTreeMap::new(),
+            taps: vec![u32::MAX; count],
+            total_dffs: 0,
+            total_splitters: 0,
+        };
         for (source, consumers) in uses {
-            let consumers: Vec<(Consumer, Requirement)> = consumers
-                .into_iter()
-                .map(|c| (c, c.requirement(sched, stage)))
+            let reqs: Vec<Requirement> = consumers
+                .iter()
+                .map(|&(_, c)| c.requirement(sched, stage))
                 .collect();
-            let reqs: Vec<Requirement> = consumers.iter().map(|&(_, r)| r).collect();
-            let source_stage = stage(source.0);
-            let chain = build_chain_reference(source_stage, &reqs, sched.n as i64);
-            total_dffs += chain.dff_count() as u64;
-            total_splitters += splitter_count(source_stage, &chain.members, &chain.taps);
-            drivers.push(OwnedDriver {
-                source,
-                source_stage,
-                chain,
-                consumers,
-            });
+            let chain = build_chain_reference(stage(source.0), &reqs, sched.n as i64);
+            for (&(u, _), &tap) in consumers.iter().zip(&chain.taps) {
+                reference.taps[u] = tap;
+            }
+            reference.total_dffs += chain.dff_count() as u64;
+            reference.total_splitters += splitter_count(chain.members.len(), &chain.taps);
+            reference.chains.insert(source, chain.members);
         }
-        (drivers, total_dffs, total_splitters)
+        reference
     }
 
-    /// Whether the flat `plan` lists the oracle's drivers, view for view,
-    /// with its totals.
+    /// Whether `plan` holds the oracle's chain for every driver slot, its
+    /// taps in use order and its totals.
     fn matches_reference(plan: &DffPlan, mc: &MappedCircuit, sched: &Schedule) -> bool {
-        let (drivers, total_dffs, total_splitters) = insert_dffs_reference(mc, sched);
-        plan.drivers().eq(drivers.iter().map(OwnedDriver::view))
-            && (plan.total_dffs, plan.total_splitters) == (total_dffs, total_splitters)
+        let reference = insert_dffs_reference(mc, sched);
+        let chains = mc.cells().all(|(cell, _)| {
+            (0..3).all(|port| {
+                let expected = reference.chains.get(&(cell, port));
+                plan.chain(cell, port) == expected.map_or(&[][..], Vec::as_slice)
+            })
+        });
+        chains
+            && plan.taps() == reference.taps
+            && (plan.total_dffs, plan.total_splitters)
+                == (reference.total_dffs, reference.total_splitters)
     }
 
     #[test]
@@ -681,8 +688,8 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
         /// The flat plan of a random mapped network, T1 flow or not, under
-        /// 1–6 phases, lists every driver and both totals exactly as the
-        /// per-driver oracle builds them.
+        /// 1–6 phases, holds every chain, every tap and both totals exactly
+        /// as the per-driver oracle builds them.
         #[test]
         fn flat_plan_matches_per_driver_oracle(
             script in prop::collection::vec(any::<u8>(), 4..240),
@@ -715,6 +722,7 @@ mod tests {
         // Source at 0, consumer window at stage 5, n = 1: 4 DFFs at 1..4.
         let c = build_chain(0, &[Requirement::Window(5)], 1);
         assert_eq!(c.members, vec![1, 2, 3, 4]);
+        // Served by member 4, at stage 4.
         assert_eq!(c.taps, vec![4]);
     }
 
@@ -723,14 +731,14 @@ mod tests {
         // Same span under n = 4: data survives 4 stages → 1 DFF.
         let c = build_chain(0, &[Requirement::Window(5)], 4);
         assert_eq!(c.members, vec![4]);
-        assert_eq!(c.taps, vec![4]);
+        assert_eq!(c.taps, vec![1]);
     }
 
     #[test]
     fn adjacent_consumer_needs_nothing() {
         let c = build_chain(3, &[Requirement::Window(4)], 1);
         assert!(c.members.is_empty());
-        assert_eq!(c.taps, vec![3]);
+        assert_eq!(c.taps, vec![0]);
     }
 
     #[test]
@@ -746,15 +754,17 @@ mod tests {
             1,
         );
         assert_eq!(c.dff_count(), 8);
+        // Members 1..=8 sit at stages 1..=8: taps at stages 2, 4 and 8.
         assert_eq!(c.taps, vec![2, 4, 8]);
     }
 
     #[test]
     fn window_taps_latest_feasible() {
         let c = build_chain(0, &[Requirement::Window(10), Requirement::Window(6)], 4);
-        // Chain: 4, 8 (gap-filled by extension); consumer 6 taps 4, 10 taps 8.
+        // Chain: 4, 8 (gap-filled by extension); consumer 6 taps member 1
+        // (stage 4), 10 taps member 2 (stage 8).
         assert_eq!(c.members, vec![4, 8]);
-        assert_eq!(c.taps, vec![8, 4]);
+        assert_eq!(c.taps, vec![2, 1]);
     }
 
     #[test]
@@ -769,14 +779,14 @@ mod tests {
             4,
         );
         assert_eq!(c.members, vec![5, 6, 7]);
-        assert_eq!(c.taps, vec![7, 6, 5]);
+        assert_eq!(c.taps, vec![3, 2, 1]);
     }
 
     #[test]
     fn exact_at_source_taps_driver() {
         let c = build_chain(4, &[Requirement::Exact(4)], 4);
         assert!(c.members.is_empty());
-        assert_eq!(c.taps, vec![4]);
+        assert_eq!(c.taps, vec![0]);
     }
 
     #[test]
@@ -801,17 +811,13 @@ mod tests {
     fn splitter_counting() {
         // Source drives chain + a direct tap → 1 splitter at the source.
         let c = build_chain(0, &[Requirement::Window(1), Requirement::Window(5)], 1);
-        // Members 1..4; taps: 0 (direct) and 4.
+        // Members 1..4 at stages 1..4; taps: the driver (direct) and
+        // member 4.
         assert_eq!(c.taps, vec![0, 4]);
         // Source fanout: chain successor + direct tap = 2 → 1 splitter.
         // Member 4 is the last and taps one consumer → fanout 1 → 0.
         // Members 1..3 drive only successors → 0.
-        assert_eq!(splitter_count(0, &c.members, &c.taps), 1);
-    }
-
-    #[test]
-    fn consumer_entry_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<(Consumer, Requirement)>(), 24);
+        assert_eq!(splitter_count(c.members.len(), &c.taps), 1);
     }
 
     #[test]
@@ -835,6 +841,6 @@ mod tests {
         );
         // 5,6,7 forced; window 12 needs an element ≥ 8: extend with 11.
         assert_eq!(c.members, vec![5, 6, 7, 11]);
-        assert_eq!(c.taps, vec![5, 6, 7, 11]);
+        assert_eq!(c.taps, vec![1, 2, 3, 4]);
     }
 }

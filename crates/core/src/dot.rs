@@ -24,9 +24,8 @@
 //! assert!(dot.starts_with("digraph"));
 //! ```
 
-use crate::dff::Consumer;
 use crate::flow::FlowResult;
-use crate::mapped::MappedCell;
+use crate::mapped::{CellId, Edge, MappedCell};
 use std::fmt::Write as _;
 
 /// Renders a flow result as a Graphviz DOT digraph.
@@ -34,6 +33,18 @@ pub fn to_dot(res: &FlowResult) -> String {
     let mc = &res.mapped;
     let sched = &res.schedule;
     let mut out = String::from("digraph sfq {\n  rankdir=LR;\n  node [fontsize=10];\n");
+    // The node of the chain DFF at stage `m` of output `port` of `cell`.
+    let dff_node = |cell: CellId, port: u8, m: i64| format!("d{}_{port}_{m}", cell.0);
+    // The node serving a use of `e`: its driver, or the chain DFF the
+    // plan's next tap in use order names.
+    let mut taps = res.plan.taps().iter();
+    let mut tapped = |e: &Edge| {
+        let tap = *taps.next().expect("the plan has a tap per use");
+        match res.plan.tapped_dff(e.cell, e.port, tap) {
+            None => format!("c{}", e.cell.0),
+            Some((_, m)) => dff_node(e.cell, e.port, m),
+        }
+    };
 
     for (id, cell) in mc.cells() {
         let stage = sched.stages[id.index()];
@@ -48,13 +59,12 @@ pub fn to_dot(res: &FlowResult) -> String {
             MappedCell::Const0 => {
                 let _ = writeln!(out, "  c{} [label=\"0\" shape=plaintext];", id.0);
             }
-            MappedCell::Gate { tt, fanins } => {
+            MappedCell::Gate { tt, .. } => {
                 let _ = writeln!(
                     out,
                     "  c{} [label=\"g{}\\nσ{stage} tt={}\" shape=box];",
                     id.0, id.0, tt
                 );
-                let _ = fanins;
             }
             MappedCell::T1 { .. } => {
                 let _ = writeln!(
@@ -64,37 +74,27 @@ pub fn to_dot(res: &FlowResult) -> String {
                 );
             }
         }
-    }
-    // DFF chains as intermediate nodes; edges follow the tap resolution.
-    for d in res.plan.drivers() {
-        let (cell, port) = d.source;
-        let src_name = |stage: i64| {
-            if stage == d.source_stage {
-                format!("c{}", cell.0)
-            } else {
-                format!("d{}_{}_{}", cell.0, port, stage)
-            }
-        };
-        let mut prev = d.source_stage;
-        for &m in d.members {
-            let _ = writeln!(
-                out,
-                "  {} [label=\"DFF σ{m}\" shape=box style=filled fillcolor=lightgrey fontsize=8];",
-                src_name(m)
-            );
-            let _ = writeln!(out, "  {} -> {};", src_name(prev), src_name(m));
-            prev = m;
+        for e in mc.fanins(id) {
+            let _ = writeln!(out, "  {} -> c{};", tapped(e), id.0);
         }
-        for ((consumer, _), &tap) in d.consumers.iter().zip(d.taps) {
-            match *consumer {
-                Consumer::GateInput { cell: c, .. } | Consumer::T1Input { cell: c, .. } => {
-                    let _ = writeln!(out, "  {} -> c{};", src_name(tap), c.0);
-                }
-                Consumer::Output { index } => {
-                    let _ = writeln!(out, "  po{index} [shape=triangle color=red];");
-                    let _ = writeln!(out, "  {} -> po{index};", src_name(tap));
-                }
+        // DFF chains as intermediate nodes.
+        for port in 0..mc.num_ports(id) as u8 {
+            let mut prev = format!("c{}", id.0);
+            for &m in res.plan.chain(id, port) {
+                let node = dff_node(id, port, m);
+                let _ = writeln!(
+                    out,
+                    "  {node} [label=\"DFF σ{m}\" shape=box style=filled fillcolor=lightgrey fontsize=8];"
+                );
+                let _ = writeln!(out, "  {prev} -> {node};");
+                prev = node;
             }
+        }
+    }
+    for (index, e) in mc.pos().iter().enumerate() {
+        if !matches!(mc.cell(e.cell), MappedCell::Const0) {
+            let _ = writeln!(out, "  po{index} [shape=triangle color=red];");
+            let _ = writeln!(out, "  {} -> po{index};", tapped(e));
         }
     }
     out.push_str("}\n");

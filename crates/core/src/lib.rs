@@ -58,7 +58,7 @@ pub mod verilog;
 
 pub use cells::{CellLibrary, GateClass};
 pub use detect::{detect, select_exact, DetectConfig, DetectionResult};
-pub use dff::{build_chain, insert_dffs, Chain, Consumer, DffPlan, Requirement};
+pub use dff::{build_chain, insert_dffs, Chain, DffPlan, Requirement};
 pub use dot::to_dot;
 pub use flow::{run_flow, FlowConfig, FlowResult, FlowStats, PhaseEngine, Subject};
 pub use mapped::{CellId, Edge, MappedCell, MappedCircuit};

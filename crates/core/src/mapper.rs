@@ -15,7 +15,6 @@ use crate::mapped::{CellId, Edge, MappedCircuit};
 use sfq_netlist::aig::{Aig, NodeId, NodeKind};
 use sfq_netlist::cut::{enumerate_cuts, Cut, CutConfig, CutSet};
 use sfq_netlist::truth_table::TruthTable;
-use std::collections::HashMap;
 
 /// One function realized by a T1 group member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,9 +53,10 @@ pub struct T1Selection {
 pub struct MapResult {
     /// The mapped netlist.
     pub circuit: MappedCircuit,
-    /// Mapped-cell cost attributed to each covering cut root (used by the
-    /// ΔA computation of eq. 2).
-    pub attribution: HashMap<NodeId, u32>,
+    /// Mapped-cell cost attributed to each covering cut root, indexed by
+    /// node (0 for a node no gate covers; used by the ΔA computation of
+    /// eq. 2).
+    pub attribution: Vec<u32>,
     /// Number of T1 groups actually instantiated by the cover.
     pub t1_used: usize,
 }
@@ -203,7 +203,7 @@ struct Cover<'a> {
     built: Vec<Option<Edge>>,
     t1_cells: Vec<Option<CellId>>,
     out: MappedCircuit,
-    attribution: HashMap<NodeId, u32>,
+    attribution: Vec<u32>,
     input_edges: Vec<Edge>,
     const_edge: Option<Edge>,
 }
@@ -244,7 +244,7 @@ impl<'a> Cover<'a> {
             built: vec![None; aig.len()],
             t1_cells,
             out,
-            attribution: HashMap::new(),
+            attribution: vec![0; aig.len()],
             input_edges,
             const_edge: None,
         }
@@ -305,7 +305,7 @@ impl<'a> Cover<'a> {
         }
         let cost = self.lib.gate_cost(tt);
         let cell = self.out.add_gate(tt, &fanins[..leaves.len()]);
-        self.attribution.insert(node, cost);
+        self.attribution[node.index()] = cost;
         Edge::plain(cell)
     }
 
@@ -410,7 +410,7 @@ mod tests {
         let (g, _, _) = full_adder_aig();
         let lib = CellLibrary::default();
         let res = map(&g, &lib, None);
-        let total: u64 = res.attribution.values().map(|&c| c as u64).sum();
+        let total: u64 = res.attribution.iter().map(|&c| c as u64).sum();
         assert_eq!(
             total,
             res.circuit.cell_area(&lib),

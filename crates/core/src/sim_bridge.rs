@@ -7,11 +7,10 @@
 //! wave-pipelined. Functional mismatch or a T1 pulse-overlap hazard indicates
 //! a mapping/scheduling bug.
 
-use crate::dff::{Consumer, DffPlan};
-use crate::mapped::{CellId, MappedCell, MappedCircuit};
+use crate::dff::DffPlan;
+use crate::mapped::{Edge, MappedCell, MappedCircuit};
 use crate::phase::Schedule;
 use sfq_sim::pulse::{ElementId, Fanin, OutRef, PulseCircuit};
-use std::collections::HashMap;
 
 /// Builds the pulse-level model of a scheduled netlist.
 ///
@@ -20,157 +19,101 @@ use std::collections::HashMap;
 ///
 /// # Panics
 ///
-/// Panics if the plan is inconsistent with the netlist (missing drivers or
+/// Panics if the plan is inconsistent with the netlist (missing chains or
 /// taps), or if any stage is negative.
 pub fn to_pulse_circuit(mc: &MappedCircuit, sched: &Schedule, plan: &DffPlan) -> PulseCircuit {
     let mut pc = PulseCircuit::new();
 
-    // 1. Create one element per cell (inputs first, in index order, which is
-    //    creation order in MappedCircuit).
-    let mut cell_elem: Vec<ElementId> = Vec::with_capacity(mc.len());
-    // Tap resolution needs chain DFF elements: (driver, stage) → element.
-    let mut chain_elems: HashMap<((CellId, u8), i64), ElementId> = HashMap::new();
-
-    // First pass: inputs/constants (stage 0) and placeholders.
-    for (_, cell) in mc.cells() {
-        let elem = match cell {
+    // 1. Inputs and constants first, in cell order. Gates and T1 cells get
+    //    a placeholder until their fanins exist.
+    let mut cell_elem: Vec<ElementId> = mc
+        .cells()
+        .map(|(_, cell)| match cell {
             MappedCell::Input { .. } => pc.add_input(),
             MappedCell::Const0 => pc.add_const(false),
-            // Real gates/T1s are created in the second pass, once their
-            // fanin taps exist; reserve a placeholder id slot.
             _ => ElementId(u32::MAX),
-        };
-        cell_elem.push(elem);
-    }
+        })
+        .collect();
 
-    // 2. Create chain DFFs in stage order per driver. A chain member's fanin
-    //    is the previous member (or the driver); drivers that are gates do
-    //    not exist yet, so chains rooted at gates are deferred to pass 3.
-    //    To keep it simple we create everything in global topological order:
-    //    cells are topologically sorted already, and a chain hangs off one
-    //    driver, so interleave: for each cell (in order) create its element,
-    //    then its chains.
-    let stage_of = |sched: &Schedule, cell: CellId| sched.stages[cell.index()];
-
-    // Tap lookup used when wiring consumers.
-    let resolve_tap = |cell_elem: &[ElementId],
-                       chain_elems: &HashMap<((CellId, u8), i64), ElementId>,
-                       driver: (CellId, u8),
-                       tap_stage: i64,
-                       source_stage: i64|
-     -> OutRef {
-        if tap_stage == source_stage {
-            OutRef {
-                elem: cell_elem[driver.0.index()],
-                port: driver.1,
-            }
-        } else {
-            let elem = *chain_elems
-                .get(&(driver, tap_stage))
-                .expect("tap element must exist in the chain");
-            OutRef { elem, port: 0 }
+    // 2. Walk cells topologically: create the element, then the DFF chains
+    //    hanging off its ports. The chain DFFs are created cells ascending,
+    //    then ports, so `dffs` numbers them as `DffPlan::tapped_dff` does. A
+    //    consumer comes after its drivers, so the element each fanin taps
+    //    exists when the consumer is wired; fanins take the plan's taps in
+    //    use order.
+    let mut dffs: Vec<ElementId> = Vec::with_capacity(plan.total_dffs as usize);
+    let mut taps = plan.taps().iter();
+    let mut tapped = |cell_elem: &[ElementId], dffs: &[ElementId], e: &Edge| -> OutRef {
+        let tap = *taps.next().expect("the plan has a tap per use");
+        match plan.tapped_dff(e.cell, e.port, tap) {
+            None => OutRef {
+                elem: cell_elem[e.cell.index()],
+                port: e.port,
+            },
+            Some((i, _)) => OutRef {
+                elem: dffs[i],
+                port: 0,
+            },
         }
     };
-
-    // (driver output, tap stage, source stage) for one consumer slot.
-    type TapSource = ((CellId, u8), i64, i64);
-    // consumer (cell, slot) → where its pulse is tapped from
-    let mut taps: HashMap<(CellId, usize), TapSource> = HashMap::new();
-    let mut po_taps: HashMap<usize, TapSource> = HashMap::new();
-    for d in plan.drivers() {
-        for ((consumer, _req), &tap) in d.consumers.iter().zip(d.taps) {
-            match *consumer {
-                Consumer::GateInput { cell, slot } | Consumer::T1Input { cell, slot } => {
-                    taps.insert((cell, usize::from(slot)), (d.source, tap, d.source_stage));
-                }
-                Consumer::Output { index } => {
-                    po_taps.insert(index as usize, (d.source, tap, d.source_stage));
-                }
-            }
-        }
-    }
-
-    // Driver plans indexed by source for chain creation.
-    let plans_by_source: HashMap<(CellId, u8), crate::dff::DriverPlan<'_>> =
-        plan.drivers().map(|d| (d.source, d)).collect();
-
-    // 3. Walk cells topologically: create the element, then its chains.
     for (id, cell) in mc.cells() {
+        let stage = sched.stages[id.index()];
         match cell {
             MappedCell::Input { .. } | MappedCell::Const0 => {}
             MappedCell::Gate { tt, fanins } => {
                 let wired: Vec<Fanin> = fanins
                     .iter()
-                    .enumerate()
-                    .map(|(slot, e)| {
-                        let &(driver, tap, src) =
-                            taps.get(&(id, slot)).expect("gate input has a tap");
-                        Fanin {
-                            source: resolve_tap(&cell_elem, &chain_elems, driver, tap, src),
-                            invert: e.invert,
-                        }
+                    .map(|e| Fanin {
+                        source: tapped(&cell_elem, &dffs, e),
+                        invert: e.invert,
                     })
                     .collect();
-                let stage = stage_of(sched, id);
                 assert!(stage >= 1, "gate at non-positive stage");
                 cell_elem[id.index()] = pc.add_gate(*tt, wired, stage as u32);
             }
             MappedCell::T1 { fanins } => {
-                let mut wired = [Fanin::plain(ElementId(0)); 3];
-                for (slot, e) in fanins.iter().enumerate() {
-                    let &(driver, tap, src) = taps.get(&(id, slot)).expect("T1 input has a tap");
+                let wired = fanins.each_ref().map(|e| {
                     debug_assert!(!e.invert, "T1 operands are positive by construction");
-                    wired[slot] = Fanin {
-                        source: resolve_tap(&cell_elem, &chain_elems, driver, tap, src),
+                    Fanin {
+                        source: tapped(&cell_elem, &dffs, e),
                         invert: false,
-                    };
-                }
-                let stage = stage_of(sched, id);
+                    }
+                });
                 cell_elem[id.index()] = pc.add_t1(wired, stage as u32);
             }
         }
-        // Chains hanging off this cell's ports.
         for port in 0..mc.num_ports(id) as u8 {
-            if let Some(d) = plans_by_source.get(&(id, port)) {
-                let mut prev = OutRef {
-                    elem: cell_elem[id.index()],
-                    port,
-                };
-                for &m in d.members {
-                    let elem = pc.add_dff(
-                        Fanin {
-                            source: prev,
-                            invert: false,
-                        },
-                        m as u32,
-                    );
-                    chain_elems.insert(((id, port), m), elem);
-                    prev = OutRef { elem, port: 0 };
-                }
+            let mut prev = OutRef {
+                elem: cell_elem[id.index()],
+                port,
+            };
+            for &m in plan.chain(id, port) {
+                let elem = pc.add_dff(
+                    Fanin {
+                        source: prev,
+                        invert: false,
+                    },
+                    m as u32,
+                );
+                dffs.push(elem);
+                prev = OutRef { elem, port: 0 };
             }
         }
     }
 
-    // 4. Primary outputs: capture one stage after the horizon.
-    for (index, e) in mc.pos().iter().enumerate() {
-        if matches!(mc.cell(e.cell), MappedCell::Const0) {
-            // Constant outputs need no balancing; capture right away.
-            let src = OutRef {
+    // 3. Primary outputs: capture one stage after the horizon. Constant
+    //    outputs need no balancing and have no tap; capture right away.
+    for e in mc.pos() {
+        let (source, capture) = if matches!(mc.cell(e.cell), MappedCell::Const0) {
+            let source = OutRef {
                 elem: cell_elem[e.cell.index()],
                 port: 0,
             };
-            pc.add_output(
-                Fanin {
-                    source: src,
-                    invert: e.invert,
-                },
-                1,
-            );
-            continue;
-        }
-        let &(driver, tap, src) = po_taps.get(&index).expect("PO has a tap");
-        let source = resolve_tap(&cell_elem, &chain_elems, driver, tap, src);
-        let capture = (sched.horizon + 1).max(1) as u32;
+            (source, 1)
+        } else {
+            let capture = (sched.horizon + 1).max(1) as u32;
+            (tapped(&cell_elem, &dffs, e), capture)
+        };
         pc.add_output(
             Fanin {
                 source,
@@ -179,6 +122,7 @@ pub fn to_pulse_circuit(mc: &MappedCircuit, sched: &Schedule, plan: &DffPlan) ->
             capture,
         );
     }
+    assert!(taps.next().is_none(), "the plan has a tap per use");
 
     pc
 }

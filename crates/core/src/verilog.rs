@@ -26,10 +26,8 @@
 //! assert!(v.contains("module fa"));
 //! ```
 
-use crate::dff::Consumer;
 use crate::flow::FlowResult;
-use crate::mapped::{CellId, MappedCell};
-use std::collections::HashMap;
+use crate::mapped::{CellId, Edge, MappedCell, MappedCircuit};
 use std::fmt::Write as _;
 
 /// Export options.
@@ -124,27 +122,16 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
         outputs.join(", output ")
     );
 
-    // Tap map: consumer -> wire carrying its delivered value.
-    let mut tap_wire: HashMap<(CellId, usize), String> = HashMap::new();
-    let mut po_wire: HashMap<usize, String> = HashMap::new();
-    for d in res.plan.drivers() {
-        let (cell, port) = d.source;
-        for ((consumer, _req), &tap) in d.consumers.iter().zip(d.taps) {
-            let w = if tap == d.source_stage {
-                source_wire(mc, cell, port)
-            } else {
-                dff_wire(cell, port, tap)
-            };
-            match *consumer {
-                Consumer::GateInput { cell: c, slot } | Consumer::T1Input { cell: c, slot } => {
-                    tap_wire.insert((c, usize::from(slot)), w);
-                }
-                Consumer::Output { index } => {
-                    po_wire.insert(index as usize, w);
-                }
-            }
+    // The wire delivering a use of `e`: its driver's, or that of the chain
+    // DFF the plan's next tap in use order names.
+    let mut taps = res.plan.taps().iter();
+    let mut tapped = |e: &Edge| {
+        let tap = *taps.next().expect("the plan has a tap per use");
+        match res.plan.tapped_dff(e.cell, e.port, tap) {
+            None => source_wire(mc, e.cell, e.port),
+            Some((_, m)) => dff_wire(e.cell, e.port, m),
         }
-    }
+    };
 
     // Wires.
     for (id, cell) in mc.cells() {
@@ -160,9 +147,11 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
             }
         }
     }
-    for d in res.plan.drivers() {
-        for &m in d.members {
-            let _ = writeln!(v, "  wire {};", dff_wire(d.source.0, d.source.1, m));
+    for (id, _) in mc.cells() {
+        for port in 0..mc.num_ports(id) as u8 {
+            for &m in res.plan.chain(id, port) {
+                let _ = writeln!(v, "  wire {};", dff_wire(id, port, m));
+            }
         }
     }
 
@@ -174,12 +163,8 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
             MappedCell::Gate { tt, fanins } => {
                 let args: Vec<String> = fanins
                     .iter()
-                    .enumerate()
-                    .map(|(slot, e)| {
-                        let w = tap_wire
-                            .get(&(id, slot))
-                            .cloned()
-                            .unwrap_or_else(|| source_wire(mc, e.cell, e.port));
+                    .map(|e| {
+                        let w = tapped(e);
                         if e.invert {
                             format!("~{w}")
                         } else {
@@ -229,15 +214,8 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
                     }
                 }
             }
-            MappedCell::T1 { .. } => {
-                let ops: Vec<String> = (0..3)
-                    .map(|slot| {
-                        tap_wire
-                            .get(&(id, slot))
-                            .cloned()
-                            .unwrap_or_else(|| "1'b0".into())
-                    })
-                    .collect();
+            MappedCell::T1 { fanins } => {
+                let ops = fanins.each_ref().map(&mut tapped);
                 let _ = writeln!(
                     v,
                     "  sfq_t1 t1_{}_s{stage}(.clk(clk), .t0({}), .t1({}), .t2({}), .s({}), .c({}), .q({}));",
@@ -254,30 +232,32 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
     }
 
     // DFF chains.
-    for d in res.plan.drivers() {
-        let (cell, port) = d.source;
-        let mut prev = source_wire(mc, cell, port);
-        let mut prev_stage = d.source_stage;
-        for &m in d.members {
-            let w = dff_wire(cell, port, m);
-            let _ = writeln!(
-                v,
-                "  sfq_dff dff_{}_{}_s{m}(.clk(clk), .d({prev}), .q({w})); // gap {}",
-                wire_name(cell, port),
-                m,
-                m - prev_stage
-            );
-            prev = w;
-            prev_stage = m;
+    for (id, _) in mc.cells() {
+        for port in 0..mc.num_ports(id) as u8 {
+            let mut prev = source_wire(mc, id, port);
+            let mut prev_stage = sched.stages[id.index()];
+            for &m in res.plan.chain(id, port) {
+                let w = dff_wire(id, port, m);
+                let _ = writeln!(
+                    v,
+                    "  sfq_dff dff_{}_{}_s{m}(.clk(clk), .d({prev}), .q({w})); // gap {}",
+                    wire_name(id, port),
+                    m,
+                    m - prev_stage
+                );
+                prev = w;
+                prev_stage = m;
+            }
         }
     }
 
-    // Outputs.
+    // Outputs. A constant output has no tap.
     for (index, e) in mc.pos().iter().enumerate() {
-        let w = po_wire
-            .get(&index)
-            .cloned()
-            .unwrap_or_else(|| source_wire(mc, e.cell, e.port));
+        let w = if matches!(mc.cell(e.cell), MappedCell::Const0) {
+            source_wire(mc, e.cell, e.port)
+        } else {
+            tapped(e)
+        };
         let _ = writeln!(
             v,
             "  assign po{index} = {}{w};",
@@ -288,7 +268,7 @@ pub fn export(res: &FlowResult, opts: &ExportOptions) -> String {
     v
 }
 
-fn source_wire(mc: &crate::mapped::MappedCircuit, cell: CellId, port: u8) -> String {
+fn source_wire(mc: &MappedCircuit, cell: CellId, port: u8) -> String {
     match mc.cell(cell) {
         MappedCell::Input { index } => format!("pi{index}"),
         MappedCell::Const0 => "1'b0".into(),
