@@ -73,7 +73,9 @@ pub struct Cut {
     leaves: [NodeId; MAX_LEAVES],
     len: u8,
     sig: u64,
-    tt: TruthTable,
+    /// The truth table's word ([`TruthTable::word`]); its variable count
+    /// is `len`, so the cut stores only the word (48 bytes, not 56).
+    tt: u64,
 }
 
 impl Cut {
@@ -84,7 +86,7 @@ impl Cut {
             leaves,
             len: 1,
             sig: signature_bit(id),
-            tt: TruthTable::var(1, 0),
+            tt: TruthTable::var(1, 0).word(),
         }
     }
 
@@ -93,7 +95,7 @@ impl Cut {
             leaves: [NodeId(0); MAX_LEAVES],
             len: 0,
             sig: 0,
-            tt: TruthTable::zero(0),
+            tt: 0,
         }
     }
 
@@ -105,7 +107,7 @@ impl Cut {
     /// The function of the cut root over the leaves (variable `i` is
     /// `leaves()[i]`).
     pub fn truth_table(&self) -> TruthTable {
-        self.tt
+        TruthTable::from_word(self.len, self.tt)
     }
 }
 
@@ -276,13 +278,20 @@ pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> CutSet {
     let (max_leaves, max_cuts) = (config.max_leaves, config.max_cuts);
     // Every node keeps at least one cut. Reserving for `max_cuts` per AND
     // instead would over-allocate ~4x on arithmetic networks, whose nodes
-    // keep about five 3-cuts each; growth past this bound doubles.
+    // keep about five 3-cuts each; growth past this bound adds half the
+    // capacity (below). The arena is the enumeration's largest allocation,
+    // and each move leaves the heap a span of old plus new capacity: after
+    // doubling that is up to 3x the cuts kept, after growing by half 2.5x.
     let mut cuts: Vec<Cut> = Vec::with_capacity(aig.len());
     let mut offsets: Vec<usize> = Vec::with_capacity(aig.len() + 1);
     offsets.push(0);
     let mut merged: Vec<Candidate> = Vec::new();
     let mut max_kept = 0;
     for id in aig.node_ids() {
+        // A node adds at most `max_cuts` cuts plus its trivial one.
+        if cuts.capacity() - cuts.len() <= max_cuts {
+            cuts.reserve_exact(cuts.capacity() / 2 + max_cuts + 1);
+        }
         match aig.kind(id) {
             NodeKind::Const0 => cuts.push(Cut::constant()),
             NodeKind::Input(_) => cuts.push(Cut::trivial(id)),
@@ -321,15 +330,15 @@ pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> CutSet {
                             continue;
                         }
                         let (a, b) = (&cuts[c.a], &cuts[c.b]);
-                        let ta = expand_tt(a.tt, c.pos_a, width);
-                        let tb = expand_tt(b.tt, c.pos_b, width);
+                        let ta = expand_tt(a.truth_table(), c.pos_a, width);
+                        let tb = expand_tt(b.truth_table(), c.pos_b, width);
                         let ta = if fa.is_complement() { !ta } else { ta };
                         let tb = if fb.is_complement() { !tb } else { tb };
                         cuts.push(Cut {
                             leaves: c.leaves,
                             len: c.len,
                             sig: c.sig,
-                            tt: ta & tb,
+                            tt: (ta & tb).word(),
                         });
                         if cuts.len() - start >= max_cuts {
                             break 'fill;
@@ -558,6 +567,13 @@ mod tests {
         let x = g.and(a, b);
         g.add_po(x);
         (g, x)
+    }
+
+    /// The cut arena is the enumeration's largest allocation: a cut keeps
+    /// only its truth table's word, since the leaf count is its width.
+    #[test]
+    fn cut_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Cut>(), 48);
     }
 
     #[test]

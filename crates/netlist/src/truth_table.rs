@@ -111,6 +111,21 @@ impl TruthTable {
         self.num_vars as usize
     }
 
+    /// The table's whole word: its low `2^num_vars` bits replicated to
+    /// fill 64, as [`TruthTable::from_bits`] leaves them.
+    pub(crate) fn word(&self) -> u64 {
+        self.bits
+    }
+
+    /// The table over `num_vars` variables whose whole word is `word`, as
+    /// [`TruthTable::word`] returned it.
+    pub(crate) fn from_word(num_vars: u8, word: u64) -> Self {
+        TruthTable {
+            bits: word,
+            num_vars,
+        }
+    }
+
     /// Raw bit representation (low `2^num_vars` bits are significant).
     pub fn bits(&self) -> u64 {
         self.bits & self.low_mask()

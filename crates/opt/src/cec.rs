@@ -32,9 +32,27 @@
 //! The pass-by-pass guard ([`crate::optimize_verified`]) calls the check
 //! only for passes that changed the network: a pass whose output is its
 //! input node for node ([`Aig::is_identical`]) is the identity and needs
-//! no proof. Every call is self-contained — fresh patterns from
-//! [`CecConfig::seed`], a fresh shared network — so skipping some calls
-//! never changes what the others ask the solver.
+//! no proof. Its checks form a chain N₀ → N₁ → …, the `before` of each
+//! the `after` of the one before it, and they share one sweep space
+//! (`CecSession`): Nₖ is swept once, as the `after` of its check, and
+//! absorbing it again as the next `before` finds every node of its cones
+//! already in the joint network, swept and resolved — one structural-hash
+//! lookup per node, no signature, class scan or query. Every merge is
+//! still a SAT-proven equivalence of two joint nodes, so a reused space
+//! proves only true equivalences. Each check draws the same patterns from
+//! [`CecConfig::seed`], and its [`CecStats`] count its own work.
+//!
+//! **The miter rule.** The final miter only runs over a space that holds
+//! just the check's two networks. A check in a reused space absorbs its
+//! `after` network one output cone at a time; at the first output pair it
+//! leaves unresolved, it drops that space and starts over in a fresh one
+//! ([`CecStats::restarts`]), which the later checks reuse. From there the
+//! check is [`check_equivalence`] exactly: same patterns, same queries,
+//! same verdict and counterexample. A reused space never refutes a pair,
+//! so every counterexample comes from the prefilter or a fresh space. A
+//! miter over a reused space would encode cones mixed from every earlier
+//! network of the chain: a probe without this rule took `opt sin 16
+//! --fixpoint --verify` 396 s, against ≈15 s with it, on a 2-vCPU host.
 //!
 //! # Cost model
 //!
@@ -44,7 +62,18 @@
 //! 10k-gate random net, 14,759 of 15,936 ANDs). Only the prefilter still
 //! simulates every node slot.
 //!
-//! A sweep query costs O(cone), not O(network): one check owns one
+//! A check in a reused space sweeps only what its `after` network changed,
+//! but the space outlives the check and grows by every node a checked
+//! network added without merging (`opt multiplier`: 19,038 joint nodes
+//! after five checks, from a 12,286-slot subject). Its memory is sized for
+//! that: one 48-byte slot per joint node (signature, refinement word,
+//! canonical literal, class link), and class lists kept as a map from a
+//! 64-bit signature digest to a `(head, tail)` pair of node ids threaded
+//! through the slots, with no allocation per class. The 64 refinement patterns belong to the space, so a long run
+//! feeds back fewer of them (c6288: 64 instead of 233), yet asks fewer
+//! queries (851 instead of 1,171).
+//!
+//! A sweep query costs O(cone), not O(network): one space owns one
 //! encoder — a SAT solver, a node→variable map, queued marks and the BFS
 //! queue — and every query resets it. The solver's
 //! [`SatSolver::reset`] keeps its allocations; the map and the marks are
@@ -56,9 +85,11 @@
 
 use crate::util::mapped;
 use sfq_netlist::aig::{Aig, Lit, NodeId, NodeKind};
+use sfq_netlist::fnv::{Fnv1a, FnvHashMap};
 use sfq_solver::sat::{SatLit, SatSolver, SatVar, SolveOutcome};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::Hasher;
 
 /// Words per simulation signature (4 × 64 = 256 patterns per node).
 const SIG_WORDS: usize = 4;
@@ -152,6 +183,9 @@ pub struct CecStats {
     pub alias_skips: usize,
     /// Whether the final miter was needed.
     pub used_final_sat: bool,
+    /// Checks that left an output pair unresolved in a reused sweep space
+    /// and started over in a fresh one (see the module docs).
+    pub restarts: usize,
 }
 
 impl CecStats {
@@ -165,6 +199,7 @@ impl CecStats {
         self.refinements += other.refinements;
         self.alias_skips += other.alias_skips;
         self.used_final_sat |= other.used_final_sat;
+        self.restarts += other.restarts;
     }
 }
 
@@ -191,15 +226,19 @@ impl Rng {
     }
 }
 
+/// Marks an empty entry of a node-indexed `u32` table.
+const NONE: u32 = u32::MAX;
+
 /// Tseitin encoder with window-bounded cone collection, reused by every
-/// query of one check (see the module's cost model).
+/// query of one sweep space (see the module's cost model).
 #[derive(Default)]
 struct Encoder {
     solver: SatSolver,
-    /// Per-node variable of the current query.
-    vars: Vec<Option<SatVar>>,
-    /// The nodes with an entry in `vars`.
-    touched: Vec<NodeId>,
+    /// Per-node position in `touched` of the node's variable in the
+    /// current query, `NONE` for a node without one.
+    vars: Vec<u32>,
+    /// The nodes with a variable in the current query, with that variable.
+    touched: Vec<(NodeId, SatVar)>,
     /// Per-node "already queued" marks of the current query.
     queued: Vec<bool>,
     /// Breadth-first queue of the current query. Popping only advances a
@@ -212,23 +251,29 @@ impl Encoder {
     /// the previous query.
     fn reset(&mut self, aig: &Aig) {
         self.solver.reset();
-        for n in self.touched.drain(..) {
-            self.vars[n.index()] = None;
+        for (n, _) in self.touched.drain(..) {
+            self.vars[n.index()] = NONE;
         }
         for n in self.queue.drain(..) {
             self.queued[n.index()] = false;
         }
-        self.vars.resize(aig.len(), None);
+        self.vars.resize(aig.len(), NONE);
         self.queued.resize(aig.len(), false);
     }
 
+    /// The node's variable in the current query, if it has one.
+    fn var_of(&self, n: NodeId) -> Option<SatVar> {
+        let slot = self.vars[n.index()];
+        (slot != NONE).then(|| self.touched[slot as usize].1)
+    }
+
     fn var(&mut self, n: NodeId) -> SatVar {
-        if let Some(v) = self.vars[n.index()] {
+        if let Some(v) = self.var_of(n) {
             return v;
         }
         let v = self.solver.new_var();
-        self.vars[n.index()] = Some(v);
-        self.touched.push(n);
+        self.vars[n.index()] = self.touched.len() as u32;
+        self.touched.push((n, v));
         if n == NodeId::CONST0 {
             self.solver.add_clause([SatLit::neg(v)]);
         }
@@ -304,7 +349,7 @@ impl Encoder {
     fn pi_values(&self, aig: &Aig, model: &[bool]) -> Vec<bool> {
         aig.pis()
             .iter()
-            .map(|&pi| self.vars[pi.index()].is_some_and(|v| model[v.index()]))
+            .map(|&pi| self.var_of(pi).is_some_and(|v| model[v.index()]))
             .collect()
     }
 }
@@ -329,30 +374,47 @@ fn flip(l: Lit, c: bool) -> Lit {
     l.with_complement(l.is_complement() ^ c)
 }
 
-/// Shared reduced network the sweep builds both subjects into.
+/// The class-map key of a normalized signature. Classes whose digests
+/// collide share one list; [`SweepSpace::and`] skips the members whose
+/// signature differs, so a collision costs a comparison, never a query.
+fn digest(norm: &[u64; SIG_WORDS]) -> u64 {
+    let mut h = Fnv1a::new();
+    for &w in norm {
+        h.write_u64(w);
+    }
+    h.finish()
+}
+
+/// What the sweep knows of one joint node (48 bytes).
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Simulation signature.
+    sig: [u64; SIG_WORDS],
+    /// Refinement signature: bit `k` is the node's value on the `k`-th
+    /// counterexample pattern fed back by a refuted query.
+    extra: u64,
+    /// Canonical literal: the proven-equivalent class member a merged node
+    /// was substituted by, the node itself otherwise.
+    subst: Lit,
+    /// Next member of the node's class list, `NONE` at the end.
+    next: u32,
+}
+
+/// Shared reduced network the sweep builds its subjects into.
 struct SweepSpace {
     joint: Aig,
     pis: Vec<Lit>,
-    /// Per-joint-node canonical substitution (proven-equivalent literal).
-    subst: Vec<Option<Lit>>,
-    /// Per-joint-node simulation signature.
-    sigs: Vec<[u64; SIG_WORDS]>,
+    /// One slot per joint node.
+    slots: Vec<Slot>,
     pi_sigs: Vec<[u64; SIG_WORDS]>,
-    /// Per-joint-node refinement signature: bit `k` is the node's value on
-    /// the `k`-th counterexample pattern fed back by a refuted query.
-    extra: Vec<u64>,
     pi_extra: Vec<u64>,
-    /// Valid refinement patterns (bits `0..patterns` of `extra`).
+    /// Valid refinement patterns (bits `0..patterns` of `Slot::extra`).
     patterns: u32,
-    /// Normalized signature → class members (joint AND nodes).
-    classes: HashMap<[u64; SIG_WORDS], Vec<NodeId>>,
-    classified: Vec<bool>,
-    /// The encoder every SAT query of this check reuses.
+    /// Class lists: the [`digest`] of a normalized signature → the first
+    /// and the last member (joint AND nodes, in insertion order).
+    classes: FnvHashMap<u64, (u32, u32)>,
+    /// The encoder every SAT query in this space reuses.
     enc: Encoder,
-    stats_merges: usize,
-    stats_queries: usize,
-    stats_refinements: usize,
-    stats_alias_skips: usize,
 }
 
 impl SweepSpace {
@@ -365,45 +427,45 @@ impl SweepSpace {
         SweepSpace {
             joint,
             pis,
-            subst: Vec::new(),
-            sigs: Vec::new(),
+            slots: Vec::new(),
             pi_sigs,
-            extra: Vec::new(),
             pi_extra: vec![0; pi_count],
             patterns: 0,
-            classes: HashMap::new(),
-            classified: Vec::new(),
+            classes: FnvHashMap::default(),
             enc: Encoder::default(),
-            stats_merges: 0,
-            stats_queries: 0,
-            stats_refinements: 0,
-            stats_alias_skips: 0,
         }
     }
 
     fn sync(&mut self) {
-        for idx in self.sigs.len()..self.joint.len() {
+        for idx in self.slots.len()..self.joint.len() {
             let id = NodeId(idx as u32);
-            let (sig, ext) = match self.joint.kind(id) {
+            let (sig, extra) = match self.joint.kind(id) {
                 NodeKind::Const0 => ([0; SIG_WORDS], 0),
                 NodeKind::Input(i) => (self.pi_sigs[i as usize], self.pi_extra[i as usize]),
                 NodeKind::And(a, b) => {
-                    let sa = self.sigs[a.node().index()];
-                    let sb = self.sigs[b.node().index()];
+                    let (sa, sb) = (self.slots[a.node().index()], self.slots[b.node().index()]);
                     let (ma, mb) = (
                         if a.is_complement() { u64::MAX } else { 0 },
                         if b.is_complement() { u64::MAX } else { 0 },
                     );
-                    let ext =
-                        (self.extra[a.node().index()] ^ ma) & (self.extra[b.node().index()] ^ mb);
-                    (std::array::from_fn(|w| (sa[w] ^ ma) & (sb[w] ^ mb)), ext)
+                    let sig = std::array::from_fn(|w| (sa.sig[w] ^ ma) & (sb.sig[w] ^ mb));
+                    (sig, (sa.extra ^ ma) & (sb.extra ^ mb))
                 }
             };
-            self.sigs.push(sig);
-            self.extra.push(ext);
-            self.subst.push(None);
-            self.classified.push(false);
+            self.slots.push(Slot {
+                sig,
+                extra,
+                subst: Lit::new(id, false),
+                next: NONE,
+            });
         }
+    }
+
+    /// The node's signature normalized by its phase bit, and that bit.
+    fn norm_sig(&self, node: NodeId) -> ([u64; SIG_WORDS], bool) {
+        let sig = self.slots[node.index()].sig;
+        let phase = sig[0] & 1 == 1;
+        (sig.map(|w| if phase { !w } else { w }), phase)
     }
 
     /// Mask selecting the valid refinement bits.
@@ -417,7 +479,7 @@ impl SweepSpace {
 
     /// The node's refinement signature, normalized by its phase bit.
     fn norm_extra(&self, node: NodeId, phase: bool) -> u64 {
-        let e = self.extra[node.index()];
+        let e = self.slots[node.index()].extra;
         (if phase { !e } else { e }) & self.pattern_mask()
     }
 
@@ -426,13 +488,13 @@ impl SweepSpace {
     /// pair on the real network (window abstraction can produce spurious
     /// models); simulation assigns the true values either way, so the
     /// signatures only ever get more precise.
-    fn refine(&mut self, cex: &[bool]) {
+    fn refine(&mut self, cex: &[bool], stats: &mut CecStats) {
         if self.patterns >= 64 {
             return; // refinement word exhausted; later queries go to SAT
         }
         let bit = self.patterns;
         self.patterns += 1;
-        self.stats_refinements += 1;
+        stats.refinements += 1;
         for (i, &v) in cex.iter().enumerate() {
             if v {
                 self.pi_extra[i] |= 1u64 << bit;
@@ -440,7 +502,7 @@ impl SweepSpace {
         }
         for idx in 0..self.joint.len() {
             let id = NodeId(idx as u32);
-            self.extra[idx] = match self.joint.kind(id) {
+            self.slots[idx].extra = match self.joint.kind(id) {
                 NodeKind::Const0 => 0,
                 NodeKind::Input(i) => self.pi_extra[i as usize],
                 NodeKind::And(a, b) => {
@@ -448,17 +510,18 @@ impl SweepSpace {
                         if a.is_complement() { u64::MAX } else { 0 },
                         if b.is_complement() { u64::MAX } else { 0 },
                     );
-                    (self.extra[a.node().index()] ^ ma) & (self.extra[b.node().index()] ^ mb)
+                    let (ea, eb) = (
+                        self.slots[a.node().index()].extra,
+                        self.slots[b.node().index()].extra,
+                    );
+                    (ea ^ ma) & (eb ^ mb)
                 }
             };
         }
     }
 
     fn resolve(&self, l: Lit) -> Lit {
-        match self.subst[l.node().index()] {
-            Some(s) => flip(s, l.is_complement()),
-            None => l,
-        }
+        flip(self.slots[l.node().index()].subst, l.is_complement())
     }
 
     /// ANDs two canonical literals in the joint network and sweeps the
@@ -468,41 +531,38 @@ impl SweepSpace {
     /// their inequivalence was already witnessed by a simulated pattern —
     /// and every refuted query feeds its distinguishing pattern back into
     /// the signatures, splitting the rest of the alias class for free.
-    fn and(&mut self, a: Lit, b: Lit, cfg: &CecConfig) -> Lit {
+    fn and(&mut self, a: Lit, b: Lit, cfg: &CecConfig, stats: &mut CecStats) -> Lit {
+        let len = self.joint.len();
         let lit = self.joint.and(a, b);
-        self.sync();
-        let lit = self.resolve(lit);
-        let node = lit.node();
-        if !matches!(self.joint.kind(node), NodeKind::And(..)) || self.classified[node.index()] {
-            return lit;
+        if self.joint.len() == len {
+            // A node already in the space (swept when it was added), a
+            // fanin or a constant.
+            return self.resolve(lit);
         }
-        self.classified[node.index()] = true;
-        let sig = self.sigs[node.index()];
-        let phase = sig[0] & 1 == 1;
-        let norm: [u64; SIG_WORDS] = std::array::from_fn(|w| if phase { !sig[w] } else { sig[w] });
-        // Take the class out of the map for the duration of the scan (and
-        // re-insert it below): alias classes grow to thousands of members
-        // on the workloads refinement targets, so a per-node clone here
-        // would be a hot-path O(class size) copy.
-        let mut members: Vec<NodeId> = self.classes.remove(&norm).unwrap_or_default();
+        self.sync();
+        let node = lit.node();
+        let (norm, phase) = self.norm_sig(node);
+        let key = digest(&norm);
         let mut merged = None;
         let max_queries = if cfg.sweep { 8 } else { 0 };
         let mut queries = 0usize;
-        for &cand in &members {
-            if queries >= max_queries {
-                break;
+        let mut cursor = self.classes.get(&key).map_or(NONE, |&(head, _)| head);
+        while cursor != NONE && queries < max_queries {
+            let cand = NodeId(cursor);
+            cursor = self.slots[cand.index()].next;
+            let (cand_norm, cand_phase) = self.norm_sig(cand);
+            if cand_norm != norm {
+                continue; // another class behind a colliding digest
             }
-            let cand_sig = self.sigs[cand.index()];
-            let cand_phase = cand_sig[0] & 1 == 1;
             // Refinement filter: the refined signatures are true simulated
             // values, so a mismatch is a definitive inequivalence witness.
             if cfg.refine && self.norm_extra(node, phase) != self.norm_extra(cand, cand_phase) {
-                self.stats_alias_skips += 1;
+                stats.alias_skips += 1;
                 continue;
             }
             let target = Lit::new(cand, phase ^ cand_phase);
             queries += 1;
-            self.stats_queries += 1;
+            stats.sat_queries += 1;
             match self.enc.prove_equal(
                 &self.joint,
                 Lit::new(node, false),
@@ -516,33 +576,34 @@ impl SweepSpace {
                 }
                 Proof::Refuted(cex) => {
                     if cfg.refine {
-                        self.refine(&cex);
+                        self.refine(&cex, stats);
                     }
                 }
                 Proof::Unknown => {}
             }
         }
-        let result = match merged {
-            Some(target) => {
-                self.subst[node.index()] = Some(target);
-                self.stats_merges += 1;
-                flip(target, lit.is_complement())
-            }
-            None => {
-                members.push(node);
-                lit
-            }
-        };
-        if !members.is_empty() {
-            self.classes.insert(norm, members);
+        if let Some(target) = merged {
+            self.slots[node.index()].subst = target;
+            stats.sweep_merges += 1;
+            return target;
         }
-        result
+        match self.classes.entry(key) {
+            Entry::Occupied(mut e) => {
+                let (_, tail) = e.get_mut();
+                self.slots[*tail as usize].next = node.0;
+                *tail = node.0;
+            }
+            Entry::Vacant(e) => {
+                e.insert((node.0, node.0));
+            }
+        }
+        lit
     }
 
     /// Copies the output cones of `aig` into the joint network, returning
     /// the canonical literal of every node they contain. Logic no output
     /// reads is never copied, so it costs no signature, class or query.
-    fn absorb(&mut self, aig: &Aig, cfg: &CecConfig) -> Vec<Option<Lit>> {
+    fn absorb(&mut self, aig: &Aig, cfg: &CecConfig, stats: &mut CecStats) -> Vec<Option<Lit>> {
         let mut map: Vec<Option<Lit>> = vec![None; aig.len()];
         map[NodeId::CONST0.index()] = Some(Lit::FALSE);
         self.sync();
@@ -558,140 +619,226 @@ impl SweepSpace {
                 NodeKind::And(a, b) => {
                     let fa = self.resolve(mapped(&map, a));
                     let fb = self.resolve(mapped(&map, b));
-                    map[id.index()] = Some(self.and(fa, fb, cfg));
+                    map[id.index()] = Some(self.and(fa, fb, cfg, stats));
                 }
             }
         }
         map
     }
+
+    /// Absorbs both networks and pairs up their outputs: returns the pairs
+    /// whose canonical literals differ, and counts the others in
+    /// `stats.structural_matches`.
+    fn sweep(
+        &mut self,
+        a: &Aig,
+        b: &Aig,
+        cfg: &CecConfig,
+        stats: &mut CecStats,
+    ) -> Vec<(Lit, Lit)> {
+        let map_a = self.absorb(a, cfg, stats);
+        let map_b = self.absorb(b, cfg, stats);
+        let unresolved: Vec<(Lit, Lit)> = a
+            .pos()
+            .iter()
+            .zip(b.pos())
+            .map(|(&pa, &pb)| {
+                (
+                    self.resolve(mapped(&map_a, pa)),
+                    self.resolve(mapped(&map_b, pb)),
+                )
+            })
+            .filter(|(la, lb)| la != lb)
+            .collect();
+        stats.structural_matches = a.po_count() - unresolved.len();
+        unresolved
+    }
+
+    /// The sweep of a reused space, which only ever proves: absorbs `a`,
+    /// then `b` one output cone at a time, depth first, and gives up at
+    /// the first output pair whose canonical literals differ. Returns
+    /// whether every pair matched.
+    fn sweep_outputs(&mut self, a: &Aig, b: &Aig, cfg: &CecConfig, stats: &mut CecStats) -> bool {
+        let map_a = self.absorb(a, cfg, stats);
+        let mut map: Vec<Option<Lit>> = vec![None; b.len()];
+        map[NodeId::CONST0.index()] = Some(Lit::FALSE);
+        // (node, whether its fanins are mapped)
+        let mut stack = Vec::new();
+        for (&pa, &pb) in a.pos().iter().zip(b.pos()) {
+            stack.push((pb.node(), false));
+            while let Some((n, ready)) = stack.pop() {
+                if map[n.index()].is_some() {
+                    continue;
+                }
+                match b.kind(n) {
+                    NodeKind::Const0 => {}
+                    NodeKind::Input(i) => map[n.index()] = Some(self.pis[i as usize]),
+                    NodeKind::And(x, y) if ready => {
+                        let fx = self.resolve(mapped(&map, x));
+                        let fy = self.resolve(mapped(&map, y));
+                        map[n.index()] = Some(self.and(fx, fy, cfg, stats));
+                    }
+                    NodeKind::And(x, y) => {
+                        stack.extend([(n, true), (y.node(), false), (x.node(), false)])
+                    }
+                }
+            }
+            if self.resolve(mapped(&map_a, pa)) != self.resolve(mapped(&map, pb)) {
+                return false;
+            }
+        }
+        stats.structural_matches = a.po_count();
+        true
+    }
 }
 
-/// Checks whether `a` and `b` compute the same functions.
+/// The equivalence checks of one chain of networks N₀ → N₁ → …, each
+/// check's `before` the previous check's `after`, in one sweep space (see
+/// the module docs: the space is reused while its checks resolve every
+/// output, and rebuilt for a check that does not).
+#[derive(Default)]
+pub(crate) struct CecSession {
+    space: Option<SweepSpace>,
+}
+
+impl CecSession {
+    /// Checks whether `a` and `b` compute the same functions, as
+    /// [`check_equivalence`] does, reusing the space of the session's
+    /// earlier checks. The counters are this check's work alone.
+    pub(crate) fn check(
+        &mut self,
+        a: &Aig,
+        b: &Aig,
+        cfg: &CecConfig,
+    ) -> Result<CecOutcome, CecError> {
+        if a.pi_count() != b.pi_count() {
+            return Err(CecError::PiMismatch(a.pi_count(), b.pi_count()));
+        }
+        if a.po_count() != b.po_count() {
+            return Err(CecError::PoMismatch(a.po_count(), b.po_count()));
+        }
+        let mut stats = CecStats::default();
+        let mut rng = Rng::new(cfg.seed);
+
+        // Stage 1: random-simulation prefilter. One set of buffers serves
+        // every pattern word ([`Aig::eval64_into`]) — at `sim_words = 8` on
+        // a million-node network the naive form would allocate sixteen
+        // fresh node-sized vectors before the solver even starts.
+        let sim_span = sfq_obs::span("cec:sim");
+        let mut inputs = Vec::with_capacity(a.pi_count());
+        let (mut scratch, mut oa, mut ob) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..cfg.sim_words {
+            inputs.clear();
+            inputs.extend((0..a.pi_count()).map(|_| rng.next()));
+            a.eval64_into(&inputs, &mut scratch, &mut oa);
+            b.eval64_into(&inputs, &mut scratch, &mut ob);
+            stats.sim_words += 1;
+            if let Some(bit) = oa
+                .iter()
+                .zip(&ob)
+                .find_map(|(x, y)| (x != y).then(|| (x ^ y).trailing_zeros()))
+            {
+                let cex: Vec<bool> = inputs.iter().map(|w| w >> bit & 1 == 1).collect();
+                debug_assert_ne!(a.eval(&cex), b.eval(&cex));
+                return Ok(CecOutcome {
+                    verdict: CecVerdict::NotEquivalent(cex),
+                    stats,
+                });
+            }
+        }
+
+        drop(sim_span);
+
+        // Stage 2: shared reconstruction, with SAT sweeping when enabled.
+        let sweep_span = sfq_obs::span("cec:sweep");
+        if let Some(space) = self.space.as_mut() {
+            if space.sweep_outputs(a, b, cfg, &mut stats) {
+                return Ok(CecOutcome {
+                    verdict: CecVerdict::Equivalent,
+                    stats,
+                });
+            }
+            // The miter rule: a miter over a reused space would encode
+            // cones mixed from every earlier network of the chain, so the
+            // check starts over in a space of its own two networks.
+            stats.restarts += 1;
+            self.space = None;
+        }
+        let space = self.space.insert(SweepSpace::new(a.pi_count(), &mut rng));
+        let unresolved = space.sweep(a, b, cfg, &mut stats);
+        if unresolved.is_empty() {
+            return Ok(CecOutcome {
+                verdict: CecVerdict::Equivalent,
+                stats,
+            });
+        }
+
+        drop(sweep_span);
+
+        // Stage 3: miter over the unresolved pairs.
+        let _span = sfq_obs::span("cec:miter");
+        stats.used_final_sat = true;
+        stats.sat_queries += 1;
+        let enc = &mut space.enc;
+        enc.reset(&space.joint);
+        let roots: Vec<NodeId> = unresolved
+            .iter()
+            .flat_map(|&(x, y)| [x.node(), y.node()])
+            .collect();
+        enc.encode_cones(&space.joint, &roots, usize::MAX);
+        let mut selectors = Vec::with_capacity(unresolved.len());
+        for &(x, y) in &unresolved {
+            let lx = enc.lit(x);
+            let ly = enc.lit(y);
+            let s = SatLit::pos(enc.solver.new_var());
+            // s ↔ (x ⊕ y)
+            enc.solver.add_clause([!s, lx, ly]);
+            enc.solver.add_clause([!s, !lx, !ly]);
+            enc.solver.add_clause([s, lx, !ly]);
+            enc.solver.add_clause([s, !lx, ly]);
+            selectors.push(s);
+        }
+        enc.solver.add_clause(selectors);
+        match enc.solver.solve_limited(cfg.final_conflicts) {
+            SolveOutcome::Unsat => Ok(CecOutcome {
+                verdict: CecVerdict::Equivalent,
+                stats,
+            }),
+            SolveOutcome::Unknown => Ok(CecOutcome {
+                verdict: CecVerdict::Unknown,
+                stats,
+            }),
+            SolveOutcome::Sat(model) => {
+                let cex = enc.pi_values(&space.joint, &model);
+                if a.eval(&cex) != b.eval(&cex) {
+                    Ok(CecOutcome {
+                        verdict: CecVerdict::NotEquivalent(cex),
+                        stats,
+                    })
+                } else {
+                    // A model that does not replay means an internal merge
+                    // was unsound — impossible by construction, but never
+                    // report "not equivalent" on a non-replaying witness.
+                    debug_assert!(false, "miter model must replay on the originals");
+                    Ok(CecOutcome {
+                        verdict: CecVerdict::Unknown,
+                        stats,
+                    })
+                }
+            }
+        }
+    }
+}
+
+/// Checks whether `a` and `b` compute the same functions, in a sweep space
+/// of their own.
 ///
 /// # Errors
 ///
 /// Returns [`CecError`] when the PI or PO counts differ (nothing to
 /// compare).
 pub fn check_equivalence(a: &Aig, b: &Aig, cfg: &CecConfig) -> Result<CecOutcome, CecError> {
-    if a.pi_count() != b.pi_count() {
-        return Err(CecError::PiMismatch(a.pi_count(), b.pi_count()));
-    }
-    if a.po_count() != b.po_count() {
-        return Err(CecError::PoMismatch(a.po_count(), b.po_count()));
-    }
-    let mut stats = CecStats::default();
-    let mut rng = Rng::new(cfg.seed);
-
-    // Stage 1: random-simulation prefilter. One set of buffers serves every
-    // pattern word ([`Aig::eval64_into`]) — at `sim_words = 8` on a
-    // million-node network the naive form would allocate sixteen fresh
-    // node-sized vectors before the solver even starts.
-    let sim_span = sfq_obs::span("cec:sim");
-    let mut inputs = Vec::with_capacity(a.pi_count());
-    let (mut scratch, mut oa, mut ob) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..cfg.sim_words {
-        inputs.clear();
-        inputs.extend((0..a.pi_count()).map(|_| rng.next()));
-        a.eval64_into(&inputs, &mut scratch, &mut oa);
-        b.eval64_into(&inputs, &mut scratch, &mut ob);
-        stats.sim_words += 1;
-        if let Some(bit) = oa
-            .iter()
-            .zip(&ob)
-            .find_map(|(x, y)| (x != y).then(|| (x ^ y).trailing_zeros()))
-        {
-            let cex: Vec<bool> = inputs.iter().map(|w| w >> bit & 1 == 1).collect();
-            debug_assert_ne!(a.eval(&cex), b.eval(&cex));
-            return Ok(CecOutcome {
-                verdict: CecVerdict::NotEquivalent(cex),
-                stats,
-            });
-        }
-    }
-
-    drop(sim_span);
-
-    // Stage 2: shared reconstruction, with SAT sweeping when enabled.
-    let sweep_span = sfq_obs::span("cec:sweep");
-    let mut space = SweepSpace::new(a.pi_count(), &mut rng);
-    let map_a = space.absorb(a, cfg);
-    let map_b = space.absorb(b, cfg);
-    stats.sweep_merges = space.stats_merges;
-    stats.sat_queries = space.stats_queries;
-    stats.refinements = space.stats_refinements;
-    stats.alias_skips = space.stats_alias_skips;
-
-    let mut unresolved: Vec<(Lit, Lit)> = Vec::new();
-    for (pa, pb) in a.pos().iter().zip(b.pos()) {
-        let la = space.resolve(mapped(&map_a, *pa));
-        let lb = space.resolve(mapped(&map_b, *pb));
-        if la == lb {
-            stats.structural_matches += 1;
-        } else {
-            unresolved.push((la, lb));
-        }
-    }
-    if unresolved.is_empty() {
-        return Ok(CecOutcome {
-            verdict: CecVerdict::Equivalent,
-            stats,
-        });
-    }
-
-    drop(sweep_span);
-
-    // Stage 3: miter over the unresolved pairs.
-    let _span = sfq_obs::span("cec:miter");
-    stats.used_final_sat = true;
-    stats.sat_queries += 1;
-    let enc = &mut space.enc;
-    enc.reset(&space.joint);
-    let roots: Vec<NodeId> = unresolved
-        .iter()
-        .flat_map(|&(x, y)| [x.node(), y.node()])
-        .collect();
-    enc.encode_cones(&space.joint, &roots, usize::MAX);
-    let mut selectors = Vec::with_capacity(unresolved.len());
-    for &(x, y) in &unresolved {
-        let lx = enc.lit(x);
-        let ly = enc.lit(y);
-        let s = SatLit::pos(enc.solver.new_var());
-        // s ↔ (x ⊕ y)
-        enc.solver.add_clause([!s, lx, ly]);
-        enc.solver.add_clause([!s, !lx, !ly]);
-        enc.solver.add_clause([s, lx, !ly]);
-        enc.solver.add_clause([s, !lx, ly]);
-        selectors.push(s);
-    }
-    enc.solver.add_clause(selectors);
-    match enc.solver.solve_limited(cfg.final_conflicts) {
-        SolveOutcome::Unsat => Ok(CecOutcome {
-            verdict: CecVerdict::Equivalent,
-            stats,
-        }),
-        SolveOutcome::Unknown => Ok(CecOutcome {
-            verdict: CecVerdict::Unknown,
-            stats,
-        }),
-        SolveOutcome::Sat(model) => {
-            let cex = enc.pi_values(&space.joint, &model);
-            if a.eval(&cex) != b.eval(&cex) {
-                Ok(CecOutcome {
-                    verdict: CecVerdict::NotEquivalent(cex),
-                    stats,
-                })
-            } else {
-                // A model that does not replay means an internal merge was
-                // unsound — impossible by construction, but never report
-                // "not equivalent" on a non-replaying witness.
-                debug_assert!(false, "miter model must replay on the originals");
-                Ok(CecOutcome {
-                    verdict: CecVerdict::Unknown,
-                    stats,
-                })
-            }
-        }
-    }
+    CecSession::default().check(a, b, cfg)
 }
 
 #[cfg(test)]
@@ -701,6 +848,7 @@ mod tests {
     use proptest::prelude::*;
     use sfq_circuits::{random_aig, RandomAigConfig};
     use sfq_netlist::transform::sweep_in_place;
+    use std::collections::HashMap;
 
     fn xor_chain(n: usize, twist: bool) -> Aig {
         let mut g = Aig::new();
@@ -956,6 +1104,109 @@ mod tests {
             seen.iter().all(|&n| n > 0),
             "every outcome exercised: {seen:?}"
         );
+    }
+
+    /// Class lists keep insertion order: walking a list from its head
+    /// visits exactly the members a `Vec` per class would hold, in the
+    /// order it appended them — every unmerged AND node, by node id.
+    #[test]
+    fn class_members_are_visited_in_insertion_order() {
+        let keys: Vec<u16> = (0..24).map(|i| (i * 157 + 3) % 4096).collect();
+        let (a, b) = (detectors(&keys, false), detectors(&keys, true));
+        let cfg = CecConfig::default();
+        let mut space = SweepSpace::new(a.pi_count(), &mut Rng::new(cfg.seed));
+        let mut stats = CecStats::default();
+        space.sweep(&a, &b, &cfg, &mut stats);
+        assert!(stats.sweep_merges > 0 && stats.alias_skips > 0);
+        let mut lists: HashMap<[u64; SIG_WORDS], Vec<NodeId>> = HashMap::new();
+        for id in space.joint.and_ids() {
+            if space.resolve(Lit::new(id, false)) == Lit::new(id, false) {
+                lists.entry(space.norm_sig(id).0).or_default().push(id);
+            }
+        }
+        assert!(
+            lists.values().any(|m| m.len() > 1),
+            "some class has members"
+        );
+        for (norm, want) in &lists {
+            let mut got = Vec::new();
+            let mut cursor = space.classes[&digest(norm)].0;
+            while cursor != NONE {
+                let n = NodeId(cursor);
+                if space.norm_sig(n).0 == *norm {
+                    got.push(n);
+                }
+                cursor = space.slots[n.index()].next;
+            }
+            assert_eq!(&got, want);
+        }
+    }
+
+    /// The maj3 pair of [`restructured_majority_needs_the_solver`] and a
+    /// copy of its second form that differs on one input pattern.
+    fn majority_chain() -> [Aig; 3] {
+        let textbook = {
+            let mut g = Aig::new();
+            let (x, y, z) = (g.add_pi(), g.add_pi(), g.add_pi());
+            let m = g.maj3(x, y, z);
+            g.add_po(m);
+            g
+        };
+        let factored = |broken: bool| {
+            let mut g = Aig::new();
+            let (x, y, z) = (g.add_pi(), g.add_pi(), g.add_pi());
+            let xy = g.and(x, y);
+            let xoy = g.or(x, y);
+            let t = g.and(z, xoy);
+            let m = g.or(xy, t);
+            // `broken`: also 1 on x = y = z = 0.
+            let none = g.and(!xoy, !z);
+            let m = if broken { g.or(m, none) } else { m };
+            g.add_po(m);
+            g
+        };
+        [textbook, factored(false), factored(true)]
+    }
+
+    /// The miter rule: a check that leaves an output pair unresolved in a
+    /// reused space starts over in a fresh space, so its verdict and its
+    /// work from there on are a fresh check's. With sweeping off, every
+    /// pair of distinct structures is unresolved and the reused attempt
+    /// asks nothing; with it on, the broken pair still restarts.
+    #[test]
+    fn unresolved_reused_check_restarts_fresh() {
+        let [a, b, c] = majority_chain();
+        for sweep in [false, true] {
+            let cfg = CecConfig {
+                sim_words: 0,
+                sweep,
+                ..CecConfig::default()
+            };
+            let mut session = CecSession::default();
+            let first = session.check(&a, &b, &cfg).unwrap();
+            assert_eq!(first, check_equivalence(&a, &b, &cfg).unwrap());
+            for (x, y, equivalent) in [(&b, &a, true), (&a, &c, false)] {
+                let got = session.check(x, y, &cfg).unwrap();
+                let want = check_equivalence(x, y, &cfg).unwrap();
+                assert_eq!(got.verdict, want.verdict, "sweep {sweep}");
+                assert_eq!(got.verdict == CecVerdict::Equivalent, equivalent);
+                if let CecVerdict::NotEquivalent(cex) = &got.verdict {
+                    assert_ne!(x.eval(cex), y.eval(cex), "cex must replay");
+                }
+                if !sweep {
+                    let restarted = CecStats {
+                        restarts: 1,
+                        ..want.stats
+                    };
+                    assert_eq!(got.stats, restarted);
+                }
+                // With sweeping on, the equivalent pair merges in the
+                // reused space; a reused space never refutes a pair.
+                let restarts = usize::from(!sweep || !equivalent);
+                assert_eq!(got.stats.restarts, restarts, "sweep {sweep}");
+                assert_eq!(got.stats.used_final_sat, restarts == 1);
+            }
+        }
     }
 
     #[test]

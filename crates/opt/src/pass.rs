@@ -7,7 +7,7 @@
 //! [`optimize_verified`] are the one round loop, the latter with an
 //! equivalence check of every pass that changed the network.
 
-use crate::cec::{check_equivalence, CecConfig, CecStats, CecVerdict};
+use crate::cec::{CecConfig, CecSession, CecStats, CecVerdict};
 use crate::passes::{balance_critical_network, balance_network, strash_network};
 use crate::rewrite::{rewrite_network_in_place, RewriteConfig, DEFAULT_DFF_PHASES};
 use sfq_netlist::aig::Aig;
@@ -498,9 +498,11 @@ pub struct VerifiedRun {
 /// ([`Aig::is_identical`]: same node kinds, dead slots included, same
 /// inputs, same output literals) is the identity, so its check is skipped
 /// and counted in [`VerifiedRun::skipped_stages`]; converged fixpoint
-/// rounds are mostly such passes. Every remaining check is a fresh
-/// [`check_equivalence`] call, so it asks the solver exactly what it would
-/// have asked without the skips.
+/// rounds are mostly such passes. The remaining checks share one sweep
+/// space (see [`crate::cec`]): each network is swept once, as the output
+/// of the pass that made it, and a check that needs the final miter starts
+/// over in a fresh space, where it is exactly a
+/// [`check_equivalence`](crate::check_equivalence) call.
 ///
 /// Checking adjacent stages (rather than original vs. final once) is what
 /// keeps the SAT work tractable at paper scale: consecutive networks differ
@@ -526,13 +528,14 @@ fn verified_rounds(
     let mut failed_pass = None;
     let mut stats = CecStats::default();
     let (mut checked_stages, mut skipped_stages) = (0usize, 0usize);
+    let mut session = CecSession::default();
     let mut check = |before: &Aig, after: &Aig, pass: &'static str| {
         if before.is_identical(after) {
             skipped_stages += 1;
             return true;
         }
         checked_stages += 1;
-        match check_equivalence(before, after, cec) {
+        match session.check(before, after, cec) {
             Ok(out) => {
                 stats.absorb(&out.stats);
                 match out.verdict {
@@ -581,6 +584,7 @@ fn verified_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cec::check_equivalence;
     use proptest::prelude::*;
     use sfq_circuits::{random_aig, RandomAigConfig};
     use sfq_netlist::aig::{Lit, NodeId, NodeKind};
@@ -932,6 +936,48 @@ mod tests {
             for (before, after) in &skipped {
                 let out = check_equivalence(before, after, &cec).expect("same interface");
                 prop_assert_eq!(out.verdict, CecVerdict::Equivalent);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// One sweep space per run is sound: along a chain of real passes
+        /// with one single edit injected after a reused check, every check
+        /// of the session gives a fresh check's verdict, and every
+        /// counterexample replays on the two networks it tells apart.
+        #[test]
+        fn session_verdicts_match_fresh_checks(
+            seed in any::<u64>(),
+            num_pis in 1usize..=6,
+            num_gates in 1usize..60,
+            num_pos in 1usize..=6,
+            at in 2usize..8,
+            which in 0usize..4,
+            pick in any::<usize>(),
+            sim_words in 0usize..=2,
+        ) {
+            let config = RandomAigConfig { num_pis, num_gates, num_pos, xor_percent: 30 };
+            let mut aig = random_aig(seed, &config);
+            let cec = CecConfig { sim_words, ..CecConfig::default() };
+            let mut session = CecSession::default();
+            let stages = PassKind::ALL.iter().cycle().take(8);
+            for (step, &kind) in stages.enumerate() {
+                let before = aig.clone();
+                if step == at {
+                    if let Some(e) = edited(&aig, which, pick) {
+                        aig = e;
+                    }
+                } else {
+                    kind.run(&mut aig);
+                }
+                let got = session.check(&before, &aig, &cec).expect("same interface");
+                let want = check_equivalence(&before, &aig, &cec).expect("same interface");
+                prop_assert_eq!(&got.verdict, &want.verdict, "step {}", step);
+                if let CecVerdict::NotEquivalent(cex) = &got.verdict {
+                    prop_assert!(before.eval(cex) != aig.eval(cex), "step {}: cex must replay", step);
+                }
             }
         }
     }

@@ -391,11 +391,12 @@ fn verified_cec_work_is_pinned() {
             CecStats {
                 sim_words: 80,
                 structural_matches: 160,
-                sweep_merges: 779,
-                sat_queries: 1171,
-                refinements: 233,
-                alias_skips: 629,
+                sweep_merges: 713,
+                sat_queries: 851,
+                refinements: 64,
+                alias_skips: 220,
                 used_final_sat: false,
+                restarts: 0,
             },
             5,
             15,
@@ -412,6 +413,7 @@ fn verified_cec_work_is_pinned() {
                 refinements: 0,
                 alias_skips: 0,
                 used_final_sat: false,
+                restarts: 0,
             },
             1,
             7,
