@@ -216,6 +216,11 @@ impl Estimator {
     /// *created* steps under `dff_phases`-phase clocking (0 when
     /// `dff_phases` is 0 — the non-DFF modes skip the accounting; strash
     /// hits contribute nothing since their edges already exist).
+    ///
+    /// Returns `None`, pricing no further, once the cost passes what a
+    /// selectable site may spend: `freed.len()` in DFF mode, which allows no
+    /// node growth, and `freed.len() − 1` in the others, where the score is
+    /// the node gain and must be positive.
     fn estimate(
         &mut self,
         aig: &Aig,
@@ -224,8 +229,9 @@ impl Estimator {
         dead: &[bool],
         prog: &Program,
         inputs: &[Lit],
-    ) -> (usize, i64, i64) {
+    ) -> Option<(usize, i64, i64)> {
         let dff_phases = self.dff_phases;
+        let max_cost = freed.len() - usize::from(dff_phases == 0);
         let slots = &mut self.slots;
         slots.clear();
         slots.push(Slot::Known(Lit::FALSE, 0));
@@ -278,9 +284,12 @@ impl Estimator {
                 cost += 1;
                 Slot::New(price_step(ra.level(), rb.level()))
             };
+            if cost > max_cost {
+                return None;
+            }
             slots.push(slot);
         }
-        (cost, resolve(slots, prog.out()).level(), new_dffs)
+        Some((cost, resolve(slots, prog.out()).level(), new_dffs))
     }
 }
 
@@ -442,8 +451,11 @@ fn select_sites(aig: &Aig, config: &RewriteConfig, table: &RewriteTable) -> Vec<
                 inputs[npn.perm[i] as usize] = Lit::new(leaves[orig_var as usize], neg);
             }
             let inputs = &inputs[..num_vars];
-            let (cost, out_level, new_dffs) =
-                estimator.estimate(aig, arrivals, freed, &dead, &c.program, inputs);
+            let Some((cost, out_level, new_dffs)) =
+                estimator.estimate(aig, arrivals, freed, &dead, &c.program, inputs)
+            else {
+                continue; // costs more nodes than the site may
+            };
             if out_level > level_limit {
                 continue; // would exceed the site's depth budget
             }

@@ -392,7 +392,8 @@ fn verified_cec_work_is_pinned() {
                 sim_words: 80,
                 structural_matches: 160,
                 sweep_merges: 713,
-                sat_queries: 851,
+                cut_proofs: 680,
+                sat_queries: 171,
                 refinements: 64,
                 alias_skips: 220,
                 used_final_sat: false,
@@ -409,7 +410,8 @@ fn verified_cec_work_is_pinned() {
                 sim_words: 16,
                 structural_matches: 33,
                 sweep_merges: 31,
-                sat_queries: 31,
+                cut_proofs: 31,
+                sat_queries: 0,
                 refinements: 0,
                 alias_skips: 0,
                 used_final_sat: false,

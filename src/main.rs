@@ -524,12 +524,13 @@ fn cmd_opt(args: &Args) -> Result<(), String> {
         match run.verdict {
             CecVerdict::Equivalent => println!(
                 "verified equivalent: {} pass checks, {} unchanged passes skipped, \
-                 {} simulation words, {} sweep merges, {} SAT queries, \
-                 {} sweep restarts{}",
+                 {} simulation words, {} sweep merges, {} cut proofs, \
+                 {} SAT queries, {} sweep restarts{}",
                 run.checked_stages,
                 run.skipped_stages,
                 run.cec.sim_words,
                 run.cec.sweep_merges,
+                run.cec.cut_proofs,
                 run.cec.sat_queries,
                 run.cec.restarts,
                 if run.cec.used_final_sat {
