@@ -22,8 +22,8 @@
 //!   samples. Every span close automatically records its duration under
 //!   the span's name (and, when the [`alloc`] wrapper is counting, its
 //!   allocation delta under `{name}.bytes`), so rollups carry
-//!   p50/p90/p99/max, not just mean. [`record_value`] feeds ad-hoc
-//!   samples. Merging is element-wise and lossless, like counters.
+//!   p50/p90/p99/max, not just mean. Merging is element-wise and
+//!   lossless, like counters.
 //!
 //! [`take`] drains everything into a [`Trace`], which renders to the two
 //! sinks: [`Trace::chrome_json`] (the Chrome trace-event format, loadable
@@ -286,16 +286,6 @@ fn record_hist(name: Cow<'static, str>, value: u64) {
         .entry(name)
         .or_default()
         .record(value);
-}
-
-/// Records one sample into the named histogram. Span closes call this
-/// implicitly with their duration; use it directly for ad-hoc series
-/// (sizes, queue depths). Disabled cost: one atomic load.
-pub fn record_value(name: &'static str, value: u64) {
-    if !is_enabled() {
-        return;
-    }
-    record_hist(Cow::Borrowed(name), value);
 }
 
 /// Snapshot of one histogram without draining it — for live status

@@ -15,8 +15,10 @@
 //!    equivalent and merged, so locally rewritten regions collapse back
 //!    onto the original structure. A candidate pair whose cones meet on a
 //!    cut of at most six nodes is proven by comparing its truth tables over
-//!    that cut (cut sweeping); any other goes to a small window-bounded SAT
-//!    query against `sfq_solver::sat`. Output pairs that merge to the
+//!    that cut (cut sweeping); any other goes to a small SAT query against
+//!    `sfq_solver::sat`, bounded to a window of 200 AND nodes and 500
+//!    conflicts (a node asks at most 8 such queries before it joins its
+//!    class unmerged). Output pairs that merge to the
 //!    same literal are proven structurally. Refuted queries are not
 //!    wasted: their distinguishing patterns are simulated back into the
 //!    signatures (counterexample-guided refinement, the classic fraiging
@@ -24,8 +26,14 @@
 //!    tell apart — splits after one refutation instead of being refuted
 //!    pairwise.
 //! 3. **Miter SAT** — any still-unresolved output pair goes into a final
-//!    miter (XOR per pair, OR over pairs, assert true); UNSAT proves
-//!    equivalence, a model is a counterexample.
+//!    miter (XOR per pair, OR over pairs, assert true), solved without a
+//!    budget; UNSAT proves equivalence, a model is a counterexample.
+//!
+//! The window, the budgets and the pattern seed are constants of this
+//! module; [`CecConfig`] sets only the prefilter length. So a check always
+//! ends in a proof or a counterexample, and [`CecVerdict::Unknown`] means
+//! a miter model that did not replay on the two networks (an unsound
+//! merge, which the sweep rules out by construction).
 //!
 //! The sweep makes the check scale to the paper's benchmarks: after cut
 //! rewriting the two networks differ only in small local cones, each
@@ -42,7 +50,7 @@
 //! lookup per node, no signature, class scan or query. Every merge is
 //! still a proven equivalence of two joint nodes, so a reused space
 //! proves only true equivalences. Each check draws the same patterns from
-//! [`CecConfig::seed`], and its [`CecStats`] count its own work.
+//! one fixed seed, and its [`CecStats`] count its own work.
 //!
 //! **The miter rule.** The final miter only runs over a space that holds
 //! just the check's two networks. A check in a reused space absorbs its
@@ -108,43 +116,30 @@ use std::hash::Hasher;
 /// Words per simulation signature (4 × 64 = 256 patterns per node).
 const SIG_WORDS: usize = 4;
 
-/// Parameters of the equivalence check.
+/// Maximum AND nodes encoded per sweep query; logic beyond the window is
+/// abstracted to free variables (sound: abstraction can only lose merges,
+/// never create false ones).
+const SWEEP_WINDOW: usize = 200;
+/// Conflict budget per sweep query; a blown budget just skips the merge.
+const SWEEP_CONFLICTS: u64 = 500;
+/// SAT queries a fresh node asks of its class before it joins it unmerged.
+const QUERIES_PER_NODE: usize = 8;
+/// Seed of the deterministic pattern generator.
+const SEED: u64 = 0x5FC5_EC0D_E5EE_D001;
+
+/// Parameters of the equivalence check: the length of the simulation
+/// prefilter. Everything else (the sweep's window and budgets, the pattern
+/// seed) is fixed, see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CecConfig {
-    /// 64-pattern words used by the simulation prefilter.
+    /// 64-pattern words used by the simulation prefilter: 16 by default,
+    /// 0 leaves every counterexample to the sweep and the miter.
     pub sim_words: usize,
-    /// Enable SAT sweeping (stage 2). Without it, unresolved outputs go
-    /// straight to the monolithic miter.
-    pub sweep: bool,
-    /// Maximum AND nodes encoded per sweep query; logic beyond the window
-    /// is abstracted to free variables (sound: abstraction can only lose
-    /// merges, never create false ones).
-    pub sweep_window: usize,
-    /// Conflict budget per sweep query; a blown budget just skips the merge.
-    pub sweep_conflicts: u64,
-    /// Counterexample-guided signature refinement (classic fraiging): the
-    /// distinguishing pattern of every SAT-refuted sweep query is simulated
-    /// back into the signatures, so a signature-alias class splits once
-    /// instead of being refuted pairwise, query by query.
-    pub refine: bool,
-    /// Optional conflict budget of the final miter; `None` runs to an
-    /// answer.
-    pub final_conflicts: Option<u64>,
-    /// Seed of the deterministic pattern generator.
-    pub seed: u64,
 }
 
 impl Default for CecConfig {
     fn default() -> Self {
-        CecConfig {
-            sim_words: 16,
-            sweep: true,
-            sweep_window: 200,
-            sweep_conflicts: 500,
-            refine: true,
-            final_conflicts: None,
-            seed: 0x5FC5_EC0D_E5EE_D001,
-        }
+        CecConfig { sim_words: 16 }
     }
 }
 
@@ -175,7 +170,10 @@ pub enum CecVerdict {
     Equivalent,
     /// They differ on the contained input assignment (one `bool` per PI).
     NotEquivalent(Vec<bool>),
-    /// A conflict budget expired before an answer was reached.
+    /// No proof either way. A check answers this only when a miter model
+    /// does not replay on the networks, which an unsound merge would
+    /// cause; [`crate::optimize_verified`] also reports it for a pass that
+    /// changed the PI/PO interface (a [`CecError`] to the check).
     Unknown,
 }
 
@@ -629,7 +627,7 @@ impl SweepSpace {
     /// their inequivalence was already witnessed by a simulated pattern —
     /// and every refuted query feeds its distinguishing pattern back into
     /// the signatures, splitting the rest of the alias class for free.
-    fn and(&mut self, a: Lit, b: Lit, cfg: &CecConfig, stats: &mut CecStats) -> Lit {
+    fn and(&mut self, a: Lit, b: Lit, stats: &mut CecStats) -> Lit {
         let len = self.joint.len();
         let lit = self.joint.and(a, b);
         if self.joint.len() == len {
@@ -642,10 +640,9 @@ impl SweepSpace {
         let (norm, phase) = self.norm_sig(node);
         let key = digest(&norm);
         let mut merged = None;
-        let max_queries = if cfg.sweep { 8 } else { 0 };
         let mut queries = 0usize;
         let mut cursor = self.classes.get(&key).map_or(NONE, |&(head, _)| head);
-        while cursor != NONE && queries < max_queries {
+        while cursor != NONE && queries < QUERIES_PER_NODE {
             let cand = NodeId(cursor);
             cursor = self.slots[cand.index()].next;
             let (cand_norm, cand_phase) = self.norm_sig(cand);
@@ -654,7 +651,7 @@ impl SweepSpace {
             }
             // Refinement filter: the refined signatures are true simulated
             // values, so a mismatch is a definitive inequivalence witness.
-            if cfg.refine && self.norm_extra(node, phase) != self.norm_extra(cand, cand_phase) {
+            if self.norm_extra(node, phase) != self.norm_extra(cand, cand_phase) {
                 stats.alias_skips += 1;
                 continue;
             }
@@ -670,18 +667,14 @@ impl SweepSpace {
                 &self.joint,
                 Lit::new(node, false),
                 target,
-                cfg.sweep_window,
-                cfg.sweep_conflicts,
+                SWEEP_WINDOW,
+                SWEEP_CONFLICTS,
             ) {
                 Proof::Proved => {
                     merged = Some(target);
                     break;
                 }
-                Proof::Refuted(cex) => {
-                    if cfg.refine {
-                        self.refine(&cex, stats);
-                    }
-                }
+                Proof::Refuted(cex) => self.refine(&cex, stats),
                 Proof::Unknown => {}
             }
         }
@@ -706,7 +699,7 @@ impl SweepSpace {
     /// Copies the output cones of `aig` into the joint network, returning
     /// the canonical literal of every node they contain. Logic no output
     /// reads is never copied, so it costs no signature, class or query.
-    fn absorb(&mut self, aig: &Aig, cfg: &CecConfig, stats: &mut CecStats) -> Vec<Option<Lit>> {
+    fn absorb(&mut self, aig: &Aig, stats: &mut CecStats) -> Vec<Option<Lit>> {
         let mut map: Vec<Option<Lit>> = vec![None; aig.len()];
         map[NodeId::CONST0.index()] = Some(Lit::FALSE);
         self.sync();
@@ -722,7 +715,7 @@ impl SweepSpace {
                 NodeKind::And(a, b) => {
                     let fa = self.resolve(mapped(&map, a));
                     let fb = self.resolve(mapped(&map, b));
-                    map[id.index()] = Some(self.and(fa, fb, cfg, stats));
+                    map[id.index()] = Some(self.and(fa, fb, stats));
                 }
             }
         }
@@ -732,15 +725,9 @@ impl SweepSpace {
     /// Absorbs both networks and pairs up their outputs: returns the pairs
     /// whose canonical literals differ, and counts the others in
     /// `stats.structural_matches`.
-    fn sweep(
-        &mut self,
-        a: &Aig,
-        b: &Aig,
-        cfg: &CecConfig,
-        stats: &mut CecStats,
-    ) -> Vec<(Lit, Lit)> {
-        let map_a = self.absorb(a, cfg, stats);
-        let map_b = self.absorb(b, cfg, stats);
+    fn sweep(&mut self, a: &Aig, b: &Aig, stats: &mut CecStats) -> Vec<(Lit, Lit)> {
+        let map_a = self.absorb(a, stats);
+        let map_b = self.absorb(b, stats);
         let unresolved: Vec<(Lit, Lit)> = a
             .pos()
             .iter()
@@ -761,8 +748,8 @@ impl SweepSpace {
     /// then `b` one output cone at a time, depth first, and gives up at
     /// the first output pair whose canonical literals differ. Returns
     /// whether every pair matched.
-    fn sweep_outputs(&mut self, a: &Aig, b: &Aig, cfg: &CecConfig, stats: &mut CecStats) -> bool {
-        let map_a = self.absorb(a, cfg, stats);
+    fn sweep_outputs(&mut self, a: &Aig, b: &Aig, stats: &mut CecStats) -> bool {
+        let map_a = self.absorb(a, stats);
         let mut map: Vec<Option<Lit>> = vec![None; b.len()];
         map[NodeId::CONST0.index()] = Some(Lit::FALSE);
         // (node, whether its fanins are mapped)
@@ -779,7 +766,7 @@ impl SweepSpace {
                     NodeKind::And(x, y) if ready => {
                         let fx = self.resolve(mapped(&map, x));
                         let fy = self.resolve(mapped(&map, y));
-                        map[n.index()] = Some(self.and(fx, fy, cfg, stats));
+                        map[n.index()] = Some(self.and(fx, fy, stats));
                     }
                     NodeKind::And(x, y) => {
                         stack.extend([(n, true), (y.node(), false), (x.node(), false)])
@@ -824,7 +811,7 @@ impl CecSession {
             return Err(CecError::PoMismatch(a.po_count(), b.po_count()));
         }
         let mut stats = CecStats::default();
-        let mut rng = Rng::new(cfg.seed);
+        let mut rng = Rng::new(SEED);
 
         // Stage 1: random-simulation prefilter. One set of buffers serves
         // every pattern word ([`Aig::eval64_into`]) — at `sim_words = 8` on
@@ -855,10 +842,10 @@ impl CecSession {
 
         drop(sim_span);
 
-        // Stage 2: shared reconstruction, with SAT sweeping when enabled.
+        // Stage 2: SAT sweeping in the shared reconstruction.
         let sweep_span = sfq_obs::span("cec:sweep");
         if let Some(space) = self.space.as_mut() {
-            if space.sweep_outputs(a, b, cfg, &mut stats) {
+            if space.sweep_outputs(a, b, &mut stats) {
                 return Ok(CecOutcome {
                     verdict: CecVerdict::Equivalent,
                     stats,
@@ -873,7 +860,7 @@ impl CecSession {
         let space = self
             .space
             .insert(SweepSpace::new(a.pi_count(), !self.sat_only, &mut rng));
-        let unresolved = space.sweep(a, b, cfg, &mut stats);
+        let unresolved = space.sweep(a, b, &mut stats);
         if unresolved.is_empty() {
             return Ok(CecOutcome {
                 verdict: CecVerdict::Equivalent,
@@ -907,34 +894,23 @@ impl CecSession {
             selectors.push(s);
         }
         enc.solver.add_clause(selectors);
-        match enc.solver.solve_limited(cfg.final_conflicts) {
-            SolveOutcome::Unsat => Ok(CecOutcome {
+        let Some(model) = enc.solver.solve() else {
+            return Ok(CecOutcome {
                 verdict: CecVerdict::Equivalent,
                 stats,
-            }),
-            SolveOutcome::Unknown => Ok(CecOutcome {
-                verdict: CecVerdict::Unknown,
-                stats,
-            }),
-            SolveOutcome::Sat(model) => {
-                let cex = enc.pi_values(&space.joint, &model);
-                if a.eval(&cex) != b.eval(&cex) {
-                    Ok(CecOutcome {
-                        verdict: CecVerdict::NotEquivalent(cex),
-                        stats,
-                    })
-                } else {
-                    // A model that does not replay means an internal merge
-                    // was unsound — impossible by construction, but never
-                    // report "not equivalent" on a non-replaying witness.
-                    debug_assert!(false, "miter model must replay on the originals");
-                    Ok(CecOutcome {
-                        verdict: CecVerdict::Unknown,
-                        stats,
-                    })
-                }
-            }
-        }
+            });
+        };
+        let cex = enc.pi_values(&space.joint, &model);
+        let verdict = if a.eval(&cex) != b.eval(&cex) {
+            CecVerdict::NotEquivalent(cex)
+        } else {
+            // A model that does not replay means an internal merge was
+            // unsound — impossible by construction, but never report "not
+            // equivalent" on a non-replaying witness.
+            debug_assert!(false, "miter model must replay on the originals");
+            CecVerdict::Unknown
+        };
+        Ok(CecOutcome { verdict, stats })
     }
 }
 
@@ -1176,35 +1152,32 @@ mod tests {
         outs
     }
 
-    /// Satellite: counterexample-guided refinement must slash the number
-    /// of SAT queries spent refuting signature aliases.
+    /// Counterexample-guided refinement splits the alias class of the
+    /// detectors: every one of them aliases to the all-zero signature, and
+    /// the refuted queries' patterns, fed back, dismiss most candidates
+    /// without a query. The counters are pinned exactly; a sweep without
+    /// refinement asked 981 SAT queries here and merged 36 nodes.
     #[test]
     fn refinement_cuts_alias_queries() {
         let keys: Vec<u16> = (0..24).map(|i| (i * 157 + 3) % 4096).collect();
         let a = detectors(&keys, false);
         let b = detectors(&keys, true);
-        // All detectors alias to the all-zero signature class; without
-        // refinement the sweep grinds through pairwise refutations.
-        let unrefined = CecConfig {
-            refine: false,
-            ..CecConfig::default()
+        let out = check_equivalence(&a, &b, &CecConfig::default()).unwrap();
+        assert_eq!(out.verdict, CecVerdict::Equivalent);
+        assert!(out.stats.refinements > 0, "patterns must be fed back");
+        assert!(out.stats.alias_skips > 0, "aliases must be dismissed");
+        let pinned = CecStats {
+            sim_words: 16,
+            structural_matches: 17,
+            sweep_merges: 54,
+            cut_proofs: 54,
+            sat_queries: 437,
+            refinements: 64,
+            alias_skips: 4655,
+            used_final_sat: true,
+            restarts: 0,
         };
-        let base = check_equivalence(&a, &b, &unrefined).unwrap();
-        assert_eq!(base.verdict, CecVerdict::Equivalent);
-        let refined = check_equivalence(&a, &b, &CecConfig::default()).unwrap();
-        assert_eq!(refined.verdict, CecVerdict::Equivalent);
-        assert!(refined.stats.refinements > 0, "patterns must be fed back");
-        assert!(refined.stats.alias_skips > 0, "aliases must be dismissed");
-        assert!(
-            refined.stats.sat_queries < base.stats.sat_queries,
-            "refinement must cut queries: {} (refined) vs {} (unrefined)",
-            refined.stats.sat_queries,
-            base.stats.sat_queries
-        );
-        // With the class split by real witnesses, each balanced detector
-        // finds its chain twin and merges; without, the 8-candidate cap
-        // often buries the right candidate. More merges for fewer queries.
-        assert!(refined.stats.sweep_merges >= base.stats.sweep_merges);
+        assert_eq!(out.stats, pinned);
     }
 
     /// A cone no output reads is never absorbed: an unconnected alias class
@@ -1258,7 +1231,7 @@ mod tests {
             };
             let mut swept = g.clone();
             sweep_in_place(&mut swept);
-            let cfg = CecConfig { sim_words, ..CecConfig::default() };
+            let cfg = CecConfig { sim_words };
             prop_assert_eq!(check_equivalence(&g, &h, &cfg), check_equivalence(&swept, &h, &cfg));
         }
     }
@@ -1330,10 +1303,9 @@ mod tests {
     fn class_members_are_visited_in_insertion_order() {
         let keys: Vec<u16> = (0..24).map(|i| (i * 157 + 3) % 4096).collect();
         let (a, b) = (detectors(&keys, false), detectors(&keys, true));
-        let cfg = CecConfig::default();
-        let mut space = SweepSpace::new(a.pi_count(), true, &mut Rng::new(cfg.seed));
+        let mut space = SweepSpace::new(a.pi_count(), true, &mut Rng::new(SEED));
         let mut stats = CecStats::default();
-        space.sweep(&a, &b, &cfg, &mut stats);
+        space.sweep(&a, &b, &mut stats);
         assert!(stats.sweep_merges > 0 && stats.alias_skips > 0);
         let mut lists: HashMap<[u64; SIG_WORDS], Vec<NodeId>> = HashMap::new();
         for id in space.joint.and_ids() {
@@ -1386,43 +1358,27 @@ mod tests {
     }
 
     /// The miter rule: a check that leaves an output pair unresolved in a
-    /// reused space starts over in a fresh space, so its verdict and its
-    /// work from there on are a fresh check's. With sweeping off, every
-    /// pair of distinct structures is unresolved and the reused attempt
-    /// asks nothing; with it on, the broken pair still restarts.
+    /// reused space starts over in a fresh space, so its verdict is a fresh
+    /// check's. The equivalent pair merges in the reused space; the broken
+    /// pair restarts, since a reused space never refutes a pair.
     #[test]
     fn unresolved_reused_check_restarts_fresh() {
         let [a, b, c] = majority_chain();
-        for sweep in [false, true] {
-            let cfg = CecConfig {
-                sim_words: 0,
-                sweep,
-                ..CecConfig::default()
-            };
-            let mut session = CecSession::default();
-            let first = session.check(&a, &b, &cfg).unwrap();
-            assert_eq!(first, check_equivalence(&a, &b, &cfg).unwrap());
-            for (x, y, equivalent) in [(&b, &a, true), (&a, &c, false)] {
-                let got = session.check(x, y, &cfg).unwrap();
-                let want = check_equivalence(x, y, &cfg).unwrap();
-                assert_eq!(got.verdict, want.verdict, "sweep {sweep}");
-                assert_eq!(got.verdict == CecVerdict::Equivalent, equivalent);
-                if let CecVerdict::NotEquivalent(cex) = &got.verdict {
-                    assert_ne!(x.eval(cex), y.eval(cex), "cex must replay");
-                }
-                if !sweep {
-                    let restarted = CecStats {
-                        restarts: 1,
-                        ..want.stats
-                    };
-                    assert_eq!(got.stats, restarted);
-                }
-                // With sweeping on, the equivalent pair merges in the
-                // reused space; a reused space never refutes a pair.
-                let restarts = usize::from(!sweep || !equivalent);
-                assert_eq!(got.stats.restarts, restarts, "sweep {sweep}");
-                assert_eq!(got.stats.used_final_sat, restarts == 1);
+        let cfg = CecConfig { sim_words: 0 };
+        let mut session = CecSession::default();
+        let first = session.check(&a, &b, &cfg).unwrap();
+        assert_eq!(first, check_equivalence(&a, &b, &cfg).unwrap());
+        for (x, y, equivalent) in [(&b, &a, true), (&a, &c, false)] {
+            let got = session.check(x, y, &cfg).unwrap();
+            let want = check_equivalence(x, y, &cfg).unwrap();
+            assert_eq!(got.verdict, want.verdict);
+            assert_eq!(got.verdict == CecVerdict::Equivalent, equivalent);
+            if let CecVerdict::NotEquivalent(cex) = &got.verdict {
+                assert_ne!(x.eval(cex), y.eval(cex), "cex must replay");
             }
+            let restarts = usize::from(!equivalent);
+            assert_eq!(got.stats.restarts, restarts);
+            assert_eq!(got.stats.used_final_sat, restarts == 1);
         }
     }
 
@@ -1452,11 +1408,7 @@ mod tests {
         let c2 = b.and(pis[2], !pis[3]);
         let top = b.and(c1, c2);
         b.add_po(top);
-        let cfg = CecConfig {
-            sim_words: 0,
-            ..CecConfig::default()
-        };
-        let out = check_equivalence(&a, &b, &cfg).unwrap();
+        let out = check_equivalence(&a, &b, &CecConfig { sim_words: 0 }).unwrap();
         match out.verdict {
             CecVerdict::NotEquivalent(cex) => assert_ne!(a.eval(&cex), b.eval(&cex)),
             other => panic!("expected NotEquivalent, got {other:?}"),

@@ -474,10 +474,13 @@ pub struct VerifiedRun {
     pub report: OptReport,
     /// [`CecVerdict::Equivalent`] only if **every** executed pass was
     /// proven equivalent to its input (a pass that left its input
-    /// identical needs no proof); a counterexample identifies the first
-    /// pass that broke the function.
+    /// identical needs no proof). Otherwise the verdict of the first pass
+    /// that was not: a counterexample if it broke the function,
+    /// [`CecVerdict::Unknown`] if it changed the PI/PO interface or its
+    /// miter model did not replay.
     pub verdict: CecVerdict,
-    /// Name of the pass that failed verification, if any.
+    /// Name of the pass that failed verification, if any: the run stopped
+    /// there.
     pub failed_pass: Option<&'static str>,
     /// Aggregated CEC counters over all stage checks.
     pub cec: CecStats,
@@ -510,8 +513,11 @@ pub struct VerifiedRun {
 /// window-bounded queries instead of one monolithic miter across several
 /// optimization rounds of structural drift.
 ///
-/// On a mismatch the run stops at the failing pass and returns the last
-/// verified network together with the counterexample.
+/// A check's final miter has no budget, so every check ends in a proof or
+/// a counterexample. The run stops at the first pass that is not proven,
+/// whether it broke the function (a counterexample) or changed the PI/PO
+/// interface ([`CecVerdict::Unknown`], as is a miter model that did not
+/// replay), and returns the last verified network with that verdict.
 pub fn optimize_verified(subject: &Aig, config: &OptConfig, cec: &CecConfig) -> VerifiedRun {
     verified_rounds(subject, config, cec, &mut PassKind::run)
 }
@@ -535,37 +541,23 @@ fn verified_rounds(
             return true;
         }
         checked_stages += 1;
-        match session.check(before, after, cec) {
+        // A pass that changed the PI/PO interface is a contract violation
+        // no counterexample can express: it stops the run as `Unknown`.
+        let out = match session.check(before, after, cec) {
             Ok(out) => {
                 stats.absorb(&out.stats);
-                match out.verdict {
-                    CecVerdict::Equivalent => true,
-                    // Budget ran out: keep optimizing, but the run as a
-                    // whole is no longer fully proven.
-                    CecVerdict::Unknown => {
-                        if verdict == CecVerdict::Equivalent {
-                            verdict = CecVerdict::Unknown;
-                            failed_pass = Some(pass);
-                        }
-                        true
-                    }
-                    // A pass broke the function: stop on the last verified
-                    // network and report the witness.
-                    CecVerdict::NotEquivalent(cex) => {
-                        verdict = CecVerdict::NotEquivalent(cex);
-                        failed_pass = Some(pass);
-                        false
-                    }
-                }
+                out.verdict
             }
-            // A pass changed the PI/PO interface — a contract violation
-            // no counterexample can express.
-            Err(_) => {
-                verdict = CecVerdict::Unknown;
-                failed_pass = Some(pass);
-                false
-            }
+            Err(_) => CecVerdict::Unknown,
+        };
+        if out == CecVerdict::Equivalent {
+            return true;
         }
+        // The pass is not proven: stop on the last verified network and
+        // report the verdict (with its witness, if it has one).
+        verdict = out;
+        failed_pass = Some(pass);
+        false
     };
     let report = run_rounds(&mut aig, config, stage, Some(&mut check));
     // As in [`optimize`]: hand back the dense form.
@@ -830,6 +822,47 @@ mod tests {
         assert_eq!((run.checked_stages, run.skipped_stages), (2, 1));
     }
 
+    /// A stage injected after a real rewrite that appends an output: the
+    /// CEC cannot compare the two interfaces, so the verified loop must stop
+    /// there with `Unknown`, name the stage, return the rewritten network it
+    /// last proved, and run no later pass.
+    #[test]
+    fn an_interface_change_stops_the_run() {
+        let mut g = Aig::new();
+        let (a, b, c) = (g.add_pi(), g.add_pi(), g.add_pi());
+        let m = g.maj3(a, b, c);
+        g.add_po(m);
+        let config = OptConfig {
+            enabled: true,
+            passes: vec![PassKind::Rewrite, PassKind::Sweep, PassKind::Balance],
+            fixpoint: true,
+            max_rounds: 4,
+        };
+        let mut stage = |kind: PassKind, aig: &mut Aig| match kind {
+            PassKind::Sweep => {
+                *aig = with_pos(aig, |pos| vec![pos[0], !pos[0]]);
+                unchanged("add-po", aig)
+            }
+            _ => kind.run(aig),
+        };
+        let run = verified_rounds(&g, &config, &CecConfig::default(), &mut stage);
+
+        let mut rewritten = g.clone();
+        assert!(PassKind::Rewrite.run(&mut rewritten).applied > 0);
+        rewritten.compact();
+        assert_eq!(run.verdict, CecVerdict::Unknown);
+        assert_eq!(run.failed_pass, Some("add-po"));
+        assert_eq!(run.aig.po_count(), 1);
+        assert_eq!(
+            run.aig.structural_hash(),
+            rewritten.structural_hash(),
+            "the last verified network is the rewritten one"
+        );
+        let passes: Vec<_> = run.report.rounds.concat().iter().map(|s| s.pass).collect();
+        assert_eq!(passes, ["rewrite", "add-po"], "no later pass runs");
+        assert_eq!((run.checked_stages, run.skipped_stages), (2, 0));
+    }
+
     /// One single edit of `g`, selected by `which` and placed by `pick`:
     /// a fanin's complement flipped, an output complemented, two distinct
     /// outputs swapped, or one AND fanin rewired to another live node.
@@ -960,7 +993,7 @@ mod tests {
         ) {
             let config = RandomAigConfig { num_pis, num_gates, num_pos, xor_percent: 30 };
             let mut aig = random_aig(seed, &config);
-            let cec = CecConfig { sim_words, ..CecConfig::default() };
+            let cec = CecConfig { sim_words };
             let mut session = CecSession::default();
             let stages = PassKind::ALL.iter().cycle().take(8);
             for (step, &kind) in stages.enumerate() {
@@ -1030,7 +1063,7 @@ mod tests {
             }
             let edit = edited(&optimized, if rewire { 3 } else { 0 }, pick);
             let edit = edit.unwrap_or_else(|| optimized.clone());
-            let cec = CecConfig { sim_words, ..CecConfig::default() };
+            let cec = CecConfig { sim_words };
             let (mut cut, mut sat) = (CecSession::default(), CecSession::sat_only());
             for (step, (x, y)) in [(&g, &optimized), (&optimized, &edit)].into_iter().enumerate() {
                 let got = cut.check(x, y, &cec).expect("same interface");

@@ -99,11 +99,7 @@ fn mutated_fanin_polarity_makes_the_miter_sat() {
 
     // The same bug must also be caught with the simulation prefilter off —
     // i.e. by the SAT miter itself.
-    let sat_only = CecConfig {
-        sim_words: 0,
-        ..CecConfig::default()
-    };
-    let out = check_equivalence(&opt, &mutated, &sat_only).unwrap();
+    let out = check_equivalence(&opt, &mutated, &CecConfig { sim_words: 0 }).unwrap();
     assert!(
         matches!(out.verdict, CecVerdict::NotEquivalent(_)),
         "miter must be SAT on the mutated network, got {:?}",
@@ -335,15 +331,7 @@ fn verified_report_equals_plain_report() {
         }
         report
     };
-    // Only a rejected pass could end the two runs differently, and an
-    // exhausted budget never rejects, so a simulation-only check (no SAT
-    // sweep, no final miter conflicts) compares the same loop at half the
-    // cost of the full CEC in a debug build.
-    let budgeted = CecConfig {
-        sweep: false,
-        final_conflicts: Some(0),
-        ..CecConfig::default()
-    };
+    // Only a pass that is not proven could end the two runs differently.
     let single_round = OptConfig {
         fixpoint: false,
         ..OptConfig::standard()
@@ -357,9 +345,8 @@ fn verified_report_equals_plain_report() {
     for (name, aig) in table1_small() {
         for cfg in &configs {
             let (opt, plain) = optimize(&aig, cfg);
-            let run = optimize_verified(&aig, cfg, &budgeted);
-            let refuted = matches!(run.verdict, CecVerdict::NotEquivalent(_));
-            assert!(!refuted, "{name}: a pass broke the function");
+            let run = optimize_verified(&aig, cfg, &CecConfig::default());
+            assert_eq!(run.verdict, CecVerdict::Equivalent, "{name}: verdict");
             assert_eq!(
                 run.aig.structural_hash(),
                 opt.structural_hash(),

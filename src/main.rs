@@ -549,7 +549,7 @@ fn cmd_opt(args: &Args) -> Result<(), String> {
             CecVerdict::Unknown => {
                 return Err(format!(
                     "CEC inconclusive in pass '{}': the pass changed the PI/PO \
-                     interface, or a configured solver budget ran out",
+                     interface, or a miter model did not replay (an unsound merge)",
                     run.failed_pass.unwrap_or("?")
                 ));
             }
